@@ -100,6 +100,23 @@ impl QuantizedNetBenchmark {
     /// * [`NeuralError::InvalidPower`] if a word-length is outside `2..=32`
     ///   (reusing the error type's index/value payload).
     pub fn classification_rate(&self, word_lengths: &[i32]) -> Result<f64, NeuralError> {
+        let logits = self.image_logits(word_lengths)?;
+        let agree = logits
+            .iter()
+            .zip(&self.labels)
+            .filter(|(l, &label)| crate::argmax(l) == label)
+            .count();
+        Ok(agree as f64 / self.images.len() as f64)
+    }
+
+    /// The logits of every evaluation image under the word-length
+    /// configuration `word_lengths`, in image order — the raw outputs
+    /// [`QuantizedNetBenchmark::classification_rate`] is computed from.
+    ///
+    /// # Errors
+    ///
+    /// As [`QuantizedNetBenchmark::classification_rate`].
+    pub fn image_logits(&self, word_lengths: &[i32]) -> Result<Vec<Vec<f64>>, NeuralError> {
         if word_lengths.len() != NUM_INJECTION_SITES {
             return Err(NeuralError::WrongSourceCount {
                 expected: NUM_INJECTION_SITES,
@@ -122,17 +139,14 @@ impl QuantizedNetBenchmark {
             })?;
             quantizers.push(Quantizer::new(format));
         }
-        let mut agree = 0usize;
-        for (img, &label) in self.images.iter().zip(&self.labels) {
-            let mut hook = QuantizeHook {
-                quantizers: &quantizers,
-            };
-            let logits = self.net.forward_with(img, &mut hook);
-            if crate::argmax(&logits) == label {
-                agree += 1;
-            }
-        }
-        Ok(agree as f64 / self.images.len() as f64)
+        let mut hook = QuantizeHook {
+            quantizers: &quantizers,
+        };
+        Ok(self
+            .images
+            .iter()
+            .map(|img| self.net.forward_with(img, &mut hook))
+            .collect())
     }
 }
 

@@ -80,6 +80,23 @@ impl SensitivityBenchmark {
     /// * [`NeuralError::WrongSourceCount`] on a wrong-length vector.
     /// * [`NeuralError::InvalidPower`] on NaN or `+∞` powers.
     pub fn classification_rate(&self, powers_db: &[f64]) -> Result<f64, NeuralError> {
+        let logits = self.image_logits(powers_db)?;
+        let agree = logits
+            .iter()
+            .zip(&self.labels)
+            .filter(|(l, &label)| crate::argmax(l) == label)
+            .count();
+        Ok(agree as f64 / self.images.len() as f64)
+    }
+
+    /// The logits of every evaluation image under the error-power
+    /// configuration `powers_db`, in image order — the raw outputs
+    /// [`SensitivityBenchmark::classification_rate`] is computed from.
+    ///
+    /// # Errors
+    ///
+    /// As [`SensitivityBenchmark::classification_rate`].
+    pub fn image_logits(&self, powers_db: &[f64]) -> Result<Vec<Vec<f64>>, NeuralError> {
         if powers_db.len() != NUM_INJECTION_SITES {
             return Err(NeuralError::WrongSourceCount {
                 expected: NUM_INJECTION_SITES,
@@ -91,14 +108,12 @@ impl SensitivityBenchmark {
                 return Err(NeuralError::InvalidPower { index, power_db: p });
             }
         }
-        let mut agree = 0usize;
-        for (i, (img, &label)) in self.images.iter().zip(&self.labels).enumerate() {
-            let (class, _) = self.net.classify_with_injection(img, powers_db, i as u64);
-            if class == label {
-                agree += 1;
-            }
-        }
-        Ok(agree as f64 / self.images.len() as f64)
+        Ok(self
+            .images
+            .iter()
+            .enumerate()
+            .map(|(i, img)| self.net.classify_with_injection(img, powers_db, i as u64).1)
+            .collect())
     }
 }
 
