@@ -115,17 +115,17 @@ impl QFormat {
 
     /// Quantization step `2^(−fractional_bits)`.
     pub fn step(&self) -> f64 {
-        2f64.powi(-self.fractional_bits)
+        pow2(-self.fractional_bits)
     }
 
     /// Largest representable value `2^m − 2^(−f)`.
     pub fn max_value(&self) -> f64 {
-        2f64.powi(self.integer_bits) - self.step()
+        pow2(self.integer_bits) - self.step()
     }
 
     /// Smallest representable value `−2^m`.
     pub fn min_value(&self) -> f64 {
-        -(2f64.powi(self.integer_bits))
+        -pow2(self.integer_bits)
     }
 
     /// `true` if `x` is exactly representable in this format.
@@ -149,6 +149,25 @@ impl QFormat {
         let k = x / self.step();
         k == k.round()
     }
+}
+
+/// `2^e`, bitwise equal to `2f64.powi(e)`: in the normal range the power
+/// is exact either way, so it is assembled from its exponent bits instead
+/// of a `powi` call (these sit on every quantized sample's path).
+fn pow2(e: i32) -> f64 {
+    if (-1022..=1023).contains(&e) {
+        f64::from_bits(((e + 1023) as u64) << 52)
+    } else {
+        pow2_outside_normal_range(e)
+    }
+}
+
+/// Out of line and cold, so the optimizer does not speculate the `powi`
+/// call onto the normal-range path.
+#[cold]
+#[inline(never)]
+fn pow2_outside_normal_range(e: i32) -> f64 {
+    2f64.powi(e)
 }
 
 impl fmt::Display for QFormat {
@@ -215,6 +234,13 @@ mod tests {
         assert!(q.represents(1.875));
         assert!(!q.represents(2.0));
         assert!(!q.represents(0.1));
+    }
+
+    #[test]
+    fn pow2_is_bitwise_powi() {
+        for e in -1100..=1100 {
+            assert_eq!(pow2(e).to_bits(), 2f64.powi(e).to_bits(), "2^{e}");
+        }
     }
 
     #[test]

@@ -115,25 +115,60 @@ impl Quantizer {
     /// NaN inputs propagate unchanged (the benchmarks never produce them;
     /// propagating makes failures visible instead of silently saturating).
     pub fn quantize(&self, x: f64) -> f64 {
+        self.quantize_on(&self.grid(), x)
+    }
+
+    /// Quantizes a slice into a fresh vector; bitwise equal to
+    /// [`Quantizer::quantize`] per element, with the format's constants
+    /// computed once per call.
+    pub fn quantize_slice(&self, xs: &[f64]) -> Vec<f64> {
+        let grid = self.grid();
+        xs.iter().map(|&x| self.quantize_on(&grid, x)).collect()
+    }
+
+    /// Quantizes a slice in place (reuses the caller's buffer); bitwise
+    /// equal to [`Quantizer::quantize`] per element.
+    pub fn quantize_in_place(&self, xs: &mut [f64]) {
+        let grid = self.grid();
+        for x in xs {
+            *x = self.quantize_on(&grid, *x);
+        }
+    }
+
+    fn grid(&self) -> Grid {
+        let step = self.format.step();
+        Grid {
+            step,
+            // `step` is a power of two, so its reciprocal is exact (0 if
+            // `step` overflowed to ∞, and x · 0 = x / ∞): `x * inv_step`
+            // rounds the same real number `x / step` does.
+            inv_step: 1.0 / step,
+            lo: self.format.min_value(),
+            hi: self.format.max_value(),
+        }
+    }
+
+    // Always inlined: the slice loops call it per element.
+    #[inline(always)]
+    fn quantize_on(&self, g: &Grid, x: f64) -> f64 {
         if x.is_nan() {
             return x;
         }
-        let step = self.format.step();
-        let k = x / step;
+        let k = x * g.inv_step;
         let k = match self.rounding {
             RoundingMode::Truncate => k.floor(),
             RoundingMode::Nearest => k.round(), // f64::round = ties away from zero
             RoundingMode::NearestEven => round_ties_even(k),
         };
-        let v = k * step;
-        let (lo, hi) = (self.format.min_value(), self.format.max_value());
+        let v = k * g.step;
+        let (lo, hi) = (g.lo, g.hi);
         match self.overflow {
             OverflowMode::Saturate => v.clamp(lo, hi),
             OverflowMode::Wrap => {
                 if (lo..=hi).contains(&v) {
                     v
                 } else {
-                    let span = hi - lo + step; // 2^(m+1)
+                    let span = hi - lo + g.step; // 2^(m+1)
                     let wrapped = (v - lo).rem_euclid(span) + lo;
                     // Guard against the representable-edge rounding case.
                     wrapped.clamp(lo, hi)
@@ -141,18 +176,14 @@ impl Quantizer {
             }
         }
     }
+}
 
-    /// Quantizes a slice into a fresh vector.
-    pub fn quantize_slice(&self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.quantize(x)).collect()
-    }
-
-    /// Quantizes a slice in place (reuses the caller's buffer).
-    pub fn quantize_in_place(&self, xs: &mut [f64]) {
-        for x in xs {
-            *x = self.quantize(*x);
-        }
-    }
+/// A format's per-value constants, derived once per [`Quantizer`] call.
+struct Grid {
+    step: f64,
+    inv_step: f64,
+    lo: f64,
+    hi: f64,
 }
 
 fn round_ties_even(k: f64) -> f64 {
@@ -257,6 +288,98 @@ mod tests {
     mod proptests {
         use super::*;
         use proptest::prelude::*;
+
+        /// The per-element body as originally written, dividing by the
+        /// step: the oracle for the reciprocal-multiply hot path.
+        fn quantize_by_division(q: &Quantizer, x: f64) -> f64 {
+            if x.is_nan() {
+                return x;
+            }
+            let step = q.format().step();
+            let k = x / step;
+            let k = match q.rounding() {
+                RoundingMode::Truncate => k.floor(),
+                RoundingMode::Nearest => k.round(),
+                RoundingMode::NearestEven => round_ties_even(k),
+            };
+            let v = k * step;
+            let (lo, hi) = (q.format().min_value(), q.format().max_value());
+            match q.overflow() {
+                OverflowMode::Saturate => v.clamp(lo, hi),
+                OverflowMode::Wrap => {
+                    if (lo..=hi).contains(&v) {
+                        v
+                    } else {
+                        let wrapped = (v - lo).rem_euclid(hi - lo + step) + lo;
+                        wrapped.clamp(lo, hi)
+                    }
+                }
+            }
+        }
+
+        /// Inputs around a format's grid and range, plus every special
+        /// class: NaN, ±∞, ±0, subnormals, extreme and arbitrary bit
+        /// patterns.
+        fn probe_values(f: QFormat, bits: u64, unit: f64) -> Vec<f64> {
+            let (step, hi) = (f.step(), f.max_value());
+            let mut xs = vec![
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                f64::MIN_POSITIVE,
+                f64::MIN_POSITIVE / 3.0,
+                -f64::from_bits(1),
+                f64::MAX,
+                f64::MIN,
+                f64::from_bits(bits),
+                f64::from_bits(bits.rotate_left(17)),
+            ];
+            for s in [0.5, 1.0, 1.5, 2.5, 3.0] {
+                xs.extend([s * step, -s * step, hi + s * step, -hi - s * step]);
+            }
+            for s in [0.001, 0.37, 0.999, 1.0, 1.7, 4.0, 1e9] {
+                xs.extend([s * unit * hi, -s * unit * hi]);
+            }
+            xs
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn slice_paths_are_bitwise_per_element_quantize(
+                (small, int_small, int_any) in (0u32..2, 0i32..=16, 0i32..=1023),
+                word_length in 1i32..=QFormat::MAX_WORD_LENGTH,
+                bits in 0u64..u64::MAX,
+                unit in 0.0f64..1.0,
+            ) {
+                // Integer bits up to 1023 keep the range finite; with every
+                // word-length this spans fractional bits -1023..=62.
+                let m = if small == 0 { int_small } else { int_any };
+                let f = QFormat::with_word_length(m, word_length).unwrap();
+                let xs = probe_values(f, bits, unit);
+                for rounding in
+                    [RoundingMode::Nearest, RoundingMode::Truncate, RoundingMode::NearestEven]
+                {
+                    for overflow in [OverflowMode::Saturate, OverflowMode::Wrap] {
+                        let q = Quantizer::with_modes(f, rounding, overflow);
+                        let each: Vec<u64> = xs.iter().map(|&x| q.quantize(x).to_bits()).collect();
+                        let oracle: Vec<u64> =
+                            xs.iter().map(|&x| quantize_by_division(&q, x).to_bits()).collect();
+                        let slice: Vec<u64> =
+                            q.quantize_slice(&xs).iter().map(|v| v.to_bits()).collect();
+                        let mut inplace = xs.clone();
+                        q.quantize_in_place(&mut inplace);
+                        let inplace: Vec<u64> = inplace.iter().map(|v| v.to_bits()).collect();
+                        prop_assert_eq!(&each, &oracle, "{} {:?} {:?}", f, rounding, overflow);
+                        prop_assert_eq!(&slice, &each, "{} {:?} {:?}", f, rounding, overflow);
+                        prop_assert_eq!(&inplace, &each, "{} {:?} {:?}", f, rounding, overflow);
+                    }
+                }
+            }
+        }
 
         proptest! {
             #[test]

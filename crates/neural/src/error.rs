@@ -3,7 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error returned by [`crate::SensitivityBenchmark`] evaluation calls.
+/// Error returned by [`crate::SensitivityBenchmark`] and
+/// [`crate::QuantizedNetBenchmark`] evaluation calls.
 ///
 /// # Examples
 ///
@@ -32,6 +33,14 @@ pub enum NeuralError {
         /// The rejected dB value.
         power_db: f64,
     },
+    /// A register word-length is outside the supported `2..=32` bits, or
+    /// leaves no valid fixed-point format for the site's integer bits.
+    InvalidWordLength {
+        /// Index of the offending site.
+        index: usize,
+        /// The rejected word-length in bits.
+        word_length: i32,
+    },
 }
 
 impl fmt::Display for NeuralError {
@@ -42,6 +51,9 @@ impl fmt::Display for NeuralError {
             }
             NeuralError::InvalidPower { index, power_db } => {
                 write!(f, "invalid error power {power_db} dB for source {index}")
+            }
+            NeuralError::InvalidWordLength { index, word_length } => {
+                write!(f, "invalid word-length {word_length} bits for site {index}")
             }
         }
     }
@@ -65,6 +77,11 @@ mod tests {
             power_db: f64::NAN,
         };
         assert!(e.to_string().contains("source 2"));
+        let e = NeuralError::InvalidWordLength {
+            index: 4,
+            word_length: 40,
+        };
+        assert_eq!(e.to_string(), "invalid word-length 40 bits for site 4");
     }
 
     #[test]

@@ -72,38 +72,52 @@ impl Conv2d {
 
     /// Runs the convolution (stride 1, same padding).
     ///
+    /// Each output plane starts at its bias; then every `(ic, ky, kx)` tap,
+    /// in that order, adds `weight · input` over the output rectangle where
+    /// the tap lands inside the image, one contiguous row slice at a time.
+    /// Every output pixel therefore receives exactly the additions of the
+    /// textbook per-pixel loop, in the same order and skipping the same
+    /// padded taps, so the result is bitwise identical to it.
+    ///
     /// # Panics
     ///
     /// Panics if `input.channels() != in_channels`.
     pub fn forward(&self, input: &Tensor3) -> Tensor3 {
         assert_eq!(input.channels(), self.in_channels, "input channel mismatch");
         let (h, w) = (input.height(), input.width());
-        let pad = self.kernel / 2;
+        let k = self.kernel;
+        let pad = k / 2;
+        let plane = h * w;
         let mut out = Tensor3::zeros(self.out_channels, h, w);
-        for oc in 0..self.out_channels {
-            for y in 0..h {
-                for x in 0..w {
-                    let mut acc = self.bias[oc];
-                    for ic in 0..self.in_channels {
-                        for ky in 0..self.kernel {
-                            let sy = y as isize + ky as isize - pad as isize;
-                            if sy < 0 || sy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..self.kernel {
-                                let sx = x as isize + kx as isize - pad as isize;
-                                if sx < 0 || sx >= w as isize {
-                                    continue;
-                                }
-                                let wgt =
-                                    self.weights[((oc * self.in_channels + ic) * self.kernel + ky)
-                                        * self.kernel
-                                        + kx];
-                                acc += wgt * input[(ic, sy as usize, sx as usize)];
+        let planes = out.as_mut_slice().chunks_exact_mut(plane);
+        let filters = self.weights.chunks_exact(self.in_channels * k * k);
+        for ((dst, filter), &bias) in planes.zip(filters).zip(&self.bias) {
+            dst.fill(bias);
+            let sources = input.as_slice().chunks_exact(plane);
+            for (src, taps) in sources.zip(filter.chunks_exact(k * k)) {
+                for (ky, row_taps) in taps.chunks_exact(k).enumerate() {
+                    // Output rows whose source row `y + ky - pad` is inside.
+                    let (y0, y1) = (pad.saturating_sub(ky), (h + pad).saturating_sub(ky).min(h));
+                    for (kx, &wgt) in row_taps.iter().enumerate() {
+                        let (x0, x1) =
+                            (pad.saturating_sub(kx), (w + pad).saturating_sub(kx).min(w));
+                        if y0 >= y1 || x0 >= x1 {
+                            continue;
+                        }
+                        // Full-width rows are contiguous: one run covers them.
+                        let (run, rows) = if x1 - x0 == w {
+                            ((y1 - y0) * w, y0..y0 + 1)
+                        } else {
+                            (x1 - x0, y0..y1)
+                        };
+                        for y in rows {
+                            let d = y * w + x0;
+                            let s = (y + ky - pad) * w + x0 + kx - pad;
+                            for (o, &v) in dst[d..d + run].iter_mut().zip(&src[s..s + run]) {
+                                *o += wgt * v;
                             }
                         }
                     }
-                    out[(oc, y, x)] = acc;
                 }
             }
         }
@@ -219,6 +233,70 @@ pub fn argmax(logits: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Conv2d {
+        /// The textbook per-pixel loop: the bitwise oracle for `forward`.
+        fn forward_naive(&self, input: &Tensor3) -> Tensor3 {
+            let (h, w) = (input.height(), input.width());
+            let pad = self.kernel / 2;
+            let mut out = Tensor3::zeros(self.out_channels, h, w);
+            for oc in 0..self.out_channels {
+                for y in 0..h {
+                    for x in 0..w {
+                        let mut acc = self.bias[oc];
+                        for ic in 0..self.in_channels {
+                            for ky in 0..self.kernel {
+                                let sy = y as isize + ky as isize - pad as isize;
+                                if sy < 0 || sy >= h as isize {
+                                    continue;
+                                }
+                                for kx in 0..self.kernel {
+                                    let sx = x as isize + kx as isize - pad as isize;
+                                    if sx < 0 || sx >= w as isize {
+                                        continue;
+                                    }
+                                    let wgt = self.weights[((oc * self.in_channels + ic)
+                                        * self.kernel
+                                        + ky)
+                                        * self.kernel
+                                        + kx];
+                                    acc += wgt * input[(ic, sy as usize, sx as usize)];
+                                }
+                            }
+                        }
+                        out[(oc, y, x)] = acc;
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn forward_is_bitwise_the_naive_loop(
+            (ic, oc, k) in (1usize..5, 1usize..5, 0usize..3),
+            (h, w) in (1usize..10, 1usize..10),
+            seed in 0u64..u64::MAX,
+        ) {
+            let kernel = 2 * k + 1; // 1, 3 or 5, also wider than tiny inputs
+            let conv = Conv2d::seeded(ic, oc, kernel, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
+            let x = Tensor3::from_vec(
+                ic,
+                h,
+                w,
+                (0..ic * h * w).map(|_| rng.gen_range(-4.0..4.0)).collect(),
+            );
+            let fast: Vec<u64> = conv.forward(&x).as_slice().iter().map(|v| v.to_bits()).collect();
+            let naive: Vec<u64> =
+                conv.forward_naive(&x).as_slice().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(fast, naive);
+        }
+    }
 
     #[test]
     fn conv_is_deterministic_per_seed() {

@@ -112,7 +112,7 @@ impl MiniSqueezeNet {
     ///
     /// Panics if `image` does not have 3 channels or is smaller than 8×8.
     pub fn logits(&self, image: &Tensor3) -> Vec<f64> {
-        self.forward(image, &[f64::NEG_INFINITY; NUM_INJECTION_SITES], 0)
+        self.forward_with(image, &mut NoopHook)
     }
 
     /// Error-free classification (argmax of the logits).
@@ -143,11 +143,6 @@ impl MiniSqueezeNet {
         powers_db: &[f64],
         image_index: u64,
     ) -> (usize, Vec<f64>) {
-        let logits = self.forward(image, powers_db, image_index);
-        (argmax(&logits), logits)
-    }
-
-    fn forward(&self, image: &Tensor3, powers_db: &[f64], image_index: u64) -> Vec<f64> {
         assert_eq!(
             powers_db.len(),
             NUM_INJECTION_SITES,
@@ -159,13 +154,37 @@ impl MiniSqueezeNet {
                 "invalid error power at site {i}: {p}"
             );
         }
-        let mut hook = NoiseHook {
-            powers_db,
-            rng: StdRng::seed_from_u64(
-                self.noise_seed ^ image_index.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ),
-        };
-        self.forward_with(image, &mut hook)
+        let stream = self.noise_stream(image_index, self.noise_draws(image));
+        let logits = self.forward_with(image, &mut NoiseHook::new(powers_db, &stream));
+        (argmax(&logits), logits)
+    }
+
+    /// The first `len` standard normals of image `image_index`'s noise
+    /// sequence. Injection is the only consumer of this generator, so an
+    /// image's sequence is the same for every configuration; a site that
+    /// injects nothing consumes nothing, and later sites read on from there.
+    pub(crate) fn noise_stream(&self, image_index: u64, len: usize) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(
+            self.noise_seed ^ image_index.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
+        (0..len).map(|_| standard_normal(&mut rng)).collect()
+    }
+
+    /// Noise draws a forward pass over `image` consumes when every site
+    /// injects: the sum of the ten site sizes, from the layer shapes
+    /// (2×2 pooling floors each spatial dimension).
+    pub(crate) fn noise_draws(&self, image: &Tensor3) -> usize {
+        let (h, w) = (image.height(), image.width());
+        let half = (h / 2) * (w / 2);
+        let quarter = (h / 4) * (w / 4);
+        let conv1 = self.conv1.out_channels();
+        conv1 * h * w
+            + conv1 * half
+            + (self.fire1.out_channels() + self.fire2.out_channels()) * half
+            + (self.fire2.out_channels() + self.fire3.out_channels() + self.fire4.out_channels())
+                * quarter
+            + self.class_conv.out_channels() * quarter
+            + 2 * NUM_CLASSES
     }
 
     /// Forward pass with an arbitrary per-site perturbation hook — the
@@ -174,10 +193,24 @@ impl MiniSqueezeNet {
     /// called after each of sites 0–7 (activation tensors) and
     /// `hook.vector(site, v)` after sites 8–9 (the calibrated logits).
     ///
+    /// Equivalent to `forward_from(stem(image), hook)`.
+    ///
     /// # Panics
     ///
     /// Panics if `image` is not RGB or smaller than 8×8.
     pub fn forward_with(&self, image: &Tensor3, hook: &mut dyn SiteHook) -> Vec<f64> {
+        self.forward_from(self.stem(image), hook)
+    }
+
+    /// conv1 and its ReLU: the part of the forward pass before injection
+    /// site 0, so a function of the image alone. Benchmarks that evaluate
+    /// many configurations over a fixed image set compute it once per image
+    /// and resume with [`MiniSqueezeNet::forward_from`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` is not RGB or smaller than 8×8.
+    pub fn stem(&self, image: &Tensor3) -> Tensor3 {
         assert_eq!(image.channels(), 3, "expected an RGB image");
         assert!(
             image.height() >= 8 && image.width() >= 8,
@@ -185,6 +218,26 @@ impl MiniSqueezeNet {
         );
         let mut t = self.conv1.forward(image);
         relu_in_place(&mut t);
+        t
+    }
+
+    /// Each image's [`MiniSqueezeNet::stem`] output and the label the
+    /// error-free network gives it: the per-image state the benchmarks
+    /// precompute.
+    pub(crate) fn stems_and_labels(&self, images: &[Tensor3]) -> (Vec<Tensor3>, Vec<usize>) {
+        let stems: Vec<Tensor3> = images.iter().map(|img| self.stem(img)).collect();
+        let labels = stems
+            .iter()
+            .map(|stem| argmax(&self.forward_from(stem.clone(), &mut NoopHook)))
+            .collect();
+        (stems, labels)
+    }
+
+    /// The forward pass from a [`MiniSqueezeNet::stem`] output onwards,
+    /// starting with injection site 0 (see
+    /// [`MiniSqueezeNet::forward_with`]).
+    pub fn forward_from(&self, stem: Tensor3, hook: &mut dyn SiteHook) -> Vec<f64> {
+        let mut t = stem;
         hook.tensor(0, &mut t);
 
         let mut t = max_pool2(&t);
@@ -225,6 +278,17 @@ impl MiniSqueezeNet {
     }
 }
 
+/// The share of images whose logits' argmax equals their reference label
+/// (`p_cl`).
+pub(crate) fn agreement_rate(logits: &[Vec<f64>], labels: &[usize]) -> f64 {
+    let agree = logits
+        .iter()
+        .zip(labels)
+        .filter(|(l, &label)| argmax(l) == label)
+        .count();
+    agree as f64 / labels.len() as f64
+}
+
 /// A per-site perturbation applied during [`MiniSqueezeNet::forward_with`].
 ///
 /// Sites 0–7 are activation tensors, sites 8–9 the calibrated logits.
@@ -244,50 +308,55 @@ impl SiteHook for NoopHook {
     fn vector(&mut self, _: usize, _: &mut [f64]) {}
 }
 
-struct NoiseHook<'a> {
+/// The error-injection hook: reads an image's noise sequence (see
+/// [`MiniSqueezeNet::noise_stream`]) through a cursor.
+pub(crate) struct NoiseHook<'a> {
     powers_db: &'a [f64],
-    rng: StdRng,
+    stream: &'a [f64],
+    cursor: usize,
+}
+
+impl<'a> NoiseHook<'a> {
+    /// Injects `powers_db[site]` at each site, drawing from `stream`, which
+    /// must hold at least [`MiniSqueezeNet::noise_draws`] values.
+    pub(crate) fn new(powers_db: &'a [f64], stream: &'a [f64]) -> NoiseHook<'a> {
+        NoiseHook {
+            powers_db,
+            stream,
+            cursor: 0,
+        }
+    }
+
+    /// Adds white Gaussian noise of mean power `10^(db/10)` **relative to
+    /// the site's activation power** to every element (i.e. `power_db` is a
+    /// noise-to-signal ratio in dB). Relative powers keep the ten sites
+    /// commensurable: the paper budgets error power per layer, and
+    /// activations at different depths have very different dynamic ranges.
+    /// A source at `−∞` dB or over an all-zero activation draws nothing.
+    fn inject(&mut self, site: usize, xs: &mut [f64]) {
+        let power_db = self.powers_db[site];
+        if power_db == f64::NEG_INFINITY {
+            return;
+        }
+        let sigma = 10f64.powf(power_db / 20.0) * crate::tensor::rms(xs);
+        if sigma == 0.0 {
+            return;
+        }
+        let draws = &self.stream[self.cursor..self.cursor + xs.len()];
+        self.cursor += xs.len();
+        for (x, z) in xs.iter_mut().zip(draws) {
+            *x += sigma * z;
+        }
+    }
 }
 
 impl SiteHook for NoiseHook<'_> {
     fn tensor(&mut self, site: usize, t: &mut Tensor3) {
-        inject(t, self.powers_db[site], &mut self.rng);
+        self.inject(site, t.as_mut_slice());
     }
 
     fn vector(&mut self, site: usize, v: &mut [f64]) {
-        inject_vec(v, self.powers_db[site], &mut self.rng);
-    }
-}
-
-/// Adds white Gaussian noise of mean power `10^(db/10)` **relative to the
-/// site's activation power** to every element (i.e. `power_db` is a
-/// noise-to-signal ratio in dB). Relative powers keep the ten sites
-/// commensurable: the paper budgets error power per layer, and activations
-/// at different depths have very different dynamic ranges.
-fn inject(t: &mut Tensor3, power_db: f64, rng: &mut StdRng) {
-    if power_db == f64::NEG_INFINITY {
-        return;
-    }
-    let sigma = 10f64.powf(power_db / 20.0) * t.rms();
-    if sigma == 0.0 {
-        return;
-    }
-    for v in t.as_mut_slice() {
-        *v += sigma * standard_normal(rng);
-    }
-}
-
-fn inject_vec(v: &mut [f64], power_db: f64, rng: &mut StdRng) {
-    if power_db == f64::NEG_INFINITY {
-        return;
-    }
-    let rms = (v.iter().map(|x| x * x).sum::<f64>() / v.len() as f64).sqrt();
-    let sigma = 10f64.powf(power_db / 20.0) * rms;
-    if sigma == 0.0 {
-        return;
-    }
-    for x in v {
-        *x += sigma * standard_normal(rng);
+        self.inject(site, v);
     }
 }
 
@@ -350,6 +419,25 @@ mod tests {
         assert_eq!(a, b);
         let (_, c) = net.classify_with_injection(img, &powers, 6);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn noise_hook_consumes_exactly_the_computed_draw_count() {
+        let net = MiniSqueezeNet::seeded(16);
+        for size in [8, 12, 15] {
+            let img = &synthetic_images(1, size, 17)[0];
+            let draws = net.noise_draws(img);
+            let stream = net.noise_stream(3, draws);
+            let mut hook = NoiseHook::new(&[-20.0; 10], &stream);
+            net.forward_with(img, &mut hook);
+            assert_eq!(hook.cursor, draws, "{size}x{size} image");
+
+            let mut powers = [-20.0; 10];
+            powers[4] = f64::NEG_INFINITY;
+            let mut hook = NoiseHook::new(&powers, &stream);
+            net.forward_with(img, &mut hook);
+            assert!(hook.cursor < draws, "a disabled site must skip its draws");
+        }
     }
 
     #[test]

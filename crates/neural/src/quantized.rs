@@ -11,7 +11,7 @@
 
 use krigeval_fixedpoint::{QFormat, Quantizer};
 
-use crate::net::{SiteHook, NUM_INJECTION_SITES};
+use crate::net::{agreement_rate, SiteHook, NUM_INJECTION_SITES};
 use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 
 /// Word-length benchmark over the quantized CNN: ten activation-register
@@ -34,7 +34,9 @@ use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 #[derive(Debug, Clone)]
 pub struct QuantizedNetBenchmark {
     net: MiniSqueezeNet,
-    images: Vec<Tensor3>,
+    /// Each image's conv1 + ReLU output ([`MiniSqueezeNet::stem`]), which
+    /// no word-length configuration changes.
+    stems: Vec<Tensor3>,
     labels: Vec<usize>,
     /// Integer bits per site, sized from calibration activations.
     integer_bits: [i32; NUM_INJECTION_SITES],
@@ -51,8 +53,8 @@ impl QuantizedNetBenchmark {
     pub fn new(num_images: usize, size: usize, seed: u64) -> QuantizedNetBenchmark {
         assert!(size >= 8, "images must be at least 8x8");
         let net = MiniSqueezeNet::seeded(seed);
-        let images = synthetic_images(num_images, size, seed.wrapping_add(1));
-        let labels = images.iter().map(|img| net.classify(img)).collect();
+        let (stems, labels) =
+            net.stems_and_labels(&synthetic_images(num_images, size, seed.wrapping_add(1)));
 
         // Dynamic-range calibration: record each site's max |activation|
         // over a small calibration set and derive the integer bits.
@@ -70,7 +72,7 @@ impl QuantizedNetBenchmark {
         }
         QuantizedNetBenchmark {
             net,
-            images,
+            stems,
             labels,
             integer_bits,
         }
@@ -83,7 +85,7 @@ impl QuantizedNetBenchmark {
 
     /// Number of evaluation images.
     pub fn num_images(&self) -> usize {
-        self.images.len()
+        self.stems.len()
     }
 
     /// Calibrated integer bits per site.
@@ -97,16 +99,13 @@ impl QuantizedNetBenchmark {
     /// # Errors
     ///
     /// * [`NeuralError::WrongSourceCount`] on a wrong-length vector.
-    /// * [`NeuralError::InvalidPower`] if a word-length is outside `2..=32`
-    ///   (reusing the error type's index/value payload).
+    /// * [`NeuralError::InvalidWordLength`] if a word-length is outside
+    ///   `2..=32` or gives no valid format for the site's integer bits.
     pub fn classification_rate(&self, word_lengths: &[i32]) -> Result<f64, NeuralError> {
-        let logits = self.image_logits(word_lengths)?;
-        let agree = logits
-            .iter()
-            .zip(&self.labels)
-            .filter(|(l, &label)| crate::argmax(l) == label)
-            .count();
-        Ok(agree as f64 / self.images.len() as f64)
+        Ok(agreement_rate(
+            &self.image_logits(word_lengths)?,
+            &self.labels,
+        ))
     }
 
     /// The logits of every evaluation image under the word-length
@@ -125,27 +124,23 @@ impl QuantizedNetBenchmark {
         }
         let mut quantizers = Vec::with_capacity(NUM_INJECTION_SITES);
         for (site, (&w, &ib)) in word_lengths.iter().zip(&self.integer_bits).enumerate() {
+            let invalid = NeuralError::InvalidWordLength {
+                index: site,
+                word_length: w,
+            };
             if !(2..=32).contains(&w) {
-                return Err(NeuralError::InvalidPower {
-                    index: site,
-                    power_db: f64::from(w),
-                });
+                return Err(invalid);
             }
-            let format = QFormat::with_word_length(ib, w.max(ib + 2)).map_err(|_| {
-                NeuralError::InvalidPower {
-                    index: site,
-                    power_db: f64::from(w),
-                }
-            })?;
+            let format = QFormat::with_word_length(ib, w.max(ib + 2)).map_err(|_| invalid)?;
             quantizers.push(Quantizer::new(format));
         }
         let mut hook = QuantizeHook {
             quantizers: &quantizers,
         };
         Ok(self
-            .images
+            .stems
             .iter()
-            .map(|img| self.net.forward_with(img, &mut hook))
+            .map(|stem| self.net.forward_from(stem.clone(), &mut hook))
             .collect())
     }
 }
@@ -222,9 +217,22 @@ mod tests {
         assert!(b.classification_rate(&[8; 9]).is_err());
         let mut w = [8; 10];
         w[0] = 1;
-        assert!(b.classification_rate(&w).is_err());
-        w[0] = 40;
-        assert!(b.classification_rate(&w).is_err());
+        assert_eq!(
+            b.classification_rate(&w).unwrap_err(),
+            NeuralError::InvalidWordLength {
+                index: 0,
+                word_length: 1
+            }
+        );
+        w[0] = 8;
+        w[6] = 40;
+        assert_eq!(
+            b.classification_rate(&w).unwrap_err(),
+            NeuralError::InvalidWordLength {
+                index: 6,
+                word_length: 40
+            }
+        );
     }
 
     #[test]
@@ -241,7 +249,8 @@ mod tests {
     fn reference_hook_reproduces_clean_labels() {
         let b = small();
         let mut agree = 0;
-        for (img, &label) in b.images.iter().zip(&b.labels) {
+        let images = synthetic_images(32, 12, 0xBEE5 + 1);
+        for (img, &label) in images.iter().zip(&b.labels) {
             let logits = b.net.forward_with(img, &mut crate::NoopHook);
             if crate::argmax(&logits) == label {
                 agree += 1;

@@ -1,6 +1,6 @@
 //! The error-sensitivity benchmark: classification rate vs injected error.
 
-use crate::net::NUM_INJECTION_SITES;
+use crate::net::{agreement_rate, NoiseHook, NUM_INJECTION_SITES};
 use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 
 /// The paper's SqueezeNet benchmark: `p_cl(e)`, the probability that the
@@ -11,6 +11,10 @@ use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 /// The optimization problem (paper Section IV, solved with the
 /// steepest-descent budgeting algorithm of ref \[22\]) *maximizes* the
 /// tolerated error powers subject to `p_cl ≥ p_min`.
+///
+/// Everything a simulation repeats that does not depend on the
+/// configuration is computed once at construction: each image's
+/// [`MiniSqueezeNet::stem`] output and its noise sequence.
 ///
 /// # Examples
 ///
@@ -28,7 +32,11 @@ use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 #[derive(Debug, Clone)]
 pub struct SensitivityBenchmark {
     net: MiniSqueezeNet,
-    images: Vec<Tensor3>,
+    /// Each image's conv1 + ReLU output.
+    stems: Vec<Tensor3>,
+    /// Each image's noise sequence, `draws` values per image, back to back.
+    noise: Vec<f64>,
+    draws: usize,
     labels: Vec<usize>,
 }
 
@@ -49,10 +57,16 @@ impl SensitivityBenchmark {
         assert!(size >= 8, "images must be at least 8x8");
         let net = MiniSqueezeNet::seeded(seed);
         let images = synthetic_images(num_images, size, seed.wrapping_add(1));
-        let labels = images.iter().map(|img| net.classify(img)).collect();
+        let draws = net.noise_draws(&images[0]);
+        let noise = (0..num_images as u64)
+            .flat_map(|i| net.noise_stream(i, draws))
+            .collect();
+        let (stems, labels) = net.stems_and_labels(&images);
         SensitivityBenchmark {
             net,
-            images,
+            stems,
+            noise,
+            draws,
             labels,
         }
     }
@@ -64,7 +78,7 @@ impl SensitivityBenchmark {
 
     /// Number of images in the evaluation set.
     pub fn num_images(&self) -> usize {
-        self.images.len()
+        self.stems.len()
     }
 
     /// Reference labels (the clean network's own classifications).
@@ -80,18 +94,14 @@ impl SensitivityBenchmark {
     /// * [`NeuralError::WrongSourceCount`] on a wrong-length vector.
     /// * [`NeuralError::InvalidPower`] on NaN or `+∞` powers.
     pub fn classification_rate(&self, powers_db: &[f64]) -> Result<f64, NeuralError> {
-        let logits = self.image_logits(powers_db)?;
-        let agree = logits
-            .iter()
-            .zip(&self.labels)
-            .filter(|(l, &label)| crate::argmax(l) == label)
-            .count();
-        Ok(agree as f64 / self.images.len() as f64)
+        Ok(agreement_rate(&self.image_logits(powers_db)?, &self.labels))
     }
 
     /// The logits of every evaluation image under the error-power
     /// configuration `powers_db`, in image order — the raw outputs
     /// [`SensitivityBenchmark::classification_rate`] is computed from.
+    /// Image `i` is [`MiniSqueezeNet::classify_with_injection`] with image
+    /// index `i`, bit for bit.
     ///
     /// # Errors
     ///
@@ -109,10 +119,13 @@ impl SensitivityBenchmark {
             }
         }
         Ok(self
-            .images
+            .stems
             .iter()
-            .enumerate()
-            .map(|(i, img)| self.net.classify_with_injection(img, powers_db, i as u64).1)
+            .zip(self.noise.chunks_exact(self.draws))
+            .map(|(stem, stream)| {
+                let mut hook = NoiseHook::new(powers_db, stream);
+                self.net.forward_from(stem.clone(), &mut hook)
+            })
             .collect())
     }
 }
@@ -152,6 +165,19 @@ mod tests {
             b.classification_rate(&powers).unwrap(),
             b.classification_rate(&powers).unwrap()
         );
+    }
+
+    #[test]
+    fn cached_stems_and_streams_match_classify_with_injection() {
+        let b = small();
+        let images = synthetic_images(48, 12, 0x59EE_3E05u64.wrapping_add(1));
+        let mut powers = [-14.0; 10];
+        powers[2] = f64::NEG_INFINITY;
+        let logits = b.image_logits(&powers).unwrap();
+        for (i, (img, l)) in images.iter().zip(&logits).enumerate() {
+            let (_, direct) = b.net.classify_with_injection(img, &powers, i as u64);
+            assert_eq!(&direct, l, "image {i}");
+        }
     }
 
     #[test]

@@ -124,11 +124,16 @@ impl Tensor3 {
     /// Root-mean-square of all elements (used to scale injected noise
     /// relative to activation energy).
     pub fn rms(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        (self.data.iter().map(|v| v * v).sum::<f64>() / self.data.len() as f64).sqrt()
+        rms(&self.data)
     }
+}
+
+/// Root-mean-square of a slice (0 for an empty one).
+pub(crate) fn rms(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    (xs.iter().map(|v| v * v).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
 impl Index<(usize, usize, usize)> for Tensor3 {
