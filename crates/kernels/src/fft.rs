@@ -97,11 +97,12 @@ impl FftBenchmark {
 /// ```
 pub fn fft_reference(input: &[Complex]) -> Vec<Complex> {
     assert_eq!(input.len(), FFT_SIZE, "expected {FFT_SIZE} points");
+    let twiddles = twiddles();
     let mut data = bit_reverse_permute(input);
     for stage in 0..STAGES {
-        run_stage(&mut data, stage, &mut |_, v| v, &mut |_, v| v);
+        run_stage(&mut data, stage, &twiddles, |_, _| {}, |_, _| {});
     }
-    data
+    data.to_vec()
 }
 
 /// Naive `O(N²)` DFT of the same scaled transform, for testing the fast path.
@@ -126,10 +127,9 @@ pub fn dft_naive(input: &[Complex]) -> Vec<Complex> {
         .collect()
 }
 
-fn bit_reverse_permute(input: &[Complex]) -> Vec<Complex> {
-    let n = input.len();
-    let bits = n.trailing_zeros();
-    let mut out = vec![(0.0, 0.0); n];
+fn bit_reverse_permute(input: &[Complex]) -> [Complex; FFT_SIZE] {
+    let bits = FFT_SIZE.trailing_zeros();
+    let mut out = [(0.0, 0.0); FFT_SIZE];
     for (i, &v) in input.iter().enumerate() {
         let j = i.reverse_bits() >> (usize::BITS - bits);
         out[j] = v;
@@ -137,38 +137,74 @@ fn bit_reverse_permute(input: &[Complex]) -> Vec<Complex> {
     out
 }
 
-/// Runs one DIT stage in place. `q_mpy(stage, v)` quantizes twiddle-product
-/// components, `q_add(stage, v)` quantizes butterfly-output components; the
-/// identity closures give the double-precision reference.
-fn run_stage(
-    data: &mut [Complex],
-    stage: usize,
-    q_mpy: &mut dyn FnMut(usize, f64) -> f64,
-    q_add: &mut dyn FnMut(usize, f64) -> f64,
-) {
-    let n = data.len();
-    let half = 1 << stage; // butterflies per group
-    let span = half << 1; // group size
-    for group in (0..n).step_by(span) {
+/// Every stage's twiddle factors: stage `s`, butterfly `k` at index
+/// `2^s + k` (entry 0 is unused). Each is computed with the per-butterfly
+/// expression, so the factors are bitwise those of a `cos`/`sin` pair per
+/// butterfly, once per transform instead of once per butterfly.
+fn twiddles() -> [Complex; FFT_SIZE] {
+    let mut table = [(0.0, 0.0); FFT_SIZE];
+    for stage in 0..STAGES {
+        let half = 1 << stage;
+        let span = half << 1;
         for k in 0..half {
             let ang = -2.0 * PI * k as f64 / span as f64;
-            let (wr, wi) = (ang.cos(), ang.sin());
-            let (ar, ai) = data[group + k];
-            let (br, bi) = data[group + k + half];
-            // Twiddle product; trivial for stages whose twiddles are ±1/∓j.
-            let (tr, ti) = if stage < TWIDDLE_STAGES.start {
-                // w ∈ {1, -j}: exact data moves, no rounding in hardware.
-                (br * wr - bi * wi, br * wi + bi * wr)
-            } else {
-                (
-                    q_mpy(stage, br * wr - bi * wi),
-                    q_mpy(stage, br * wi + bi * wr),
-                )
-            };
-            // Butterfly with 1/2 scaling to prevent overflow.
-            data[group + k] = (q_add(stage, (ar + tr) * 0.5), q_add(stage, (ai + ti) * 0.5));
-            data[group + k + half] = (q_add(stage, (ar - tr) * 0.5), q_add(stage, (ai - ti) * 0.5));
+            table[half + k] = (ang.cos(), ang.sin());
         }
+    }
+    table
+}
+
+/// Runs one DIT stage in place. `q_mpy(stage, lanes)` quantizes the
+/// stage's twiddle-product components and `q_add(stage, lanes)` its
+/// butterfly-output components, each a whole stage at a time (every value
+/// sees the operations of a butterfly-at-a-time loop, in the same order);
+/// no-op hooks give the double-precision reference.
+#[inline(always)]
+fn run_stage(
+    data: &mut [Complex; FFT_SIZE],
+    stage: usize,
+    twiddles: &[Complex; FFT_SIZE],
+    q_mpy: impl Fn(usize, &mut [f64]),
+    q_add: impl Fn(usize, &mut [f64]),
+) {
+    let half = 1 << stage; // butterflies per group
+                           // Butterfly `i` pairs point `upper(i)` with `upper(i) + half` and uses
+                           // twiddle `i mod half`.
+    let upper = |i: usize| (i & !(half - 1)) << 1 | (i & (half - 1));
+    // Twiddle products and butterfly outputs, real and imaginary parts
+    // interleaved per butterfly.
+    let mut products = [0.0; FFT_SIZE];
+    for (i, t) in products.chunks_exact_mut(2).enumerate() {
+        let (br, bi) = data[upper(i) + half];
+        let (wr, wi) = twiddles[half + (i & (half - 1))];
+        t[0] = br * wr - bi * wi;
+        t[1] = br * wi + bi * wr;
+    }
+    // Stages 0 and 1 multiply by w ∈ {1, -j}: exact data moves, no
+    // rounding in hardware.
+    if stage >= TWIDDLE_STAGES.start {
+        q_mpy(stage, &mut products);
+    }
+    // Butterfly with 1/2 scaling to prevent overflow.
+    let mut sums = [0.0; FFT_SIZE];
+    let mut diffs = [0.0; FFT_SIZE];
+    for (i, ((t, s), d)) in products
+        .chunks_exact(2)
+        .zip(sums.chunks_exact_mut(2))
+        .zip(diffs.chunks_exact_mut(2))
+        .enumerate()
+    {
+        let (ar, ai) = data[upper(i)];
+        s[0] = (ar + t[0]) * 0.5;
+        s[1] = (ai + t[1]) * 0.5;
+        d[0] = (ar - t[0]) * 0.5;
+        d[1] = (ai - t[1]) * 0.5;
+    }
+    q_add(stage, &mut sums);
+    q_add(stage, &mut diffs);
+    for (i, (s, d)) in sums.chunks_exact(2).zip(diffs.chunks_exact(2)).enumerate() {
+        data[upper(i)] = (s[0], s[1]);
+        data[upper(i) + half] = (d[0], d[1]);
     }
 }
 
@@ -184,38 +220,27 @@ impl WordLengthBenchmark for FftBenchmark {
     fn noise_power(&self, word_lengths: &[i32]) -> Result<NoisePower, KernelError> {
         self.validate(word_lengths)?;
         // Scaled data stays in (−1, 1): 0 integer bits everywhere.
-        let add_q: Vec<Quantizer> = (0..STAGES)
-            .map(|s| {
-                Ok(Quantizer::new(QFormat::with_word_length(
-                    0,
-                    word_lengths[s],
-                )?))
-            })
+        let quantizers: Vec<Quantizer> = word_lengths
+            .iter()
+            .map(|&w| Ok(Quantizer::new(QFormat::with_word_length(0, w)?)))
             .collect::<Result<_, KernelError>>()?;
-        let mpy_q: Vec<Quantizer> = TWIDDLE_STAGES
-            .map(|s| {
-                let idx = STAGES + (s - TWIDDLE_STAGES.start);
-                Ok(Quantizer::new(QFormat::with_word_length(
-                    0,
-                    word_lengths[idx],
-                )?))
-            })
-            .collect::<Result<_, KernelError>>()?;
+        let (add_q, mpy_q) = quantizers.split_at(STAGES);
         let q_in = Quantizer::new(QFormat::new(0, 15)?);
+        let twiddles = twiddles();
 
         let mut meter = NoiseMeter::new();
         for (frame, reference) in self.frames.iter().zip(&self.references) {
-            let quantized_input: Vec<Complex> = frame
-                .iter()
-                .map(|&(re, im)| (q_in.quantize(re), q_in.quantize(im)))
-                .collect();
-            let mut data = bit_reverse_permute(&quantized_input);
+            let mut data = bit_reverse_permute(frame);
+            for (re, im) in &mut data {
+                (*re, *im) = (q_in.quantize(*re), q_in.quantize(*im));
+            }
             for stage in 0..STAGES {
                 run_stage(
                     &mut data,
                     stage,
-                    &mut |s, v| mpy_q[s - TWIDDLE_STAGES.start].quantize(v),
-                    &mut |s, v| add_q[s].quantize(v),
+                    &twiddles,
+                    |s, lanes| mpy_q[s - TWIDDLE_STAGES.start].quantize_in_place(lanes),
+                    |s, lanes| add_q[s].quantize_in_place(lanes),
                 );
             }
             for (&(fr, fi), &(rr, ri)) in data.iter().zip(reference) {
@@ -230,6 +255,87 @@ impl WordLengthBenchmark for FftBenchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The transform as originally written: a `cos`/`sin` pair per
+    /// butterfly, `dyn FnMut` quantizer hooks and a fresh `Vec` per frame.
+    /// The oracle for the table-driven [`run_stage`].
+    fn run_stage_per_butterfly(
+        data: &mut [Complex],
+        stage: usize,
+        q_mpy: &mut dyn FnMut(usize, f64) -> f64,
+        q_add: &mut dyn FnMut(usize, f64) -> f64,
+    ) {
+        let n = data.len();
+        let half = 1 << stage;
+        let span = half << 1;
+        for group in (0..n).step_by(span) {
+            for k in 0..half {
+                let ang = -2.0 * PI * k as f64 / span as f64;
+                let (wr, wi) = (ang.cos(), ang.sin());
+                let (ar, ai) = data[group + k];
+                let (br, bi) = data[group + k + half];
+                let (tr, ti) = if stage < TWIDDLE_STAGES.start {
+                    (br * wr - bi * wi, br * wi + bi * wr)
+                } else {
+                    (
+                        q_mpy(stage, br * wr - bi * wi),
+                        q_mpy(stage, br * wi + bi * wr),
+                    )
+                };
+                data[group + k] = (q_add(stage, (ar + tr) * 0.5), q_add(stage, (ai + ti) * 0.5));
+                data[group + k + half] =
+                    (q_add(stage, (ar - tr) * 0.5), q_add(stage, (ai - ti) * 0.5));
+            }
+        }
+    }
+
+    fn noise_power_per_butterfly(b: &FftBenchmark, word_lengths: &[i32]) -> NoisePower {
+        let q = |w: i32| Quantizer::new(QFormat::with_word_length(0, w).unwrap());
+        let add_q: Vec<Quantizer> = word_lengths[..STAGES].iter().map(|&w| q(w)).collect();
+        let mpy_q: Vec<Quantizer> = word_lengths[STAGES..].iter().map(|&w| q(w)).collect();
+        let q_in = Quantizer::new(QFormat::new(0, 15).unwrap());
+        let mut meter = NoiseMeter::new();
+        for frame in &b.frames {
+            let quantized: Vec<Complex> = frame
+                .iter()
+                .map(|&(re, im)| (q_in.quantize(re), q_in.quantize(im)))
+                .collect();
+            let mut data = bit_reverse_permute(&quantized).to_vec();
+            let mut reference = bit_reverse_permute(frame).to_vec();
+            for stage in 0..STAGES {
+                run_stage_per_butterfly(
+                    &mut data,
+                    stage,
+                    &mut |s, v| mpy_q[s - TWIDDLE_STAGES.start].quantize(v),
+                    &mut |s, v| add_q[s].quantize(v),
+                );
+                run_stage_per_butterfly(&mut reference, stage, &mut |_, v| v, &mut |_, v| v);
+            }
+            for (&(fr, fi), &(rr, ri)) in data.iter().zip(&reference) {
+                meter.record(rr, fr);
+                meter.record(ri, fi);
+            }
+        }
+        meter.noise_power()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn table_driven_fft_is_bitwise_the_per_butterfly_loop(
+            frames in 1usize..=6,
+            seed in 0u64..1_000_000,
+            word_lengths in proptest::collection::vec(2i32..=16, 10),
+        ) {
+            let b = FftBenchmark::new(frames, seed);
+            prop_assert_eq!(
+                b.noise_power(&word_lengths).unwrap().linear().to_bits(),
+                noise_power_per_butterfly(&b, &word_lengths).linear().to_bits()
+            );
+        }
+    }
 
     fn small() -> FftBenchmark {
         FftBenchmark::new(8, 0xFF7_0003)

@@ -115,24 +115,126 @@ impl WordLengthBenchmark for FirBenchmark {
         let input_fx = q_in.quantize_slice(&self.input);
 
         let mut meter = krigeval_fixedpoint::NoiseMeter::new();
-        for n in 0..input_fx.len() {
-            let mut acc = 0.0;
-            for (k, h) in taps_fx.iter().enumerate() {
-                if k > n {
-                    break;
-                }
-                let product = q_mpy.quantize(h * input_fx[n - k]);
-                acc = q_add.quantize(acc + product);
-            }
-            meter.record(self.reference[n], acc);
-        }
+        for_each_output(&taps_fx, &input_fx, &q_add, &q_mpy, |n, acc| {
+            meter.record(self.reference[n], acc)
+        });
         Ok(meter.noise_power())
+    }
+}
+
+/// Outputs filtered side by side once every tap has an input sample.
+const LANES: usize = 16;
+
+/// Runs the fixed-point filter and hands each output to `emit` in sample
+/// order. Every output sees the same operations in the same order as the
+/// one-sample-at-a-time loop (the `#[cfg(test)]` oracle below), so its bits
+/// are unchanged; but once `n + 1 >= taps` the loop advances [`LANES`]
+/// independent accumulator chains together, so their quantizer latencies
+/// overlap instead of queueing.
+fn for_each_output(
+    taps: &[f64],
+    input: &[f64],
+    q_add: &Quantizer,
+    q_mpy: &Quantizer,
+    mut emit: impl FnMut(usize, f64),
+) {
+    // Head: the first outputs see fewer taps than the filter has.
+    let head = taps.len().saturating_sub(1).min(input.len());
+    for n in 0..head {
+        let mut acc = 0.0;
+        for (k, h) in taps.iter().enumerate() {
+            if k > n {
+                break;
+            }
+            let product = q_mpy.quantize(h * input[n - k]);
+            acc = q_add.quantize(acc + product);
+        }
+        emit(n, acc);
+    }
+    let mut n = head;
+    while n + LANES <= input.len() {
+        let mut acc = [0.0; LANES];
+        for (k, h) in taps.iter().enumerate() {
+            // x[n + l - k] for lane l.
+            let window = &input[n - k..n - k + LANES];
+            let mut products = [0.0; LANES];
+            for (p, x) in products.iter_mut().zip(window) {
+                *p = h * x;
+            }
+            q_mpy.quantize_in_place(&mut products);
+            for (a, p) in acc.iter_mut().zip(products) {
+                *a += p;
+            }
+            q_add.quantize_in_place(&mut acc);
+        }
+        for (l, a) in acc.into_iter().enumerate() {
+            emit(n + l, a);
+        }
+        n += LANES;
+    }
+    // Tail: fewer than LANES outputs left.
+    for n in n..input.len() {
+        let mut acc = 0.0;
+        for (k, h) in taps.iter().enumerate() {
+            let product = q_mpy.quantize(h * input[n - k]);
+            acc = q_add.quantize(acc + product);
+        }
+        emit(n, acc);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The filter loop as originally written, one output at a time: the
+    /// oracle for the lane-parallel [`for_each_output`].
+    fn outputs_one_at_a_time(
+        taps: &[f64],
+        input: &[f64],
+        q_add: &Quantizer,
+        q_mpy: &Quantizer,
+    ) -> Vec<f64> {
+        (0..input.len())
+            .map(|n| {
+                let mut acc = 0.0;
+                for (k, h) in taps.iter().enumerate() {
+                    if k > n {
+                        break;
+                    }
+                    let product = q_mpy.quantize(h * input[n - k]);
+                    acc = q_add.quantize(acc + product);
+                }
+                acc
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lane_parallel_filter_is_bitwise_the_per_sample_loop(
+            num_taps in 1usize..=70,
+            samples in 1usize..=200,
+            seed in 0u64..1_000_000,
+            w_add in 2i32..=20,
+            w_mpy in 1i32..=20,
+        ) {
+            let f = FirBenchmark::new(num_taps, 0.2, samples, seed);
+            let q_add = Quantizer::new(QFormat::with_word_length(1, w_add).unwrap());
+            let q_mpy = Quantizer::new(QFormat::with_word_length(0, w_mpy).unwrap());
+            let oracle = outputs_one_at_a_time(&f.taps, &f.input, &q_add, &q_mpy);
+            let mut fast = Vec::with_capacity(samples);
+            for_each_output(&f.taps, &f.input, &q_add, &q_mpy, |n, acc| {
+                assert_eq!(n, fast.len(), "outputs arrive in sample order");
+                fast.push(acc);
+            });
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fast), bits(&oracle));
+        }
+    }
 
     fn small() -> FirBenchmark {
         FirBenchmark::new(64, 0.2, 512, 0xF1E6_4001)

@@ -78,8 +78,11 @@ pub struct McJob {
 pub struct HevcMcBenchmark {
     image: Vec<Vec<f64>>,
     jobs: Vec<McJob>,
-    references: Vec<Vec<f64>>,
+    references: Vec<Block>,
 }
+
+/// One interpolated 8×8 block, row-major.
+type Block = [f64; BLOCK * BLOCK];
 
 impl HevcMcBenchmark {
     /// Paper-faithful configuration: a 96×96 smooth synthetic frame and 24
@@ -126,7 +129,7 @@ impl HevcMcBenchmark {
             .collect();
         let references = jobs
             .iter()
-            .map(|job| interpolate_block(&image, *job, &mut Passthrough))
+            .map(|job| interpolate_block(&image, *job, &Passthrough))
             .collect();
         HevcMcBenchmark {
             image,
@@ -141,14 +144,15 @@ impl HevcMcBenchmark {
     }
 }
 
-/// Quantization hooks for the interpolation data path. The reference path
-/// uses [`Passthrough`]; the fixed-point path uses [`SiteQuantizers`].
+/// Quantization hooks for the interpolation data path, each applied to a
+/// row of independent pixel lanes in place. The reference path uses
+/// [`Passthrough`]; the fixed-point path uses [`SiteQuantizers`].
 trait McQuant {
-    fn product(&self, tap: usize, vertical: bool, v: f64) -> f64;
-    fn accumulator(&self, vertical: bool, v: f64) -> f64;
-    fn h_intermediate(&self, v: f64) -> f64;
-    fn path_output(&self, path: McPath, v: f64) -> f64;
-    fn output(&self, v: f64) -> f64;
+    fn products(&self, tap: usize, vertical: bool, lanes: &mut [f64]);
+    fn accumulators(&self, vertical: bool, lanes: &mut [f64]);
+    fn h_intermediates(&self, lanes: &mut [f64]);
+    fn path_outputs(&self, path: McPath, lanes: &mut [f64]);
+    fn outputs(&self, lanes: &mut [f64]);
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,28 +165,18 @@ enum McPath {
 struct Passthrough;
 
 impl McQuant for Passthrough {
-    fn product(&self, _: usize, _: bool, v: f64) -> f64 {
-        v
-    }
-    fn accumulator(&self, _: bool, v: f64) -> f64 {
-        v
-    }
-    fn h_intermediate(&self, v: f64) -> f64 {
-        v
-    }
-    fn path_output(&self, _: McPath, v: f64) -> f64 {
-        v
-    }
-    fn output(&self, v: f64) -> f64 {
-        v
-    }
+    fn products(&self, _: usize, _: bool, _: &mut [f64]) {}
+    fn accumulators(&self, _: bool, _: &mut [f64]) {}
+    fn h_intermediates(&self, _: &mut [f64]) {}
+    fn path_outputs(&self, _: McPath, _: &mut [f64]) {}
+    fn outputs(&self, _: &mut [f64]) {}
 }
 
 struct SiteQuantizers {
-    h_products: Vec<Quantizer>,
+    h_products: [Quantizer; TAPS],
     h_acc: Quantizer,
     h_out: Quantizer,
-    v_products: Vec<Quantizer>,
+    v_products: [Quantizer; TAPS],
     v_acc: Quantizer,
     v_out: Quantizer,
     h_only_out: Quantizer,
@@ -202,11 +196,18 @@ impl SiteQuantizers {
         let q1 = |wl: i32| -> Result<Quantizer, KernelError> {
             Ok(Quantizer::new(QFormat::with_word_length(1, wl)?))
         };
+        let products = |w: &[i32]| -> Result<[Quantizer; TAPS], KernelError> {
+            let mut qs = [q0(w[0])?; TAPS];
+            for (q, &wl) in qs.iter_mut().zip(w).skip(1) {
+                *q = q0(wl)?;
+            }
+            Ok(qs)
+        };
         Ok(SiteQuantizers {
-            h_products: w[0..8].iter().map(|&x| q0(x)).collect::<Result<_, _>>()?,
+            h_products: products(&w[0..8])?,
             h_acc: q1(w[8])?,
             h_out: q1(w[9])?,
-            v_products: w[10..18].iter().map(|&x| q0(x)).collect::<Result<_, _>>()?,
+            v_products: products(&w[10..18])?,
             v_acc: q1(w[18])?,
             v_out: q1(w[19])?,
             h_only_out: q1(w[20])?,
@@ -217,104 +218,122 @@ impl SiteQuantizers {
 }
 
 impl McQuant for SiteQuantizers {
-    fn product(&self, tap: usize, vertical: bool, v: f64) -> f64 {
-        if vertical {
-            self.v_products[tap].quantize(v)
+    #[inline(always)]
+    fn products(&self, tap: usize, vertical: bool, lanes: &mut [f64]) {
+        let q = if vertical {
+            &self.v_products[tap]
         } else {
-            self.h_products[tap].quantize(v)
-        }
+            &self.h_products[tap]
+        };
+        q.quantize_in_place(lanes);
     }
-    fn accumulator(&self, vertical: bool, v: f64) -> f64 {
-        if vertical {
-            self.v_acc.quantize(v)
-        } else {
-            self.h_acc.quantize(v)
-        }
+    #[inline(always)]
+    fn accumulators(&self, vertical: bool, lanes: &mut [f64]) {
+        let q = if vertical { &self.v_acc } else { &self.h_acc };
+        q.quantize_in_place(lanes);
     }
-    fn h_intermediate(&self, v: f64) -> f64 {
-        self.h_out.quantize(v)
+    #[inline(always)]
+    fn h_intermediates(&self, lanes: &mut [f64]) {
+        self.h_out.quantize_in_place(lanes);
     }
-    fn path_output(&self, path: McPath, v: f64) -> f64 {
-        match path {
-            McPath::TwoD => self.v_out.quantize(v),
-            McPath::HorizontalOnly => self.h_only_out.quantize(v),
-            McPath::VerticalOnly => self.v_only_out.quantize(v),
-        }
+    #[inline(always)]
+    fn path_outputs(&self, path: McPath, lanes: &mut [f64]) {
+        let q = match path {
+            McPath::TwoD => &self.v_out,
+            McPath::HorizontalOnly => &self.h_only_out,
+            McPath::VerticalOnly => &self.v_only_out,
+        };
+        q.quantize_in_place(lanes);
     }
-    fn output(&self, v: f64) -> f64 {
-        self.final_out.quantize(v)
+    #[inline(always)]
+    fn outputs(&self, lanes: &mut [f64]) {
+        self.final_out.quantize_in_place(lanes);
     }
 }
 
-/// 8-tap filter at one position, with per-tap product and accumulator hooks.
-fn filter8(samples: &[f64], taps: &[f64; TAPS], vertical: bool, q: &mut dyn McQuant) -> f64 {
-    let mut acc = 0.0;
+/// A filter's taps with the 1/64 normalization applied, as the per-tap
+/// product `h / 64.0 * sample` computes it.
+fn normalized(taps: &[f64; TAPS]) -> [f64; TAPS] {
+    taps.map(|h| h / 64.0)
+}
+
+/// The 8-tap filter at [`BLOCK`] adjacent positions, one lane each, with
+/// per-tap product and accumulator hooks. `samples(t)` holds tap `t`'s
+/// input for every lane. Each lane sees the same operations in the same
+/// order as a lone 8-tap filter, so its bits are those of the
+/// one-position loop; interleaving the lanes overlaps their quantizer
+/// latencies.
+#[inline(always)]
+fn filter8_lanes<'a, Q: McQuant>(
+    taps: &[f64; TAPS],
+    vertical: bool,
+    q: &Q,
+    samples: impl Fn(usize) -> &'a [f64],
+) -> [f64; BLOCK] {
+    let mut acc = [0.0; BLOCK];
     for (t, &h) in taps.iter().enumerate() {
-        let product = q.product(t, vertical, h / 64.0 * samples[t]);
-        acc = q.accumulator(vertical, acc + product);
+        let mut products = [0.0; BLOCK];
+        for (p, &x) in products.iter_mut().zip(&samples(t)[..BLOCK]) {
+            *p = h * x;
+        }
+        q.products(t, vertical, &mut products);
+        for (a, p) in acc.iter_mut().zip(products) {
+            *a += p;
+        }
+        q.accumulators(vertical, &mut acc);
     }
     acc
 }
 
-/// Interpolates one 8×8 block (the module under test).
-fn interpolate_block(image: &[Vec<f64>], job: McJob, q: &mut dyn McQuant) -> Vec<f64> {
+/// Interpolates one 8×8 block (the module under test), a row of eight
+/// pixels at a time.
+fn interpolate_block<Q: McQuant>(image: &[Vec<f64>], job: McJob, q: &Q) -> Block {
+    let (x, y) = (job.x, job.y);
     let fx = job.frac_x as usize;
     let fy = job.frac_y as usize;
-    let mut out = Vec::with_capacity(BLOCK * BLOCK);
+    let mut out = [0.0; BLOCK * BLOCK];
+    let out_rows = out.chunks_exact_mut(BLOCK).enumerate();
     match (fx, fy) {
         (0, 0) => {
-            for dy in 0..BLOCK {
-                for dx in 0..BLOCK {
-                    out.push(q.output(image[job.y + dy][job.x + dx]));
-                }
+            for (dy, row_out) in out_rows {
+                row_out.copy_from_slice(&image[y + dy][x..x + BLOCK]);
+                q.outputs(row_out);
             }
         }
         (_, 0) => {
-            let taps = &LUMA_FILTERS[fx - 1];
-            for dy in 0..BLOCK {
-                for dx in 0..BLOCK {
-                    let row = &image[job.y + dy];
-                    let window = &row[job.x + dx - 3..job.x + dx + 5];
-                    let v = filter8(window, taps, false, q);
-                    let v = q.path_output(McPath::HorizontalOnly, v);
-                    out.push(q.output(v));
-                }
+            let taps = normalized(&LUMA_FILTERS[fx - 1]);
+            for (dy, row_out) in out_rows {
+                let row = &image[y + dy];
+                row_out.copy_from_slice(&filter8_lanes(&taps, false, q, |t| &row[x + t - 3..]));
+                q.path_outputs(McPath::HorizontalOnly, row_out);
+                q.outputs(row_out);
             }
         }
         (0, _) => {
-            let taps = &LUMA_FILTERS[fy - 1];
-            for dy in 0..BLOCK {
-                for dx in 0..BLOCK {
-                    let col: Vec<f64> = (0..TAPS)
-                        .map(|t| image[job.y + dy + t - 3][job.x + dx])
-                        .collect();
-                    let v = filter8(&col, taps, true, q);
-                    let v = q.path_output(McPath::VerticalOnly, v);
-                    out.push(q.output(v));
-                }
+            let taps = normalized(&LUMA_FILTERS[fy - 1]);
+            for (dy, row_out) in out_rows {
+                let v = filter8_lanes(&taps, true, q, |t| &image[y + dy + t - 3][x..]);
+                row_out.copy_from_slice(&v);
+                q.path_outputs(McPath::VerticalOnly, row_out);
+                q.outputs(row_out);
             }
         }
         (_, _) => {
-            let h_taps = &LUMA_FILTERS[fx - 1];
-            let v_taps = &LUMA_FILTERS[fy - 1];
+            let h_taps = normalized(&LUMA_FILTERS[fx - 1]);
+            let v_taps = normalized(&LUMA_FILTERS[fy - 1]);
             // Horizontal pass over BLOCK + 7 rows.
-            let mut intermediate = vec![vec![0.0; BLOCK]; BLOCK + TAPS - 1];
+            let mut intermediate = [[0.0; BLOCK]; BLOCK + TAPS - 1];
             for (r, row_out) in intermediate.iter_mut().enumerate() {
-                let row = &image[job.y + r - 3];
-                for (dx, cell) in row_out.iter_mut().enumerate() {
-                    let window = &row[job.x + dx - 3..job.x + dx + 5];
-                    let v = filter8(window, h_taps, false, q);
-                    *cell = q.h_intermediate(v);
-                }
+                let row = &image[y + r - 3];
+                *row_out = filter8_lanes(&h_taps, false, q, |t| &row[x + t - 3..]);
+                q.h_intermediates(row_out);
             }
             // Vertical pass.
-            for dy in 0..BLOCK {
-                for dx in 0..BLOCK {
-                    let col: Vec<f64> = (0..TAPS).map(|t| intermediate[dy + t][dx]).collect();
-                    let v = filter8(&col, v_taps, true, q);
-                    let v = q.path_output(McPath::TwoD, v);
-                    out.push(q.output(v));
-                }
+            for (dy, row_out) in out_rows {
+                let v = filter8_lanes(&v_taps, true, q, |t| &intermediate[dy + t][..]);
+                row_out.copy_from_slice(&v);
+                q.path_outputs(McPath::TwoD, row_out);
+                q.outputs(row_out);
             }
         }
     }
@@ -332,10 +351,10 @@ impl WordLengthBenchmark for HevcMcBenchmark {
 
     fn noise_power(&self, word_lengths: &[i32]) -> Result<NoisePower, KernelError> {
         self.validate(word_lengths)?;
-        let mut quantizers = SiteQuantizers::from_word_lengths(word_lengths)?;
+        let quantizers = SiteQuantizers::from_word_lengths(word_lengths)?;
         let mut meter = NoiseMeter::new();
         for (job, reference) in self.jobs.iter().zip(&self.references) {
-            let approx = interpolate_block(&self.image, *job, &mut quantizers);
+            let approx = interpolate_block(&self.image, *job, &quantizers);
             meter.record_slices(reference, &approx);
         }
         Ok(meter.noise_power())
@@ -345,6 +364,112 @@ impl WordLengthBenchmark for HevcMcBenchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Applies a lane hook to one value.
+    fn one(v: f64, hook: impl FnOnce(&mut [f64])) -> f64 {
+        let mut lane = [v];
+        hook(&mut lane);
+        lane[0]
+    }
+
+    /// 8-tap filter at one position: the original per-pixel loop.
+    fn filter8(samples: &[f64], taps: &[f64; TAPS], vertical: bool, q: &dyn McQuant) -> f64 {
+        let mut acc = 0.0;
+        for (t, &h) in taps.iter().enumerate() {
+            let product = one(h / 64.0 * samples[t], |l| q.products(t, vertical, l));
+            acc = one(acc + product, |l| q.accumulators(vertical, l));
+        }
+        acc
+    }
+
+    /// The block interpolation as originally written, one pixel at a time
+    /// with a fresh column `Vec` per vertical-filter pixel: the oracle for
+    /// the row-of-eight [`interpolate_block`].
+    fn interpolate_block_per_pixel(image: &[Vec<f64>], job: McJob, q: &dyn McQuant) -> Vec<f64> {
+        let fx = job.frac_x as usize;
+        let fy = job.frac_y as usize;
+        let mut out = Vec::with_capacity(BLOCK * BLOCK);
+        match (fx, fy) {
+            (0, 0) => {
+                for dy in 0..BLOCK {
+                    for dx in 0..BLOCK {
+                        out.push(one(image[job.y + dy][job.x + dx], |l| q.outputs(l)));
+                    }
+                }
+            }
+            (_, 0) => {
+                let taps = &LUMA_FILTERS[fx - 1];
+                for dy in 0..BLOCK {
+                    for dx in 0..BLOCK {
+                        let row = &image[job.y + dy];
+                        let window = &row[job.x + dx - 3..job.x + dx + 5];
+                        let v = filter8(window, taps, false, q);
+                        let v = one(v, |l| q.path_outputs(McPath::HorizontalOnly, l));
+                        out.push(one(v, |l| q.outputs(l)));
+                    }
+                }
+            }
+            (0, _) => {
+                let taps = &LUMA_FILTERS[fy - 1];
+                for dy in 0..BLOCK {
+                    for dx in 0..BLOCK {
+                        let col: Vec<f64> = (0..TAPS)
+                            .map(|t| image[job.y + dy + t - 3][job.x + dx])
+                            .collect();
+                        let v = filter8(&col, taps, true, q);
+                        let v = one(v, |l| q.path_outputs(McPath::VerticalOnly, l));
+                        out.push(one(v, |l| q.outputs(l)));
+                    }
+                }
+            }
+            (_, _) => {
+                let h_taps = &LUMA_FILTERS[fx - 1];
+                let v_taps = &LUMA_FILTERS[fy - 1];
+                let mut intermediate = vec![vec![0.0; BLOCK]; BLOCK + TAPS - 1];
+                for (r, row_out) in intermediate.iter_mut().enumerate() {
+                    let row = &image[job.y + r - 3];
+                    for (dx, cell) in row_out.iter_mut().enumerate() {
+                        let window = &row[job.x + dx - 3..job.x + dx + 5];
+                        let v = filter8(window, h_taps, false, q);
+                        *cell = one(v, |l| q.h_intermediates(l));
+                    }
+                }
+                for dy in 0..BLOCK {
+                    for dx in 0..BLOCK {
+                        let col: Vec<f64> = (0..TAPS).map(|t| intermediate[dy + t][dx]).collect();
+                        let v = filter8(&col, v_taps, true, q);
+                        let v = one(v, |l| q.path_outputs(McPath::TwoD, l));
+                        out.push(one(v, |l| q.outputs(l)));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn row_of_eight_interpolation_is_bitwise_the_per_pixel_loop(
+            size in 32usize..=64,
+            blocks in 1usize..=18,
+            seed in 0u64..1_000_000,
+            word_lengths in proptest::collection::vec(2i32..=16, NUM_VARIABLES),
+        ) {
+            let b = HevcMcBenchmark::new(size, blocks, seed);
+            let q = SiteQuantizers::from_word_lengths(&word_lengths).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (job, reference) in b.jobs.iter().zip(&b.references) {
+                let fast = interpolate_block(&b.image, *job, &q);
+                let oracle = interpolate_block_per_pixel(&b.image, *job, &q);
+                prop_assert_eq!(bits(&fast), bits(&oracle), "{:?}", job);
+                let exact = interpolate_block_per_pixel(&b.image, *job, &Passthrough);
+                prop_assert_eq!(bits(reference), bits(&exact), "{:?}", job);
+            }
+        }
+    }
 
     fn small() -> HevcMcBenchmark {
         HevcMcBenchmark::new(48, 9, 0x4EC0_0004)
@@ -387,7 +512,7 @@ mod tests {
             frac_x: 2,
             frac_y: 2,
         };
-        let out = interpolate_block(&image, job, &mut Passthrough);
+        let out = interpolate_block(&image, job, &Passthrough);
         for v in out {
             assert!((v - 0.5).abs() < 1e-12);
         }
