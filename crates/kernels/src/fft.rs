@@ -167,9 +167,9 @@ fn run_stage(
     q_mpy: impl Fn(usize, &mut [f64]),
     q_add: impl Fn(usize, &mut [f64]),
 ) {
-    let half = 1 << stage; // butterflies per group
-                           // Butterfly `i` pairs point `upper(i)` with `upper(i) + half` and uses
-                           // twiddle `i mod half`.
+    // Groups of `2 * half` points; butterfly `i` pairs point `upper(i)`
+    // with `upper(i) + half` and uses twiddle `i mod half`.
+    let half = 1 << stage;
     let upper = |i: usize| (i & !(half - 1)) << 1 | (i & (half - 1));
     // Twiddle products and butterfly outputs, real and imaginary parts
     // interleaved per butterfly.

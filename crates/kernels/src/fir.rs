@@ -138,9 +138,9 @@ fn for_each_output(
     q_mpy: &Quantizer,
     mut emit: impl FnMut(usize, f64),
 ) {
-    // Head: the first outputs see fewer taps than the filter has.
-    let head = taps.len().saturating_sub(1).min(input.len());
-    for n in 0..head {
+    // One output at a time: the head, whose outputs see fewer taps than
+    // the filter has, and a tail of fewer than LANES outputs.
+    let one_output = |n: usize| {
         let mut acc = 0.0;
         for (k, h) in taps.iter().enumerate() {
             if k > n {
@@ -149,7 +149,11 @@ fn for_each_output(
             let product = q_mpy.quantize(h * input[n - k]);
             acc = q_add.quantize(acc + product);
         }
-        emit(n, acc);
+        acc
+    };
+    let head = taps.len().saturating_sub(1).min(input.len());
+    for n in 0..head {
+        emit(n, one_output(n));
     }
     let mut n = head;
     while n + LANES <= input.len() {
@@ -172,14 +176,8 @@ fn for_each_output(
         }
         n += LANES;
     }
-    // Tail: fewer than LANES outputs left.
     for n in n..input.len() {
-        let mut acc = 0.0;
-        for (k, h) in taps.iter().enumerate() {
-            let product = q_mpy.quantize(h * input[n - k]);
-            acc = q_add.quantize(acc + product);
-        }
-        emit(n, acc);
+        emit(n, one_output(n));
     }
 }
 

@@ -173,10 +173,10 @@ impl McQuant for Passthrough {
 }
 
 struct SiteQuantizers {
-    h_products: [Quantizer; TAPS],
+    h_products: Vec<Quantizer>,
     h_acc: Quantizer,
     h_out: Quantizer,
-    v_products: [Quantizer; TAPS],
+    v_products: Vec<Quantizer>,
     v_acc: Quantizer,
     v_out: Quantizer,
     h_only_out: Quantizer,
@@ -196,18 +196,11 @@ impl SiteQuantizers {
         let q1 = |wl: i32| -> Result<Quantizer, KernelError> {
             Ok(Quantizer::new(QFormat::with_word_length(1, wl)?))
         };
-        let products = |w: &[i32]| -> Result<[Quantizer; TAPS], KernelError> {
-            let mut qs = [q0(w[0])?; TAPS];
-            for (q, &wl) in qs.iter_mut().zip(w).skip(1) {
-                *q = q0(wl)?;
-            }
-            Ok(qs)
-        };
         Ok(SiteQuantizers {
-            h_products: products(&w[0..8])?,
+            h_products: w[0..8].iter().map(|&x| q0(x)).collect::<Result<_, _>>()?,
             h_acc: q1(w[8])?,
             h_out: q1(w[9])?,
-            v_products: products(&w[10..18])?,
+            v_products: w[10..18].iter().map(|&x| q0(x)).collect::<Result<_, _>>()?,
             v_acc: q1(w[18])?,
             v_out: q1(w[19])?,
             h_only_out: q1(w[20])?,
@@ -218,7 +211,6 @@ impl SiteQuantizers {
 }
 
 impl McQuant for SiteQuantizers {
-    #[inline(always)]
     fn products(&self, tap: usize, vertical: bool, lanes: &mut [f64]) {
         let q = if vertical {
             &self.v_products[tap]
@@ -227,16 +219,13 @@ impl McQuant for SiteQuantizers {
         };
         q.quantize_in_place(lanes);
     }
-    #[inline(always)]
     fn accumulators(&self, vertical: bool, lanes: &mut [f64]) {
         let q = if vertical { &self.v_acc } else { &self.h_acc };
         q.quantize_in_place(lanes);
     }
-    #[inline(always)]
     fn h_intermediates(&self, lanes: &mut [f64]) {
         self.h_out.quantize_in_place(lanes);
     }
-    #[inline(always)]
     fn path_outputs(&self, path: McPath, lanes: &mut [f64]) {
         let q = match path {
             McPath::TwoD => &self.v_out,
@@ -245,7 +234,6 @@ impl McQuant for SiteQuantizers {
         };
         q.quantize_in_place(lanes);
     }
-    #[inline(always)]
     fn outputs(&self, lanes: &mut [f64]) {
         self.final_out.quantize_in_place(lanes);
     }
