@@ -128,8 +128,9 @@ impl Quantizer {
     ///
     /// NaN inputs propagate unchanged (the benchmarks never produce them;
     /// propagating makes failures visible instead of silently saturating).
-    /// A format whose range overflows `f64` (`2^m = ∞`, so `max_value()`
-    /// is NaN) saturates every other input to NaN.
+    /// With the default modes, a format whose range overflows `f64`
+    /// (`2^m = ∞`, so `max_value()` is NaN) saturates every other input to
+    /// NaN.
     #[inline]
     pub fn quantize(&self, x: f64) -> f64 {
         if self.branch_free {
@@ -262,14 +263,7 @@ impl Grid {
         let v = k * self.step;
         let (lo, hi) = (self.lo, self.hi);
         match overflow {
-            OverflowMode::Saturate => {
-                let v = if v < lo { lo } else { v };
-                if v > hi {
-                    hi
-                } else {
-                    v
-                }
-            }
+            OverflowMode::Saturate => v.clamp(lo, hi),
             OverflowMode::Wrap => {
                 if (lo..=hi).contains(&v) {
                     v
