@@ -1,10 +1,12 @@
 //! The fulfillment half of the plan/fulfill evaluation protocol.
 //!
-//! The hybrid evaluator's batch path ([`crate::HybridEvaluator::plan_batch`])
-//! classifies a candidate frontier into cache hits, krigeable queries, and a
-//! deduplicated list of [`SimulationRequest`]s without touching the
-//! simulator. *Fulfilling* those requests — actually running the
-//! simulations — is delegated to an [`EvalBackend`], so the same planning
+//! The hybrid evaluator's decision path
+//! ([`crate::HybridEvaluator::evaluate_batch`], of which a single
+//! [`crate::HybridEvaluator::evaluate`] is a batch of one) plans a candidate
+//! frontier into cache hits, krigeable queries, and a deduplicated list of
+//! [`SimulationRequest`]s without touching the simulator. *Fulfilling*
+//! those requests — actually running the simulations — is delegated to an
+//! [`EvalBackend`], so the same planning
 //! logic can run against an inline simulator (zero overhead, the blanket
 //! impl below) or against a worker pool that fans the requests out in
 //! parallel (the engine crate's `EngineBackend`).
@@ -55,11 +57,10 @@ pub trait EvalBackend {
     /// a failed batch may be committed.
     fn fulfill(&mut self, requests: &[SimulationRequest]) -> Result<Vec<f64>, EvalError>;
 
-    /// Runs a single simulation.
-    ///
-    /// This is the hot sequential path (`HybridEvaluator::evaluate` and
-    /// exact audits); inline backends answer it with a direct simulator
-    /// call and no allocation.
+    /// Runs a single simulation outside any planned batch: forced
+    /// simulations (`HybridEvaluator::simulate_exact`) and the
+    /// kriging-free baseline's per-query path. Inline backends answer it
+    /// with a direct simulator call and no allocation.
     ///
     /// # Errors
     ///
@@ -76,13 +77,13 @@ pub trait EvalBackend {
 /// The inline backend: every [`AccuracyEvaluator`] fulfills requests by
 /// simulating them one after another on the caller's thread. This is the
 /// zero-overhead default — `HybridEvaluator::new(simulator, settings)`
-/// keeps working unchanged, and the sequential query path stays a direct
+/// keeps working unchanged, and each planned request is a direct
 /// `evaluate` call.
 impl<E: AccuracyEvaluator> EvalBackend for E {
     fn fulfill(&mut self, requests: &[SimulationRequest]) -> Result<Vec<f64>, EvalError> {
         // Stop at the first failure: nothing after the lowest failing index
-        // is simulated, which both matches the sequential path and keeps
-        // the returned error deterministic.
+        // is simulated, which both matches one-at-a-time simulation and
+        // keeps the returned error deterministic.
         requests.iter().map(|r| self.evaluate(&r.config)).collect()
     }
 

@@ -20,19 +20,20 @@
 //!
 //! # Plan/fulfill batches
 //!
-//! Batch evaluation is split into two phases. [`HybridEvaluator::plan_batch`]
-//! classifies a candidate frontier — without touching the simulator or any
-//! session state — into cache hits, krigeable queries (with the exact
-//! neighbour set and variogram epoch each will use), and a deduplicated list
-//! of [`SimulationRequest`]s. The requests are then *fulfilled* by the
-//! wrapped [`EvalBackend`] (inline, or fanned out over a worker pool), and
-//! [`HybridEvaluator::commit_batch`] applies the results in input-index
-//! order. Because planning predicts mid-batch variogram fits from sample
-//! *counts* alone and commit replays them with the real values, the batch
-//! path reproduces the sequential query-by-query semantics while leaving the
-//! simulations free to run in any order — the basis of the determinism
-//! contract for in-run parallelism (DESIGN.md §8).
+//! Every query — a single [`HybridEvaluator::evaluate`] is a batch of one —
+//! runs through one decision path in three phases. *Planning* classifies a
+//! candidate frontier — without touching the simulator or any session
+//! state — into cache hits, krigeable queries (with the exact neighbour set
+//! and variogram epoch each will use), and a deduplicated list of
+//! [`SimulationRequest`]s. The requests are then *fulfilled* by the wrapped
+//! [`EvalBackend`] (inline, or fanned out over a worker pool), and *commit*
+//! applies the results in input-index order. Because planning predicts
+//! mid-batch variogram fits from sample *counts* alone and commit replays
+//! them with the real values, a batch reproduces the query-by-query
+//! semantics while leaving the simulations free to run in any order — the
+//! basis of the determinism contract for in-run parallelism (DESIGN.md §8).
 
+use std::ops::Range;
 use std::time::Instant;
 
 use krigeval_fixedpoint::metrics::ErrorStats;
@@ -90,6 +91,40 @@ impl Default for VariogramPolicy {
             min_samples: 10,
             families: ModelFamily::all().to_vec(),
             fallback: VariogramModel::linear(1.0),
+        }
+    }
+}
+
+impl VariogramPolicy {
+    /// The fitted policies' `(families, fallback)`; `None` for a fixed model.
+    fn fitting(&self) -> Option<(&[ModelFamily], VariogramModel)> {
+        match self {
+            VariogramPolicy::Fixed(_) => None,
+            VariogramPolicy::FitAfter {
+                families, fallback, ..
+            }
+            | VariogramPolicy::Refit {
+                families, fallback, ..
+            } => Some((families, *fallback)),
+        }
+    }
+
+    /// Whether a (re-)identification fires once the store holds `len`
+    /// sites. It reads sample counts alone (a failed fit still installs the
+    /// fallback model), so planning can predict mid-batch fits.
+    fn fit_due(&self, has_model: bool, len: usize, fitted_at: usize) -> bool {
+        match *self {
+            VariogramPolicy::Fixed(_) => false,
+            VariogramPolicy::FitAfter { min_samples, .. } => !has_model && len >= min_samples,
+            VariogramPolicy::Refit {
+                min_samples, every, ..
+            } => {
+                if has_model {
+                    len >= fitted_at + every
+                } else {
+                    len >= min_samples
+                }
+            }
         }
     }
 }
@@ -425,7 +460,7 @@ enum SlotPlan {
         position: usize,
     },
     /// Exact duplicate of an earlier simulation request in the same batch
-    /// (the sequential path would find it in the store by then).
+    /// (queried one at a time, it would be in the store by then).
     Alias {
         /// Index into the plan's request list.
         request: usize,
@@ -435,51 +470,71 @@ enum SlotPlan {
         /// Index into the plan's request list.
         request: usize,
     },
-    /// Krigeable: the neighbour set and variogram epoch the sequential path
-    /// would use. Neighbour indices `>= planned_at` refer to pending
-    /// requests (`planned_at + request index`); `epoch` counts the virtual
+    /// Krigeable: the neighbour set and variogram epoch this query sees.
+    /// Neighbour positions `>= planned_at` refer to pending requests
+    /// (`planned_at + request index`); `epoch` counts the virtual
     /// (re-)fits that precede this slot in the batch.
     Krige {
-        /// Combined store/request neighbour positions, closest first.
-        neighbors: Vec<usize>,
+        /// Range into [`BatchScratch::neighbors`]: combined store/request
+        /// positions, closest first.
+        neighbors: Range<usize>,
         /// Number of mid-batch variogram fits preceding this slot.
         epoch: usize,
     },
 }
 
-/// The output of the planning phase: a read-only classification of a batch
-/// of candidate configurations (see [`HybridEvaluator::plan_batch`]).
-///
-/// The only part a fulfillment backend needs is [`BatchPlan::requests`] —
-/// the deduplicated simulations the batch requires. The rest is consumed by
-/// [`HybridEvaluator::commit_batch`].
-#[derive(Debug, Clone)]
-pub struct BatchPlan {
+/// A krigeable slot answered by simulation after all: its solve failed,
+/// left the plausibility envelope, or the gate refused its variance.
+#[derive(Debug, Clone, Copy)]
+struct Fallback {
+    slot: usize,
+    /// The gate refused the solved variance (otherwise a kriging failure).
+    gate_rejected: bool,
+    /// Where the simulated value comes from: indices below the planned
+    /// request count address the request values, the rest the fallback
+    /// round's values.
+    source: usize,
+}
+
+/// Grow-only plan/commit buffers owned by the evaluator, so that a
+/// steady-state batch — a single [`HybridEvaluator::evaluate`] included —
+/// allocates nothing.
+#[derive(Debug, Default)]
+struct BatchScratch {
     slots: Vec<SlotPlan>,
+    /// Flat neighbour slab the [`SlotPlan::Krige`] ranges point into.
+    neighbors: Vec<usize>,
+    /// The deduplicated simulations the batch requires, in
+    /// first-occurrence order.
     requests: Vec<SimulationRequest>,
     /// Virtual store lengths at which a variogram (re-)identification fires
     /// while the requests are inserted, in order.
     fit_points: Vec<usize>,
-    /// Store size the plan was computed against (staleness check).
+    /// Store size the plan was computed against.
     planned_at: usize,
+    /// `(position, distance)` radius-search buffer.
+    search: Vec<(usize, f64)>,
+    /// Krige slots in (model bits, neighbour set) group order.
+    krige_order: Vec<usize>,
+    /// Per-slot accepted `(value, variance, jitter retries)`.
+    krige_results: Vec<Option<(f64, f64, u32)>>,
+    /// Krige slots answered by simulation, in slot order.
+    fallbacks: Vec<Fallback>,
+    /// Neighbour values of the current solve group.
+    group_values: Vec<f64>,
+    /// Lattice-key slab for the group's RHS assembly (`targets × n`,
+    /// row-major).
+    group_keys: Vec<u64>,
+    /// γ slab matching `group_keys`.
+    group_gamma: Vec<f64>,
+    /// One outcome per slot, in input order.
+    outcomes: Vec<Outcome>,
 }
 
-impl BatchPlan {
-    /// The deduplicated simulations this batch requires, in first-occurrence
-    /// order. Fulfill these (in any order) and hand the values to
-    /// [`HybridEvaluator::commit_batch`] in request order.
-    pub fn requests(&self) -> &[SimulationRequest] {
-        &self.requests
-    }
-
-    /// Number of planned slots (the size of the input batch).
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
-
+impl BatchScratch {
     /// Slots answered without simulation or kriging (store duplicates and
     /// intra-batch request duplicates).
-    pub fn num_cache_hits(&self) -> usize {
+    fn num_cache_hits(&self) -> usize {
         self.slots
             .iter()
             .filter(|s| matches!(s, SlotPlan::CacheHit { .. } | SlotPlan::Alias { .. }))
@@ -487,7 +542,7 @@ impl BatchPlan {
     }
 
     /// Slots planned for kriging interpolation.
-    pub fn num_krigeable(&self) -> usize {
+    fn num_krigeable(&self) -> usize {
         self.slots
             .iter()
             .filter(|s| matches!(s, SlotPlan::Krige { .. }))
@@ -517,7 +572,7 @@ const VARIANCE_BUCKETS: [f64; 12] = [
 ///
 /// * `query` — one per evaluated configuration, with a `decision` field
 ///   of `cache_hit`, `alias` (intra-batch duplicate), `kriged`
-///   (with `neighbors`, and `jitter_retries` on the sequential path),
+///   (with `neighbors` and `jitter_retries`),
 ///   `simulated`, `fallback` (kriging failed, simulated instead), or
 ///   `gate_rejected` (the gate refused the solved prediction's variance,
 ///   simulated instead).
@@ -617,14 +672,17 @@ pub struct HybridEvaluator<E> {
     /// Store size at the time of the last (re-)identification.
     fitted_at: usize,
     stats: HybridStats,
-    /// Grow-only solve workspace; with the buffers below it makes the
+    /// Grow-only solve workspace; with the batch buffers below it makes the
     /// steady-state kriged path allocation-free.
     krige_scratch: KrigingScratch,
     /// Memoized γ over lattice distances, re-targeted on model change.
     gamma_table: Option<GammaTable>,
-    /// Reused `(store position, distance)` buffer for the radius search.
+    /// Reused plan/commit buffers of the decision path.
+    batch: BatchScratch,
+    /// Reused `(store position, distance)` buffer for the approximate
+    /// path's leave-one-out validation.
     neighbor_buf: Vec<(usize, f64)>,
-    /// Reused neighbour-value buffer for interpolation.
+    /// Reused neighbour-value buffer for the same validation.
     value_buf: Vec<f64>,
     /// Running empirical-variogram sums; each refit folds in only the
     /// sites simulated since the previous one.
@@ -639,13 +697,6 @@ pub struct HybridEvaluator<E> {
     /// piggyback on, so the first store insertion triggers the initial
     /// validation instead of waiting out a full `check_every` window.
     approx_validated: bool,
-    /// Reused flat neighbour-value buffer for batch groups.
-    group_values: Vec<f64>,
-    /// Reused lattice-key slab for batch RHS assembly (`targets × n`,
-    /// row-major).
-    group_keys: Vec<u64>,
-    /// Reused γ slab matching `group_keys`.
-    group_gamma: Vec<f64>,
     /// Per-configuration replicate accumulators for nugget estimation:
     /// `config → (count, mean, M2)` Welford state. Populated only under
     /// [`NuggetPolicy::Estimate`].
@@ -701,15 +752,13 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             stats: HybridStats::default(),
             krige_scratch: KrigingScratch::new(),
             gamma_table: None,
+            batch: BatchScratch::default(),
             neighbor_buf: Vec::new(),
             value_buf: Vec::new(),
             vario_acc: None,
             approx_active: false,
             approx_checked_at: 0,
             approx_validated: false,
-            group_values: Vec::new(),
-            group_keys: Vec::new(),
-            group_gamma: Vec::new(),
             replicates: std::collections::HashMap::new(),
             pooled_m2: 0.0,
             pooled_dof: 0,
@@ -731,157 +780,20 @@ impl<E: EvalBackend> HybridEvaluator<E> {
 
     /// Evaluates a configuration, kriging when possible.
     ///
+    /// A single query is a batch of one: it takes the plan → fulfill →
+    /// commit path of [`HybridEvaluator::evaluate_batch`] over the
+    /// evaluator's own grow-only buffers, so a steady-state kriged or
+    /// cached query allocates nothing.
+    ///
     /// # Errors
     ///
-    /// Propagates the inner evaluator's [`EvalError`] (kriging failures are
-    /// not errors — they fall back to simulation and are counted in
-    /// [`HybridStats::kriging_failures`]).
+    /// Propagates the backend's [`EvalError`] (kriging failures are not
+    /// errors — they fall back to simulation and are counted in
+    /// [`HybridStats::kriging_failures`]). On error the session is
+    /// unchanged, exactly as for a failed batch.
     pub fn evaluate(&mut self, config: &Config) -> Result<Outcome, EvalError> {
-        self.stats.queries += 1;
-        if let Some(obs) = &self.obs {
-            obs.queries.inc();
-        }
-
-        // Exact duplicate: return the stored value (the optimizer revisits
-        // configurations; re-simulating would distort both N_λ and p(%)).
-        if let Some(pos) = self.store.position_of(config) {
-            self.stats.cache_hits += 1;
-            if let Some(obs) = &self.obs {
-                obs.cache_hits.inc();
-                if obs.tracer.enabled() {
-                    obs.tracer
-                        .emit("query", vec![("decision", "cache_hit".into())]);
-                }
-            }
-            return Ok(Outcome::Simulated {
-                value: self.store.values()[pos],
-            });
-        }
-        let mut fell_back = false;
-        let mut gate_rejected = false;
-
-        if let Some(model) = self.model {
-            // Gather simulated neighbours within distance d (paper lines
-            // 7–16) into the reused buffer; the index returns them sorted by
-            // distance already.
-            self.store
-                .within_into(config, self.settings.distance, &mut self.neighbor_buf);
-            if self
-                .settings
-                .gate
-                .admits(self.neighbor_buf.len(), self.settings.min_neighbors)
-            {
-                if let Some(cap) = self.settings.max_neighbors {
-                    self.neighbor_buf.truncate(cap);
-                }
-                if self.approx_active {
-                    if let Some(approx) = &self.settings.approx {
-                        // Validated approximate path: screen to the
-                        // `screen_to` closest neighbours.
-                        self.neighbor_buf.truncate(approx.screen_to.max(1));
-                    }
-                }
-                let metric = self.settings.metric;
-                let nugget = self.effective_nugget();
-                let table = match &mut self.gamma_table {
-                    Some(t) => {
-                        if !t.matches(&model, metric) {
-                            t.reset(model, metric);
-                        }
-                        t
-                    }
-                    slot @ None => slot.insert(GammaTable::new(model, metric)),
-                };
-                let n_neighbors = self.neighbor_buf.len();
-                match krige_with(
-                    &mut self.krige_scratch,
-                    table,
-                    &self.store,
-                    &mut self.value_buf,
-                    &self.neighbor_buf,
-                    config,
-                    nugget,
-                ) {
-                    Ok((value, variance)) if self.settings.gate.accepts(variance) => {
-                        self.stats.kriged += 1;
-                        self.stats.neighbor_sum += n_neighbors as u64;
-                        self.stats.variance_sum += variance;
-                        if let Some(obs) = &self.obs {
-                            obs.kriged.inc();
-                            obs.neighbors.add(n_neighbors as u64);
-                            obs.variance.record(variance);
-                            let retries = self.krige_scratch.jitter_retries();
-                            if retries > 0 {
-                                obs.jitter_retries.add(u64::from(retries));
-                            }
-                            if obs.tracer.enabled() {
-                                obs.tracer.emit(
-                                    "query",
-                                    vec![
-                                        ("decision", "kriged".into()),
-                                        ("neighbors", n_neighbors.into()),
-                                        ("jitter_retries", retries.into()),
-                                    ],
-                                );
-                            }
-                        }
-                        let true_value = if let Some(metric) = self.settings.audit {
-                            let t = self.inner.fulfill_one(config)?;
-                            self.stats.errors.record(audit_error(metric, value, t));
-                            Some(t)
-                        } else {
-                            None
-                        };
-                        return Ok(Outcome::Kriged {
-                            value,
-                            variance,
-                            neighbors: n_neighbors,
-                            true_value,
-                        });
-                    }
-                    Ok(_) => {
-                        // The solve converged but the gate refused its
-                        // variance: answer by simulation instead.
-                        self.stats.gate_rejections += 1;
-                        gate_rejected = true;
-                        if let Some(obs) = &self.obs {
-                            obs.gate_rejections.inc();
-                        }
-                        // fall through to simulation
-                    }
-                    Err(_) => {
-                        self.stats.kriging_failures += 1;
-                        fell_back = true;
-                        if let Some(obs) = &self.obs {
-                            obs.fallbacks.inc();
-                        }
-                        // fall through to simulation
-                    }
-                }
-            }
-        }
-
-        // Simulate and record (paper lines 19–23).
-        let value = self.inner.fulfill_one(config)?;
-        self.store.insert(config.clone(), value);
-        self.stats.simulated += 1;
-        if let Some(obs) = &self.obs {
-            obs.simulated.inc();
-            if obs.tracer.enabled() {
-                let decision = if fell_back {
-                    "fallback"
-                } else if gate_rejected {
-                    "gate_rejected"
-                } else {
-                    "simulated"
-                };
-                obs.tracer
-                    .emit("query", vec![("decision", decision.into())]);
-            }
-        }
-        self.maybe_identify_variogram();
-        self.maybe_revalidate_approx();
-        Ok(Outcome::Simulated { value })
+        self.run_batch(std::slice::from_ref(config))?;
+        Ok(self.batch.outcomes[0].clone())
     }
 
     /// Convenience: evaluate and return only the metric value.
@@ -896,21 +808,20 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     /// Evaluates many configurations through the plan/fulfill protocol,
     /// solving each distinct kriging system **once**.
     ///
-    /// Equivalent to [`HybridEvaluator::plan_batch`] → backend
-    /// [`EvalBackend::fulfill`] → [`HybridEvaluator::commit_batch`].
-    /// Queries are classified exactly as sequential
-    /// [`HybridEvaluator::evaluate`] calls would (in input order, with
-    /// pending simulations visible as neighbours and mid-batch variogram
-    /// fits replayed at commit); the kriging solves are grouped by neighbour
-    /// set, so a batch whose queries share neighbourhoods — the min+1
-    /// candidate scan, surface replay — factors Γ once per group instead of
-    /// once per query.
+    /// Planning classifies the queries in input order, exactly as
+    /// one-at-a-time [`HybridEvaluator::evaluate`] calls would (pending
+    /// simulations are visible as neighbours, and mid-batch variogram fits
+    /// are replayed at commit). The backend's [`EvalBackend::fulfill`] then
+    /// runs the deduplicated simulations, and commit applies everything in
+    /// input order. The kriging solves are grouped by neighbour set, so a
+    /// batch whose queries share neighbourhoods — the min+1 candidate scan,
+    /// surface replay — factors Γ once per group instead of once per query.
     ///
-    /// Semantics differ from the sequential path in one documented corner:
-    /// a kriging attempt that fails numerically falls back to simulation at
-    /// the *end* of the batch rather than at its position, so queries after
-    /// it in the batch do not see that fallback simulation as a neighbour.
-    /// Values returned for each query are otherwise identical.
+    /// Batching has one visible consequence: a kriging attempt that fails
+    /// (or whose variance the gate rejects) is simulated in a fallback round
+    /// after the batch's solves, so queries later in the same batch do not
+    /// see that simulation as a neighbour. Splitting a batch into batches of
+    /// one therefore returns the same values whenever no fallback fires.
     ///
     /// # Errors
     ///
@@ -919,150 +830,170 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     /// and the session state is exactly what it was before the call
     /// (simulator-side invocation counters excepted).
     pub fn evaluate_batch(&mut self, configs: &[Config]) -> Result<Vec<Outcome>, EvalError> {
-        let timing = self.obs.as_ref().is_some_and(|o| o.timing);
-        if !timing {
-            let plan = self.plan_batch(configs);
-            let values = self.inner.fulfill(plan.requests())?;
-            return self.commit_batch(&plan, configs, &values);
-        }
-        let t0 = Instant::now();
-        let plan = self.plan_batch(configs);
-        let t1 = Instant::now();
-        let values = self.inner.fulfill(plan.requests())?;
-        let t2 = Instant::now();
-        let outcomes = self.commit_batch(&plan, configs, &values)?;
-        let t3 = Instant::now();
-        if let Some(obs) = &self.obs {
-            let plan_us = t1.duration_since(t0).as_secs_f64() * 1e6;
-            let fulfill_us = t2.duration_since(t1).as_secs_f64() * 1e6;
-            let commit_us = t3.duration_since(t2).as_secs_f64() * 1e6;
-            obs.plan_us.record(plan_us);
-            obs.fulfill_us.record(fulfill_us);
-            obs.commit_us.record(commit_us);
-            if obs.tracer.enabled() {
-                obs.tracer.emit(
-                    "batch",
-                    vec![
-                        ("slots", plan.num_slots().into()),
-                        ("requests", plan.requests().len().into()),
-                        ("cache_hits", plan.num_cache_hits().into()),
-                        ("krigeable", plan.num_krigeable().into()),
-                        ("plan_us", plan_us.into()),
-                        ("fulfill_us", fulfill_us.into()),
-                        ("commit_us", commit_us.into()),
-                    ],
-                );
-            }
-        }
-        Ok(outcomes)
+        self.run_batch(configs)?;
+        Ok(self.batch.outcomes.clone())
     }
 
-    /// Plans a batch of queries without mutating any session state.
-    ///
-    /// Each slot is classified exactly as a sequential
-    /// [`HybridEvaluator::evaluate`] call would handle it: store duplicates
-    /// become cache hits, intra-batch duplicates of pending simulations
-    /// alias the earlier request, krigeable queries record the neighbour set
-    /// they would observe (pending requests included, as pseudo-positions
-    /// `store length + request index`), and everything else becomes a
-    /// deduplicated [`SimulationRequest`]. Variogram (re-)identification is
-    /// triggered by sample *counts* alone, so the planner tracks a virtual
-    /// fit timeline — it knows *when* a mid-batch fit will fire and tags
-    /// each krigeable slot with its fit epoch without needing the simulated
-    /// values; [`HybridEvaluator::commit_batch`] replays the fits with the
-    /// real values.
-    pub fn plan_batch(&self, configs: &[Config]) -> BatchPlan {
-        let planned_at = self.store.len();
-        let mut slots: Vec<SlotPlan> = Vec::with_capacity(configs.len());
-        let mut requests: Vec<SimulationRequest> = Vec::new();
-        let mut fit_points: Vec<usize> = Vec::new();
-        let (min_samples, refit_every, fit_enabled) = match &self.settings.variogram {
-            VariogramPolicy::Fixed(_) => (0, None, false),
-            VariogramPolicy::FitAfter { min_samples, .. } => (*min_samples, None, true),
-            VariogramPolicy::Refit {
-                min_samples, every, ..
-            } => (*min_samples, Some(*every), true),
+    /// Runs plan → fulfill → commit over the evaluator-owned buffers,
+    /// leaving one outcome per query in `self.batch.outcomes`.
+    fn run_batch(&mut self, configs: &[Config]) -> Result<(), EvalError> {
+        // The buffers leave `self` for the call so that planning and commit
+        // can borrow them alongside the session state.
+        let mut batch = std::mem::take(&mut self.batch);
+        let result = self.plan_fulfill_commit(&mut batch, configs);
+        self.batch = batch;
+        result
+    }
+
+    fn plan_fulfill_commit(
+        &mut self,
+        batch: &mut BatchScratch,
+        configs: &[Config],
+    ) -> Result<(), EvalError> {
+        let timing = self.obs.as_ref().is_some_and(|o| o.timing);
+        let t0 = timing.then(Instant::now);
+        self.plan_batch(batch, configs);
+        let t1 = timing.then(Instant::now);
+        let values = self.fulfill(&batch.requests)?;
+        let t2 = timing.then(Instant::now);
+        self.commit_batch(batch, configs, &values)?;
+        let t3 = timing.then(Instant::now);
+        let (Some(obs), Some(t0), Some(t1), Some(t2), Some(t3)) = (&self.obs, t0, t1, t2, t3)
+        else {
+            return Ok(());
         };
+        let plan_us = t1.duration_since(t0).as_secs_f64() * 1e6;
+        let fulfill_us = t2.duration_since(t1).as_secs_f64() * 1e6;
+        let commit_us = t3.duration_since(t2).as_secs_f64() * 1e6;
+        obs.plan_us.record(plan_us);
+        obs.fulfill_us.record(fulfill_us);
+        obs.commit_us.record(commit_us);
+        if obs.tracer.enabled() {
+            obs.tracer.emit(
+                "batch",
+                vec![
+                    ("slots", batch.slots.len().into()),
+                    ("requests", batch.requests.len().into()),
+                    ("cache_hits", batch.num_cache_hits().into()),
+                    ("krigeable", batch.num_krigeable().into()),
+                    ("plan_us", plan_us.into()),
+                    ("fulfill_us", fulfill_us.into()),
+                    ("commit_us", commit_us.into()),
+                ],
+            );
+        }
+        Ok(())
+    }
+
+    /// Fulfills one round of simulation requests through the backend; an
+    /// empty round never reaches it.
+    fn fulfill(&mut self, requests: &[SimulationRequest]) -> Result<Vec<f64>, EvalError> {
+        if requests.is_empty() {
+            Ok(Vec::new())
+        } else {
+            self.inner.fulfill(requests)
+        }
+    }
+
+    /// Plans a batch of queries into `batch` without mutating any session
+    /// state.
+    ///
+    /// Store duplicates become cache hits, intra-batch duplicates of pending
+    /// simulations alias the earlier request, krigeable queries record the
+    /// neighbour set they observe (pending requests included, as
+    /// pseudo-positions `store length + request index`), and everything
+    /// else becomes a deduplicated [`SimulationRequest`]. Variogram
+    /// (re-)identification is triggered by sample *counts* alone, so the
+    /// planner tracks a virtual fit timeline — it knows *when* a mid-batch
+    /// fit will fire and tags each krigeable slot with its fit epoch without
+    /// needing the simulated values; commit replays the fits with the real
+    /// values.
+    fn plan_batch(&self, batch: &mut BatchScratch, configs: &[Config]) {
+        let planned_at = self.store.len();
+        batch.planned_at = planned_at;
+        batch.slots.clear();
+        batch.neighbors.clear();
+        batch.requests.clear();
+        batch.fit_points.clear();
         let mut virt_has_model = self.model.is_some();
         let mut virt_fitted_at = self.fitted_at;
-        let mut neighbor_buf: Vec<(usize, f64)> = Vec::new();
         for config in configs {
+            // Exact duplicate: the stored value answers it (the optimizer
+            // revisits configurations; re-simulating would distort both N_λ
+            // and p(%)).
             if let Some(position) = self.store.position_of(config) {
-                slots.push(SlotPlan::CacheHit { position });
+                batch.slots.push(SlotPlan::CacheHit { position });
                 continue;
             }
-            if let Some(request) = requests.iter().position(|r| &r.config == config) {
-                // The sequential path would have simulated and stored this
-                // configuration by now, so the duplicate is a cache hit.
-                slots.push(SlotPlan::Alias { request });
+            if let Some(request) = batch.requests.iter().position(|r| &r.config == config) {
+                // Queried one at a time, this configuration would have been
+                // simulated and stored by now, so the duplicate is a cache
+                // hit.
+                batch.slots.push(SlotPlan::Alias { request });
                 continue;
             }
             if virt_has_model {
+                // Gather simulated neighbours within distance d (paper lines
+                // 7–16), sorted by distance.
+                let search = &mut batch.search;
                 self.store
-                    .within_into(config, self.settings.distance, &mut neighbor_buf);
-                // Pending requests are neighbours too: by the time the
-                // sequential path reached this query they would be in the
-                // store at positions `planned_at + request index`. The
-                // merged sort reproduces `within_into`'s (distance,
-                // position) order, ties included.
-                for (ri, r) in requests.iter().enumerate() {
+                    .within_into(config, self.settings.distance, search);
+                // Pending requests are neighbours too: queried one at a
+                // time, they would be in the store at positions
+                // `planned_at + request index` by now. The merged sort
+                // reproduces `within_into`'s (distance, position) order,
+                // ties included.
+                let stored = search.len();
+                for (ri, r) in batch.requests.iter().enumerate() {
                     let distance = self.settings.metric.eval_config(&r.config, config);
                     if distance <= self.settings.distance {
-                        neighbor_buf.push((planned_at + ri, distance));
+                        search.push((planned_at + ri, distance));
                     }
                 }
-                neighbor_buf.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                if search.len() > stored {
+                    search.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                }
                 if self
                     .settings
                     .gate
-                    .admits(neighbor_buf.len(), self.settings.min_neighbors)
+                    .admits(search.len(), self.settings.min_neighbors)
                 {
                     if let Some(cap) = self.settings.max_neighbors {
-                        neighbor_buf.truncate(cap);
+                        search.truncate(cap);
                     }
                     if self.approx_active {
                         if let Some(approx) = &self.settings.approx {
-                            // Same screening a sequential evaluate would
-                            // apply under the current validation state.
-                            neighbor_buf.truncate(approx.screen_to.max(1));
+                            // Validated approximate path: screen to the
+                            // `screen_to` closest neighbours.
+                            search.truncate(approx.screen_to.max(1));
                         }
                     }
-                    slots.push(SlotPlan::Krige {
-                        neighbors: neighbor_buf.iter().map(|&(p, _)| p).collect(),
-                        epoch: fit_points.len(),
+                    let start = batch.neighbors.len();
+                    batch.neighbors.extend(search.iter().map(|&(p, _)| p));
+                    batch.slots.push(SlotPlan::Krige {
+                        neighbors: start..batch.neighbors.len(),
+                        epoch: batch.fit_points.len(),
                     });
                     continue;
                 }
             }
-            requests.push(SimulationRequest::new(config.clone()));
-            slots.push(SlotPlan::Simulate {
-                request: requests.len() - 1,
+            // Simulate and record (paper lines 19–23).
+            batch.requests.push(SimulationRequest::new(config.clone()));
+            batch.slots.push(SlotPlan::Simulate {
+                request: batch.requests.len() - 1,
             });
-            if fit_enabled {
-                // Advance the virtual fit timeline past this insertion —
-                // the exact `maybe_identify_variogram` trigger, which only
-                // reads sample counts (a failed fit still installs the
-                // fallback model, so has-model is count-predictable too).
-                let virt_len = planned_at + requests.len();
-                let due = if !virt_has_model {
-                    virt_len >= min_samples
-                } else if let Some(every) = refit_every {
-                    virt_len >= virt_fitted_at + every
-                } else {
-                    false
-                };
-                if due {
-                    fit_points.push(virt_len);
-                    virt_fitted_at = virt_len;
-                    virt_has_model = true;
-                }
+            // Advance the virtual fit timeline past this insertion, with
+            // the trigger `maybe_identify_variogram` applies.
+            let virt_len = planned_at + batch.requests.len();
+            if self
+                .settings
+                .variogram
+                .fit_due(virt_has_model, virt_len, virt_fitted_at)
+            {
+                batch.fit_points.push(virt_len);
+                virt_fitted_at = virt_len;
+                virt_has_model = true;
             }
-        }
-        BatchPlan {
-            slots,
-            requests,
-            fit_points,
-            planned_at,
         }
     }
 
@@ -1072,99 +1003,62 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     /// input-index order — so traces and counters are identical no matter
     /// how (or on how many workers) the requests were fulfilled.
     ///
-    /// Fallback simulations (implausible or failed kriging solves) and
-    /// audit simulations are fulfilled through the backend as additional
-    /// rounds *before* any state is mutated.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's [`EvalError`] from the fallback or audit
-    /// rounds. The commit is all-or-nothing: on error, no session state has
-    /// changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` was produced against a different store size (a
-    /// query or another commit ran between planning and commit), or if the
-    /// lengths of `configs`/`values` do not match the plan.
-    pub fn commit_batch(
+    /// Fallback simulations (implausible, failed or gate-rejected solves)
+    /// and audit simulations are fulfilled through the backend as
+    /// additional rounds *before* any state is mutated, so a backend error
+    /// leaves the session unchanged.
+    fn commit_batch(
         &mut self,
-        plan: &BatchPlan,
+        batch: &mut BatchScratch,
         configs: &[Config],
         values: &[f64],
-    ) -> Result<Vec<Outcome>, EvalError> {
-        assert_eq!(
-            plan.slots.len(),
-            configs.len(),
-            "commit_batch: config count does not match the plan"
-        );
-        assert_eq!(
-            values.len(),
-            plan.requests.len(),
-            "commit_batch: one value per planned request required"
-        );
-        assert_eq!(
-            plan.planned_at,
-            self.store.len(),
-            "commit_batch: plan is stale (the store changed since planning)"
-        );
-        let planned_at = plan.planned_at;
+    ) -> Result<(), EvalError> {
+        let planned_at = batch.planned_at;
 
         // Round 1 — replay the mid-batch variogram fits with the real
         // values. Planning promised a fit once the virtual store reached
         // each `fit_points` length; the staged accumulator folds the same
-        // site prefixes the sequential path would have seen.
-        let mut epoch_models: Vec<VariogramModel> = Vec::new();
+        // site prefixes a query-at-a-time run would have seen. Each epoch
+        // records its model and whether the fit succeeded.
+        let mut epoch_models: Vec<(VariogramModel, bool)> = Vec::new();
         let mut staged_acc: Option<VariogramAccumulator> = None;
         let mut staged_fitted_at = self.fitted_at;
         let mut staged_model = self.model;
         let mut staged_report: Option<FitReport> = None;
-        if !plan.fit_points.is_empty() {
-            let (families, fallback) = match &self.settings.variogram {
-                VariogramPolicy::FitAfter {
-                    families, fallback, ..
-                }
-                | VariogramPolicy::Refit {
-                    families, fallback, ..
-                } => (families.clone(), *fallback),
-                VariogramPolicy::Fixed(_) => {
-                    unreachable!("fixed-model plans never schedule fits")
-                }
-            };
+        if !batch.fit_points.is_empty() {
+            let (families, fallback) = self
+                .settings
+                .variogram
+                .fitting()
+                .expect("fixed-model plans never schedule fits");
             let mut combined_configs: Vec<Config> = self.store.configs().to_vec();
             let mut combined_values: Vec<f64> = self.store.values().to_vec();
-            combined_configs.extend(plan.requests.iter().map(|r| r.config.clone()));
+            combined_configs.extend(batch.requests.iter().map(|r| r.config.clone()));
             combined_values.extend_from_slice(values);
             let mut acc = self
                 .vario_acc
                 .clone()
                 .unwrap_or_else(|| VariogramAccumulator::new(self.settings.metric));
-            let selection = self.settings.selection;
-            let fit_metric = self.settings.metric;
-            let fit_nugget = self.effective_nugget();
-            for &len in &plan.fit_points {
-                acc.sync(&combined_configs[..len], &combined_values[..len]);
-                let fitted = acc.snapshot().and_then(|emp| match selection {
-                    ModelSelection::WeightedSse => fit_model(&emp, &families),
-                    ModelSelection::LeaveOneOut => fit_model_loo(
-                        &emp,
-                        &families,
-                        &combined_configs[..len],
-                        &combined_values[..len],
-                        fit_metric,
-                        fit_nugget,
-                    ),
-                });
+            let nugget = self.effective_nugget();
+            for &len in &batch.fit_points {
+                let fitted = fit_variogram(
+                    &self.settings,
+                    families,
+                    &mut acc,
+                    &combined_configs[..len],
+                    &combined_values[..len],
+                    nugget,
+                );
                 staged_fitted_at = len;
                 match fitted {
                     Ok(report) => {
                         staged_model = Some(report.model);
-                        epoch_models.push(report.model);
+                        epoch_models.push((report.model, true));
                         staged_report = Some(report);
                     }
                     Err(_) => {
                         staged_model = Some(fallback);
-                        epoch_models.push(fallback);
+                        epoch_models.push((fallback, false));
                     }
                 }
             }
@@ -1172,17 +1066,16 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         }
 
         // Round 2 — solve the planned kriging systems, grouped by
-        // (model bits, neighbour set) exactly as before, through the
-        // factor-once/solve-many scratch: one Γ assembly + Bunch–Kaufman
-        // factorization per group, all members back-substituted in one
-        // blocked multi-RHS pass over the shared γ-table. Per-member
-        // results are bitwise identical to the sequential `krige_with`
-        // path. Nothing here mutates session state beyond the reused
-        // scratch/table buffers; implausible predictions and failed solves
-        // are collected for the fallback round.
-        let mut krige_results: Vec<Option<(f64, f64, u32)>> = vec![None; configs.len()];
-        let mut fallback_slots: Vec<usize> = Vec::new();
-        let mut gate_rejected_slots: Vec<usize> = Vec::new();
+        // (model bits, neighbour set), through the factor-once/solve-many
+        // scratch: one Γ assembly + Bunch–Kaufman factorization per group,
+        // all members back-substituted in one blocked multi-RHS pass over
+        // the shared γ-table. Per-member results are bitwise identical to
+        // single-target solves. Nothing here mutates session state beyond
+        // the reused scratch/table buffers; implausible predictions, failed
+        // solves and gate rejections are collected for the fallback round.
+        batch.krige_results.clear();
+        batch.krige_results.resize(configs.len(), None);
+        batch.fallbacks.clear();
         {
             let store = &self.store;
             let session_model = self.model;
@@ -1191,14 +1084,14 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             let nugget = self.effective_nugget();
             let krige_scratch = &mut self.krige_scratch;
             let gamma_slot = &mut self.gamma_table;
-            let group_values = &mut self.group_values;
-            let group_keys = &mut self.group_keys;
-            let group_gamma = &mut self.group_gamma;
+            let slots = &batch.slots;
+            let neighbors = &batch.neighbors;
+            let requests = &batch.requests;
             let cfg_at = |j: usize| -> &Config {
                 if j < planned_at {
                     &store.configs()[j]
                 } else {
-                    &plan.requests[j - planned_at].config
+                    &requests[j - planned_at].config
                 }
             };
             let val_at = |j: usize| -> f64 {
@@ -1212,70 +1105,68 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                 if epoch == 0 {
                     session_model.expect("krige slot planned without an active model")
                 } else {
-                    epoch_models[epoch - 1]
+                    epoch_models[epoch - 1].0
                 }
             };
-            fn krige_parts(slot: &SlotPlan) -> (&Vec<usize>, usize) {
+            fn krige_parts(slot: &SlotPlan) -> (Range<usize>, usize) {
                 match slot {
-                    SlotPlan::Krige { neighbors, epoch } => (neighbors, *epoch),
+                    SlotPlan::Krige { neighbors, epoch } => (neighbors.clone(), *epoch),
                     _ => unreachable!("krige_order holds only krige slots"),
                 }
             }
-            let mut krige_order: Vec<usize> = plan
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| matches!(s, SlotPlan::Krige { .. }))
-                .map(|(i, _)| i)
-                .collect();
+            let fallback = |slot: usize, gate_rejected: bool| Fallback {
+                slot,
+                gate_rejected,
+                source: 0,
+            };
+            let order = &mut batch.krige_order;
+            order.clear();
+            order.extend(
+                slots
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| matches!(s, SlotPlan::Krige { .. }))
+                    .map(|(i, _)| i),
+            );
             // Stable sort: members of a group stay in input order, and the
             // (model bits, neighbours) group order keeps the float-summing
             // side effects byte-stable across runs.
-            krige_order.sort_by(|&x, &y| {
-                let (nx, ex) = krige_parts(&plan.slots[x]);
-                let (ny, ey) = krige_parts(&plan.slots[y]);
+            order.sort_by(|&x, &y| {
+                let (nx, ex) = krige_parts(&slots[x]);
+                let (ny, ey) = krige_parts(&slots[y]);
                 model_bits(&resolve_model(ex))
                     .cmp(&model_bits(&resolve_model(ey)))
-                    .then_with(|| nx.cmp(ny))
+                    .then_with(|| neighbors[nx].cmp(&neighbors[ny]))
             });
+            let order = &batch.krige_order;
             let mut group_start = 0;
-            while group_start < krige_order.len() {
-                let (head_neighbors, head_epoch) =
-                    krige_parts(&plan.slots[krige_order[group_start]]);
+            while group_start < order.len() {
+                let (head_range, head_epoch) = krige_parts(&slots[order[group_start]]);
+                let head_neighbors = &neighbors[head_range];
                 let head_model = resolve_model(head_epoch);
                 let head_bits = model_bits(&head_model);
-                let group_end = krige_order[group_start..]
+                let group_end = order[group_start..]
                     .iter()
                     .position(|&s| {
-                        let (n, e) = krige_parts(&plan.slots[s]);
-                        model_bits(&resolve_model(e)) != head_bits || n != head_neighbors
+                        let (n, e) = krige_parts(&slots[s]);
+                        model_bits(&resolve_model(e)) != head_bits
+                            || neighbors[n] != *head_neighbors
                     })
-                    .map_or(krige_order.len(), |off| group_start + off);
-                let members = &krige_order[group_start..group_end];
+                    .map_or(order.len(), |off| group_start + off);
+                let members = &order[group_start..group_end];
                 group_start = group_end;
                 let n = head_neighbors.len();
+                let group_values = &mut batch.group_values;
                 group_values.clear();
                 group_values.extend(head_neighbors.iter().map(|&j| val_at(j)));
-                let lo = group_values.iter().cloned().fold(f64::INFINITY, f64::min);
-                let hi = group_values
-                    .iter()
-                    .cloned()
-                    .fold(f64::NEG_INFINITY, f64::max);
-                let spread = (hi - lo).max(1e-9);
                 // Re-target the session γ-table at this group's model (the
                 // sort keeps resets to one per distinct model).
-                let table = match &mut *gamma_slot {
-                    Some(t) => {
-                        if !t.matches(&head_model, metric) {
-                            t.reset(head_model, metric);
-                        }
-                        t
-                    }
-                    slot @ None => slot.insert(GammaTable::new(head_model, metric)),
-                };
+                let table = retarget(&mut *gamma_slot, head_model, metric);
                 // Flat RHS γ slab: a tight integer pass computes the
                 // lattice keys for every (neighbour, member) pair, then one
                 // batched memoized table pass fills the γ row slab.
+                let group_keys = &mut batch.group_keys;
+                let group_gamma = &mut batch.group_gamma;
                 group_keys.clear();
                 for &s in members {
                     let target = &configs[s];
@@ -1292,9 +1183,12 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                     } else {
                         group_gamma[(j - n) * n + i]
                     };
-                    // The nugget rides the between-site and target rows
-                    // only (the diagonal γ(0) stays 0); the `!= 0.0` branch
-                    // keeps the nugget-free path bitwise untouched.
+                    // A non-zero nugget (measurement-error variance `c`)
+                    // rides the between-site and target rows only (the
+                    // diagonal γ(0) stays 0), so replicated noisy
+                    // observations are smoothed instead of interpolated
+                    // exactly; the `!= 0.0` branch keeps the nugget-free
+                    // path bitwise untouched.
                     if nugget != 0.0 {
                         g + nugget
                     } else {
@@ -1305,83 +1199,60 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                     Ok(()) => {
                         for (t, &s) in members.iter().enumerate() {
                             if !krige_scratch.group_ok(t) {
-                                fallback_slots.push(s);
+                                batch.fallbacks.push(fallback(s, false));
                                 continue;
                             }
                             let value = krige_scratch.group_interpolate(t, group_values);
                             let variance = krige_scratch.group_variance(t);
-                            if !value.is_finite()
-                                || !variance.is_finite()
-                                || value < lo - 2.0 * spread
-                                || value > hi + 2.0 * spread
-                            {
-                                fallback_slots.push(s);
+                            if !plausible(value, variance, group_values) {
+                                batch.fallbacks.push(fallback(s, false));
                             } else if !gate.accepts(variance) {
-                                // Converged but the gate refused its σ²:
-                                // simulate via the fallback round, counted
-                                // separately at commit.
-                                gate_rejected_slots.push(s);
-                                fallback_slots.push(s);
+                                // Converged, but the gate refused its σ².
+                                batch.fallbacks.push(fallback(s, true));
                             } else {
-                                krige_results[s] =
+                                batch.krige_results[s] =
                                     Some((value, variance, krige_scratch.group_jitter_retries(t)));
                             }
                         }
                     }
-                    Err(_) => fallback_slots.extend_from_slice(members),
+                    Err(_) => batch
+                        .fallbacks
+                        .extend(members.iter().map(|&s| fallback(s, false))),
                 }
             }
-            fallback_slots.sort_unstable();
-            gate_rejected_slots.sort_unstable();
+            batch.fallbacks.sort_unstable_by_key(|f| f.slot);
         }
 
-        // Round 3 — fulfill the fallback simulations (deduplicated in
-        // first-occurrence order; a fallback whose configuration is already
-        // a planned request reuses that value, as the sequential fallback
-        // path would find it in the store).
-        enum FallbackValue {
-            Request(usize),
-            Fresh(usize),
-        }
+        // Round 3 — fulfill the fallback simulations, deduplicated in
+        // first-occurrence order. A fallback whose configuration is already
+        // a planned request reuses that value, as a query-at-a-time run
+        // would find it in the store.
         let mut fallback_requests: Vec<SimulationRequest> = Vec::new();
-        let mut fallback_of: std::collections::HashMap<usize, FallbackValue> =
-            std::collections::HashMap::new();
-        for &slot in &fallback_slots {
-            let config = &configs[slot];
-            let value = if let Some(r) = plan.requests.iter().position(|r| &r.config == config) {
-                FallbackValue::Request(r)
+        for f in &mut batch.fallbacks {
+            let config = &configs[f.slot];
+            f.source = if let Some(r) = batch.requests.iter().position(|r| &r.config == config) {
+                r
             } else if let Some(i) = fallback_requests.iter().position(|r| &r.config == config) {
-                FallbackValue::Fresh(i)
+                values.len() + i
             } else {
                 fallback_requests.push(SimulationRequest::new(config.clone()));
-                FallbackValue::Fresh(fallback_requests.len() - 1)
+                values.len() + fallback_requests.len() - 1
             };
-            fallback_of.insert(slot, value);
         }
-        let fallback_values: Vec<f64> = if fallback_requests.is_empty() {
-            Vec::new()
-        } else {
-            self.inner.fulfill(&fallback_requests)?
-        };
+        let fallback_values = self.fulfill(&fallback_requests)?;
 
-        // Round 4 — fulfill the audit simulations for every successfully
-        // kriged slot, in input order (audited results are never stored).
+        // Round 4 — fulfill the audit simulations for every kriged slot, in
+        // input order (audited results are never stored).
         let audit_metric = self.settings.audit;
-        let audit_values: Vec<f64> = if audit_metric.is_some() {
-            let audit_requests: Vec<SimulationRequest> = plan
-                .slots
+        let audit_values = if audit_metric.is_some() {
+            let audit_requests: Vec<SimulationRequest> = batch
+                .krige_results
                 .iter()
-                .enumerate()
-                .filter(|&(s, slot)| {
-                    matches!(slot, SlotPlan::Krige { .. }) && krige_results[s].is_some()
-                })
-                .map(|(s, _)| SimulationRequest::new(configs[s].clone()))
+                .zip(configs)
+                .filter(|(result, _)| result.is_some())
+                .map(|(_, config)| SimulationRequest::new(config.clone()))
                 .collect();
-            if audit_requests.is_empty() {
-                Vec::new()
-            } else {
-                self.inner.fulfill(&audit_requests)?
-            }
+            self.fulfill(&audit_requests)?
         } else {
             Vec::new()
         };
@@ -1397,39 +1268,41 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         let trace_slots = self.obs.as_ref().is_some_and(|o| o.tracer.enabled());
         self.stats.queries += configs.len() as u64;
         let mut audit_iter = audit_values.into_iter();
-        let mut outcomes: Vec<Outcome> = Vec::with_capacity(configs.len());
-        for (s, slot) in plan.slots.iter().enumerate() {
-            match slot {
+        let mut fallback_iter = batch.fallbacks.iter();
+        batch.outcomes.clear();
+        for (s, slot) in batch.slots.iter().enumerate() {
+            let outcome = match slot {
                 SlotPlan::CacheHit { position } => {
                     self.stats.cache_hits += 1;
                     if trace_slots {
                         self.emit_query_event("cache_hit", None);
                     }
-                    outcomes.push(Outcome::Simulated {
+                    Outcome::Simulated {
                         value: self.store.values()[*position],
-                    });
+                    }
                 }
                 SlotPlan::Alias { request } => {
                     self.stats.cache_hits += 1;
                     if trace_slots {
                         self.emit_query_event("alias", None);
                     }
-                    outcomes.push(Outcome::Simulated {
+                    Outcome::Simulated {
                         value: values[*request],
-                    });
+                    }
                 }
                 SlotPlan::Simulate { request } => {
                     if trace_slots {
                         self.emit_query_event("simulated", None);
                     }
-                    outcomes.push(Outcome::Simulated {
+                    Outcome::Simulated {
                         value: values[*request],
-                    });
+                    }
                 }
-                SlotPlan::Krige { neighbors, .. } => match krige_results[s] {
+                SlotPlan::Krige { neighbors, .. } => match batch.krige_results[s] {
                     Some((value, variance, retries)) => {
+                        let neighbors = neighbors.len();
                         self.stats.kriged += 1;
-                        self.stats.neighbor_sum += neighbors.len() as u64;
+                        self.stats.neighbor_sum += neighbors as u64;
                         self.stats.variance_sum += variance;
                         if let Some(obs) = &self.obs {
                             obs.variance.record(variance);
@@ -1438,22 +1311,26 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                             }
                         }
                         if trace_slots {
-                            self.emit_query_event("kriged", Some(neighbors.len()));
+                            self.emit_query_event("kriged", Some((neighbors, retries)));
                         }
                         let true_value = audit_metric.map(|metric| {
                             let t = audit_iter.next().expect("one audit value per kriged slot");
                             self.stats.errors.record(audit_error(metric, value, t));
                             t
                         });
-                        outcomes.push(Outcome::Kriged {
+                        Outcome::Kriged {
                             value,
                             variance,
-                            neighbors: neighbors.len(),
+                            neighbors,
                             true_value,
-                        });
+                        }
                     }
                     None => {
-                        if gate_rejected_slots.binary_search(&s).is_ok() {
+                        let f = fallback_iter
+                            .next()
+                            .expect("every unanswered krige slot has a fallback");
+                        debug_assert_eq!(f.slot, s);
+                        if f.gate_rejected {
                             self.stats.gate_rejections += 1;
                             if trace_slots {
                                 self.emit_query_event("gate_rejected", None);
@@ -1464,57 +1341,44 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                                 self.emit_query_event("fallback", None);
                             }
                         }
-                        let value = match fallback_of
-                            .get(&s)
-                            .expect("every fallback slot has a value source")
-                        {
-                            FallbackValue::Request(r) => values[*r],
-                            FallbackValue::Fresh(i) => fallback_values[*i],
+                        let value = match f.source.checked_sub(values.len()) {
+                            None => values[f.source],
+                            Some(i) => fallback_values[i],
                         };
-                        outcomes.push(Outcome::Simulated { value });
+                        Outcome::Simulated { value }
                     }
                 },
-            }
+            };
+            batch.outcomes.push(outcome);
         }
-        for (request, &value) in plan.requests.iter().zip(values) {
+        for (request, &value) in batch.requests.iter().zip(values) {
             self.store.insert(request.config.clone(), value);
         }
-        self.stats.simulated += plan.requests.len() as u64;
-        if !plan.fit_points.is_empty() {
+        self.stats.simulated += batch.requests.len() as u64;
+        if !batch.fit_points.is_empty() {
             self.vario_acc = staged_acc;
             self.fitted_at = staged_fitted_at;
             self.model = staged_model;
             if staged_report.is_some() {
                 self.fit_report = staged_report;
             }
-            if let Some(obs) = &self.obs {
-                obs.fits.add(plan.fit_points.len() as u64);
-                if obs.tracer.enabled() {
-                    for &len in &plan.fit_points {
-                        obs.tracer.emit("variogram_fit", vec![("at", len.into())]);
-                    }
-                    if matches!(self.settings.selection, ModelSelection::LeaveOneOut) {
-                        for model in &epoch_models {
-                            obs.tracer.emit(
-                                "model_selected",
-                                vec![("family", model.family_name().into())],
-                            );
-                        }
-                    }
-                }
+            for (&len, (model, fitted)) in batch.fit_points.iter().zip(&epoch_models) {
+                self.record_fit(len, fitted.then_some(model));
             }
         }
-        for (request, &value) in fallback_requests.iter().zip(&fallback_values) {
-            self.store.insert(request.config.clone(), value);
+        for (request, value) in fallback_requests.into_iter().zip(fallback_values) {
+            self.store.insert(request.config, value);
             self.stats.simulated += 1;
             self.maybe_identify_variogram();
         }
-        if !plan.fit_points.is_empty() {
+        if !batch.fit_points.is_empty() {
             // Staged fits are installed outside `maybe_identify_variogram`,
-            // so re-run the approximate-path validation here, exactly as the
-            // sequential replay of this batch would have.
+            // so re-run the approximate-path validation here, exactly as a
+            // query-at-a-time replay of this batch would have.
             self.revalidate_approx();
-        } else {
+        } else if self.store.len() > planned_at {
+            // Validation points are store insertions: a batch that stored
+            // nothing leaves the validation state alone.
             self.maybe_revalidate_approx();
         }
         if let (Some(obs), Some(before)) = (&self.obs, stats_before) {
@@ -1530,7 +1394,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             obs.neighbors
                 .add(self.stats.neighbor_sum - before.neighbor_sum);
         }
-        Ok(outcomes)
+        Ok(())
     }
 
     /// Records one optimizer-iteration marker: counts it and, when
@@ -1549,14 +1413,38 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         }
     }
 
-    /// Emits one per-slot `query` decision event (batch commit path).
-    fn emit_query_event(&self, decision: &'static str, neighbors: Option<usize>) {
+    /// Emits one per-slot `query` decision event; a kriged slot carries its
+    /// `(neighbours, jitter retries)`.
+    fn emit_query_event(&self, decision: &'static str, kriged: Option<(usize, u32)>) {
         if let Some(obs) = &self.obs {
-            let mut fields: Vec<krigeval_obs::trace::Field> = vec![("decision", decision.into())];
-            if let Some(n) = neighbors {
-                fields.push(("neighbors", n.into()));
+            let mut fields: Vec<krigeval_obs::trace::Field> = Vec::with_capacity(3);
+            fields.push(("decision", decision.into()));
+            if let Some((neighbors, retries)) = kriged {
+                fields.push(("neighbors", neighbors.into()));
+                fields.push(("jitter_retries", retries.into()));
             }
             obs.tracer.emit("query", fields);
+        }
+    }
+
+    /// Counts one variogram (re-)identification at store size `at` and
+    /// traces it. Under leave-one-out selection a fit that succeeded also
+    /// reports its `selected` model; a failed fit installs the fallback
+    /// without a selection.
+    fn record_fit(&self, at: usize, selected: Option<&VariogramModel>) {
+        let Some(obs) = &self.obs else {
+            return;
+        };
+        obs.fits.inc();
+        if obs.tracer.enabled() {
+            obs.tracer.emit("variogram_fit", vec![("at", at.into())]);
+            if let (ModelSelection::LeaveOneOut, Some(model)) = (self.settings.selection, selected)
+            {
+                obs.tracer.emit(
+                    "model_selected",
+                    vec![("family", model.family_name().into())],
+                );
+            }
         }
     }
 
@@ -1605,71 +1493,32 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     }
 
     fn maybe_identify_variogram(&mut self) {
-        let (min_samples, fallback, refit_every) = match &self.settings.variogram {
-            VariogramPolicy::Fixed(_) => return,
-            VariogramPolicy::FitAfter {
-                min_samples,
-                fallback,
-                ..
-            } => (*min_samples, *fallback, None),
-            VariogramPolicy::Refit {
-                min_samples,
-                every,
-                fallback,
-                ..
-            } => (*min_samples, *fallback, Some(*every)),
+        let Some((families, fallback)) = self.settings.variogram.fitting() else {
+            return;
         };
-        let due = if self.model.is_none() {
-            self.store.len() >= min_samples
-        } else if let Some(every) = refit_every {
-            self.store.len() >= self.fitted_at + every
-        } else {
-            false
-        };
-        if !due {
+        let (has_model, len) = (self.model.is_some(), self.store.len());
+        if !self
+            .settings
+            .variogram
+            .fit_due(has_model, len, self.fitted_at)
+        {
             return;
         }
-        let families = match &self.settings.variogram {
-            VariogramPolicy::FitAfter { families, .. }
-            | VariogramPolicy::Refit { families, .. } => families,
-            VariogramPolicy::Fixed(_) => unreachable!("handled above"),
-        };
-        // Fold only the sites simulated since the last sync into the running
-        // bin sums — O(new·N) pair updates instead of a full O(N²) pass.
-        let metric = self.settings.metric;
-        let selection = self.settings.selection;
         let nugget = self.effective_nugget();
+        let metric = self.settings.metric;
         let acc = self
             .vario_acc
             .get_or_insert_with(|| VariogramAccumulator::new(metric));
-        acc.sync(self.store.configs(), self.store.values());
-        let fitted = acc.snapshot().and_then(|emp| match selection {
-            ModelSelection::WeightedSse => fit_model(&emp, families),
-            ModelSelection::LeaveOneOut => fit_model_loo(
-                &emp,
-                families,
-                self.store.configs(),
-                self.store.values(),
-                metric,
-                nugget,
-            ),
-        });
-        self.fitted_at = self.store.len();
-        if let Some(obs) = &self.obs {
-            obs.fits.inc();
-            if obs.tracer.enabled() {
-                obs.tracer
-                    .emit("variogram_fit", vec![("at", self.store.len().into())]);
-                if selection == ModelSelection::LeaveOneOut {
-                    if let Ok(report) = &fitted {
-                        obs.tracer.emit(
-                            "model_selected",
-                            vec![("family", report.model.family_name().into())],
-                        );
-                    }
-                }
-            }
-        }
+        let fitted = fit_variogram(
+            &self.settings,
+            families,
+            acc,
+            self.store.configs(),
+            self.store.values(),
+            nugget,
+        );
+        self.fitted_at = len;
+        self.record_fit(len, fitted.as_ref().ok().map(|report| &report.model));
         match fitted {
             Ok(report) => {
                 self.model = Some(report.model);
@@ -1737,15 +1586,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         let scratch = &mut self.krige_scratch;
         let value_buf = &mut self.value_buf;
         let neighbor_buf = &mut self.neighbor_buf;
-        let table = match &mut self.gamma_table {
-            Some(t) => {
-                if !t.matches(&model, metric) {
-                    t.reset(model, metric);
-                }
-                t
-            }
-            slot @ None => slot.insert(GammaTable::new(model, metric)),
-        };
+        let table = retarget(&mut self.gamma_table, model, metric);
         let len = store.len();
         let step = (len / approx.loo_samples.max(1)).max(1);
         let mut active = true;
@@ -1920,21 +1761,14 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     }
 }
 
-/// One sequential kriged prediction over the reused scratch buffers: solve
-/// the neighbour system through the γ-table, interpolate, and apply the
-/// plausibility envelope. A short-range interpolation has no business
-/// leaving the neighbourhood's value range by more than its spread;
-/// violations indicate a mis-fit variogram or ill conditioning, and the
-/// caller falls back to simulation (counted as a kriging failure).
+/// One single-target kriged prediction for the approximate path's
+/// leave-one-out validation: solve the neighbour system through the
+/// γ-table, interpolate, and apply the same plausibility envelope and
+/// nugget handling as the decision path's commit (an implausible prediction
+/// is an `Err`).
 ///
 /// Free function over disjoint `HybridEvaluator` fields so the borrow of the
 /// neighbour buffer can coexist with the mutable scratch borrows.
-///
-/// A non-zero `nugget` (measurement-error variance `c`) is added to every
-/// between-site and target semi-variogram value — but not to the zero
-/// diagonal — so replicated noisy observations are smoothed instead of
-/// interpolated exactly; the `!= 0.0` branch keeps the nugget-free path
-/// bitwise untouched.
 fn krige_with(
     scratch: &mut KrigingScratch,
     table: &mut GammaTable,
@@ -1964,17 +1798,63 @@ fn krige_with(
     })?;
     let value = scratch.interpolate(value_buf);
     let variance = scratch.variance();
-    let lo = value_buf.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = value_buf.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let spread = (hi - lo).max(1e-9);
-    if !value.is_finite()
-        || !variance.is_finite()
-        || value < lo - 2.0 * spread
-        || value > hi + 2.0 * spread
-    {
+    if !plausible(value, variance, value_buf) {
         return Err(crate::CoreError::SingularSystem { sites: n });
     }
     Ok((value, variance))
+}
+
+/// The session γ-table, built on first use and re-targeted at `model`.
+fn retarget(
+    slot: &mut Option<GammaTable>,
+    model: VariogramModel,
+    metric: DistanceMetric,
+) -> &mut GammaTable {
+    let table = slot.get_or_insert_with(|| GammaTable::new(model, metric));
+    if !table.matches(&model, metric) {
+        table.reset(model, metric);
+    }
+    table
+}
+
+/// The plausibility envelope: a short-range interpolation has no business
+/// leaving its neighbours' value range by more than that range's spread. A
+/// violation, or a non-finite result, indicates a mis-fit variogram or ill
+/// conditioning, and the query falls back to simulation.
+fn plausible(value: f64, variance: f64, neighbor_values: &[f64]) -> bool {
+    let lo = neighbor_values
+        .iter()
+        .copied()
+        .fold(f64::INFINITY, f64::min);
+    let hi = neighbor_values
+        .iter()
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max);
+    let spread = (hi - lo).max(1e-9);
+    value.is_finite()
+        && variance.is_finite()
+        && value >= lo - 2.0 * spread
+        && value <= hi + 2.0 * spread
+}
+
+/// One variogram identification over the sites `configs`/`values`. `acc`
+/// folds in only the sites added since its last sync — O(new·N) pair
+/// updates instead of a full O(N²) pass.
+fn fit_variogram(
+    settings: &HybridSettings,
+    families: &[ModelFamily],
+    acc: &mut VariogramAccumulator,
+    configs: &[Config],
+    values: &[f64],
+    nugget: f64,
+) -> Result<FitReport, CoreError> {
+    acc.sync(configs, values);
+    acc.snapshot().and_then(|emp| match settings.selection {
+        ModelSelection::WeightedSse => fit_model(&emp, families),
+        ModelSelection::LeaveOneOut => {
+            fit_model_loo(&emp, families, configs, values, settings.metric, nugget)
+        }
+    })
 }
 
 /// Encodes a variogram model as an orderable bit pattern so batch groups can
@@ -2024,6 +1904,8 @@ mod tests {
     use super::*;
     use crate::evaluator::AccuracyEvaluator;
     use crate::FnEvaluator;
+    use krigeval_obs::{RingSink, TraceSink};
+    use std::sync::Arc;
 
     fn smooth_eval() -> FnEvaluator<impl FnMut(&Config) -> Result<f64, EvalError>> {
         // The additive quantization-noise model of the word-length
@@ -2504,28 +2386,18 @@ mod tests {
                     .iter()
                     .map(|c| seq.evaluate(c).unwrap())
                     .collect();
-                // The only documented divergence: a plausibility/solver
-                // failure falls back to simulation at the end of the batch
-                // instead of at its position, so later queries in the batch
-                // see a different store. Equivalence holds exactly when no
-                // fallback fired on either path.
+                // What batching changes: a plausibility/solver failure falls
+                // back to simulation after the batch's solves instead of at
+                // its position, so later queries in the batch see a
+                // different store. Equivalence holds exactly when no
+                // fallback fired on either side.
                 prop_assume!(
                     bat.stats().kriging_failures == 0
                         && seq.stats().kriging_failures == 0
                 );
-                prop_assert_eq!(batched.len(), sequential.len());
-                for (b_out, s_out) in batched.iter().zip(&sequential) {
-                    prop_assert_eq!(b_out.source(), s_out.source());
-                    // The batched path solves through a shared factorization;
-                    // values agree with the one-shot solver to solver noise.
-                    let diff = (b_out.value() - s_out.value()).abs();
-                    prop_assert!(
-                        diff < 1e-9 * s_out.value().abs().max(1.0),
-                        "batch {} vs sequential {}",
-                        b_out.value(),
-                        s_out.value()
-                    );
-                }
+                // Group solves are bitwise equal to single-target ones, so
+                // the outcomes match exactly.
+                prop_assert_eq!(&batched, &sequential);
                 prop_assert_eq!(bat.stats().queries, seq.stats().queries);
                 prop_assert_eq!(bat.stats().simulated, seq.stats().simulated);
                 prop_assert_eq!(bat.stats().kriged, seq.stats().kriged);
@@ -2584,63 +2456,141 @@ mod tests {
         assert_eq!(h.stats().queries, stats_before.queries + 2);
     }
 
-    #[test]
-    fn plan_batch_is_pure_and_commit_matches_fulfill() {
-        // Driving plan → fulfill → commit by hand gives the same results
-        // and state as evaluate_batch.
-        let mut by_hand = HybridEvaluator::new(smooth_eval(), settings(3.0));
-        let mut reference = HybridEvaluator::new(smooth_eval(), settings(3.0));
-        for a in 4..12 {
-            by_hand.evaluate(&vec![a, 8]).unwrap();
-            reference.evaluate(&vec![a, 8]).unwrap();
-        }
-        let batch: Vec<Config> = vec![vec![7, 9], vec![5, 8], vec![13, 9], vec![5, 8]];
-        let plan = by_hand.plan_batch(&batch);
-        let stats_after_plan = by_hand.stats().clone();
-        assert_eq!(
-            &stats_after_plan,
-            reference.stats(),
-            "planning must not mutate state"
-        );
-        assert_eq!(plan.num_slots(), 4);
-        assert_eq!(plan.num_cache_hits(), 2, "[5,8] is stored; both copies hit");
-        // Fulfill through a separate simulator, then commit.
-        let mut sim = smooth_eval();
-        let values: Vec<f64> = plan
-            .requests()
-            .iter()
-            .map(|r| sim.evaluate(&r.config).unwrap())
-            .collect();
-        let by_hand_out = by_hand.commit_batch(&plan, &batch, &values).unwrap();
-        let reference_out = reference.evaluate_batch(&batch).unwrap();
-        assert_eq!(by_hand_out, reference_out);
-        assert_eq!(by_hand.stats(), reference.stats());
-        assert_eq!(by_hand.simulated_configs(), reference.simulated_configs());
+    /// A session whose decision events land in an in-memory ring.
+    fn ring_traced<E: EvalBackend>(
+        inner: E,
+        settings: HybridSettings,
+    ) -> (HybridEvaluator<E>, Arc<RingSink>) {
+        let ring = Arc::new(RingSink::new(4096));
+        let sinks: Vec<Arc<dyn TraceSink>> = vec![ring.clone()];
+        let obs = HybridObs::new(&Registry::new(), Tracer::new(sinks));
+        (HybridEvaluator::new(inner, settings).with_obs(obs), ring)
     }
 
     #[test]
-    fn stale_plans_are_rejected() {
-        let mut h = HybridEvaluator::new(smooth_eval(), settings(3.0));
-        let batch = vec![vec![8, 8]];
-        let plan = h.plan_batch(&batch);
-        h.evaluate(&vec![9, 9]).unwrap();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            h.commit_batch(&plan, &batch, &[60.0])
-        }));
-        assert!(
-            result.is_err(),
-            "stale commit must panic, not corrupt state"
-        );
+    fn failed_mid_batch_fit_selects_no_model() {
+        // Under leave-one-out selection only a fit that succeeds selects a
+        // model; a failed fit installs the fallback silently. One site has
+        // no variogram pairs, so the first fit (at 1 sample) fails and the
+        // refit at 9 samples succeeds — both inside one batch.
+        let s = HybridSettings {
+            variogram: VariogramPolicy::Refit {
+                min_samples: 1,
+                every: 8,
+                families: ModelFamily::all().to_vec(),
+                fallback: VariogramModel::linear(1.0),
+            },
+            selection: ModelSelection::LeaveOneOut,
+            ..settings(3.0)
+        };
+        let (mut h, ring) = ring_traced(smooth_eval(), s);
+        // A 3×3 grid with spacing 4: no site is within d = 3 of another,
+        // so every query is simulated.
+        let grid: Vec<Config> = (0..9)
+            .map(|i| vec![4 + 4 * (i % 3), 4 + 4 * (i / 3)])
+            .collect();
+        h.evaluate_batch(&grid).unwrap();
+        let events = ring.snapshot();
+        let fits = events.iter().filter(|e| e.name == "variogram_fit").count();
+        assert_eq!(fits, 2, "{events:?}");
+        let selected: Vec<_> = events
+            .iter()
+            .filter(|e| e.name == "model_selected")
+            .collect();
+        assert_eq!(selected.len(), 1, "{events:?}");
+        let family = h.model().expect("refit installed a model").family_name();
+        assert_eq!(selected[0].fields, vec![("family", family.into())]);
+    }
+
+    #[test]
+    fn evaluate_and_batch_of_one_emit_identical_query_events() {
+        let mut truth = smooth_eval();
+        let grid: Vec<Config> = (6..11)
+            .flat_map(|a| (6..10).map(move |b| vec![a, b]))
+            .collect();
+        let grid_values: Vec<f64> = grid.iter().map(|c| truth.evaluate(c).unwrap()).collect();
+        // The colinear, near-constant line of
+        // `implausible_prediction_falls_back_to_simulation_per_query`.
+        let line: Vec<Config> = (4..=11).map(|a| vec![a, 8]).collect();
+        let line_values: Vec<f64> = (4..=11)
+            .map(|a| 60.0 + if a % 2 == 0 { 1e-3 } else { -1e-3 })
+            .collect();
+        let fixed = |model, gate, d| HybridSettings {
+            variogram: VariogramPolicy::Fixed(model),
+            gate,
+            ..settings(d)
+        };
+        let linear = VariogramModel::linear(1.0);
+        let gaussian = VariogramModel::gaussian(0.0, 1.0, 50.0).expect("valid model");
+        let tiny = GatePolicy::Variance { threshold: 1e-300 };
+        let scenarios = [
+            // kriged, simulated, cache_hit
+            (
+                fixed(linear, GatePolicy::Fixed, 3.0),
+                &grid,
+                &grid_values,
+                vec![vec![8, 10], vec![20, 20], vec![6, 6]],
+            ),
+            (
+                fixed(linear, tiny, 3.0),
+                &grid,
+                &grid_values,
+                vec![vec![8, 10]],
+            ),
+            (
+                fixed(gaussian, GatePolicy::Fixed, 10.0),
+                &line,
+                &line_values,
+                vec![vec![14, 8]],
+            ),
+        ];
+        let mut all = Vec::new();
+        for (s, configs, values, probes) in scenarios {
+            let run = |batched: bool| -> Vec<String> {
+                let (mut h, ring) = ring_traced(smooth_eval(), s.clone());
+                h.restore(crate::hybrid_snapshot::SessionSnapshot {
+                    configs: configs.clone(),
+                    values: values.clone(),
+                    model: None,
+                    stats: HybridStats::default(),
+                });
+                for p in &probes {
+                    if batched {
+                        h.evaluate_batch(std::slice::from_ref(p)).unwrap();
+                    } else {
+                        h.evaluate(p).unwrap();
+                    }
+                }
+                let events = ring.snapshot();
+                let queries = events.iter().filter(|e| e.name == "query");
+                queries.map(|e| e.render_json(true)).collect()
+            };
+            let single = run(false);
+            assert_eq!(single, run(true));
+            all.extend(single);
+        }
+        for decision in [
+            "cache_hit",
+            "simulated",
+            "kriged",
+            "fallback",
+            "gate_rejected",
+        ] {
+            let tag = format!("\"decision\":\"{decision}\"");
+            assert!(all.iter().any(|e| e.contains(&tag)), "{decision}: {all:?}");
+        }
+        let retries = all.iter().any(|e| e.contains("\"jitter_retries\":"));
+        assert!(retries, "{all:?}");
     }
 
     #[test]
     fn mid_batch_fits_match_sequential() {
         // A batch long enough to cross the FitAfter threshold mid-way: the
         // planner schedules the fit, commit replays it, and both the model
-        // and the post-fit kriging decisions match the sequential path. A
+        // and the post-fit kriging decisions match one-at-a-time queries. A
         // linear surface keeps every prediction inside the plausibility
         // envelope, so no fallback simulations muddy the comparison (a
-        // fallback is the one documented divergence between the paths).
+        // fallback is the one thing batching moves).
         let lin = || {
             FnEvaluator::new(2, |w: &Config| {
                 Ok(6.0 * f64::from(w[0]) + 3.0 * f64::from(w[1]))

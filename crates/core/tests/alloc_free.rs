@@ -1,6 +1,6 @@
-//! Verifies the ISSUE 3 zero-allocation contract: once the hybrid
-//! evaluator's buffers are warm, a kriged `evaluate` performs no heap
-//! allocation at all.
+//! Verifies the zero-allocation contract: once the hybrid evaluator's
+//! buffers are warm, a kriged or cached `evaluate` — with or without a
+//! metrics bundle attached — performs no heap allocation at all.
 //!
 //! A counting global allocator wraps `System`; the file holds exactly one
 //! test so no concurrent test thread can pollute the counter.
@@ -11,9 +11,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use krigeval_core::trace::Source;
 use krigeval_core::variogram::ModelFamily;
 use krigeval_core::{
-    Config, EvalError, FnEvaluator, HybridEvaluator, HybridSettings, Outcome, VariogramModel,
-    VariogramPolicy,
+    Config, EvalError, FnEvaluator, HybridEvaluator, HybridObs, HybridSettings, Outcome,
+    VariogramModel, VariogramPolicy,
 };
+use krigeval_obs::{Registry, Tracer};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -106,4 +107,32 @@ fn steady_state_kriged_evaluate_allocates_nothing() {
     );
     assert_eq!(hybrid.stats().kriged, kriged_before + 10);
     assert!(value.is_finite());
+
+    // A cache hit, and a kriged query with a metrics bundle attached
+    // (registry counters plus a disabled tracer, as every `--metrics-out`
+    // campaign runs), allocate nothing either.
+    let registry = Registry::new();
+    let metrics = HybridObs::new(&registry, Tracer::disabled());
+    let cases = [
+        (vec![6, 6], Source::Simulated, None),
+        (probe, Source::Kriged, Some(metrics)),
+    ];
+    for (config, source, obs) in cases {
+        hybrid.set_obs(obs);
+        for _ in 0..3 {
+            hybrid.evaluate(&config).unwrap();
+        }
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..10 {
+            assert_eq!(hybrid.evaluate(&config).unwrap().source(), source);
+        }
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state {source:?} evaluate must not allocate"
+        );
+    }
+    assert_eq!(hybrid.stats().cache_hits, 13);
+    assert_eq!(registry.snapshot().counter("hybrid_kriged_total"), Some(13));
 }

@@ -5,9 +5,10 @@ use crate::{LinalgError, Matrix};
 /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite matrix.
 ///
 /// The ordinary-kriging Γ matrix is *not* positive definite (Lagrange row),
-/// so kriging itself uses [`crate::LuDecomposition`]. Cholesky backs the
-/// covariance-form sanity checks in the test suite and is the natural solver
-/// for simple kriging (known mean), which the crate also exposes.
+/// so kriging itself uses the Bunch–Kaufman LDLᵀ of [`crate::LdltWorkspace`].
+/// Cholesky backs the covariance-form sanity checks in the test suite and
+/// is the natural solver for simple kriging (known mean), which the crate
+/// also exposes.
 ///
 /// # Examples
 ///

@@ -342,6 +342,11 @@ impl LdltWorkspace {
         if nrhs == 0 {
             return Ok(());
         }
+        if nrhs == 1 {
+            // One right-hand side: the same operation sequence without the
+            // per-pivot row slicing.
+            return self.solve_in_place(&mut b[..n]);
+        }
 
         // Forward: solve L·(D·Lᵀ·X) = P·B, all right-hand sides per pivot.
         let mut k = 0usize;

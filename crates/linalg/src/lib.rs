@@ -10,10 +10,12 @@
 //! ```
 //!
 //! which is symmetric but **indefinite** (the Lagrange row puts a zero on the
-//! diagonal), so the workhorse here is [`LuDecomposition`] with partial
-//! pivoting rather than Cholesky. [`Cholesky`] is still provided for
-//! covariance-form kriging and for tests, and [`QrDecomposition`] backs the
-//! least-squares variogram-model fit.
+//! diagonal), so kriging solves it with the Bunch–Kaufman LDLᵀ
+//! factorization of [`LdltWorkspace`]: symmetric pivoting that suits this
+//! matrix class, over reusable buffers that make steady-state solves
+//! allocation-free. [`LuDecomposition`] (partial pivoting) is a general
+//! dense solver, [`Cholesky`] serves covariance-form kriging and tests, and
+//! [`QrDecomposition`] backs the least-squares variogram-model fit.
 //!
 //! The crate is deliberately dependency-free: the Rust Gaussian-process /
 //! geostatistics ecosystem is thin, so everything the paper reproduction
@@ -22,13 +24,21 @@
 //! # Examples
 //!
 //! ```
-//! use krigeval_linalg::{Matrix, LuDecomposition};
+//! use krigeval_linalg::LdltWorkspace;
 //!
 //! # fn main() -> Result<(), krigeval_linalg::LinalgError> {
-//! let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]])?;
-//! let lu = LuDecomposition::new(&a)?;
-//! let x = lu.solve(&[3.0, 4.0])?;
-//! assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
+//! // Two sites with γ = 2 between them, plus the Lagrange border.
+//! let gamma = [
+//!     0.0, 2.0, 1.0, //
+//!     2.0, 0.0, 1.0, //
+//!     1.0, 1.0, 0.0,
+//! ];
+//! let mut ws = LdltWorkspace::new();
+//! ws.factor(&gamma, 3)?;
+//! // Target midway: γ = 1 to each site; the weights split evenly.
+//! let mut x = [1.0, 1.0, 1.0];
+//! ws.solve_in_place(&mut x)?;
+//! assert!((x[0] - 0.5).abs() < 1e-12 && (x[1] - 0.5).abs() < 1e-12);
 //! # Ok(())
 //! # }
 //! ```
