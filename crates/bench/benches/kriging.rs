@@ -96,33 +96,16 @@ fn bench_incremental_variogram(c: &mut Criterion) {
 }
 
 fn bench_hybrid_steady_state(c: &mut Criterion) {
-    use krigeval_core::{FnEvaluator, HybridEvaluator, HybridSettings, VariogramPolicy};
-    // A dense seeded grid and an unseen probe: each iteration replays the
-    // full kriged path (neighbour search, γ-table lookups, LDLT solve)
-    // with warm buffers — the steady state the zero-allocation test pins.
-    let eval = FnEvaluator::new(2, |w: &Vec<i32>| {
-        let p = 1.5 * 2f64.powi(-2 * w[0]) + 0.8 * 2f64.powi(-2 * w[1]);
-        Ok(-10.0 * p.log10())
-    });
-    let settings = HybridSettings {
-        variogram: VariogramPolicy::FitAfter {
-            min_samples: 30,
-            families: ModelFamily::all().to_vec(),
-            fallback: VariogramModel::linear(1.0),
-        },
-        ..HybridSettings::default()
-    };
-    let mut hybrid = HybridEvaluator::new(eval, settings);
-    for a in 4..10 {
-        for b in 4..9 {
-            hybrid.evaluate(&vec![a, b]).expect("seed");
-        }
-    }
-    assert!(hybrid.model().is_some());
-    let probe = vec![10, 6];
+    use krigeval_bench::steady::{steady_session, SolveProbes};
+    // The kriged evaluate's solve path with warm buffers (neighbour
+    // search, γ-table lookups, LDLᵀ solve, memo insert) — the steady state
+    // the zero-allocation test pins. The probes walk configurations the
+    // kriged-answer memo cannot answer.
+    let mut hybrid = steady_session();
+    let mut probes = SolveProbes::default();
     c.bench_function("hybrid_steady_state_kriged_evaluate", |b| {
         b.iter(|| {
-            let out = hybrid.evaluate(black_box(&probe)).expect("kriged");
+            let out = probes.evaluate(&mut hybrid).expect("kriged");
             black_box(out.value())
         })
     });

@@ -24,6 +24,7 @@
 
 pub mod decisions;
 pub mod figure1;
+pub mod steady;
 pub mod table1;
 pub mod timing;
 

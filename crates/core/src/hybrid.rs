@@ -32,6 +32,13 @@
 //! them with the real values, a batch reproduces the query-by-query
 //! semantics while leaving the simulations free to run in any order — the
 //! basis of the determinism contract for in-run parallelism (DESIGN.md §8).
+//!
+//! Planning answers a query the session has already kriged at an unchanged
+//! state from an exact memo (the private `memo` module) before any
+//! neighbour search; commit counts, traces and audits such a recalled
+//! slot exactly like a solved one.
+
+mod memo;
 
 use std::ops::Range;
 use std::time::Instant;
@@ -50,6 +57,7 @@ use crate::variogram::{
     VariogramAccumulator, VariogramModel,
 };
 use crate::{Config, CoreError, DistanceMetric};
+use memo::{Kriged, KrigedMemo, Stamp};
 
 /// How the variogram model is obtained (paper Section III-A: "the
 /// identification of the semi-variogram has to be done once for a
@@ -481,6 +489,9 @@ enum SlotPlan {
         /// Number of mid-batch variogram fits preceding this slot.
         epoch: usize,
     },
+    /// Kriged before at the very session state this slot sees: the memo's
+    /// answer, bitwise what the solve would return.
+    Recalled(Kriged),
 }
 
 /// A krigeable slot answered by simulation after all: its solve failed,
@@ -516,8 +527,8 @@ struct BatchScratch {
     search: Vec<(usize, f64)>,
     /// Krige slots in (model bits, neighbour set) group order.
     krige_order: Vec<usize>,
-    /// Per-slot accepted `(value, variance, jitter retries)`.
-    krige_results: Vec<Option<(f64, f64, u32)>>,
+    /// Per-slot accepted answer, solved or recalled.
+    krige_results: Vec<Option<Kriged>>,
     /// Krige slots answered by simulation, in slot order.
     fallbacks: Vec<Fallback>,
     /// Neighbour values of the current solve group.
@@ -541,11 +552,11 @@ impl BatchScratch {
             .count()
     }
 
-    /// Slots planned for kriging interpolation.
+    /// Slots planned for kriging interpolation, recalled ones included.
     fn num_krigeable(&self) -> usize {
         self.slots
             .iter()
-            .filter(|s| matches!(s, SlotPlan::Krige { .. }))
+            .filter(|s| matches!(s, SlotPlan::Krige { .. } | SlotPlan::Recalled(_)))
             .count()
     }
 }
@@ -679,6 +690,8 @@ pub struct HybridEvaluator<E> {
     gamma_table: Option<GammaTable>,
     /// Reused plan/commit buffers of the decision path.
     batch: BatchScratch,
+    /// Accepted kriged answers of the current session state.
+    memo: KrigedMemo,
     /// Reused `(store position, distance)` buffer for the approximate
     /// path's leave-one-out validation.
     neighbor_buf: Vec<(usize, f64)>,
@@ -753,6 +766,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             krige_scratch: KrigingScratch::new(),
             gamma_table: None,
             batch: BatchScratch::default(),
+            memo: KrigedMemo::default(),
             neighbor_buf: Vec::new(),
             value_buf: Vec::new(),
             vario_acc: None,
@@ -783,7 +797,10 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     /// A single query is a batch of one: it takes the plan → fulfill →
     /// commit path of [`HybridEvaluator::evaluate_batch`] over the
     /// evaluator's own grow-only buffers, so a steady-state kriged or
-    /// cached query allocates nothing.
+    /// cached query allocates nothing. A configuration kriged before at
+    /// the same session state (store, model, nugget, approximate-path
+    /// state) is answered from an exact memo without a solve, with the
+    /// same bits, counters and trace events.
     ///
     /// # Errors
     ///
@@ -899,7 +916,8 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     /// state.
     ///
     /// Store duplicates become cache hits, intra-batch duplicates of pending
-    /// simulations alias the earlier request, krigeable queries record the
+    /// simulations alias the earlier request, queries the memo answered at
+    /// this session state are recalled, krigeable queries record the
     /// neighbour set they observe (pending requests included, as
     /// pseudo-positions `store length + request index`), and everything
     /// else becomes a deduplicated [`SimulationRequest`]. Variogram
@@ -917,6 +935,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         batch.fit_points.clear();
         let mut virt_has_model = self.model.is_some();
         let mut virt_fitted_at = self.fitted_at;
+        let stamp = self.memo_stamp();
         for config in configs {
             // Exact duplicate: the stored value answers it (the optimizer
             // revisits configurations; re-simulating would distort both N_λ
@@ -931,6 +950,14 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                 // hit.
                 batch.slots.push(SlotPlan::Alias { request });
                 continue;
+            }
+            // Until the first pending simulation, a query sees exactly the
+            // session state, so an answer solved at it is recalled.
+            if batch.requests.is_empty() {
+                if let Some(answer) = stamp.and_then(|s| self.memo.recall(&s, config)) {
+                    batch.slots.push(SlotPlan::Recalled(answer));
+                    continue;
+                }
             }
             if virt_has_model {
                 // Gather simulated neighbours within distance d (paper lines
@@ -1119,15 +1146,16 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                 gate_rejected,
                 source: 0,
             };
+            // Recalled slots are answered already; the rest get solved.
             let order = &mut batch.krige_order;
             order.clear();
-            order.extend(
-                slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| matches!(s, SlotPlan::Krige { .. }))
-                    .map(|(i, _)| i),
-            );
+            for (s, slot) in slots.iter().enumerate() {
+                match slot {
+                    SlotPlan::Krige { .. } => order.push(s),
+                    SlotPlan::Recalled(answer) => batch.krige_results[s] = Some(*answer),
+                    _ => {}
+                }
+            }
             // Stable sort: members of a group stay in input order, and the
             // (model bits, neighbours) group order keeps the float-summing
             // side effects byte-stable across runs.
@@ -1210,8 +1238,12 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                                 // Converged, but the gate refused its σ².
                                 batch.fallbacks.push(fallback(s, true));
                             } else {
-                                batch.krige_results[s] =
-                                    Some((value, variance, krige_scratch.group_jitter_retries(t)));
+                                batch.krige_results[s] = Some(Kriged {
+                                    value,
+                                    variance,
+                                    neighbors: n,
+                                    retries: krige_scratch.group_jitter_retries(t),
+                                });
                             }
                         }
                     }
@@ -1265,6 +1297,14 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         // commit has run, so they track `HybridStats` exactly even through
         // the fallback-accounting corner cases.
         let stats_before = self.obs.as_ref().map(|_| self.stats.clone());
+        // A batch that stores nothing leaves the session state — the stamp
+        // its solves ran at — unchanged, so its answers are kept for
+        // recall; any insertion would outdate them on arrival.
+        let keep_at = if batch.requests.is_empty() && batch.fallbacks.is_empty() {
+            self.memo_stamp()
+        } else {
+            None
+        };
         let trace_slots = self.obs.as_ref().is_some_and(|o| o.tracer.enabled());
         self.stats.queries += configs.len() as u64;
         let mut audit_iter = audit_values.into_iter();
@@ -1298,9 +1338,17 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                         value: values[*request],
                     }
                 }
-                SlotPlan::Krige { neighbors, .. } => match batch.krige_results[s] {
-                    Some((value, variance, retries)) => {
-                        let neighbors = neighbors.len();
+                SlotPlan::Krige { .. } | SlotPlan::Recalled(_) => match batch.krige_results[s] {
+                    Some(answer) => {
+                        let Kriged {
+                            value,
+                            variance,
+                            neighbors,
+                            retries,
+                        } = answer;
+                        if let (SlotPlan::Krige { .. }, Some(stamp)) = (slot, keep_at) {
+                            self.memo.keep(stamp, &configs[s], answer);
+                        }
                         self.stats.kriged += 1;
                         self.stats.neighbor_sum += neighbors as u64;
                         self.stats.variance_sum += variance;
@@ -1702,6 +1750,26 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                 }
             }
         }
+    }
+
+    /// The session state a kriging solve reads now, as the memo's stamp;
+    /// `None` while no model exists (nothing can krige).
+    fn memo_stamp(&self) -> Option<Stamp> {
+        let model = self.model.as_ref()?;
+        Some(Stamp {
+            store_len: self.store.len(),
+            model: model_bits(model),
+            nugget: self.effective_nugget().to_bits(),
+            approx: self.approx_active,
+        })
+    }
+
+    /// Forgets every kept kriged answer, so the next query of any
+    /// configuration solves (the memo-free reference of the exactness
+    /// tests).
+    #[cfg(test)]
+    fn forget_memo(&mut self) {
+        self.memo.forget();
     }
 
     /// Session statistics (Table I raw material).
@@ -2456,14 +2524,16 @@ mod tests {
         assert_eq!(h.stats().queries, stats_before.queries + 2);
     }
 
-    /// A session whose decision events land in an in-memory ring.
+    /// A session whose metrics land in `registry` and whose decision
+    /// events land in an in-memory ring.
     fn ring_traced<E: EvalBackend>(
         inner: E,
         settings: HybridSettings,
+        registry: &Registry,
     ) -> (HybridEvaluator<E>, Arc<RingSink>) {
         let ring = Arc::new(RingSink::new(4096));
         let sinks: Vec<Arc<dyn TraceSink>> = vec![ring.clone()];
-        let obs = HybridObs::new(&Registry::new(), Tracer::new(sinks));
+        let obs = HybridObs::new(registry, Tracer::new(sinks));
         (HybridEvaluator::new(inner, settings).with_obs(obs), ring)
     }
 
@@ -2483,7 +2553,7 @@ mod tests {
             selection: ModelSelection::LeaveOneOut,
             ..settings(3.0)
         };
-        let (mut h, ring) = ring_traced(smooth_eval(), s);
+        let (mut h, ring) = ring_traced(smooth_eval(), s, &Registry::new());
         // A 3×3 grid with spacing 4: no site is within d = 3 of another,
         // so every query is simulated.
         let grid: Vec<Config> = (0..9)
@@ -2547,7 +2617,7 @@ mod tests {
         let mut all = Vec::new();
         for (s, configs, values, probes) in scenarios {
             let run = |batched: bool| -> Vec<String> {
-                let (mut h, ring) = ring_traced(smooth_eval(), s.clone());
+                let (mut h, ring) = ring_traced(smooth_eval(), s.clone(), &Registry::new());
                 h.restore(crate::hybrid_snapshot::SessionSnapshot {
                     configs: configs.clone(),
                     values: values.clone(),
@@ -2676,5 +2746,317 @@ mod tests {
             neighbors, 2,
             "active screening must cap the system at screen_to"
         );
+    }
+
+    /// `Debug` renders every `f64` round-trip exactly, so equal strings
+    /// mean equal bits.
+    fn bits<T: std::fmt::Debug>(value: &T) -> String {
+        format!("{value:?}")
+    }
+
+    /// A session on `smooth_eval` with a fixed linear model over a 6×5
+    /// grid of stored sites, probed at `[10, 6]` (nine neighbours at
+    /// d = 3).
+    fn grid_session(settings: HybridSettings) -> HybridEvaluator<impl EvalBackend> {
+        let mut truth = smooth_eval();
+        let configs: Vec<Config> = (4..10)
+            .flat_map(|a| (4..9).map(move |b| vec![a, b]))
+            .collect();
+        let values = configs.iter().map(|c| truth.evaluate(c).unwrap()).collect();
+        let mut h = HybridEvaluator::new(smooth_eval(), settings);
+        h.restore(crate::hybrid_snapshot::SessionSnapshot {
+            configs,
+            values,
+            model: Some(VariogramModel::linear(1.0)),
+            stats: HybridStats::default(),
+        });
+        h
+    }
+
+    /// Queries `probe` twice (solved, then recalled), applies `change`, and
+    /// checks that the next answer is the one a memo-free solve gives and
+    /// that the change reached the solve.
+    fn assert_recall_follows<E: EvalBackend>(
+        h: &mut HybridEvaluator<E>,
+        probe: &Config,
+        change: impl FnOnce(&mut HybridEvaluator<E>),
+    ) {
+        let before = h.evaluate(probe).unwrap();
+        assert_eq!(before.source(), Source::Kriged, "{before:?}");
+        assert!(matches!(h.batch.slots[0], SlotPlan::Krige { .. }));
+        assert_eq!(bits(&h.evaluate(probe).unwrap()), bits(&before));
+        assert!(matches!(h.batch.slots[0], SlotPlan::Recalled(_)));
+        change(h);
+        let after = h.evaluate(probe).unwrap();
+        h.forget_memo();
+        let solved = h.evaluate(probe).unwrap();
+        assert_eq!(bits(&after), bits(&solved));
+        assert_ne!(
+            bits(&after),
+            bits(&before),
+            "the change must reach the solve"
+        );
+    }
+
+    #[test]
+    fn an_insertion_inside_the_radius_outdates_recall() {
+        let mut h = grid_session(settings(3.0));
+        assert_recall_follows(&mut h, &vec![10, 6], |h| {
+            h.simulate_exact(&vec![11, 6]).unwrap();
+        });
+    }
+
+    #[test]
+    fn a_refit_outdates_recall() {
+        let mut s = settings(3.0);
+        s.variogram = VariogramPolicy::Refit {
+            min_samples: 30,
+            every: 4,
+            families: ModelFamily::all().to_vec(),
+            fallback: VariogramModel::linear(1.0),
+        };
+        let mut h = HybridEvaluator::new(smooth_eval(), s);
+        for a in 4..10 {
+            for b in 4..9 {
+                h.simulate_exact(&vec![a, b]).unwrap();
+            }
+        }
+        let fitted = *h.model().expect("fitted at 30 sites");
+        assert_recall_follows(&mut h, &vec![10, 6], |h| {
+            // Four sites out of the probe's reach trigger the refit.
+            for b in [20, 22, 24, 26] {
+                h.simulate_exact(&vec![20, b]).unwrap();
+            }
+            assert_ne!(h.model(), Some(&fitted), "the refit must move the model");
+        });
+    }
+
+    #[test]
+    fn a_recorded_observation_outdates_recall() {
+        let mut h = grid_session(HybridSettings {
+            nugget: Some(NuggetPolicy::Estimate),
+            ..settings(3.0)
+        });
+        assert_recall_follows(&mut h, &vec![10, 6], |h| {
+            // Replicates far from the probe: the pooled nugget moves.
+            h.record_observation(&vec![30, 30], 1.0);
+            h.record_observation(&vec![30, 30], 1.5);
+            assert!(h.effective_nugget() > 0.0);
+        });
+    }
+
+    #[test]
+    fn an_approx_validation_flip_outdates_recall() {
+        let mut h = grid_session(HybridSettings {
+            approx: Some(ApproxSettings {
+                screen_to: 4,
+                epsilon: 1e9,
+                loo_samples: 8,
+                check_every: 1000,
+            }),
+            ..settings(3.0)
+        });
+        assert!(
+            !h.approx_active(),
+            "restored sessions validate at the next insertion"
+        );
+        assert_recall_follows(&mut h, &vec![10, 6], |h| {
+            h.simulate_exact(&vec![30, 30]).unwrap();
+            assert!(h.approx_active());
+        });
+    }
+
+    #[test]
+    fn a_snapshot_restore_outdates_recall() {
+        let mut h = grid_session(settings(3.0));
+        assert_recall_follows(&mut h, &vec![10, 6], |h| {
+            // No sites, only a model: the store size stays put.
+            let stats = h.stats().clone();
+            h.restore(crate::hybrid_snapshot::SessionSnapshot {
+                configs: Vec::new(),
+                values: Vec::new(),
+                model: Some(VariogramModel::power(0.0, 2.0, 1.5).expect("valid model")),
+                stats,
+            });
+        });
+    }
+
+    #[test]
+    fn a_full_memo_solves_what_it_cannot_keep() {
+        let linear = || {
+            FnEvaluator::new(2, |w: &Config| {
+                Ok(6.0 * f64::from(w[0]) + 3.0 * f64::from(w[1]))
+            })
+        };
+        let configs: Vec<Config> = (0..9)
+            .flat_map(|a| (0..9).map(move |b| vec![8 * a, 8 * b]))
+            .collect();
+        let values: Vec<f64> = configs
+            .iter()
+            .map(|c| 6.0 * f64::from(c[0]) + 3.0 * f64::from(c[1]))
+            .collect();
+        let mut h = HybridEvaluator::new(
+            linear(),
+            HybridSettings {
+                variogram: VariogramPolicy::Fixed(VariogramModel::linear(1.0)),
+                ..settings(12.0)
+            },
+        );
+        h.restore(crate::hybrid_snapshot::SessionSnapshot {
+            configs,
+            values,
+            model: None,
+            stats: HybridStats::default(),
+        });
+        let probes: Vec<Config> = (9..56)
+            .flat_map(|a| (9..56).map(move |b| vec![a, b]))
+            .filter(|c| c[0] % 8 != 0 || c[1] % 8 != 0)
+            .take(memo::CAPACITY + 64)
+            .collect();
+        let first: Vec<String> = probes
+            .iter()
+            .map(|p| bits(&h.evaluate(p).unwrap()))
+            .collect();
+        assert_eq!(h.stats().kriged, probes.len() as u64, "{:?}", h.stats());
+        for (i, p) in probes.iter().enumerate() {
+            assert_eq!(bits(&h.evaluate(p).unwrap()), first[i]);
+            let recalled = matches!(h.batch.slots[0], SlotPlan::Recalled(_));
+            assert_eq!(recalled, i < memo::CAPACITY, "probe {i}");
+        }
+        assert_eq!(h.simulated_configs().len(), 81, "nothing was simulated");
+    }
+
+    #[test]
+    fn a_pending_simulation_in_the_batch_outdates_recall() {
+        let mut h = grid_session(settings(3.0));
+        let probe = vec![10, 6];
+        let kept = h.evaluate(&probe).unwrap();
+        // `[13, 6]` has no stored neighbour, so it is simulated — and the
+        // probe, planned after it, sees it as a neighbour.
+        let batch = [vec![13, 6], probe];
+        let out = h.evaluate_batch(&batch).unwrap();
+        assert!(matches!(h.batch.slots[1], SlotPlan::Krige { .. }));
+        let reference = grid_session(settings(3.0)).evaluate_batch(&batch).unwrap();
+        assert_eq!(bits(&out), bits(&reference));
+        assert_ne!(bits(&out[1]), bits(&kept));
+    }
+
+    mod memo_proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One call of a replayed stream.
+        #[derive(Debug, Clone)]
+        enum Call {
+            One(Config),
+            Batch(Vec<Config>),
+            Observe(Config, f64),
+        }
+
+        /// A generated call: its kind, configurations and observation noise.
+        type Step = (u8, Vec<(i32, i32)>, f64);
+
+        fn calls(steps: Vec<Step>) -> Vec<Call> {
+            let mut out: Vec<Call> = Vec::new();
+            for (kind, points, noise) in steps {
+                let configs: Vec<Config> = points.iter().map(|&(a, b)| vec![a, b]).collect();
+                let call = match kind {
+                    0 | 1 => Call::One(configs[0].clone()),
+                    2 => Call::Batch(configs),
+                    3 => Call::Observe(configs[0].clone(), noise),
+                    // Ask the last query again, as designers do.
+                    _ => match out.iter().rev().find(|c| !matches!(c, Call::Observe(..))) {
+                        Some(previous) => previous.clone(),
+                        None => Call::One(configs[0].clone()),
+                    },
+                };
+                out.push(call);
+            }
+            out
+        }
+
+        /// Every observable of a replay — outcome bits, the stats, the
+        /// metrics snapshot, the `query` events — and the recalled slots.
+        struct Replay {
+            outcomes: Vec<String>,
+            stats: String,
+            metrics: String,
+            events: Vec<String>,
+            recalled: usize,
+        }
+
+        fn replay(settings: &HybridSettings, calls: &[Call], forget: bool) -> Replay {
+            let registry = Registry::new();
+            let (mut h, ring) = ring_traced(smooth_eval(), settings.clone(), &registry);
+            let mut truth = smooth_eval();
+            let mut outcomes = Vec::new();
+            let mut recalled = 0;
+            for call in calls {
+                if forget {
+                    h.forget_memo();
+                }
+                match call {
+                    Call::One(c) => outcomes.push(bits(&h.evaluate(c).unwrap())),
+                    Call::Batch(cs) => outcomes.push(bits(&h.evaluate_batch(cs).unwrap())),
+                    Call::Observe(c, noise) => {
+                        let value = truth.evaluate(c).unwrap() + noise;
+                        h.record_observation(c, value);
+                    }
+                }
+                recalled += h
+                    .batch
+                    .slots
+                    .iter()
+                    .filter(|s| matches!(s, SlotPlan::Recalled(_)))
+                    .count();
+            }
+            let events = ring
+                .snapshot()
+                .iter()
+                .filter(|e| e.name == "query")
+                .map(|e| e.render_json(true))
+                .collect();
+            Replay {
+                outcomes,
+                stats: bits(h.stats()),
+                metrics: registry.snapshot().to_json(true),
+                events,
+                recalled,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn recall_changes_no_observable(
+                steps in proptest::collection::vec(
+                    (0u8..8, proptest::collection::vec((4i32..12, 4i32..12), 1..5), -0.5f64..0.5),
+                    10..90,
+                ),
+                d in 2.0f64..5.0,
+                (audit, estimate_nugget, gated) in (0u8..2, 0u8..2, 0u8..2),
+                threshold in 0.05f64..20.0,
+            ) {
+                let settings = HybridSettings {
+                    audit: (audit == 1).then_some(AuditMetric::NoisePowerDb),
+                    nugget: (estimate_nugget == 1).then_some(NuggetPolicy::Estimate),
+                    gate: if gated == 1 {
+                        GatePolicy::Variance { threshold }
+                    } else {
+                        GatePolicy::Fixed
+                    },
+                    ..settings(d)
+                };
+                let calls = calls(steps);
+                let normal = replay(&settings, &calls, false);
+                let reference = replay(&settings, &calls, true);
+                prop_assert_eq!(reference.recalled, 0);
+                prop_assert_eq!(normal.outcomes, reference.outcomes);
+                prop_assert_eq!(normal.stats, reference.stats);
+                prop_assert_eq!(normal.metrics, reference.metrics);
+                prop_assert_eq!(normal.events, reference.events);
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Verifies the zero-allocation contract: once the hybrid evaluator's
-//! buffers are warm, a kriged or cached `evaluate` — with or without a
-//! metrics bundle attached — performs no heap allocation at all.
+//! buffers are warm, a kriged `evaluate` — recalled from the memo or
+//! solved and kept in it — or a cached one, with or without a metrics
+//! bundle attached, performs no heap allocation at all.
 //!
 //! A counting global allocator wraps `System`; the file holds exactly one
 //! test so no concurrent test thread can pollute the counter.
@@ -72,15 +73,16 @@ fn steady_state_kriged_evaluate_allocates_nothing() {
     assert!(hybrid.model().is_some(), "variogram must be identified");
 
     // An unseen configuration just outside the seeded grid: kriged, never
-    // inserted into the store, so re-querying it replays the full kriged
-    // path every time.
+    // inserted into the store, so after its first solve every re-query is
+    // recalled from the kriged-answer memo.
     let probe: Config = vec![10, 6];
     assert_eq!(
         hybrid.simulated_configs().iter().find(|c| **c == probe),
         None
     );
 
-    // Warm-up kriged calls: grow the scratch/γ-table/neighbor buffers.
+    // Warm-up kriged calls: grow the scratch/γ-table/neighbor buffers and
+    // allocate the memo's storage.
     for _ in 0..3 {
         let out = hybrid.evaluate(&probe).unwrap();
         assert_eq!(
@@ -107,6 +109,24 @@ fn steady_state_kriged_evaluate_allocates_nothing() {
     );
     assert_eq!(hybrid.stats().kriged, kriged_before + 10);
     assert!(value.is_finite());
+
+    // Configurations never queried before, none with more neighbours than
+    // the probe: each is solved and kept in the memo, still without an
+    // allocation.
+    let fresh: Vec<Config> = (4..10)
+        .map(|a| vec![a, 9])
+        .chain([4, 5, 7, 8].map(|b| vec![10, b]))
+        .collect();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for config in &fresh {
+        assert_eq!(hybrid.evaluate(config).unwrap().source(), Source::Kriged);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state solved kriged evaluate must not allocate"
+    );
 
     // A cache hit, and a kriged query with a metrics bundle attached
     // (registry counters plus a disabled tracer, as every `--metrics-out`

@@ -126,8 +126,9 @@ struct HistogramInner {
     /// per-bucket (non-cumulative) hit counts.
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
-    /// Sum of recorded values in nanoseconds (values are microseconds).
-    sum_nanos: AtomicU64,
+    /// Bits of the `f64` sum of recorded values, so small values are
+    /// summed as they are instead of rounded to a fixed grid.
+    sum_bits: AtomicU64,
 }
 
 /// Fixed-bucket timing histogram (values in microseconds).
@@ -146,7 +147,7 @@ impl Histogram {
                 bounds: bounds.to_vec(),
                 buckets: bounds.iter().map(|_| AtomicU64::new(0)).collect(),
                 count: AtomicU64::new(0),
-                sum_nanos: AtomicU64::new(0),
+                sum_bits: AtomicU64::new(0.0f64.to_bits()),
             }),
         }
     }
@@ -165,9 +166,13 @@ impl Histogram {
             }
         }
         self.inner.count.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .sum_nanos
-            .fetch_add((v * 1_000.0).round() as u64, Ordering::Relaxed);
+        // A compare-and-swap loop adds `v` to the `f64` sum atomically.
+        let _ = self
+            .inner
+            .sum_bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + v).to_bits())
+            });
     }
 
     /// Number of recorded observations.
@@ -268,7 +273,7 @@ impl Registry {
                         .map(|b| b.load(Ordering::Relaxed))
                         .collect(),
                     count: inner.count.load(Ordering::Relaxed),
-                    sum_us: inner.sum_nanos.load(Ordering::Relaxed) as f64 / 1_000.0,
+                    sum_us: f64::from_bits(inner.sum_bits.load(Ordering::Relaxed)),
                 }
             })
             .collect();
@@ -464,6 +469,17 @@ mod tests {
         assert!(text.contains("latency_us_bucket{le=\"100\"} 4\n"));
         assert!(text.contains("latency_us_bucket{le=\"+Inf\"} 5\n"));
         assert!(text.contains("latency_us_count 5\n"));
+    }
+
+    #[test]
+    fn histogram_sums_keep_small_values() {
+        let registry = Registry::new();
+        let h = registry.histogram_with("variance", &[1e-6, 1e-3, 1.0]);
+        for _ in 0..10 {
+            h.record(3e-4);
+        }
+        let sum = registry.snapshot().histograms[0].sum_us;
+        assert!((sum - 3e-3).abs() <= 1e-15, "sum {sum}");
     }
 
     #[test]

@@ -421,29 +421,59 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
+/// Longest request frame a connection may send, in bytes without the
+/// newline. The largest frame the protocol accepts — an `evaluate_batch`
+/// of [`MAX_BATCH`](crate::session::MAX_BATCH) configurations of the
+/// widest benchmark (23 variables), every value `i32::MIN` — is about
+/// 1.1 MiB; a longer line is answered with a `bad_request` frame and the
+/// connection closes.
+pub const MAX_FRAME_BYTES: usize = 2 << 20;
+
 /// Splits line-delimited frames out of a nonblocking-ish (read-timeout)
-/// stream.
-struct LineReader {
-    stream: TcpStream,
+/// stream, holding at most one frame of [`MAX_FRAME_BYTES`] plus one read.
+struct LineReader<R> {
+    stream: R,
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for a newline, so each
+    /// byte is scanned once however many reads a frame takes.
+    scanned: usize,
 }
 
 enum ReadStep {
     Line(String),
     Idle,
     Closed,
+    /// The frame being read exceeds [`MAX_FRAME_BYTES`].
+    Oversized,
 }
 
-impl LineReader {
+impl<R: Read> LineReader<R> {
+    fn new(stream: R) -> LineReader<R> {
+        LineReader {
+            stream,
+            buf: Vec::new(),
+            scanned: 0,
+        }
+    }
+
     fn step(&mut self) -> ReadStep {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let raw: Vec<u8> = self.buf.drain(..=pos).collect();
-                let text = String::from_utf8_lossy(&raw[..pos]).trim().to_string();
+            if let Some(offset) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + offset;
+                self.scanned = 0;
+                if end > MAX_FRAME_BYTES {
+                    return ReadStep::Oversized;
+                }
+                let text = String::from_utf8_lossy(&self.buf[..end]).trim().to_string();
+                self.buf.drain(..=end);
                 if text.is_empty() {
                     continue; // blank keep-alive line
                 }
                 return ReadStep::Line(text);
+            }
+            self.scanned = self.buf.len();
+            if self.buf.len() > MAX_FRAME_BYTES {
+                return ReadStep::Oversized;
             }
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
@@ -472,10 +502,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         Ok(w) => w,
         Err(_) => return,
     };
-    let mut reader = LineReader {
-        stream,
-        buf: Vec::new(),
-    };
+    let mut reader = LineReader::new(stream);
     let mut session: Option<Session> = None;
     // Once the drain flag is observed, late frames are answered with typed
     // rejections until the grace window ends, then the socket closes.
@@ -499,6 +526,13 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             }
             ReadStep::Idle => {}
             ReadStep::Closed => break,
+            ReadStep::Oversized => {
+                shared.obs.requests.inc();
+                shared.obs.errors.inc();
+                let message = format!("frame exceeds {MAX_FRAME_BYTES} bytes");
+                let _ = write_frame(&mut writer, &Response::error(codes::BAD_REQUEST, message));
+                break;
+            }
         }
     }
     if session.is_some() {
@@ -717,4 +751,93 @@ fn serve_metrics_request(shared: &Arc<Shared>, mut stream: TcpStream) {
         body.len()
     );
     let _ = stream.write_all(response.as_bytes());
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{BufRead, BufReader};
+
+    use krigeval_engine::suite::Problem;
+
+    use super::*;
+    use crate::session::MAX_BATCH;
+
+    /// A stream that hands out its bytes `piece` at a time, with an idle
+    /// poll before every piece.
+    struct Trickle {
+        data: Vec<u8>,
+        at: usize,
+        piece: usize,
+        idle: bool,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.idle = !self.idle;
+            if self.idle {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let n = self.piece.min(out.len()).min(self.data.len() - self.at);
+            out[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frames_split_across_many_reads_are_reassembled() {
+        let configs = vec!["[7,8]"; 100_000].join(",");
+        let long = format!("{{\"type\":\"evaluate_batch\",\"configs\":[{configs}]}}");
+        let data = format!("{{\"type\":\"ping\"}}\n\n{long}\r\n{{\"type\":\"stats\"}}\n");
+        let mut reader = LineReader::new(Trickle {
+            data: data.into_bytes(),
+            at: 0,
+            piece: 61,
+            idle: false,
+        });
+        let mut lines = Vec::new();
+        loop {
+            match reader.step() {
+                ReadStep::Line(line) => lines.push(line),
+                ReadStep::Idle => {}
+                ReadStep::Closed => break,
+                ReadStep::Oversized => panic!("no frame here is oversized"),
+            }
+        }
+        let expected = ["{\"type\":\"ping\"}", &long, "{\"type\":\"stats\"}"];
+        assert_eq!(lines, expected);
+    }
+
+    #[test]
+    fn the_largest_accepted_frame_fits_under_the_cap() {
+        let widest = Problem::extended().iter().map(Problem::nv).max().unwrap();
+        let line = Request::EvaluateBatch {
+            configs: vec![vec![i32::MIN; widest]; MAX_BATCH],
+        }
+        .to_line();
+        assert!(line.len() < MAX_FRAME_BYTES, "{} bytes", line.len());
+    }
+
+    #[test]
+    fn an_oversized_frame_gets_a_typed_error_then_the_connection_closes() {
+        let server = Server::start(ServerConfig::default()).expect("start server");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        stream
+            .write_all(&vec![b'x'; MAX_FRAME_BYTES + 1])
+            .expect("send");
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("recv");
+        match Response::from_line(reply.trim()).expect("parse reply") {
+            Response::Error { code, .. } => assert_eq!(code, codes::BAD_REQUEST),
+            other => panic!("expected an error frame, got {}", other.to_line()),
+        }
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).expect("recv"), 0, "closed");
+        server.shutdown();
+        server.join().expect("join");
+    }
 }
