@@ -35,8 +35,24 @@ fn bench_simulations(c: &mut Criterion) {
 
 fn bench_squeezenet(c: &mut Criterion) {
     let bench = SensitivityBenchmark::new(16, 12, 5);
-    let powers = vec![-30.0; 10];
+    // Site 0's power differs on every iteration, so no stored site input
+    // serves a pass: each one is a full pass.
+    let mut powers = vec![-30.0; 10];
     c.bench_function("sim_squeezenet_16imgs", |b| {
+        b.iter(|| {
+            powers[0] -= 1e-9;
+            black_box(
+                bench
+                    .classification_rate(black_box(&powers))
+                    .expect("valid"),
+            )
+        })
+    });
+
+    // A repeat of one configuration: every pass after the first resumes at
+    // the logits register (site 9).
+    let powers = vec![-30.0; 10];
+    c.bench_function("sim_squeezenet_16imgs_resumed", |b| {
         b.iter(|| {
             black_box(
                 bench

@@ -1,5 +1,7 @@
 //! Measures per-evaluation simulation vs kriging times and the projected
-//! refinement speed-ups (§IV prose claims).
+//! refinement speed-ups (§IV prose claims). `t_sim` is a full simulation
+//! pass; `t_step` is a neighbour `w + e_i` of a simulated `w`, which the
+//! CNN benchmarks resume from stored site inputs.
 //!
 //! ```text
 //! timing [--scale fast|paper] [--reps N]
@@ -38,15 +40,22 @@ fn main() -> ExitCode {
         i += 1;
     }
     println!(
-        "{:<12} {:>12} {:>12} {:>10} {:>11} {:>11}",
-        "benchmark", "t_sim (s)", "t_krige (s)", "speedup", "proj p=0.8", "proj p=0.9"
+        "{:<12} {:>12} {:>12} {:>12} {:>10} {:>11} {:>11}",
+        "benchmark",
+        "t_sim (s)",
+        "t_step (s)",
+        "t_krige (s)",
+        "speedup",
+        "proj p=0.8",
+        "proj p=0.9"
     );
     for problem in Problem::all() {
         match measure(problem, scale, reps, 4) {
             Ok(row) => println!(
-                "{:<12} {:>12.6} {:>12.9} {:>10.0} {:>11.2} {:>11.2}",
+                "{:<12} {:>12.6} {:>12.6} {:>12.9} {:>10.0} {:>11.2} {:>11.2}",
                 problem.label(),
                 row.t_sim,
+                row.t_step,
                 row.t_krige,
                 row.per_eval_speedup(),
                 row.projected_speedup(0.8),

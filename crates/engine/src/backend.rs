@@ -2,8 +2,9 @@
 //! out over a persistent worker pool.
 //!
 //! [`EngineBackend`] implements [`krigeval_core::EvalBackend`] on top of
-//! the engine's existing machinery: one private simulator instance per
-//! worker, the shared in-flight-deduplicating [`SimCache`], and an
+//! the engine's existing machinery: one private evaluator per worker
+//! (the runner's are handles on the run's one benchmark instance), the
+//! shared in-flight-deduplicating [`SimCache`], and an
 //! attempt-counted retry loop for transient failures — the same
 //! deterministic backoff the campaign executor uses. The worker threads
 //! are spawned **once** at construction and parked on a condition
@@ -202,7 +203,7 @@ impl std::fmt::Debug for EngineBackend {
 }
 
 impl EngineBackend {
-    /// Builds a backend with one simulator per worker plus one for the
+    /// Builds a backend with one evaluator per worker plus one for the
     /// calling thread (the factory runs `workers + 1` times up front when
     /// `workers > 1`, once otherwise) sharing `cache` under `namespace`.
     /// `workers` is clamped to at least 1; worker threads are spawned here

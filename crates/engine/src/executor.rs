@@ -642,8 +642,7 @@ where
 
 /// Like [`parallel_map`], but tells `f` which worker (0-based, dense) is
 /// calling, so callers can give each worker exclusive resources — e.g. one
-/// simulator instance per worker in the engine-backed evaluation backend —
-/// without locking a shared pool.
+/// evaluator per worker — without locking a shared pool.
 pub fn parallel_map_workers<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,

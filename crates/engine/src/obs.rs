@@ -11,6 +11,9 @@
 //!   single [`Tracer`], so executor events (`run_done`, `run_failed`,
 //!   `journal_error`, `resume`) and the per-run hybrid events share one
 //!   monotonic sequence stream.
+//!   With timing enabled it also carries the CNN benchmarks' checkpoint
+//!   resume counts as gauges (`engine_checkpoint_*`, see
+//!   [`CampaignObs::record_resume_stats`]).
 //! * [`BackendObs`] — worker-pool counters (`backend_*`): batches, jobs,
 //!   shared-cache hits, real simulator evaluations and transient-failure
 //!   retries, plus scheduling-only gauges/histograms (queue depth,
@@ -30,6 +33,7 @@
 //! sequence numbers.
 
 use krigeval_core::hybrid::HybridObs;
+use krigeval_neural::{ResumeStats, FIRST_CHECKPOINT_SITE};
 use krigeval_obs::{Counter, Gauge, Histogram, Registry, Tracer};
 
 /// Pre-registered executor metrics plus the campaign-wide tracer.
@@ -135,6 +139,34 @@ impl CampaignObs {
     /// A worker-pool bundle sharing this campaign's registry and tracer.
     pub fn backend_obs(&self) -> BackendObs {
         BackendObs::new(&self.registry, self.tracer.clone()).with_timing(self.timing)
+    }
+
+    /// Adds one run's checkpoint resume counts to its benchmark's
+    /// `engine_checkpoint_*_{benchmark}` gauges: simulations, resumed
+    /// simulations, resumed simulations per start site and stages skipped.
+    /// Which simulations resume depends on which worker ran which job, so
+    /// the counts are timing-only gauges, recorded only with timing
+    /// enabled, and never join the deterministic counter snapshot.
+    pub fn record_resume_stats(&self, benchmark: &str, stats: ResumeStats) {
+        if !self.timing {
+            return;
+        }
+        let add = |what: &str, n: u64| {
+            self.registry
+                .gauge(&format!("engine_checkpoint_{what}_{benchmark}"))
+                .add(i64::try_from(n).unwrap_or(i64::MAX));
+        };
+        add("simulations", stats.simulations());
+        add("resumed", stats.resumed());
+        add("stages_skipped", stats.stages_skipped());
+        for (site, &n) in stats
+            .started_at
+            .iter()
+            .enumerate()
+            .skip(FIRST_CHECKPOINT_SITE)
+        {
+            add(&format!("resumed_site{site}"), n);
+        }
     }
 
     /// Records `rows` journal rows replayed by a resume (counter plus a
@@ -296,6 +328,33 @@ mod tests {
         assert_eq!(snap.counter("engine_merge_rows_total"), Some(14));
         let names: Vec<String> = ring.snapshot().iter().map(|e| e.name.to_string()).collect();
         assert_eq!(names, vec!["shard", "merge"]);
+    }
+
+    #[test]
+    fn resume_counts_are_timing_only_gauges() {
+        let mut stats = ResumeStats::default();
+        stats.started_at[0] = 2;
+        stats.started_at[3] = 5;
+        let registry = Registry::new();
+        CampaignObs::new(&registry, Tracer::disabled()).record_resume_stats("squeezenet", stats);
+        assert!(registry.snapshot().gauges.is_empty());
+
+        let obs = CampaignObs::new(&registry, Tracer::disabled()).with_timing(true);
+        obs.record_resume_stats("squeezenet", stats);
+        obs.record_resume_stats("squeezenet", stats);
+        let snap = registry.snapshot();
+        let gauge = |name: &str| snap.gauges.iter().find(|(n, _)| n == name).map(|g| g.1);
+        assert_eq!(gauge("engine_checkpoint_simulations_squeezenet"), Some(14));
+        assert_eq!(gauge("engine_checkpoint_resumed_squeezenet"), Some(10));
+        assert_eq!(
+            gauge("engine_checkpoint_resumed_site3_squeezenet"),
+            Some(10)
+        );
+        assert_eq!(
+            gauge("engine_checkpoint_stages_skipped_squeezenet"),
+            Some(30)
+        );
+        assert!(!snap.counters_json().contains("checkpoint"));
     }
 
     #[test]

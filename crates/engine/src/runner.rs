@@ -3,6 +3,11 @@
 //! through the hybrid evaluator, and distils the session into a
 //! [`RunRecord`].
 //!
+//! Each attempt builds its instance once. The pilot and hybrid phases,
+//! every pool worker and the backend's local evaluator get their own
+//! evaluator handle on it ([`ProblemInstance::new_evaluator`]), so they
+//! share one simulator and, for the CNN benchmarks, one checkpoint store.
+//!
 //! Every simulation — pilot and hybrid alike — goes through the shared
 //! [`SimCache`], namespaced by `(benchmark, scale, run seed)`: exactly the
 //! inputs that determine the simulated surface. Kriged estimates are never
@@ -72,7 +77,7 @@ fn stacked_evaluator(
 }
 
 /// The parallel counterpart of [`stacked_evaluator`] for `threads > 1`
-/// runs: one fresh simulator per worker (each behind its own
+/// runs: one evaluator handle on `instance` per worker (each behind its own
 /// [`FiniteGuard`], so non-finite values error before they can be cached),
 /// fanning planned batches out while deduplicating through the same shared
 /// cache namespace. The same content-addressed fault stream the serial
@@ -81,6 +86,7 @@ fn stacked_evaluator(
 /// with any worker count and draws bitwise-identical fates.
 fn engine_backend(
     run: &RunSpec,
+    instance: &ProblemInstance,
     cache: &Arc<SimCache>,
     attempt: u32,
     phase: FaultPhase,
@@ -88,7 +94,7 @@ fn engine_backend(
 ) -> EngineBackend {
     let backend = EngineBackend::new(
         || {
-            Box::new(FiniteGuard::new(resolved_instance(run).evaluator))
+            Box::new(FiniteGuard::new(instance.new_evaluator()))
                 as Box<dyn AccuracyEvaluator + Send>
         },
         run.threads,
@@ -153,11 +159,11 @@ fn drive(
 /// across grid cells are served by the shared cache).
 fn pilot_model(
     run: &RunSpec,
+    instance: &ProblemInstance,
     cache: &Arc<SimCache>,
     attempt: u32,
     obs: Option<&CampaignObs>,
 ) -> Result<(VariogramModel, u64), OptError> {
-    let instance = resolved_instance(run);
     // Tie-breaking re-simulates ties, which is a no-op distinction under
     // pure simulation; the plain optimizer gives the identical pilot
     // trajectory at lower bookkeeping cost.
@@ -166,7 +172,14 @@ fn pilot_model(
         other => other,
     };
     let result = if run.threads > 1 {
-        let mut pilot = SimulateAll(engine_backend(run, cache, attempt, FaultPhase::Pilot, obs));
+        let mut pilot = SimulateAll(engine_backend(
+            run,
+            instance,
+            cache,
+            attempt,
+            FaultPhase::Pilot,
+            obs,
+        ));
         drive(
             &mut pilot,
             optimizer,
@@ -175,7 +188,7 @@ fn pilot_model(
         )?
     } else {
         let mut pilot = SimulateAll(stacked_evaluator(
-            instance.evaluator,
+            instance.new_evaluator(),
             run,
             cache,
             attempt,
@@ -207,13 +220,14 @@ fn pilot_model(
 
 fn variogram_policy(
     run: &RunSpec,
+    instance: &ProblemInstance,
     cache: &Arc<SimCache>,
     attempt: u32,
     obs: Option<&CampaignObs>,
 ) -> Result<(VariogramPolicy, u64), OptError> {
     Ok(match run.variogram {
         VariogramSpec::Pilot => {
-            let (model, pilot_sims) = pilot_model(run, cache, attempt, obs)?;
+            let (model, pilot_sims) = pilot_model(run, instance, cache, attempt, obs)?;
             (VariogramPolicy::Fixed(model), pilot_sims)
         }
         VariogramSpec::FitAfter { min_samples } => (
@@ -309,8 +323,8 @@ pub fn run_single_attempt_obs(
     obs: Option<&CampaignObs>,
 ) -> Result<RunRecord, OptError> {
     let started = Instant::now();
-    let (policy, pilot_sims) = variogram_policy(run, cache, attempt, obs)?;
     let instance = resolved_instance(run);
+    let (policy, pilot_sims) = variogram_policy(run, &instance, cache, attempt, obs)?;
     let lambda_min = instance
         .minplusone
         .as_ref()
@@ -329,27 +343,36 @@ pub fn run_single_attempt_obs(
         selection: run.selection,
         nugget: run.nugget,
     };
-    let minplusone = instance.minplusone;
-    let descent = instance.descent;
+    let minplusone = instance.minplusone.as_ref();
+    let descent = instance.descent.as_ref();
     let (result, stats) = if run.threads > 1 {
         drive_hybrid(
             run,
-            minplusone.as_ref(),
-            descent.as_ref(),
+            minplusone,
+            descent,
             settings,
-            engine_backend(run, cache, attempt, FaultPhase::Hybrid, obs),
+            engine_backend(run, &instance, cache, attempt, FaultPhase::Hybrid, obs),
             obs,
         )?
     } else {
         drive_hybrid(
             run,
-            minplusone.as_ref(),
-            descent.as_ref(),
+            minplusone,
+            descent,
             settings,
-            stacked_evaluator(instance.evaluator, run, cache, attempt, FaultPhase::Hybrid),
+            stacked_evaluator(
+                instance.new_evaluator(),
+                run,
+                cache,
+                attempt,
+                FaultPhase::Hybrid,
+            ),
             obs,
         )?
     };
+    if let (Some(obs), Some(resume)) = (obs, instance.resume_stats()) {
+        obs.record_resume_stats(run.problem.label(), resume);
+    }
     let stats = &stats;
     Ok(RunRecord {
         index: run.index,

@@ -3,6 +3,14 @@
 //! This module lives in the engine crate (the campaign executor builds
 //! instances inside worker threads, so the evaluators carry a `Send`
 //! bound); `krigeval-bench` re-exports it for its binaries and tests.
+//!
+//! Every problem builds the same way: one simulator behind an `Arc`, and
+//! as many evaluator handles on it as a run needs. A run
+//! builds its instance once and hands a handle to each of its phases and
+//! pool workers, so they share one simulator — and for the CNN benchmarks
+//! one checkpoint store.
+
+use std::sync::Arc;
 
 use krigeval_core::evaluator::{AccuracyEvaluator, EvalError};
 use krigeval_core::hybrid::AuditMetric;
@@ -13,7 +21,7 @@ use krigeval_kernels::{
     dct::DctBenchmark, fft::FftBenchmark, fir::FirBenchmark, hevc::HevcMcBenchmark,
     iir::IirBenchmark, lms::LmsBenchmark, WordLengthBenchmark,
 };
-use krigeval_neural::{QuantizedNetBenchmark, SensitivityBenchmark};
+use krigeval_neural::{QuantizedNetBenchmark, ResumeStats, SensitivityBenchmark};
 
 use crate::Scale;
 
@@ -151,13 +159,45 @@ impl Problem {
 pub struct ProblemInstance {
     /// Which problem this is.
     pub problem: Problem,
-    /// The simulation evaluator (`λ = evaluateAccuracy(I, w)`). `Send` so
-    /// campaign workers can build and drive instances on their own threads.
+    /// The simulation evaluator (`λ = evaluateAccuracy(I, w)`), one handle
+    /// on the instance's simulator (see [`ProblemInstance::new_evaluator`]).
+    /// `Send` so campaign workers can build and drive instances on their
+    /// own threads.
     pub evaluator: Box<dyn AccuracyEvaluator + Send>,
     /// min+1 options — `Some` for the four word-length problems.
     pub minplusone: Option<MinPlusOneOptions>,
     /// Descent options — `Some` for the sensitivity problem.
     pub descent: Option<DescentOptions>,
+    simulator: Arc<dyn Simulator>,
+}
+
+impl ProblemInstance {
+    fn new(
+        problem: Problem,
+        simulator: Arc<dyn Simulator>,
+        minplusone: Option<MinPlusOneOptions>,
+        descent: Option<DescentOptions>,
+    ) -> ProblemInstance {
+        ProblemInstance {
+            problem,
+            evaluator: Box::new(SharedEvaluator::new(Arc::clone(&simulator))),
+            minplusone,
+            descent,
+            simulator,
+        }
+    }
+
+    /// Another evaluator over this instance's simulator, with its own
+    /// evaluation count: the one instance serves every evaluator of a run.
+    pub fn new_evaluator(&self) -> Box<dyn AccuracyEvaluator + Send> {
+        Box::new(SharedEvaluator::new(Arc::clone(&self.simulator)))
+    }
+
+    /// How the instance's simulations started so far, for the problems
+    /// whose simulations resume from stored site inputs (the two CNNs).
+    pub fn resume_stats(&self) -> Option<ResumeStats> {
+        self.simulator.resume_stats()
+    }
 }
 
 /// Builds a problem instance at the requested scale with the repository's
@@ -226,77 +266,137 @@ pub fn build_seeded(problem: Problem, scale: Scale, seed: u64) -> ProblemInstanc
                 Scale::Fast => QuantizedNetBenchmark::new(48, 12, 0xBEE5 ^ seed),
                 Scale::Paper => QuantizedNetBenchmark::new(400, 16, 0xBEE5 ^ seed),
             };
-            ProblemInstance {
-                problem,
-                minplusone: Some(MinPlusOneOptions {
-                    lambda_min: 0.92,
-                    w_floor: 3,
-                    w_max: 16,
-                    max_iterations: 10_000,
-                }),
-                descent: None,
-                evaluator: Box::new(QuantizedCnnEvaluator::new(bench)),
-            }
+            let minplusone = MinPlusOneOptions {
+                lambda_min: 0.92,
+                w_floor: 3,
+                w_max: 16,
+                max_iterations: 10_000,
+            };
+            ProblemInstance::new(problem, Arc::new(bench), Some(minplusone), None)
         }
         Problem::Squeezenet => {
             let bench = match scale {
                 Scale::Fast => SensitivityBenchmark::new(48, 12, 0x59EE_2E05 ^ seed),
                 Scale::Paper => SensitivityBenchmark::new(400, 16, 0x59EE_2E05 ^ seed),
             };
-            let evaluator = SensitivityEvaluator::new(bench);
-            ProblemInstance {
-                problem,
-                evaluator: Box::new(evaluator),
-                minplusone: None,
-                descent: Some(DescentOptions {
-                    lambda_min: 0.9,
-                    level_floor: 0,
-                    level_max: 12,
-                    max_iterations: 10_000,
-                }),
-            }
+            let descent = DescentOptions {
+                lambda_min: 0.9,
+                level_floor: 0,
+                level_max: 12,
+                max_iterations: 10_000,
+            };
+            ProblemInstance::new(problem, Arc::new(bench), None, Some(descent))
         }
     }
 }
 
 fn wl_instance<B>(problem: Problem, bench: B, lambda_min: f64) -> ProblemInstance
 where
-    B: WordLengthBenchmark + Send + 'static,
+    B: WordLengthBenchmark + Send + Sync + 'static,
 {
-    ProblemInstance {
-        problem,
-        minplusone: Some(MinPlusOneOptions {
-            lambda_min,
-            w_floor: bench.min_word_length(),
-            w_max: bench.max_word_length(),
-            max_iterations: 10_000,
-        }),
-        descent: None,
-        evaluator: Box::new(WlEvaluator::new(bench)),
+    let minplusone = MinPlusOneOptions {
+        lambda_min,
+        w_floor: bench.min_word_length(),
+        w_max: bench.max_word_length(),
+        max_iterations: 10_000,
+    };
+    ProblemInstance::new(problem, Arc::new(WordLength(bench)), Some(minplusone), None)
+}
+
+/// A benchmark's simulator, which every evaluator of a run shares: the
+/// pilot and hybrid phases, each pool worker and the backend's local
+/// evaluator. `simulate` takes `&self`, and a simulator's value for a
+/// configuration never depends on what it simulated before.
+trait Simulator: Send + Sync {
+    /// Simulates `config` and returns the accuracy metric `λ`.
+    ///
+    /// # Errors
+    ///
+    /// The benchmark's validation errors (wrong length, out-of-range
+    /// entries).
+    fn simulate(&self, config: &Config) -> Result<f64, EvalError>;
+
+    /// Number of configuration variables.
+    fn num_variables(&self) -> usize;
+
+    /// How the simulations started, for simulators that resume from
+    /// stored site inputs; `None` for the others.
+    fn resume_stats(&self) -> Option<ResumeStats> {
+        None
     }
 }
 
-/// Adapts a [`WordLengthBenchmark`] to the core [`AccuracyEvaluator`].
-pub struct WlEvaluator<B> {
-    bench: B,
-    count: u64,
-}
+/// A [`WordLengthBenchmark`] as a [`Simulator`]: `λ` is its accuracy in dB.
+struct WordLength<B>(B);
 
-impl<B: WordLengthBenchmark> WlEvaluator<B> {
-    /// Wraps a kernel benchmark.
-    pub fn new(bench: B) -> WlEvaluator<B> {
-        WlEvaluator { bench, count: 0 }
-    }
-}
-
-impl<B: WordLengthBenchmark> AccuracyEvaluator for WlEvaluator<B> {
-    fn evaluate(&mut self, config: &Config) -> Result<f64, EvalError> {
-        self.count += 1;
-        self.bench.accuracy_db(config).map_err(EvalError::wrap)
+impl<B: WordLengthBenchmark + Send + Sync> Simulator for WordLength<B> {
+    fn simulate(&self, config: &Config) -> Result<f64, EvalError> {
+        self.0.accuracy_db(config).map_err(EvalError::wrap)
     }
 
     fn num_variables(&self) -> usize {
-        self.bench.num_variables()
+        self.0.num_variables()
+    }
+}
+
+/// Configurations are integer level vectors, mapped through
+/// [`level_to_db`]; the metric is `p_cl`.
+impl Simulator for SensitivityBenchmark {
+    fn simulate(&self, config: &Config) -> Result<f64, EvalError> {
+        let powers: Vec<f64> = config.iter().map(|&l| level_to_db(l)).collect();
+        self.classification_rate(&powers).map_err(EvalError::wrap)
+    }
+
+    fn num_variables(&self) -> usize {
+        self.num_sources()
+    }
+
+    fn resume_stats(&self) -> Option<ResumeStats> {
+        Some(SensitivityBenchmark::resume_stats(self))
+    }
+}
+
+/// Configurations are activation-register word-lengths; the metric is
+/// `p_cl` against the double-precision reference.
+impl Simulator for QuantizedNetBenchmark {
+    fn simulate(&self, config: &Config) -> Result<f64, EvalError> {
+        self.classification_rate(config).map_err(EvalError::wrap)
+    }
+
+    fn num_variables(&self) -> usize {
+        QuantizedNetBenchmark::num_variables(self)
+    }
+
+    fn resume_stats(&self) -> Option<ResumeStats> {
+        Some(QuantizedNetBenchmark::resume_stats(self))
+    }
+}
+
+/// An [`AccuracyEvaluator`] over a shared [`Simulator`], counting its own
+/// calls.
+struct SharedEvaluator {
+    simulator: Arc<dyn Simulator>,
+    count: u64,
+}
+
+impl SharedEvaluator {
+    /// A handle on `simulator` with a zero evaluation count.
+    fn new(simulator: Arc<dyn Simulator>) -> SharedEvaluator {
+        SharedEvaluator {
+            simulator,
+            count: 0,
+        }
+    }
+}
+
+impl AccuracyEvaluator for SharedEvaluator {
+    fn evaluate(&mut self, config: &Config) -> Result<f64, EvalError> {
+        self.count += 1;
+        self.simulator.simulate(config)
+    }
+
+    fn num_variables(&self) -> usize {
+        self.simulator.num_variables()
     }
 
     fn evaluations(&self) -> u64 {
@@ -310,71 +410,6 @@ impl<B: WordLengthBenchmark> AccuracyEvaluator for WlEvaluator<B> {
 /// descent optimizer's starting configuration is always feasible.
 pub fn level_to_db(level: i32) -> f64 {
     -80.0 + 6.0 * f64::from(level)
-}
-
-/// Adapts the [`SensitivityBenchmark`] to the core [`AccuracyEvaluator`]:
-/// configurations are integer level vectors, mapped through
-/// [`level_to_db`]; the metric is `p_cl`.
-pub struct SensitivityEvaluator {
-    bench: SensitivityBenchmark,
-    count: u64,
-}
-
-impl SensitivityEvaluator {
-    /// Wraps a sensitivity benchmark.
-    pub fn new(bench: SensitivityBenchmark) -> SensitivityEvaluator {
-        SensitivityEvaluator { bench, count: 0 }
-    }
-}
-
-impl AccuracyEvaluator for SensitivityEvaluator {
-    fn evaluate(&mut self, config: &Config) -> Result<f64, EvalError> {
-        self.count += 1;
-        let powers: Vec<f64> = config.iter().map(|&l| level_to_db(l)).collect();
-        self.bench
-            .classification_rate(&powers)
-            .map_err(EvalError::wrap)
-    }
-
-    fn num_variables(&self) -> usize {
-        self.bench.num_sources()
-    }
-
-    fn evaluations(&self) -> u64 {
-        self.count
-    }
-}
-
-/// Adapts the [`QuantizedNetBenchmark`] to the core [`AccuracyEvaluator`]:
-/// configurations are activation-register word-lengths; the metric is
-/// `p_cl` against the double-precision reference.
-pub struct QuantizedCnnEvaluator {
-    bench: QuantizedNetBenchmark,
-    count: u64,
-}
-
-impl QuantizedCnnEvaluator {
-    /// Wraps a quantized-inference benchmark.
-    pub fn new(bench: QuantizedNetBenchmark) -> QuantizedCnnEvaluator {
-        QuantizedCnnEvaluator { bench, count: 0 }
-    }
-}
-
-impl AccuracyEvaluator for QuantizedCnnEvaluator {
-    fn evaluate(&mut self, config: &Config) -> Result<f64, EvalError> {
-        self.count += 1;
-        self.bench
-            .classification_rate(config)
-            .map_err(EvalError::wrap)
-    }
-
-    fn num_variables(&self) -> usize {
-        self.bench.num_variables()
-    }
-
-    fn evaluations(&self) -> u64 {
-        self.count
-    }
 }
 
 #[cfg(test)]
@@ -442,6 +477,23 @@ mod tests {
     }
 
     #[test]
+    fn evaluator_handles_share_the_instance() {
+        let inst = build(Problem::QuantizedCnn, Scale::Fast);
+        let mut first = inst.new_evaluator();
+        let mut second = inst.new_evaluator();
+        let w = vec![9; 10];
+        let mut neighbour = w.clone();
+        neighbour[6] += 1;
+        first.evaluate(&w).unwrap();
+        second.evaluate(&neighbour).unwrap();
+        assert_eq!((first.evaluations(), second.evaluations()), (1, 1));
+        let stats = inst.resume_stats().expect("the CNNs resume");
+        assert_eq!(stats.simulations(), 2);
+        assert_eq!(stats.started_at[6], 1, "the second handle resumed");
+        assert!(build(Problem::Fir, Scale::Fast).resume_stats().is_none());
+    }
+
+    #[test]
     fn level_mapping_is_affine() {
         assert_eq!(level_to_db(0), -80.0);
         assert_eq!(level_to_db(12), -8.0);
@@ -470,19 +522,22 @@ mod tests {
         );
     }
 
-    // Satellite check: every evaluator the suite produces is Send, so
-    // campaign workers can own instances on their threads.
+    // Every evaluator the suite produces is Send, so campaign workers can
+    // own instances on their threads, and every simulator is Sync, so the
+    // workers of a run can share one.
     #[test]
     fn evaluators_are_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<WlEvaluator<FirBenchmark>>();
-        assert_send::<WlEvaluator<IirBenchmark>>();
-        assert_send::<WlEvaluator<FftBenchmark>>();
-        assert_send::<WlEvaluator<HevcMcBenchmark>>();
-        assert_send::<WlEvaluator<DctBenchmark>>();
-        assert_send::<WlEvaluator<LmsBenchmark>>();
-        assert_send::<SensitivityEvaluator>();
-        assert_send::<QuantizedCnnEvaluator>();
+        fn assert_simulator<T: Simulator>() {}
+        assert_simulator::<WordLength<FirBenchmark>>();
+        assert_simulator::<WordLength<IirBenchmark>>();
+        assert_simulator::<WordLength<FftBenchmark>>();
+        assert_simulator::<WordLength<HevcMcBenchmark>>();
+        assert_simulator::<WordLength<DctBenchmark>>();
+        assert_simulator::<WordLength<LmsBenchmark>>();
+        assert_simulator::<SensitivityBenchmark>();
+        assert_simulator::<QuantizedNetBenchmark>();
+        assert_send::<SharedEvaluator>();
         assert_send::<Box<dyn AccuracyEvaluator + Send>>();
         fn assert_instance_send(i: ProblemInstance) -> impl Send {
             i

@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod checkpoint;
 mod dataset;
 mod error;
 mod fire;
@@ -44,6 +45,7 @@ mod quantized;
 mod sensitivity;
 mod tensor;
 
+pub use checkpoint::{ResumeStats, CHECKPOINT_BYTES, FIRST_CHECKPOINT_SITE};
 pub use dataset::synthetic_images;
 pub use error::NeuralError;
 pub use fire::FireModule;

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::checkpoint::ResumableHook;
 use crate::layers::{argmax, global_avg_pool, max_pool2, relu_in_place, Conv2d};
 use crate::{FireModule, Tensor3};
 
@@ -12,6 +13,9 @@ pub const NUM_INJECTION_SITES: usize = 10;
 
 /// Number of output classes.
 pub const NUM_CLASSES: usize = 10;
+
+/// The first site whose input is the logits vector rather than a tensor.
+const FIRST_LOGIT_SITE: usize = 8;
 
 /// A scaled-down SqueezeNet: conv → pool → fire ×2 → pool → fire ×2 →
 /// 1×1 class conv → global average pool → logits.
@@ -155,7 +159,7 @@ impl MiniSqueezeNet {
             );
         }
         let stream = self.noise_stream(image_index, self.noise_draws(image));
-        let logits = self.forward_with(image, &mut NoiseHook::new(powers_db, &stream));
+        let logits = self.forward_with(image, &mut NoiseHook::new(powers_db, &stream, 0));
         (argmax(&logits), logits)
     }
 
@@ -233,48 +237,69 @@ impl MiniSqueezeNet {
         (stems, labels)
     }
 
-    /// The forward pass from a [`MiniSqueezeNet::stem`] output onwards,
-    /// starting with injection site 0 (see
-    /// [`MiniSqueezeNet::forward_with`]).
+    /// The forward pass from a [`MiniSqueezeNet::stem`] output onwards:
+    /// [`MiniSqueezeNet::forward_at`] started at injection site 0.
     pub fn forward_from(&self, stem: Tensor3, hook: &mut dyn SiteHook) -> Vec<f64> {
-        let mut t = stem;
-        hook.tensor(0, &mut t);
+        self.forward_at(0, stem, hook)
+    }
 
-        let mut t = max_pool2(&t);
-        hook.tensor(1, &mut t);
+    /// The forward pass from injection site `site` onwards, given that
+    /// site's input before its hook runs: the activation tensor at sites
+    /// 0–7, the calibrated logits as a `NUM_CLASSES × 1 × 1` tensor at
+    /// sites 8–9. Every forward pass runs this one body; a pass started at
+    /// `site` from the input a full pass had there runs the same operations
+    /// on the same values from then on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site >= NUM_INJECTION_SITES` or `input` does not have the
+    /// site's shape.
+    pub fn forward_at(&self, site: usize, input: Tensor3, hook: &mut dyn SiteHook) -> Vec<f64> {
+        assert!(site < NUM_INJECTION_SITES, "no injection site {site}");
+        let mut t = input;
+        for k in site..NUM_INJECTION_SITES {
+            if k > site {
+                t = self.layer(k, t);
+            }
+            if k < FIRST_LOGIT_SITE {
+                hook.tensor(k, &mut t);
+            } else {
+                hook.vector(k, t.as_mut_slice());
+            }
+        }
+        t.into_vec()
+    }
 
-        let mut t = self.fire1.forward(&t);
-        hook.tensor(2, &mut t);
+    /// The layer between site `k − 1`'s hooked output and site `k`'s input.
+    fn layer(&self, k: usize, t: Tensor3) -> Tensor3 {
+        match k {
+            1 | 4 => max_pool2(&t),
+            2 => self.fire1.forward(&t),
+            3 => self.fire2.forward(&t),
+            5 => self.fire3.forward(&t),
+            6 => self.fire4.forward(&t),
+            7 => self.class_conv.forward(&t),
+            8 => self.calibrated_logits(&t),
+            // The logits register reads site 8's output as it is.
+            9 => t,
+            _ => unreachable!("site {k} has no layer before it"),
+        }
+    }
 
-        let mut t = self.fire2.forward(&t);
-        hook.tensor(3, &mut t);
-
-        let mut t = max_pool2(&t);
-        hook.tensor(4, &mut t);
-
-        let mut t = self.fire3.forward(&t);
-        hook.tensor(5, &mut t);
-
-        let mut t = self.fire4.forward(&t);
-        hook.tensor(6, &mut t);
-
-        let mut t = self.class_conv.forward(&t);
-        hook.tensor(7, &mut t);
-
-        let gap = global_avg_pool(&t);
+    /// Global average pool of the class maps, then calibration.
+    fn calibrated_logits(&self, class_maps: &Tensor3) -> Tensor3 {
+        let gap = global_avg_pool(class_maps);
         // Raw class logits of an untrained network are dominated by one
         // common per-image factor (overall activation energy). Remove it by
         // centering across classes, then apply the per-class z-score
         // calibration so every class competes on image-specific structure.
         let image_mean = gap.iter().sum::<f64>() / gap.len() as f64;
-        let mut logits: Vec<f64> = gap
+        let logits: Vec<f64> = gap
             .iter()
             .zip(self.logit_offset.iter().zip(&self.logit_scale))
             .map(|(g, (o, s))| (g - image_mean - o) / s)
             .collect();
-        hook.vector(8, &mut logits);
-        hook.vector(9, &mut logits);
-        logits
+        Tensor3::from_vec(logits.len(), 1, 1, logits)
     }
 }
 
@@ -317,13 +342,15 @@ pub(crate) struct NoiseHook<'a> {
 }
 
 impl<'a> NoiseHook<'a> {
-    /// Injects `powers_db[site]` at each site, drawing from `stream`, which
-    /// must hold at least [`MiniSqueezeNet::noise_draws`] values.
-    pub(crate) fn new(powers_db: &'a [f64], stream: &'a [f64]) -> NoiseHook<'a> {
+    /// Injects `powers_db[site]` at each site, drawing from `stream` from
+    /// position `cursor` on. A full pass starts at cursor 0 and needs
+    /// `stream` to hold [`MiniSqueezeNet::noise_draws`] values; a pass
+    /// resumed at site `k` starts where a full pass's cursor stood at `k`.
+    pub(crate) fn new(powers_db: &'a [f64], stream: &'a [f64], cursor: usize) -> NoiseHook<'a> {
         NoiseHook {
             powers_db,
             stream,
-            cursor: 0,
+            cursor,
         }
     }
 
@@ -357,6 +384,12 @@ impl SiteHook for NoiseHook<'_> {
 
     fn vector(&mut self, site: usize, v: &mut [f64]) {
         self.inject(site, v);
+    }
+}
+
+impl ResumableHook for NoiseHook<'_> {
+    fn cursor(&self) -> Option<usize> {
+        Some(self.cursor)
     }
 }
 
@@ -428,13 +461,13 @@ mod tests {
             let img = &synthetic_images(1, size, 17)[0];
             let draws = net.noise_draws(img);
             let stream = net.noise_stream(3, draws);
-            let mut hook = NoiseHook::new(&[-20.0; 10], &stream);
+            let mut hook = NoiseHook::new(&[-20.0; 10], &stream, 0);
             net.forward_with(img, &mut hook);
             assert_eq!(hook.cursor, draws, "{size}x{size} image");
 
             let mut powers = [-20.0; 10];
             powers[4] = f64::NEG_INFINITY;
-            let mut hook = NoiseHook::new(&powers, &stream);
+            let mut hook = NoiseHook::new(&powers, &stream, 0);
             net.forward_with(img, &mut hook);
             assert!(hook.cursor < draws, "a disabled site must skip its draws");
         }

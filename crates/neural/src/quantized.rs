@@ -11,6 +11,7 @@
 
 use krigeval_fixedpoint::{QFormat, Quantizer};
 
+use crate::checkpoint::{CheckpointStore, ResumableHook, ResumeStats};
 use crate::net::{agreement_rate, SiteHook, NUM_INJECTION_SITES};
 use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 
@@ -40,6 +41,9 @@ pub struct QuantizedNetBenchmark {
     labels: Vec<usize>,
     /// Integer bits per site, sized from calibration activations.
     integer_bits: [i32; NUM_INJECTION_SITES],
+    /// Kept site inputs a simulation resumes from, keyed by effective
+    /// word-lengths; a clone starts with none.
+    pub(crate) checkpoints: CheckpointStore,
 }
 
 impl QuantizedNetBenchmark {
@@ -75,6 +79,7 @@ impl QuantizedNetBenchmark {
             stems,
             labels,
             integer_bits,
+            checkpoints: CheckpointStore::new(),
         }
     }
 
@@ -123,6 +128,8 @@ impl QuantizedNetBenchmark {
             });
         }
         let mut quantizers = Vec::with_capacity(NUM_INJECTION_SITES);
+        // Keyed by the word-length each site quantizes to, after clamping.
+        let mut config = [0u64; NUM_INJECTION_SITES];
         for (site, (&w, &ib)) in word_lengths.iter().zip(&self.integer_bits).enumerate() {
             let invalid = NeuralError::InvalidWordLength {
                 index: site,
@@ -131,17 +138,22 @@ impl QuantizedNetBenchmark {
             if !(2..=32).contains(&w) {
                 return Err(invalid);
             }
-            let format = QFormat::with_word_length(ib, w.max(ib + 2)).map_err(|_| invalid)?;
+            let effective = w.max(ib + 2);
+            let format = QFormat::with_word_length(ib, effective).map_err(|_| invalid)?;
             quantizers.push(Quantizer::new(format));
+            config[site] = u64::from(effective.unsigned_abs());
         }
-        let mut hook = QuantizeHook {
-            quantizers: &quantizers,
-        };
         Ok(self
-            .stems
-            .iter()
-            .map(|stem| self.net.forward_from(stem.clone(), &mut hook))
-            .collect())
+            .checkpoints
+            .simulate(&self.net, &self.stems, &config, |_, _| QuantizeHook {
+                quantizers: &quantizers,
+            }))
+    }
+
+    /// How this instance's simulations started: full passes, and passes
+    /// resumed per site.
+    pub fn resume_stats(&self) -> ResumeStats {
+        self.checkpoints.stats()
     }
 }
 
@@ -174,6 +186,12 @@ impl SiteHook for QuantizeHook<'_> {
 
     fn vector(&mut self, site: usize, v: &mut [f64]) {
         self.quantizers[site].quantize_in_place(v);
+    }
+}
+
+impl ResumableHook for QuantizeHook<'_> {
+    fn cursor(&self) -> Option<usize> {
+        None
     }
 }
 

@@ -1,5 +1,6 @@
 //! The error-sensitivity benchmark: classification rate vs injected error.
 
+use crate::checkpoint::{CheckpointStore, ResumeStats};
 use crate::net::{agreement_rate, NoiseHook, NUM_INJECTION_SITES};
 use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 
@@ -14,7 +15,10 @@ use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 ///
 /// Everything a simulation repeats that does not depend on the
 /// configuration is computed once at construction: each image's
-/// [`MiniSqueezeNet::stem`] output and its noise sequence.
+/// [`MiniSqueezeNet::stem`] output and its noise sequence. A simulation
+/// resumes at the deepest site whose inputs the instance has kept for an
+/// equal configuration prefix (see [`SensitivityBenchmark::resume_stats`]),
+/// with the same bits as a full pass. A clone starts with no kept inputs.
 ///
 /// # Examples
 ///
@@ -38,6 +42,7 @@ pub struct SensitivityBenchmark {
     noise: Vec<f64>,
     draws: usize,
     labels: Vec<usize>,
+    pub(crate) checkpoints: CheckpointStore,
 }
 
 impl SensitivityBenchmark {
@@ -68,6 +73,7 @@ impl SensitivityBenchmark {
             noise,
             draws,
             labels,
+            checkpoints: CheckpointStore::new(),
         }
     }
 
@@ -118,15 +124,30 @@ impl SensitivityBenchmark {
                 return Err(NeuralError::InvalidPower { index, power_db: p });
             }
         }
+        let config: Vec<u64> = powers_db.iter().map(|p| p.to_bits()).collect();
         Ok(self
-            .stems
-            .iter()
-            .zip(self.noise.chunks_exact(self.draws))
-            .map(|(stem, stream)| {
-                let mut hook = NoiseHook::new(powers_db, stream);
-                self.net.forward_from(stem.clone(), &mut hook)
-            })
-            .collect())
+            .checkpoints
+            .simulate(&self.net, &self.stems, &config, |image, cursor| {
+                let stream = &self.noise[image * self.draws..][..self.draws];
+                NoiseHook::new(powers_db, stream, cursor)
+            }))
+    }
+
+    /// How this instance's simulations started: full passes, and passes
+    /// resumed per site.
+    pub fn resume_stats(&self) -> ResumeStats {
+        self.checkpoints.stats()
+    }
+
+    /// Zeroes the stems of `images`, so their site-0 and site-1
+    /// activations are all zero and draw no noise at any power.
+    #[cfg(test)]
+    pub(crate) fn with_blank_stems(mut self, images: &[usize]) -> SensitivityBenchmark {
+        for &i in images {
+            let (c, h, w) = self.stems[i].shape();
+            self.stems[i] = Tensor3::zeros(c, h, w);
+        }
+        self
     }
 }
 

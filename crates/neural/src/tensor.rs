@@ -54,9 +54,21 @@ impl Tensor3 {
             channels * height * width,
             "data length does not match dimensions"
         );
-        let mut t = Tensor3::zeros(channels, height, width);
-        t.data = data;
-        t
+        assert!(
+            channels > 0 && height > 0 && width > 0,
+            "tensor dimensions must be positive"
+        );
+        Tensor3 {
+            channels,
+            height,
+            width,
+            data,
+        }
+    }
+
+    /// The flat CHW data.
+    pub(crate) fn into_vec(self) -> Vec<f64> {
+        self.data
     }
 
     /// Number of channels.

@@ -141,12 +141,11 @@ impl BackendPool {
         let inner = match backends.iter().find(|(ns, _)| *ns == namespace) {
             Some((_, backend)) => Arc::clone(backend),
             None => {
+                // One instance per surface: the pool's workers and its
+                // local evaluator hold handles on the same simulator.
+                let instance = build_seeded(problem, scale, seed);
                 let backend = EngineBackend::new(
-                    move || {
-                        Box::new(FiniteGuard::new(
-                            build_seeded(problem, scale, seed).evaluator,
-                        ))
-                    },
+                    || Box::new(FiniteGuard::new(instance.new_evaluator())),
                     self.threads,
                     Arc::clone(&self.cache),
                     namespace.clone(),
