@@ -12,6 +12,13 @@
 //!
 //! Missing optional fields deserialize as `None`; `Serialize` omits `None`
 //! fields entirely, so the wire stays minimal and the round trip is exact.
+//!
+//! The two frames that make up nearly all traffic, `evaluate` requests and
+//! `value` answers, skip the tree: [`Request::to_line`] and
+//! [`Response::to_line`] print them directly, byte for byte as the tree
+//! path would, and `from_line` reads the exact shape `to_line` prints in
+//! one pass. Any other spelling of them takes the tree path, which keeps
+//! the accepted frames and the error messages the same.
 
 use krigeval_core::SessionSnapshot;
 use serde::{DeError, Deserialize, Serialize};
@@ -246,9 +253,12 @@ fn num_u64(v: u64) -> Value {
     Value::Number(Number::PosInt(v))
 }
 
+/// The entries of a JSON object, in order.
+type Entries = [(String, Value)];
+
 /// Ordered-object lookup that treats an explicit `null` as absent, so
 /// `{"seed":null}` and a missing `seed` deserialize identically.
-fn field<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+fn field<'a>(entries: &'a Entries, key: &str) -> Option<&'a Value> {
     entries
         .iter()
         .find(|(k, _)| k == key)
@@ -256,29 +266,25 @@ fn field<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
         .filter(|v| !matches!(v, Value::Null))
 }
 
-fn required<T: Deserialize>(
-    entries: &[(String, Value)],
-    key: &str,
-    ty: &str,
-) -> Result<T, DeError> {
+fn required<T: Deserialize>(entries: &Entries, key: &str, ty: &str) -> Result<T, DeError> {
     match field(entries, key) {
         Some(v) => T::deserialize_from_value(v),
         None => Err(DeError::missing_field(key, ty)),
     }
 }
 
-fn optional<T: Deserialize>(entries: &[(String, Value)], key: &str) -> Result<Option<T>, DeError> {
+fn optional<T: Deserialize>(entries: &Entries, key: &str) -> Result<Option<T>, DeError> {
     match field(entries, key) {
         Some(v) => T::deserialize_from_value(v).map(Some),
         None => Ok(None),
     }
 }
 
-fn entries_and_tag(value: &Value, ty: &str) -> Result<(Vec<(String, Value)>, String), DeError> {
+fn entries_and_tag<'a>(value: &'a Value, ty: &str) -> Result<(&'a Entries, String), DeError> {
     match value {
         Value::Object(entries) => {
             let tag: String = required(entries, "type", ty)?;
-            Ok((entries.clone(), tag))
+            Ok((entries, tag))
         }
         _ => Err(DeError::expected("object", ty)),
     }
@@ -359,10 +365,10 @@ impl Deserialize for Request {
         match tag.as_str() {
             "hello" => Ok(Request::Hello(HelloParams::deserialize_from_value(value)?)),
             "evaluate" => Ok(Request::Evaluate {
-                config: required(&entries, "config", "evaluate")?,
+                config: required(entries, "config", "evaluate")?,
             }),
             "evaluate_batch" => Ok(Request::EvaluateBatch {
-                configs: required(&entries, "configs", "evaluate_batch")?,
+                configs: required(entries, "configs", "evaluate_batch")?,
             }),
             "optimize" => Ok(Request::Optimize),
             "snapshot" => Ok(Request::Snapshot),
@@ -523,47 +529,207 @@ impl Deserialize for Response {
         let (entries, tag) = entries_and_tag(value, "Response")?;
         match tag.as_str() {
             "session" => Ok(Response::Session {
-                session: required(&entries, "session", "session")?,
-                benchmark: required(&entries, "benchmark", "session")?,
-                nv: required(&entries, "nv", "session")?,
-                protocol: required(&entries, "protocol", "session")?,
-                workers: required(&entries, "workers", "session")?,
+                session: required(entries, "session", "session")?,
+                benchmark: required(entries, "benchmark", "session")?,
+                nv: required(entries, "nv", "session")?,
+                protocol: required(entries, "protocol", "session")?,
+                workers: required(entries, "workers", "session")?,
             }),
             "value" => Ok(Response::Value(OutcomeFrame::deserialize_from_value(
                 value,
             )?)),
             "values" => Ok(Response::Values {
-                outcomes: required(&entries, "outcomes", "values")?,
+                outcomes: required(entries, "outcomes", "values")?,
             }),
             "optimum" => Ok(Response::Optimum {
-                solution: required(&entries, "solution", "optimum")?,
-                lambda: required(&entries, "lambda", "optimum")?,
-                iterations: required(&entries, "iterations", "optimum")?,
+                solution: required(entries, "solution", "optimum")?,
+                lambda: required(entries, "lambda", "optimum")?,
+                iterations: required(entries, "iterations", "optimum")?,
             }),
             "snapshot" => Ok(Response::Snapshot {
-                snapshot: required(&entries, "snapshot", "snapshot")?,
+                snapshot: required(entries, "snapshot", "snapshot")?,
             }),
             "stats" => Ok(Response::Stats(StatsFrame::deserialize_from_value(value)?)),
             "pong" => Ok(Response::Pong),
             "draining" => Ok(Response::Draining),
             "error" => Ok(Response::Error {
-                code: required(&entries, "code", "error")?,
-                message: required(&entries, "message", "error")?,
+                code: required(entries, "code", "error")?,
+                message: required(entries, "message", "error")?,
             }),
             "overloaded" => Ok(Response::Overloaded {
-                inflight: required(&entries, "inflight", "overloaded")?,
-                capacity: required(&entries, "capacity", "overloaded")?,
-                retry_ms: required(&entries, "retry_ms", "overloaded")?,
+                inflight: required(entries, "inflight", "overloaded")?,
+                capacity: required(entries, "capacity", "overloaded")?,
+                retry_ms: required(entries, "retry_ms", "overloaded")?,
             }),
             other => Err(DeError::unknown_variant(other, "Response")),
         }
     }
 }
 
+// ---------------------------------------------------------------------------
+// Direct codec of the two hot frames
+// ---------------------------------------------------------------------------
+//
+// Nearly every frame of an exploration session is an `evaluate` request or
+// its `value` answer, so these two skip the `Value` tree. The printer
+// writes the bytes the `Value` path prints, through the vendored
+// serde_json's own number and string writers. The reader answers only a
+// line in exactly the shape the printer writes, reading its numbers with
+// the parser's own scanner, and returns `None` ("not mine") on anything
+// else: whitespace, reordered, duplicate or escaped keys, another number
+// spelling. The `Value` path then decides, so the accepted frames and
+// every error message stay the `Value` path's.
+
+const EVALUATE_HEAD: &str = r#"{"type":"evaluate","config":["#;
+const VALUE_HEAD: &str = r#"{"type":"value","source":"#;
+
+/// An integer as the `Value` path numbers it.
+fn int_number(v: i64) -> Number {
+    u64::try_from(v).map_or(Number::NegInt(v), Number::PosInt)
+}
+
+fn print_evaluate(config: &[i32]) -> String {
+    // At most 11 bytes per element plus its comma.
+    let mut out = String::with_capacity(EVALUATE_HEAD.len() + 12 * config.len() + 2);
+    out.push_str(EVALUATE_HEAD);
+    for (i, &v) in config.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        serde_json::write_number(&mut out, &int_number(v.into()));
+    }
+    out.push_str("]}");
+    out
+}
+
+fn print_value(frame: &OutcomeFrame) -> String {
+    let mut out = String::with_capacity(128);
+    out.push_str(VALUE_HEAD);
+    serde_json::write_string(&mut out, &frame.source);
+    out.push_str(r#","value":"#);
+    serde_json::write_number(&mut out, &Number::Float(frame.value));
+    if let Some(variance) = frame.variance {
+        out.push_str(r#","variance":"#);
+        serde_json::write_number(&mut out, &Number::Float(variance));
+    }
+    if let Some(neighbors) = frame.neighbors {
+        out.push_str(r#","neighbors":"#);
+        serde_json::write_number(&mut out, &Number::PosInt(neighbors));
+    }
+    out.push('}');
+    out
+}
+
+/// One pass over a line in the direct printer's shape. Every method
+/// answers `None` as soon as the line leaves that shape.
+struct Direct<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl<'a> Direct<'a> {
+    fn eat(&mut self, literal: &str) -> bool {
+        let found = self.line[self.pos..].starts_with(literal);
+        if found {
+            self.pos += literal.len();
+        }
+        found
+    }
+
+    fn expect(&mut self, literal: &str) -> Option<()> {
+        self.eat(literal).then_some(())
+    }
+
+    fn end(&self) -> Option<()> {
+        (self.pos == self.line.len()).then_some(())
+    }
+
+    fn number(&mut self) -> Option<Number> {
+        let (number, end) = serde_json::scan_number(self.line.as_bytes(), self.pos).ok()?;
+        self.pos = end;
+        Some(number)
+    }
+
+    /// An integer as the printer spells one: no leading zero, no `-0`.
+    fn integer(&mut self) -> Option<i64> {
+        let start = self.pos;
+        let number = self.number()?;
+        let sign = usize::from(self.line.as_bytes()[start] == b'-');
+        if self.line.as_bytes()[start + sign] == b'0' && self.pos - start > 1 {
+            return None;
+        }
+        match number {
+            Number::PosInt(v) => i64::try_from(v).ok(),
+            Number::NegInt(v) => Some(v),
+            Number::Float(_) => None,
+        }
+    }
+
+    /// A string without escapes (the printer escapes no source it writes).
+    fn plain_string(&mut self) -> Option<&'a str> {
+        self.expect("\"")?;
+        let rest = &self.line[self.pos..];
+        let len = rest.find(['"', '\\'])?;
+        self.pos += len;
+        self.expect("\"")?;
+        Some(&rest[..len])
+    }
+}
+
+/// Reads `{"type":"evaluate","config":[…]}` as [`print_evaluate`] writes it.
+fn read_evaluate(line: &str) -> Option<Request> {
+    let mut d = Direct { line, pos: 0 };
+    d.expect(EVALUATE_HEAD)?;
+    // Each element takes at least two bytes, a digit and a separator.
+    let mut config = Vec::with_capacity((line.len() - d.pos) / 2);
+    if !d.eat("]") {
+        loop {
+            config.push(i32::try_from(d.integer()?).ok()?);
+            if !d.eat(",") {
+                d.expect("]")?;
+                break;
+            }
+        }
+    }
+    d.expect("}")?;
+    d.end()?;
+    Some(Request::Evaluate { config })
+}
+
+/// Reads `{"type":"value",…}` as [`print_value`] writes it.
+fn read_value(line: &str) -> Option<Response> {
+    let mut d = Direct { line, pos: 0 };
+    d.expect(VALUE_HEAD)?;
+    let source = d.plain_string()?.to_string();
+    d.expect(r#","value":"#)?;
+    let value = d.number()?.as_f64();
+    let variance = if d.eat(r#","variance":"#) {
+        Some(d.number()?.as_f64())
+    } else {
+        None
+    };
+    let neighbors = if d.eat(r#","neighbors":"#) {
+        Some(u64::try_from(d.integer()?).ok()?)
+    } else {
+        None
+    };
+    d.expect("}")?;
+    d.end()?;
+    Some(Response::Value(OutcomeFrame {
+        source,
+        value,
+        variance,
+        neighbors,
+    }))
+}
+
 impl Request {
     /// Renders the frame as one JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
-        serde_json::to_string(self).expect("request frames always serialize")
+        match self {
+            Request::Evaluate { config } => print_evaluate(config),
+            _ => serde_json::to_string(self).expect("request frames always serialize"),
+        }
     }
 
     /// Parses a frame from one JSON line.
@@ -573,14 +739,17 @@ impl Request {
     /// Returns the underlying JSON or shape error (the server answers
     /// these with a `bad_request` frame).
     pub fn from_line(line: &str) -> Result<Request, serde_json::Error> {
-        serde_json::from_str(line)
+        read_evaluate(line).map_or_else(|| serde_json::from_str(line), Ok)
     }
 }
 
 impl Response {
     /// Renders the frame as one JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
-        serde_json::to_string(self).expect("response frames always serialize")
+        match self {
+            Response::Value(frame) => print_value(frame),
+            _ => serde_json::to_string(self).expect("response frames always serialize"),
+        }
     }
 
     /// Parses a frame from one JSON line.
@@ -589,7 +758,7 @@ impl Response {
     ///
     /// Returns the underlying JSON or shape error.
     pub fn from_line(line: &str) -> Result<Response, serde_json::Error> {
-        serde_json::from_str(line)
+        read_value(line).map_or_else(|| serde_json::from_str(line), Ok)
     }
 }
 
@@ -642,6 +811,78 @@ mod tests {
         let line = frame.to_line();
         assert!(line.contains(r#""type":"overloaded""#), "{line}");
         assert_eq!(Response::from_line(&line).unwrap(), frame);
+    }
+
+    #[test]
+    fn printed_hot_frames_take_the_direct_path() {
+        let request = Request::Evaluate {
+            config: vec![i32::MIN, -1, 0, 7, i32::MAX],
+        };
+        assert_eq!(read_evaluate(&request.to_line()), Some(request));
+        assert_eq!(
+            read_evaluate(r#"{"type":"evaluate","config":[]}"#),
+            Some(Request::Evaluate { config: vec![] })
+        );
+        for frame in [
+            OutcomeFrame {
+                source: "kriged".to_string(),
+                value: -0.25,
+                variance: Some(1e-300),
+                neighbors: Some(9),
+            },
+            OutcomeFrame {
+                source: "simulated".to_string(),
+                value: 3e16,
+                variance: None,
+                neighbors: None,
+            },
+        ] {
+            let response = Response::Value(frame);
+            assert_eq!(read_value(&response.to_line()), Some(response));
+        }
+    }
+
+    #[test]
+    fn other_spellings_are_left_to_the_value_path() {
+        for line in [
+            r#"{"type":"evaluate", "config":[1]}"#,
+            r#"{"config":[1],"type":"evaluate"}"#,
+            r#"{"type":"evaluate","config":[1],"x":0}"#,
+            r#"{"type":"evaluate","config":[1],"config":[2]}"#,
+            r#"{"\u0074ype":"evaluate","config":[1]}"#,
+            r#"{"type":"evaluate","config":[8.0,007,-0]}"#,
+            r#"{"type":"evaluate","config":[2147483648]}"#,
+            r#"{"type":"evaluate","config":[+1]}"#,
+            r#"{"type":"evaluate","config":[1]} "#,
+        ] {
+            assert_eq!(read_evaluate(line), None, "{line}");
+            assert_eq!(
+                Request::from_line(line),
+                serde_json::from_str::<Request>(line),
+                "{line}"
+            );
+        }
+        assert_eq!(
+            Request::from_line(r#"{"type":"evaluate","config":[8.0,007,-0]}"#),
+            Ok(Request::Evaluate {
+                config: vec![8, 7, 0]
+            })
+        );
+        for line in [
+            r#"{"type":"value","source":"krig\u0065d","value":1.5}"#,
+            r#"{"type":"value","source":"kriged","value":.5}"#,
+            r#"{"type":"value","source":"kriged","value":null}"#,
+            r#"{"type":"value","source":"kriged","value":1.5,"neighbors":-1}"#,
+            r#"{"type":"value","source":"kriged","value":1.5,"neighbors":03}"#,
+            r#"{"type":"value","value":1.5,"source":"kriged"}"#,
+        ] {
+            assert_eq!(read_value(line), None, "{line}");
+            assert_eq!(
+                Response::from_line(line),
+                serde_json::from_str::<Response>(line),
+                "{line}"
+            );
+        }
     }
 
     #[test]

@@ -162,6 +162,23 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(config: ServerConfig, tracer: Tracer) -> Shared {
+        let registry = Registry::new();
+        let pool = BackendPool::new(config.threads, registry.clone(), tracer);
+        let obs = ServeObs::new(&registry);
+        Shared {
+            config,
+            drain: AtomicBool::new(false),
+            halt_metrics: AtomicBool::new(false),
+            inflight: AtomicUsize::new(0),
+            active_sessions: AtomicUsize::new(0),
+            next_session: AtomicU64::new(1),
+            registry,
+            pool,
+            obs,
+        }
+    }
+
     fn draining(&self) -> bool {
         self.drain.load(Ordering::Acquire)
     }
@@ -264,7 +281,6 @@ impl Server {
             Some(l) => Some(l.local_addr()?),
             None => None,
         };
-        let registry = Registry::new();
         let tracer = match &config.trace_out {
             Some(path) => {
                 let sink = JsonlSink::create(Path::new(path), false)?;
@@ -272,19 +288,7 @@ impl Server {
             }
             None => Tracer::disabled(),
         };
-        let pool = BackendPool::new(config.threads, registry.clone(), tracer);
-        let obs = ServeObs::new(&registry);
-        let shared = Arc::new(Shared {
-            config,
-            drain: AtomicBool::new(false),
-            halt_metrics: AtomicBool::new(false),
-            inflight: AtomicUsize::new(0),
-            active_sessions: AtomicUsize::new(0),
-            next_session: AtomicU64::new(1),
-            registry: registry.clone(),
-            pool,
-            obs,
-        });
+        let shared = Arc::new(Shared::new(config, tracer));
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&shared, &listener))
@@ -429,6 +433,9 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 /// connection closes.
 pub const MAX_FRAME_BYTES: usize = 2 << 20;
 
+/// Bytes a connection reads at a time.
+const READ_CHUNK: usize = 4096;
+
 /// Splits line-delimited frames out of a nonblocking-ish (read-timeout)
 /// stream, holding at most one frame of [`MAX_FRAME_BYTES`] plus one read.
 struct LineReader<R> {
@@ -475,7 +482,7 @@ impl<R: Read> LineReader<R> {
             if self.buf.len() > MAX_FRAME_BYTES {
                 return ReadStep::Oversized;
             }
-            let mut chunk = [0u8; 4096];
+            let mut chunk = [0u8; READ_CHUNK];
             match self.stream.read(&mut chunk) {
                 Ok(0) => return ReadStep::Closed,
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
@@ -489,7 +496,7 @@ impl<R: Read> LineReader<R> {
     }
 }
 
-fn write_frame(stream: &mut TcpStream, response: &Response) -> bool {
+fn write_frame(stream: &mut impl Write, response: &Response) -> bool {
     let mut line = response.to_line();
     line.push('\n');
     stream.write_all(line.as_bytes()).is_ok()
@@ -498,10 +505,15 @@ fn write_frame(stream: &mut TcpStream, response: &Response) -> bool {
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(POLL_MS)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    if let Ok(writer) = stream.try_clone() {
+        serve_connection(shared, stream, writer);
+    }
+}
+
+/// Answers every frame read from `stream` on `writer`, one answer per
+/// frame and in order, until the stream closes, a frame is oversized, a
+/// write fails or the drain's grace window ends.
+fn serve_connection(shared: &Arc<Shared>, stream: impl Read, mut writer: impl Write) {
     let mut reader = LineReader::new(stream);
     let mut session: Option<Session> = None;
     // Once the drain flag is observed, late frames are answered with typed
@@ -758,6 +770,7 @@ mod tests {
     use std::io::{BufRead, BufReader};
 
     use krigeval_engine::suite::Problem;
+    use proptest::prelude::*;
 
     use super::*;
     use crate::session::MAX_BATCH;
@@ -839,5 +852,202 @@ mod tests {
         assert_eq!(reader.read_line(&mut reply).expect("recv"), 0, "closed");
         server.shutdown();
         server.join().expect("join");
+    }
+
+    #[test]
+    fn a_deeply_nested_frame_gets_a_typed_error_and_the_connection_stays_usable() {
+        let server = Server::start(ServerConfig::default()).expect("start server");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        // 20 KB, far below the frame cap. Without the nesting limit the
+        // parser's one stack frame per level overflows the connection
+        // thread's stack, which aborts the whole server.
+        let depth = 10_000;
+        let nested = format!(
+            "{{\"type\":\"ping\",\"x\":{}{}}}\n",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        stream.write_all(nested.as_bytes()).expect("send");
+        stream.write_all(b"{\"type\":\"ping\"}\n").expect("send");
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("recv");
+        match Response::from_line(reply.trim()).expect("parse reply") {
+            Response::Error { code, message } => {
+                assert_eq!(code, codes::BAD_REQUEST);
+                assert!(message.starts_with("recursion limit exceeded"), "{message}");
+            }
+            other => panic!("expected an error frame, got {}", other.to_line()),
+        }
+        reply.clear();
+        reader.read_line(&mut reply).expect("recv");
+        assert_eq!(Response::from_line(reply.trim()), Ok(Response::Pong));
+        server.shutdown();
+        server.join().expect("join");
+    }
+
+    #[test]
+    fn invalid_utf8_is_decoded_lossily() {
+        let shared = Arc::new(Shared::new(ServerConfig::default(), Tracer::disabled()));
+        // Inside a string the replacement character is just text; outside
+        // one it is a syntax error.
+        let stream: &[u8] =
+            b"{\"type\":\"ping\",\"x\":\"\xff\"}\n{\"type\":\"ping\",\xff\"x\":1}\n";
+        let mut answers = Vec::new();
+        serve_connection(&shared, stream, &mut answers);
+        let answers = String::from_utf8(answers).expect("answers are UTF-8");
+        let answers: Vec<Response> = answers
+            .lines()
+            .map(|line| Response::from_line(line).expect("parse answer"))
+            .collect();
+        assert_eq!(answers.len(), 2);
+        assert_eq!(answers[0], Response::Pong);
+        assert!(
+            matches!(&answers[1], Response::Error { code, .. } if code == codes::BAD_REQUEST),
+            "{answers:?}"
+        );
+    }
+
+    /// `evaluate` frames spelled other than `to_line` prints them, plus a
+    /// wrong-length one; `A` and `B` stand for word lengths.
+    const HOSTILE_EVALUATE: &[&str] = &[
+        r#"{ "type" : "evaluate" , "config" : [ A , B ] }"#,
+        r#"{"config":[A,B],"type":"evaluate"}"#,
+        r#"{"type":"evaluate","config":[A,B],"config":[B,A]}"#,
+        r#"{"type":"evaluate","type":"ping","config":[A,B]}"#,
+        r#"{"\u0074ype":"evaluate","config":[A,B]}"#,
+        r#"{"type":"evaluate","config":[A.0,00B]}"#,
+        r#"{"type":"evaluate","config":[-0,A]}"#,
+        r#"{"type":"evaluate","config":[2147483648,A]}"#,
+        r#"{"type":"evaluate","config":[A,-2147483649]}"#,
+        r#"{"type":"evaluate","config":[A,B],"x":{"y":[1,2]}}"#,
+        r#"{"type":"evaluate","config":[+A,B]}"#,
+        r#"{"type":"evaluate","config":[A,B]"#,
+        r#"{"type":"evaluate","config":[A]}"#,
+    ];
+
+    /// One fuzzed frame, without its line end.
+    fn fuzz_frame(kind: u32, pick: u64) -> Vec<u8> {
+        // Word lengths inside and just outside fir's range.
+        let (a, b) = (2 + pick % 16, 2 + (pick >> 8) % 16);
+        let text = match kind {
+            0 => r#"{"type":"ping"}"#.to_string(),
+            1 => r#"{"type":"stats"}"#.to_string(),
+            2 => r#"{"type":"hello","benchmark":"fir"}"#.to_string(),
+            3 => Request::Evaluate {
+                config: vec![a as i32, b as i32],
+            }
+            .to_line(),
+            4 => HOSTILE_EVALUATE[(pick >> 16) as usize % HOSTILE_EVALUATE.len()]
+                .replace('A', &a.to_string())
+                .replace('B', &b.to_string()),
+            5 => " ".repeat(pick as usize % 3),
+            6 => {
+                let depth = serde_json::RECURSION_LIMIT + 1 + pick as usize % 2000;
+                format!(
+                    "{{\"type\":\"ping\",\"x\":{}{}}}",
+                    "[".repeat(depth),
+                    "]".repeat(depth)
+                )
+            }
+            7 if pick.is_multiple_of(2) => {
+                return b"{\"type\":\"ping\",\"x\":\"\xff\xfe\"}".to_vec()
+            }
+            7 => return b"{\"type\":\"evaluate\",\"config\":[\xff]}".to_vec(),
+            8 => format!(r#"{{"type":"evaluate_batch","configs":[[{a},{b}],[{b},{a}]]}}"#),
+            // Eight arbitrary bytes, newlines aside.
+            _ => {
+                return pick
+                    .to_le_bytes()
+                    .map(|b| if b == b'\n' { b'#' } else { b })
+                    .to_vec()
+            }
+        };
+        text.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn hostile_byte_streams_get_one_typed_answer_per_frame(
+            frames in proptest::collection::vec((0u32..10, 0u64..=u64::MAX, 0u32..2), 0..40),
+            tail in 0u32..3,
+            read_size in 1usize..9000,
+        ) {
+            // Pipelined frames ending in LF or CRLF, then a truncated frame
+            // (tail 1) or an oversized line with a frame after it (tail 2).
+            let mut stream = Vec::new();
+            let mut lines = Vec::new();
+            for &(kind, pick, crlf) in &frames {
+                let mut frame = fuzz_frame(kind, pick);
+                if crlf == 1 {
+                    frame.push(b'\r');
+                }
+                let line = String::from_utf8_lossy(&frame).trim().to_string();
+                if !line.is_empty() {
+                    lines.push(line);
+                }
+                stream.extend_from_slice(&frame);
+                stream.push(b'\n');
+            }
+            match tail {
+                1 => stream.extend_from_slice(br#"{"type":"evaluate","con"#),
+                2 => {
+                    stream.resize(stream.len() + MAX_FRAME_BYTES + 1, b'x');
+                    stream.extend_from_slice(b"\n{\"type\":\"ping\"}\n");
+                }
+                _ => {}
+            }
+            let trickle = || Trickle {
+                data: stream.clone(),
+                at: 0,
+                piece: read_size,
+                idle: false,
+            };
+
+            // The reader yields each line decoded lossily and trimmed, skips
+            // blank ones, and buffers at most one frame plus one read.
+            let mut reader = LineReader::new(trickle());
+            let mut read = Vec::new();
+            let oversized = loop {
+                let step = reader.step();
+                prop_assert!(reader.buf.len() <= MAX_FRAME_BYTES + READ_CHUNK);
+                match step {
+                    ReadStep::Line(line) => read.push(line),
+                    ReadStep::Idle => {}
+                    ReadStep::Closed => break false,
+                    ReadStep::Oversized => break true,
+                }
+            };
+            prop_assert_eq!(&read, &lines);
+            prop_assert_eq!(oversized, tail == 2);
+
+            // The connection answers each line, in order, as a server
+            // reading it through the `Value` path alone answers it.
+            let oracle = Arc::new(Shared::new(ServerConfig::default(), Tracer::disabled()));
+            let mut session = None;
+            let mut expected = String::new();
+            for line in &lines {
+                let answer = match serde_json::from_str::<Request>(line) {
+                    Ok(request) => dispatch_parsed(&oracle, &mut session, request),
+                    Err(e) => Response::error(codes::BAD_REQUEST, e.to_string()),
+                };
+                expected.push_str(&answer.to_line());
+                expected.push('\n');
+            }
+            if oversized {
+                let message = format!("frame exceeds {MAX_FRAME_BYTES} bytes");
+                expected.push_str(&Response::error(codes::BAD_REQUEST, message).to_line());
+                expected.push('\n');
+            }
+            let shared = Arc::new(Shared::new(ServerConfig::default(), Tracer::disabled()));
+            let mut answers = Vec::new();
+            serve_connection(&shared, trickle(), &mut answers);
+            prop_assert_eq!(String::from_utf8(answers).expect("answers are UTF-8"), expected);
+        }
     }
 }
