@@ -150,24 +150,13 @@ fn bench_neighbor_index(c: &mut Criterion) {
     });
 }
 
-fn bench_factored_kriging(c: &mut Criterion) {
-    use krigeval_core::kriging::FactoredKriging;
+fn bench_oneshot_24sites(c: &mut Criterion) {
     let (configs, values) = cloud(24);
     let sites: Vec<Vec<f64>> = configs
         .iter()
         .map(|cfg| cfg.iter().map(|&x| f64::from(x)).collect())
         .collect();
-    let fk = FactoredKriging::new(
-        VariogramModel::linear(2.0),
-        DistanceMetric::L1,
-        sites.clone(),
-        values.clone(),
-    )
-    .expect("solvable");
     let target: Vec<f64> = vec![9.0; 10];
-    c.bench_function("factored_kriging_predict_24sites", |b| {
-        b.iter(|| black_box(fk.predict(black_box(&target)).expect("solvable").value))
-    });
     let estimator = KrigingEstimator::new(VariogramModel::linear(2.0));
     c.bench_function("oneshot_kriging_predict_24sites", |b| {
         b.iter(|| {
@@ -189,6 +178,6 @@ criterion_group!(
     bench_hybrid_steady_state,
     bench_model_eval,
     bench_neighbor_index,
-    bench_factored_kriging
+    bench_oneshot_24sites
 );
 criterion_main!(benches);

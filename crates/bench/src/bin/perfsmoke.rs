@@ -12,6 +12,7 @@
 //! this with `--skip-table1` as a cheap regression smoke; the committed
 //! JSON includes the Table I fast-scale wall time as well.
 
+use std::cell::RefCell;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -21,7 +22,7 @@ use krigeval_bench::steady::{steady_session, SolveProbes};
 use krigeval_bench::suite::{build_seeded, Problem};
 use krigeval_bench::table1::run_table_parallel;
 use krigeval_bench::Scale;
-use krigeval_core::kriging::KrigingEstimator;
+use krigeval_core::kriging::{KrigingEstimator, KrigingScratch};
 use krigeval_core::opt::minplusone::optimize;
 use krigeval_core::variogram::VariogramAccumulator;
 use krigeval_core::{
@@ -188,56 +189,57 @@ fn oneshot_predict_24_us() -> f64 {
     )
 }
 
-/// Batch-of-24 shared-neighbour predictions through the factored path:
-/// one Γ assembly + one Bunch–Kaufman factorization + one blocked 24-RHS
-/// solve, reported as µs **per prediction** so it is directly comparable
-/// with the frozen per-query number (which re-assembles and re-factors
-/// for every target).
+/// Batch-of-24 shared-neighbour predictions through the production group
+/// solve, [`KrigingScratch::solve_group_with`]: one Γ assembly, one
+/// Bunch–Kaufman factorization and one blocked 24-RHS solve, reported as
+/// µs **per prediction** so it is directly comparable with the frozen
+/// per-query number (which re-assembles and re-factors for every target).
 ///
 /// Measured in two interleaved flavours and returned as
-/// `(value_only, with_variance)`: the second additionally reads every
-/// prediction's kriging variance σ² out of the batch — exactly what the
-/// variance gate consumes per decision. σ² is a byproduct of the same
-/// bordered solve that produces the weights, so surfacing it must be
-/// (near) free: the with-variance number is gated at ≤1.05x the
-/// value-only number.
+/// `(value_only, with_variance)`: the first reads every target's value
+/// (`group_interpolate`), the second also reads its kriging variance σ²
+/// (`group_variance`) — exactly what the variance gate consumes per
+/// decision. σ² is a byproduct of the same bordered solve that produces
+/// the weights, so surfacing it must be (near) free: the with-variance
+/// number is gated at ≤1.05x the value-only number.
 fn multi_rhs_predict_us() -> (f64, f64) {
-    use krigeval_core::kriging::FactoredKriging;
     let (configs, values) = cloud(24);
-    let dim = 10usize;
-    let mut flat_sites = Vec::with_capacity(24 * dim);
-    for cfg in &configs {
-        flat_sites.extend(cfg.iter().map(|&x| f64::from(x)));
-    }
+    let sites: Vec<Vec<f64>> = configs
+        .iter()
+        .map(|cfg| cfg.iter().map(|&x| f64::from(x)).collect())
+        .collect();
     // 24 distinct targets interleaved through the cloud's bounding box.
-    let mut targets = Vec::with_capacity(24 * dim);
-    for t in 0..24 {
-        for k in 0..dim {
-            targets.push(6.5 + ((t + k) % 9) as f64 * 0.5);
-        }
-    }
+    let targets: Vec<Vec<f64>> = (0..24)
+        .map(|t| (0..10).map(|k| 6.5 + ((t + k) % 9) as f64 * 0.5).collect())
+        .collect();
     let model = VariogramModel::linear(2.0);
-    let factor = |flat_sites: &Vec<f64>, values: &Vec<f64>| {
-        FactoredKriging::from_flat(
-            model,
-            DistanceMetric::L1,
-            flat_sites.clone(),
-            dim,
-            values.clone(),
-        )
-        .expect("solvable system")
+    let n = sites.len();
+    let gamma = |i: usize, j: usize| {
+        let other = if j < n { &sites[j] } else { &targets[j - n] };
+        model.evaluate(DistanceMetric::L1.eval(&sites[i], other))
     };
+    // Both sides solve in one shared scratch, so where its buffers happen
+    // to land in memory cannot favour either side of the ratio.
+    let scratch = RefCell::new(KrigingScratch::new());
     let (value_only, with_variance) = measure_pair_us(
         || {
-            let fk = factor(&flat_sites, &values);
-            let many = fk.predict_many(&targets, dim).expect("valid slab");
-            std::hint::black_box(many.len());
+            let mut scratch = scratch.borrow_mut();
+            scratch
+                .solve_group_with(n, targets.len(), gamma)
+                .expect("solvable system");
+            for t in 0..targets.len() {
+                std::hint::black_box(scratch.group_interpolate(t, &values));
+            }
         },
         || {
-            let fk = factor(&flat_sites, &values);
-            let many = fk.predict_many(&targets, dim).expect("valid slab");
-            let sigma2: f64 = many.iter().map(|p| p.variance).sum();
-            std::hint::black_box(sigma2);
+            let mut scratch = scratch.borrow_mut();
+            scratch
+                .solve_group_with(n, targets.len(), gamma)
+                .expect("solvable system");
+            for t in 0..targets.len() {
+                std::hint::black_box(scratch.group_interpolate(t, &values));
+                std::hint::black_box(scratch.group_variance(t));
+            }
         },
         256,
         15,
@@ -1027,7 +1029,7 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // Fifth gate: the factor-once/solve-many batch path must hold at
+    // Fifth gate: the factor-once/solve-many group solve must hold at
     // least a 2x per-prediction margin over the per-query factored
     // baseline — the headline criterion of the multi-RHS work.
     let multi_rhs_budget = baseline::PER_QUERY_PREDICT_24_US / 2.0;

@@ -179,107 +179,6 @@ impl KrigingEstimator {
             })
         })
     }
-
-    /// Predicts the field at many targets sharing one site set.
-    ///
-    /// The kriging matrix Γ (Eq. 9) depends only on the sites, so it is
-    /// factored once and back-substituted per target — `O(n³ + k·n²)`
-    /// instead of `predict`'s `O(k·n³)` for `k` targets (see
-    /// [`crate::kriging::FactoredKriging`], which this delegates to).
-    /// Results match per-target [`KrigingEstimator::predict`] calls exactly.
-    ///
-    /// # Errors
-    ///
-    /// See [`KrigingEstimator::predict`]; fails on the first bad target.
-    pub fn predict_batch(
-        &self,
-        sites: &[Vec<f64>],
-        values: &[f64],
-        targets: &[Vec<f64>],
-    ) -> Result<Vec<Prediction>, CoreError> {
-        if targets.is_empty() {
-            return Ok(Vec::new());
-        }
-        if targets.len() == 1 {
-            // A single target gains nothing from factoring; keep the
-            // one-shot path (identical numerics either way).
-            return Ok(vec![self.predict(sites, values, &targets[0])?]);
-        }
-        let fk = crate::kriging::FactoredKriging::new(
-            self.model,
-            self.metric,
-            sites.to_vec(),
-            values.to_vec(),
-        )?;
-        let dim = fk.dim();
-        let mut flat = Vec::with_capacity(targets.len() * dim);
-        for (i, t) in targets.iter().enumerate() {
-            if t.len() != dim {
-                return Err(CoreError::DimensionMismatch {
-                    what: "kriging batch".into(),
-                    detail: format!("target {i} has dimension {}, sites have {dim}", t.len()),
-                });
-            }
-            flat.extend_from_slice(t);
-        }
-        fk.predict_many(&flat, dim.max(1))
-    }
-
-    /// [`KrigingEstimator::predict_batch`] over integer configurations.
-    ///
-    /// Sites and targets are converted straight into flat row-major slabs —
-    /// no intermediate `Vec<Vec<f64>>` — and solved through one factored
-    /// multi-RHS pass.
-    ///
-    /// # Errors
-    ///
-    /// See [`KrigingEstimator::predict_batch`].
-    pub fn predict_config_batch(
-        &self,
-        configs: &[Vec<i32>],
-        values: &[f64],
-        targets: &[Vec<i32>],
-    ) -> Result<Vec<Prediction>, CoreError> {
-        if targets.is_empty() {
-            return Ok(Vec::new());
-        }
-        let dim = configs.first().map_or(0, Vec::len);
-        if targets.len() == 1 {
-            // A single target gains nothing from factoring; keep the
-            // one-shot path (identical numerics either way).
-            let sites: Vec<Vec<f64>> = configs.iter().map(|c| crate::config_to_point(c)).collect();
-            let point = crate::config_to_point(&targets[0]);
-            return Ok(vec![self.predict(&sites, values, &point)?]);
-        }
-        let mut site_slab = Vec::with_capacity(configs.len() * dim);
-        for (i, c) in configs.iter().enumerate() {
-            if c.len() != dim {
-                return Err(CoreError::DimensionMismatch {
-                    what: "kriging batch".into(),
-                    detail: format!("site {i} has dimension {}, expected {dim}", c.len()),
-                });
-            }
-            site_slab.extend(c.iter().map(|&x| f64::from(x)));
-        }
-        let fk = crate::kriging::FactoredKriging::from_flat(
-            self.model,
-            self.metric,
-            site_slab,
-            dim,
-            values.to_vec(),
-        )?;
-        let mut target_slab = Vec::with_capacity(targets.len() * dim);
-        for (i, t) in targets.iter().enumerate() {
-            if t.len() != dim {
-                return Err(CoreError::DimensionMismatch {
-                    what: "kriging batch".into(),
-                    detail: format!("target {i} has dimension {}, sites have {dim}", t.len()),
-                });
-            }
-            target_slab.extend(t.iter().map(|&x| f64::from(x)));
-        }
-        fk.predict_many(&target_slab, dim.max(1))
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,7 @@
 //! Ordinary kriging: the paper's Eqs. 7–10.
 
 mod estimator;
-mod factored;
-mod simple;
 mod system;
 
 pub use estimator::{KrigingEstimator, Prediction};
-pub use factored::FactoredKriging;
-pub use simple::SimpleKrigingEstimator;
-pub use system::{solve_kriging_system, KrigingScratch, KrigingWeights};
+pub use system::KrigingScratch;

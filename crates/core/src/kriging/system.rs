@@ -7,56 +7,15 @@ use krigeval_linalg::LdltWorkspace;
 use crate::variogram::VariogramModel;
 use crate::{CoreError, DistanceMetric};
 
-/// Solution of one kriging system: the weights `μₖ` of Eq. 3 and the
-/// Lagrange multiplier enforcing the unbiasedness constraint of Eq. 6.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KrigingWeights {
-    /// One weight per data site; they sum to 1 (unbiasedness).
-    pub weights: Vec<f64>,
-    /// The Lagrange multiplier `m` of the augmented system.
-    pub lagrange: f64,
-    /// `γ(dᵢₖ)` between the target and each site (reused for the variance).
-    gamma_target: Vec<f64>,
-}
-
-impl KrigingWeights {
-    /// The interpolated value `λ̂(eⁱ) = Σ μₖ·λ(eᵏ)` (Eq. 10).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len()` differs from the number of weights.
-    pub fn interpolate(&self, values: &[f64]) -> f64 {
-        assert_eq!(
-            values.len(),
-            self.weights.len(),
-            "value count must match weight count"
-        );
-        self.weights.iter().zip(values).map(|(w, v)| w * v).sum()
-    }
-
-    /// The ordinary-kriging variance
-    /// `σ² = Σ μₖ·γ(dᵢₖ) + m` — the minimized estimation variance of Eq. 5.
-    /// Clamped at zero (tiny negative values arise from round-off).
-    pub fn variance(&self) -> f64 {
-        let v: f64 = self
-            .weights
-            .iter()
-            .zip(&self.gamma_target)
-            .map(|(w, g)| w * g)
-            .sum::<f64>()
-            + self.lagrange;
-        v.max(0.0)
-    }
-}
-
 /// Reusable workspace for ordinary-kriging solves.
 ///
 /// All buffers — the base Γ matrix, the jittered working copy, the
-/// right-hand side, the solution, and the [`LdltWorkspace`] — are grow-only
-/// and reused across calls, so a steady-state solve performs **zero heap
-/// allocations**. Γ is assembled once per neighbor set; regularization
-/// retries only re-add the jitter to the working copy instead of
-/// re-evaluating the variogram for every entry.
+/// right-hand sides, the solutions, the group solve's escalation list and
+/// the [`LdltWorkspace`] — are grow-only and reused across calls, so a
+/// steady-state solve, escalated through the jitter ladder or not,
+/// performs **zero heap allocations**. Γ is assembled once per neighbor
+/// set; regularization retries only re-add the jitter to the working copy
+/// instead of re-evaluating the variogram for every entry.
 ///
 /// The accessors ([`weights`](KrigingScratch::weights), etc.) are valid after
 /// a successful [`solve_with`](KrigingScratch::solve_with) and refer to that
@@ -90,6 +49,9 @@ pub struct KrigingScratch {
     /// Per-target failure flags of the last group solve (`true` = the
     /// ladder was exhausted; the row of `sol_many` is unspecified).
     group_failed: Vec<bool>,
+    /// Targets of the current group solve that the shared jitter-free
+    /// factorization did not settle, in escalation order.
+    pending: Vec<usize>,
     /// Number of targets in the last group solve.
     group_len: usize,
     /// Row stride of the `rhs_many`/`sol_many` slabs.
@@ -271,7 +233,7 @@ impl KrigingScratch {
         self.work.extend_from_slice(&self.base);
         self.sol_many.clear();
         self.sol_many.extend_from_slice(&self.rhs_many);
-        let mut pending: Vec<usize> = Vec::new();
+        self.pending.clear();
         match self.ldlt.factor(&self.work, ns) {
             Ok(()) => {
                 self.ldlt.solve_many_in_place(&mut self.sol_many, stride)?;
@@ -279,17 +241,18 @@ impl KrigingScratch {
                     let sol = &self.sol_many[t * stride..t * stride + n];
                     let l1: f64 = sol.iter().map(|w| w.abs()).sum();
                     if !l1.is_finite() || l1 > weight_budget {
-                        pending.push(t);
+                        self.pending.push(t);
                     }
                 }
             }
-            Err(krigeval_linalg::LinalgError::Singular { .. }) => pending.extend(0..targets),
+            Err(krigeval_linalg::LinalgError::Singular { .. }) => self.pending.extend(0..targets),
             Err(e) => return Err(e.into()),
         }
 
         // Stragglers escalate individually: each target's jitter scale is
         // its own, so later rungs cannot share a factorization.
-        'target: for t in pending {
+        'target: for k in 0..self.pending.len() {
+            let t = self.pending[k];
             let rhs_row = t * stride;
             let scale = self.rhs_many[rhs_row..rhs_row + n]
                 .iter()
@@ -482,46 +445,24 @@ pub(crate) fn solve_points_into(
     })
 }
 
-/// Builds and solves the ordinary-kriging system for `target` given data
-/// `sites`, under `model` and `metric`:
-///
-/// ```text
-/// Γ · [μ; m] = [γᵢ; 1]        (Γ as in Eq. 9, γᵢ as in Eq. 8)
-/// ```
-///
-/// If the plain system is singular (e.g. nearly-duplicate sites), it is
-/// retried with a small nugget jitter added to every off-diagonal entry —
-/// the standard regularization — before giving up. The heavy lifting runs in
-/// a thread-local [`KrigingScratch`], so repeated calls reuse the factored
-/// workspace and Γ buffers.
-///
-/// # Errors
-///
-/// * [`CoreError::NoData`] if `sites` is empty.
-/// * [`CoreError::DimensionMismatch`] if the sites/target dimensions differ.
-/// * [`CoreError::SingularSystem`] if all regularization attempts fail.
-pub fn solve_kriging_system(
-    sites: &[Vec<f64>],
-    target: &[f64],
-    model: &VariogramModel,
-    metric: DistanceMetric,
-) -> Result<KrigingWeights, CoreError> {
-    with_scratch(|scratch| {
-        solve_points_into(scratch, sites, target, model, metric)?;
-        Ok(KrigingWeights {
-            weights: scratch.weights().to_vec(),
-            lagrange: scratch.lagrange(),
-            gamma_target: scratch.gamma_target().to_vec(),
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::kriging::{KrigingEstimator, Prediction};
+
     fn model() -> VariogramModel {
         VariogramModel::linear(1.0)
+    }
+
+    /// One prediction under [`model`] and L1, through the estimator's
+    /// `solve_points_into`.
+    fn predict(
+        sites: &[Vec<f64>],
+        values: &[f64],
+        target: &[f64],
+    ) -> Result<Prediction, CoreError> {
+        KrigingEstimator::new(model()).predict(sites, values, target)
     }
 
     #[test]
@@ -532,37 +473,37 @@ mod tests {
             vec![0.0, 3.0],
             vec![4.0, 4.0],
         ];
-        let w = solve_kriging_system(&sites, &[1.0, 1.0], &model(), DistanceMetric::L1).unwrap();
-        let sum: f64 = w.weights.iter().sum();
+        let p = predict(&sites, &[0.0; 4], &[1.0, 1.0]).unwrap();
+        let sum: f64 = p.weights.iter().sum();
         assert!((sum - 1.0).abs() < 1e-10, "sum = {sum}");
     }
 
     #[test]
     fn target_on_a_site_gets_weight_one() {
         let sites = vec![vec![0.0], vec![1.0], vec![5.0]];
-        let w = solve_kriging_system(&sites, &[1.0], &model(), DistanceMetric::L1).unwrap();
-        assert!((w.weights[1] - 1.0).abs() < 1e-9, "{:?}", w.weights);
-        assert!(w.weights[0].abs() < 1e-9);
-        assert!(w.weights[2].abs() < 1e-9);
-        assert!(w.variance() < 1e-9);
+        let p = predict(&sites, &[0.0; 3], &[1.0]).unwrap();
+        assert!((p.weights[1] - 1.0).abs() < 1e-9, "{:?}", p.weights);
+        assert!(p.weights[0].abs() < 1e-9);
+        assert!(p.weights[2].abs() < 1e-9);
+        assert!(p.variance < 1e-9);
     }
 
     #[test]
     fn single_site_degenerates_to_that_value() {
         let sites = vec![vec![3.0, 3.0]];
-        let w = solve_kriging_system(&sites, &[0.0, 0.0], &model(), DistanceMetric::L1).unwrap();
-        assert!((w.weights[0] - 1.0).abs() < 1e-12);
-        assert_eq!(w.interpolate(&[7.5]), 7.5);
+        let p = predict(&sites, &[7.5], &[0.0, 0.0]).unwrap();
+        assert!((p.weights[0] - 1.0).abs() < 1e-12);
+        assert_eq!(p.value, 7.5);
         // Variance grows with distance from the lone site.
-        assert!(w.variance() > 0.0);
+        assert!(p.variance > 0.0);
     }
 
     #[test]
     fn symmetric_sites_get_symmetric_weights() {
         let sites = vec![vec![-1.0], vec![1.0]];
-        let w = solve_kriging_system(&sites, &[0.0], &model(), DistanceMetric::L1).unwrap();
-        assert!((w.weights[0] - 0.5).abs() < 1e-10);
-        assert!((w.weights[1] - 0.5).abs() < 1e-10);
+        let p = predict(&sites, &[0.0; 2], &[0.0]).unwrap();
+        assert!((p.weights[0] - 0.5).abs() < 1e-10);
+        assert!((p.weights[1] - 0.5).abs() < 1e-10);
     }
 
     #[test]
@@ -571,31 +512,29 @@ mod tests {
         // for affine fields at interior points.
         let sites: Vec<Vec<f64>> = vec![vec![0.0], vec![2.0], vec![6.0], vec![10.0]];
         let values: Vec<f64> = sites.iter().map(|s| 3.0 + 2.0 * s[0]).collect();
-        let w = solve_kriging_system(&sites, &[4.0], &model(), DistanceMetric::L1).unwrap();
-        let est = w.interpolate(&values);
+        let est = predict(&sites, &values, &[4.0]).unwrap().value;
         assert!((est - 11.0).abs() < 1e-8, "est = {est}");
     }
 
     #[test]
     fn variance_increases_with_extrapolation_distance() {
         let sites = vec![vec![0.0], vec![1.0], vec![2.0]];
-        let near = solve_kriging_system(&sites, &[1.5], &model(), DistanceMetric::L1).unwrap();
-        let far = solve_kriging_system(&sites, &[8.0], &model(), DistanceMetric::L1).unwrap();
-        assert!(far.variance() > near.variance());
+        let near = predict(&sites, &[0.0; 3], &[1.5]).unwrap();
+        let far = predict(&sites, &[0.0; 3], &[8.0]).unwrap();
+        assert!(far.variance > near.variance);
     }
 
     #[test]
     fn duplicate_sites_are_regularized_not_fatal() {
         let sites = vec![vec![1.0], vec![1.0], vec![3.0]];
-        let w = solve_kriging_system(&sites, &[2.0], &model(), DistanceMetric::L1).unwrap();
-        let est = w.interpolate(&[5.0, 5.0, 9.0]);
+        let est = predict(&sites, &[5.0, 5.0, 9.0], &[2.0]).unwrap().value;
         assert!((5.0..=9.0).contains(&est), "est = {est}");
     }
 
     #[test]
     fn empty_sites_rejected() {
         assert!(matches!(
-            solve_kriging_system(&[], &[0.0], &model(), DistanceMetric::L1).unwrap_err(),
+            predict(&[], &[], &[0.0]).unwrap_err(),
             CoreError::NoData
         ));
     }
@@ -604,7 +543,7 @@ mod tests {
     fn dimension_mismatch_rejected() {
         let sites = vec![vec![0.0, 0.0]];
         assert!(matches!(
-            solve_kriging_system(&sites, &[0.0], &model(), DistanceMetric::L1).unwrap_err(),
+            predict(&sites, &[1.0], &[0.0]).unwrap_err(),
             CoreError::DimensionMismatch { .. }
         ));
     }
@@ -613,8 +552,9 @@ mod tests {
     #[should_panic(expected = "value count")]
     fn interpolate_validates_length() {
         let sites = vec![vec![0.0], vec![1.0]];
-        let w = solve_kriging_system(&sites, &[0.5], &model(), DistanceMetric::L1).unwrap();
-        let _ = w.interpolate(&[1.0]);
+        let mut scratch = KrigingScratch::new();
+        solve_points_into(&mut scratch, &sites, &[0.5], &model(), DistanceMetric::L1).unwrap();
+        let _ = scratch.interpolate(&[1.0]);
     }
 
     #[test]
@@ -675,17 +615,49 @@ mod tests {
 
     #[test]
     fn group_solve_is_bitwise_identical_to_sequential_solves() {
-        let m = model();
+        /// What the jitter-free rung does with a fixed input's targets.
+        #[derive(Clone, Copy, PartialEq)]
+        enum Rung0 {
+            /// Some targets settle there, others escalate.
+            Mixed,
+            /// Γ is singular without jitter: every target escalates.
+            Singular,
+            /// Γ factors without jitter, yet every target's weights exceed
+            /// the `16 + 2n` budget: only the budget escalates them.
+            OverBudget,
+        }
         let metric = DistanceMetric::L1;
-        // Duplicate sites force some targets past the shared rung-0
-        // factorization into the per-target jitter ladder.
-        let site_sets: Vec<Vec<Vec<f64>>> = vec![
-            vec![vec![0.0], vec![2.0], vec![6.0], vec![10.0]],
-            vec![vec![1.0], vec![1.0], vec![3.0], vec![8.0]],
-        ];
+        let gaussian = VariogramModel::gaussian(0.0, 1.5, 4.0).unwrap();
+        let row =
+            |step: f64| -> Vec<Vec<f64>> { (0..8).map(|i| vec![f64::from(i) * step]).collect() };
         let targets: Vec<Vec<f64>> = vec![vec![4.0], vec![1.5], vec![9.0], vec![2.0], vec![0.25]];
-        for sites in &site_sets {
+        let far: Vec<Vec<f64>> = vec![vec![4.0], vec![9.0], vec![2.0]];
+        let cases = [
+            (
+                model(),
+                vec![vec![0.0], vec![2.0], vec![6.0], vec![10.0]],
+                &targets,
+                Rung0::Mixed,
+            ),
+            // Duplicate sites force some targets past the shared rung-0
+            // factorization into the per-target jitter ladder.
+            (
+                model(),
+                vec![vec![1.0], vec![1.0], vec![3.0], vec![8.0]],
+                &targets,
+                Rung0::Mixed,
+            ),
+            // Eight near-duplicate sites x = 0, 0.01, …, 0.07 under a smooth
+            // Gaussian model. Its first jittered rungs factor with weight
+            // mass in the thousands; a ladder without the budget accepts
+            // them and answers far off the kriged value.
+            (gaussian, row(0.01), &far, Rung0::Singular),
+            // The same row spread to x = 0, 0.2, …, 1.4.
+            (gaussian, row(0.2), &far, Rung0::OverBudget),
+        ];
+        for (m, sites, targets, rung0) in &cases {
             let n = sites.len();
+            let budget = 16.0 + 2.0 * n as f64;
             let gamma = |i: usize, j: usize| {
                 if j < n {
                     m.evaluate(metric.eval(&sites[i], &sites[j]))
@@ -696,9 +668,13 @@ mod tests {
             let mut group = KrigingScratch::new();
             group.solve_group_with(n, targets.len(), gamma).unwrap();
             assert_eq!(group.group_len(), targets.len());
+            if *rung0 != Rung0::Mixed {
+                let factors = LdltWorkspace::new().factor(&group.base, n + 1).is_ok();
+                assert_eq!(factors, *rung0 == Rung0::OverBudget, "sites {sites:?}");
+            }
             for (t, target) in targets.iter().enumerate() {
                 let mut single = KrigingScratch::new();
-                solve_points_into(&mut single, sites, target, &m, metric).unwrap();
+                solve_points_into(&mut single, sites, target, m, metric).unwrap();
                 assert!(group.group_ok(t));
                 let gw: Vec<u64> = group.group_weights(t).iter().map(|w| w.to_bits()).collect();
                 let sw: Vec<u64> = single.weights().iter().map(|w| w.to_bits()).collect();
@@ -713,6 +689,11 @@ mod tests {
                     group.group_variance(t).to_bits(),
                     single.variance().to_bits()
                 );
+                let mass: f64 = single.weights().iter().map(|w| w.abs()).sum();
+                assert!(mass <= budget, "Σ|μ| = {mass} at target {target:?}");
+                if *rung0 != Rung0::Mixed {
+                    assert!(single.jitter_retries() > 0, "target {target:?}");
+                }
             }
         }
     }

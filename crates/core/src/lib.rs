@@ -83,8 +83,3 @@ pub use variogram::{ModelSelection, VariogramModel};
 /// error-source grid indices for the sensitivity benchmark. All the paper's
 /// optimizers walk integer lattices.
 pub type Config = Vec<i32>;
-
-/// Converts an integer configuration to the `f64` point kriging operates on.
-pub(crate) fn config_to_point(config: &[i32]) -> Vec<f64> {
-    config.iter().map(|&x| f64::from(x)).collect()
-}

@@ -467,7 +467,7 @@ mod tests {
                         acc.sync(&configs[..n], &values[..n]);
                         let sites: Vec<Vec<f64>> = configs[..n]
                             .iter()
-                            .map(|c| crate::config_to_point(c))
+                            .map(|c| c.iter().map(|&x| f64::from(x)).collect())
                             .collect();
                         let batch = EmpiricalVariogram::from_samples(
                             &sites, &values[..n], metric, 1.0);

@@ -1,7 +1,8 @@
 //! Verifies the zero-allocation contract: once the hybrid evaluator's
 //! buffers are warm, a kriged `evaluate` — recalled from the memo or
-//! solved and kept in it — or a cached one, with or without a metrics
-//! bundle attached, performs no heap allocation at all.
+//! solved and kept in it, escalated through the jitter ladder or not — or
+//! a cached one, with or without a metrics bundle attached, performs no
+//! heap allocation at all.
 //!
 //! A counting global allocator wraps `System`; the file holds exactly one
 //! test so no concurrent test thread can pollute the counter.
@@ -155,4 +156,35 @@ fn steady_state_kriged_evaluate_allocates_nothing() {
     }
     assert_eq!(hybrid.stats().cache_hits, 13);
     assert_eq!(registry.snapshot().counter("hybrid_kriged_total"), Some(13));
+
+    // A kriged query whose jitter-free system is rejected (singular, or
+    // over the weight budget) escalates through the jitter ladder. Under a
+    // linear variogram the L1 lattice neighbourhoods past the grid's
+    // `a = 9` edge are such systems. Once one escalation has warmed the
+    // scratch, fresh escalated solves allocate nothing either.
+    let settings = HybridSettings {
+        variogram: VariogramPolicy::Fixed(VariogramModel::linear(1.0)),
+        ..HybridSettings::default()
+    };
+    let mut hybrid = HybridEvaluator::new(smooth_eval(), settings);
+    for a in 4..10 {
+        for b in 4..9 {
+            hybrid.record_observation(&vec![a, b], f64::from(6 * (a + b)));
+        }
+    }
+    let warm: Config = vec![10, 6];
+    for _ in 0..3 {
+        assert_eq!(hybrid.evaluate(&warm).unwrap().source(), Source::Kriged);
+    }
+    let escalated: Vec<Config> = [7, 5, 8, 4].map(|b| vec![10, b]).to_vec();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for config in &escalated {
+        assert_eq!(hybrid.evaluate(config).unwrap().source(), Source::Kriged);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state escalated kriged evaluate must not allocate"
+    );
 }

@@ -3,7 +3,7 @@
 //! downstream users rely on implicitly).
 
 use krigeval_core::hybrid::{HybridSettings, HybridStats, VariogramPolicy};
-use krigeval_core::kriging::{KrigingEstimator, Prediction, SimpleKrigingEstimator};
+use krigeval_core::kriging::{KrigingEstimator, KrigingScratch, Prediction};
 use krigeval_core::neighbors::NeighborIndex;
 use krigeval_core::report::{Table, TableRow};
 use krigeval_core::trace::{OptimizationTrace, Source, Step};
@@ -15,7 +15,7 @@ fn assert_send_sync<T: Send + Sync>() {}
 #[test]
 fn public_types_are_send_and_sync() {
     assert_send_sync::<KrigingEstimator>();
-    assert_send_sync::<SimpleKrigingEstimator>();
+    assert_send_sync::<KrigingScratch>();
     assert_send_sync::<Prediction>();
     assert_send_sync::<VariogramModel>();
     assert_send_sync::<EmpiricalVariogram>();

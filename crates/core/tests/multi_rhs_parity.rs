@@ -1,22 +1,18 @@
-//! Multi-RHS parity suite: the factor-once/solve-many batch paths must be
-//! **bitwise identical** to their single-target counterparts.
+//! Multi-RHS parity suite: the factor-once/solve-many group solve must be
+//! **bitwise identical** to single-target solves.
 //!
-//! Three layers are pinned, bottom-up:
-//!
-//! * [`KrigingScratch::solve_group_with`] vs sequential
-//!   [`KrigingScratch::solve_with`] over arbitrary neighbour-set groupings
-//!   (random site pools, random group partitions, duplicate sites that
-//!   force the jitter ladder);
-//! * [`FactoredKriging::predict_many`] vs per-target
-//!   [`FactoredKriging::predict`], including padded target strides;
-//! * [`KrigingEstimator::predict_batch`] vs per-target
-//!   [`KrigingEstimator::predict`].
+//! [`KrigingScratch::solve_group_with`] is the only multi-target solve: the
+//! hybrid evaluator's commit calls it for every neighbour-set group, and a
+//! single `evaluate` is a group of one. It is pinned against sequential
+//! [`KrigingScratch::solve_with`] over arbitrary neighbour-set groupings
+//! (random site pools, random group partitions, duplicate sites that force
+//! the jitter ladder) on every output, the variance σ² included.
 //!
 //! Identity, not closeness: every assertion compares `f64::to_bits`. The
 //! batch path walks the same pivot sequence with the same operand order,
 //! so there is no legitimate source of drift — any mismatch is a bug.
 
-use krigeval_core::kriging::{FactoredKriging, KrigingEstimator, KrigingScratch};
+use krigeval_core::kriging::KrigingScratch;
 use krigeval_core::variogram::VariogramModel;
 use krigeval_core::DistanceMetric;
 use proptest::prelude::*;
@@ -151,72 +147,6 @@ proptest! {
                     group_scratch.group_variance(t).to_bits()
                 );
             }
-        }
-    }
-
-    /// `FactoredKriging::predict_many` over a padded flat slab is bitwise
-    /// identical to per-target `predict` calls.
-    #[test]
-    fn factored_predict_many_matches_predict(
-        sites in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..12.0, 3usize), 2..10),
-        targets in proptest::collection::vec(
-            proptest::collection::vec(-2.0f64..14.0, 3usize), 1..8),
-        pad in 0usize..3,
-        model_pick in 0usize..4,
-        metric_pick in 0usize..3,
-    ) {
-        let values: Vec<f64> = (0..sites.len()).map(|i| 1.0 + i as f64).collect();
-        let targets_nested = targets;
-        let fk = FactoredKriging::new(
-            pick_model(model_pick),
-            pick_metric(metric_pick),
-            sites,
-            values,
-        );
-        let Ok(fk) = fk else {
-            // Degenerate random site sets may be unfactorizable; nothing
-            // to compare in that case.
-            return Ok(());
-        };
-        let stride = 3 + pad;
-        let mut slab = Vec::with_capacity(targets_nested.len() * stride);
-        for t in &targets_nested {
-            slab.extend_from_slice(t);
-            slab.extend(std::iter::repeat_n(f64::NAN, pad));
-        }
-        let many = fk.predict_many(&slab, stride).expect("valid slab");
-        prop_assert_eq!(many.len(), targets_nested.len());
-        for (t, p) in targets_nested.iter().zip(&many) {
-            let single = fk.predict(t).expect("factored predict succeeds");
-            prop_assert_eq!(single.value.to_bits(), p.value.to_bits());
-            prop_assert_eq!(single.variance.to_bits(), p.variance.to_bits());
-            for (a, b) in single.weights.iter().zip(&p.weights) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    /// The estimator-level batch entry point keeps the same contract.
-    #[test]
-    fn estimator_predict_batch_matches_predict(
-        sites in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..10.0, 2usize), 2..8),
-        targets in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..10.0, 2usize), 1..6),
-        model_pick in 0usize..4,
-    ) {
-        let est = KrigingEstimator::new(pick_model(model_pick));
-        let values: Vec<f64> = (0..sites.len()).map(|i| 0.5 * i as f64).collect();
-        let batch = est.predict_batch(&sites, &values, &targets);
-        let Ok(batch) = batch else { return Ok(()); };
-        prop_assert_eq!(batch.len(), targets.len());
-        for (t, p) in targets.iter().zip(&batch) {
-            let single = est
-                .predict(&sites, &values, t)
-                .expect("single predict succeeds");
-            prop_assert_eq!(single.value.to_bits(), p.value.to_bits());
-            prop_assert_eq!(single.variance.to_bits(), p.variance.to_bits());
         }
     }
 }

@@ -28,12 +28,6 @@ pub enum LinalgError {
         /// Pivot index at which elimination broke down.
         pivot: usize,
     },
-    /// Cholesky factorization found a non-positive pivot: the matrix is not
-    /// positive definite.
-    NotPositiveDefinite {
-        /// Column index of the offending pivot.
-        column: usize,
-    },
     /// A matrix dimension was zero where a non-empty matrix is required.
     Empty,
     /// A value that must be finite was NaN or infinite.
@@ -53,9 +47,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::Singular { pivot } => {
                 write!(f, "matrix is singular at pivot {pivot}")
-            }
-            LinalgError::NotPositiveDefinite { column } => {
-                write!(f, "matrix is not positive definite at column {column}")
             }
             LinalgError::Empty => write!(f, "matrix must be non-empty"),
             LinalgError::NonFinite { row, col } => {
@@ -80,7 +71,6 @@ mod tests {
             }
             .to_string(),
             LinalgError::Singular { pivot: 1 }.to_string(),
-            LinalgError::NotPositiveDefinite { column: 0 }.to_string(),
             LinalgError::Empty.to_string(),
             LinalgError::NonFinite { row: 0, col: 1 }.to_string(),
         ];

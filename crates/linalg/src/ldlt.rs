@@ -9,9 +9,8 @@
 //! diagonal pivot blocks. It preserves symmetry (half the flops of LU on
 //! the same matrix) and is backward stable on exactly this matrix class.
 //!
-//! Unlike [`crate::LuDecomposition`], which allocates a fresh factor per
-//! system, [`LdltWorkspace`] is a **caller-owned scratch**: buffers are
-//! grown once and reused across factorizations, so a steady-state caller
+//! [`LdltWorkspace`] is a **caller-owned scratch**: buffers are grown
+//! once and reused across factorizations, so a steady-state caller
 //! (the hybrid evaluator solving thousands of small kriging systems)
 //! performs zero heap allocations after warm-up.
 //!
@@ -66,7 +65,7 @@ pub struct LdltWorkspace {
 
 impl LdltWorkspace {
     /// Relative pivot threshold below which the matrix is declared
-    /// singular (matches [`crate::LuDecomposition`]'s tolerance).
+    /// singular (the test-only LU reference uses the same tolerance).
     const SINGULAR_TOL: f64 = 1e-13;
 
     /// Creates an empty workspace; buffers are allocated lazily by

@@ -13,9 +13,8 @@
 //! diagonal), so kriging solves it with the Bunch–Kaufman LDLᵀ
 //! factorization of [`LdltWorkspace`]: symmetric pivoting that suits this
 //! matrix class, over reusable buffers that make steady-state solves
-//! allocation-free. [`LuDecomposition`] (partial pivoting) is a general
-//! dense solver, [`Cholesky`] serves covariance-form kriging and tests, and
-//! [`QrDecomposition`] backs the least-squares variogram-model fit.
+//! allocation-free. [`QrDecomposition`] backs the least-squares
+//! variogram-model fit. These are the crate's only two solvers.
 //!
 //! The crate is deliberately dependency-free: the Rust Gaussian-process /
 //! geostatistics ecosystem is thin, so everything the paper reproduction
@@ -50,18 +49,18 @@
 // clearest form for them.
 #![allow(clippy::needless_range_loop)]
 
-mod cholesky;
 mod error;
 pub mod ldlt;
-pub mod lu;
+#[cfg(test)]
+mod lu;
 mod matrix;
 pub mod qr;
 mod vector;
 
-pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use ldlt::LdltWorkspace;
-pub use lu::{lu_solve, LuDecomposition};
+#[cfg(test)]
+use lu::lu_solve;
 pub use matrix::Matrix;
 pub use qr::{least_squares, QrDecomposition};
 pub use vector::{dot, norm_l1, norm_l2, norm_linf};

@@ -1,466 +1,64 @@
-//! LU decomposition with partial pivoting.
-//!
-//! This is the solver the kriging system actually uses: the ordinary-kriging
-//! matrix Γ (paper Eq. 9) is symmetric *indefinite* — its last diagonal entry
-//! is the zero of the Lagrange row — so Cholesky cannot be applied and
-//! pivoting is mandatory.
+//! Dense LU with partial pivoting: the reference solver the LDLᵀ and QR
+//! tests compare against. Compiled for tests only.
 
 use crate::{LinalgError, Matrix};
 
-/// LU decomposition `P·A = L·U` with partial (row) pivoting.
-///
-/// Follows the compact Crout/Doolittle scheme of *Numerical Recipes in C*
-/// §2.3 — the reference the paper cites (\[20\]) for its kriging
-/// implementation — storing `L` (unit diagonal, implicit) and `U` in a single
-/// matrix.
-///
-/// # Examples
-///
-/// ```
-/// use krigeval_linalg::{Matrix, LuDecomposition};
-///
-/// # fn main() -> Result<(), krigeval_linalg::LinalgError> {
-/// // A kriging-like saddle system: zero in the bottom-right corner.
-/// let a = Matrix::from_rows(&[
-///     &[0.0, 1.0, 1.0],
-///     &[1.0, 0.0, 1.0],
-///     &[1.0, 1.0, 0.0],
-/// ])?;
-/// let lu = LuDecomposition::new(&a)?;
-/// let x = lu.solve(&[2.0, 2.0, 2.0])?;
-/// for xi in &x {
-///     assert!((xi - 1.0).abs() < 1e-12);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct LuDecomposition {
-    lu: Matrix,
-    /// `perm[i]` is the original row index now stored in row `i`.
-    perm: Vec<usize>,
-    /// Parity of the permutation: +1.0 or -1.0, used by `det`.
-    sign: f64,
-}
+/// Relative pivot threshold below which the matrix is declared singular
+/// (the same tolerance as [`crate::LdltWorkspace`]).
+const SINGULAR_TOL: f64 = 1e-13;
 
-impl LuDecomposition {
-    /// Relative pivot threshold below which the matrix is declared singular.
-    const SINGULAR_TOL: f64 = 1e-13;
-
-    /// Factorizes `a`.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::ShapeMismatch`] if `a` is not square.
-    /// * [`LinalgError::Empty`] if `a` is 0×0.
-    /// * [`LinalgError::NonFinite`] if `a` contains NaN/∞.
-    /// * [`LinalgError::Singular`] if a pivot is (numerically) zero.
-    pub fn new(a: &Matrix) -> Result<LuDecomposition, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::ShapeMismatch {
-                expected: "square matrix".into(),
-                actual: format!("{}x{}", a.rows(), a.cols()),
-            });
-        }
-        let n = a.rows();
-        if n == 0 {
-            return Err(LinalgError::Empty);
-        }
-        for i in 0..n {
-            for j in 0..n {
-                if !a[(i, j)].is_finite() {
-                    return Err(LinalgError::NonFinite { row: i, col: j });
-                }
-            }
-        }
-
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
-        let scale = a.max_abs().max(1.0);
-
-        for k in 0..n {
-            // Partial pivoting: pick the largest |entry| in column k at or
-            // below the diagonal.
-            let mut pivot_row = k;
-            let mut pivot_val = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = i;
-                }
-            }
-            if pivot_val <= Self::SINGULAR_TOL * scale {
-                return Err(LinalgError::Singular { pivot: k });
-            }
-            if pivot_row != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(pivot_row, j)];
-                    lu[(pivot_row, j)] = tmp;
-                }
-                perm.swap(k, pivot_row);
-                sign = -sign;
-            }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let factor = lu[(i, k)] / pivot;
-                lu[(i, k)] = factor;
-                for j in (k + 1)..n {
-                    let delta = factor * lu[(k, j)];
-                    lu[(i, j)] -= delta;
-                }
-            }
-        }
-
-        Ok(LuDecomposition { lu, perm, sign })
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.lu.rows()
-    }
-
-    /// Solves `A·x = b` using the stored factors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != self.dim()`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("vector of length {n}"),
-                actual: format!("vector of length {}", b.len()),
-            });
-        }
-        // Forward substitution with the permuted right-hand side (L has a
-        // unit diagonal).
-        let mut x: Vec<f64> = (0..n).map(|i| b[self.perm[i]]).collect();
-        for i in 1..n {
-            let mut sum = x[i];
-            for j in 0..i {
-                sum -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = sum;
-        }
-        // Back substitution with U.
-        for i in (0..n).rev() {
-            let mut sum = x[i];
-            for j in (i + 1)..n {
-                sum -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = sum / self.lu[(i, i)];
-        }
-        Ok(x)
-    }
-
-    /// Solves `A·X = B` column by column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("{n} rows"),
-                actual: format!("{} rows", b.rows()),
-            });
-        }
-        let mut out = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let col = self.solve(&b.col(j))?;
-            for i in 0..n {
-                out[(i, j)] = col[i];
-            }
-        }
-        Ok(out)
-    }
-
-    /// Computes `A⁻¹`.
-    ///
-    /// The kriging estimator (paper Eq. 10) is written `γᵢ · Γ⁻¹ · λ`; in
-    /// practice we solve instead of inverting, but the explicit inverse is
-    /// exposed for tests and for callers that reuse Γ⁻¹ across many
-    /// prediction points.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors (cannot fail for a successfully factored
-    /// matrix of matching size).
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
-
-    /// Determinant of the factored matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-
-    /// Cheap condition estimate: ratio of the largest to smallest |U| pivot.
-    ///
-    /// This is not the true κ(A) but grows with it, and is what the hybrid
-    /// evaluator uses to decide whether a kriging system needs a nugget
-    /// jitter before being trusted.
-    pub fn pivot_ratio(&self) -> f64 {
-        let mut max = 0.0f64;
-        let mut min = f64::INFINITY;
-        for i in 0..self.dim() {
-            let p = self.lu[(i, i)].abs();
-            max = max.max(p);
-            min = min.min(p);
-        }
-        if min == 0.0 {
-            f64::INFINITY
-        } else {
-            max / min
-        }
-    }
-}
-
-impl LuDecomposition {
-    /// Solves `A·x = b` with one step of **iterative refinement**: after the
-    /// direct solve, the residual `r = b − A·x` is computed against the
-    /// *original* matrix and a correction `A·δ = r` is solved and applied.
-    /// One step typically recovers most of the accuracy lost to an
-    /// ill-conditioned factorization — useful for kriging systems built
-    /// from near-plateau variograms.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::ShapeMismatch`] if `a`'s shape or `b`'s length does
-    ///   not match the factored system.
-    pub fn solve_refined(&self, a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if a.shape() != (self.dim(), self.dim()) {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("{0}x{0}", self.dim()),
-                actual: format!("{}x{}", a.rows(), a.cols()),
-            });
-        }
-        let mut x = self.solve(b)?;
-        let ax = a.mul_vec(&x)?;
-        let residual: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
-        let correction = self.solve(&residual)?;
-        for (xi, di) in x.iter_mut().zip(&correction) {
-            *xi += di;
-        }
-        Ok(x)
-    }
-}
-
-/// Convenience: factor and solve `A·x = b` in one call.
+/// Factors `a` as `P·A = L·U` and solves `A·x = b`.
 ///
 /// # Errors
 ///
-/// See [`LuDecomposition::new`] and [`LuDecomposition::solve`].
-///
-/// # Examples
-///
-/// ```
-/// use krigeval_linalg::Matrix;
-///
-/// # fn main() -> Result<(), krigeval_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
-/// let x = krigeval_linalg::lu_solve(&a, &[1.0, 2.0])?;
-/// let r = a.mul_vec(&x)?;
-/// assert!((r[0] - 1.0).abs() < 1e-12 && (r[1] - 2.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    LuDecomposition::new(a)?.solve(b)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
-        a.mul_vec(x)
-            .unwrap()
-            .iter()
-            .zip(b)
-            .map(|(r, t)| (r - t).abs())
-            .fold(0.0, f64::max)
-    }
-
-    #[test]
-    fn solves_well_conditioned_system() {
-        let a =
-            Matrix::from_rows(&[&[4.0, -2.0, 1.0], &[-2.0, 4.0, -2.0], &[1.0, -2.0, 4.0]]).unwrap();
-        let b = [11.0, -16.0, 17.0];
-        let x = lu_solve(&a, &b).unwrap();
-        assert!(residual(&a, &x, &b) < 1e-10);
-    }
-
-    #[test]
-    fn solves_saddle_point_system_requiring_pivoting() {
-        // Leading zero pivot: plain Gaussian elimination without pivoting
-        // would divide by zero. This is exactly the kriging Γ layout when the
-        // first data site coincides in the variogram sense (γ(0) = 0).
-        let a = Matrix::from_rows(&[&[0.0, 1.5, 1.0], &[1.5, 0.0, 1.0], &[1.0, 1.0, 0.0]]).unwrap();
-        let b = [2.5, 2.5, 2.0];
-        let x = lu_solve(&a, &b).unwrap();
-        assert!(residual(&a, &x, &b) < 1e-10);
-    }
-
-    #[test]
-    fn detects_singularity() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        assert!(matches!(
-            LuDecomposition::new(&a).unwrap_err(),
-            LinalgError::Singular { .. }
-        ));
-    }
-
-    #[test]
-    fn rejects_non_square_and_empty() {
-        assert!(matches!(
-            LuDecomposition::new(&Matrix::zeros(2, 3)).unwrap_err(),
-            LinalgError::ShapeMismatch { .. }
-        ));
-    }
-
-    #[test]
-    fn rejects_non_finite() {
-        let mut a = Matrix::identity(2);
-        a[(0, 1)] = f64::NAN;
-        assert!(matches!(
-            LuDecomposition::new(&a).unwrap_err(),
-            LinalgError::NonFinite { row: 0, col: 1 }
-        ));
-    }
-
-    #[test]
-    fn determinant_matches_hand_computation() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!((lu.det() - (-2.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_of_identity_is_one() {
-        let lu = LuDecomposition::new(&Matrix::identity(5)).unwrap();
-        assert!((lu.det() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_times_original_is_identity() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 2.0]]).unwrap();
-        let inv = LuDecomposition::new(&a).unwrap().inverse().unwrap();
-        let prod = a.mul(&inv).unwrap();
-        let err = prod.sub(&Matrix::identity(3)).unwrap().max_abs();
-        assert!(err < 1e-12, "err = {err}");
-    }
-
-    #[test]
-    fn solve_matrix_matches_columnwise_solve() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let lu = LuDecomposition::new(&a).unwrap();
-        let x = lu.solve_matrix(&b).unwrap();
-        let x0 = lu.solve(&[1.0, 0.0]).unwrap();
-        assert!((x[(0, 0)] - x0[0]).abs() < 1e-15);
-        assert!((x[(1, 0)] - x0[1]).abs() < 1e-15);
-    }
-
-    #[test]
-    fn solve_rejects_wrong_length() {
-        let lu = LuDecomposition::new(&Matrix::identity(3)).unwrap();
-        assert!(lu.solve(&[1.0, 2.0]).is_err());
-        assert!(lu.solve_matrix(&Matrix::zeros(2, 2)).is_err());
-    }
-
-    #[test]
-    fn refined_solve_is_at_least_as_accurate() {
-        // An ill-conditioned (but solvable) system.
-        let a = Matrix::from_rows(&[
-            &[1.0, 1.0, 1.0],
-            &[1.0, 1.0 + 1e-8, 1.0],
-            &[1.0, 1.0, 1.0 + 1e-8],
-        ])
-        .unwrap();
-        let x_true = [1.0, 2.0, 3.0];
-        let b = a.mul_vec(&x_true).unwrap();
-        let lu = LuDecomposition::new(&a).unwrap();
-        let x_plain = lu.solve(&b).unwrap();
-        let x_refined = lu.solve_refined(&a, &b).unwrap();
-        let err = |x: &[f64]| -> f64 { residual(&a, x, &b) };
-        assert!(err(&x_refined) <= err(&x_plain) + 1e-12);
-        assert!(err(&x_refined) < 1e-8);
-    }
-
-    #[test]
-    fn refined_solve_validates_shapes() {
-        let a = Matrix::identity(3);
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!(lu
-            .solve_refined(&Matrix::identity(2), &[1.0, 2.0, 3.0])
-            .is_err());
-        assert!(lu.solve_refined(&a, &[1.0]).is_err());
-    }
-
-    #[test]
-    fn pivot_ratio_is_one_for_identity() {
-        let lu = LuDecomposition::new(&Matrix::identity(4)).unwrap();
-        assert_eq!(lu.pivot_ratio(), 1.0);
-    }
-
-    #[test]
-    fn pivot_ratio_grows_for_ill_conditioned() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1e-9]]).unwrap();
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!(lu.pivot_ratio() > 1e8);
-    }
-
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn well_scaled_matrix(n: usize) -> impl Strategy<Value = Matrix> {
-            proptest::collection::vec(-10.0..10.0f64, n * n).prop_map(move |v| {
-                let mut m = Matrix::from_vec(n, n, v).unwrap();
-                // Diagonal dominance guarantees non-singularity so the
-                // property can focus on accuracy, not singular rejects.
-                for i in 0..n {
-                    let row_sum: f64 = m.row(i).iter().map(|x| x.abs()).sum();
-                    m[(i, i)] = row_sum + 1.0;
-                }
-                m
-            })
+/// [`LinalgError::Singular`] if a pivot is (numerically) zero.
+pub(crate) fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    let n = a.rows();
+    assert_eq!((a.cols(), b.len()), (n, n), "square system expected");
+    let mut lu = a.clone();
+    let mut x = b.to_vec();
+    let scale = a.max_abs().max(1.0);
+    for k in 0..n {
+        // Partial pivoting: the largest |entry| in column k at or below
+        // the diagonal.
+        let mut pivot_row = k;
+        for i in (k + 1)..n {
+            if lu[(i, k)].abs() > lu[(pivot_row, k)].abs() {
+                pivot_row = i;
+            }
         }
-
-        proptest! {
-            #[test]
-            fn lu_solve_residual_is_tiny(
-                a in well_scaled_matrix(5),
-                b in proptest::collection::vec(-10.0..10.0f64, 5),
-            ) {
-                let x = lu_solve(&a, &b).unwrap();
-                prop_assert!(residual(&a, &x, &b) < 1e-8);
+        if lu[(pivot_row, k)].abs() <= SINGULAR_TOL * scale {
+            return Err(LinalgError::Singular { pivot: k });
+        }
+        if pivot_row != k {
+            for j in 0..n {
+                let tmp = lu[(k, j)];
+                lu[(k, j)] = lu[(pivot_row, j)];
+                lu[(pivot_row, j)] = tmp;
             }
-
-            #[test]
-            fn inverse_round_trips(a in well_scaled_matrix(4)) {
-                let inv = LuDecomposition::new(&a).unwrap().inverse().unwrap();
-                let err = a.mul(&inv).unwrap()
-                    .sub(&Matrix::identity(4)).unwrap()
-                    .max_abs();
-                prop_assert!(err < 1e-8);
-            }
-
-            #[test]
-            fn det_of_transpose_matches(a in well_scaled_matrix(4)) {
-                let d1 = LuDecomposition::new(&a).unwrap().det();
-                let d2 = LuDecomposition::new(&a.transpose()).unwrap().det();
-                prop_assert!((d1 - d2).abs() <= 1e-6 * d1.abs().max(1.0));
+            x.swap(k, pivot_row);
+        }
+        for i in (k + 1)..n {
+            let factor = lu[(i, k)] / lu[(k, k)];
+            lu[(i, k)] = factor;
+            for j in (k + 1)..n {
+                let delta = factor * lu[(k, j)];
+                lu[(i, j)] -= delta;
             }
         }
     }
+    // Forward substitution with the unit-diagonal L, then back
+    // substitution with U.
+    for i in 1..n {
+        for j in 0..i {
+            x[i] -= lu[(i, j)] * x[j];
+        }
+    }
+    for i in (0..n).rev() {
+        for j in (i + 1)..n {
+            x[i] -= lu[(i, j)] * x[j];
+        }
+        x[i] /= lu[(i, i)];
+    }
+    Ok(x)
 }

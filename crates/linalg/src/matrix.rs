@@ -5,11 +5,10 @@ use std::ops::{Index, IndexMut};
 
 use crate::LinalgError;
 
-/// Dense, row-major, `f64` matrix.
-///
-/// This is the only matrix representation in the workspace; kriging systems
-/// are small (tens of neighbours), so a contiguous `Vec<f64>` with row-major
-/// indexing is both simple and cache-friendly.
+/// Dense, row-major, `f64` matrix: the input of [`crate::QrDecomposition`]
+/// in the variogram fit. The kriging solve works on flat row-major slices
+/// in [`crate::LdltWorkspace`] instead. Both are small, so a contiguous
+/// `Vec<f64>` with row-major indexing is both simple and cache-friendly.
 ///
 /// # Examples
 ///
@@ -17,9 +16,8 @@ use crate::LinalgError;
 /// use krigeval_linalg::Matrix;
 ///
 /// # fn main() -> Result<(), krigeval_linalg::LinalgError> {
-/// let a = Matrix::identity(3);
-/// let b = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]])?;
-/// assert_eq!(a.mul(&b)?, b);
+/// let b = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]])?;
+/// assert_eq!(b.mul_vec(&[1.0, 1.0, 1.0])?, vec![6.0, 15.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -127,28 +125,6 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
-    /// Builds a matrix by evaluating `f(i, j)` at every position.
-    ///
-    /// This is the constructor the kriging solver uses to assemble the Γ
-    /// matrix of semi-variogram values (Eq. 9 of the paper).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use krigeval_linalg::Matrix;
-    /// let m = Matrix::from_fn(2, 2, |i, j| (i + j) as f64);
-    /// assert_eq!(m[(1, 1)], 2.0);
-    /// ```
-    pub fn from_fn<F: FnMut(usize, usize) -> f64>(rows: usize, cols: usize, mut f: F) -> Matrix {
-        let mut m = Matrix::zeros(rows, cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                m[(i, j)] = f(i, j);
-            }
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -164,11 +140,6 @@ impl Matrix {
         (self.rows, self.cols)
     }
 
-    /// `true` if the matrix is square.
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
-    }
-
     /// Borrows row `i` as a slice.
     ///
     /// # Panics
@@ -181,34 +152,6 @@ impl Matrix {
             self.rows
         );
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutably borrows row `i` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(
-            i < self.rows,
-            "row {i} out of bounds for {} rows",
-            self.rows
-        );
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copies column `j` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(
-            j < self.cols,
-            "col {j} out of bounds for {} cols",
-            self.cols
-        );
-        (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
     /// Flat row-major view of the data.
@@ -231,34 +174,13 @@ impl Matrix {
     /// # }
     /// ```
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// Matrix product `self · rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn mul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("{} rows", self.cols),
-                actual: format!("{} rows", rhs.rows),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut t = Matrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
+            for j in 0..self.cols {
+                t[(j, i)] = self[(i, j)];
             }
         }
-        Ok(out)
+        t
     }
 
     /// Matrix–vector product `self · v`.
@@ -278,33 +200,6 @@ impl Matrix {
             .collect())
     }
 
-    /// Element-wise sum `self + rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] on shape disagreement.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        self.zip_with(rhs, |a, b| a + b)
-    }
-
-    /// Element-wise difference `self - rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] on shape disagreement.
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        self.zip_with(rhs, |a, b| a - b)
-    }
-
-    /// Multiplies every element by `s`.
-    pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| x * s).collect(),
-        }
-    }
-
     /// Maximum absolute element, or 0 for an all-zero matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
@@ -313,45 +208,6 @@ impl Matrix {
     /// `true` if every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
-    }
-
-    /// Checks whether `self` is symmetric to within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    fn zip_with<F: Fn(f64, f64) -> f64>(&self, rhs: &Matrix, f: F) -> Result<Matrix, LinalgError> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("{}x{}", self.rows, self.cols),
-                actual: format!("{}x{}", rhs.rows, rhs.cols),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| f(*a, *b))
-                .collect(),
-        })
     }
 }
 
@@ -457,27 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_matches_hand_computation() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        let c = a.mul(&b).unwrap();
-        assert_eq!(
-            c,
-            Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]).unwrap()
-        );
-    }
-
-    #[test]
-    fn mul_shape_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(matches!(
-            a.mul(&b).unwrap_err(),
-            LinalgError::ShapeMismatch { .. }
-        ));
-    }
-
-    #[test]
     fn mul_vec_matches() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(a.mul_vec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
@@ -485,28 +320,9 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = a.scale(2.0);
-        assert_eq!(a.add(&a).unwrap(), b);
-        assert_eq!(b.sub(&a).unwrap(), a);
-        assert!(a.add(&Matrix::zeros(3, 3)).is_err());
-    }
-
-    #[test]
-    fn symmetry_check() {
-        let s = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
-        assert!(s.is_symmetric(0.0));
-        let ns = Matrix::from_rows(&[&[2.0, 1.0], &[0.5, 3.0]]).unwrap();
-        assert!(!ns.is_symmetric(1e-9));
-        assert!(!Matrix::zeros(2, 3).is_symmetric(1.0));
-    }
-
-    #[test]
-    fn row_and_col_access() {
+    fn row_access() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.col(0), vec![1.0, 3.0]);
     }
 
     #[test]
@@ -517,9 +333,8 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_finiteness() {
+    fn max_abs_and_finiteness() {
         let m = Matrix::from_rows(&[&[3.0, -4.0]]).unwrap();
-        assert_eq!(m.frobenius_norm(), 5.0);
         assert_eq!(m.max_abs(), 4.0);
         assert!(m.is_finite());
         let mut bad = m.clone();

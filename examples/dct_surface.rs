@@ -1,13 +1,13 @@
-//! Surface reconstruction with factored kriging on the DCT kernel
-//! (extension example): measure a coarse word-length grid by simulation,
-//! factor one kriging system, and reconstruct the full accuracy surface —
-//! the Figure-1 workflow at a fraction of the simulations.
+//! Surface reconstruction by kriging on the DCT kernel (extension
+//! example): measure a coarse word-length grid by simulation, identify the
+//! variogram, and krige every point of the full accuracy surface — the
+//! Figure-1 workflow at a fraction of the simulations.
 //!
 //! ```text
 //! cargo run --release --example dct_surface
 //! ```
 
-use krigeval::core::kriging::FactoredKriging;
+use krigeval::core::kriging::KrigingEstimator;
 use krigeval::core::variogram::{fit_model, EmpiricalVariogram, ModelFamily};
 use krigeval::core::{DistanceMetric, VariogramModel};
 use krigeval::kernels::dct::DctBenchmark;
@@ -19,17 +19,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let coarse: Vec<i32> = (4..=16).step_by(3).collect();
 
     // 1. Simulate the coarse grid only.
-    let mut sites = Vec::new();
     let mut configs = Vec::new();
     let mut values = Vec::new();
     for &a in &coarse {
         for &b in &coarse {
-            sites.push(vec![f64::from(a), f64::from(b)]);
             configs.push(vec![a, b]);
             values.push(bench.accuracy_db(&[a, b, 16, 16])?);
         }
     }
-    println!("simulated {} coarse configurations", sites.len());
+    println!("simulated {} coarse configurations", configs.len());
 
     // 2. Identify the variogram from those measurements.
     let emp = EmpiricalVariogram::from_configs(&configs, &values, DistanceMetric::L1)?;
@@ -38,14 +36,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|_| VariogramModel::linear(3.0));
     println!("identified a {} variogram", model.family_name());
 
-    // 3. Factor once, reconstruct the full 13×13 surface.
-    let fk = FactoredKriging::new(model, DistanceMetric::L1, sites, values)?;
+    // 3. Krige the full 13×13 surface from the coarse measurements.
+    let estimator = KrigingEstimator::new(model);
     let mut worst = 0.0f64;
     let mut shown = 0;
     println!("\n w_a w_b   kriged     true      err(bits)");
     for a in 4..=16 {
         for b in 4..=16 {
-            let p = fk.predict(&[f64::from(a), f64::from(b)])?;
+            let p = estimator.predict_config(&configs, &values, &[a, b])?;
             let truth = bench.accuracy_db(&[a, b, 16, 16])?;
             let err_bits = (p.value - truth).abs() / (10.0 * 2f64.log10());
             worst = worst.max(err_bits);
@@ -60,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\nreconstructed 169 points from {} simulations; worst error {worst:.2} bits",
-        fk.num_sites()
+        configs.len()
     );
     Ok(())
 }

@@ -3,8 +3,8 @@
 //!
 //! This umbrella crate re-exports the whole workspace behind one dependency:
 //!
-//! * [`linalg`] — dense linear algebra (LU/Cholesky/QR) backing the kriging
-//!   solver.
+//! * [`linalg`] — dense linear algebra: the Bunch–Kaufman LDLᵀ that solves
+//!   the kriging system and the QR least squares of the variogram fit.
 //! * [`fixedpoint`] — Q-format quantization and the noise-power / error
 //!   metrics of the paper (Eqs. 11–12).
 //! * [`kernels`] — the four word-length benchmarks (FIR, IIR, FFT, HEVC
@@ -67,7 +67,7 @@ pub mod prelude {
     pub use krigeval_core::hybrid::{
         AuditMetric, HybridEvaluator, HybridSettings, VariogramPolicy,
     };
-    pub use krigeval_core::kriging::{FactoredKriging, KrigingEstimator, SimpleKrigingEstimator};
+    pub use krigeval_core::kriging::KrigingEstimator;
     pub use krigeval_core::opt::cost::CostModel;
     pub use krigeval_core::opt::descent::{budget_error_sources, DescentOptions};
     pub use krigeval_core::opt::maxminusone::{optimize_descending, MaxMinusOneOptions};

@@ -1,9 +1,9 @@
 //! Integration tests for the reproduction's extension features: the
-//! quantized-CNN word-length benchmark, the max−1 optimizer, simple
-//! kriging, factored kriging and the DCT kernel.
+//! quantized-CNN word-length benchmark, the max−1 optimizer, surface
+//! reconstruction by kriging and the DCT kernel.
 
 use krigeval::core::hybrid::{HybridEvaluator, HybridSettings};
-use krigeval::core::kriging::{FactoredKriging, KrigingEstimator, SimpleKrigingEstimator};
+use krigeval::core::kriging::KrigingEstimator;
 use krigeval::core::opt::maxminusone::{optimize_descending, MaxMinusOneOptions};
 use krigeval::core::opt::minplusone::{optimize, MinPlusOneOptions};
 use krigeval::core::opt::SimulateAll;
@@ -72,7 +72,7 @@ fn quantized_cnn_wordlength_optimization_end_to_end() {
 }
 
 #[test]
-fn simple_and_ordinary_kriging_both_interpolate_dct_accuracy() {
+fn ordinary_kriging_interpolates_dct_accuracy() {
     let bench = DctBenchmark::new(8, 0xDC78);
     let mut configs = Vec::new();
     let mut values = Vec::new();
@@ -82,9 +82,7 @@ fn simple_and_ordinary_kriging_both_interpolate_dct_accuracy() {
             values.push(bench.accuracy_db(&[a, b, a, b]).unwrap());
         }
     }
-    let mean = values.iter().sum::<f64>() / values.len() as f64;
     let model = VariogramModel::exponential(0.0, 200.0, 12.0).unwrap();
-    let simple = SimpleKrigingEstimator::new(model, mean).unwrap();
     let ordinary = KrigingEstimator::new(model);
     let target = vec![9, 9, 9, 9];
     let truth = bench.accuracy_db(&[9, 9, 9, 9]).unwrap();
@@ -94,18 +92,15 @@ fn simple_and_ordinary_kriging_both_interpolate_dct_accuracy() {
         .filter(|(c, _)| DistanceMetric::L1.eval_config(c, &target) <= 6.0)
         .map(|(c, v)| (c.clone(), *v))
         .unzip();
-    let p_simple = simple.predict_config(&sites, &vals, &target).unwrap();
-    let p_ordinary = ordinary.predict_config(&sites, &vals, &target).unwrap();
-    for (name, p) in [("simple", &p_simple), ("ordinary", &p_ordinary)] {
-        let err_bits = (p.value - truth).abs() / (10.0 * 2f64.log10());
-        assert!(err_bits < 2.0, "{name} kriging off by {err_bits} bits");
-    }
+    let p = ordinary.predict_config(&sites, &vals, &target).unwrap();
+    let err_bits = (p.value - truth).abs() / (10.0 * 2f64.log10());
+    assert!(err_bits < 2.0, "ordinary kriging off by {err_bits} bits");
 }
 
 #[test]
-fn factored_kriging_reconstructs_a_kernel_surface() {
+fn kriging_reconstructs_a_kernel_surface() {
     // Figure-1-style reconstruction: measure a coarse grid, predict the
-    // fine grid with one factorization.
+    // fine grid from it.
     let bench = DctBenchmark::new(8, 0xDC78);
     let mut sites = Vec::new();
     let mut values = Vec::new();
@@ -115,17 +110,13 @@ fn factored_kriging_reconstructs_a_kernel_surface() {
             values.push(bench.accuracy_db(&[a, b, 12, 12]).unwrap());
         }
     }
-    let fk = FactoredKriging::new(
-        VariogramModel::linear(3.0),
-        DistanceMetric::L1,
-        sites,
-        values,
-    )
-    .unwrap();
+    let estimator = KrigingEstimator::new(VariogramModel::linear(3.0));
     let mut worst_bits: f64 = 0.0;
     for a in [7, 9, 11, 13] {
         for b in [7, 9, 11, 13] {
-            let p = fk.predict(&[f64::from(a), f64::from(b)]).unwrap();
+            let p = estimator
+                .predict(&sites, &values, &[f64::from(a), f64::from(b)])
+                .unwrap();
             let truth = bench.accuracy_db(&[a, b, 12, 12]).unwrap();
             worst_bits = worst_bits.max((p.value - truth).abs() / (10.0 * 2f64.log10()));
         }
