@@ -1,7 +1,8 @@
 //! Measures per-evaluation simulation vs kriging times and the projected
 //! refinement speed-ups (§IV prose claims). `t_sim` is a full simulation
 //! pass; `t_step` is a neighbour `w + e_i` of a simulated `w`, which the
-//! CNN benchmarks resume from stored site inputs.
+//! CNN benchmarks resume from stored site inputs and iir8, fft64 and
+//! hevc_mc from stored stage states.
 //!
 //! ```text
 //! timing [--scale fast|paper] [--reps N]

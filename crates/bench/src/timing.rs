@@ -20,12 +20,14 @@ pub struct TimingRow {
     /// Which benchmark.
     pub problem: Problem,
     /// Mean wall-clock of one simulation-based metric evaluation that no
-    /// stored site input can serve: a full pass (seconds).
+    /// stored state can serve: a full pass (seconds).
     pub t_sim: f64,
     /// Mean wall-clock of simulating a neighbour `w + e_i` of a simulated
     /// configuration `w`, over every `i` (seconds) — what an optimizer
     /// step pays. The CNN benchmarks resume such a pass at site `i` when
-    /// `i ≥ 2`; the other benchmarks run a full pass. Reported, not gated.
+    /// `i ≥ 2`; iir8 at the section `i` changes, fft64 at the stage it
+    /// changes, hevc_mc on every path whose filter does not read site
+    /// `i`. fir64, dct8x8 and lms run a full pass. Reported, not gated.
     pub t_step: f64,
     /// Mean wall-clock of one kriging interpolation (seconds).
     pub t_krige: f64,
@@ -53,9 +55,9 @@ impl TimingRow {
 /// Measures mean simulation and kriging times for one benchmark.
 ///
 /// Simulation: `reps` evaluations of a mid-range configuration `w`, each
-/// on a fresh instance built outside the timed region (so no stored site
-/// input serves it), then each rep's `w + e_i` neighbours on the same
-/// instance for [`TimingRow::t_step`].
+/// on a fresh instance built outside the timed region (so no stored state
+/// serves it), then each rep's `w + e_i` neighbours on the same instance
+/// for [`TimingRow::t_step`].
 /// Kriging: `reps` ordinary-kriging solves over `neighbors` sites — the
 /// paper's observed mean neighbourhood is 2–4 sites, so the default of 4
 /// is the honest (slower) end.

@@ -11,8 +11,8 @@
 //!   single [`Tracer`], so executor events (`run_done`, `run_failed`,
 //!   `journal_error`, `resume`) and the per-run hybrid events share one
 //!   monotonic sequence stream.
-//!   With timing enabled it also carries the CNN benchmarks' checkpoint
-//!   resume counts as gauges (`engine_checkpoint_*`, see
+//!   With timing enabled it also carries the resumable benchmarks'
+//!   checkpoint resume counts as gauges (`engine_checkpoint_*`, see
 //!   [`CampaignObs::record_resume_stats`]).
 //! * [`BackendObs`] — worker-pool counters (`backend_*`): batches, jobs,
 //!   shared-cache hits, real simulator evaluations and transient-failure
@@ -33,7 +33,7 @@
 //! sequence numbers.
 
 use krigeval_core::hybrid::HybridObs;
-use krigeval_neural::{ResumeStats, FIRST_CHECKPOINT_SITE};
+use krigeval_fixedpoint::ResumeStats;
 use krigeval_obs::{Counter, Gauge, Histogram, Registry, Tracer};
 
 /// Pre-registered executor metrics plus the campaign-wide tracer.
@@ -143,11 +143,13 @@ impl CampaignObs {
 
     /// Adds one run's checkpoint resume counts to its benchmark's
     /// `engine_checkpoint_*_{benchmark}` gauges: simulations, resumed
-    /// simulations, resumed simulations per start site and stages skipped.
+    /// simulations, stages skipped, and resumed simulations by the stages
+    /// they skipped (`resumed_site{k}`: resumed at site or stage `k`; for
+    /// hevc_mc, `k` of its four filter passes skipped).
     /// Which simulations resume depends on which worker ran which job, so
     /// the counts are timing-only gauges, recorded only with timing
     /// enabled, and never join the deterministic counter snapshot.
-    pub fn record_resume_stats(&self, benchmark: &str, stats: ResumeStats) {
+    pub fn record_resume_stats(&self, benchmark: &str, stats: &ResumeStats) {
         if !self.timing {
             return;
         }
@@ -159,12 +161,7 @@ impl CampaignObs {
         add("simulations", stats.simulations());
         add("resumed", stats.resumed());
         add("stages_skipped", stats.stages_skipped());
-        for (site, &n) in stats
-            .started_at
-            .iter()
-            .enumerate()
-            .skip(FIRST_CHECKPOINT_SITE)
-        {
+        for (site, &n) in stats.started_at.iter().enumerate().skip(1) {
             add(&format!("resumed_site{site}"), n);
         }
     }
@@ -332,16 +329,24 @@ mod tests {
 
     #[test]
     fn resume_counts_are_timing_only_gauges() {
-        let mut stats = ResumeStats::default();
-        stats.started_at[0] = 2;
-        stats.started_at[3] = 5;
+        let mut squeezenet = ResumeStats {
+            started_at: vec![0; 10],
+        };
+        squeezenet.started_at[0] = 2;
+        squeezenet.started_at[3] = 5;
+        // hevc_mc: one full pass, four that skipped three filter passes.
+        let hevc = ResumeStats {
+            started_at: vec![1, 0, 0, 4, 0],
+        };
         let registry = Registry::new();
-        CampaignObs::new(&registry, Tracer::disabled()).record_resume_stats("squeezenet", stats);
+        CampaignObs::new(&registry, Tracer::disabled())
+            .record_resume_stats("squeezenet", &squeezenet);
         assert!(registry.snapshot().gauges.is_empty());
 
         let obs = CampaignObs::new(&registry, Tracer::disabled()).with_timing(true);
-        obs.record_resume_stats("squeezenet", stats);
-        obs.record_resume_stats("squeezenet", stats);
+        obs.record_resume_stats("squeezenet", &squeezenet);
+        obs.record_resume_stats("squeezenet", &squeezenet);
+        obs.record_resume_stats("hevc_mc", &hevc);
         let snap = registry.snapshot();
         let gauge = |name: &str| snap.gauges.iter().find(|(n, _)| n == name).map(|g| g.1);
         assert_eq!(gauge("engine_checkpoint_simulations_squeezenet"), Some(14));
@@ -354,6 +359,12 @@ mod tests {
             gauge("engine_checkpoint_stages_skipped_squeezenet"),
             Some(30)
         );
+        assert_eq!(gauge("engine_checkpoint_simulations_hevc_mc"), Some(5));
+        assert_eq!(gauge("engine_checkpoint_resumed_hevc_mc"), Some(4));
+        assert_eq!(gauge("engine_checkpoint_resumed_site3_hevc_mc"), Some(4));
+        assert_eq!(gauge("engine_checkpoint_resumed_site4_hevc_mc"), Some(0));
+        assert_eq!(gauge("engine_checkpoint_resumed_site5_hevc_mc"), None);
+        assert_eq!(gauge("engine_checkpoint_stages_skipped_hevc_mc"), Some(12));
         assert!(!snap.counters_json().contains("checkpoint"));
     }
 

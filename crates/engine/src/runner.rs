@@ -6,7 +6,8 @@
 //! Each attempt builds its instance once. The pilot and hybrid phases,
 //! every pool worker and the backend's local evaluator get their own
 //! evaluator handle on it ([`ProblemInstance::new_evaluator`]), so they
-//! share one simulator and, for the CNN benchmarks, one checkpoint store.
+//! share one simulator and, for the benchmarks that resume (the CNNs,
+//! iir8, fft64 and hevc_mc), one checkpoint store.
 //!
 //! Every simulation — pilot and hybrid alike — goes through the shared
 //! [`SimCache`], namespaced by `(benchmark, scale, run seed)`: exactly the
@@ -14,6 +15,7 @@
 //! cached (interpolated points must never feed back as kriging data), so
 //! the cache changes wall-clock time only, never results.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -22,8 +24,9 @@ use krigeval_core::hybrid::{HybridEvaluator, HybridSettings, HybridStats, Variog
 use krigeval_core::opt::descent::{budget_error_sources, DescentOptions};
 use krigeval_core::opt::minplusone::{optimize, optimize_with_tie_break, MinPlusOneOptions};
 use krigeval_core::opt::{DseEvaluator, OptError, OptimizationResult, SimulateAll};
+use krigeval_core::trace::Step;
 use krigeval_core::variogram::{fit_model, EmpiricalVariogram, ModelFamily};
-use krigeval_core::{EvalBackend, FiniteGuard, VariogramModel};
+use krigeval_core::{Config, EvalBackend, FiniteGuard, VariogramModel};
 
 use crate::backend::EngineBackend;
 use crate::cache::{CachedEvaluator, SimCache};
@@ -201,21 +204,25 @@ fn pilot_model(
             instance.descent.as_ref(),
         )?
     };
-    // Deduplicate configurations (revisits would create zero-distance pairs).
-    let mut configs: Vec<Vec<i32>> = Vec::new();
-    let mut values: Vec<f64> = Vec::new();
-    for step in &result.trace.steps {
-        if !configs.contains(&step.config) {
-            configs.push(step.config.clone());
-            values.push(step.lambda);
-        }
-    }
+    let (configs, values) = distinct_steps(&result.trace.steps);
     let distinct = configs.len() as u64;
     let model = EmpiricalVariogram::from_configs(&configs, &values, run.metric)
         .and_then(|emp| fit_model(&emp, &ModelFamily::all()))
         .map(|report| report.model)
         .unwrap_or_else(|_| VariogramModel::linear(1.0));
     Ok((model, distinct))
+}
+
+/// The trajectory's distinct configurations, each at its first
+/// occurrence and with that occurrence's λ, in trajectory order: revisits
+/// would create zero-distance pairs.
+fn distinct_steps(steps: &[Step]) -> (Vec<Config>, Vec<f64>) {
+    let mut seen: HashSet<&[i32]> = HashSet::with_capacity(steps.len());
+    steps
+        .iter()
+        .filter(|step| seen.insert(&step.config))
+        .map(|step| (step.config.clone(), step.lambda))
+        .unzip()
 }
 
 fn variogram_policy(
@@ -371,7 +378,7 @@ pub fn run_single_attempt_obs(
         )?
     };
     if let (Some(obs), Some(resume)) = (obs, instance.resume_stats()) {
-        obs.record_resume_stats(run.problem.label(), resume);
+        obs.record_resume_stats(run.problem.label(), &resume);
     }
     let stats = &stats;
     Ok(RunRecord {
@@ -420,6 +427,32 @@ mod tests {
             ..CampaignSpec::default()
         };
         spec.expand().unwrap().remove(0)
+    }
+
+    #[test]
+    fn the_pilot_keeps_each_configuration_at_its_first_occurrence() {
+        let step = |config: &[i32], lambda: f64| Step {
+            config: config.to_vec(),
+            lambda,
+            source: krigeval_core::trace::Source::Simulated,
+        };
+        let steps = [
+            step(&[8, 8], 1.0),
+            step(&[9, 8], 2.0),
+            step(&[8, 8], 1.0),
+            step(&[8, 9], 3.0),
+            // A repeat whose λ differs keeps the first one.
+            step(&[9, 8], 7.5),
+            step(&[9, 9], 4.0),
+            step(&[8, 9], 3.0),
+        ];
+        let (configs, values) = distinct_steps(&steps);
+        assert_eq!(
+            configs,
+            vec![vec![8, 8], vec![9, 8], vec![8, 9], vec![9, 9]]
+        );
+        assert_eq!(values, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(distinct_steps(&[]), (vec![], vec![]));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! Every problem builds the same way: one simulator behind an `Arc`, and
 //! as many evaluator handles on it as a run needs. A run
 //! builds its instance once and hands a handle to each of its phases and
-//! pool workers, so they share one simulator — and for the CNN benchmarks
-//! one checkpoint store.
+//! pool workers, so they share one simulator — and for the benchmarks
+//! that resume (the CNNs, iir8, fft64 and hevc_mc) one checkpoint store.
 
 use std::sync::Arc;
 
@@ -17,11 +17,12 @@ use krigeval_core::hybrid::AuditMetric;
 use krigeval_core::opt::descent::DescentOptions;
 use krigeval_core::opt::minplusone::MinPlusOneOptions;
 use krigeval_core::Config;
+use krigeval_fixedpoint::ResumeStats;
 use krigeval_kernels::{
     dct::DctBenchmark, fft::FftBenchmark, fir::FirBenchmark, hevc::HevcMcBenchmark,
     iir::IirBenchmark, lms::LmsBenchmark, WordLengthBenchmark,
 };
-use krigeval_neural::{QuantizedNetBenchmark, ResumeStats, SensitivityBenchmark};
+use krigeval_neural::{QuantizedNetBenchmark, SensitivityBenchmark};
 
 use crate::Scale;
 
@@ -194,7 +195,8 @@ impl ProblemInstance {
     }
 
     /// How the instance's simulations started so far, for the problems
-    /// whose simulations resume from stored site inputs (the two CNNs).
+    /// whose simulations resume from stored states: the two CNNs, iir8,
+    /// fft64 and hevc_mc.
     pub fn resume_stats(&self) -> Option<ResumeStats> {
         self.simulator.resume_stats()
     }
@@ -320,7 +322,7 @@ trait Simulator: Send + Sync {
     fn num_variables(&self) -> usize;
 
     /// How the simulations started, for simulators that resume from
-    /// stored site inputs; `None` for the others.
+    /// stored states; `None` for the others.
     fn resume_stats(&self) -> Option<ResumeStats> {
         None
     }
@@ -336,6 +338,10 @@ impl<B: WordLengthBenchmark + Send + Sync> Simulator for WordLength<B> {
 
     fn num_variables(&self) -> usize {
         self.0.num_variables()
+    }
+
+    fn resume_stats(&self) -> Option<ResumeStats> {
+        self.0.resume_stats()
     }
 }
 
@@ -478,19 +484,36 @@ mod tests {
 
     #[test]
     fn evaluator_handles_share_the_instance() {
-        let inst = build(Problem::QuantizedCnn, Scale::Fast);
-        let mut first = inst.new_evaluator();
-        let mut second = inst.new_evaluator();
-        let w = vec![9; 10];
-        let mut neighbour = w.clone();
-        neighbour[6] += 1;
-        first.evaluate(&w).unwrap();
-        second.evaluate(&neighbour).unwrap();
-        assert_eq!((first.evaluations(), second.evaluations()), (1, 1));
-        let stats = inst.resume_stats().expect("the CNNs resume");
-        assert_eq!(stats.simulations(), 2);
-        assert_eq!(stats.started_at[6], 1, "the second handle resumed");
-        assert!(build(Problem::Fir, Scale::Fast).resume_stats().is_none());
+        // (problem, the site the neighbour changes, the stages it skips)
+        for (problem, site, skipped) in [
+            (Problem::QuantizedCnn, 6, 6),
+            (Problem::Iir, 3, 3),
+            (Problem::Fft, 8, 4),
+            // A vertical tap: the horizontal-only outputs and the 2-D
+            // intermediates serve it.
+            (Problem::Hevc, 12, 2),
+        ] {
+            let inst = build(problem, Scale::Fast);
+            let mut first = inst.new_evaluator();
+            let mut second = inst.new_evaluator();
+            let w = vec![9; problem.nv()];
+            let mut neighbour = w.clone();
+            neighbour[site] += 1;
+            first.evaluate(&w).unwrap();
+            second.evaluate(&neighbour).unwrap();
+            assert_eq!((first.evaluations(), second.evaluations()), (1, 1));
+            let Some(stats) = inst.resume_stats() else {
+                panic!("{problem:?} resumes");
+            };
+            assert_eq!(stats.simulations(), 2, "{problem:?}");
+            assert_eq!(
+                stats.started_at[skipped], 1,
+                "{problem:?}: the second handle resumed"
+            );
+        }
+        for problem in [Problem::Fir, Problem::Dct, Problem::Lms] {
+            assert!(build(problem, Scale::Fast).resume_stats().is_none());
+        }
     }
 
     #[test]

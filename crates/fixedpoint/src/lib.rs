@@ -16,6 +16,9 @@
 //! * [`metrics`] — the paper's interpolation-quality metrics: the
 //!   equivalent-bit difference of Eq. 11 and the relative difference of
 //!   Eq. 12.
+//! * [`CheckpointStore`] — the byte-capped store of stage states that
+//!   resumable simulators (the CNNs and the IIR, FFT and HEVC kernels)
+//!   start later simulations from.
 //!
 //! # Examples
 //!
@@ -39,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod checkpoint;
 mod error;
 mod format;
 mod interval;
@@ -47,6 +51,7 @@ mod noise;
 mod quantizer;
 mod value;
 
+pub use checkpoint::{Checkpoint, CheckpointStore, ResumeStats};
 pub use error::FixedPointError;
 pub use format::QFormat;
 pub use interval::{fir_output_range, Interval};

@@ -1,6 +1,6 @@
 //! The common interface every word-length benchmark implements.
 
-use krigeval_fixedpoint::NoisePower;
+use krigeval_fixedpoint::{NoisePower, ResumeStats};
 
 use crate::KernelError;
 
@@ -61,6 +61,13 @@ pub trait WordLengthBenchmark {
         } else {
             Ok((-p.db()).min(300.0))
         }
+    }
+
+    /// How the benchmark's simulations started, for benchmarks that resume
+    /// from stored stage states (iir8, fft64 and hevc_mc); `None` for the
+    /// others, which always run a full pass.
+    fn resume_stats(&self) -> Option<ResumeStats> {
+        None
     }
 
     /// Validates a configuration vector shape and range. Implementations

@@ -10,11 +10,18 @@
 //!   each of the 6 stages;
 //! * variables 6–9: the twiddle-multiplier output word-length of stages
 //!   2–5 (stages 0 and 1 only multiply by ±1 and ∓j, which are exact).
+//!
+//! A simulation resumes from stored frames: the frames entering stage
+//! `s ≥ 1` depend on the data, the adder sites `w[0..s]` and, for `s > 2`,
+//! the twiddle sites of stages `2..s` (`w[6..6 + s − 2]`) alone. Stage 0's
+//! input, the bit-reversed Q0.15 frames, depends on no site and is built
+//! once per instance.
 
 use std::f64::consts::PI;
 
-use krigeval_fixedpoint::{NoiseMeter, NoisePower, QFormat, Quantizer};
+use krigeval_fixedpoint::{NoiseMeter, NoisePower, QFormat, Quantizer, ResumeStats};
 
+use crate::resume::{self, StateStore, STAGE_STATE_BYTES};
 use crate::signal::complex_white_noise;
 use crate::{KernelError, WordLengthBenchmark};
 
@@ -45,8 +52,13 @@ pub type Complex = (f64, f64);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FftBenchmark {
-    frames: Vec<Vec<Complex>>,
     references: Vec<Vec<Complex>>,
+    /// Each frame bit-reversed and quantized to Q0.15 (a 16-bit front
+    /// end): the input of stage 0.
+    inputs: Vec<[Complex; FFT_SIZE]>,
+    /// The frames entering stage `s ≥ 1` for recently simulated
+    /// word-lengths of the sites before it; a clone starts with none.
+    states: StateStore<[Complex; FFT_SIZE]>,
 }
 
 impl FftBenchmark {
@@ -63,17 +75,37 @@ impl FftBenchmark {
     /// Panics if `num_frames == 0`.
     pub fn new(num_frames: usize, seed: u64) -> FftBenchmark {
         assert!(num_frames > 0, "need at least one input frame");
-        let frames: Vec<Vec<Complex>> = (0..num_frames)
-            .map(|i| complex_white_noise(seed.wrapping_add(i as u64), FFT_SIZE, 0.95))
-            .collect();
+        let frames = input_frames(num_frames, seed);
         let references = frames.iter().map(|f| fft_reference(f)).collect();
-        FftBenchmark { frames, references }
+        let q_in = Quantizer::new(QFormat::new(0, 15).expect("Q0.15 is a valid format"));
+        let inputs = frames
+            .iter()
+            .map(|frame| {
+                let mut data = bit_reverse_permute(frame);
+                for (re, im) in &mut data {
+                    (*re, *im) = (q_in.quantize(*re), q_in.quantize(*im));
+                }
+                data
+            })
+            .collect();
+        FftBenchmark {
+            references,
+            inputs,
+            states: StateStore::new(STAGES, STAGE_STATE_BYTES),
+        }
     }
 
     /// Number of input frames in the data set.
     pub fn num_frames(&self) -> usize {
-        self.frames.len()
+        self.inputs.len()
     }
+}
+
+/// `num_frames` frames of complex white noise from `seed`.
+fn input_frames(num_frames: usize, seed: u64) -> Vec<Vec<Complex>> {
+    (0..num_frames)
+        .map(|i| complex_white_noise(seed.wrapping_add(i as u64), FFT_SIZE, 0.95))
+        .collect()
 }
 
 /// Double-precision scaled FFT (the reference path): radix-2 DIT with the
@@ -225,16 +257,30 @@ impl WordLengthBenchmark for FftBenchmark {
             .map(|&w| Ok(Quantizer::new(QFormat::with_word_length(0, w)?)))
             .collect::<Result<_, KernelError>>()?;
         let (add_q, mpy_q) = quantizers.split_at(STAGES);
-        let q_in = Quantizer::new(QFormat::new(0, 15)?);
         let twiddles = twiddles();
 
+        // Start at the deepest stored stage input.
+        let mut key = [0; KEY_WORDS];
+        let resume = (1..STAGES)
+            .rev()
+            .find_map(|s| Some((s, self.states.get(stage_key(s, word_lengths, &mut key))?)));
+        let start = resume.as_ref().map_or(0, |(s, _)| *s);
+        self.states.count_start(start);
+        let inputs = resume.as_ref().map_or(&self.inputs, |(_, frames)| frames);
+        // The inputs of the stages after the first one run.
+        let mut captures: Vec<Vec<[Complex; FFT_SIZE]>> = (start + 1..STAGES)
+            .map(|_| Vec::with_capacity(inputs.len()))
+            .collect();
+
         let mut meter = NoiseMeter::new();
-        for (frame, reference) in self.frames.iter().zip(&self.references) {
-            let mut data = bit_reverse_permute(frame);
-            for (re, im) in &mut data {
-                (*re, *im) = (q_in.quantize(*re), q_in.quantize(*im));
-            }
+        for (input, reference) in inputs.iter().zip(&self.references) {
+            let mut data = *input;
+            // Every stage keeps a constant index, so each runs its own
+            // specialized code.
             for stage in 0..STAGES {
+                if stage < start {
+                    continue;
+                }
                 run_stage(
                     &mut data,
                     stage,
@@ -242,19 +288,49 @@ impl WordLengthBenchmark for FftBenchmark {
                     |s, lanes| mpy_q[s - TWIDDLE_STAGES.start].quantize_in_place(lanes),
                     |s, lanes| add_q[s].quantize_in_place(lanes),
                 );
+                if let Some(capture) = captures.get_mut(stage - start) {
+                    capture.push(data);
+                }
             }
             for (&(fr, fi), &(rr, ri)) in data.iter().zip(reference) {
                 meter.record(rr, fr);
                 meter.record(ri, fi);
             }
         }
+        for (s, capture) in (start + 1..).zip(captures) {
+            self.states
+                .insert(stage_key(s, word_lengths, &mut key), capture);
+        }
         Ok(meter.noise_power())
     }
+
+    fn resume_stats(&self) -> Option<ResumeStats> {
+        Some(self.states.stats())
+    }
+}
+
+/// The longest stage key: the stage, every adder site and every twiddle
+/// site.
+const KEY_WORDS: usize = 1 + STAGES + (TWIDDLE_STAGES.end - TWIDDLE_STAGES.start);
+
+/// The store key of stage `s`'s input: `s`, the adder sites of stages
+/// `0..s`, then the twiddle sites of stages `2..s`.
+fn stage_key<'a>(s: usize, word_lengths: &[i32], key: &'a mut [u64; KEY_WORDS]) -> &'a [u64] {
+    let twiddle_sites = STAGES..STAGES + s.saturating_sub(TWIDDLE_STAGES.start);
+    let sites = word_lengths[..s].iter().chain(&word_lengths[twiddle_sites]);
+    key[0] = s as u64;
+    let words = key[1..]
+        .iter_mut()
+        .zip(sites)
+        .map(|(k, &w)| *k = resume::word(w))
+        .count();
+    &key[..=words]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resume::testing::{bits, full_bits, two_threads_share, word_length_stream};
     use proptest::prelude::*;
 
     /// The transform as originally written: a `cos`/`sin` pair per
@@ -290,13 +366,13 @@ mod tests {
         }
     }
 
-    fn noise_power_per_butterfly(b: &FftBenchmark, word_lengths: &[i32]) -> NoisePower {
+    fn noise_power_per_butterfly(frames: &[Vec<Complex>], word_lengths: &[i32]) -> NoisePower {
         let q = |w: i32| Quantizer::new(QFormat::with_word_length(0, w).unwrap());
         let add_q: Vec<Quantizer> = word_lengths[..STAGES].iter().map(|&w| q(w)).collect();
         let mpy_q: Vec<Quantizer> = word_lengths[STAGES..].iter().map(|&w| q(w)).collect();
         let q_in = Quantizer::new(QFormat::new(0, 15).unwrap());
         let mut meter = NoiseMeter::new();
-        for frame in &b.frames {
+        for frame in frames {
             let quantized: Vec<Complex> = frame
                 .iter()
                 .map(|&(re, im)| (q_in.quantize(re), q_in.quantize(im)))
@@ -332,13 +408,92 @@ mod tests {
             let b = FftBenchmark::new(frames, seed);
             prop_assert_eq!(
                 b.noise_power(&word_lengths).unwrap().linear().to_bits(),
-                noise_power_per_butterfly(&b, &word_lengths).linear().to_bits()
+                noise_power_per_butterfly(&input_frames(frames, seed), &word_lengths)
+                    .linear()
+                    .to_bits()
             );
         }
     }
 
     fn small() -> FftBenchmark {
         FftBenchmark::new(8, 0xFF7_0003)
+    }
+
+    /// Few frames keep the replays quick.
+    fn short() -> FftBenchmark {
+        FftBenchmark::new(3, 0xFF7_0003)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn resumed_passes_keep_every_bit(seed in 0u64..u64::MAX) {
+            let b = short();
+            for w in word_length_stream(seed, 10, 24) {
+                prop_assert_eq!(bits(&b, &w), full_bits(&b, &w), "{:?}", w);
+            }
+            prop_assert!(b.resume_stats().unwrap().resumed() > 0);
+        }
+    }
+
+    #[test]
+    fn a_single_site_change_resumes_at_its_stage() {
+        let b = short();
+        let w = [9; 10];
+        b.noise_power(&w).unwrap();
+        for site in 0..10 {
+            // An adder site's stage, or a twiddle site's stage (2–5).
+            let start = if site < STAGES { site } else { site - 4 };
+            let before = b.resume_stats().unwrap().started_at[start];
+            let mut changed = w;
+            changed[site] += 1;
+            b.noise_power(&changed).unwrap();
+            assert_eq!(
+                b.resume_stats().unwrap().started_at[start],
+                before + 1,
+                "site {site}"
+            );
+        }
+    }
+
+    #[test]
+    fn two_threads_share_one_instance() {
+        let b = short();
+        let stats = two_threads_share(&b, &word_length_stream(21, 10, 16), 5);
+        assert_eq!(stats.simulations(), 32);
+        assert!(stats.resumed() > 0);
+    }
+
+    #[test]
+    fn a_cap_below_every_entry_falls_back_to_full_passes() {
+        // The smallest entry: stage 1's frames under a two-word key.
+        let smallest = 2 * 8 + 3 * FFT_SIZE * 16;
+        for cap in [0, smallest - 1] {
+            let mut b = short();
+            b.states = StateStore::new(STAGES, cap);
+            for w in word_length_stream(7, 10, 16) {
+                assert_eq!(bits(&b, &w), full_bits(&b, &w), "cap {cap}");
+                assert_eq!(b.states.bytes(), 0, "cap {cap}");
+            }
+            assert_eq!(b.resume_stats().unwrap().resumed(), 0, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn the_store_never_exceeds_its_cap() {
+        // About two configurations' worth of stage inputs.
+        let cap = 2 * 5 * (3 * FFT_SIZE * 16 + 72);
+        let mut b = short();
+        b.states = StateStore::new(STAGES, cap);
+        let mut peak = 0;
+        for w in word_length_stream(11, 10, 60) {
+            b.noise_power(&w).unwrap();
+            peak = peak.max(b.states.bytes());
+            assert!(b.states.bytes() <= cap);
+        }
+        assert!(peak > cap / 2, "the stream never filled the store: {peak}");
+        assert!(b.resume_stats().unwrap().resumed() > 0);
     }
 
     #[test]

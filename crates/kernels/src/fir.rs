@@ -41,6 +41,11 @@ pub struct FirBenchmark {
     taps: Vec<f64>,
     input: Vec<f64>,
     reference: Vec<f64>,
+    /// The taps and the input pre-quantized to Q0.15, exactly as a 16-bit
+    /// front end would deliver them; the optimization variables are the
+    /// *internal* word-lengths only.
+    taps_fx: Vec<f64>,
+    input_fx: Vec<f64>,
 }
 
 impl FirBenchmark {
@@ -62,7 +67,10 @@ impl FirBenchmark {
         let taps = lowpass_fir(taps, cutoff);
         let input = white_noise(seed, samples, 0.95);
         let reference = convolve(&taps, &input);
+        let q_in = Quantizer::new(QFormat::new(0, 15).expect("Q0.15 is a valid format"));
         FirBenchmark {
+            taps_fx: q_in.quantize_slice(&taps),
+            input_fx: q_in.quantize_slice(&input),
             taps,
             input,
             reference,
@@ -107,15 +115,8 @@ impl WordLengthBenchmark for FirBenchmark {
         // bits. The accumulator needs headroom for Σ|h| ≈ 1.2: 1 integer bit.
         let q_add = Quantizer::new(QFormat::with_word_length(1, word_lengths[VAR_ADD])?);
         let q_mpy = Quantizer::new(QFormat::with_word_length(0, word_lengths[VAR_MPY])?);
-        // Inputs and coefficients are pre-quantized to a generous fixed
-        // format (Q0.15) exactly as a 16-bit front-end would deliver them;
-        // the optimization variables are the *internal* word-lengths only.
-        let q_in = Quantizer::new(QFormat::new(0, 15)?);
-        let taps_fx = q_in.quantize_slice(&self.taps);
-        let input_fx = q_in.quantize_slice(&self.input);
-
         let mut meter = krigeval_fixedpoint::NoiseMeter::new();
-        for_each_output(&taps_fx, &input_fx, &q_add, &q_mpy, |n, acc| {
+        for_each_output(&self.taps_fx, &self.input_fx, &q_add, &q_mpy, |n, acc| {
             meter.record(self.reference[n], acc)
         });
         Ok(meter.noise_power())

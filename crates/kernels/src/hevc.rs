@@ -22,9 +22,19 @@
 //! | 20    | horizontal-only path output (`dy = 0`) |
 //! | 21    | vertical-only path output (`dx = 0`) |
 //! | 22    | final output register (all paths) |
+//!
+//! A simulation resumes each job path from stored filter outputs, keyed by
+//! exactly the sites the path's filters read, so a state serves every
+//! configuration that differs elsewhere: horizontal-only outputs by sites
+//! 0–8, vertical-only outputs by sites 10–18, 2-D intermediates by sites
+//! 0–9 and 2-D vertical outputs by sites 0–18. The path registers (sites
+//! 19–21) and the final register (site 22) always rerun.
 
-use krigeval_fixedpoint::{NoiseMeter, NoisePower, QFormat, Quantizer};
+use std::sync::Arc;
 
+use krigeval_fixedpoint::{NoiseMeter, NoisePower, QFormat, Quantizer, ResumeStats};
+
+use crate::resume::{self, StateStore, STAGE_STATE_BYTES};
 use crate::signal::smooth_image;
 use crate::{KernelError, WordLengthBenchmark};
 
@@ -79,10 +89,115 @@ pub struct HevcMcBenchmark {
     image: Vec<Vec<f64>>,
     jobs: Vec<McJob>,
     references: Vec<Block>,
+    /// Each path's filter outputs for recently simulated word-lengths of
+    /// the sites they read; a clone starts with none. Its start counts are
+    /// indexed by the filter passes a simulation skipped (0–4).
+    states: StateStore<f64>,
 }
 
 /// One interpolated 8×8 block, row-major.
 type Block = [f64; BLOCK * BLOCK];
+
+/// A 2-D job's horizontal-pass output, `BLOCK + TAPS − 1` rows of
+/// [`BLOCK`], row-major.
+type Intermediate = [f64; (BLOCK + TAPS - 1) * BLOCK];
+
+/// The values a pass stores, each for every job of one path in job order,
+/// keyed by the sites they read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PathState {
+    /// Horizontal-only filter outputs, before the path register: sites
+    /// 0–8.
+    Horizontal,
+    /// Vertical-only filter outputs: sites 10–18.
+    Vertical,
+    /// 2-D horizontal intermediates, after their register: sites 0–9.
+    Intermediate,
+    /// 2-D vertical filter outputs, before the path register: sites
+    /// 0–18.
+    TwoD,
+}
+
+impl PathState {
+    const ALL: [PathState; 4] = [
+        PathState::Horizontal,
+        PathState::Vertical,
+        PathState::Intermediate,
+        PathState::TwoD,
+    ];
+
+    fn sites(self) -> std::ops::Range<usize> {
+        match self {
+            PathState::Horizontal => 0..9,
+            PathState::Vertical => 10..19,
+            PathState::Intermediate => 0..10,
+            PathState::TwoD => 0..19,
+        }
+    }
+
+    /// The path whose jobs the state holds, and the values per job.
+    fn path(self) -> (McPath, usize) {
+        match self {
+            PathState::Horizontal => (McPath::HorizontalOnly, BLOCK * BLOCK),
+            PathState::Vertical => (McPath::VerticalOnly, BLOCK * BLOCK),
+            PathState::Intermediate => (McPath::TwoD, (BLOCK + TAPS - 1) * BLOCK),
+            PathState::TwoD => (McPath::TwoD, BLOCK * BLOCK),
+        }
+    }
+
+    /// Filter passes a pass that reuses the state skips: the 2-D vertical
+    /// outputs stand for both of the path's passes.
+    fn passes(self) -> usize {
+        if self == PathState::TwoD {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// The store key: the state, then the word-lengths of its sites.
+    fn key<'a>(self, word_lengths: &[i32], key: &'a mut [u64; NUM_VARIABLES]) -> &'a [u64] {
+        let sites = &word_lengths[self.sites()];
+        key[0] = self as u64;
+        for (k, &w) in key[1..].iter_mut().zip(sites) {
+            *k = resume::word(w);
+        }
+        &key[..=sites.len()]
+    }
+}
+
+/// One state's values during a pass: read job by job from the stored
+/// state, or computed and, when capturing, recorded. The default cursor
+/// only computes.
+#[derive(Default)]
+struct PathCursor {
+    stored: Option<Arc<Vec<f64>>>,
+    at: usize,
+    capture: Option<Vec<f64>>,
+}
+
+impl PathCursor {
+    /// The next job's values; `compute` runs only when none are stored.
+    fn next<const N: usize>(&mut self, compute: impl FnOnce() -> [f64; N]) -> [f64; N] {
+        if let Some(stored) = &self.stored {
+            let values = stored[self.at..][..N]
+                .try_into()
+                .expect("a stored state holds every job's values");
+            self.at += N;
+            return values;
+        }
+        let values = compute();
+        if let Some(capture) = &mut self.capture {
+            capture.extend_from_slice(&values);
+        }
+        values
+    }
+}
+
+/// A pass's cursors, one per [`PathState`] in [`PathState::ALL`]'s order.
+/// The default ones neither read nor record: a full pass.
+#[derive(Default)]
+struct Cursors([PathCursor; 4]);
 
 impl HevcMcBenchmark {
     /// Paper-faithful configuration: a 96×96 smooth synthetic frame and 24
@@ -135,12 +250,44 @@ impl HevcMcBenchmark {
             image,
             jobs,
             references,
+            states: StateStore::new(5, STAGE_STATE_BYTES),
         }
     }
 
     /// The motion-compensation jobs in the data set.
     pub fn jobs(&self) -> &[McJob] {
         &self.jobs
+    }
+
+    /// The cursor of `state` for a pass with `word_lengths`: the stored
+    /// state, or an empty capture when the jobs of its path need it.
+    fn cursor(&self, state: PathState, word_lengths: &[i32], needed: bool) -> PathCursor {
+        let (path, per_job) = state.path();
+        let jobs = self.jobs.iter().filter(|j| j.path() == Some(path)).count();
+        if !needed || jobs == 0 {
+            return PathCursor::default();
+        }
+        let mut key = [0; NUM_VARIABLES];
+        let stored = self.states.get(state.key(word_lengths, &mut key));
+        let capture = stored.is_none().then(|| Vec::with_capacity(jobs * per_job));
+        PathCursor {
+            stored,
+            at: 0,
+            capture,
+        }
+    }
+}
+
+impl McJob {
+    /// The interpolation path the job's phases select; `None` for an
+    /// integer-pel copy.
+    fn path(&self) -> Option<McPath> {
+        match (self.frac_x, self.frac_y) {
+            (0, 0) => None,
+            (_, 0) => Some(McPath::HorizontalOnly),
+            (0, _) => Some(McPath::VerticalOnly),
+            (_, _) => Some(McPath::TwoD),
+        }
     }
 }
 
@@ -273,58 +420,97 @@ fn filter8_lanes<'a, Q: McQuant>(
     acc
 }
 
-/// Interpolates one 8×8 block (the module under test), a row of eight
-/// pixels at a time.
-fn interpolate_block<Q: McQuant>(image: &[Vec<f64>], job: McJob, q: &Q) -> Block {
-    let (x, y) = (job.x, job.y);
-    let fx = job.frac_x as usize;
-    let fy = job.frac_y as usize;
+/// The block at the job's integer-pel position.
+fn copy_block(image: &[Vec<f64>], job: McJob) -> Block {
     let mut out = [0.0; BLOCK * BLOCK];
-    let out_rows = out.chunks_exact_mut(BLOCK).enumerate();
-    match (fx, fy) {
-        (0, 0) => {
-            for (dy, row_out) in out_rows {
-                row_out.copy_from_slice(&image[y + dy][x..x + BLOCK]);
-                q.outputs(row_out);
-            }
-        }
-        (_, 0) => {
-            let taps = normalized(&LUMA_FILTERS[fx - 1]);
-            for (dy, row_out) in out_rows {
-                let row = &image[y + dy];
-                row_out.copy_from_slice(&filter8_lanes(&taps, false, q, |t| &row[x + t - 3..]));
-                q.path_outputs(McPath::HorizontalOnly, row_out);
-                q.outputs(row_out);
-            }
-        }
-        (0, _) => {
-            let taps = normalized(&LUMA_FILTERS[fy - 1]);
-            for (dy, row_out) in out_rows {
-                let v = filter8_lanes(&taps, true, q, |t| &image[y + dy + t - 3][x..]);
-                row_out.copy_from_slice(&v);
-                q.path_outputs(McPath::VerticalOnly, row_out);
-                q.outputs(row_out);
-            }
-        }
-        (_, _) => {
-            let h_taps = normalized(&LUMA_FILTERS[fx - 1]);
-            let v_taps = normalized(&LUMA_FILTERS[fy - 1]);
-            // Horizontal pass over BLOCK + 7 rows.
-            let mut intermediate = [[0.0; BLOCK]; BLOCK + TAPS - 1];
-            for (r, row_out) in intermediate.iter_mut().enumerate() {
-                let row = &image[y + r - 3];
-                *row_out = filter8_lanes(&h_taps, false, q, |t| &row[x + t - 3..]);
-                q.h_intermediates(row_out);
-            }
-            // Vertical pass.
-            for (dy, row_out) in out_rows {
-                let v = filter8_lanes(&v_taps, true, q, |t| &intermediate[dy + t][..]);
-                row_out.copy_from_slice(&v);
-                q.path_outputs(McPath::TwoD, row_out);
-                q.outputs(row_out);
-            }
-        }
+    for (dy, row_out) in out.chunks_exact_mut(BLOCK).enumerate() {
+        row_out.copy_from_slice(&image[job.y + dy][job.x..job.x + BLOCK]);
     }
+    out
+}
+
+/// The horizontal-only path's filter outputs, a row of eight pixels at a
+/// time, before the path register.
+#[inline(never)]
+fn filter_rows<Q: McQuant>(image: &[Vec<f64>], job: McJob, q: &Q) -> Block {
+    let taps = normalized(&LUMA_FILTERS[job.frac_x as usize - 1]);
+    let mut out = [0.0; BLOCK * BLOCK];
+    for (dy, row_out) in out.chunks_exact_mut(BLOCK).enumerate() {
+        let row = &image[job.y + dy];
+        row_out.copy_from_slice(&filter8_lanes(&taps, false, q, |t| &row[job.x + t - 3..]));
+    }
+    out
+}
+
+/// The vertical-only path's filter outputs, a row of eight pixels at a
+/// time, before the path register.
+#[inline(never)]
+fn filter_columns<Q: McQuant>(image: &[Vec<f64>], job: McJob, q: &Q) -> Block {
+    let taps = normalized(&LUMA_FILTERS[job.frac_y as usize - 1]);
+    let mut out = [0.0; BLOCK * BLOCK];
+    for (dy, row_out) in out.chunks_exact_mut(BLOCK).enumerate() {
+        let v = filter8_lanes(&taps, true, q, |t| &image[job.y + dy + t - 3][job.x..]);
+        row_out.copy_from_slice(&v);
+    }
+    out
+}
+
+/// The 2-D path's horizontal pass over `BLOCK + TAPS − 1` rows, after the
+/// intermediate register.
+#[inline(never)]
+fn horizontal_pass<Q: McQuant>(image: &[Vec<f64>], job: McJob, q: &Q) -> Intermediate {
+    let taps = normalized(&LUMA_FILTERS[job.frac_x as usize - 1]);
+    let mut out = [0.0; (BLOCK + TAPS - 1) * BLOCK];
+    for (r, row_out) in out.chunks_exact_mut(BLOCK).enumerate() {
+        let row = &image[job.y + r - 3];
+        row_out.copy_from_slice(&filter8_lanes(&taps, false, q, |t| &row[job.x + t - 3..]));
+        q.h_intermediates(row_out);
+    }
+    out
+}
+
+/// The 2-D path's vertical pass over its intermediates, before the path
+/// register.
+#[inline(never)]
+fn vertical_pass<Q: McQuant>(intermediate: &Intermediate, job: McJob, q: &Q) -> Block {
+    let taps = normalized(&LUMA_FILTERS[job.frac_y as usize - 1]);
+    let mut out = [0.0; BLOCK * BLOCK];
+    for (dy, row_out) in out.chunks_exact_mut(BLOCK).enumerate() {
+        let v = filter8_lanes(&taps, true, q, |t| &intermediate[(dy + t) * BLOCK..]);
+        row_out.copy_from_slice(&v);
+    }
+    out
+}
+
+/// The path register of `path`, if any, then the final output register.
+fn registers<Q: McQuant>(block: &mut Block, path: Option<McPath>, q: &Q) {
+    if let Some(path) = path {
+        q.path_outputs(path, block);
+    }
+    q.outputs(block);
+}
+
+/// Interpolates one 8×8 block (the module under test), a row of eight
+/// pixels at a time, in a full pass.
+fn interpolate_block<Q: McQuant>(image: &[Vec<f64>], job: McJob, q: &Q) -> Block {
+    resume_block(image, job, q, &mut Cursors::default())
+}
+
+/// Interpolates one 8×8 block, taking the filter outputs of the job's path
+/// from `cursors` where they hold them stored, and recording the ones it
+/// computes where they capture. The path and final registers always run.
+fn resume_block<Q: McQuant>(image: &[Vec<f64>], job: McJob, q: &Q, cursors: &mut Cursors) -> Block {
+    let [horizontal, vertical, intermediate, two_d] = &mut cursors.0;
+    let mut out = match job.path() {
+        None => copy_block(image, job),
+        Some(McPath::HorizontalOnly) => horizontal.next(|| filter_rows(image, job, q)),
+        Some(McPath::VerticalOnly) => vertical.next(|| filter_columns(image, job, q)),
+        Some(McPath::TwoD) => two_d.next(|| {
+            let h = intermediate.next(|| horizontal_pass(image, job, q));
+            vertical_pass(&h, job, q)
+        }),
+    };
+    registers(&mut out, job.path(), q);
     out
 }
 
@@ -339,19 +525,47 @@ impl WordLengthBenchmark for HevcMcBenchmark {
 
     fn noise_power(&self, word_lengths: &[i32]) -> Result<NoisePower, KernelError> {
         self.validate(word_lengths)?;
-        let quantizers = SiteQuantizers::from_word_lengths(word_lengths)?;
+        let q = SiteQuantizers::from_word_lengths(word_lengths)?;
+        let cursor = |state, needed| self.cursor(state, word_lengths, needed);
+        let horizontal = cursor(PathState::Horizontal, true);
+        let vertical = cursor(PathState::Vertical, true);
+        let two_d = cursor(PathState::TwoD, true);
+        // Stored vertical outputs make the intermediates moot.
+        let intermediate = cursor(PathState::Intermediate, two_d.stored.is_none());
+        let mut cursors = Cursors([horizontal, vertical, intermediate, two_d]);
+        let skipped = cursors
+            .0
+            .iter()
+            .zip(PathState::ALL)
+            .filter(|(c, _)| c.stored.is_some())
+            .map(|(_, state)| state.passes())
+            .sum();
+        self.states.count_start(skipped);
+
         let mut meter = NoiseMeter::new();
-        for (job, reference) in self.jobs.iter().zip(&self.references) {
-            let approx = interpolate_block(&self.image, *job, &quantizers);
-            meter.record_slices(reference, &approx);
+        for (&job, reference) in self.jobs.iter().zip(&self.references) {
+            let block = resume_block(&self.image, job, &q, &mut cursors);
+            meter.record_slices(reference, &block);
+        }
+        let mut key = [0; NUM_VARIABLES];
+        for (cursor, state) in cursors.0.into_iter().zip(PathState::ALL) {
+            if let Some(capture) = cursor.capture {
+                self.states
+                    .insert(state.key(word_lengths, &mut key), capture);
+            }
         }
         Ok(meter.noise_power())
+    }
+
+    fn resume_stats(&self) -> Option<ResumeStats> {
+        Some(self.states.stats())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resume::testing::{bits, full_bits, two_threads_share, word_length_stream};
     use proptest::prelude::*;
 
     /// Applies a lane hook to one value.
@@ -461,6 +675,100 @@ mod tests {
 
     fn small() -> HevcMcBenchmark {
         HevcMcBenchmark::new(48, 9, 0x4EC0_0004)
+    }
+
+    /// The bits of the noise power the per-pixel loop gives at `w`.
+    fn per_pixel_bits(b: &HevcMcBenchmark, w: &[i32]) -> u64 {
+        let q = SiteQuantizers::from_word_lengths(w).unwrap();
+        let mut meter = NoiseMeter::new();
+        for (job, reference) in b.jobs.iter().zip(&b.references) {
+            meter.record_slices(reference, &interpolate_block_per_pixel(&b.image, *job, &q));
+        }
+        meter.noise_power().linear().to_bits()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn resumed_passes_keep_every_bit(seed in 0u64..u64::MAX) {
+            let b = small();
+            for w in word_length_stream(seed, NUM_VARIABLES, 24) {
+                let resumed = bits(&b, &w);
+                prop_assert_eq!(resumed, full_bits(&b, &w), "{:?}", w);
+                prop_assert_eq!(resumed, per_pixel_bits(&b, &w), "{:?}", w);
+            }
+            prop_assert!(b.resume_stats().unwrap().resumed() > 0);
+        }
+    }
+
+    #[test]
+    fn a_single_site_change_reuses_the_paths_that_do_not_read_it() {
+        let b = small();
+        let w = [9; NUM_VARIABLES];
+        b.noise_power(&w).unwrap();
+        for site in 0..NUM_VARIABLES {
+            // Filter passes skipped: the vertical-only one for a site of
+            // the horizontal filter; the horizontal-only one and one 2-D
+            // pass for the intermediate register or a vertical-filter
+            // site; all four for a register after the filters.
+            let skipped = match site {
+                0..=8 => 1,
+                9..=18 => 2,
+                _ => 4,
+            };
+            let before = b.resume_stats().unwrap().started_at[skipped];
+            let mut changed = w;
+            changed[site] += 1;
+            b.noise_power(&changed).unwrap();
+            assert_eq!(
+                b.resume_stats().unwrap().started_at[skipped],
+                before + 1,
+                "site {site}"
+            );
+        }
+    }
+
+    #[test]
+    fn two_threads_share_one_instance() {
+        let b = small();
+        let stats = two_threads_share(&b, &word_length_stream(21, NUM_VARIABLES, 16), 20);
+        assert_eq!(stats.simulations(), 32);
+        assert!(stats.resumed() > 0);
+    }
+
+    /// Bytes of the states one configuration stores: 2 horizontal-only
+    /// and 2 vertical-only jobs, 5 2-D jobs.
+    const CONFIG_BYTES: usize = (2 + 2 + 5) * 64 * 8 + 5 * 120 * 8 + (10 + 10 + 11 + 20) * 8;
+
+    #[test]
+    fn a_cap_below_every_entry_falls_back_to_full_passes() {
+        // The smallest entry: two jobs' outputs under a ten-word key.
+        let smallest = 10 * 8 + 2 * 64 * 8;
+        for cap in [0, smallest - 1] {
+            let mut b = small();
+            b.states = StateStore::new(5, cap);
+            for w in word_length_stream(7, NUM_VARIABLES, 16) {
+                assert_eq!(bits(&b, &w), full_bits(&b, &w), "cap {cap}");
+                assert_eq!(b.states.bytes(), 0, "cap {cap}");
+            }
+            assert_eq!(b.resume_stats().unwrap().resumed(), 0, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn the_store_never_exceeds_its_cap() {
+        let cap = 2 * CONFIG_BYTES;
+        let mut b = small();
+        b.states = StateStore::new(5, cap);
+        let mut peak = 0;
+        for w in word_length_stream(11, NUM_VARIABLES, 60) {
+            b.noise_power(&w).unwrap();
+            peak = peak.max(b.states.bytes());
+            assert!(b.states.bytes() <= cap);
+        }
+        assert!(peak > cap / 2, "the stream never filled the store: {peak}");
+        assert!(b.resume_stats().unwrap().resumed() > 0);
     }
 
     #[test]

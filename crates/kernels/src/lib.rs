@@ -22,6 +22,12 @@
 //! this emulates a C++ fixed-point library (the paper's refs \[12\], \[13\]) at
 //! `f64` simulation speed.
 //!
+//! The IIR, FFT and HEVC kernels resume a simulation from the values
+//! entering a stage that an earlier simulation of the same instance
+//! computed for the same word-lengths of the sites before it, with the
+//! same bits as a full pass ([`WordLengthBenchmark::resume_stats`] counts
+//! how often). A clone starts with no stored states.
+//!
 //! # Examples
 //!
 //! ```
@@ -53,7 +59,9 @@ pub mod fir;
 pub mod hevc;
 pub mod iir;
 pub mod lms;
+mod resume;
 pub mod signal;
 
 pub use benchmark::WordLengthBenchmark;
 pub use error::KernelError;
+pub use resume::STAGE_STATE_BYTES;

@@ -15,10 +15,13 @@
 //!
 //! The optimizers query `w ± e_i` neighbours of configurations already
 //! simulated, so most simulations share a long prefix with a stored one.
+//! The entries live in a [`CheckpointStore`], the store every resumable
+//! benchmark shares; this module decides what the CNNs store and how they
+//! key it.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use krigeval_fixedpoint::{Checkpoint, CheckpointStore};
 
 use crate::net::{MiniSqueezeNet, SiteHook, NUM_INJECTION_SITES};
 use crate::Tensor3;
@@ -37,33 +40,14 @@ pub const CHECKPOINT_BYTES: usize = 64 << 20;
 /// scale, yet a pass resumed at site 1 still costs 98% of a full one.
 pub const FIRST_CHECKPOINT_SITE: usize = 2;
 
-/// How a benchmark instance's simulations started: from the stem, or
-/// resumed at a stored site. Which simulations resume depends on what the
-/// instance simulated before and, when threads share it, in which order,
-/// so these counts observe a run and never enter its results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResumeStats {
-    /// Simulations by the site they started at: index 0 counts full
-    /// passes, index `k ≥ 2` passes resumed at site `k`.
-    pub started_at: [u64; NUM_INJECTION_SITES],
-}
+/// A CNN benchmark's store of site inputs; its start counts are indexed
+/// by the site a pass started at.
+pub(crate) type SiteStore = CheckpointStore<SiteInputs>;
 
-impl ResumeStats {
-    /// All simulations.
-    pub fn simulations(&self) -> u64 {
-        self.started_at.iter().sum()
-    }
-
-    /// Simulations resumed at a stored site.
-    pub fn resumed(&self) -> u64 {
-        self.simulations() - self.started_at[0]
-    }
-
-    /// Layer stages the resumed simulations did not run: a pass resumed
-    /// at site `k` skips the `k` stages before it (per image).
-    pub fn stages_skipped(&self) -> u64 {
-        (0u64..).zip(&self.started_at).map(|(k, n)| k * n).sum()
-    }
+/// An empty store capped at [`CHECKPOINT_BYTES`]; it allocates on its
+/// first insert.
+pub(crate) fn site_store() -> SiteStore {
+    CheckpointStore::new(NUM_INJECTION_SITES, CHECKPOINT_BYTES)
 }
 
 /// A [`SiteHook`] a pass can resume from the middle.
@@ -76,18 +60,20 @@ pub(crate) trait ResumableHook: SiteHook {
 /// cursor each image's hook stood at there (empty for hooks that draw
 /// nothing).
 #[derive(Default)]
-struct Checkpoint {
+pub(crate) struct SiteInputs {
     shape: (usize, usize, usize),
     values: Vec<f64>,
     cursors: Vec<usize>,
 }
 
-impl Checkpoint {
+impl Checkpoint for SiteInputs {
     fn bytes(&self) -> usize {
         std::mem::size_of_val(self.values.as_slice())
             + std::mem::size_of_val(self.cursors.as_slice())
     }
+}
 
+impl SiteInputs {
     fn input(&self, image: usize) -> Tensor3 {
         let (c, h, w) = self.shape;
         let len = c * h * w;
@@ -103,7 +89,7 @@ impl Checkpoint {
 struct Capture {
     first: usize,
     images: usize,
-    sites: Vec<Checkpoint>,
+    sites: Vec<SiteInputs>,
 }
 
 impl Capture {
@@ -112,7 +98,7 @@ impl Capture {
             first,
             images,
             sites: (first..NUM_INJECTION_SITES)
-                .map(|_| Checkpoint::default())
+                .map(|_| SiteInputs::default())
                 .collect(),
         }
     }
@@ -167,181 +153,50 @@ fn key<'a>(site: usize, config: &[u64], buf: &'a mut [u64; NUM_INJECTION_SITES +
     &buf[..=site]
 }
 
-struct Entry {
-    checkpoint: Arc<Checkpoint>,
-    bytes: usize,
-    last_used: u64,
+/// Simulates `config` (one key word per site) over every image and
+/// returns each image's logits. The pass starts at the deepest site whose
+/// inputs `store` keeps for `config`'s prefix, or at site 0 from `stems`;
+/// `hook(image, cursor)` builds each image's hook. The inputs of the later
+/// sites from [`FIRST_CHECKPOINT_SITE`] on are recorded and stored.
+pub(crate) fn simulate<H: ResumableHook>(
+    store: &SiteStore,
+    net: &MiniSqueezeNet,
+    stems: &[Tensor3],
+    config: &[u64],
+    mut hook: impl FnMut(usize, usize) -> H,
+) -> Vec<Vec<f64>> {
+    let resume = lookup(store, config);
+    let start = resume.as_ref().map_or(0, |(site, _)| *site);
+    store.count_start(start);
+    let mut capture = Capture::new((start + 1).max(FIRST_CHECKPOINT_SITE), stems.len());
+    let logits = stems
+        .iter()
+        .enumerate()
+        .map(|(image, stem)| {
+            let (input, cursor) = match &resume {
+                Some((_, inputs)) => (inputs.input(image), inputs.cursor(image)),
+                None => (stem.clone(), 0),
+            };
+            let mut recorder = Recorder {
+                hook: hook(image, cursor),
+                capture: &mut capture,
+            };
+            net.forward_at(start, input, &mut recorder)
+        })
+        .collect();
+    let mut buf = [0; NUM_INJECTION_SITES + 1];
+    for (site, inputs) in (capture.first..).zip(capture.sites) {
+        store.insert(key(site, config, &mut buf), inputs);
+    }
+    logits
 }
 
-#[derive(Default)]
-struct Entries {
-    map: HashMap<Box<[u64]>, Entry>,
-    bytes: usize,
-    clock: u64,
-}
-
-impl Entries {
-    /// Evicts the least recently used entry; `false` when there is none.
-    fn evict_oldest(&mut self) -> bool {
-        let Some(oldest) = self
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone())
-        else {
-            return false;
-        };
-        if let Some(entry) = self.map.remove(&oldest) {
-            self.bytes -= entry.bytes;
-        }
-        true
-    }
-}
-
-/// A benchmark instance's checkpoints: every image's input of site `k ≥ 2`
-/// for recently simulated configuration prefixes `c[..k]`, under a byte
-/// cap with least-recently-used eviction. Threads may share it; the lock
-/// guards lookups and inserts only, never a forward pass. A poisoned lock
-/// turns every later lookup into a miss.
-pub(crate) struct CheckpointStore {
-    cap: usize,
-    entries: Mutex<Entries>,
-    started_at: [AtomicU64; NUM_INJECTION_SITES],
-}
-
-impl CheckpointStore {
-    /// An empty store capped at [`CHECKPOINT_BYTES`]; it allocates on its
-    /// first insert.
-    pub(crate) fn new() -> CheckpointStore {
-        CheckpointStore::with_cap(CHECKPOINT_BYTES)
-    }
-
-    pub(crate) fn with_cap(cap: usize) -> CheckpointStore {
-        CheckpointStore {
-            cap,
-            entries: Mutex::new(Entries::default()),
-            started_at: Default::default(),
-        }
-    }
-
-    /// Simulates `config` (one key word per site) over every image and
-    /// returns each image's logits. The pass starts at the deepest stored
-    /// site whose configuration prefix equals `config`'s, or at site 0
-    /// from `stems`; `hook(image, cursor)` builds each image's hook. The
-    /// inputs of the later sites from [`FIRST_CHECKPOINT_SITE`] on are
-    /// recorded and stored.
-    pub(crate) fn simulate<H: ResumableHook>(
-        &self,
-        net: &MiniSqueezeNet,
-        stems: &[Tensor3],
-        config: &[u64],
-        mut hook: impl FnMut(usize, usize) -> H,
-    ) -> Vec<Vec<f64>> {
-        let resume = self.lookup(config);
-        let start = resume.as_ref().map_or(0, |(site, _)| *site);
-        self.started_at[start].fetch_add(1, Ordering::Relaxed);
-        let mut capture = Capture::new((start + 1).max(FIRST_CHECKPOINT_SITE), stems.len());
-        let logits = stems
-            .iter()
-            .enumerate()
-            .map(|(image, stem)| {
-                let (input, cursor) = match &resume {
-                    Some((_, checkpoint)) => (checkpoint.input(image), checkpoint.cursor(image)),
-                    None => (stem.clone(), 0),
-                };
-                let mut recorder = Recorder {
-                    hook: hook(image, cursor),
-                    capture: &mut capture,
-                };
-                net.forward_at(start, input, &mut recorder)
-            })
-            .collect();
-        self.keep(config, capture);
-        logits
-    }
-
-    /// The deepest stored checkpoint for a prefix of `config`.
-    fn lookup(&self, config: &[u64]) -> Option<(usize, Arc<Checkpoint>)> {
-        let Ok(mut guard) = self.entries.lock() else {
-            return None;
-        };
-        let entries: &mut Entries = &mut guard;
-        let mut buf = [0; NUM_INJECTION_SITES + 1];
-        for site in (FIRST_CHECKPOINT_SITE..NUM_INJECTION_SITES).rev() {
-            if let Some(entry) = entries.map.get_mut(key(site, config, &mut buf)) {
-                entries.clock += 1;
-                entry.last_used = entries.clock;
-                return Some((site, Arc::clone(&entry.checkpoint)));
-            }
-        }
-        None
-    }
-
-    /// Stores a simulation's checkpoints, evicting the least recently used
-    /// entries to stay under the cap.
-    fn keep(&self, config: &[u64], capture: Capture) {
-        let Ok(mut entries) = self.entries.lock() else {
-            return;
-        };
-        let mut buf = [0; NUM_INJECTION_SITES + 1];
-        for (site, checkpoint) in (capture.first..).zip(capture.sites) {
-            let key = key(site, config, &mut buf);
-            let bytes = std::mem::size_of_val(key) + checkpoint.bytes();
-            if bytes > self.cap || entries.map.contains_key(key) {
-                continue;
-            }
-            while entries.bytes + bytes > self.cap && entries.evict_oldest() {}
-            entries.clock += 1;
-            let last_used = entries.clock;
-            entries.bytes += bytes;
-            entries.map.insert(
-                key.into(),
-                Entry {
-                    checkpoint: Arc::new(checkpoint),
-                    bytes,
-                    last_used,
-                },
-            );
-        }
-    }
-
-    /// How this store's simulations started.
-    pub(crate) fn stats(&self) -> ResumeStats {
-        ResumeStats {
-            started_at: std::array::from_fn(|k| self.started_at[k].load(Ordering::Relaxed)),
-        }
-    }
-
-    /// Bytes held, by the same count the cap bounds.
-    #[cfg(test)]
-    pub(crate) fn bytes(&self) -> usize {
-        self.entries.lock().map_or(0, |e| e.bytes)
-    }
-
-    /// Poisons the lock, as a panic inside it would.
-    #[cfg(test)]
-    pub(crate) fn poison(&self) {
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _held = self.entries.lock();
-            panic!("poisoning the checkpoint store");
-        }));
-    }
-}
-
-/// A copy starts with an empty store of the same cap.
-impl Clone for CheckpointStore {
-    fn clone(&self) -> CheckpointStore {
-        CheckpointStore::with_cap(self.cap)
-    }
-}
-
-impl std::fmt::Debug for CheckpointStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointStore")
-            .field("cap", &self.cap)
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
-    }
+/// The deepest stored site inputs for a prefix of `config`.
+fn lookup(store: &SiteStore, config: &[u64]) -> Option<(usize, Arc<SiteInputs>)> {
+    let mut buf = [0; NUM_INJECTION_SITES + 1];
+    (FIRST_CHECKPOINT_SITE..NUM_INJECTION_SITES)
+        .rev()
+        .find_map(|site| Some((site, store.get(key(site, config, &mut buf))?)))
 }
 
 #[cfg(test)]
@@ -493,7 +348,7 @@ mod tests {
         let site9_entry = (NUM_INJECTION_SITES + 1) * 8 + IMAGES * (10 + 1) * 8;
         for cap in [0, site9_entry] {
             let mut bench = injection();
-            bench.checkpoints = CheckpointStore::with_cap(cap);
+            bench.checkpoints = CheckpointStore::new(NUM_INJECTION_SITES, cap);
             for powers in power_stream(7, 16) {
                 let resumed = bits(&bench.image_logits(&powers).unwrap());
                 let full = bits(&bench.clone().image_logits(&powers).unwrap());
@@ -511,7 +366,7 @@ mod tests {
         // About two configurations' worth of site inputs.
         let cap = 2 * IMAGES * 1694 * 8;
         let mut bench = quantized();
-        bench.checkpoints = CheckpointStore::with_cap(cap);
+        bench.checkpoints = CheckpointStore::new(NUM_INJECTION_SITES, cap);
         let mut peak = 0;
         for words in word_length_stream(11, 60) {
             bench.image_logits(&words).unwrap();
@@ -560,27 +415,5 @@ mod tests {
         let stats = bench.resume_stats();
         assert_eq!(stats.simulations(), 32);
         assert!(stats.resumed() > 0);
-    }
-
-    #[test]
-    fn a_poisoned_store_counts_every_lookup_as_a_miss() {
-        let bench = quantized();
-        let words = [8; NUM_INJECTION_SITES];
-        let first = bits(&bench.image_logits(&words).unwrap());
-        bench.checkpoints.poison();
-        let again = bits(&bench.image_logits(&words).unwrap());
-        assert_eq!(first, again);
-        assert_eq!(bench.resume_stats().started_at[0], 2, "the repeat missed");
-    }
-
-    #[test]
-    fn stats_count_resumes_and_skipped_stages() {
-        let mut stats = ResumeStats::default();
-        stats.started_at[0] = 3;
-        stats.started_at[2] = 1;
-        stats.started_at[9] = 4;
-        assert_eq!(stats.simulations(), 8);
-        assert_eq!(stats.resumed(), 5);
-        assert_eq!(stats.stages_skipped(), 2 + 36);
     }
 }

@@ -45,7 +45,7 @@ mod quantized;
 mod sensitivity;
 mod tensor;
 
-pub use checkpoint::{ResumeStats, CHECKPOINT_BYTES, FIRST_CHECKPOINT_SITE};
+pub use checkpoint::{CHECKPOINT_BYTES, FIRST_CHECKPOINT_SITE};
 pub use dataset::synthetic_images;
 pub use error::NeuralError;
 pub use fire::FireModule;

@@ -9,9 +9,9 @@
 //! classification-agreement rate `p_cl`. Per-site integer bits are sized by
 //! dynamic-range calibration on a held-out image set.
 
-use krigeval_fixedpoint::{QFormat, Quantizer};
+use krigeval_fixedpoint::{QFormat, Quantizer, ResumeStats};
 
-use crate::checkpoint::{CheckpointStore, ResumableHook, ResumeStats};
+use crate::checkpoint::{self, ResumableHook, SiteStore};
 use crate::net::{agreement_rate, SiteHook, NUM_INJECTION_SITES};
 use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 
@@ -43,7 +43,7 @@ pub struct QuantizedNetBenchmark {
     integer_bits: [i32; NUM_INJECTION_SITES],
     /// Kept site inputs a simulation resumes from, keyed by effective
     /// word-lengths; a clone starts with none.
-    pub(crate) checkpoints: CheckpointStore,
+    pub(crate) checkpoints: SiteStore,
 }
 
 impl QuantizedNetBenchmark {
@@ -79,7 +79,7 @@ impl QuantizedNetBenchmark {
             stems,
             labels,
             integer_bits,
-            checkpoints: CheckpointStore::new(),
+            checkpoints: checkpoint::site_store(),
         }
     }
 
@@ -143,11 +143,15 @@ impl QuantizedNetBenchmark {
             quantizers.push(Quantizer::new(format));
             config[site] = u64::from(effective.unsigned_abs());
         }
-        Ok(self
-            .checkpoints
-            .simulate(&self.net, &self.stems, &config, |_, _| QuantizeHook {
+        Ok(checkpoint::simulate(
+            &self.checkpoints,
+            &self.net,
+            &self.stems,
+            &config,
+            |_, _| QuantizeHook {
                 quantizers: &quantizers,
-            }))
+            },
+        ))
     }
 
     /// How this instance's simulations started: full passes, and passes

@@ -1,6 +1,8 @@
 //! The error-sensitivity benchmark: classification rate vs injected error.
 
-use crate::checkpoint::{CheckpointStore, ResumeStats};
+use krigeval_fixedpoint::ResumeStats;
+
+use crate::checkpoint::{self, SiteStore};
 use crate::net::{agreement_rate, NoiseHook, NUM_INJECTION_SITES};
 use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 
@@ -42,7 +44,7 @@ pub struct SensitivityBenchmark {
     noise: Vec<f64>,
     draws: usize,
     labels: Vec<usize>,
-    pub(crate) checkpoints: CheckpointStore,
+    pub(crate) checkpoints: SiteStore,
 }
 
 impl SensitivityBenchmark {
@@ -73,7 +75,7 @@ impl SensitivityBenchmark {
             noise,
             draws,
             labels,
-            checkpoints: CheckpointStore::new(),
+            checkpoints: checkpoint::site_store(),
         }
     }
 
@@ -125,12 +127,16 @@ impl SensitivityBenchmark {
             }
         }
         let config: Vec<u64> = powers_db.iter().map(|p| p.to_bits()).collect();
-        Ok(self
-            .checkpoints
-            .simulate(&self.net, &self.stems, &config, |image, cursor| {
+        Ok(checkpoint::simulate(
+            &self.checkpoints,
+            &self.net,
+            &self.stems,
+            &config,
+            |image, cursor| {
                 let stream = &self.noise[image * self.draws..][..self.draws];
                 NoiseHook::new(powers_db, stream, cursor)
-            }))
+            },
+        ))
     }
 
     /// How this instance's simulations started: full passes, and passes
