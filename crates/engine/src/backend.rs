@@ -294,7 +294,13 @@ impl EngineBackend {
 
 impl Drop for EngineBackend {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it under that
+        // lock before it waits, so it either sees the flag or is already
+        // waiting when the notification comes.
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -404,6 +410,26 @@ mod tests {
                 Ok(f64::from(w[0] * 10 + w[1]))
             }))
         }
+    }
+
+    #[test]
+    fn dropping_a_backend_right_after_a_batch_never_hangs() {
+        // A worker that has just sent the batch's last result is between
+        // its shutdown check and its wait when the backend drops; a flag
+        // set outside the queue lock lost that wakeup and hung the join.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                let mut backend = EngineBackend::new(factory(), 2, Arc::new(SimCache::new()), "t");
+                backend
+                    .fulfill(&requests(&[vec![0, 1], vec![1, 0]]))
+                    .unwrap();
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a backend's drop hung");
     }
 
     #[test]
