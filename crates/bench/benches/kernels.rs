@@ -1,13 +1,14 @@
 //! Criterion benchmarks of one simulation-based metric evaluation per
 //! benchmark — the `t_o · N_o` cost kriging amortizes (paper Eq. 2).
 //!
-//! The IIR, FFT and HEVC kernels and the CNN resume a simulation from the
-//! stage states their instance stored. The plain benchmarks time full
+//! The IIR, FFT and HEVC kernels and the two CNNs resume a simulation from
+//! the stage states their instance stored. The plain benchmarks time full
 //! passes: each iteration runs on a fresh copy, made outside the timed
-//! region, whose store is empty (or, for the CNN, at a configuration no
+//! region, whose store is empty (or, for squeezenet, at a configuration no
 //! stored site input serves). The `_resumed` variants repeat one
 //! configuration on one instance, so every pass after the first resumes
-//! from its deepest stored state; they are reported, not gated.
+//! from its deepest stored state; they are reported, not gated. A CNN pass
+//! runs its 16 images as one batch.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -17,7 +18,7 @@ use krigeval_kernels::fir::FirBenchmark;
 use krigeval_kernels::hevc::HevcMcBenchmark;
 use krigeval_kernels::iir::IirBenchmark;
 use krigeval_kernels::WordLengthBenchmark;
-use krigeval_neural::SensitivityBenchmark;
+use krigeval_neural::{QuantizedNetBenchmark, SensitivityBenchmark};
 
 /// Times full passes of `bench` at `w` (a fresh copy per iteration) as
 /// `name`, and resumed passes as `name_resumed`.
@@ -74,6 +75,7 @@ fn bench_squeezenet(c: &mut Criterion) {
             )
         })
     });
+    assert_eq!(bench.resume_stats().resumed(), 0, "a full pass resumed");
 
     // A repeat of one configuration: every pass after the first resumes at
     // the logits register (site 9).
@@ -89,5 +91,30 @@ fn bench_squeezenet(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_simulations, bench_squeezenet);
+fn bench_quantized_cnn(c: &mut Criterion) {
+    let bench = QuantizedNetBenchmark::new(16, 12, 6);
+    let words = [9; 10];
+    c.bench_function("sim_quantized_cnn_16imgs", |b| {
+        b.iter_batched(
+            || bench.clone(),
+            // The copy is returned, so its stored site inputs are freed
+            // outside the timed region.
+            |fresh| {
+                let rate = fresh.classification_rate(black_box(&words)).expect("valid");
+                (black_box(rate), fresh)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    c.bench_function("sim_quantized_cnn_16imgs_resumed", |b| {
+        b.iter(|| black_box(bench.classification_rate(black_box(&words)).expect("valid")))
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_simulations,
+    bench_squeezenet,
+    bench_quantized_cnn
+);
 criterion_main!(benches);

@@ -5,13 +5,15 @@
 //! A CNN configuration holds one entry per injection site (an error power
 //! or a register word-length), and the sites run in forward order. The
 //! input of site `k`, before its hook runs, is therefore a function of the
-//! image and the configuration prefix `c[..k]` alone. So is the injection
-//! benchmark's noise cursor there: each image reads one fixed normal
-//! sequence, and a site that injects nothing (`−∞` dB, or σ = 0 over an
-//! all-zero activation) draws nothing, so the cursor at `k` counts the
-//! draws of sites `0..k`. A pass resumed at site `k` from a stored input
-//! and cursor runs the same operations on the same values as a full pass
-//! from there on, so every logit keeps its bits.
+//! image and the configuration prefix `c[..k]` alone. So are the injection
+//! benchmark's noise cursors there: each image reads one fixed normal
+//! sequence through a cursor of its own, and a site that injects nothing
+//! into an image (`−∞` dB, or σ = 0 over its all-zero activation) draws
+//! nothing for it, so image `i`'s cursor at `k` counts its draws at sites
+//! `0..k`. A pass runs every image as one batch; a pass resumed at site `k`
+//! from a stored input batch and cursors runs the same operations on the
+//! same values as a full pass from there on, so every logit keeps its
+//! bits.
 //!
 //! The optimizers query `w ± e_i` neighbours of configurations already
 //! simulated, so most simulations share a long prefix with a stored one.
@@ -52,96 +54,43 @@ pub(crate) fn site_store() -> SiteStore {
 
 /// A [`SiteHook`] a pass can resume from the middle.
 pub(crate) trait ResumableHook: SiteHook {
-    /// The hook's position in its noise stream, for hooks that draw one.
-    fn cursor(&self) -> Option<usize>;
+    /// Each image's position in its noise stream, for hooks that draw one;
+    /// empty for hooks that draw nothing.
+    fn cursors(&self) -> &[usize];
 }
 
-/// Every image's input of one site, image after image, with the noise
+/// One site's input batch, taken before the site's hook ran, and the noise
 /// cursor each image's hook stood at there (empty for hooks that draw
-/// nothing).
-#[derive(Default)]
+/// nothing). Both buffers are copies of their exact size.
 pub(crate) struct SiteInputs {
-    shape: (usize, usize, usize),
-    values: Vec<f64>,
+    input: Tensor3,
     cursors: Vec<usize>,
 }
 
+/// Charged for the memory its buffers hold.
 impl Checkpoint for SiteInputs {
     fn bytes(&self) -> usize {
-        std::mem::size_of_val(self.values.as_slice())
-            + std::mem::size_of_val(self.cursors.as_slice())
+        self.input.capacity_bytes() + self.cursors.bytes()
     }
 }
 
-impl SiteInputs {
-    fn input(&self, image: usize) -> Tensor3 {
-        let (c, h, w) = self.shape;
-        let len = c * h * w;
-        Tensor3::from_vec(c, h, w, self.values[image * len..][..len].to_vec())
-    }
-
-    fn cursor(&self, image: usize) -> usize {
-        self.cursors.get(image).copied().unwrap_or(0)
-    }
-}
-
-/// The checkpoints one simulation records, for sites `first..`.
-struct Capture {
+/// Takes each site's input batch from `first` on, then runs the wrapped
+/// hook.
+struct Recorder<H> {
+    hook: H,
     first: usize,
-    images: usize,
     sites: Vec<SiteInputs>,
 }
 
-impl Capture {
-    fn new(first: usize, images: usize) -> Capture {
-        Capture {
-            first,
-            images,
-            sites: (first..NUM_INJECTION_SITES)
-                .map(|_| SiteInputs::default())
-                .collect(),
+impl<H: ResumableHook> SiteHook for Recorder<H> {
+    fn site(&mut self, site: usize, batch: &mut Tensor3) {
+        if site >= self.first {
+            self.sites.push(SiteInputs {
+                input: batch.clone(),
+                cursors: self.hook.cursors().to_vec(),
+            });
         }
-    }
-
-    fn record(
-        &mut self,
-        site: usize,
-        shape: (usize, usize, usize),
-        values: &[f64],
-        cursor: Option<usize>,
-    ) {
-        let Some(slot) = site
-            .checked_sub(self.first)
-            .and_then(|i| self.sites.get_mut(i))
-        else {
-            return;
-        };
-        if slot.values.is_empty() {
-            slot.values.reserve_exact(values.len() * self.images);
-        }
-        slot.shape = shape;
-        slot.values.extend_from_slice(values);
-        slot.cursors.extend(cursor);
-    }
-}
-
-/// Records each site's input, then runs the wrapped hook.
-struct Recorder<'a, H> {
-    hook: H,
-    capture: &'a mut Capture,
-}
-
-impl<H: ResumableHook> SiteHook for Recorder<'_, H> {
-    fn tensor(&mut self, site: usize, t: &mut Tensor3) {
-        self.capture
-            .record(site, t.shape(), t.as_slice(), self.hook.cursor());
-        self.hook.tensor(site, t);
-    }
-
-    fn vector(&mut self, site: usize, v: &mut [f64]) {
-        self.capture
-            .record(site, (v.len(), 1, 1), v, self.hook.cursor());
-        self.hook.vector(site, v);
+        self.hook.site(site, batch);
     }
 }
 
@@ -153,42 +102,35 @@ fn key<'a>(site: usize, config: &[u64], buf: &'a mut [u64; NUM_INJECTION_SITES +
     &buf[..=site]
 }
 
-/// Simulates `config` (one key word per site) over every image and
-/// returns each image's logits. The pass starts at the deepest site whose
-/// inputs `store` keeps for `config`'s prefix, or at site 0 from `stems`;
-/// `hook(image, cursor)` builds each image's hook. The inputs of the later
-/// sites from [`FIRST_CHECKPOINT_SITE`] on are recorded and stored.
+/// Simulates `config` (one key word per site) over the batch of every
+/// image and returns each image's logits. The pass starts at the deepest
+/// site whose input batch `store` keeps for `config`'s prefix, or at site
+/// 0 from `stems`; `hook(cursors)` builds the pass's hook, given the
+/// stored noise cursors when it resumes. The input batches of the later
+/// sites from [`FIRST_CHECKPOINT_SITE`] on are taken and stored.
 pub(crate) fn simulate<H: ResumableHook>(
     store: &SiteStore,
     net: &MiniSqueezeNet,
-    stems: &[Tensor3],
+    stems: &Tensor3,
     config: &[u64],
-    mut hook: impl FnMut(usize, usize) -> H,
+    hook: impl FnOnce(Option<&[usize]>) -> H,
 ) -> Vec<Vec<f64>> {
-    let resume = lookup(store, config);
-    let start = resume.as_ref().map_or(0, |(site, _)| *site);
+    let (start, input, hook) = match lookup(store, config) {
+        Some((site, inputs)) => (site, inputs.input.clone(), hook(Some(&inputs.cursors))),
+        None => (0, stems.clone(), hook(None)),
+    };
     store.count_start(start);
-    let mut capture = Capture::new((start + 1).max(FIRST_CHECKPOINT_SITE), stems.len());
-    let logits = stems
-        .iter()
-        .enumerate()
-        .map(|(image, stem)| {
-            let (input, cursor) = match &resume {
-                Some((_, inputs)) => (inputs.input(image), inputs.cursor(image)),
-                None => (stem.clone(), 0),
-            };
-            let mut recorder = Recorder {
-                hook: hook(image, cursor),
-                capture: &mut capture,
-            };
-            net.forward_at(start, input, &mut recorder)
-        })
-        .collect();
+    let mut recorder = Recorder {
+        hook,
+        first: (start + 1).max(FIRST_CHECKPOINT_SITE),
+        sites: Vec::new(),
+    };
+    let logits = net.forward_at(start, input, &mut recorder);
     let mut buf = [0; NUM_INJECTION_SITES + 1];
-    for (site, inputs) in (capture.first..).zip(capture.sites) {
+    for (site, inputs) in (recorder.first..).zip(recorder.sites) {
         store.insert(key(site, config, &mut buf), inputs);
     }
-    logits
+    logits.split()
 }
 
 /// The deepest stored site inputs for a prefix of `config`.
@@ -341,6 +283,26 @@ mod tests {
         }
     }
 
+    /// Asserts that each entry stored for `config` is charged the memory
+    /// it holds, and that it holds no spare capacity: one input batch and
+    /// `cursors` cursors.
+    fn assert_charged_by_capacity(store: &SiteStore, config: &[u64], cursors: usize) -> usize {
+        let mut buf = [0; NUM_INJECTION_SITES + 1];
+        let mut entries = 0;
+        for site in FIRST_CHECKPOINT_SITE..NUM_INJECTION_SITES {
+            let Some(entry) = store.get(key(site, config, &mut buf)) else {
+                continue;
+            };
+            let held = entry.input.capacity_bytes() + entry.cursors.capacity() * 8;
+            let exact = (entry.input.len() + cursors) * 8;
+            assert_eq!(entry.cursors.len(), cursors, "site {site}");
+            assert_eq!(entry.bytes(), held, "site {site}");
+            assert_eq!(held, exact, "site {site}");
+            entries += 1;
+        }
+        entries
+    }
+
     #[test]
     fn a_cap_below_every_entry_falls_back_to_full_passes() {
         // Nothing fits under a zero cap; a cap of about one site-9 entry
@@ -354,6 +316,9 @@ mod tests {
                 let full = bits(&bench.clone().image_logits(&powers).unwrap());
                 assert_eq!(resumed, full, "cap {cap}");
                 assert!(bench.checkpoints.bytes() <= cap, "cap {cap}");
+                let config: Vec<u64> = powers.iter().map(|p| p.to_bits()).collect();
+                let stored = assert_charged_by_capacity(&bench.checkpoints, &config, IMAGES);
+                assert_eq!(stored, usize::from(cap > 0), "cap {cap}");
             }
             let stats = bench.resume_stats();
             assert_eq!(stats.simulations(), 16);
@@ -372,6 +337,8 @@ mod tests {
             bench.image_logits(&words).unwrap();
             peak = peak.max(bench.checkpoints.bytes());
             assert!(bench.checkpoints.bytes() <= cap);
+            let (_, config) = bench.quantizers(&words).unwrap();
+            assert!(assert_charged_by_capacity(&bench.checkpoints, &config, 0) > 0);
         }
         assert!(peak > cap / 2, "the stream never filled the store: {peak}");
         assert!(bench.resume_stats().resumed() > 0);

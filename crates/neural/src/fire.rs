@@ -50,13 +50,19 @@ impl FireModule {
         self.expand1.out_channels() + self.expand3.out_channels()
     }
 
-    /// Forward pass: squeeze → ReLU → (expand1 ‖ expand3) → ReLU.
+    /// Forward pass over every image of the batch: squeeze → ReLU →
+    /// (expand1 ‖ expand3) → ReLU. Each expand branch writes straight into
+    /// its channel range of the output.
     pub fn forward(&self, input: &Tensor3) -> Tensor3 {
         let mut squeezed = self.squeeze.forward(input);
         relu_in_place(&mut squeezed);
-        let e1 = self.expand1.forward(&squeezed);
-        let e3 = self.expand3.forward(&squeezed);
-        let mut out = e1.concat_channels(&e3);
+        let (h, w, n) = (input.height(), input.width(), input.images());
+        let mut out = Tensor3::zeros_batch(self.out_channels(), h, w, n);
+        let (e1, e3) = out
+            .as_mut_slice()
+            .split_at_mut(self.expand1.out_channels() * h * w * n);
+        self.expand1.forward_into(&squeezed, e1);
+        self.expand3.forward_into(&squeezed, e3);
         relu_in_place(&mut out);
         out
     }

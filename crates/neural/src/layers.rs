@@ -70,26 +70,43 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// Runs the convolution (stride 1, same padding).
+    /// Runs the convolution (stride 1, same padding) over every image of
+    /// the batch.
     ///
     /// Each output plane starts at its bias; then every `(ic, ky, kx)` tap,
     /// in that order, adds `weight · input` over the output rectangle where
-    /// the tap lands inside the image, one contiguous row slice at a time.
-    /// Every output pixel therefore receives exactly the additions of the
-    /// textbook per-pixel loop, in the same order and skipping the same
-    /// padded taps, so the result is bitwise identical to it.
+    /// the tap lands inside the image. With the image index innermost, one
+    /// row of that rectangle is one contiguous run over all the images, and
+    /// full-width rows merge into a single run. Every output element of
+    /// every image therefore receives exactly the additions of the textbook
+    /// per-pixel loop over that image alone, in the same order and skipping
+    /// the same padded taps, so the result is bitwise identical to it.
     ///
     /// # Panics
     ///
     /// Panics if `input.channels() != in_channels`.
     pub fn forward(&self, input: &Tensor3) -> Tensor3 {
+        let mut out = Tensor3::zeros_batch(
+            self.out_channels,
+            input.height(),
+            input.width(),
+            input.images(),
+        );
+        self.forward_into(input, out.as_mut_slice());
+        out
+    }
+
+    /// [`Conv2d::forward`] written into `out`, the output's flat data: a
+    /// channel range of a wider batch of the input's height, width and
+    /// image count.
+    pub(crate) fn forward_into(&self, input: &Tensor3, out: &mut [f64]) {
         assert_eq!(input.channels(), self.in_channels, "input channel mismatch");
-        let (h, w) = (input.height(), input.width());
+        let (h, w, n) = (input.height(), input.width(), input.images());
         let k = self.kernel;
         let pad = k / 2;
-        let plane = h * w;
-        let mut out = Tensor3::zeros(self.out_channels, h, w);
-        let planes = out.as_mut_slice().chunks_exact_mut(plane);
+        let plane = h * w * n;
+        assert_eq!(out.len(), self.out_channels * plane, "output size mismatch");
+        let planes = out.chunks_exact_mut(plane);
         let filters = self.weights.chunks_exact(self.in_channels * k * k);
         for ((dst, filter), &bias) in planes.zip(filters).zip(&self.bias) {
             dst.fill(bias);
@@ -106,13 +123,13 @@ impl Conv2d {
                         }
                         // Full-width rows are contiguous: one run covers them.
                         let (run, rows) = if x1 - x0 == w {
-                            ((y1 - y0) * w, y0..y0 + 1)
+                            ((y1 - y0) * w * n, y0..y0 + 1)
                         } else {
-                            (x1 - x0, y0..y1)
+                            ((x1 - x0) * n, y0..y1)
                         };
                         for y in rows {
-                            let d = y * w + x0;
-                            let s = (y + ky - pad) * w + x0 + kx - pad;
+                            let d = (y * w + x0) * n;
+                            let s = ((y + ky - pad) * w + x0 + kx - pad) * n;
                             for (o, &v) in dst[d..d + run].iter_mut().zip(&src[s..s + run]) {
                                 *o += wgt * v;
                             }
@@ -121,7 +138,6 @@ impl Conv2d {
                 }
             }
         }
-        out
     }
 }
 
@@ -144,7 +160,8 @@ pub fn relu_in_place(t: &mut Tensor3) {
     }
 }
 
-/// 2×2 max pooling with stride 2 (floor semantics on odd dimensions).
+/// 2×2 max pooling with stride 2 (floor semantics on odd dimensions), per
+/// image.
 ///
 /// # Panics
 ///
@@ -166,23 +183,31 @@ pub fn max_pool2(input: &Tensor3) -> Tensor3 {
         "input too small for 2x2 pooling"
     );
     let (c, h, w) = input.shape();
+    let n = input.images();
     let (oh, ow) = (h / 2, w / 2);
-    let mut out = Tensor3::zeros(c, oh, ow);
+    let mut out = Tensor3::zeros_batch(c, oh, ow, n);
+    let (src, dst) = (input.as_slice(), out.as_mut_slice());
     for ch in 0..c {
         for y in 0..oh {
+            let top = (ch * h + 2 * y) * w * n;
+            let bottom = top + w * n;
             for x in 0..ow {
-                let m = input[(ch, 2 * y, 2 * x)]
-                    .max(input[(ch, 2 * y, 2 * x + 1)])
-                    .max(input[(ch, 2 * y + 1, 2 * x)])
-                    .max(input[(ch, 2 * y + 1, 2 * x + 1)]);
-                out[(ch, y, x)] = m;
+                let (p00, p01) = src[top + 2 * x * n..][..2 * n].split_at(n);
+                let (p10, p11) = src[bottom + 2 * x * n..][..2 * n].split_at(n);
+                let pixel = &mut dst[((ch * oh + y) * ow + x) * n..][..n];
+                let windows = p00.iter().zip(p01).zip(p10).zip(p11);
+                for (o, (((a, b), c), d)) in pixel.iter_mut().zip(windows) {
+                    *o = a.max(*b).max(*c).max(*d);
+                }
             }
         }
     }
     out
 }
 
-/// Global average pooling: one scalar per channel.
+/// Global average pooling: one scalar per channel and image, a
+/// `channels × 1 × 1` batch. Each image's plane is summed in `(y, x)`
+/// order.
 ///
 /// # Examples
 ///
@@ -190,22 +215,25 @@ pub fn max_pool2(input: &Tensor3) -> Tensor3 {
 /// use krigeval_neural::{global_avg_pool, Tensor3};
 ///
 /// let t = Tensor3::from_vec(2, 1, 2, vec![1.0, 3.0, 10.0, 20.0]);
-/// assert_eq!(global_avg_pool(&t), vec![2.0, 15.0]);
+/// assert_eq!(global_avg_pool(&t).as_slice(), &[2.0, 15.0]);
 /// ```
-pub fn global_avg_pool(input: &Tensor3) -> Vec<f64> {
+pub fn global_avg_pool(input: &Tensor3) -> Tensor3 {
     let (c, h, w) = input.shape();
-    let n = (h * w) as f64;
-    (0..c)
-        .map(|ch| {
-            let mut sum = 0.0;
-            for y in 0..h {
-                for x in 0..w {
-                    sum += input[(ch, y, x)];
-                }
+    let n = input.images();
+    let area = (h * w) as f64;
+    let mut out = Tensor3::zeros_batch(c, 1, 1, n);
+    let planes = input.as_slice().chunks_exact(h * w * n);
+    for (sums, plane) in out.as_mut_slice().chunks_exact_mut(n).zip(planes) {
+        for pixel in plane.chunks_exact(n) {
+            for (s, v) in sums.iter_mut().zip(pixel) {
+                *s += v;
             }
-            sum / n
-        })
-        .collect()
+        }
+        for s in sums {
+            *s /= area;
+        }
+    }
+    out
 }
 
 /// Index of the largest logit (ties broken toward the lower index).
@@ -280,21 +308,26 @@ mod tests {
         fn forward_is_bitwise_the_naive_loop(
             (ic, oc, k) in (1usize..5, 1usize..5, 0usize..3),
             (h, w) in (1usize..10, 1usize..10),
+            n in 1usize..=5,
             seed in 0u64..u64::MAX,
         ) {
             let kernel = 2 * k + 1; // 1, 3 or 5, also wider than tiny inputs
             let conv = Conv2d::seeded(ic, oc, kernel, seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
-            let x = Tensor3::from_vec(
-                ic,
-                h,
-                w,
-                (0..ic * h * w).map(|_| rng.gen_range(-4.0..4.0)).collect(),
-            );
-            let fast: Vec<u64> = conv.forward(&x).as_slice().iter().map(|v| v.to_bits()).collect();
-            let naive: Vec<u64> =
-                conv.forward_naive(&x).as_slice().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(fast, naive);
+            let images: Vec<Tensor3> = (0..n)
+                .map(|_| {
+                    let data = (0..ic * h * w).map(|_| rng.gen_range(-4.0..4.0)).collect();
+                    Tensor3::from_vec(ic, h, w, data)
+                })
+                .collect();
+            let batch = conv.forward(&Tensor3::stack(&images));
+            prop_assert_eq!(batch.images(), n);
+            for (i, image) in images.iter().enumerate() {
+                let fast: Vec<u64> = batch.image(i).as_slice().iter().map(|v| v.to_bits()).collect();
+                let naive: Vec<u64> =
+                    conv.forward_naive(image).as_slice().iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(fast, naive, "image {} of {}", i, n);
+            }
         }
     }
 

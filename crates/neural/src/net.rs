@@ -14,9 +14,6 @@ pub const NUM_INJECTION_SITES: usize = 10;
 /// Number of output classes.
 pub const NUM_CLASSES: usize = 10;
 
-/// The first site whose input is the logits vector rather than a tensor.
-const FIRST_LOGIT_SITE: usize = 8;
-
 /// A scaled-down SqueezeNet: conv → pool → fire ×2 → pool → fire ×2 →
 /// 1×1 class conv → global average pool → logits.
 ///
@@ -46,7 +43,7 @@ const FIRST_LOGIT_SITE: usize = 8;
 ///
 /// let net = MiniSqueezeNet::seeded(0xBEEF);
 /// let img = &synthetic_images(1, 12, 1)[0];
-/// let class = net.classify(img);
+/// let class = net.classify(img)[0];
 /// assert!(class < 10);
 /// // No injection = classify.
 /// let (class2, _) = net.classify_with_injection(img, &[f64::NEG_INFINITY; 10], 7);
@@ -91,7 +88,7 @@ impl MiniSqueezeNet {
         // `logits` already applies the per-image centering (offset 0 /
         // scale 1 at this point), so the statistics below are those of the
         // centered logits.
-        let raw: Vec<Vec<f64>> = calibration.iter().map(|img| net.logits(img)).collect();
+        let raw = net.logits(&Tensor3::stack(&calibration));
         let n = raw.len() as f64;
         let mut mean = vec![0.0; NUM_CLASSES];
         for l in &raw {
@@ -110,22 +107,22 @@ impl MiniSqueezeNet {
         net
     }
 
-    /// Error-free forward pass returning the logits.
+    /// Error-free forward pass returning each image's logits.
     ///
     /// # Panics
     ///
-    /// Panics if `image` does not have 3 channels or is smaller than 8×8.
-    pub fn logits(&self, image: &Tensor3) -> Vec<f64> {
-        self.forward_with(image, &mut NoopHook)
+    /// Panics if the images do not have 3 channels or are smaller than 8×8.
+    pub fn logits(&self, images: &Tensor3) -> Vec<Vec<f64>> {
+        self.forward_with(images, &mut NoopHook).split()
     }
 
-    /// Error-free classification (argmax of the logits).
+    /// Error-free classification of each image (argmax of its logits).
     ///
     /// # Panics
     ///
     /// See [`MiniSqueezeNet::logits`].
-    pub fn classify(&self, image: &Tensor3) -> usize {
-        argmax(&self.logits(image))
+    pub fn classify(&self, images: &Tensor3) -> Vec<usize> {
+        self.logits(images).iter().map(|l| argmax(l)).collect()
     }
 
     /// Forward pass with additive error sources of `powers_db[i]` dB
@@ -140,7 +137,8 @@ impl MiniSqueezeNet {
     /// # Panics
     ///
     /// Panics if `powers_db.len() != NUM_INJECTION_SITES`, if a power is NaN
-    /// or `+∞`, or on image-shape violations.
+    /// or `+∞`, if `image` is not a batch of one, or on image-shape
+    /// violations.
     pub fn classify_with_injection(
         &self,
         image: &Tensor3,
@@ -158,8 +156,11 @@ impl MiniSqueezeNet {
                 "invalid error power at site {i}: {p}"
             );
         }
+        assert_eq!(image.images(), 1, "expected a single image");
         let stream = self.noise_stream(image_index, self.noise_draws(image));
-        let logits = self.forward_with(image, &mut NoiseHook::new(powers_db, &stream, 0));
+        let logits = self
+            .forward_with(image, &mut NoiseHook::new(powers_db, &stream, vec![0]))
+            .into_vec();
         (argmax(&logits), logits)
     }
 
@@ -174,11 +175,11 @@ impl MiniSqueezeNet {
         (0..len).map(|_| standard_normal(&mut rng)).collect()
     }
 
-    /// Noise draws a forward pass over `image` consumes when every site
-    /// injects: the sum of the ten site sizes, from the layer shapes
-    /// (2×2 pooling floors each spatial dimension).
-    pub(crate) fn noise_draws(&self, image: &Tensor3) -> usize {
-        let (h, w) = (image.height(), image.width());
+    /// Noise draws a forward pass over an image of `images`' shape
+    /// consumes when every site injects: the sum of the ten site sizes,
+    /// from the layer shapes (2×2 pooling floors each spatial dimension).
+    pub(crate) fn noise_draws(&self, images: &Tensor3) -> usize {
+        let (h, w) = (images.height(), images.width());
         let half = (h / 2) * (w / 2);
         let quarter = (h / 4) * (w / 4);
         let conv1 = self.conv1.out_channels();
@@ -191,83 +192,73 @@ impl MiniSqueezeNet {
             + 2 * NUM_CLASSES
     }
 
-    /// Forward pass with an arbitrary per-site perturbation hook — the
-    /// mechanism both the error-injection benchmark and the fixed-point
-    /// quantized-inference benchmark are built on. `hook.tensor(site, t)` is
-    /// called after each of sites 0–7 (activation tensors) and
-    /// `hook.vector(site, v)` after sites 8–9 (the calibrated logits).
+    /// Forward pass over a batch of images with an arbitrary per-site
+    /// perturbation hook — the mechanism both the error-injection
+    /// benchmark and the fixed-point quantized-inference benchmark are
+    /// built on. `hook.site(k, batch)` is called after each site: on the
+    /// activation batch at sites 0–7 and on the calibrated logits, a
+    /// `NUM_CLASSES × 1 × 1` batch, at sites 8–9. Returns the logits
+    /// batch.
     ///
-    /// Equivalent to `forward_from(stem(image), hook)`.
+    /// Equivalent to `forward_at(0, stem(images), hook)`.
     ///
     /// # Panics
     ///
-    /// Panics if `image` is not RGB or smaller than 8×8.
-    pub fn forward_with(&self, image: &Tensor3, hook: &mut dyn SiteHook) -> Vec<f64> {
-        self.forward_from(self.stem(image), hook)
+    /// Panics if the images are not RGB or smaller than 8×8.
+    pub fn forward_with(&self, images: &Tensor3, hook: &mut dyn SiteHook) -> Tensor3 {
+        self.forward_at(0, self.stem(images), hook)
     }
 
-    /// conv1 and its ReLU: the part of the forward pass before injection
-    /// site 0, so a function of the image alone. Benchmarks that evaluate
-    /// many configurations over a fixed image set compute it once per image
-    /// and resume with [`MiniSqueezeNet::forward_from`].
+    /// conv1 and its ReLU over a batch: the part of the forward pass before
+    /// injection site 0, so a function of the images alone. Benchmarks
+    /// that evaluate many configurations over a fixed image set compute it
+    /// once and resume with [`MiniSqueezeNet::forward_at`] at site 0.
     ///
     /// # Panics
     ///
-    /// Panics if `image` is not RGB or smaller than 8×8.
-    pub fn stem(&self, image: &Tensor3) -> Tensor3 {
-        assert_eq!(image.channels(), 3, "expected an RGB image");
+    /// Panics if the images are not RGB or smaller than 8×8.
+    pub fn stem(&self, images: &Tensor3) -> Tensor3 {
+        assert_eq!(images.channels(), 3, "expected an RGB image");
         assert!(
-            image.height() >= 8 && image.width() >= 8,
+            images.height() >= 8 && images.width() >= 8,
             "image must be at least 8x8 for two pooling stages"
         );
-        let mut t = self.conv1.forward(image);
+        let mut t = self.conv1.forward(images);
         relu_in_place(&mut t);
         t
     }
 
-    /// Each image's [`MiniSqueezeNet::stem`] output and the label the
-    /// error-free network gives it: the per-image state the benchmarks
+    /// The [`MiniSqueezeNet::stem`] batch of `images` and the label the
+    /// error-free network gives each image: the state the benchmarks
     /// precompute.
-    pub(crate) fn stems_and_labels(&self, images: &[Tensor3]) -> (Vec<Tensor3>, Vec<usize>) {
-        let stems: Vec<Tensor3> = images.iter().map(|img| self.stem(img)).collect();
-        let labels = stems
-            .iter()
-            .map(|stem| argmax(&self.forward_from(stem.clone(), &mut NoopHook)))
-            .collect();
-        (stems, labels)
-    }
-
-    /// The forward pass from a [`MiniSqueezeNet::stem`] output onwards:
-    /// [`MiniSqueezeNet::forward_at`] started at injection site 0.
-    pub fn forward_from(&self, stem: Tensor3, hook: &mut dyn SiteHook) -> Vec<f64> {
-        self.forward_at(0, stem, hook)
+    pub(crate) fn stems_and_labels(&self, images: &[Tensor3]) -> (Tensor3, Vec<usize>) {
+        let stems = self.stem(&Tensor3::stack(images));
+        let logits = self.forward_at(0, stems.clone(), &mut NoopHook).split();
+        (stems, logits.iter().map(|l| argmax(l)).collect())
     }
 
     /// The forward pass from injection site `site` onwards, given that
-    /// site's input before its hook runs: the activation tensor at sites
-    /// 0–7, the calibrated logits as a `NUM_CLASSES × 1 × 1` tensor at
-    /// sites 8–9. Every forward pass runs this one body; a pass started at
-    /// `site` from the input a full pass had there runs the same operations
-    /// on the same values from then on.
+    /// site's input batch before its hook runs: the activations at sites
+    /// 0–7, the calibrated logits as a `NUM_CLASSES × 1 × 1` batch at sites
+    /// 8–9. Returns the logits batch. Every forward pass runs this one
+    /// body, each layer once over the whole batch; a pass started at `site`
+    /// from the input a full pass had there runs the same operations on
+    /// the same values from then on.
     ///
     /// # Panics
     ///
     /// Panics if `site >= NUM_INJECTION_SITES` or `input` does not have the
     /// site's shape.
-    pub fn forward_at(&self, site: usize, input: Tensor3, hook: &mut dyn SiteHook) -> Vec<f64> {
+    pub fn forward_at(&self, site: usize, input: Tensor3, hook: &mut dyn SiteHook) -> Tensor3 {
         assert!(site < NUM_INJECTION_SITES, "no injection site {site}");
         let mut t = input;
         for k in site..NUM_INJECTION_SITES {
             if k > site {
                 t = self.layer(k, t);
             }
-            if k < FIRST_LOGIT_SITE {
-                hook.tensor(k, &mut t);
-            } else {
-                hook.vector(k, t.as_mut_slice());
-            }
+            hook.site(k, &mut t);
         }
-        t.into_vec()
+        t
     }
 
     /// The layer between site `k − 1`'s hooked output and site `k`'s input.
@@ -286,20 +277,27 @@ impl MiniSqueezeNet {
         }
     }
 
-    /// Global average pool of the class maps, then calibration.
+    /// Global average pool of the class maps, then calibration, per image.
     fn calibrated_logits(&self, class_maps: &Tensor3) -> Tensor3 {
-        let gap = global_avg_pool(class_maps);
+        let mut logits = global_avg_pool(class_maps);
+        let n = logits.images();
         // Raw class logits of an untrained network are dominated by one
         // common per-image factor (overall activation energy). Remove it by
         // centering across classes, then apply the per-class z-score
         // calibration so every class competes on image-specific structure.
-        let image_mean = gap.iter().sum::<f64>() / gap.len() as f64;
-        let logits: Vec<f64> = gap
-            .iter()
-            .zip(self.logit_offset.iter().zip(&self.logit_scale))
-            .map(|(g, (o, s))| (g - image_mean - o) / s)
+        let image_mean: Vec<f64> = (0..n)
+            .map(|i| {
+                let gap = logits.as_slice()[i..].iter().step_by(n);
+                gap.sum::<f64>() / class_maps.channels() as f64
+            })
             .collect();
-        Tensor3::from_vec(logits.len(), 1, 1, logits)
+        let classes = logits.as_mut_slice().chunks_exact_mut(n);
+        for (gap, (o, s)) in classes.zip(self.logit_offset.iter().zip(&self.logit_scale)) {
+            for (g, m) in gap.iter_mut().zip(&image_mean) {
+                *g = (*g - m - o) / s;
+            }
+        }
+        logits
     }
 }
 
@@ -314,14 +312,11 @@ pub(crate) fn agreement_rate(logits: &[Vec<f64>], labels: &[usize]) -> f64 {
     agree as f64 / labels.len() as f64
 }
 
-/// A per-site perturbation applied during [`MiniSqueezeNet::forward_with`].
-///
-/// Sites 0–7 are activation tensors, sites 8–9 the calibrated logits.
+/// A per-site perturbation applied during [`MiniSqueezeNet::forward_at`].
 pub trait SiteHook {
-    /// Perturbs the activation tensor produced at `site` (0–7).
-    fn tensor(&mut self, site: usize, t: &mut Tensor3);
-    /// Perturbs the logits at `site` (8–9).
-    fn vector(&mut self, site: usize, v: &mut [f64]);
+    /// Perturbs the batch produced at `site`: activations at sites 0–7,
+    /// the calibrated logits (`NUM_CLASSES × 1 × 1` per image) at 8–9.
+    fn site(&mut self, site: usize, batch: &mut Tensor3);
 }
 
 /// A [`SiteHook`] that applies nothing — the reference path.
@@ -329,67 +324,85 @@ pub trait SiteHook {
 pub struct NoopHook;
 
 impl SiteHook for NoopHook {
-    fn tensor(&mut self, _: usize, _: &mut Tensor3) {}
-    fn vector(&mut self, _: usize, _: &mut [f64]) {}
+    fn site(&mut self, _: usize, _: &mut Tensor3) {}
 }
 
-/// The error-injection hook: reads an image's noise sequence (see
-/// [`MiniSqueezeNet::noise_stream`]) through a cursor.
+/// The error-injection hook: reads each image's noise sequence (see
+/// [`MiniSqueezeNet::noise_stream`]) through a cursor of its own.
 pub(crate) struct NoiseHook<'a> {
     powers_db: &'a [f64],
-    stream: &'a [f64],
-    cursor: usize,
+    /// Draw `k` of image `i` at `k · images + i`, the batch layout.
+    noise: &'a [f64],
+    cursors: Vec<usize>,
 }
 
 impl<'a> NoiseHook<'a> {
-    /// Injects `powers_db[site]` at each site, drawing from `stream` from
-    /// position `cursor` on. A full pass starts at cursor 0 and needs
-    /// `stream` to hold [`MiniSqueezeNet::noise_draws`] values; a pass
-    /// resumed at site `k` starts where a full pass's cursor stood at `k`.
-    pub(crate) fn new(powers_db: &'a [f64], stream: &'a [f64], cursor: usize) -> NoiseHook<'a> {
+    /// Injects `powers_db[site]` at each site, image `i` drawing from its
+    /// sequence in `noise` from position `cursors[i]` on. A full pass
+    /// starts every cursor at 0 and needs each image's sequence to hold
+    /// [`MiniSqueezeNet::noise_draws`] values; a pass resumed at site `k`
+    /// starts where a full pass's cursors stood at `k`.
+    pub(crate) fn new(
+        powers_db: &'a [f64],
+        noise: &'a [f64],
+        cursors: Vec<usize>,
+    ) -> NoiseHook<'a> {
         NoiseHook {
             powers_db,
-            stream,
-            cursor,
-        }
-    }
-
-    /// Adds white Gaussian noise of mean power `10^(db/10)` **relative to
-    /// the site's activation power** to every element (i.e. `power_db` is a
-    /// noise-to-signal ratio in dB). Relative powers keep the ten sites
-    /// commensurable: the paper budgets error power per layer, and
-    /// activations at different depths have very different dynamic ranges.
-    /// A source at `−∞` dB or over an all-zero activation draws nothing.
-    fn inject(&mut self, site: usize, xs: &mut [f64]) {
-        let power_db = self.powers_db[site];
-        if power_db == f64::NEG_INFINITY {
-            return;
-        }
-        let sigma = 10f64.powf(power_db / 20.0) * crate::tensor::rms(xs);
-        if sigma == 0.0 {
-            return;
-        }
-        let draws = &self.stream[self.cursor..self.cursor + xs.len()];
-        self.cursor += xs.len();
-        for (x, z) in xs.iter_mut().zip(draws) {
-            *x += sigma * z;
+            noise,
+            cursors,
         }
     }
 }
 
 impl SiteHook for NoiseHook<'_> {
-    fn tensor(&mut self, site: usize, t: &mut Tensor3) {
-        self.inject(site, t.as_mut_slice());
-    }
-
-    fn vector(&mut self, site: usize, v: &mut [f64]) {
-        self.inject(site, v);
+    /// Adds white Gaussian noise of mean power `10^(db/10)` **relative to
+    /// each image's activation power at the site** to every element (i.e.
+    /// `power_db` is a noise-to-signal ratio in dB). Relative powers keep
+    /// the ten sites commensurable: the paper budgets error power per
+    /// layer, and activations at different depths have very different
+    /// dynamic ranges. A source at `−∞` dB draws nothing; an image whose σ
+    /// is 0 (an all-zero activation, or a power so low that σ underflows)
+    /// draws nothing either, and none of its values change.
+    fn site(&mut self, site: usize, t: &mut Tensor3) {
+        let power_db = self.powers_db[site];
+        if power_db == f64::NEG_INFINITY {
+            return;
+        }
+        let scale = 10f64.powf(power_db / 20.0);
+        let sigmas: Vec<f64> = t.rms().into_iter().map(|r| scale * r).collect();
+        let n = sigmas.len();
+        let len = t.len() / n;
+        let xs = t.as_mut_slice();
+        let first = self.cursors[0];
+        if sigmas.iter().all(|&s| s != 0.0) && self.cursors.iter().all(|&c| c == first) {
+            // Every image draws from the same position: the draws are one
+            // run in the batch layout.
+            let draws = self.noise[first * n..][..len * n].chunks_exact(n);
+            for (row, z) in xs.chunks_exact_mut(n).zip(draws) {
+                for ((x, z), s) in row.iter_mut().zip(z).zip(&sigmas) {
+                    *x += s * z;
+                }
+            }
+        } else {
+            for (i, &s) in sigmas.iter().enumerate().filter(|(_, &s)| s != 0.0) {
+                let draws = self.noise[self.cursors[i] * n + i..].iter().step_by(n);
+                for (x, z) in xs[i..].iter_mut().step_by(n).zip(draws) {
+                    *x += s * z;
+                }
+            }
+        }
+        for (cursor, &s) in self.cursors.iter_mut().zip(&sigmas) {
+            if s != 0.0 {
+                *cursor += len;
+            }
+        }
     }
 }
 
 impl ResumableHook for NoiseHook<'_> {
-    fn cursor(&self) -> Option<usize> {
-        Some(self.cursor)
+    fn cursors(&self) -> &[usize] {
+        &self.cursors
     }
 }
 
@@ -408,28 +421,25 @@ mod tests {
     #[test]
     fn logits_have_num_classes_entries() {
         let net = MiniSqueezeNet::seeded(1);
-        let img = &synthetic_images(1, 12, 0)[0];
-        assert_eq!(net.logits(img).len(), NUM_CLASSES);
+        let imgs = Tensor3::stack(&synthetic_images(3, 12, 0));
+        let logits = net.logits(&imgs);
+        assert_eq!(logits.len(), 3);
+        assert!(logits.iter().all(|l| l.len() == NUM_CLASSES));
     }
 
     #[test]
     fn classification_is_deterministic() {
         let net = MiniSqueezeNet::seeded(2);
-        let imgs = synthetic_images(5, 12, 3);
-        let a: Vec<usize> = imgs.iter().map(|i| net.classify(i)).collect();
-        let b: Vec<usize> = imgs.iter().map(|i| net.classify(i)).collect();
-        assert_eq!(a, b);
+        let imgs = Tensor3::stack(&synthetic_images(5, 12, 3));
+        assert_eq!(net.classify(&imgs), net.classify(&imgs));
     }
 
     #[test]
     fn classes_are_diverse_across_images() {
         // A useful benchmark needs varied labels, not one dominant class.
         let net = MiniSqueezeNet::seeded(4);
-        let imgs = synthetic_images(60, 12, 5);
-        let mut seen = std::collections::HashSet::new();
-        for img in &imgs {
-            seen.insert(net.classify(img));
-        }
+        let imgs = Tensor3::stack(&synthetic_images(60, 12, 5));
+        let seen: std::collections::HashSet<usize> = net.classify(&imgs).into_iter().collect();
         assert!(seen.len() >= 3, "only {} distinct classes", seen.len());
     }
 
@@ -437,7 +447,7 @@ mod tests {
     fn disabled_sources_reproduce_clean_output() {
         let net = MiniSqueezeNet::seeded(6);
         let img = &synthetic_images(1, 12, 7)[0];
-        let clean = net.logits(img);
+        let clean = net.logits(img).remove(0);
         let (_, with_off_sources) = net.classify_with_injection(img, &[f64::NEG_INFINITY; 10], 3);
         assert_eq!(clean, with_off_sources);
     }
@@ -461,15 +471,18 @@ mod tests {
             let img = &synthetic_images(1, size, 17)[0];
             let draws = net.noise_draws(img);
             let stream = net.noise_stream(3, draws);
-            let mut hook = NoiseHook::new(&[-20.0; 10], &stream, 0);
+            let mut hook = NoiseHook::new(&[-20.0; 10], &stream, vec![0]);
             net.forward_with(img, &mut hook);
-            assert_eq!(hook.cursor, draws, "{size}x{size} image");
+            assert_eq!(hook.cursors, [draws], "{size}x{size} image");
 
             let mut powers = [-20.0; 10];
             powers[4] = f64::NEG_INFINITY;
-            let mut hook = NoiseHook::new(&powers, &stream, 0);
+            let mut hook = NoiseHook::new(&powers, &stream, vec![0]);
             net.forward_with(img, &mut hook);
-            assert!(hook.cursor < draws, "a disabled site must skip its draws");
+            assert!(
+                hook.cursors[0] < draws,
+                "a disabled site must skip its draws"
+            );
         }
     }
 
@@ -477,7 +490,7 @@ mod tests {
     fn loud_noise_perturbs_logits() {
         let net = MiniSqueezeNet::seeded(10);
         let img = &synthetic_images(1, 12, 11)[0];
-        let clean = net.logits(img);
+        let clean = net.logits(img).remove(0);
         let (_, noisy) = net.classify_with_injection(img, &[10.0; 10], 0);
         let diff: f64 = clean.iter().zip(&noisy).map(|(a, b)| (a - b).abs()).sum();
         assert!(diff > 0.1, "logits barely moved: {diff}");

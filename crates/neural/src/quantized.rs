@@ -35,9 +35,9 @@ use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 #[derive(Debug, Clone)]
 pub struct QuantizedNetBenchmark {
     net: MiniSqueezeNet,
-    /// Each image's conv1 + ReLU output ([`MiniSqueezeNet::stem`]), which
-    /// no word-length configuration changes.
-    stems: Vec<Tensor3>,
+    /// Every image's conv1 + ReLU output ([`MiniSqueezeNet::stem`]) as one
+    /// batch, which no word-length configuration changes.
+    stems: Tensor3,
     labels: Vec<usize>,
     /// Integer bits per site, sized from calibration activations.
     integer_bits: [i32; NUM_INJECTION_SITES],
@@ -66,9 +66,7 @@ impl QuantizedNetBenchmark {
         let mut ranges = RangeHook {
             max_abs: [0.0; NUM_INJECTION_SITES],
         };
-        for img in &calibration {
-            net.forward_with(img, &mut ranges);
-        }
+        net.forward_with(&Tensor3::stack(&calibration), &mut ranges);
         let mut integer_bits = [0i32; NUM_INJECTION_SITES];
         for (bits, &peak) in integer_bits.iter_mut().zip(&ranges.max_abs) {
             // 25 % headroom over the observed peak, at least Q0.
@@ -90,7 +88,7 @@ impl QuantizedNetBenchmark {
 
     /// Number of evaluation images.
     pub fn num_images(&self) -> usize {
-        self.stems.len()
+        self.stems.images()
     }
 
     /// Calibrated integer bits per site.
@@ -121,6 +119,24 @@ impl QuantizedNetBenchmark {
     ///
     /// As [`QuantizedNetBenchmark::classification_rate`].
     pub fn image_logits(&self, word_lengths: &[i32]) -> Result<Vec<Vec<f64>>, NeuralError> {
+        let (quantizers, config) = self.quantizers(word_lengths)?;
+        Ok(checkpoint::simulate(
+            &self.checkpoints,
+            &self.net,
+            &self.stems,
+            &config,
+            |_| QuantizeHook {
+                quantizers: &quantizers,
+            },
+        ))
+    }
+
+    /// Each site's quantizer for `word_lengths`, and the store key words:
+    /// the word-length each site quantizes to, after clamping to `ib + 2`.
+    pub(crate) fn quantizers(
+        &self,
+        word_lengths: &[i32],
+    ) -> Result<(Vec<Quantizer>, [u64; NUM_INJECTION_SITES]), NeuralError> {
         if word_lengths.len() != NUM_INJECTION_SITES {
             return Err(NeuralError::WrongSourceCount {
                 expected: NUM_INJECTION_SITES,
@@ -128,7 +144,6 @@ impl QuantizedNetBenchmark {
             });
         }
         let mut quantizers = Vec::with_capacity(NUM_INJECTION_SITES);
-        // Keyed by the word-length each site quantizes to, after clamping.
         let mut config = [0u64; NUM_INJECTION_SITES];
         for (site, (&w, &ib)) in word_lengths.iter().zip(&self.integer_bits).enumerate() {
             let invalid = NeuralError::InvalidWordLength {
@@ -143,15 +158,7 @@ impl QuantizedNetBenchmark {
             quantizers.push(Quantizer::new(format));
             config[site] = u64::from(effective.unsigned_abs());
         }
-        Ok(checkpoint::simulate(
-            &self.checkpoints,
-            &self.net,
-            &self.stems,
-            &config,
-            |_, _| QuantizeHook {
-                quantizers: &quantizers,
-            },
-        ))
+        Ok((quantizers, config))
     }
 
     /// How this instance's simulations started: full passes, and passes
@@ -166,15 +173,9 @@ struct RangeHook {
 }
 
 impl SiteHook for RangeHook {
-    fn tensor(&mut self, site: usize, t: &mut Tensor3) {
-        for &v in t.as_slice() {
+    fn site(&mut self, site: usize, batch: &mut Tensor3) {
+        for &v in batch.as_slice() {
             self.max_abs[site] = self.max_abs[site].max(v.abs());
-        }
-    }
-
-    fn vector(&mut self, site: usize, v: &mut [f64]) {
-        for &x in v.iter() {
-            self.max_abs[site] = self.max_abs[site].max(x.abs());
         }
     }
 }
@@ -184,18 +185,14 @@ struct QuantizeHook<'a> {
 }
 
 impl SiteHook for QuantizeHook<'_> {
-    fn tensor(&mut self, site: usize, t: &mut Tensor3) {
-        self.quantizers[site].quantize_in_place(t.as_mut_slice());
-    }
-
-    fn vector(&mut self, site: usize, v: &mut [f64]) {
-        self.quantizers[site].quantize_in_place(v);
+    fn site(&mut self, site: usize, batch: &mut Tensor3) {
+        self.quantizers[site].quantize_in_place(batch.as_mut_slice());
     }
 }
 
 impl ResumableHook for QuantizeHook<'_> {
-    fn cursor(&self) -> Option<usize> {
-        None
+    fn cursors(&self) -> &[usize] {
+        &[]
     }
 }
 
@@ -270,14 +267,42 @@ mod tests {
     #[test]
     fn reference_hook_reproduces_clean_labels() {
         let b = small();
-        let mut agree = 0;
-        let images = synthetic_images(32, 12, 0xBEE5 + 1);
-        for (img, &label) in images.iter().zip(&b.labels) {
-            let logits = b.net.forward_with(img, &mut crate::NoopHook);
-            if crate::argmax(&logits) == label {
-                agree += 1;
+        let images = Tensor3::stack(&synthetic_images(32, 12, 0xBEE5 + 1));
+        assert_eq!(b.net.classify(&images), b.labels);
+    }
+
+    #[test]
+    fn batched_logits_are_the_batch_of_one_logits() {
+        let b = small();
+        let configs = [
+            [16; NUM_INJECTION_SITES],
+            [7, 8, 9, 10, 7, 8, 9, 10, 7, 8],
+            // At or below every calibrated `ib + 2`: each site quantizes
+            // to `ib + 2`.
+            [2; NUM_INJECTION_SITES],
+            [2, 12, 2, 12, 2, 12, 2, 12, 2, 12],
+        ];
+        for words in configs {
+            let (quantizers, effective) = b.quantizers(&words).unwrap();
+            for (site, (&w, &e)) in words.iter().zip(&effective).enumerate() {
+                if w == 2 {
+                    assert_eq!(e, u64::from((b.integer_bits[site] + 2).unsigned_abs()));
+                }
+            }
+            let batched = b.image_logits(&words).unwrap();
+            assert_eq!(batched.len(), b.num_images());
+            for (i, logits) in batched.iter().enumerate() {
+                let mut hook = QuantizeHook {
+                    quantizers: &quantizers,
+                };
+                let single = b.net.forward_at(0, b.stems.image(i), &mut hook);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(logits),
+                    bits(single.as_slice()),
+                    "{words:?}, image {i}"
+                );
             }
         }
-        assert_eq!(agree, b.num_images());
     }
 }

@@ -16,11 +16,12 @@ use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 /// tolerated error powers subject to `p_cl ≥ p_min`.
 ///
 /// Everything a simulation repeats that does not depend on the
-/// configuration is computed once at construction: each image's
-/// [`MiniSqueezeNet::stem`] output and its noise sequence. A simulation
-/// resumes at the deepest site whose inputs the instance has kept for an
-/// equal configuration prefix (see [`SensitivityBenchmark::resume_stats`]),
-/// with the same bits as a full pass. A clone starts with no kept inputs.
+/// configuration is computed once at construction: the
+/// [`MiniSqueezeNet::stem`] batch of every image and each image's noise
+/// sequence. A simulation runs every image as one batch, and resumes at
+/// the deepest site whose input batch the instance has kept for an equal
+/// configuration prefix (see [`SensitivityBenchmark::resume_stats`]), with
+/// the same bits as a full pass. A clone starts with no kept inputs.
 ///
 /// # Examples
 ///
@@ -38,11 +39,11 @@ use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
 #[derive(Debug, Clone)]
 pub struct SensitivityBenchmark {
     net: MiniSqueezeNet,
-    /// Each image's conv1 + ReLU output.
-    stems: Vec<Tensor3>,
-    /// Each image's noise sequence, `draws` values per image, back to back.
+    /// Every image's conv1 + ReLU output, as one batch.
+    stems: Tensor3,
+    /// Each image's noise sequence, in the batch layout: draw `k` of image
+    /// `i` at `k · num_images + i`.
     noise: Vec<f64>,
-    draws: usize,
     labels: Vec<usize>,
     pub(crate) checkpoints: SiteStore,
 }
@@ -65,15 +66,18 @@ impl SensitivityBenchmark {
         let net = MiniSqueezeNet::seeded(seed);
         let images = synthetic_images(num_images, size, seed.wrapping_add(1));
         let draws = net.noise_draws(&images[0]);
-        let noise = (0..num_images as u64)
-            .flat_map(|i| net.noise_stream(i, draws))
-            .collect();
+        let mut noise = vec![0.0; draws * num_images];
+        for i in 0..num_images {
+            let stream = net.noise_stream(i as u64, draws);
+            for (z, v) in noise[i..].iter_mut().step_by(num_images).zip(stream) {
+                *z = v;
+            }
+        }
         let (stems, labels) = net.stems_and_labels(&images);
         SensitivityBenchmark {
             net,
             stems,
             noise,
-            draws,
             labels,
             checkpoints: checkpoint::site_store(),
         }
@@ -86,7 +90,7 @@ impl SensitivityBenchmark {
 
     /// Number of images in the evaluation set.
     pub fn num_images(&self) -> usize {
-        self.stems.len()
+        self.stems.images()
     }
 
     /// Reference labels (the clean network's own classifications).
@@ -132,9 +136,9 @@ impl SensitivityBenchmark {
             &self.net,
             &self.stems,
             &config,
-            |image, cursor| {
-                let stream = &self.noise[image * self.draws..][..self.draws];
-                NoiseHook::new(powers_db, stream, cursor)
+            |cursors| {
+                let cursors = cursors.map_or_else(|| vec![0; self.num_images()], <[_]>::to_vec);
+                NoiseHook::new(powers_db, &self.noise, cursors)
             },
         ))
     }
@@ -149,9 +153,11 @@ impl SensitivityBenchmark {
     /// activations are all zero and draw no noise at any power.
     #[cfg(test)]
     pub(crate) fn with_blank_stems(mut self, images: &[usize]) -> SensitivityBenchmark {
+        let n = self.num_images();
         for &i in images {
-            let (c, h, w) = self.stems[i].shape();
-            self.stems[i] = Tensor3::zeros(c, h, w);
+            for v in self.stems.as_mut_slice()[i..].iter_mut().step_by(n) {
+                *v = 0.0;
+            }
         }
         self
     }
@@ -160,6 +166,7 @@ impl SensitivityBenchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::ResumableHook;
 
     fn small() -> SensitivityBenchmark {
         SensitivityBenchmark::new(48, 12, 0x59EE_3E05)
@@ -204,6 +211,81 @@ mod tests {
         for (i, (img, l)) in images.iter().zip(&logits).enumerate() {
             let (_, direct) = b.net.classify_with_injection(img, &powers, i as u64);
             assert_eq!(&direct, l, "image {i}");
+        }
+    }
+
+    /// Image `i`'s logits from a pass over it alone: a batch of one that
+    /// reads its own noise sequence from the start.
+    fn batch_of_one_logits(b: &SensitivityBenchmark, powers: &[f64], i: usize) -> Vec<f64> {
+        let stream: Vec<f64> = b.noise[i..]
+            .iter()
+            .step_by(b.num_images())
+            .copied()
+            .collect();
+        let mut hook = NoiseHook::new(powers, &stream, vec![0]);
+        b.net.forward_at(0, b.stems.image(i), &mut hook).into_vec()
+    }
+
+    /// Images 1 and 4 have all-zero stems: σ is 0 for them at sites 0 and
+    /// 1, so they draw nothing there and their cursors lag from site 2 on.
+    fn with_blanks() -> SensitivityBenchmark {
+        SensitivityBenchmark::new(6, 12, 0x0C4E_C4B7).with_blank_stems(&[1, 4])
+    }
+
+    #[test]
+    fn batched_logits_are_the_batch_of_one_logits() {
+        let b = with_blanks();
+        let configs: [Vec<f64>; 4] = [
+            vec![-26.0; 10],
+            (0..10)
+                .map(|s| if s % 3 == 0 { f64::NEG_INFINITY } else { -14.0 })
+                .collect(),
+            // σ = 10^(−350)·rms underflows to 0 at sites 1, 5 and 9.
+            (0..10)
+                .map(|s| if s % 4 == 1 { -7000.0 } else { -20.0 })
+                .collect(),
+            vec![f64::NEG_INFINITY; 10],
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for powers in &configs {
+            // The second pass resumes at the logits register.
+            for _ in 0..2 {
+                let batched = b.image_logits(powers).unwrap();
+                for (i, logits) in batched.iter().enumerate() {
+                    let single = batch_of_one_logits(&b, powers, i);
+                    assert_eq!(bits(logits), bits(&single), "{powers:?}, image {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_image_whose_sigma_is_zero_draws_nothing() {
+        let b = with_blanks();
+        let n = b.num_images();
+        let powers = [-20.0; 10];
+        let mut hook = NoiseHook::new(&powers, &b.noise, vec![0; n]);
+        b.net.forward_at(0, b.stems.clone(), &mut hook);
+        let draws = b.net.noise_draws(&b.stems);
+        let skipped = (b.stems.len() + crate::max_pool2(&b.stems).len()) / n;
+        for (i, &cursor) in hook.cursors().iter().enumerate() {
+            let expected = if i == 1 || i == 4 {
+                draws - skipped
+            } else {
+                draws
+            };
+            assert_eq!(cursor, expected, "image {i}");
+        }
+
+        // So a blank image's logits are those with sites 0 and 1 disabled.
+        let mut quiet = powers;
+        quiet[..2].fill(f64::NEG_INFINITY);
+        let (loud, quiet) = (
+            b.image_logits(&powers).unwrap(),
+            b.image_logits(&quiet).unwrap(),
+        );
+        for i in 0..n {
+            assert_eq!(loud[i] == quiet[i], i == 1 || i == 4, "image {i}");
         }
     }
 
