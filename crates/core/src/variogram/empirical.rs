@@ -1,6 +1,6 @@
 //! Empirical semi-variogram (paper Eq. 4), batch and incremental.
 
-use crate::variogram::table::{lattice_distance, lattice_key};
+use crate::variogram::table::{lattice_distance, lattice_key, MAX_TABLE_KEYS};
 use crate::{Config, CoreError, DistanceMetric};
 use std::collections::BTreeMap;
 
@@ -165,6 +165,9 @@ impl EmpiricalVariogram {
     }
 }
 
+/// Running sums of one distance bin: `(Σ squared diff, Σ distance, count)`.
+type BinSums = (f64, f64, usize);
+
 /// Incremental empirical semi-variogram over integer configurations with
 /// unit bins.
 ///
@@ -173,6 +176,14 @@ impl EmpiricalVariogram {
 /// this accumulator keeps per-bin running sums and folds in only the sites
 /// appended since the last [`sync`](VariogramAccumulator::sync) — O(new·N)
 /// pair updates per refit instead.
+///
+/// The pair loop reads a flat row-major copy of the synced configurations
+/// and sums each bin below 2¹⁶ in a dense vector indexed by bin, so a pair
+/// costs no pointer chase and no map lookup. The rare bins at or above
+/// 2¹⁶ (pairs more than 65,535 lattice units apart) go to an ordered map,
+/// so the vector never holds more than 2¹⁶ bins whatever the input. Every
+/// bin adds its pairs in sync order (new-site-major) wherever it is
+/// stored, and the snapshot lists the bins by increasing distance.
 ///
 /// Pair sums are accumulated in a different order than the batch
 /// [`EmpiricalVariogram::from_samples`] loop (new-site-major rather than
@@ -196,8 +207,15 @@ impl EmpiricalVariogram {
 #[derive(Debug, Clone, Default)]
 pub struct VariogramAccumulator {
     metric: DistanceMetric,
-    /// bin index -> (Σ squared diff, Σ distance, count)
-    acc: BTreeMap<u64, (f64, f64, usize)>,
+    /// Sums of the bins below [`MAX_TABLE_KEYS`], indexed by bin; grows to
+    /// the largest such bin seen.
+    dense: Vec<BinSums>,
+    /// Sums of the bins at or above [`MAX_TABLE_KEYS`].
+    sparse: BTreeMap<u64, BinSums>,
+    /// The folded-in configurations, row-major, `dim` entries each.
+    sites: Vec<i32>,
+    /// Length of every configuration (that of the first one synced).
+    dim: usize,
     /// How many leading sites of the backing store have been folded in.
     consumed: usize,
 }
@@ -207,8 +225,7 @@ impl VariogramAccumulator {
     pub fn new(metric: DistanceMetric) -> VariogramAccumulator {
         VariogramAccumulator {
             metric,
-            acc: BTreeMap::new(),
-            consumed: 0,
+            ..VariogramAccumulator::default()
         }
     }
 
@@ -224,7 +241,9 @@ impl VariogramAccumulator {
 
     /// Drops all accumulated pairs.
     pub fn clear(&mut self) {
-        self.acc.clear();
+        self.dense.clear();
+        self.sparse.clear();
+        self.sites.clear();
         self.consumed = 0;
     }
 
@@ -252,19 +271,57 @@ impl VariogramAccumulator {
             configs.len(),
             self.consumed
         );
-        for j in self.consumed..configs.len() {
+        let from = self.consumed;
+        if from == 0 {
+            if let Some(first) = configs.first() {
+                self.dim = first.len();
+            }
+        }
+        for config in &configs[from..] {
+            assert_eq!(config.len(), self.dim, "configuration length mismatch");
+            self.sites.extend_from_slice(config);
+        }
+        // One pair loop per metric, so the key arithmetic is inlined.
+        use DistanceMetric::{Linf, L1, L2};
+        match self.metric {
+            L1 => self.fold(from, values, |a, b| {
+                lattice_distance(L1, lattice_key(L1, a, b))
+            }),
+            L2 => self.fold(from, values, |a, b| {
+                lattice_distance(L2, lattice_key(L2, a, b))
+            }),
+            Linf => self.fold(from, values, |a, b| {
+                lattice_distance(Linf, lattice_key(Linf, a, b))
+            }),
+        }
+        self.consumed = configs.len();
+    }
+
+    /// Adds every pair `(j, k)` with `from ≤ j < values.len()` and `k < j`,
+    /// `j`-major, to the sums of its bin; `distance` is the pair's
+    /// [`lattice_distance`].
+    fn fold(&mut self, from: usize, values: &[f64], distance: impl Fn(&[i32], &[i32]) -> f64) {
+        let dim = self.dim;
+        for j in from..values.len() {
+            let site = &self.sites[j * dim..(j + 1) * dim];
             for k in 0..j {
-                let key = lattice_key(self.metric, &configs[j], &configs[k]);
-                let d = lattice_distance(self.metric, key);
+                let d = distance(site, &self.sites[k * dim..(k + 1) * dim]);
                 let diff = values[j] - values[k];
                 let bin = d.round() as u64;
-                let e = self.acc.entry(bin).or_insert((0.0, 0.0, 0));
+                let e = if bin < MAX_TABLE_KEYS {
+                    let bin = bin as usize;
+                    if bin >= self.dense.len() {
+                        self.dense.resize(bin + 1, (0.0, 0.0, 0));
+                    }
+                    &mut self.dense[bin]
+                } else {
+                    self.sparse.entry(bin).or_insert((0.0, 0.0, 0))
+                };
                 e.0 += diff * diff;
                 e.1 += d;
                 e.2 += 1;
             }
         }
-        self.consumed = configs.len();
     }
 
     /// Materializes the current sums as an [`EmpiricalVariogram`].
@@ -273,20 +330,22 @@ impl VariogramAccumulator {
     ///
     /// [`CoreError::FitFailed`] if no pair has been accumulated yet.
     pub fn snapshot(&self) -> Result<EmpiricalVariogram, CoreError> {
-        if self.acc.is_empty() {
-            return Err(CoreError::FitFailed {
-                reason: "need at least two sites to form a pair".into(),
-            });
-        }
-        let bins = self
-            .acc
+        let bins: Vec<VariogramBin> = self
+            .dense
             .iter()
-            .map(|(_, &(sum_sq, sum_d, pairs))| VariogramBin {
+            .chain(self.sparse.values())
+            .filter(|&&(_, _, pairs)| pairs > 0)
+            .map(|&(sum_sq, sum_d, pairs)| VariogramBin {
                 distance: sum_d / pairs as f64,
                 gamma: sum_sq / (2.0 * pairs as f64),
                 pairs,
             })
             .collect();
+        if bins.is_empty() {
+            return Err(CoreError::FitFailed {
+                reason: "need at least two sites to form a pair".into(),
+            });
+        }
         Ok(EmpiricalVariogram {
             bins,
             metric: self.metric,
@@ -434,67 +493,175 @@ mod tests {
         assert!((v.bins()[1].gamma - 1.0).abs() < 1e-12);
     }
 
+    /// The accumulator's pair loop before its dense bins: every bin in
+    /// an ordered map, every pair's key read from the callers' configs.
+    struct MapAccumulator {
+        metric: DistanceMetric,
+        acc: BTreeMap<u64, (f64, f64, usize)>,
+        consumed: usize,
+    }
+
+    impl MapAccumulator {
+        fn sync(&mut self, configs: &[Config], values: &[f64]) {
+            for j in self.consumed..configs.len() {
+                for k in 0..j {
+                    let key = lattice_key(self.metric, &configs[j], &configs[k]);
+                    let d = lattice_distance(self.metric, key);
+                    let diff = values[j] - values[k];
+                    let bin = d.round() as u64;
+                    let e = self.acc.entry(bin).or_insert((0.0, 0.0, 0));
+                    e.0 += diff * diff;
+                    e.1 += d;
+                    e.2 += 1;
+                }
+            }
+            self.consumed = configs.len();
+        }
+
+        fn bins(&self) -> Vec<VariogramBin> {
+            self.acc
+                .values()
+                .map(|&(sum_sq, sum_d, pairs)| VariogramBin {
+                    distance: sum_d / pairs as f64,
+                    gamma: sum_sq / (2.0 * pairs as f64),
+                    pairs,
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn far_apart_pairs_stay_out_of_the_dense_bins() {
+        // L1 distances 1, 70,000 and 70,001: one dense bin, two past the cap.
+        let configs = vec![vec![0, 0], vec![70_000, 0], vec![1, 0]];
+        let values = vec![1.0, -2.5, 0.25];
+        let mut dense = VariogramAccumulator::new(DistanceMetric::L1);
+        let mut map = MapAccumulator {
+            metric: DistanceMetric::L1,
+            acc: BTreeMap::new(),
+            consumed: 0,
+        };
+        dense.sync(&configs, &values);
+        map.sync(&configs, &values);
+        assert_eq!(dense.dense.len(), 2);
+        assert_eq!(
+            dense.sparse.keys().copied().collect::<Vec<_>>(),
+            [69_999, 70_000]
+        );
+        assert_eq!(dense.snapshot().unwrap().bins(), map.bins());
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
 
+        /// `(distance, gamma, pairs)` of every bin, as bits.
+        fn bin_bits(bins: &[VariogramBin]) -> Vec<(u64, u64, usize)> {
+            bins.iter()
+                .map(|b| (b.distance.to_bits(), b.gamma.to_bits(), b.pairs))
+                .collect()
+        }
+
         proptest! {
-            // The satellite contract: running accumulators, refit at random
-            // interleaving points, must agree with the batch path to 1e-9
-            // under every metric.
-            #[test]
-            fn interleaved_sync_matches_batch_from_samples(
-                dim in 1usize..5,
-                raw in proptest::collection::vec(
-                    (proptest::collection::vec(-12i32..12, 4usize), -50.0f64..50.0),
-                    2..25,
-                ),
-                refit_mask in proptest::collection::vec(0u8..2, 25usize),
-            ) {
-                let (configs, values): (Vec<Config>, Vec<f64>) = raw
-                    .into_iter()
-                    .map(|(c, v)| (c[..dim].to_vec(), v))
-                    .unzip();
-                for metric in [DistanceMetric::L1, DistanceMetric::L2, DistanceMetric::Linf] {
-                    let mut acc = VariogramAccumulator::new(metric);
-                    for n in 1..=configs.len() {
-                        // Interleave: only some prefixes trigger a sync, so
-                        // each sync folds in a random-size batch of sites.
-                        let last = n == configs.len();
-                        if !last && refit_mask.get(n - 1).copied().unwrap_or(0) == 0 {
-                            continue;
-                        }
-                        acc.sync(&configs[..n], &values[..n]);
-                        let sites: Vec<Vec<f64>> = configs[..n]
-                            .iter()
-                            .map(|c| c.iter().map(|&x| f64::from(x)).collect())
-                            .collect();
-                        let batch = EmpiricalVariogram::from_samples(
-                            &sites, &values[..n], metric, 1.0);
-                        let inc = acc.snapshot();
-                        match (inc, batch) {
-                            (Ok(inc), Ok(batch)) => {
-                                prop_assert_eq!(inc.bins().len(), batch.bins().len());
-                                prop_assert_eq!(inc.metric(), batch.metric());
-                                for (a, b) in inc.bins().iter().zip(batch.bins()) {
-                                    prop_assert_eq!(a.pairs, b.pairs);
-                                    let dscale = b.distance.abs().max(1.0);
-                                    let gscale = b.gamma.abs().max(1.0);
-                                    prop_assert!((a.distance - b.distance).abs() / dscale < 1e-9);
-                                    prop_assert!((a.gamma - b.gamma).abs() / gscale < 1e-9);
+                    // Dense bins change where a bin's sums live, not the order
+                    // they are added in: every bin of every snapshot keeps the
+                    // map loop's bits, under each metric, across interleaved
+                    // syncs, with coordinates far enough apart that some bins
+                    // land at or above the dense cap.
+                    #[test]
+                    fn dense_bins_match_the_map_loop_bit_for_bit(
+                        dim in 1usize..5,
+                        raw in proptest::collection::vec(
+                            (
+                                proptest::collection::vec(
+                                    (0u8..5, -70_000i32..70_000)
+        .prop_map(|(far, x)| if far == 0 { x } else { x % 12 }),
+                                    4usize,
+                                ),
+                                -50.0f64..50.0,
+                            ),
+                            2..40,
+                        ),
+                        sync_mask in proptest::collection::vec(0u8..3, 40usize),
+                    ) {
+                        let (configs, values): (Vec<Config>, Vec<f64>) = raw
+                            .into_iter()
+                            .map(|(c, v)| (c[..dim].to_vec(), v))
+                            .unzip();
+                        for metric in [DistanceMetric::L1, DistanceMetric::L2, DistanceMetric::Linf] {
+                            let mut dense = VariogramAccumulator::new(metric);
+                            let mut map = MapAccumulator { metric, acc: BTreeMap::new(), consumed: 0 };
+                            for n in 1..=configs.len() {
+                                if n < configs.len() && sync_mask[n - 1] != 0 {
+                                    continue;
+                                }
+                                dense.sync(&configs[..n], &values[..n]);
+                                map.sync(&configs[..n], &values[..n]);
+                                let expected = map.bins();
+                                match dense.snapshot() {
+                                    Ok(v) => prop_assert_eq!(bin_bits(v.bins()), bin_bits(&expected)),
+                                    Err(_) => prop_assert!(expected.is_empty()),
                                 }
                             }
-                            (Err(_), Err(_)) => {} // both degenerate (n < 2)
-                            (inc, batch) => {
-                                prop_assert!(
-                                    false,
-                                    "paths disagree at n={n}: inc {inc:?} vs batch {batch:?}"
-                                );
+                        }
+                    }
+
+                    // The satellite contract: running accumulators, refit at random
+                    // interleaving points, must agree with the batch path to 1e-9
+                    // under every metric.
+                    #[test]
+                    fn interleaved_sync_matches_batch_from_samples(
+                        dim in 1usize..5,
+                        raw in proptest::collection::vec(
+                            (proptest::collection::vec(-12i32..12, 4usize), -50.0f64..50.0),
+                            2..25,
+                        ),
+                        refit_mask in proptest::collection::vec(0u8..2, 25usize),
+                    ) {
+                        let (configs, values): (Vec<Config>, Vec<f64>) = raw
+                            .into_iter()
+                            .map(|(c, v)| (c[..dim].to_vec(), v))
+                            .unzip();
+                        for metric in [DistanceMetric::L1, DistanceMetric::L2, DistanceMetric::Linf] {
+                            let mut acc = VariogramAccumulator::new(metric);
+                            for n in 1..=configs.len() {
+                                // Interleave: only some prefixes trigger a sync, so
+                                // each sync folds in a random-size batch of sites.
+                                let last = n == configs.len();
+                                if !last && refit_mask.get(n - 1).copied().unwrap_or(0) == 0 {
+                                    continue;
+                                }
+                                acc.sync(&configs[..n], &values[..n]);
+                                let sites: Vec<Vec<f64>> = configs[..n]
+                                    .iter()
+                                    .map(|c| c.iter().map(|&x| f64::from(x)).collect())
+                                    .collect();
+                                let batch = EmpiricalVariogram::from_samples(
+                                    &sites, &values[..n], metric, 1.0);
+                                let inc = acc.snapshot();
+                                match (inc, batch) {
+                                    (Ok(inc), Ok(batch)) => {
+                                        prop_assert_eq!(inc.bins().len(), batch.bins().len());
+                                        prop_assert_eq!(inc.metric(), batch.metric());
+                                        for (a, b) in inc.bins().iter().zip(batch.bins()) {
+                                            prop_assert_eq!(a.pairs, b.pairs);
+                                            let dscale = b.distance.abs().max(1.0);
+                                            let gscale = b.gamma.abs().max(1.0);
+                                            prop_assert!((a.distance - b.distance).abs() / dscale < 1e-9);
+                                            prop_assert!((a.gamma - b.gamma).abs() / gscale < 1e-9);
+                                        }
+                                    }
+                                    (Err(_), Err(_)) => {} // both degenerate (n < 2)
+                                    (inc, batch) => {
+                                        prop_assert!(
+                                            false,
+                                            "paths disagree at n={n}: inc {inc:?} vs batch {batch:?}"
+                                        );
+                                    }
+                                }
                             }
                         }
                     }
                 }
-            }
-        }
     }
 }

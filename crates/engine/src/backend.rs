@@ -6,20 +6,25 @@
 //! (the runner's are handles on the run's one benchmark instance), the
 //! shared in-flight-deduplicating [`SimCache`], and an
 //! attempt-counted retry loop for transient failures — the same
-//! deterministic backoff the campaign executor uses. The worker threads
-//! are spawned **once** at construction and parked on a condition
-//! variable between batches; optimizer scan batches are narrow (one
-//! candidate per variable), so per-batch thread spawns would cost as much
-//! as the simulations they fan out.
+//! deterministic backoff the campaign executor uses. A backend of `n`
+//! workers spawns `n − 1` threads **once** at construction and parks them
+//! on a condition variable between batches; optimizer scan batches are
+//! narrow (one candidate per variable), so per-batch thread spawns would
+//! cost as much as the simulations they fan out. The `n`-th worker is the
+//! fulfilling thread itself: it pops and simulates jobs from the same
+//! queue until the queue is empty, then collects what the spawned
+//! threads finished, so it neither idles nor wakes once per job while
+//! the batch runs.
 //!
 //! # Determinism
 //!
 //! The backend honours the [`EvalBackend`] contract: values are returned
 //! in request order, and a failed batch reports the failure of the
 //! lowest-indexed failing request regardless of which worker observed it
-//! first — including injected panics, which each worker catches and the
-//! fulfilling thread re-raises with the original payload, exactly as the
-//! serial evaluator stack would have panicked in the caller. Because
+//! first — including injected panics, which each worker (the fulfilling
+//! thread included) catches per job and the fulfilling thread re-raises
+//! with the original payload, exactly as the serial evaluator stack would
+//! have panicked in the caller. Because
 //! each request's value is a pure function of its configuration
 //! (fixed-seed simulators), each request's injected *fate* is a pure
 //! function of its configuration too (the content-addressed
@@ -43,10 +48,9 @@ use crate::cache::SimCache;
 use crate::fault::FaultStream;
 use crate::obs::BackendObs;
 
-/// What a worker sends back for one job: the index, and either the
-/// computed result or the payload of a caught panic (re-raised by the
-/// fulfilling thread if its index turns out to be the batch's
-/// lowest-indexed failure).
+/// What running one job gives: the index, and either the computed result
+/// or the payload of a caught panic (re-raised by the fulfilling thread
+/// if its index turns out to be the batch's lowest-indexed failure).
 type JobOutcome = (usize, std::thread::Result<Result<f64, EvalError>>);
 
 /// One unit of pool work: simulate `config`, report under `index`.
@@ -66,8 +70,8 @@ struct PoolShared {
     cache: Arc<SimCache>,
     namespace: String,
     max_retries: AtomicU32,
-    /// Underlying simulator invocations across all workers and the local
-    /// serial evaluator (cache hits do not count).
+    /// Underlying simulator invocations across every thread's evaluator,
+    /// the fulfilling thread's included (cache hits do not count).
     evaluations: AtomicU64,
     /// Optional metric bundle (`backend_*`), set once via
     /// [`EngineBackend::with_obs`] before the first batch.
@@ -133,6 +137,22 @@ impl PoolShared {
             }
         }
     }
+
+    /// Runs one dequeued job on `evaluator`. Panics (injected or organic)
+    /// stay contained to the job that raised them: the thread survives,
+    /// and the payload is re-raised by the fulfilling thread with its
+    /// original message if this index is the batch's lowest-indexed
+    /// failure — exactly where the serial stack would have panicked.
+    fn run(&self, evaluator: &mut (dyn AccuracyEvaluator + Send), job: &Job) -> JobOutcome {
+        if let (Some(enqueued), Some(obs)) = (job.enqueued, self.obs.get()) {
+            obs.queue_wait_us
+                .record(enqueued.elapsed().as_secs_f64() * 1e6);
+        }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.compute(evaluator, &job.config)
+        }));
+        (job.index, result)
+    }
 }
 
 fn worker_loop(
@@ -156,19 +176,7 @@ fn worker_loop(
                     .unwrap_or_else(|e| e.into_inner());
             }
         };
-        if let (Some(enqueued), Some(obs)) = (job.enqueued, shared.obs.get()) {
-            obs.queue_wait_us
-                .record(enqueued.elapsed().as_secs_f64() * 1e6);
-        }
-        // Contain panics (injected or organic) to the job that raised
-        // them: the worker survives, the payload travels to the
-        // fulfilling thread, and — if this index is the batch's
-        // lowest-indexed failure — is re-raised there with the original
-        // message, exactly where the serial stack would have panicked.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.compute(&mut *evaluator, &job.config)
-        }));
-        if results.send((job.index, result)).is_err() {
+        if results.send(shared.run(&mut *evaluator, &job)).is_err() {
             return; // backend dropped mid-batch
         }
     }
@@ -179,8 +187,9 @@ fn worker_loop(
 /// determinism contract.
 pub struct EngineBackend {
     shared: Arc<PoolShared>,
-    /// Serial-path evaluator, used for single-request batches, for
-    /// `fulfill_one`, and whenever `workers <= 1`.
+    /// The fulfilling thread's evaluator: it runs single-request batches,
+    /// `fulfill_one`, every batch when `workers <= 1`, and its share of
+    /// the queue's jobs otherwise.
     local: Box<dyn AccuracyEvaluator + Send>,
     results: Receiver<JobOutcome>,
     handles: Vec<JoinHandle<()>>,
@@ -203,11 +212,12 @@ impl std::fmt::Debug for EngineBackend {
 }
 
 impl EngineBackend {
-    /// Builds a backend with one evaluator per worker plus one for the
-    /// calling thread (the factory runs `workers + 1` times up front when
-    /// `workers > 1`, once otherwise) sharing `cache` under `namespace`.
-    /// `workers` is clamped to at least 1; worker threads are spawned here
-    /// and live until the backend is dropped.
+    /// Builds a backend of `workers` simulating threads sharing `cache`
+    /// under `namespace`: the thread that calls
+    /// [`fulfill`](EvalBackend::fulfill) and `workers − 1` spawned ones,
+    /// each with its own evaluator (the factory runs `workers` times up
+    /// front). `workers` is clamped to at least 1; the threads are spawned
+    /// here and live until the backend is dropped.
     pub fn new(
         factory: impl Fn() -> Box<dyn AccuracyEvaluator + Send>,
         workers: usize,
@@ -229,18 +239,14 @@ impl EngineBackend {
             fault: OnceLock::new(),
         });
         let (tx, results) = std::sync::mpsc::channel();
-        let handles = if workers > 1 {
-            (0..workers)
-                .map(|_| {
-                    let shared = Arc::clone(&shared);
-                    let tx = tx.clone();
-                    let evaluator = factory();
-                    std::thread::spawn(move || worker_loop(&shared, evaluator, &tx))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let handles = (1..workers)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                let tx = tx.clone();
+                let evaluator = factory();
+                std::thread::spawn(move || worker_loop(&shared, evaluator, &tx))
+            })
+            .collect();
         EngineBackend {
             shared,
             local,
@@ -286,7 +292,8 @@ impl EngineBackend {
         self
     }
 
-    /// Worker threads the backend fans batches over.
+    /// Threads the backend fans batches over, the fulfilling thread
+    /// included.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -350,7 +357,23 @@ impl EvalBackend for EngineBackend {
         self.shared.available.notify_all();
         let mut slots: Vec<Option<std::thread::Result<Result<f64, EvalError>>>> =
             (0..requests.len()).map(|_| None).collect();
-        for _ in 0..requests.len() {
+        // The fulfilling thread simulates too, from the same queue, until
+        // it is empty; then it waits only for the jobs still running on
+        // the spawned threads.
+        let mut pending = requests.len();
+        loop {
+            let job = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .pop_front();
+            let Some(job) = job else { break };
+            let (index, result) = self.shared.run(&mut *self.local, &job);
+            slots[index] = Some(result);
+            pending -= 1;
+        }
+        for _ in 0..pending {
             let (index, result) = self
                 .results
                 .recv()
@@ -628,6 +651,137 @@ mod tests {
         }))
         .unwrap_err();
         assert_eq!(payload.downcast_ref::<String>().unwrap(), &expected);
+    }
+
+    #[test]
+    fn two_workers_build_two_evaluators_and_spawn_one_thread() {
+        let built = Arc::new(AtomicU64::new(0));
+        let counted = {
+            let built = Arc::clone(&built);
+            move || {
+                built.fetch_add(1, Ordering::SeqCst);
+                factory()()
+            }
+        };
+        let backend = EngineBackend::new(counted, 2, Arc::new(SimCache::new()), "t");
+        assert_eq!(built.load(Ordering::SeqCst), 2);
+        assert_eq!(backend.handles.len(), 1);
+        assert_eq!(backend.workers(), 2);
+    }
+
+    /// The jobs a two-worker backend's evaluators ran: `(rank, thread,
+    /// config)`, rank 0 being the first evaluator built, the fulfilling
+    /// thread's.
+    #[derive(Default)]
+    struct JobLog {
+        entries: Mutex<Vec<(u64, std::thread::ThreadId, i32)>>,
+        logged: Condvar,
+    }
+
+    impl JobLog {
+        /// Logs a job, then waits until both ranks have logged one, so
+        /// each thread runs part of every batch of two or more; a thread
+        /// that never gets a job fails the test instead of hanging it.
+        fn record(&self, rank: u64, config: i32) {
+            let mut entries = self.entries.lock().unwrap();
+            entries.push((rank, std::thread::current().id(), config));
+            self.logged.notify_all();
+            let both = |e: &mut Vec<(u64, _, i32)>| (0..2).all(|r| e.iter().any(|x| x.0 == r));
+            let (_entries, wait) = self
+                .logged
+                .wait_timeout_while(entries, std::time::Duration::from_secs(10), |e| !both(e))
+                .unwrap();
+            assert!(!wait.timed_out(), "one thread ran no job");
+        }
+
+        /// The lowest configuration the evaluator of `rank` ran.
+        fn lowest_run_by(&self, rank: u64) -> i32 {
+            let entries = self.entries.lock().unwrap();
+            entries
+                .iter()
+                .filter(|&&(r, _, _)| r == rank)
+                .map(|&(_, _, w)| w)
+                .min()
+                .expect("every thread ran a job")
+        }
+    }
+
+    /// An answer that replaces an evaluator's value when it is `Some`,
+    /// given the evaluator's rank and the configuration.
+    type Override = fn(u64, i32) -> Option<Result<f64, EvalError>>;
+
+    /// A factory whose evaluators log every job in `log` and answer
+    /// `fail(rank, config)` when that is `Some`.
+    fn ranked(log: &Arc<JobLog>, fail: Override) -> impl Fn() -> Box<dyn AccuracyEvaluator + Send> {
+        let (log, built) = (Arc::clone(log), AtomicU64::new(0));
+        move || {
+            let (log, rank) = (Arc::clone(&log), built.fetch_add(1, Ordering::SeqCst));
+            Box::new(FnEvaluator::new(1, move |w: &Config| {
+                log.record(rank, w[0]);
+                fail(rank, w[0]).unwrap_or(Ok(f64::from(w[0])))
+            })) as Box<dyn AccuracyEvaluator + Send>
+        }
+    }
+
+    #[test]
+    fn the_fulfilling_thread_simulates_part_of_a_batch() {
+        let log = Arc::new(JobLog::default());
+        let mut backend =
+            EngineBackend::new(ranked(&log, |_, _| None), 2, Arc::new(SimCache::new()), "t");
+        let configs: Vec<Config> = (0..64).map(|i| vec![i]).collect();
+        let expected: Vec<f64> = (0..64).map(f64::from).collect();
+        assert_eq!(backend.fulfill(&requests(&configs)).unwrap(), expected);
+        let entries = log.entries.lock().unwrap();
+        assert_eq!(entries.len(), 64);
+        let caller = std::thread::current().id();
+        assert!(
+            entries
+                .iter()
+                .all(|&(rank, thread, _)| (rank == 0) == (thread == caller)),
+            "the fulfilling thread runs its jobs on the first evaluator built"
+        );
+    }
+
+    #[test]
+    fn failures_on_either_side_follow_the_lowest_index_rule() {
+        // Every job one thread runs fails, so which indices fail depends
+        // on scheduling; the report must still name the lowest of them.
+        let configs: Vec<Config> = (0..64).map(|i| vec![i]).collect();
+        let failing: [Override; 2] = [
+            |rank, w| (rank == 0).then(|| Err(EvalError::msg(format!("bad config {w}")))),
+            |rank, w| (rank == 1).then(|| Err(EvalError::msg(format!("bad config {w}")))),
+        ];
+        for (rank, fail) in (0u64..).zip(failing) {
+            let log = Arc::new(JobLog::default());
+            let mut backend =
+                EngineBackend::new(ranked(&log, fail), 2, Arc::new(SimCache::new()), "t");
+            let err = backend.fulfill(&requests(&configs)).unwrap_err();
+            let expected = EvalError::msg(format!("bad config {}", log.lowest_run_by(rank)));
+            assert_eq!(err.to_string(), expected.to_string(), "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_fulfilling_thread_is_rethrown_with_its_payload() {
+        silence_injected_panics();
+        let log = Arc::new(JobLog::default());
+        let mut backend = EngineBackend::new(
+            ranked(&log, |rank, w| {
+                (rank == 0).then(|| std::panic::panic_any(format!("injected panic at {w}")))
+            }),
+            2,
+            Arc::new(SimCache::new()),
+            "t",
+        );
+        let configs: Vec<Config> = (0..64).map(|i| vec![i]).collect();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = backend.fulfill(&requests(&configs));
+        }))
+        .unwrap_err();
+        assert_eq!(
+            payload.downcast_ref::<String>().unwrap(),
+            &format!("injected panic at {}", log.lowest_run_by(0))
+        );
     }
 
     #[test]

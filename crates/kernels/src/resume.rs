@@ -96,6 +96,10 @@ pub(crate) mod testing {
     /// Runs `stream` on two threads sharing `bench`, in lockstep, the
     /// second with site `site` moved, so each can resume from the other's
     /// states; every answer must equal a full pass. Returns the stats.
+    ///
+    /// A pass that panics does not leave the other thread at the barrier:
+    /// each thread catches it, keeps stepping, and the first payload is
+    /// re-raised after the join, so the test fails instead of hanging.
     pub(crate) fn two_threads_share<B>(bench: &B, stream: &[Vec<i32>], site: usize) -> ResumeStats
     where
         B: WordLengthBenchmark + Clone + Sync,
@@ -105,24 +109,34 @@ pub(crate) mod testing {
             w[site] = if w[site] == 9 { 10 } else { 9 };
         }
         let barrier = std::sync::Barrier::new(2);
-        let shared: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let passes: Vec<std::thread::Result<Vec<u64>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = [stream, &shifted]
                 .map(|stream| {
                     let barrier = &barrier;
                     scope.spawn(move || {
-                        stream
+                        let mut panicked = None;
+                        let answers: Vec<u64> = stream
                             .iter()
                             .map(|w| {
                                 barrier.wait();
-                                bits(bench, w)
+                                let pass = std::panic::AssertUnwindSafe(|| bits(bench, w));
+                                std::panic::catch_unwind(pass).unwrap_or_else(|payload| {
+                                    panicked.get_or_insert(payload);
+                                    0
+                                })
                             })
-                            .collect()
+                            .collect();
+                        panicked.map_or(Ok(answers), Err)
                     })
                 })
                 .into_iter()
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
+        let shared: Vec<Vec<u64>> = passes
+            .into_iter()
+            .map(|pass| pass.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect();
         for (stream, shared) in [stream, &shifted].iter().zip(&shared) {
             for (w, shared) in stream.iter().zip(shared) {
                 assert_eq!(*shared, full_bits(bench, w), "{w:?}");

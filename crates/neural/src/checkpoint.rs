@@ -354,25 +354,40 @@ mod tests {
         for powers in &mut shifted {
             powers[9] = -20.0;
         }
+        // A pass that panics must not leave the other thread at the
+        // barrier: each thread catches it and keeps stepping, and the
+        // first payload is re-raised after the join.
         let barrier = std::sync::Barrier::new(2);
-        let shared: Vec<Vec<Vec<u64>>> = std::thread::scope(|scope| {
+        let passes: Vec<std::thread::Result<Vec<Vec<u64>>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = [&stream, &shifted]
                 .map(|stream| {
                     let (bench, barrier) = (&bench, &barrier);
                     scope.spawn(move || {
-                        stream
+                        let mut panicked = None;
+                        let answers: Vec<Vec<u64>> = stream
                             .iter()
                             .map(|powers| {
                                 barrier.wait();
-                                bits(&bench.image_logits(powers).unwrap())
+                                let pass = std::panic::AssertUnwindSafe(|| {
+                                    bits(&bench.image_logits(powers).unwrap())
+                                });
+                                std::panic::catch_unwind(pass).unwrap_or_else(|payload| {
+                                    panicked.get_or_insert(payload);
+                                    Vec::new()
+                                })
                             })
-                            .collect()
+                            .collect();
+                        panicked.map_or(Ok(answers), Err)
                     })
                 })
                 .into_iter()
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
+        let shared: Vec<Vec<Vec<u64>>> = passes
+            .into_iter()
+            .map(|pass| pass.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect();
         for (stream, shared) in [&stream, &shifted].iter().zip(&shared) {
             for (powers, shared) in stream.iter().zip(shared) {
                 let full = bits(&bench.clone().image_logits(powers).unwrap());

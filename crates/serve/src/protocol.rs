@@ -164,7 +164,8 @@ pub enum Response {
         nv: u64,
         /// Protocol revision ([`PROTOCOL_VERSION`]).
         protocol: u64,
-        /// Worker threads in the session's shared backend pool.
+        /// Threads that simulate in the session's shared backend pool,
+        /// the fulfilling thread included.
         workers: u64,
     },
     /// Answer to `evaluate`.

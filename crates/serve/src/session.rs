@@ -77,13 +77,13 @@ fn lock_backend(backend: &Mutex<EngineBackend>) -> MutexGuard<'_, EngineBackend>
 /// An [`EvalBackend`] handle onto a pool-owned [`EngineBackend`]:
 /// `fulfill` needs `&mut self`, so concurrent sessions serialize their
 /// *dispatch* through this mutex while the fan-out itself still runs on
-/// the pool's worker threads.
+/// the pool's threads (the dispatching session's thread among them).
 pub struct SharedBackend {
     inner: Arc<Mutex<EngineBackend>>,
 }
 
 impl SharedBackend {
-    /// Worker threads of the underlying pool.
+    /// Threads of the underlying pool, the fulfilling thread included.
     pub fn workers(&self) -> usize {
         lock_backend(&self.inner).workers()
     }
