@@ -4,22 +4,33 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
-use krigeval_bench::suite::Problem;
-use krigeval_bench::table1::run_row;
-use krigeval_bench::Scale;
 use krigeval_core::kriging::KrigingEstimator;
 use krigeval_core::VariogramModel;
+use krigeval_engine::runner::run_single;
+use krigeval_engine::{CampaignSpec, SimCache};
 use krigeval_kernels::fir::FirBenchmark;
 use krigeval_kernels::WordLengthBenchmark;
 
+/// One Table I cell through the engine's runner: the pilot run, then the
+/// audited hybrid run, on a fresh simulation cache each iteration.
 fn bench_table1_fir_cell(c: &mut Criterion) {
+    let spec = CampaignSpec {
+        name: "table1".to_string(),
+        benchmarks: vec!["fir".to_string()],
+        scale: "fast".to_string(),
+        distances: vec![3.0],
+        min_neighbors: vec![3],
+        ..CampaignSpec::default()
+    };
+    let run = spec.expand().expect("valid cell").remove(0);
     let mut group = c.benchmark_group("table1");
     group.sample_size(10);
     group.bench_function("fir_cell_fast_d3", |b| {
         b.iter(|| {
-            let row = run_row(Problem::Fir, Scale::Fast, 3.0, 3).expect("feasible");
-            black_box(row.p_percent)
+            let record = run_single(&run, &Arc::new(SimCache::new())).expect("feasible");
+            black_box(record.p_percent)
         })
     });
     group.finish();

@@ -1,29 +1,33 @@
-//! Ablations: the paper's `N_n,min = 2` experiment plus two of our own
-//! (distance metric, variogram family).
+//! Ablations: the paper's `N_n,min = 2` experiment, two of our own
+//! (distance metric, variogram family), and the FIR grid replay.
 //!
 //! ```text
-//! ablation [--scale fast|paper] [--sweep nmin|metric|variogram]
+//! ablation [--scale fast|paper] [--sweep nmin|metric|variogram|grid]
 //!          [--bench fir|iir|fft|hevc|squeezenet] [--workers 4]
 //! ```
 //!
-//! Each sweep is expressed as a `krigeval-engine` campaign and executed on
-//! a worker pool; cells that share a benchmark surface also share
-//! simulations through the engine's memo-cache.
+//! The nmin, metric and variogram sweeps are `krigeval-engine` campaigns
+//! (default benchmark: fft) executed on a worker pool; cells that share a
+//! benchmark surface also share simulations through the engine's
+//! memo-cache. The grid sweep is FIR only and runs in-process.
 
 use std::process::ExitCode;
 
-use krigeval_bench::suite::Problem;
-use krigeval_bench::table1::record_to_row;
+use krigeval_bench::suite::{build, Problem};
 use krigeval_bench::Scale;
-use krigeval_core::report::Table;
-use krigeval_core::VariogramModel;
-use krigeval_engine::{run_campaign, run_specs, CampaignSpec, Progress, VariogramSpec};
+use krigeval_core::hybrid::{HybridEvaluator, HybridSettings, VariogramPolicy};
+use krigeval_core::report::{Table, TableRow};
+use krigeval_core::variogram::{fit_model, EmpiricalVariogram, ModelFamily};
+use krigeval_core::{DistanceMetric, VariogramModel};
+use krigeval_engine::{
+    run_campaign, run_specs, summarize, CampaignSpec, Progress, RunRecord, VariogramSpec,
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Paper;
     let mut sweep = String::from("nmin");
-    let mut problem = Problem::Fft;
+    let mut bench: Option<Problem> = None;
     let mut workers = 4usize;
     let mut i = 0;
     while i < args.len() {
@@ -43,7 +47,7 @@ fn main() -> ExitCode {
             "--bench" => {
                 i += 1;
                 match Problem::parse(&args[i]) {
-                    Some(p) => problem = p,
+                    Some(p) => bench = Some(p),
                     None => {
                         eprintln!("unknown benchmark: {}", args[i]);
                         return ExitCode::FAILURE;
@@ -62,12 +66,18 @@ fn main() -> ExitCode {
         i += 1;
     }
 
+    let problem = bench.unwrap_or(Problem::Fft);
     let result = match sweep.as_str() {
         "nmin" => sweep_nmin(problem, scale, workers),
         "metric" => sweep_metric(problem, scale, workers),
         "variogram" => sweep_variogram(problem, scale, workers),
+        "grid" if bench.is_some_and(|p| p != Problem::Fir) => {
+            eprintln!("--sweep grid replays the FIR surface only");
+            return ExitCode::FAILURE;
+        }
+        "grid" => sweep_grid(scale),
         other => {
-            eprintln!("unknown sweep: {other} (expected nmin|metric|variogram)");
+            eprintln!("unknown sweep: {other} (expected nmin|metric|variogram|grid)");
             return ExitCode::FAILURE;
         }
     };
@@ -102,14 +112,26 @@ fn sweep_nmin(
         ..base_spec(problem, scale, "ablation-nmin")
     };
     let outcome = run_campaign(&spec, workers, Progress::Silent)?;
-    let mut table = Table::new();
-    for record in &outcome.records {
-        let mut row = record_to_row(record);
-        row.metric = format!("nmin={}", record.min_neighbors);
-        table.push(row);
-    }
-    print!("{table}");
+    print!(
+        "{}",
+        Table {
+            rows: summarize(&outcome.records),
+        }
+    );
     Ok(())
+}
+
+/// One row per run (each its own one-run cell), its metric column
+/// replaced by the sweep's label.
+fn labelled(records: &[RunRecord], labels: &[&str]) -> Table {
+    records
+        .iter()
+        .zip(labels)
+        .map(|(record, label)| TableRow {
+            metric: label.to_string(),
+            ..summarize(std::slice::from_ref(record)).remove(0)
+        })
+        .collect()
 }
 
 /// Our ablation: the L1/L2/L∞ configuration distances. Three one-cell
@@ -132,15 +154,8 @@ fn sweep_metric(
             runs.push(run);
         }
     }
-    let labels = ["L1", "L2", "Linf"];
     let outcome = run_specs(runs, workers, Progress::Silent)?;
-    let mut table = Table::new();
-    for (record, label) in outcome.records.iter().zip(labels) {
-        let mut row = record_to_row(record);
-        row.metric = label.to_string();
-        table.push(row);
-    }
-    print!("{table}");
+    print!("{}", labelled(&outcome.records, &["L1", "L2", "Linf"]));
     Ok(())
 }
 
@@ -186,11 +201,49 @@ fn sweep_variogram(
         }
     }
     let outcome = run_specs(runs, workers, Progress::Silent)?;
+    print!("{}", labelled(&outcome.records, &labels));
+    Ok(())
+}
+
+/// FIR **surface replay**: streams the full Figure 1 grid
+/// (`(w_add, w_mpy) ∈ [2, 16]²`, row-major) through the hybrid evaluator
+/// instead of an optimizer trajectory, at d ∈ {2..5} and `N_n,min = 3`.
+///
+/// With `Nv = 2` the min+1 trajectory is dominated by its two phase-1
+/// descent lines, where at most two simulated neighbours lie within
+/// `d ≤ 3`, so the strict `N_n > 3` rule cannot krige there. The paper's
+/// 33–53 % FIR interpolation at `d ∈ {2, 3}` needs a denser recorded set,
+/// and the paper measures exactly such a set for FIR: the Figure 1
+/// surface. The variogram is identified once, from the surface itself.
+fn sweep_grid(scale: Scale) -> Result<(), Box<dyn std::error::Error>> {
+    let problem = Problem::Fir;
+    let grid: Vec<Vec<i32>> = (2..=16)
+        .flat_map(|w_add| (2..=16).map(move |w_mpy| vec![w_add, w_mpy]))
+        .collect();
+    let mut pilot = build(problem, scale).evaluator;
+    let values = grid
+        .iter()
+        .map(|config| pilot.evaluate(config))
+        .collect::<Result<Vec<f64>, _>>()?;
+    let model = EmpiricalVariogram::from_configs(&grid, &values, DistanceMetric::L1)
+        .and_then(|emp| fit_model(&emp, &ModelFamily::all()))
+        .map_or(VariogramModel::linear(1.0), |report| report.model);
     let mut table = Table::new();
-    for (record, name) in outcome.records.iter().zip(labels) {
-        let mut row = record_to_row(record);
-        row.metric = name.to_string();
-        table.push(row);
+    for d in [2.0, 3.0, 4.0, 5.0] {
+        let settings = HybridSettings {
+            distance: d,
+            min_neighbors: 3,
+            variogram: VariogramPolicy::Fixed(model),
+            audit: Some(problem.audit_metric()),
+            ..HybridSettings::default()
+        };
+        let mut hybrid = HybridEvaluator::new(build(problem, scale).evaluator, settings);
+        for config in &grid {
+            hybrid.evaluate(config)?;
+        }
+        let stats = hybrid.stats();
+        let (metric, nv) = (problem.metric_label(), problem.nv());
+        table.push(TableRow::from_stats("fir64(grid)", metric, nv, d, 3, stats));
     }
     print!("{table}");
     Ok(())

@@ -20,7 +20,6 @@ use std::time::Instant;
 
 use krigeval_bench::steady::{steady_session, SolveProbes};
 use krigeval_bench::suite::{build_seeded, Problem};
-use krigeval_bench::table1::run_table_parallel;
 use krigeval_bench::Scale;
 use krigeval_core::kriging::{KrigingEstimator, KrigingScratch};
 use krigeval_core::opt::minplusone::optimize;
@@ -33,8 +32,8 @@ use krigeval_engine::shard::{merge_shards, parse_shard, render_shard, shard_runs
 use krigeval_engine::sink::to_jsonl_string_full;
 use krigeval_engine::spec::GatePolicy;
 use krigeval_engine::{
-    run_specs_opts, CampaignSpec, EngineBackend, ExecOptions, FaultConfig, FaultPolicy, Progress,
-    RunRecord, SimCache, SinkOptions,
+    run_campaign, run_specs_opts, CampaignSpec, EngineBackend, ExecOptions, FaultConfig,
+    FaultPolicy, Progress, RunRecord, SimCache, SinkOptions,
 };
 use krigeval_obs::{Registry, Tracer};
 use krigeval_serve::protocol::{HelloParams, Request, Response};
@@ -59,7 +58,8 @@ mod baseline {
     /// gated against this: factoring Γ once must at least halve the
     /// per-prediction cost.
     pub const PER_QUERY_PREDICT_24_US: f64 = 7.780;
-    /// `table1 --scale fast --workers 4` wall clock (seconds).
+    /// Fast-scale Table I (fir, iir, fft, hevc and squeezenet at
+    /// d ∈ {2..5}, `N_n,min = 3`) on 4 workers, wall clock (seconds).
     pub const TABLE1_FAST_WALL_S: f64 = 28.141;
 }
 
@@ -748,17 +748,23 @@ fn adaptive_gate_entry(problem: &str, workers: usize) -> Value {
     ])
 }
 
+/// Wall clock of the fast-scale Table-I campaign: the paper's five
+/// benchmarks over d ∈ {2..5} at `N_n,min = 3`, pilot variogram, audit on.
 fn table1_fast_wall_s(workers: usize) -> f64 {
+    let spec = CampaignSpec {
+        name: "table1".to_string(),
+        benchmarks: Problem::all()
+            .iter()
+            .map(|p| p.label().to_string())
+            .collect(),
+        scale: Scale::Fast.label().to_string(),
+        distances: vec![2.0, 3.0, 4.0, 5.0],
+        min_neighbors: vec![3],
+        ..CampaignSpec::default()
+    };
     let start = Instant::now();
-    let table = run_table_parallel(
-        Problem::all().as_ref(),
-        Scale::Fast,
-        &[2.0, 3.0, 4.0, 5.0],
-        3,
-        workers,
-    )
-    .expect("table1 fast campaign");
-    std::hint::black_box(table.rows.len());
+    let outcome = run_campaign(&spec, workers, Progress::Silent).expect("table1 fast campaign");
+    std::hint::black_box(outcome.records.len());
     start.elapsed().as_secs_f64()
 }
 

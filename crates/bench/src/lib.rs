@@ -2,16 +2,16 @@
 //!
 //! This crate glues the five benchmarks (four word-length kernels + the
 //! SqueezeNet-style sensitivity benchmark) to the kriging-based hybrid
-//! evaluator and the host optimizers, and regenerates every table and
-//! figure of the paper:
+//! evaluator and the host optimizers, and regenerates the paper's figure
+//! and prose experiments. Table I itself is `campaign matrix` in
+//! `krigeval-engine` (one row per benchmark, `d` and `N_n,min`).
 //!
 //! | artifact | binary | module |
 //! |----------|--------|--------|
-//! | Table I (all five benchmarks × d ∈ {2..5}) | `table1` | [`table1`] |
 //! | Figure 1 (FIR noise-power surface)         | `figure1` | [`figure1`] |
 //! | §IV prose: per-evaluation speed-up         | `timing` | [`timing`] |
 //! | §IV prose: ≈10 % decision divergence       | `decisions` | [`decisions`] |
-//! | §IV prose: `N_n,min = 2` ablation + extras | `ablation` | [`table1`] |
+//! | §IV prose: `N_n,min = 2` ablation + extras, FIR grid replay | `ablation` | — |
 //!
 //! Criterion micro-benchmarks live in `benches/`.
 //!
@@ -25,7 +25,6 @@
 pub mod decisions;
 pub mod figure1;
 pub mod steady;
-pub mod table1;
 pub mod timing;
 
 // The benchmark suite and the `Scale` knob moved into `krigeval-engine`

@@ -1010,7 +1010,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                 request: batch.requests.len() - 1,
             });
             // Advance the virtual fit timeline past this insertion, with
-            // the trigger `maybe_identify_variogram` applies.
+            // the trigger `maybe_fit_variogram` applies.
             let virt_len = planned_at + batch.requests.len();
             if self
                 .settings
@@ -1417,10 +1417,10 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         for (request, value) in fallback_requests.into_iter().zip(fallback_values) {
             self.store.insert(request.config, value);
             self.stats.simulated += 1;
-            self.maybe_identify_variogram();
+            self.maybe_fit_variogram();
         }
         if !batch.fit_points.is_empty() {
-            // Staged fits are installed outside `maybe_identify_variogram`,
+            // Staged fits are installed outside `maybe_fit_variogram`,
             // so re-run the approximate-path validation here, exactly as a
             // query-at-a-time replay of this batch would have.
             self.revalidate_approx();
@@ -1535,12 +1535,12 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                 );
             }
         }
-        self.maybe_identify_variogram();
+        self.maybe_fit_variogram();
         self.maybe_revalidate_approx();
         Ok(value)
     }
 
-    fn maybe_identify_variogram(&mut self) {
+    fn maybe_fit_variogram(&mut self) {
         let Some((families, fallback)) = self.settings.variogram.fitting() else {
             return;
         };
@@ -1704,7 +1704,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     pub fn record_observation(&mut self, config: &Config, value: f64) {
         self.track_replicate(config, value);
         self.store.insert(config.clone(), value);
-        self.maybe_identify_variogram();
+        self.maybe_fit_variogram();
         self.maybe_revalidate_approx();
     }
 

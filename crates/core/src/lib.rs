@@ -26,7 +26,7 @@
 //! * [`opt`] — the host optimizers: the min+1 bit word-length algorithm
 //!   (Algorithms 1 and 2) and the steepest-descent error-budgeting
 //!   algorithm used for the SqueezeNet sensitivity analysis.
-//! * [`report`] — serializable experiment rows matching Table I's columns.
+//! * [`report`] — experiment rows matching Table I's columns.
 //!
 //! # Quickstart
 //!

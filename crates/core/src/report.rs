@@ -1,14 +1,12 @@
-//! Serializable experiment reports matching Table I's columns.
+//! Experiment reports matching Table I's columns.
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::hybrid::HybridStats;
 
-/// One row of the paper's Table I: a `(benchmark, d)` pair with the
-/// interpolated percentage, mean neighbour count and error statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One row of the paper's Table I: a `(benchmark, d, N_n,min)` cell with
+/// the interpolated percentage, mean neighbour count and error statistics.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableRow {
     /// Benchmark name (e.g. `"fir64"`).
     pub benchmark: String,
@@ -18,6 +16,9 @@ pub struct TableRow {
     pub nv: usize,
     /// Neighbour-search distance `d`.
     pub d: f64,
+    /// Minimum neighbour count `N_n,min` (kriging needs more than this
+    /// many simulated neighbours).
+    pub min_neighbors: usize,
     /// Percentage of configurations interpolated instead of simulated.
     pub p_percent: f64,
     /// Mean number of simulated configurations used per interpolation `j̄`.
@@ -42,6 +43,7 @@ impl TableRow {
         metric: impl Into<String>,
         nv: usize,
         d: f64,
+        min_neighbors: usize,
         stats: &HybridStats,
     ) -> TableRow {
         TableRow {
@@ -49,6 +51,7 @@ impl TableRow {
             metric: metric.into(),
             nv,
             d,
+            min_neighbors,
             p_percent: stats.interpolated_fraction() * 100.0,
             mean_neighbors: stats.mean_neighbors(),
             max_eps: stats.errors.max(),
@@ -64,11 +67,12 @@ impl fmt::Display for TableRow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:<12} {:<14} {:>3} {:>3.0} {:>8.2} {:>6.2} {:>9.3} {:>9.3} {:>6} {:>6}",
+            "{:<13} {:<13} {:>3} {:>3} {:>4} {:>8.2} {:>6.2} {:>9.3} {:>9.3} {:>6} {:>6}",
             self.benchmark,
             self.metric,
             self.nv,
             self.d,
+            self.min_neighbors,
             self.p_percent,
             self.mean_neighbors,
             self.max_eps,
@@ -79,8 +83,8 @@ impl fmt::Display for TableRow {
     }
 }
 
-/// A full experiment table (many rows), with text and JSON rendering.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// A full experiment table (many rows), rendered as aligned text.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table {
     /// The rows, in presentation order.
     pub rows: Vec<TableRow>,
@@ -100,18 +104,19 @@ impl Table {
     /// Column header matching [`TableRow`]'s `Display` layout.
     pub fn header() -> String {
         format!(
-            "{:<12} {:<14} {:>3} {:>3} {:>8} {:>6} {:>9} {:>9} {:>6} {:>6}",
-            "benchmark", "metric", "Nv", "d", "p(%)", "j", "max eps", "mu eps", "sim", "krig"
+            "{:<13} {:<13} {:>3} {:>3} {:>4} {:>8} {:>6} {:>9} {:>9} {:>6} {:>6}",
+            "benchmark",
+            "metric",
+            "Nv",
+            "d",
+            "nmin",
+            "p(%)",
+            "j",
+            "max eps",
+            "mu eps",
+            "sim",
+            "krig"
         )
-    }
-
-    /// Serializes to pretty JSON.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: the row types are always serializable.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("table serialization cannot fail")
     }
 }
 
@@ -130,12 +135,6 @@ impl FromIterator<TableRow> for Table {
         Table {
             rows: iter.into_iter().collect(),
         }
-    }
-}
-
-impl Extend<TableRow> for Table {
-    fn extend<I: IntoIterator<Item = TableRow>>(&mut self, iter: I) {
-        self.rows.extend(iter);
     }
 }
 
@@ -163,7 +162,7 @@ mod tests {
 
     #[test]
     fn row_from_stats_computes_percentages() {
-        let row = TableRow::from_stats("fir64", "noise power", 2, 3.0, &stats());
+        let row = TableRow::from_stats("fir64", "noise power", 2, 3.0, 3, &stats());
         assert!((row.p_percent - 60.0).abs() < 1e-12);
         assert!((row.mean_neighbors - 3.0).abs() < 1e-12);
         assert!((row.max_eps - 0.6).abs() < 1e-12);
@@ -172,41 +171,23 @@ mod tests {
 
     #[test]
     fn display_renders_all_columns() {
-        let row = TableRow::from_stats("fft64", "noise power", 10, 2.0, &stats());
+        let row = TableRow::from_stats("fft64", "noise power", 10, 2.0, 3, &stats());
         let s = row.to_string();
         assert!(s.contains("fft64"));
         assert!(s.contains("60.00"));
+        // A fractional radius keeps its fraction; an integer one prints bare.
+        let half = TableRow::from_stats("fft64", "noise power", 10, 2.5, 3, &stats());
+        assert!(half.to_string().contains(" 2.5    3 "), "{half}");
+        assert!(s.contains("  2    3 "), "{s}");
     }
 
     #[test]
     fn table_renders_header_and_rows() {
         let table: Table = (2..=5)
-            .map(|d| TableRow::from_stats("iir8", "noise power", 5, f64::from(d), &stats()))
+            .map(|d| TableRow::from_stats("iir8", "noise power", 5, f64::from(d), 3, &stats()))
             .collect();
         let text = table.to_string();
         assert!(text.lines().count() == 5);
         assert!(text.starts_with("benchmark"));
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let mut table = Table::new();
-        table.push(TableRow::from_stats(
-            "hevc_mc",
-            "noise power",
-            23,
-            4.0,
-            &stats(),
-        ));
-        let json = table.to_json();
-        let back: Table = serde_json::from_str(&json).unwrap();
-        assert_eq!(table, back);
-    }
-
-    #[test]
-    fn extend_appends() {
-        let mut t = Table::new();
-        t.extend(vec![TableRow::from_stats("a", "m", 1, 2.0, &stats())]);
-        assert_eq!(t.rows.len(), 1);
     }
 }

@@ -10,7 +10,9 @@
 //! [`spec::CampaignSpec`], executes its expansion on a fixed worker pool
 //! ([`executor::run_campaign`]), shares exact simulation results between
 //! runs through a concurrent memo-cache ([`cache::SimCache`]), and emits
-//! one JSON line per run plus a campaign summary ([`sink`]).
+//! one JSON line per run plus a campaign summary ([`sink`]). The
+//! [`matrix`] module is Table I itself: all eight benchmarks over the
+//! `d` / `N_n,min` grid, folded into one row per cell.
 //!
 //! Determinism: every run is a pure function of its [`spec::RunSpec`]
 //! (fixed seeds, deterministic simulators, deterministic kriging), and the
@@ -72,7 +74,7 @@ pub use executor::{
 pub use fault::{
     FaultConfig, FaultFate, FaultInjectingEvaluator, FaultPhase, FaultPolicy, FaultStream,
 };
-pub use matrix::{check_table_shape, render_matrix_table, summarize, MatrixRow, MatrixSpec};
+pub use matrix::{check_table_shape, summarize, MatrixSpec};
 pub use obs::{BackendObs, CampaignObs};
 pub use shard::{
     merge_shards, parse_shard, render_shard, shard_of, shard_runs, spec_digest, MergeError,

@@ -13,15 +13,14 @@
 //! carries the matrix's `threads`, so the whole matrix exercises the
 //! plan/fulfill [`crate::backend::EngineBackend`] when `threads > 1`.
 //!
-//! [`summarize`] folds the resulting records into one row per benchmark
-//! (the shape of the paper's Table I: metric, `Nv`, mean `p(%)`, mean
-//! `με`), and [`check_table_shape`] pins the structural expectations a
-//! healthy matrix must satisfy — every benchmark present, percentages
-//! in range, audit errors finite — without pinning the (scale- and
-//! seed-dependent) numbers themselves.
+//! [`summarize`] folds the resulting records into the paper's Table I:
+//! one [`TableRow`] per `(benchmark, d, N_n,min)` cell, its repeats
+//! pooled by count. [`check_table_shape`] pins the structural
+//! expectations a healthy matrix must satisfy — every benchmark once in
+//! every cell, percentages in range, audit errors finite — without
+//! pinning the (scale- and seed-dependent) numbers themselves.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use krigeval_core::report::TableRow;
 
 use crate::sink::RunRecord;
 use crate::spec::{CampaignSpec, GatePolicy, NuggetPolicy, OptimizerSpec, RunSpec, SpecError};
@@ -142,83 +141,97 @@ impl MatrixSpec {
     }
 }
 
-/// One row of the matrix summary table: a benchmark's identity columns
-/// plus its per-run statistics averaged over the grid (the shape of
-/// the paper's Table I).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixRow {
-    /// Benchmark label (e.g. `"fir64"`).
-    pub benchmark: String,
-    /// Metric label (`"noise power"` or `"class. rate"`).
-    pub metric: String,
-    /// Number of optimization variables `Nv`.
-    pub nv: usize,
-    /// Completed runs folded into this row.
-    pub runs: u64,
-    /// Mean interpolated percentage `p(%)` across the row's runs.
-    pub mean_p_percent: f64,
-    /// Mean audit interpolation error `με` (Eq. 11/12 units).
-    pub mean_eps: f64,
-    /// Worst audit interpolation error across the row's runs.
-    pub max_eps: f64,
-    /// Mean neighbours per interpolation `j̄`.
-    pub mean_neighbors: f64,
-    /// Total metric queries across the row's runs.
-    pub queries: u64,
-    /// Total simulated queries across the row's runs.
-    pub simulated: u64,
-}
-
-/// Folds completed records into one [`MatrixRow`] per benchmark, in
-/// first-appearance (= matrix expansion) order.
-pub fn summarize(records: &[RunRecord]) -> Vec<MatrixRow> {
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: BTreeMap<String, Vec<&RunRecord>> = BTreeMap::new();
+/// Folds completed records into one [`TableRow`] per `(benchmark, d,
+/// N_n,min)` cell, in first-appearance (= matrix expansion) order.
+///
+/// A cell's repeats pool as one session with their totals: counts add
+/// up, `p` is `Σkriged / Σqueries`, `j̄` is weighted by kriged queries,
+/// `με` by audited interpolations, and `max ε` is the largest. A cell of
+/// one run reproduces that run's own statistics.
+pub fn summarize(records: &[RunRecord]) -> Vec<TableRow> {
+    let mut cells: Vec<Vec<&RunRecord>> = Vec::new();
     for r in records {
-        if !groups.contains_key(&r.benchmark) {
-            order.push(r.benchmark.clone());
+        let same_cell = |c: &&mut Vec<&RunRecord>| {
+            c[0].benchmark == r.benchmark && c[0].d == r.d && c[0].min_neighbors == r.min_neighbors
+        };
+        match cells.iter_mut().find(same_cell) {
+            Some(cell) => cell.push(r),
+            None => cells.push(vec![r]),
         }
-        groups.entry(r.benchmark.clone()).or_default().push(r);
     }
-    order
+    cells
         .into_iter()
-        .map(|benchmark| {
-            let rows = &groups[&benchmark];
-            let n = rows.len() as f64;
-            let mean = |f: fn(&RunRecord) -> f64| rows.iter().map(|r| f(r)).sum::<f64>() / n;
-            MatrixRow {
-                metric: rows[0].metric.clone(),
-                nv: rows[0].nv,
-                runs: rows.len() as u64,
-                mean_p_percent: mean(|r| r.p_percent),
-                mean_eps: mean(|r| r.audit_mean_eps),
-                max_eps: rows
+        .map(|runs| {
+            let sum = |f: fn(&RunRecord) -> u64| runs.iter().map(|r| f(r)).sum::<u64>();
+            let (queries, kriged, audited) = (
+                sum(|r| r.queries),
+                sum(|r| r.kriged),
+                sum(|r| r.audit_count),
+            );
+            // Σ(w·x) / Σw, 0 when nothing carries weight.
+            let weighted = |x: fn(&RunRecord) -> f64, w: fn(&RunRecord) -> u64, total: u64| {
+                if total == 0 {
+                    0.0
+                } else {
+                    runs.iter().map(|r| x(r) * w(r) as f64).sum::<f64>() / total as f64
+                }
+            };
+            let first = runs[0];
+            TableRow {
+                benchmark: first.benchmark.clone(),
+                metric: first.metric.clone(),
+                nv: first.nv,
+                d: first.d,
+                min_neighbors: first.min_neighbors,
+                p_percent: if queries == 0 {
+                    0.0
+                } else {
+                    kriged as f64 / queries as f64 * 100.0
+                },
+                mean_neighbors: weighted(|r| r.mean_neighbors, |r| r.kriged, kriged),
+                max_eps: runs
                     .iter()
                     .map(|r| r.audit_max_eps)
                     .fold(f64::NEG_INFINITY, f64::max),
-                mean_neighbors: mean(|r| r.mean_neighbors),
-                queries: rows.iter().map(|r| r.queries).sum(),
-                simulated: rows.iter().map(|r| r.simulated).sum(),
-                benchmark,
+                mean_eps: weighted(|r| r.audit_mean_eps, |r| r.audit_count, audited),
+                simulated: sum(|r| r.simulated),
+                kriged,
+                queries,
             }
         })
         .collect()
 }
 
 /// Pins the structural expectations of a healthy Table-I matrix without
-/// pinning scale-dependent numbers: every benchmark present exactly
-/// once, identity columns (metric label, `Nv`) correct, `p ∈ [0, 100]`,
-/// audit errors finite and non-negative, and the classification-rate
-/// problems routed through the `"class. rate"` metric. Returns the list
+/// pinning scale-dependent numbers: every benchmark exactly once in
+/// every `(d, N_n,min)` cell, identity columns (metric label, `Nv`)
+/// correct, `p ∈ [0, 100]`, audit errors finite and non-negative, some
+/// queries and some simulations, no more simulations than queries, and
+/// at least `N_n,min + 1` neighbours per interpolation. Returns the list
 /// of violations (empty = healthy).
-pub fn check_table_shape(rows: &[MatrixRow]) -> Vec<String> {
+pub fn check_table_shape(rows: &[TableRow]) -> Vec<String> {
     let mut violations = Vec::new();
+    let mut cells: Vec<(f64, usize)> = Vec::new();
+    for row in rows {
+        if !cells.contains(&(row.d, row.min_neighbors)) {
+            cells.push((row.d, row.min_neighbors));
+        }
+    }
     for p in MatrixSpec::problems() {
         let label = p.label();
-        match rows.iter().filter(|r| r.benchmark == label).count() {
-            1 => {}
-            0 => violations.push(format!("{label}: missing from the matrix")),
-            n => violations.push(format!("{label}: appears {n} times")),
+        if cells.is_empty() {
+            violations.push(format!("{label}: missing from the matrix"));
+        }
+        for &(d, nmin) in &cells {
+            let in_cell =
+                |r: &&TableRow| r.benchmark == label && r.d == d && r.min_neighbors == nmin;
+            match rows.iter().filter(in_cell).count() {
+                1 => {}
+                0 => violations.push(format!("{label}: missing from cell d={d}, nmin={nmin}")),
+                n => violations.push(format!(
+                    "{label}: appears {n} times in cell d={d}, nmin={nmin}"
+                )),
+            }
         }
     }
     for row in rows {
@@ -238,8 +251,8 @@ pub fn check_table_shape(rows: &[MatrixRow]) -> Vec<String> {
                 }
             }
         }
-        if !(0.0..=100.0).contains(&row.mean_p_percent) {
-            violations.push(format!("{b}: p = {}% out of range", row.mean_p_percent));
+        if !(0.0..=100.0).contains(&row.p_percent) {
+            violations.push(format!("{b}: p = {}% out of range", row.p_percent));
         }
         if !row.mean_eps.is_finite() || row.mean_eps < 0.0 {
             violations.push(format!(
@@ -247,45 +260,35 @@ pub fn check_table_shape(rows: &[MatrixRow]) -> Vec<String> {
                 row.mean_eps
             ));
         }
-        if row.runs > 0 && row.queries < row.simulated {
+        if row.queries == 0 || row.simulated == 0 {
+            violations.push(format!(
+                "{b}: {} queries, {} simulated at d={}, nmin={}",
+                row.queries, row.simulated, row.d, row.min_neighbors
+            ));
+        }
+        if row.queries < row.simulated {
             violations.push(format!(
                 "{b}: simulated {} exceeds queries {}",
                 row.simulated, row.queries
+            ));
+        }
+        // A kriged query has more than N_n,min neighbours, up to the
+        // matrix's neighbour cap.
+        let least = (row.min_neighbors + 1).min(CampaignSpec::default().max_neighbors);
+        if row.kriged > 0 && row.mean_neighbors < least as f64 {
+            violations.push(format!(
+                "{b}: j = {} below {least} at d={}, nmin={}",
+                row.mean_neighbors, row.d, row.min_neighbors
             ));
         }
     }
     violations
 }
 
-/// Renders the summary as an aligned text table (the `campaign matrix`
-/// CLI output).
-pub fn render_matrix_table(rows: &[MatrixRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14} {:<12} {:>3} {:>5} {:>8} {:>12} {:>12} {:>6}",
-        "benchmark", "metric", "Nv", "runs", "p(%)", "mean_eps", "max_eps", "jbar"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<14} {:<12} {:>3} {:>5} {:>8.2} {:>12.5} {:>12.5} {:>6.2}",
-            r.benchmark,
-            r.metric,
-            r.nv,
-            r.runs,
-            r.mean_p_percent,
-            r.mean_eps,
-            r.max_eps,
-            r.mean_neighbors
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::tests::sample_record;
 
     #[test]
     fn matrix_expands_all_benchmarks_with_per_benchmark_nugget() {
@@ -329,53 +332,106 @@ mod tests {
         assert_eq!(runs.len(), 8 * 4);
     }
 
+    fn record(kriged: u64, mean_neighbors: f64, audit_count: u64, mean_eps: f64) -> RunRecord {
+        RunRecord {
+            simulated: 38 - kriged,
+            kriged,
+            p_percent: kriged as f64 / 40.0 * 100.0,
+            mean_neighbors,
+            audit_mean_eps: mean_eps,
+            audit_max_eps: 2.0 * mean_eps,
+            audit_count,
+            wall_ms: None,
+            ..sample_record(0)
+        }
+    }
+
     #[test]
-    fn shape_check_flags_structural_violations() {
-        let mut rows: Vec<MatrixRow> = MatrixSpec::problems()
+    fn repeats_of_a_cell_pool_by_count() {
+        // Two repeats of one cell; the second kriges nothing. Averaging
+        // per run would give j = 2.5 (below N_n,min + 1) and eps = 0.25.
+        let mut idle = record(0, 0.0, 0, 0.0);
+        idle.repeat = 1;
+        // A one-run cell (d = 2) must reproduce its run bit for bit.
+        let mut single = record(7, 29.0 / 7.0, 6, 1.3 / 6.0);
+        single.d = 2.0;
+        let rows = summarize(&[record(10, 5.0, 10, 0.5), idle, single.clone()]);
+        assert_eq!(rows.len(), 2, "two cells, in first-appearance order");
+        let row = &rows[0];
+        assert_eq!((row.d, row.min_neighbors), (3.0, 3));
+        assert_eq!((row.queries, row.simulated, row.kriged), (80, 66, 10));
+        assert_eq!(row.p_percent, 12.5);
+        assert_eq!(row.mean_neighbors, 5.0);
+        assert_eq!(row.mean_eps, 0.5);
+        assert_eq!(row.max_eps, 1.0);
+        let one = &rows[1];
+        assert_eq!(one.d, 2.0);
+        assert_eq!(one.p_percent, single.p_percent);
+        assert_eq!(one.mean_neighbors, single.mean_neighbors);
+        assert_eq!(one.mean_eps, single.audit_mean_eps);
+        assert_eq!(one.max_eps, single.audit_max_eps);
+    }
+
+    fn healthy_cell(d: f64) -> Vec<TableRow> {
+        MatrixSpec::problems()
             .iter()
-            .map(|p| MatrixRow {
+            .map(|p| TableRow {
                 benchmark: p.label().to_string(),
                 metric: p.metric_label().to_string(),
                 nv: p.nv(),
-                runs: 1,
-                mean_p_percent: 50.0,
-                mean_eps: 0.1,
-                max_eps: 0.2,
+                d,
+                min_neighbors: 3,
+                p_percent: 50.0,
                 mean_neighbors: 4.0,
-                queries: 10,
+                max_eps: 0.2,
+                mean_eps: 0.1,
                 simulated: 5,
+                kriged: 5,
+                queries: 10,
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn shape_check_flags_structural_violations() {
+        let mut rows = healthy_cell(3.0);
         assert!(check_table_shape(&rows).is_empty());
-        rows[0].mean_p_percent = 120.0;
+        assert_eq!(check_table_shape(&[]).len(), 8, "every benchmark missing");
+        rows[0].p_percent = 120.0;
         rows[4].metric = "noise power".to_string(); // squeezenet must be class. rate
+        rows[1].mean_neighbors = 3.0; // a kriged query has at least 4 neighbours
+        rows[2].simulated = 0; // every run simulates something
+        rows[3].queries = 0; // ...and queries something
+        rows[3].simulated = 0;
         let removed = rows.pop().unwrap();
         let violations = check_table_shape(&rows);
-        assert_eq!(violations.len(), 3, "{violations:?}");
+        assert_eq!(violations.len(), 6, "{violations:?}");
         assert!(violations.iter().any(|v| v.contains("out of range")));
         assert!(violations.iter().any(|v| v.contains("class. rate")));
+        assert!(violations.iter().any(|v| v.contains("below 4")));
+        assert!(violations.contains(&"fft64: 10 queries, 0 simulated at d=3, nmin=3".to_string()));
+        assert!(violations.contains(&"hevc_mc: 0 queries, 0 simulated at d=3, nmin=3".to_string()));
         assert!(violations
             .iter()
             .any(|v| v.contains(&removed.benchmark) && v.contains("missing")));
     }
 
     #[test]
-    fn render_produces_one_line_per_row_plus_header() {
-        let rows = vec![MatrixRow {
-            benchmark: "fir64".to_string(),
-            metric: "noise power".to_string(),
-            nv: 2,
-            runs: 4,
-            mean_p_percent: 33.25,
-            mean_eps: 0.0123,
-            max_eps: 0.2,
-            mean_neighbors: 4.5,
-            queries: 100,
-            simulated: 60,
-        }];
-        let table = render_matrix_table(&rows);
-        assert_eq!(table.lines().count(), 2);
-        assert!(table.contains("fir64"));
-        assert!(table.contains("33.25"));
+    fn shape_check_wants_every_benchmark_once_in_every_cell() {
+        let mut rows = healthy_cell(2.0);
+        rows.extend(healthy_cell(3.0));
+        assert!(check_table_shape(&rows).is_empty());
+        // fir64 missing from d = 3, iir8 twice in d = 2.
+        let fir = rows.iter().rposition(|r| r.benchmark == "fir64").unwrap();
+        rows.remove(fir);
+        rows.push(rows[1].clone());
+        let violations = check_table_shape(&rows);
+        assert_eq!(
+            violations,
+            vec![
+                "fir64: missing from cell d=3, nmin=3".to_string(),
+                "iir8: appears 2 times in cell d=2, nmin=3".to_string(),
+            ]
+        );
     }
 }

@@ -466,6 +466,7 @@ pub fn render_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::tests::sample_record;
 
     fn spec() -> CampaignSpec {
         CampaignSpec {
@@ -476,36 +477,8 @@ mod tests {
 
     fn record(index: u64) -> RunRecord {
         RunRecord {
-            index,
-            benchmark: "fir64".to_string(),
-            metric: "noise power".to_string(),
-            scale: "fast".to_string(),
-            optimizer: "auto".to_string(),
-            variogram: "pilot".to_string(),
-            nv: 2,
-            d: 3.0,
-            min_neighbors: 3,
-            lambda_min: 28.0,
-            seed: 0,
-            repeat: 0,
-            solution: vec![9, 8],
-            lambda: 28.4,
-            iterations: 7,
-            queries: 40,
-            simulated: 30,
-            kriged: 8,
-            session_cache_hits: 2,
-            kriging_failures: 0,
-            gate: "fixed".to_string(),
-            gate_rejections: 0,
-            p_percent: 20.0,
-            mean_neighbors: 4.5,
-            mean_variance: 0.6,
-            audit_mean_eps: 0.2,
-            audit_max_eps: 0.8,
-            audit_count: 8,
-            pilot_sims: 25,
             wall_ms: None,
+            ..sample_record(index)
         }
     }
 

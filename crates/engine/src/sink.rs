@@ -618,10 +618,12 @@ pub fn read_artifact_text(path: &Path) -> io::Result<String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample_record(index: u64) -> RunRecord {
+    /// A plausible fir64 record with a wall time, shared by the engine's
+    /// unit tests.
+    pub(crate) fn sample_record(index: u64) -> RunRecord {
         RunRecord {
             index,
             benchmark: "fir64".to_string(),

@@ -168,3 +168,54 @@ fn merged_shards_with_failed_rows_exit_nonzero_but_still_emit_the_artifact() {
     assert!(artifact.contains("\"type\":\"summary\""));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn matrix_rejects_the_flags_it_would_drop() {
+    // `matrix` fixes the benchmark list and each benchmark's kriging
+    // policy, so a flag that would change either must fail before any
+    // run: dropping it would report a table the caller did not ask for.
+    let dir = temp_dir("matrix-flags");
+    let spec_path = dir.join("spec.json");
+    let spec = format!("{}\n", CampaignSpec::default().to_json());
+    std::fs::write(&spec_path, spec).expect("write spec");
+    let spec_arg = spec_path.to_str().expect("utf-8 temp path");
+    for args in [
+        vec![
+            "--benchmarks",
+            "fir",
+            "--variogram",
+            "fit-after:10",
+            "--metric",
+            "linf",
+        ],
+        vec!["--spec", spec_arg],
+        vec!["--lambda", "-50"],
+        vec!["--metric", "l2"],
+        vec!["--variogram", "pilot"],
+        vec!["--optimizer", "minplusone"],
+        vec!["--max-neighbors", "8"],
+        vec!["--approx", "4"],
+        vec!["--approx-epsilon", "0.1"],
+        vec!["--loo-select"],
+        vec!["--nugget", "auto"],
+        vec!["--resume"],
+        vec!["--index", "0"],
+        vec!["--of", "2"],
+    ] {
+        let output = Command::new(bin())
+            .args([
+                "matrix", "--scale", "fast", "--d", "3", "--nmin", "2", "--quiet",
+            ])
+            .args(&args)
+            .output()
+            .expect("campaign binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{args:?} must be rejected");
+        assert!(
+            stderr.contains(&format!("matrix does not take {}", args[0])),
+            "{args:?}: stderr:\n{stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?}: nothing runs");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,10 +1,11 @@
 //! The full Table-I scenario matrix at smoke scale: all eight
 //! benchmarks expanded by [`MatrixSpec`], executed through the
 //! plan/fulfill engine backend (`threads = 2`), and the resulting
-//! summary pinned against the structural Table-I shape expectations.
+//! table pinned against the structural Table-I shape expectations.
 
+use krigeval_core::report::Table;
 use krigeval_engine::executor::{run_specs_opts, ExecOptions, Progress};
-use krigeval_engine::matrix::{check_table_shape, render_matrix_table, summarize, MatrixSpec};
+use krigeval_engine::matrix::{check_table_shape, summarize, MatrixSpec};
 use krigeval_engine::spec::NuggetPolicy;
 use krigeval_engine::suite::Problem;
 
@@ -53,13 +54,13 @@ fn smoke_matrix_completes_all_eight_benchmarks_through_the_engine_backend() {
     let squeezenet = rows.iter().find(|r| r.benchmark == "squeezenet").unwrap();
     assert_eq!(squeezenet.metric, "class. rate");
     assert!(
-        squeezenet.mean_p_percent > 0.0,
+        squeezenet.p_percent > 0.0,
         "squeezenet kriged nothing: p = {}",
-        squeezenet.mean_p_percent
+        squeezenet.p_percent
     );
 
-    // The rendered table carries one line per benchmark plus a header.
-    let table = render_matrix_table(&rows);
+    // The one smoke cell renders one line per benchmark plus a header.
+    let table = Table { rows }.to_string();
     assert_eq!(table.lines().count(), 9);
     for problem in Problem::extended() {
         assert!(

@@ -38,6 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "noise power",
             10,
             d,
+            hybrid.settings().min_neighbors,
             hybrid.stats(),
         ));
     }

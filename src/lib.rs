@@ -38,8 +38,8 @@
 //! ```
 //!
 //! See `examples/` for full word-length-optimization and error-sensitivity
-//! walkthroughs, and the `krigeval-bench` crate for the Table I / Figure 1
-//! reproduction harness.
+//! walkthroughs, the `campaign matrix` command of `krigeval-engine` for
+//! Table I, and the `krigeval-bench` crate for Figure 1 and the ablations.
 
 #![forbid(unsafe_code)]
 
