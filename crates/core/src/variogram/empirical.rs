@@ -1,6 +1,6 @@
 //! Empirical semi-variogram (paper Eq. 4), batch and incremental.
 
-use crate::variogram::table::{lattice_distance, lattice_key, MAX_TABLE_KEYS};
+use crate::variogram::table::{lattice_distance, MAX_TABLE_KEYS};
 use crate::{Config, CoreError, DistanceMetric};
 use std::collections::BTreeMap;
 
@@ -177,13 +177,17 @@ type BinSums = (f64, f64, usize);
 /// appended since the last [`sync`](VariogramAccumulator::sync) — O(new·N)
 /// pair updates per refit instead.
 ///
-/// The pair loop reads a flat row-major copy of the synced configurations
-/// and sums each bin below 2¹⁶ in a dense vector indexed by bin, so a pair
-/// costs no pointer chase and no map lookup. The rare bins at or above
-/// 2¹⁶ (pairs more than 65,535 lattice units apart) go to an ordered map,
-/// so the vector never holds more than 2¹⁶ bins whatever the input. Every
-/// bin adds its pairs in sync order (new-site-major) wherever it is
-/// stored, and the snapshot lists the bins by increasing distance.
+/// The synced configurations are kept column-major, one column per
+/// variable, grown by each sync. A new site's lattice keys against every
+/// earlier site are computed in passes over the columns, lanes of earlier
+/// sites at a time; then its pairs are added to their bins in site order.
+/// Each bin below 2¹⁶ is summed in a dense vector indexed by bin, so a
+/// pair costs no map lookup. The rare bins at or above 2¹⁶ (pairs more
+/// than 65,535 lattice units apart) go to an ordered map, so the vector
+/// never holds more than 2¹⁶ bins whatever the input. Under L1 and L∞ a
+/// pair's distance is its key, so a dense bin is the key itself. Every bin
+/// adds its pairs in sync order (new-site-major) wherever it is stored,
+/// and the snapshot lists the bins by increasing distance.
 ///
 /// Pair sums are accumulated in a different order than the batch
 /// [`EmpiricalVariogram::from_samples`] loop (new-site-major rather than
@@ -212,10 +216,9 @@ pub struct VariogramAccumulator {
     dense: Vec<BinSums>,
     /// Sums of the bins at or above [`MAX_TABLE_KEYS`].
     sparse: BTreeMap<u64, BinSums>,
-    /// The folded-in configurations, row-major, `dim` entries each.
-    sites: Vec<i32>,
-    /// Length of every configuration (that of the first one synced).
-    dim: usize,
+    /// The folded-in configurations, one column per variable (the length
+    /// of the first configuration synced), `consumed` entries each.
+    columns: Vec<Vec<i32>>,
     /// How many leading sites of the backing store have been folded in.
     consumed: usize,
 }
@@ -243,7 +246,7 @@ impl VariogramAccumulator {
     pub fn clear(&mut self) {
         self.dense.clear();
         self.sparse.clear();
-        self.sites.clear();
+        self.columns.clear();
         self.consumed = 0;
     }
 
@@ -274,53 +277,77 @@ impl VariogramAccumulator {
         let from = self.consumed;
         if from == 0 {
             if let Some(first) = configs.first() {
-                self.dim = first.len();
+                self.columns = (0..first.len())
+                    .map(|_| Vec::with_capacity(configs.len()))
+                    .collect();
             }
         }
         for config in &configs[from..] {
-            assert_eq!(config.len(), self.dim, "configuration length mismatch");
-            self.sites.extend_from_slice(config);
+            assert_eq!(
+                config.len(),
+                self.columns.len(),
+                "configuration length mismatch"
+            );
+            for (column, &w) in self.columns.iter_mut().zip(config) {
+                column.push(w);
+            }
         }
-        // One pair loop per metric, so the key arithmetic is inlined.
-        use DistanceMetric::{Linf, L1, L2};
-        match self.metric {
-            L1 => self.fold(from, values, |a, b| {
-                lattice_distance(L1, lattice_key(L1, a, b))
-            }),
-            L2 => self.fold(from, values, |a, b| {
-                lattice_distance(L2, lattice_key(L2, a, b))
-            }),
-            Linf => self.fold(from, values, |a, b| {
-                lattice_distance(Linf, lattice_key(Linf, a, b))
-            }),
+        let mut keys = Vec::with_capacity(configs.len());
+        for j in from..configs.len() {
+            self.lattice_keys(j, &mut keys);
+            self.add_pairs(values[j], &values[..j], &keys);
         }
         self.consumed = configs.len();
     }
 
-    /// Adds every pair `(j, k)` with `from ≤ j < values.len()` and `k < j`,
-    /// `j`-major, to the sums of its bin; `distance` is the pair's
-    /// [`lattice_distance`].
-    fn fold(&mut self, from: usize, values: &[f64], distance: impl Fn(&[i32], &[i32]) -> f64) {
-        let dim = self.dim;
-        for j in from..values.len() {
-            let site = &self.sites[j * dim..(j + 1) * dim];
-            for k in 0..j {
-                let d = distance(site, &self.sites[k * dim..(k + 1) * dim]);
-                let diff = values[j] - values[k];
-                let bin = d.round() as u64;
-                let e = if bin < MAX_TABLE_KEYS {
-                    let bin = bin as usize;
-                    if bin >= self.dense.len() {
-                        self.dense.resize(bin + 1, (0.0, 0.0, 0));
-                    }
-                    &mut self.dense[bin]
-                } else {
-                    self.sparse.entry(bin).or_insert((0.0, 0.0, 0))
-                };
-                e.0 += diff * diff;
-                e.1 += d;
-                e.2 += 1;
+    /// Sets `keys` to the [`lattice_key`](crate::variogram::lattice_key)
+    /// of site `j` against each site `k < j`, one column at a time.
+    fn lattice_keys(&self, j: usize, keys: &mut Vec<u64>) {
+        keys.clear();
+        keys.resize(j, 0);
+        for column in &self.columns {
+            let (earlier, x) = (&column[..j], column[j]);
+            let terms = keys.iter_mut().zip(earlier);
+            match self.metric {
+                DistanceMetric::L1 => terms.for_each(|(key, &w)| *key += u64::from(w.abs_diff(x))),
+                DistanceMetric::L2 => terms.for_each(|(key, &w)| {
+                    let d = u64::from(w.abs_diff(x));
+                    *key += d * d;
+                }),
+                DistanceMetric::Linf => {
+                    terms.for_each(|(key, &w)| *key = (*key).max(u64::from(w.abs_diff(x))))
+                }
             }
+        }
+    }
+
+    /// Adds the pairs of a site valued `value` with each earlier site, in
+    /// order, to the sums of their bins; `keys[k]` is the pair's lattice
+    /// key with the site valued `earlier[k]`.
+    fn add_pairs(&mut self, value: f64, earlier: &[f64], keys: &[u64]) {
+        let linear = self.metric != DistanceMetric::L2;
+        for (&key, &other) in keys.iter().zip(earlier) {
+            let diff = value - other;
+            // Under L1 and L∞ the distance is the key, so a key below the
+            // dense cap is its own bin.
+            let (bin, d) = if linear && key < MAX_TABLE_KEYS {
+                (key, key as f64)
+            } else {
+                let d = lattice_distance(self.metric, key);
+                (d.round() as u64, d)
+            };
+            let e = if bin < MAX_TABLE_KEYS {
+                let bin = bin as usize;
+                if bin >= self.dense.len() {
+                    self.dense.resize(bin + 1, (0.0, 0.0, 0));
+                }
+                &mut self.dense[bin]
+            } else {
+                self.sparse.entry(bin).or_insert((0.0, 0.0, 0))
+            };
+            e.0 += diff * diff;
+            e.1 += d;
+            e.2 += 1;
         }
     }
 
@@ -356,6 +383,7 @@ impl VariogramAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::variogram::table::lattice_key;
 
     #[test]
     fn pair_count_is_n_choose_2() {
@@ -563,105 +591,119 @@ mod tests {
         }
 
         proptest! {
-                    // Dense bins change where a bin's sums live, not the order
-                    // they are added in: every bin of every snapshot keeps the
-                    // map loop's bits, under each metric, across interleaved
-                    // syncs, with coordinates far enough apart that some bins
-                    // land at or above the dense cap.
-                    #[test]
-                    fn dense_bins_match_the_map_loop_bit_for_bit(
-                        dim in 1usize..5,
-                        raw in proptest::collection::vec(
-                            (
-                                proptest::collection::vec(
-                                    (0u8..5, -70_000i32..70_000)
-        .prop_map(|(far, x)| if far == 0 { x } else { x % 12 }),
-                                    4usize,
-                                ),
-                                -50.0f64..50.0,
-                            ),
-                            2..40,
+            // Dense bins and column-major keys change where a bin's
+            // sums live and how a pair's key is computed, not the
+            // order the sums are added in: every bin of every
+            // snapshot keeps the map loop's bits, under each metric,
+            // across interleaved syncs, at dimensions past every lane
+            // width, with coordinates far enough apart that some bins
+            // land at or above the dense cap. Under L1 and L∞ the
+            // coordinates also span the whole `i32` range, so key
+            // sums pass `u32::MAX` (L2's squares would overflow the
+            // map loop's `i64` there).
+            #[test]
+            fn dense_bins_match_the_map_loop_bit_for_bit(
+                dim in 1usize..25,
+                raw in proptest::collection::vec(
+                    (
+                        proptest::collection::vec(
+                            (0u8..5, -70_000i32..70_000, i32::MIN..=i32::MAX),
+                            24usize,
                         ),
-                        sync_mask in proptest::collection::vec(0u8..3, 40usize),
-                    ) {
-                        let (configs, values): (Vec<Config>, Vec<f64>) = raw
-                            .into_iter()
-                            .map(|(c, v)| (c[..dim].to_vec(), v))
-                            .unzip();
-                        for metric in [DistanceMetric::L1, DistanceMetric::L2, DistanceMetric::Linf] {
-                            let mut dense = VariogramAccumulator::new(metric);
-                            let mut map = MapAccumulator { metric, acc: BTreeMap::new(), consumed: 0 };
-                            for n in 1..=configs.len() {
-                                if n < configs.len() && sync_mask[n - 1] != 0 {
-                                    continue;
-                                }
-                                dense.sync(&configs[..n], &values[..n]);
-                                map.sync(&configs[..n], &values[..n]);
-                                let expected = map.bins();
-                                match dense.snapshot() {
-                                    Ok(v) => prop_assert_eq!(bin_bits(v.bins()), bin_bits(&expected)),
-                                    Err(_) => prop_assert!(expected.is_empty()),
-                                }
-                            }
+                        -50.0f64..50.0,
+                    ),
+                    2..40,
+                ),
+                sync_mask in proptest::collection::vec(0u8..3, 40usize),
+            ) {
+                let values: Vec<f64> = raw.iter().map(|(_, v)| *v).collect();
+                let configs = |pick: fn(u8, i32, i32) -> i32| -> Vec<Config> {
+                    raw.iter()
+                        .map(|(c, _)| c[..dim].iter().map(|&(f, x, a)| pick(f, x, a)).collect())
+                        .collect()
+                };
+                let near = configs(|far, x, _| if far == 0 { x } else { x % 12 });
+                let wide = configs(|far, x, any| if far == 0 { any } else { x % 12 });
+                let runs = [
+                    (DistanceMetric::L1, &near),
+                    (DistanceMetric::L2, &near),
+                    (DistanceMetric::Linf, &near),
+                    (DistanceMetric::L1, &wide),
+                    (DistanceMetric::Linf, &wide),
+                ];
+                for (metric, configs) in runs {
+                    let mut dense = VariogramAccumulator::new(metric);
+                    let mut map = MapAccumulator { metric, acc: BTreeMap::new(), consumed: 0 };
+                    for n in 1..=configs.len() {
+                        if n < configs.len() && sync_mask[n - 1] != 0 {
+                            continue;
+                        }
+                        dense.sync(&configs[..n], &values[..n]);
+                        map.sync(&configs[..n], &values[..n]);
+                        let expected = map.bins();
+                        match dense.snapshot() {
+                            Ok(v) => prop_assert_eq!(bin_bits(v.bins()), bin_bits(&expected)),
+                            Err(_) => prop_assert!(expected.is_empty()),
                         }
                     }
+                }
+            }
 
-                    // The satellite contract: running accumulators, refit at random
-                    // interleaving points, must agree with the batch path to 1e-9
-                    // under every metric.
-                    #[test]
-                    fn interleaved_sync_matches_batch_from_samples(
-                        dim in 1usize..5,
-                        raw in proptest::collection::vec(
-                            (proptest::collection::vec(-12i32..12, 4usize), -50.0f64..50.0),
-                            2..25,
-                        ),
-                        refit_mask in proptest::collection::vec(0u8..2, 25usize),
-                    ) {
-                        let (configs, values): (Vec<Config>, Vec<f64>) = raw
-                            .into_iter()
-                            .map(|(c, v)| (c[..dim].to_vec(), v))
-                            .unzip();
-                        for metric in [DistanceMetric::L1, DistanceMetric::L2, DistanceMetric::Linf] {
-                            let mut acc = VariogramAccumulator::new(metric);
-                            for n in 1..=configs.len() {
-                                // Interleave: only some prefixes trigger a sync, so
-                                // each sync folds in a random-size batch of sites.
-                                let last = n == configs.len();
-                                if !last && refit_mask.get(n - 1).copied().unwrap_or(0) == 0 {
-                                    continue;
+            // Running accumulators, refit at random interleaving points,
+            // must agree with the batch path to 1e-9 under every metric.
+            #[test]
+            fn interleaved_sync_matches_batch_from_samples(
+                dim in 1usize..5,
+                raw in proptest::collection::vec(
+                    (proptest::collection::vec(-12i32..12, 4usize), -50.0f64..50.0),
+                    2..25,
+                ),
+                refit_mask in proptest::collection::vec(0u8..2, 25usize),
+            ) {
+                let (configs, values): (Vec<Config>, Vec<f64>) = raw
+                    .into_iter()
+                    .map(|(c, v)| (c[..dim].to_vec(), v))
+                    .unzip();
+                for metric in [DistanceMetric::L1, DistanceMetric::L2, DistanceMetric::Linf] {
+                    let mut acc = VariogramAccumulator::new(metric);
+                    for n in 1..=configs.len() {
+                        // Interleave: only some prefixes trigger a sync, so
+                        // each sync folds in a random-size batch of sites.
+                        let last = n == configs.len();
+                        if !last && refit_mask.get(n - 1).copied().unwrap_or(0) == 0 {
+                            continue;
+                        }
+                        acc.sync(&configs[..n], &values[..n]);
+                        let sites: Vec<Vec<f64>> = configs[..n]
+                            .iter()
+                            .map(|c| c.iter().map(|&x| f64::from(x)).collect())
+                            .collect();
+                        let batch = EmpiricalVariogram::from_samples(
+                            &sites, &values[..n], metric, 1.0);
+                        let inc = acc.snapshot();
+                        match (inc, batch) {
+                            (Ok(inc), Ok(batch)) => {
+                                prop_assert_eq!(inc.bins().len(), batch.bins().len());
+                                prop_assert_eq!(inc.metric(), batch.metric());
+                                for (a, b) in inc.bins().iter().zip(batch.bins()) {
+                                    prop_assert_eq!(a.pairs, b.pairs);
+                                    let dscale = b.distance.abs().max(1.0);
+                                    let gscale = b.gamma.abs().max(1.0);
+                                    prop_assert!((a.distance - b.distance).abs() / dscale < 1e-9);
+                                    prop_assert!((a.gamma - b.gamma).abs() / gscale < 1e-9);
                                 }
-                                acc.sync(&configs[..n], &values[..n]);
-                                let sites: Vec<Vec<f64>> = configs[..n]
-                                    .iter()
-                                    .map(|c| c.iter().map(|&x| f64::from(x)).collect())
-                                    .collect();
-                                let batch = EmpiricalVariogram::from_samples(
-                                    &sites, &values[..n], metric, 1.0);
-                                let inc = acc.snapshot();
-                                match (inc, batch) {
-                                    (Ok(inc), Ok(batch)) => {
-                                        prop_assert_eq!(inc.bins().len(), batch.bins().len());
-                                        prop_assert_eq!(inc.metric(), batch.metric());
-                                        for (a, b) in inc.bins().iter().zip(batch.bins()) {
-                                            prop_assert_eq!(a.pairs, b.pairs);
-                                            let dscale = b.distance.abs().max(1.0);
-                                            let gscale = b.gamma.abs().max(1.0);
-                                            prop_assert!((a.distance - b.distance).abs() / dscale < 1e-9);
-                                            prop_assert!((a.gamma - b.gamma).abs() / gscale < 1e-9);
-                                        }
-                                    }
-                                    (Err(_), Err(_)) => {} // both degenerate (n < 2)
-                                    (inc, batch) => {
-                                        prop_assert!(
-                                            false,
-                                            "paths disagree at n={n}: inc {inc:?} vs batch {batch:?}"
-                                        );
-                                    }
-                                }
+                            }
+                            (Err(_), Err(_)) => {} // both degenerate (n < 2)
+                            (inc, batch) => {
+                                prop_assert!(
+                                    false,
+                                    "paths disagree at n={n}: inc {inc:?} vs batch {batch:?}"
+                                );
                             }
                         }
                     }
                 }
+            }
+        }
     }
 }

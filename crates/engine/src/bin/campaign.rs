@@ -92,7 +92,7 @@
 //! ```text
 //! --smoke            the CI preset: fast scale, a single d=3 / N_n,min=2
 //!                    cell, every run through the engine backend at two
-//!                    threads (overrides the grid flags)
+//!                    threads (rejects the grid flags it fixes)
 //! ```
 //!
 //! `campaign matrix` is the repository's Table I. It expands **all eight
@@ -877,10 +877,19 @@ fn cmd_merge(cli: &Cli) -> Result<ExitCode, String> {
 const NOT_FOR_MATRIX: &str = "--spec --benchmarks --lambda --metric --variogram --optimizer \
      --max-neighbors --approx --approx-epsilon --loo-select --nugget --resume --index --of";
 
+/// The grid flags, which `--smoke` fixes and would otherwise drop.
+const NOT_FOR_SMOKE: &str = "--name --scale --d --nmin --gate --variance-threshold --threads \
+     --seed --repeats --no-audit";
+
 fn cmd_matrix(cli: &Cli) -> Result<ExitCode, String> {
-    let dropped = |f: &&String| NOT_FOR_MATRIX.split_whitespace().any(|n| n == f.as_str());
-    if let Some(flag) = cli.flags.iter().find(dropped) {
+    let listed = |list: &str, f: &String| list.split_whitespace().any(|n| n == f.as_str());
+    if let Some(flag) = cli.flags.iter().find(|f| listed(NOT_FOR_MATRIX, f)) {
         return Err(format!("matrix does not take {flag}"));
+    }
+    if cli.smoke {
+        if let Some(flag) = cli.flags.iter().find(|f| listed(NOT_FOR_SMOKE, f)) {
+            return Err(format!("matrix --smoke does not take {flag}"));
+        }
     }
     let spec = if cli.smoke {
         MatrixSpec::smoke()

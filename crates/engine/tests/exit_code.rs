@@ -219,3 +219,35 @@ fn matrix_rejects_the_flags_it_would_drop() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn matrix_smoke_rejects_the_grid_flags_it_fixes() {
+    // `--smoke` is one fixed cell, so a grid flag next to it would be
+    // dropped: `--smoke --scale paper --d 5 --nmin 4` used to run the
+    // fast d = 3, N_n,min = 2 cell and exit 0.
+    for args in [
+        vec!["--name", "grid"],
+        vec!["--scale", "paper"],
+        vec!["--d", "5"],
+        vec!["--nmin", "4"],
+        vec!["--gate", "variance"],
+        vec!["--variance-threshold", "2"],
+        vec!["--threads", "1"],
+        vec!["--seed", "7"],
+        vec!["--repeats", "2"],
+        vec!["--no-audit"],
+    ] {
+        let output = Command::new(bin())
+            .args(["matrix", "--smoke", "--quiet"])
+            .args(&args)
+            .output()
+            .expect("campaign binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{args:?} must be rejected");
+        assert!(
+            stderr.contains(&format!("matrix --smoke does not take {}", args[0])),
+            "{args:?}: stderr:\n{stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?}: nothing runs");
+    }
+}

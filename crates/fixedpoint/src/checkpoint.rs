@@ -18,7 +18,7 @@
 //! key it; the store keeps the entries under a byte cap and counts where
 //! the simulations started.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -72,7 +72,10 @@ struct Entry<V> {
 }
 
 struct Entries<V> {
-    map: HashMap<Box<[u64]>, Entry<V>>,
+    map: HashMap<Arc<[u64]>, Entry<V>>,
+    /// Every entry's key under its `last_used` tick, so the least recently
+    /// used entry is the first one.
+    recency: BTreeMap<u64, Arc<[u64]>>,
     bytes: usize,
     clock: u64,
 }
@@ -81,6 +84,7 @@ impl<V> Default for Entries<V> {
     fn default() -> Entries<V> {
         Entries {
             map: HashMap::new(),
+            recency: BTreeMap::new(),
             bytes: 0,
             clock: 0,
         }
@@ -88,26 +92,24 @@ impl<V> Default for Entries<V> {
 }
 
 impl<V> Entries<V> {
-    /// Evicts the least recently used entry; false when there is none.
-    fn evict_oldest(&mut self) -> bool {
-        let oldest = self
+    /// Removes the least recently used entry and returns its value; `None`
+    /// when there is none.
+    fn pop_oldest(&mut self) -> Option<Arc<V>> {
+        let (_, key) = self.recency.pop_first()?;
+        let entry = self
             .map
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone());
-        match oldest.and_then(|k| self.map.remove(&k)) {
-            Some(entry) => {
-                self.bytes -= entry.bytes;
-                true
-            }
-            None => false,
-        }
+            .remove(&key)
+            .expect("every key in the recency index is stored");
+        self.bytes -= entry.bytes;
+        Some(entry.value)
     }
 }
 
 /// A benchmark instance's stored states: values keyed by a stage and the
 /// configuration entries they depend on, under a byte cap with
-/// least-recently-used eviction. Threads may share it; the lock guards
+/// least-recently-used eviction. A lookup, an insert and each eviction
+/// cost O(log n) in the n stored entries: an ordered index of the entries'
+/// last uses names the victim. Threads may share the store; the lock guards
 /// lookups and inserts only, never a pass. A poisoned lock turns every
 /// later lookup into a miss and every insert into a no-op.
 ///
@@ -146,36 +148,53 @@ impl<V: Checkpoint> CheckpointStore<V> {
         let mut guard = self.entries.lock().ok()?;
         let entries: &mut Entries<V> = &mut guard;
         let entry = entries.map.get_mut(key)?;
+        let stored = entries
+            .recency
+            .remove(&entry.last_used)
+            .expect("every entry is in the recency index");
         entries.clock += 1;
         entry.last_used = entries.clock;
+        entries.recency.insert(entries.clock, stored);
         Some(Arc::clone(&entry.value))
     }
 
     /// Stores `value` under `key`, evicting the least recently used
     /// entries to stay under the cap. A key already stored keeps its
     /// value, and a value that would not fit under an empty store is not
-    /// stored.
+    /// stored. Evicted values are dropped after the lock is released:
+    /// freeing a large state can take a while, and every lookup waits for
+    /// the lock.
     pub fn insert(&self, key: &[u64], value: V) {
-        let Ok(mut guard) = self.entries.lock() else {
-            return;
-        };
-        let entries: &mut Entries<V> = &mut guard;
         let bytes = std::mem::size_of_val(key) + value.bytes();
-        if bytes > self.cap || entries.map.contains_key(key) {
-            return;
+        let mut evicted = Vec::new();
+        {
+            let Ok(mut guard) = self.entries.lock() else {
+                return;
+            };
+            let entries: &mut Entries<V> = &mut guard;
+            if bytes > self.cap || entries.map.contains_key(key) {
+                return;
+            }
+            while entries.bytes + bytes > self.cap {
+                match entries.pop_oldest() {
+                    Some(old) => evicted.push(old),
+                    None => break,
+                }
+            }
+            entries.clock += 1;
+            let key: Arc<[u64]> = key.into();
+            entries.recency.insert(entries.clock, Arc::clone(&key));
+            entries.bytes += bytes;
+            entries.map.insert(
+                key,
+                Entry {
+                    value: Arc::new(value),
+                    bytes,
+                    last_used: entries.clock,
+                },
+            );
         }
-        while entries.bytes + bytes > self.cap && entries.evict_oldest() {}
-        entries.clock += 1;
-        let last_used = entries.clock;
-        entries.bytes += bytes;
-        entries.map.insert(
-            key.into(),
-            Entry {
-                value: Arc::new(value),
-                bytes,
-                last_used,
-            },
-        );
+        drop(evicted);
     }
 
     /// Counts a simulation that skipped `stages` stages (0: a full pass).
@@ -323,6 +342,50 @@ mod tests {
         assert_eq!(ResumeStats::default().resumed(), 0);
     }
 
+    /// A stored value that records, when dropped, whether its store's
+    /// lock was held.
+    struct LockProbe {
+        store: std::sync::Weak<CheckpointStore<LockProbe>>,
+        /// Drops with the lock free, then with it held.
+        drops: Arc<[AtomicU64; 2]>,
+    }
+
+    impl Checkpoint for LockProbe {
+        fn bytes(&self) -> usize {
+            64
+        }
+    }
+
+    impl Drop for LockProbe {
+        fn drop(&mut self) {
+            if let Some(store) = self.store.upgrade() {
+                let held = matches!(
+                    store.entries.try_lock(),
+                    Err(std::sync::TryLockError::WouldBlock)
+                );
+                self.drops[usize::from(held)].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn evicted_values_are_dropped_outside_the_lock() {
+        let s = Arc::new(CheckpointStore::new(1, 4 * (8 + 64)));
+        let drops = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let probe = || LockProbe {
+            store: Arc::downgrade(&s),
+            drops: Arc::clone(&drops),
+        };
+        for k in 0..12 {
+            s.insert(&[k], probe());
+        }
+        // Already stored: the new value is turned away.
+        s.insert(&[11], probe());
+        let [free, held] = &*drops;
+        assert_eq!(held.load(Ordering::Relaxed), 0, "dropped under the lock");
+        assert_eq!(free.load(Ordering::Relaxed), 8 + 1);
+    }
+
     #[test]
     fn threads_share_one_store() {
         let s = store(64 * entry(8));
@@ -343,5 +406,98 @@ mod tests {
         });
         assert_eq!(s.stats().simulations(), 400);
         assert!(s.bytes() <= 64 * entry(8));
+    }
+
+    /// The store's eviction before its recency index: each eviction scans
+    /// every entry for the least recent use. Keys map to `(bytes,
+    /// last_used)`.
+    #[derive(Default)]
+    struct ScanStore {
+        map: HashMap<Vec<u64>, (usize, u64)>,
+        bytes: usize,
+        clock: u64,
+    }
+
+    impl ScanStore {
+        fn get(&mut self, key: &[u64]) {
+            if let Some(entry) = self.map.get_mut(key) {
+                self.clock += 1;
+                entry.1 = self.clock;
+            }
+        }
+
+        fn insert(&mut self, cap: usize, key: &[u64], bytes: usize) {
+            if bytes > cap || self.map.contains_key(key) {
+                return;
+            }
+            while self.bytes + bytes > cap {
+                let oldest = self
+                    .map
+                    .iter()
+                    .min_by_key(|(_, e)| e.1)
+                    .map(|(k, _)| k.clone());
+                match oldest.and_then(|k| self.map.remove(&k)) {
+                    Some((old, _)) => self.bytes -= old,
+                    None => break,
+                }
+            }
+            self.clock += 1;
+            self.bytes += bytes;
+            self.map.insert(key.to_vec(), (bytes, self.clock));
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The stored keys, sorted, after checking that the recency index
+        /// names every entry once, under its last use.
+        fn keys(s: &CheckpointStore<Vec<f64>>) -> Vec<Vec<u64>> {
+            let entries = s.entries.lock().unwrap();
+            assert_eq!(entries.recency.len(), entries.map.len());
+            for (key, entry) in &entries.map {
+                assert_eq!(entries.recency[&entry.last_used], *key);
+            }
+            let mut keys: Vec<Vec<u64>> = entries.map.keys().map(|k| k.to_vec()).collect();
+            keys.sort();
+            keys
+        }
+
+        proptest! {
+            // The recency index changes how the victim is found, not which
+            // one it is: under random lookups and inserts of mixed sizes,
+            // with caps a large value fills by evicting several small ones,
+            // the store holds what the scanning store holds after every
+            // step.
+            #[test]
+            fn eviction_matches_the_scanning_store(
+                cap in 40usize..1200,
+                ops in proptest::collection::vec(
+                    (0u8..3, 0u64..12, 1usize..4, 0usize..4, 0usize..60),
+                    1..120,
+                ),
+            ) {
+                let s = store(cap);
+                let mut oracle = ScanStore::default();
+                for (op, id, key_len, size, large) in ops {
+                    let key: Vec<u64> = (0..key_len as u64).map(|i| id + i).collect();
+                    if op == 0 {
+                        let hit = s.get(&key).is_some();
+                        prop_assert_eq!(hit, oracle.map.contains_key(&key));
+                        oracle.get(&key);
+                    } else {
+                        // One insert in four is large.
+                        let len = if size == 0 { large } else { size };
+                        s.insert(&key, vec![0.0; len]);
+                        oracle.insert(cap, &key, 8 * (key_len + len));
+                    }
+                    let mut expected: Vec<Vec<u64>> = oracle.map.keys().cloned().collect();
+                    expected.sort();
+                    prop_assert_eq!(keys(&s), expected);
+                    prop_assert_eq!(s.bytes(), oracle.bytes);
+                }
+            }
+        }
     }
 }
