@@ -4,17 +4,18 @@
 //! [`EngineBackend`] implements [`krigeval_core::EvalBackend`] on top of
 //! the engine's existing machinery: one private evaluator per worker
 //! (the runner's are handles on the run's one benchmark instance), the
-//! shared in-flight-deduplicating [`SimCache`], and an
-//! attempt-counted retry loop for transient failures — the same
-//! deterministic backoff the campaign executor uses. A backend of `n`
-//! workers spawns `n − 1` threads **once** at construction and parks them
-//! on a condition variable between batches; optimizer scan batches are
-//! narrow (one candidate per variable), so per-batch thread spawns would
-//! cost as much as the simulations they fan out. The `n`-th worker is the
-//! fulfilling thread itself: it pops and simulates jobs from the same
-//! queue until the queue is empty, then collects what the spawned
-//! threads finished, so it neither idles nor wakes once per job while
-//! the batch runs.
+//! shared in-flight-deduplicating [`SimCache`], and the run's
+//! content-addressed [`FaultStream`]. Every campaign run fulfills through
+//! it, at every thread count, and so does every server session. A
+//! backend of one worker spawns no thread and simulates on the caller. A
+//! backend of `n` workers spawns `n − 1` threads **once** at construction
+//! and parks them on a condition variable between batches; optimizer scan
+//! batches are narrow (one candidate per variable), so per-batch thread
+//! spawns would cost as much as the simulations they fan out. The `n`-th
+//! worker is the fulfilling thread itself: it pops and simulates jobs
+//! from the same queue until the queue is empty, then collects what the
+//! spawned threads finished, so it neither idles nor wakes once per job
+//! while the batch runs.
 //!
 //! # Determinism
 //!
@@ -23,8 +24,8 @@
 //! lowest-indexed failing request regardless of which worker observed it
 //! first — including injected panics, which each worker (the fulfilling
 //! thread included) catches per job and the fulfilling thread re-raises
-//! with the original payload, exactly as the serial evaluator stack would
-//! have panicked in the caller. Because
+//! with the original payload, exactly as a one-worker backend panics in
+//! the caller at that request. Because
 //! each request's value is a pure function of its configuration
 //! (fixed-seed simulators), each request's injected *fate* is a pure
 //! function of its configuration too (the content-addressed
@@ -36,7 +37,7 @@
 //! injection.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -69,7 +70,6 @@ struct PoolShared {
     shutdown: AtomicBool,
     cache: Arc<SimCache>,
     namespace: String,
-    max_retries: AtomicU32,
     /// Underlying simulator invocations across every thread's evaluator,
     /// the fulfilling thread's included (cache hits do not count).
     evaluations: AtomicU64,
@@ -78,71 +78,48 @@ struct PoolShared {
     obs: OnceLock<BackendObs>,
     /// Optional content-addressed fault stream, set once via
     /// [`EngineBackend::with_faults`] before the first batch. Fired at
-    /// the top of [`PoolShared::compute`] — before the cache, before the
-    /// retry loop — so each configuration's fate is drawn exactly as the
-    /// serial evaluator stack draws it.
+    /// the top of [`PoolShared::compute`], before the cache lookup, so
+    /// each configuration draws its fate whether or not the cache holds
+    /// its value.
     fault: OnceLock<FaultStream>,
 }
 
 impl PoolShared {
-    /// Computes one configuration through the shared cache with the
-    /// deterministic (yield-counted, never wall-clock) retry backoff.
+    /// Computes one configuration through the shared cache.
     fn compute(
         &self,
         evaluator: &mut (dyn AccuracyEvaluator + Send),
         config: &Config,
     ) -> Result<f64, EvalError> {
         // Content-addressed injection gate: the fate of `config` is drawn
-        // here, before the cache can answer and before the retry loop can
-        // re-roll — injected failures are not transient at this level (the
-        // campaign executor's per-run attempt counter re-keys the stream
-        // instead).
+        // here, before the cache can answer. A retry is the campaign
+        // executor's, which re-keys the stream with its attempt counter.
         if let Some(fault) = self.fault.get() {
             fault.fire(config)?;
         }
-        let max_retries = self.max_retries.load(Ordering::Relaxed);
-        let mut attempt: u32 = 0;
-        loop {
-            let result = self.cache.get_or_compute(&self.namespace, config, || {
-                self.evaluations.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = self.obs.get() {
-                    obs.evaluations.inc();
-                }
-                evaluator.evaluate(config)
-            });
-            match result {
-                Ok((value, cached)) => {
-                    // The hit *total* is deterministic across worker
-                    // counts (hits = lookups − distinct: waiters on an
-                    // in-flight computation count as hits).
-                    if cached {
-                        if let Some(obs) = self.obs.get() {
-                            obs.cache_hits.inc();
-                        }
-                    }
-                    return Ok(value);
-                }
-                Err(e) => {
-                    if attempt >= max_retries {
-                        return Err(e);
-                    }
-                    if let Some(obs) = self.obs.get() {
-                        obs.retries.inc();
-                    }
-                    attempt += 1;
-                    for _ in 0..(1u32 << attempt.min(6)) {
-                        std::thread::yield_now();
-                    }
-                }
+        let (value, cached) = self.cache.get_or_compute(&self.namespace, config, || {
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
+            if let Some(obs) = self.obs.get() {
+                obs.evaluations.inc();
+            }
+            evaluator.evaluate(config)
+        })?;
+        // The hit *total* is deterministic across worker counts (hits =
+        // lookups − distinct: waiters on an in-flight computation count as
+        // hits).
+        if cached {
+            if let Some(obs) = self.obs.get() {
+                obs.cache_hits.inc();
             }
         }
+        Ok(value)
     }
 
     /// Runs one dequeued job on `evaluator`. Panics (injected or organic)
     /// stay contained to the job that raised them: the thread survives,
     /// and the payload is re-raised by the fulfilling thread with its
     /// original message if this index is the batch's lowest-indexed
-    /// failure — exactly where the serial stack would have panicked.
+    /// failure — exactly where a one-worker backend would have panicked.
     fn run(&self, evaluator: &mut (dyn AccuracyEvaluator + Send), job: &Job) -> JobOutcome {
         if let (Some(enqueued), Some(obs)) = (job.enqueued, self.obs.get()) {
             obs.queue_wait_us
@@ -203,10 +180,6 @@ impl std::fmt::Debug for EngineBackend {
             .field("workers", &self.workers)
             .field("namespace", &self.shared.namespace)
             .field("num_variables", &self.num_variables)
-            .field(
-                "max_retries",
-                &self.shared.max_retries.load(Ordering::Relaxed),
-            )
             .finish_non_exhaustive()
     }
 }
@@ -233,7 +206,6 @@ impl EngineBackend {
             shutdown: AtomicBool::new(false),
             cache,
             namespace: namespace.into(),
-            max_retries: AtomicU32::new(0),
             evaluations: AtomicU64::new(0),
             obs: OnceLock::new(),
             fault: OnceLock::new(),
@@ -257,20 +229,9 @@ impl EngineBackend {
         }
     }
 
-    /// Retries transient evaluation failures up to `max_retries` times per
-    /// request, with the executor's deterministic (yield-counted, never
-    /// wall-clock) backoff between attempts.
-    #[must_use]
-    pub fn with_max_retries(self, max_retries: u32) -> EngineBackend {
-        self.shared
-            .max_retries
-            .store(max_retries, Ordering::Relaxed);
-        self
-    }
-
     /// Attaches a worker-pool metric bundle. Counters mirror the
     /// deterministic fulfillment protocol (batches, jobs, cache-hit and
-    /// evaluation totals, retries); the gauge and histograms observe
+    /// evaluation totals); the gauge and histograms observe
     /// scheduling and are recorded only when the bundle has timing
     /// enabled. Attach before the first batch; a second call is ignored.
     #[must_use]
@@ -280,8 +241,8 @@ impl EngineBackend {
     }
 
     /// Attaches a content-addressed [`FaultStream`]: every configuration
-    /// computed through the pool (or the serial local path) first draws
-    /// its fate from the stream, before the cache and before any retry.
+    /// computed through the backend, on any of its threads, first draws
+    /// its fate from the stream, before the cache lookup.
     /// `None` — or an inactive stream — leaves the backend fault-free.
     /// Attach before the first batch; a second call is ignored.
     #[must_use]
@@ -387,8 +348,8 @@ impl EvalBackend for EngineBackend {
         // Deterministic failure selection: scanning in request order, the
         // lowest-indexed failure wins no matter which worker hit it first
         // — an error returns, a caught panic re-raises with its original
-        // payload (matching the serial stack, which would have panicked at
-        // that request and never reached the later ones).
+        // payload (matching a one-worker backend, which would have
+        // panicked at that request and never reached the later ones).
         let mut values = Vec::with_capacity(slots.len());
         for slot in slots {
             match slot.expect("every index was reported once") {
@@ -513,55 +474,6 @@ mod tests {
             let err = backend.fulfill(&requests(&configs)).unwrap_err();
             assert!(err.to_string().contains("bad config 3"), "{err}");
         }
-    }
-
-    #[test]
-    fn transient_failures_are_retried() {
-        let failures = Arc::new(AtomicU64::new(2));
-        let counter = Arc::clone(&failures);
-        let flaky = move || -> Box<dyn AccuracyEvaluator + Send> {
-            let counter = Arc::clone(&counter);
-            Box::new(FnEvaluator::new(1, move |w: &Config| {
-                if counter
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                    .is_ok()
-                {
-                    Err(EvalError::msg("transient"))
-                } else {
-                    Ok(f64::from(w[0]))
-                }
-            }))
-        };
-        let mut backend =
-            EngineBackend::new(flaky, 1, Arc::new(SimCache::new()), "t").with_max_retries(3);
-        assert_eq!(backend.fulfill_one(&vec![7]).unwrap(), 7.0);
-
-        failures.store(10, Ordering::SeqCst);
-        let mut strict = EngineBackend::new(
-            {
-                let counter = Arc::clone(&failures);
-                move || -> Box<dyn AccuracyEvaluator + Send> {
-                    let counter = Arc::clone(&counter);
-                    Box::new(FnEvaluator::new(1, move |w: &Config| {
-                        if counter
-                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                            .is_ok()
-                        {
-                            Err(EvalError::msg("transient"))
-                        } else {
-                            Ok(f64::from(w[0]))
-                        }
-                    }))
-                }
-            },
-            1,
-            Arc::new(SimCache::new()),
-            "t",
-        );
-        assert!(
-            strict.fulfill_one(&vec![7]).is_err(),
-            "no retries by default"
-        );
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //! --repeats N        repeats per cell with derived seeds (default 1)
 //! --workers N        worker threads, one run per worker (default 4)
 //! --threads N        in-run evaluation threads: each run's planned
-//!                    simulation batches fan out over N workers via the
-//!                    engine backend (default 1 = inline backend; results
-//!                    are identical for any value, including under active
+//!                    simulation batches fan out over N threads of the
+//!                    engine backend (default 1: the backend simulates on
+//!                    the run's own thread; results and counters are
+//!                    identical for any value, including under active
 //!                    fault injection — fault fates are content-addressed,
 //!                    not call-ordered)
 //! --approx N         opt-in approximate prediction: screen kriging

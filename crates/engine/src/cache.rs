@@ -144,28 +144,6 @@ impl SimCache {
         &self.shards[(h % SHARDS as u64) as usize]
     }
 
-    /// Looks up a memoized simulation result. Does **not** wait on pending
-    /// computations (use [`SimCache::get_or_compute`] for the
-    /// deduplicating path).
-    pub fn get(&self, namespace: &str, config: &Config) -> Option<f64> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard(namespace, config);
-        let map = shard.lock();
-        match map.get(&(namespace.to_string(), config.clone())) {
-            Some(Slot::Ready(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Stores a simulation result (last write wins; concurrent writers
-    /// racing on the same key store the same deterministic value).
-    pub fn insert(&self, namespace: &str, config: &Config, value: f64) {
-        let shard = self.shard(namespace, config);
-        let mut map = shard.lock();
-        map.insert((namespace.to_string(), config.clone()), Slot::Ready(value));
-        shard.ready.notify_all();
-    }
-
     /// Returns the memoized value for `(namespace, config)`, computing it
     /// with `compute` on a miss. If another worker is already computing
     /// the same key, blocks until that result is published instead of
@@ -265,7 +243,6 @@ pub struct CachedEvaluator<E> {
     inner: E,
     cache: Arc<SimCache>,
     namespace: String,
-    hits: u64,
 }
 
 impl<E: AccuracyEvaluator> CachedEvaluator<E> {
@@ -275,30 +252,15 @@ impl<E: AccuracyEvaluator> CachedEvaluator<E> {
             inner,
             cache,
             namespace: namespace.into(),
-            hits: 0,
         }
-    }
-
-    /// Cache hits served to this wrapper (scheduling-dependent under
-    /// parallel execution; reported on stderr progress only).
-    pub fn local_hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Borrows the wrapped evaluator.
-    pub fn inner_ref(&self) -> &E {
-        &self.inner
     }
 }
 
 impl<E: AccuracyEvaluator> AccuracyEvaluator for CachedEvaluator<E> {
     fn evaluate(&mut self, config: &Config) -> Result<f64, EvalError> {
-        let (value, was_hit) = self
+        let (value, _) = self
             .cache
             .get_or_compute(&self.namespace, config, || self.inner.evaluate(config))?;
-        if was_hit {
-            self.hits += 1;
-        }
         Ok(value)
     }
 
@@ -316,22 +278,38 @@ mod tests {
     use super::*;
     use krigeval_core::FnEvaluator;
 
+    /// Answers from the cache, failing the test if `config` would have to
+    /// be computed.
+    fn cached(cache: &SimCache, namespace: &str, config: &Config) -> f64 {
+        let (value, hit) = cache
+            .get_or_compute(namespace, config, || panic!("{config:?} is not cached"))
+            .unwrap();
+        assert!(hit);
+        value
+    }
+
     #[test]
     fn cache_roundtrip_and_stats() {
         let cache = SimCache::new();
         let w = vec![3, 4];
-        assert_eq!(cache.get("fir", &w), None);
-        cache.insert("fir", &w, 1.5);
-        assert_eq!(cache.get("fir", &w), Some(1.5));
+        assert!(cache.is_empty());
+        assert_eq!(
+            cache.get_or_compute("fir", &w, || Ok(1.5)).unwrap(),
+            (1.5, false)
+        );
+        assert_eq!(cached(&cache, "fir", &w), 1.5);
         // Same config under a different namespace is a distinct entry.
-        assert_eq!(cache.get("iir", &w), None);
+        assert_eq!(
+            cache.get_or_compute("iir", &w, || Ok(2.5)).unwrap(),
+            (2.5, false)
+        );
         let s = cache.stats();
         assert_eq!(s.lookups, 3);
-        // One distinct simulation was stored, so two of the three lookups
-        // required no new distinct work.
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 2);
-        assert_eq!(cache.len(), 1);
+        // Two distinct simulations were stored, so one of the three
+        // lookups required no new distinct work.
+        assert_eq!(s.misses, 2);
+        assert_eq!(s.hits, 1);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -376,7 +354,6 @@ mod tests {
         assert_eq!(ev.evaluate(&vec![1, 2]).unwrap(), 12.0);
         assert_eq!(ev.evaluate(&vec![1, 2]).unwrap(), 12.0);
         assert_eq!(ev.evaluations(), 1, "second call was a cache hit");
-        assert_eq!(ev.local_hits(), 1);
         // A second evaluator sharing the cache also hits.
         let mut ev2 = CachedEvaluator::new(
             FnEvaluator::new(2, |_: &Config| panic!("must not simulate")),
@@ -430,13 +407,17 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200 {
                         let w = vec![i % 50, t];
-                        cache.insert("ns", &w, f64::from(i % 50 * 100 + t));
-                        assert_eq!(cache.get("ns", &w), Some(f64::from(i % 50 * 100 + t)));
+                        let value = f64::from(i % 50 * 100 + t);
+                        let (v, _) = cache.get_or_compute("ns", &w, || Ok(value)).unwrap();
+                        assert_eq!(v, value);
+                        assert_eq!(cached(&cache, "ns", &w), value);
                     }
                 });
             }
         });
         assert_eq!(cache.len(), 200);
+        let s = cache.stats();
+        assert_eq!((s.lookups, s.misses, s.hits), (1600, 200, 1400));
     }
 
     #[test]
@@ -488,7 +469,7 @@ mod tests {
             });
         });
         assert_eq!(computes.load(Ordering::Relaxed), 1, "waiter retried");
-        assert_eq!(cache.get("ns", &w), Some(11.0));
+        assert_eq!(cached(&cache, "ns", &w), 11.0);
     }
 
     #[test]
@@ -498,7 +479,7 @@ mod tests {
         // reads and writes instead of propagating the poison.
         let cache = Arc::new(SimCache::new());
         let w = vec![7];
-        cache.insert("ns", &w, 1.0);
+        cache.get_or_compute("ns", &w, || Ok(1.0)).unwrap();
         let c2 = Arc::clone(&cache);
         let w2 = w.clone();
         let handle = std::thread::spawn(move || {
@@ -507,8 +488,9 @@ mod tests {
             panic!("poison the shard");
         });
         assert!(handle.join().is_err());
-        assert_eq!(cache.get("ns", &w), Some(1.0));
-        cache.insert("ns", &vec![8], 2.0);
+        assert_eq!(cached(&cache, "ns", &w), 1.0);
+        let stored = cache.get_or_compute("ns", &vec![8], || Ok(2.0)).unwrap();
+        assert_eq!(stored, (2.0, false));
         assert_eq!(cache.len(), 2);
     }
 

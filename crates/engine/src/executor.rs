@@ -3,7 +3,7 @@
 //! A fixed pool of worker threads (scoped, no detached threads) pulls run
 //! indices from a shared atomic counter — the simplest work queue that
 //! balances the heavily skewed per-cell costs — and executes each cell
-//! via [`crate::runner::run_single_attempt`] against one shared
+//! via [`crate::runner::run_single_attempt_obs`] against one shared
 //! [`SimCache`]. Results land in their pre-assigned slots, so the record
 //! order (and, with timing off, the JSONL bytes) is independent of
 //! worker count and scheduling.
@@ -637,23 +637,11 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_workers(items, workers, |_, item| f(item))
-}
-
-/// Like [`parallel_map`], but tells `f` which worker (0-based, dense) is
-/// calling, so callers can give each worker exclusive resources — e.g. one
-/// evaluator per worker — without locking a shared pool.
-pub fn parallel_map_workers<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
     let workers = workers.max(1).min(items.len().max(1));
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
     std::thread::scope(|scope| {
-        for w in 0..workers {
+        for _ in 0..workers {
             let f = &f;
             let next = &next;
             let slots = &slots;
@@ -662,7 +650,7 @@ where
                 if i >= items.len() {
                     break;
                 }
-                let out = f(w, &items[i]);
+                let out = f(&items[i]);
                 slots.lock().expect("map slots poisoned")[i] = Some(out);
             });
         }
@@ -731,16 +719,6 @@ mod tests {
         assert_eq!(summary.sim_cache_hits, outcome.cache.hits);
         assert!(summary.wall_ms.is_none());
         assert!(outcome.summary("table1", true).wall_ms.is_some());
-    }
-
-    #[test]
-    fn parallel_map_workers_passes_dense_worker_ids() {
-        let items: Vec<u64> = (0..64).collect();
-        let out = parallel_map_workers(&items, 4, |w, &x| {
-            assert!(w < 4, "worker id {w} out of range");
-            x + 1
-        });
-        assert_eq!(out, (1..=64).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! evaluated, never of **when** or **where**: each call hashes
 //! `(fault seed, benchmark id, scale, run seed, attempt, phase, config
 //! words)` into a stable 64-bit digest, and that digest alone decides
-//! whether the call panics, errors, returns `NaN`, or runs the real
-//! simulator. No call counter, no RNG state, no wall clock, no OS
+//! whether the call panics, errors, fails as a `NaN` value would, or runs
+//! the real simulator. No call counter, no RNG state, no wall clock, no OS
 //! entropy, no scheduling input: a configuration evaluated by worker 0
-//! of a 4-thread pool, by the inline serial stack, or by shard 2 of a
+//! of a 4-thread pool, by a one-thread backend, or by shard 2 of a
 //! 3-process campaign draws the identical fate. Consequences the chaos
 //! and shard suites rely on:
 //!
@@ -24,10 +24,12 @@
 //!   as a fault-free run (an attempt that survives its draws makes
 //!   exactly the fault-free call sequence, and records contain no
 //!   scheduling-dependent fields with timing off);
-//! * the injector sits **outside** the shared [`crate::cache::SimCache`]
-//!   wrapper, so whether a value happens to be served from cache (a
-//!   scheduling accident) cannot change which calls draw faults;
-//! * `threads > 1`, any executor worker count, and process-level
+//! * the one injection point, [`FaultStream::fire`] at the top of the
+//!   [`crate::backend::EngineBackend`]'s per-configuration computation,
+//!   runs **before** the shared [`crate::cache::SimCache`] lookup, so
+//!   whether a value happens to be served from cache (a scheduling
+//!   accident) cannot change which calls draw faults;
+//! * any thread count, any executor worker count, and process-level
 //!   sharding all compose with active faults — reordering evaluations
 //!   cannot reorder fates, because fates carry no order.
 //!
@@ -35,12 +37,10 @@
 //! counter is part of the digest, so attempt 1 re-rolls every
 //! configuration that doomed attempt 0.
 //!
-//! Injected `NaN` values are converted to errors by the
-//! [`krigeval_core::FiniteGuard`] stacked above the serial injector (the
-//! parallel backend raises the byte-identical error itself via
-//! [`FaultStream::fire`]) before they can reach the hybrid store or the
-//! cache — injected values are never memoized and never feed the
-//! variogram.
+//! An injected `NaN` fate never produces a value: [`FaultStream::fire`]
+//! returns the error [`krigeval_core::FiniteGuard`] raises for a
+//! non-finite value, byte for byte, so injected values are never memoized
+//! and never feed the variogram.
 //!
 //! The digest is the [splitmix64] finalizer folded over the key
 //! material: seedable from a single word, stateless, and fully
@@ -51,7 +51,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use krigeval_core::evaluator::{AccuracyEvaluator, EvalError};
+use krigeval_core::evaluator::EvalError;
 use krigeval_core::Config;
 
 /// What the executor does when a run fails (after any retries).
@@ -118,8 +118,8 @@ impl FaultPolicy {
 /// Each evaluator call derives one uniform number `u ∈ [0, 1)` from the
 /// content-addressed digest of the call (see the module docs) and
 /// partitions it: `u < panic_rate` panics, then `error_rate` returns a
-/// transient [`EvalError`], then `nan_rate` returns a non-finite value
-/// (rejected upstream by [`krigeval_core::FiniteGuard`]); otherwise the
+/// transient [`EvalError`], then `nan_rate` fails as a non-finite value
+/// would (with [`krigeval_core::FiniteGuard`]'s error); otherwise the
 /// real simulator runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultConfig {
@@ -201,8 +201,8 @@ pub enum FaultFate {
     Panic,
     /// Return a transient [`EvalError`].
     Error,
-    /// Return a non-finite metric value (rejected before it can be
-    /// stored or cached).
+    /// Fail as a non-finite metric value would, before anything can be
+    /// stored or cached.
     Nan,
 }
 
@@ -282,8 +282,7 @@ impl FaultStream {
 
     /// The deterministic panic message for an injected panic on
     /// `config`. Content-addressed like the fate itself: no call
-    /// counter, so the serial stack and a pool worker produce the same
-    /// bytes.
+    /// counter, so every thread of every backend produces the same bytes.
     pub fn panic_message(&self, config: &Config) -> String {
         format!(
             "injected panic (config {config:?}, attempt {})",
@@ -301,9 +300,8 @@ impl FaultStream {
     }
 
     /// The error an injected non-finite value surfaces as — byte-for-byte
-    /// the message [`krigeval_core::FiniteGuard`] raises when the serial
-    /// stack's injector returns `NaN`, so the parallel backend (which has
-    /// no guard above the injection point) reports identical failures.
+    /// the message [`krigeval_core::FiniteGuard`] raises for a `NaN`
+    /// metric, so an injected `NaN` fails exactly as an organic one would.
     pub fn nan_error(config: &Config) -> EvalError {
         EvalError::msg(format!(
             "non-finite metric value {} for configuration {config:?}",
@@ -334,60 +332,10 @@ impl FaultStream {
     }
 }
 
-/// Wraps an evaluator with deterministic fault injection (see the
-/// module docs for the content-addressed determinism contract). With no
-/// stream — or an inactive one — the wrapper is a transparent
-/// pass-through.
-pub struct FaultInjectingEvaluator<E> {
-    inner: E,
-    stream: Option<FaultStream>,
-}
-
-impl<E: AccuracyEvaluator> FaultInjectingEvaluator<E> {
-    /// Wraps `inner`; `stream = None` disables injection entirely.
-    pub fn new(inner: E, stream: Option<FaultStream>) -> FaultInjectingEvaluator<E> {
-        let stream = stream.filter(FaultStream::is_active);
-        FaultInjectingEvaluator { inner, stream }
-    }
-
-    /// Borrows the wrapped evaluator.
-    pub fn inner_ref(&self) -> &E {
-        &self.inner
-    }
-}
-
-impl<E: AccuracyEvaluator> AccuracyEvaluator for FaultInjectingEvaluator<E> {
-    fn evaluate(&mut self, config: &Config) -> Result<f64, EvalError> {
-        let Some(stream) = &self.stream else {
-            return self.inner.evaluate(config);
-        };
-        match stream.fate(config) {
-            FaultFate::Real => self.inner.evaluate(config),
-            FaultFate::Panic => panic!("{}", stream.panic_message(config)),
-            FaultFate::Error => Err(stream.error(config)),
-            // Caught by the FiniteGuard stacked above this wrapper; the
-            // raw value must never reach the cache or the kriging store.
-            FaultFate::Nan => Ok(f64::NAN),
-        }
-    }
-
-    fn num_variables(&self) -> usize {
-        self.inner.num_variables()
-    }
-
-    fn evaluations(&self) -> u64 {
-        self.inner.evaluations()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use krigeval_core::{FiniteGuard, FnEvaluator};
-
-    fn counting() -> FnEvaluator<impl FnMut(&Config) -> Result<f64, EvalError>> {
-        FnEvaluator::new(1, |w: &Config| Ok(f64::from(w[0])))
-    }
+    use krigeval_core::{AccuracyEvaluator, FiniteGuard, FnEvaluator};
 
     fn stream(config: FaultConfig, attempt: u32, phase: FaultPhase) -> FaultStream {
         FaultStream::new(config, "fir64/fast/0000000000000000", attempt, phase)
@@ -440,16 +388,13 @@ mod tests {
     }
 
     #[test]
-    fn inactive_config_is_a_transparent_passthrough() {
-        let mut ev = FaultInjectingEvaluator::new(counting(), None);
-        for i in 0..20 {
-            assert_eq!(ev.evaluate(&vec![i]).unwrap(), f64::from(i));
-        }
-        assert_eq!(ev.evaluations(), 20);
-        assert_eq!(ev.num_variables(), 1);
+    fn inactive_config_never_fires() {
         let inactive = stream(FaultConfig::default(), 0, FaultPhase::Hybrid);
         assert!(!inactive.is_active());
-        assert!(inactive.fire(&vec![1]).is_ok());
+        for i in 0..20 {
+            assert_eq!(inactive.fate(&vec![i]), FaultFate::Real);
+            assert!(inactive.fire(&vec![i]).is_ok());
+        }
     }
 
     #[test]
@@ -522,19 +467,12 @@ mod tests {
             nan_rate: 0.0,
             seed: 0,
         };
-        let message = |_: ()| -> String {
-            let mut ev = FaultInjectingEvaluator::new(
-                counting(),
-                Some(stream(config, 2, FaultPhase::Pilot)),
-            );
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = ev.evaluate(&vec![1]);
-            }))
-            .unwrap_err();
-            caught.downcast_ref::<String>().cloned().unwrap_or_default()
-        };
-        assert_eq!(message(()), "injected panic (config [1], attempt 2)");
-        // fire() raises the identical payload for the backend path.
+        let s = stream(config, 2, FaultPhase::Pilot);
+        assert_eq!(
+            s.panic_message(&vec![1]),
+            "injected panic (config [1], attempt 2)"
+        );
+        // fire() raises exactly that payload.
         let caught = std::panic::catch_unwind(|| {
             let _ = stream(config, 2, FaultPhase::Pilot).fire(&vec![1]);
         })
@@ -546,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_nan_is_stopped_by_the_finite_guard() {
+    fn injected_nan_fails_like_the_finite_guard() {
         let config = FaultConfig {
             panic_rate: 0.0,
             error_rate: 0.0,
@@ -554,12 +492,10 @@ mod tests {
             seed: 0,
         };
         let s = stream(config, 0, FaultPhase::Hybrid);
-        let mut ev = FiniteGuard::new(FaultInjectingEvaluator::new(counting(), Some(s.clone())));
-        let err = ev.evaluate(&vec![5]).unwrap_err();
+        let mut organic = FiniteGuard::new(FnEvaluator::new(1, |_: &Config| Ok(f64::NAN)));
+        let err = organic.evaluate(&vec![5]).unwrap_err();
         assert!(err.to_string().contains("non-finite metric value"), "{err}");
-        // The injected call never reached the real simulator.
-        assert_eq!(ev.evaluations(), 0);
-        // The backend path reports the byte-identical rejection.
+        // An injected NaN reports the byte-identical rejection.
         assert_eq!(s.fire(&vec![5]).unwrap_err().to_string(), err.to_string());
     }
 

@@ -68,12 +68,10 @@ impl Scale {
 pub use backend::EngineBackend;
 pub use cache::{CacheStats, CachedEvaluator, SimCache};
 pub use executor::{
-    parallel_map, parallel_map_workers, run_campaign, run_specs, run_specs_opts, CampaignOutcome,
-    EngineError, ExecOptions, Progress, RunError,
+    parallel_map, run_campaign, run_specs, run_specs_opts, CampaignOutcome, EngineError,
+    ExecOptions, Progress, RunError,
 };
-pub use fault::{
-    FaultConfig, FaultFate, FaultInjectingEvaluator, FaultPhase, FaultPolicy, FaultStream,
-};
+pub use fault::{FaultConfig, FaultFate, FaultPhase, FaultPolicy, FaultStream};
 pub use matrix::{check_table_shape, summarize, MatrixSpec};
 pub use obs::{BackendObs, CampaignObs};
 pub use shard::{

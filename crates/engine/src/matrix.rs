@@ -10,8 +10,8 @@
 //! nugget models, while the noise-power problems keep the paper's
 //! nugget-free kriging — then splices the per-campaign runs back into
 //! one flat, sequentially indexed list for the executor. Every run
-//! carries the matrix's `threads`, so the whole matrix exercises the
-//! plan/fulfill [`crate::backend::EngineBackend`] when `threads > 1`.
+//! fulfills through the plan/fulfill [`crate::backend::EngineBackend`]
+//! with the matrix's `threads`.
 //!
 //! [`summarize`] folds the resulting records into the paper's Table I:
 //! one [`TableRow`] per `(benchmark, d, N_n,min)` cell, its repeats
@@ -42,8 +42,9 @@ pub struct MatrixSpec {
     /// Decision gate applied to every run (`None` = the paper's fixed
     /// gate).
     pub gate: Option<GatePolicy>,
-    /// In-run evaluation threads; `> 1` routes every run through the
-    /// plan/fulfill [`crate::backend::EngineBackend`].
+    /// Threads of each run's plan/fulfill
+    /// [`crate::backend::EngineBackend`] (1 = simulate on the run's own
+    /// thread).
     pub threads: usize,
     /// Base seed shared by every campaign.
     pub seed: u64,

@@ -15,9 +15,11 @@
 //!   checkpoint resume counts as gauges (`engine_checkpoint_*`, see
 //!   [`CampaignObs::record_resume_stats`]).
 //! * [`BackendObs`] — worker-pool counters (`backend_*`): batches, jobs,
-//!   shared-cache hits, real simulator evaluations and transient-failure
-//!   retries, plus scheduling-only gauges/histograms (queue depth,
-//!   queue wait, fulfill latency).
+//!   shared-cache hits and real simulator evaluations, plus
+//!   scheduling-only gauges/histograms (queue depth, queue wait, fulfill
+//!   latency). Every campaign run fulfills through an
+//!   [`crate::backend::EngineBackend`], so these appear for every run, at
+//!   every thread count.
 //!
 //! # Determinism contract
 //!
@@ -213,8 +215,6 @@ pub struct BackendObs {
     pub(crate) cache_hits: Counter,
     /// Real simulator invocations (cache misses).
     pub(crate) evaluations: Counter,
-    /// Transient-failure retries inside the pool's compute loop.
-    pub(crate) retries: Counter,
     /// Jobs currently enqueued (scheduling-dependent).
     pub(crate) queue_depth: Gauge,
     /// Wall-clock per fulfilled batch (timing only).
@@ -242,7 +242,6 @@ impl BackendObs {
             jobs: registry.counter("backend_jobs_total"),
             cache_hits: registry.counter("backend_sim_cache_hits_total"),
             evaluations: registry.counter("backend_evaluations_total"),
-            retries: registry.counter("backend_retries_total"),
             queue_depth: registry.gauge("backend_queue_depth"),
             fulfill_us: registry.histogram("backend_fulfill_us"),
             queue_wait_us: registry.histogram("backend_queue_wait_us"),

@@ -9,84 +9,69 @@
 //! share one simulator and, for the benchmarks that resume (the CNNs,
 //! iir8, fft64 and hevc_mc), one checkpoint store.
 //!
-//! Every simulation — pilot and hybrid alike — goes through the shared
-//! [`SimCache`], namespaced by `(benchmark, scale, run seed)`: exactly the
-//! inputs that determine the simulated surface. Kriged estimates are never
-//! cached (interpolated points must never feed back as kriging data), so
-//! the cache changes wall-clock time only, never results.
+//! Each phase fulfills its simulations through one [`EngineBackend`] of
+//! `run.threads` threads, at every thread count: a one-thread backend
+//! simulates on the caller. Every simulation — pilot and hybrid alike —
+//! goes through the shared [`SimCache`], namespaced by `(benchmark,
+//! scale, run seed)`: exactly the inputs that determine the simulated
+//! surface. Kriged estimates are never cached (interpolated points must
+//! never feed back as kriging data), so the cache changes wall-clock time
+//! only, never results.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use krigeval_core::evaluator::AccuracyEvaluator;
-use krigeval_core::hybrid::{HybridEvaluator, HybridSettings, HybridStats, VariogramPolicy};
+use krigeval_core::hybrid::{HybridEvaluator, HybridSettings, VariogramPolicy};
 use krigeval_core::opt::descent::{budget_error_sources, DescentOptions};
 use krigeval_core::opt::minplusone::{optimize, optimize_with_tie_break, MinPlusOneOptions};
 use krigeval_core::opt::{DseEvaluator, OptError, OptimizationResult, SimulateAll};
 use krigeval_core::trace::Step;
 use krigeval_core::variogram::{fit_model, EmpiricalVariogram, ModelFamily};
-use krigeval_core::{Config, EvalBackend, FiniteGuard, VariogramModel};
+use krigeval_core::{Config, FiniteGuard, VariogramModel};
 
 use crate::backend::EngineBackend;
-use crate::cache::{CachedEvaluator, SimCache};
-use crate::fault::{FaultConfig, FaultInjectingEvaluator, FaultPhase, FaultStream};
+use crate::cache::SimCache;
+use crate::fault::{FaultConfig, FaultPhase, FaultStream};
 use crate::obs::CampaignObs;
 use crate::sink::RunRecord;
 use crate::spec::{OptimizerSpec, RunSpec, VariogramSpec};
-use crate::suite::{build_seeded, ProblemInstance};
+use crate::suite::{build_seeded, Problem, ProblemInstance};
+use crate::Scale;
 
 /// Cache namespace for a run: everything that determines the simulated
 /// surface, nothing that does not (``d``, ``N_n,min``, ``λ_min`` and the
 /// variogram policy all share one namespace).
 pub fn cache_namespace(run: &RunSpec) -> String {
-    format!(
-        "{}/{}/{:016x}",
-        run.problem.label(),
-        run.scale.label(),
-        run.run_seed
-    )
+    surface_namespace(run.problem, run.scale, run.run_seed)
+}
+
+/// The namespace of one simulated surface, `benchmark/scale/seed`: the
+/// [`SimCache`] and [`FaultStream`] key of a campaign run and of a server
+/// session alike.
+pub fn surface_namespace(problem: Problem, scale: Scale, seed: u64) -> String {
+    format!("{}/{}/{seed:016x}", problem.label(), scale.label())
 }
 
 /// The content-addressed fault stream for one attempt of one run phase,
 /// or `None` when the run injects no faults. Keyed on the run's cache
 /// namespace — `benchmark/scale/run_seed`, the same content identity the
-/// cache uses — so the serial stack, the worker pool and a process shard
-/// all draw identical fates for identical configurations.
+/// cache uses — so any thread count and any process shard draw identical
+/// fates for identical configurations.
 fn fault_stream(run: &RunSpec, attempt: u32, phase: FaultPhase) -> Option<FaultStream> {
     run.fault
         .filter(FaultConfig::is_active)
         .map(|config| FaultStream::new(config, &cache_namespace(run), attempt, phase))
 }
 
-/// The full per-phase evaluator stack, ordered so each layer's contract
-/// holds: the shared cache memoizes only real simulator output, the
-/// fault injector sits *outside* the cache (so scheduling accidents —
-/// which worker's lookup happens to miss — can never change which calls
-/// draw faults), and the finite guard sits outermost, converting any
-/// non-finite value (injected or organic) into an error before it can
-/// reach the cache consumer's store or the optimizer.
-fn stacked_evaluator(
-    evaluator: Box<dyn AccuracyEvaluator + Send>,
-    run: &RunSpec,
-    cache: &Arc<SimCache>,
-    attempt: u32,
-    phase: FaultPhase,
-) -> FiniteGuard<FaultInjectingEvaluator<CachedEvaluator<Box<dyn AccuracyEvaluator + Send>>>> {
-    FiniteGuard::new(FaultInjectingEvaluator::new(
-        CachedEvaluator::new(evaluator, Arc::clone(cache), cache_namespace(run)),
-        fault_stream(run, attempt, phase),
-    ))
-}
-
-/// The parallel counterpart of [`stacked_evaluator`] for `threads > 1`
-/// runs: one evaluator handle on `instance` per worker (each behind its own
-/// [`FiniteGuard`], so non-finite values error before they can be cached),
-/// fanning planned batches out while deduplicating through the same shared
-/// cache namespace. The same content-addressed fault stream the serial
-/// stack would use gates every pool computation (before the cache, inside
-/// the worker's panic containment), so active fault injection composes
-/// with any worker count and draws bitwise-identical fates.
+/// The backend one run phase fulfills through: `run.threads` simulating
+/// threads (one spawns none and simulates on the caller), each with its
+/// own evaluator handle on `instance` behind a [`FiniteGuard`], so
+/// non-finite values error before they can be cached. Every computation
+/// first draws its content-addressed fault fate, then goes through the
+/// shared cache namespace, so the fates and the values do not depend on
+/// the thread count.
 fn engine_backend(
     run: &RunSpec,
     instance: &ProblemInstance,
@@ -174,36 +159,19 @@ fn pilot_model(
         OptimizerSpec::TieBreak { .. } => OptimizerSpec::MinPlusOne,
         other => other,
     };
-    let result = if run.threads > 1 {
-        let mut pilot = SimulateAll(engine_backend(
+    let result = drive(
+        &mut SimulateAll(engine_backend(
             run,
             instance,
             cache,
             attempt,
             FaultPhase::Pilot,
             obs,
-        ));
-        drive(
-            &mut pilot,
-            optimizer,
-            instance.minplusone.as_ref(),
-            instance.descent.as_ref(),
-        )?
-    } else {
-        let mut pilot = SimulateAll(stacked_evaluator(
-            instance.new_evaluator(),
-            run,
-            cache,
-            attempt,
-            FaultPhase::Pilot,
-        ));
-        drive(
-            &mut pilot,
-            optimizer,
-            instance.minplusone.as_ref(),
-            instance.descent.as_ref(),
-        )?
-    };
+        )),
+        optimizer,
+        instance.minplusone.as_ref(),
+        instance.descent.as_ref(),
+    )?;
     let (configs, values) = distinct_steps(&result.trace.steps);
     let distinct = configs.len() as u64;
     let model = EmpiricalVariogram::from_configs(&configs, &values, run.metric)
@@ -261,27 +229,6 @@ fn variogram_policy(
     })
 }
 
-/// Drives the optimizer through a hybrid evaluator over `backend` and
-/// returns the result together with the session statistics. Generic over
-/// the backend so the inline evaluator stack and the parallel
-/// [`EngineBackend`] share one code path.
-fn drive_hybrid<E: EvalBackend>(
-    run: &RunSpec,
-    minplusone: Option<&MinPlusOneOptions>,
-    descent: Option<&DescentOptions>,
-    settings: HybridSettings,
-    backend: E,
-    obs: Option<&CampaignObs>,
-) -> Result<(OptimizationResult, HybridStats), OptError> {
-    let mut hybrid = HybridEvaluator::new(backend, settings);
-    if let Some(obs) = obs {
-        hybrid.set_obs(Some(obs.hybrid_obs()));
-    }
-    let result = drive(&mut hybrid, run.optimizer, minplusone, descent)?;
-    let stats = hybrid.stats().clone();
-    Ok((result, stats))
-}
-
 /// Runs one campaign cell to completion.
 ///
 /// # Errors
@@ -290,34 +237,19 @@ fn drive_hybrid<E: EvalBackend>(
 /// hybrid run; an infeasible constraint indicates a mis-specified cell and
 /// should surface, not be masked.
 pub fn run_single(run: &RunSpec, cache: &Arc<SimCache>) -> Result<RunRecord, OptError> {
-    run_single_attempt(run, cache, 0)
+    run_single_attempt_obs(run, cache, 0, None)
 }
 
-/// Runs one campaign cell as a specific retry attempt. The attempt
-/// number feeds the fault-injection stream (each retry draws fresh
-/// faults) and nothing else: a successful attempt produces the same
-/// record regardless of its attempt number, because every record field
-/// derives from the run's own deterministic session, never from shared
-/// scheduling state.
-///
-/// # Errors
-///
-/// Propagates optimizer failures ([`OptError`]) from the pilot or the
-/// hybrid run.
-pub fn run_single_attempt(
-    run: &RunSpec,
-    cache: &Arc<SimCache>,
-    attempt: u32,
-) -> Result<RunRecord, OptError> {
-    run_single_attempt_obs(run, cache, attempt, None)
-}
-
-/// [`run_single_attempt`] with an optional campaign observability
-/// bundle: when present, the run's hybrid evaluator (and, for
-/// `threads > 1`, its worker-pool backend) registers into the campaign's
-/// shared metric registry and emits events through its tracer. Metrics
-/// never influence results — the record is bit-identical with or without
-/// `obs`.
+/// Runs one campaign cell as a specific retry attempt, with an optional
+/// campaign observability bundle. The attempt number feeds the
+/// fault-injection stream (each retry draws fresh faults) and nothing
+/// else: a successful attempt produces the same record regardless of its
+/// attempt number, because every record field derives from the run's own
+/// deterministic session, never from shared scheduling state. With `obs`,
+/// the run's hybrid evaluator and its backend register into the
+/// campaign's shared metric registry and emit events through its tracer.
+/// Metrics never influence results — the record is bit-identical with or
+/// without `obs`.
 ///
 /// # Errors
 ///
@@ -350,37 +282,23 @@ pub fn run_single_attempt_obs(
         selection: run.selection,
         nugget: run.nugget,
     };
-    let minplusone = instance.minplusone.as_ref();
-    let descent = instance.descent.as_ref();
-    let (result, stats) = if run.threads > 1 {
-        drive_hybrid(
-            run,
-            minplusone,
-            descent,
-            settings,
-            engine_backend(run, &instance, cache, attempt, FaultPhase::Hybrid, obs),
-            obs,
-        )?
-    } else {
-        drive_hybrid(
-            run,
-            minplusone,
-            descent,
-            settings,
-            stacked_evaluator(
-                instance.new_evaluator(),
-                run,
-                cache,
-                attempt,
-                FaultPhase::Hybrid,
-            ),
-            obs,
-        )?
-    };
+    let mut hybrid = HybridEvaluator::new(
+        engine_backend(run, &instance, cache, attempt, FaultPhase::Hybrid, obs),
+        settings,
+    );
+    if let Some(obs) = obs {
+        hybrid.set_obs(Some(obs.hybrid_obs()));
+    }
+    let result = drive(
+        &mut hybrid,
+        run.optimizer,
+        instance.minplusone.as_ref(),
+        instance.descent.as_ref(),
+    )?;
     if let (Some(obs), Some(resume)) = (obs, instance.resume_stats()) {
         obs.record_resume_stats(run.problem.label(), &resume);
     }
-    let stats = &stats;
+    let stats = hybrid.stats();
     Ok(RunRecord {
         index: run.index,
         benchmark: run.problem.label().to_string(),

@@ -148,10 +148,11 @@ pub struct CampaignSpec {
     /// errors (the Table I protocol).
     pub audit: bool,
     /// In-run evaluation threads: each run's planned simulation batches fan
-    /// out over this many workers (the plan/fulfill `EngineBackend`). `1`
-    /// (the default) keeps the zero-overhead inline backend. Orthogonal to
-    /// the executor's `--workers` (runs in parallel); results are identical
-    /// for any value. `None` (and absent-from-older-spec-files) means 1.
+    /// out over this many threads of its plan/fulfill `EngineBackend`. At
+    /// `1` (the default) the backend spawns no thread and simulates on the
+    /// run's own. Orthogonal to the executor's `--workers` (runs in
+    /// parallel); results and counters are identical for any value.
+    /// `None` (and absent-from-older-spec-files) means 1.
     pub threads: Option<usize>,
     /// Cap on neighbours per kriging system; `0` means unlimited.
     pub max_neighbors: usize,
@@ -236,7 +237,8 @@ pub struct RunSpec {
     pub repeat: u32,
     /// Audit mode.
     pub audit: bool,
-    /// In-run evaluation threads (1 = inline backend).
+    /// Threads of the run's `EngineBackend` (1 = simulate on the run's own
+    /// thread).
     pub threads: usize,
     /// Neighbour cap (`None` = unlimited).
     pub max_neighbors: Option<usize>,

@@ -161,10 +161,10 @@ fn chaos_composes_with_in_run_threading() {
     // The historical spec-level rejection of `threads > 1` with active
     // faults existed because fates were keyed on a serial call counter.
     // Content-addressed fates make the combination legal *and* exact:
-    // the same storm at `threads: 4` (batches fanned out over a worker
-    // pool, completion order nondeterministic) must reproduce the
-    // inline-backend JSONL byte for byte — same survivors, same
-    // failures, same messages.
+    // the same storm at `threads: 4` (batches fanned out over a
+    // four-thread pool, completion order nondeterministic) must
+    // reproduce the one-thread pool's JSONL byte for byte — same
+    // survivors, same failures, same messages.
     let inline = spec(FaultPolicy::Skip, Some(storm()));
     let mut threaded = spec(FaultPolicy::Skip, Some(storm()));
     threaded.threads = Some(4);
@@ -172,7 +172,7 @@ fn chaos_composes_with_in_run_threading() {
     let b = jsonl(&threaded, 2);
     assert_eq!(a, b, "in-run threading leaked into chaos output");
     // And under retries: every recovered cell matches the fault-free
-    // campaign regardless of the backend.
+    // campaign regardless of the thread count.
     let mut threaded_retry = spec(FaultPolicy::Retry { max: 5 }, Some(storm()));
     threaded_retry.threads = Some(4);
     assert_eq!(

@@ -228,6 +228,39 @@ fn obs_does_not_change_campaign_output_bytes() {
     }
 }
 
+/// A campaign's counter snapshot does not depend on `threads`: every run
+/// fulfills through the engine backend, so a one-thread run registers the
+/// same `backend_*` counters, with the same totals, as a two-thread one.
+#[test]
+fn counters_do_not_depend_on_in_run_threads() {
+    let counters = |threads: usize| {
+        let registry = Registry::new();
+        let obs = CampaignObs::new(&registry, Tracer::disabled());
+        let runs = CampaignSpec {
+            benchmarks: vec!["fir".to_string(), "iir".to_string()],
+            distances: vec![2.0, 3.0],
+            threads: Some(threads),
+            ..CampaignSpec::default()
+        }
+        .expand()
+        .unwrap();
+        let outcome = run_specs_opts(
+            runs,
+            ExecOptions {
+                workers: 2,
+                obs: Some(&obs),
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(outcome.records.len(), 4);
+        registry.snapshot().counters_json()
+    };
+    let one = counters(1);
+    assert!(one.contains("\"backend_jobs_total\""), "{one}");
+    assert_eq!(one, counters(2));
+}
+
 /// Progress from four concurrent workers must arrive as whole lines —
 /// the old per-worker `eprintln!` interleaved fragments under load.
 #[test]

@@ -31,6 +31,7 @@ use krigeval_core::{
     SessionSnapshot, SimulationRequest, VariogramModel,
 };
 use krigeval_engine::obs::BackendObs;
+use krigeval_engine::runner::surface_namespace;
 use krigeval_engine::suite::{build_seeded, Problem};
 use krigeval_engine::{CacheStats, EngineBackend, Scale, SimCache};
 use krigeval_obs::{Registry, Tracer};
@@ -133,7 +134,7 @@ impl BackendPool {
     /// The backend for a benchmark surface, created on first use. Sessions
     /// with identical `(problem, scale, seed)` receive the same pool.
     pub fn backend(&self, problem: Problem, scale: Scale, seed: u64) -> SharedBackend {
-        let namespace = format!("{}/{}/{seed:016x}", problem.label(), scale.label());
+        let namespace = surface_namespace(problem, scale, seed);
         let mut backends = self
             .backends
             .lock()
