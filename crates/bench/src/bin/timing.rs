@@ -1,6 +1,6 @@
 //! Measures per-evaluation simulation vs kriging times and the projected
-//! refinement speed-ups (§IV prose claims). `t_sim` is a full simulation
-//! pass; `t_step` is a neighbour `w + e_i` of a simulated `w`, which the
+//! refinement speed-ups (§IV prose claims). `t_build` is the median time
+//! to build one benchmark instance; `t_sim` is a full simulation pass; `t_step` is a neighbour `w + e_i` of a simulated `w`, which the
 //! CNN benchmarks resume from stored site inputs and iir8, fft64 and
 //! hevc_mc from stored stage states.
 //!
@@ -41,8 +41,9 @@ fn main() -> ExitCode {
         i += 1;
     }
     println!(
-        "{:<12} {:>12} {:>12} {:>12} {:>10} {:>11} {:>11}",
+        "{:<12} {:>12} {:>12} {:>12} {:>12} {:>10} {:>11} {:>11}",
         "benchmark",
+        "t_build (s)",
         "t_sim (s)",
         "t_step (s)",
         "t_krige (s)",
@@ -53,8 +54,9 @@ fn main() -> ExitCode {
     for problem in Problem::all() {
         match measure(problem, scale, reps, 4) {
             Ok(row) => println!(
-                "{:<12} {:>12.6} {:>12.6} {:>12.9} {:>10.0} {:>11.2} {:>11.2}",
+                "{:<12} {:>12.6} {:>12.6} {:>12.6} {:>12.9} {:>10.0} {:>11.2} {:>11.2}",
                 problem.label(),
+                row.t_build,
                 row.t_sim,
                 row.t_step,
                 row.t_krige,

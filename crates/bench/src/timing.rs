@@ -19,6 +19,11 @@ use crate::Scale;
 pub struct TimingRow {
     /// Which benchmark.
     pub problem: Problem,
+    /// Median wall-clock of building one instance (seconds): the
+    /// benchmark's share of a campaign's set-up, which every run, server
+    /// surface and rep pays once. The CNN constructors split their
+    /// per-image work over the host's cores.
+    pub t_build: f64,
     /// Mean wall-clock of one simulation-based metric evaluation that no
     /// stored state can serve: a full pass (seconds).
     pub t_sim: f64,
@@ -54,6 +59,8 @@ impl TimingRow {
 
 /// Measures mean simulation and kriging times for one benchmark.
 ///
+/// Construction: the median of the `reps` instance builds below, timed
+/// apart, for [`TimingRow::t_build`].
 /// Simulation: `reps` evaluations of a mid-range configuration `w`, each
 /// on a fresh instance built outside the timed region (so no stored state
 /// serves it), then each rep's `w + e_i` neighbours on the same instance
@@ -83,8 +90,11 @@ pub fn measure(
     // Warm-up + timed simulation runs.
     build(problem, scale).evaluator.evaluate(&mid)?;
     let (mut t_sim, mut t_step) = (0.0, 0.0);
+    let mut t_builds = Vec::with_capacity(reps);
     for _ in 0..reps {
+        let start = Instant::now();
         let mut evaluator = build(problem, scale).evaluator;
+        t_builds.push(start.elapsed().as_secs_f64());
         let start = Instant::now();
         evaluator.evaluate(&mid)?;
         t_sim += start.elapsed().as_secs_f64();
@@ -95,6 +105,7 @@ pub fn measure(
         t_step += start.elapsed().as_secs_f64() / nv as f64;
     }
     let (t_sim, t_step) = (t_sim / reps as f64, t_step / reps as f64);
+    let t_build = median(&mut t_builds);
 
     // Kriging solve over a realistic neighbourhood.
     let estimator = KrigingEstimator::new(VariogramModel::linear(1.0));
@@ -126,10 +137,23 @@ pub fn measure(
 
     Ok(TimingRow {
         problem,
+        t_build,
         t_sim,
         t_step,
         t_krige,
     })
+}
+
+/// The median of `samples` (the mean of the middle two for an even
+/// count; NaN for none).
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    match samples.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => samples[mid],
+        _ => (samples[mid - 1] + samples[mid]) / 2.0,
+    }
 }
 
 #[cfg(test)]
@@ -149,9 +173,17 @@ mod tests {
     }
 
     #[test]
+    fn median_takes_the_middle_sample() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert!(median(&mut []).is_nan());
+    }
+
+    #[test]
     fn projected_speedup_matches_paper_arithmetic() {
         let row = TimingRow {
             problem: Problem::Hevc,
+            t_build: 0.01,
             t_sim: 1.37,
             t_step: 1.37,
             t_krige: 1e-6,
@@ -171,6 +203,7 @@ mod tests {
     fn projected_speedup_validates_fraction() {
         let row = TimingRow {
             problem: Problem::Fir,
+            t_build: 0.01,
             t_sim: 1.0,
             t_step: 1.0,
             t_krige: 1e-6,

@@ -13,7 +13,9 @@
 //!   monotonic sequence stream.
 //!   With timing enabled it also carries the resumable benchmarks'
 //!   checkpoint resume counts as gauges (`engine_checkpoint_*`, see
-//!   [`CampaignObs::record_resume_stats`]).
+//!   [`CampaignObs::record_resume_stats`]) and each benchmark's minor
+//!   page faults (`engine_minor_faults_*`, see
+//!   [`CampaignObs::record_minor_faults`]).
 //! * [`BackendObs`] — worker-pool counters (`backend_*`): batches, jobs,
 //!   shared-cache hits and real simulator evaluations, plus
 //!   scheduling-only gauges/histograms (queue depth, queue wait, fulfill
@@ -168,6 +170,20 @@ impl CampaignObs {
         }
     }
 
+    /// Adds `faults`, the minor page faults the process took over one run
+    /// of `benchmark` (see [`minor_faults`]), to its
+    /// `engine_minor_faults_{benchmark}` gauge. Runs that overlap on other
+    /// executor workers fault into the same process count, so the count is
+    /// a run's own only at one executor worker; it is a timing-only gauge,
+    /// recorded only with timing enabled.
+    pub fn record_minor_faults(&self, benchmark: &str, faults: u64) {
+        if self.timing {
+            self.registry
+                .gauge(&format!("engine_minor_faults_{benchmark}"))
+                .add(i64::try_from(faults).unwrap_or(i64::MAX));
+        }
+    }
+
     /// Records `rows` journal rows replayed by a resume (counter plus a
     /// `resume` trace event).
     pub fn record_resume(&self, rows: u64) {
@@ -199,6 +215,24 @@ impl CampaignObs {
             vec![("shards", shards.into()), ("rows", rows.into())],
         );
     }
+}
+
+/// The minor page faults this process has taken so far, from
+/// `/proc/self/stat`; `None` where that file is absent or unreadable.
+pub fn minor_faults() -> Option<u64> {
+    parse_minor_faults(&std::fs::read_to_string("/proc/self/stat").ok()?)
+}
+
+/// Field 10 (`minflt`) of a `/proc/<pid>/stat` line. The command name,
+/// field 2, is parenthesized and may itself hold spaces and parentheses,
+/// so the fields are counted from after its last `)`: field 3 first.
+fn parse_minor_faults(stat: &str) -> Option<u64> {
+    stat.rsplit_once(')')?
+        .1
+        .split_whitespace()
+        .nth(10 - 3)?
+        .parse()
+        .ok()
 }
 
 /// Pre-registered worker-pool metrics for
@@ -338,14 +372,17 @@ mod tests {
             started_at: vec![1, 0, 0, 4, 0],
         };
         let registry = Registry::new();
-        CampaignObs::new(&registry, Tracer::disabled())
-            .record_resume_stats("squeezenet", &squeezenet);
+        let untimed = CampaignObs::new(&registry, Tracer::disabled());
+        untimed.record_resume_stats("squeezenet", &squeezenet);
+        untimed.record_minor_faults("squeezenet", 1_200);
         assert!(registry.snapshot().gauges.is_empty());
 
         let obs = CampaignObs::new(&registry, Tracer::disabled()).with_timing(true);
         obs.record_resume_stats("squeezenet", &squeezenet);
         obs.record_resume_stats("squeezenet", &squeezenet);
         obs.record_resume_stats("hevc_mc", &hevc);
+        obs.record_minor_faults("squeezenet", 1_200);
+        obs.record_minor_faults("squeezenet", 300);
         let snap = registry.snapshot();
         let gauge = |name: &str| snap.gauges.iter().find(|(n, _)| n == name).map(|g| g.1);
         assert_eq!(gauge("engine_checkpoint_simulations_squeezenet"), Some(14));
@@ -364,7 +401,25 @@ mod tests {
         assert_eq!(gauge("engine_checkpoint_resumed_site4_hevc_mc"), Some(0));
         assert_eq!(gauge("engine_checkpoint_resumed_site5_hevc_mc"), None);
         assert_eq!(gauge("engine_checkpoint_stages_skipped_hevc_mc"), Some(12));
+        assert_eq!(gauge("engine_minor_faults_squeezenet"), Some(1_500));
+        assert_eq!(gauge("engine_minor_faults_hevc_mc"), None);
         assert!(!snap.counters_json().contains("checkpoint"));
+        assert!(!snap.counters_json().contains("faults"));
+    }
+
+    #[test]
+    fn minor_faults_are_read_after_the_command_name() {
+        let stat = "4242 (a) b (c)) S 1 4242 4242 0 -1 4194560 7311 0 12 0 30 4 0 0 20";
+        assert_eq!(parse_minor_faults(stat), Some(7311));
+        assert_eq!(parse_minor_faults("4242 (cut short) S 1 2"), None);
+        assert_eq!(parse_minor_faults("no command name"), None);
+        if std::path::Path::new("/proc/self/stat").exists() {
+            let before = minor_faults().expect("a readable stat file");
+            // Touch fresh pages; the count never goes down.
+            let pages = vec![1u8; 1 << 22];
+            std::hint::black_box(&pages);
+            assert!(minor_faults().expect("a readable stat file") >= before);
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use krigeval_core::{Config, FiniteGuard, VariogramModel};
 use crate::backend::EngineBackend;
 use crate::cache::SimCache;
 use crate::fault::{FaultConfig, FaultPhase, FaultStream};
-use crate::obs::CampaignObs;
+use crate::obs::{minor_faults, CampaignObs};
 use crate::sink::RunRecord;
 use crate::spec::{OptimizerSpec, RunSpec, VariogramSpec};
 use crate::suite::{build_seeded, Problem, ProblemInstance};
@@ -262,6 +262,7 @@ pub fn run_single_attempt_obs(
     obs: Option<&CampaignObs>,
 ) -> Result<RunRecord, OptError> {
     let started = Instant::now();
+    let faults_at_start = obs.filter(|o| o.timing()).and_then(|_| minor_faults());
     let instance = resolved_instance(run);
     let (policy, pilot_sims) = variogram_policy(run, &instance, cache, attempt, obs)?;
     let lambda_min = instance
@@ -295,8 +296,13 @@ pub fn run_single_attempt_obs(
         instance.minplusone.as_ref(),
         instance.descent.as_ref(),
     )?;
-    if let (Some(obs), Some(resume)) = (obs, instance.resume_stats()) {
-        obs.record_resume_stats(run.problem.label(), &resume);
+    if let Some(obs) = obs {
+        if let Some(resume) = instance.resume_stats() {
+            obs.record_resume_stats(run.problem.label(), &resume);
+        }
+        if let (Some(start), Some(now)) = (faults_at_start, minor_faults()) {
+            obs.record_minor_faults(run.problem.label(), now.saturating_sub(start));
+        }
     }
     let stats = hybrid.stats();
     Ok(RunRecord {

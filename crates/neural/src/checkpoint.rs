@@ -28,14 +28,16 @@ use krigeval_fixedpoint::{Checkpoint, CheckpointStore};
 use crate::net::{MiniSqueezeNet, SiteHook, NUM_INJECTION_SITES};
 use crate::Tensor3;
 
-/// Byte cap of one benchmark instance's checkpoint store; the least
-/// recently used entries are evicted to stay under it. One configuration's
-/// sites 2–9 take 650 KB at fast scale (48 images, 12×12) and 9.6 MB at
-/// paper scale (400 images, 16×16). The cap keeps a configuration's
+/// Configurations one benchmark instance's checkpoint store holds: its
+/// byte cap is this many configurations' worth of the entries a pass
+/// stores (sites 2–9's input batches, their noise cursors and keys), and
+/// the least recently used entries are evicted to stay under it. One
+/// configuration takes 654 KB at fast scale (48 images, 12×12) and 9.6 MB
+/// at paper scale (400 images, 16×16). The cap keeps a configuration's
 /// checkpoints alive while the optimizer simulates its ten neighbours,
 /// which insert about four configurations' worth of their own; below that
 /// the paper-scale resume rate falls off (the sweep is in DESIGN.md §7).
-pub const CHECKPOINT_BYTES: usize = 64 << 20;
+pub const CHECKPOINT_CONFIGS: usize = 7;
 
 /// The shallowest site the store keeps. Sites 0 and 1 (conv1 and
 /// maxpool1) hold 46% of the bytes of a full set of site inputs at fast
@@ -46,10 +48,29 @@ pub const FIRST_CHECKPOINT_SITE: usize = 2;
 /// by the site a pass started at.
 pub(crate) type SiteStore = CheckpointStore<SiteInputs>;
 
-/// An empty store capped at [`CHECKPOINT_BYTES`]; it allocates on its
-/// first insert.
-pub(crate) fn site_store() -> SiteStore {
-    CheckpointStore::new(NUM_INJECTION_SITES, CHECKPOINT_BYTES)
+/// An empty store for passes of `net` over the batch `stems`, capped at
+/// [`CHECKPOINT_CONFIGS`] configurations' worth of entries; `cursors`
+/// says whether an entry holds a noise cursor per image. It allocates on
+/// its first insert.
+pub(crate) fn site_store(net: &MiniSqueezeNet, stems: &Tensor3, cursors: bool) -> SiteStore {
+    CheckpointStore::new(
+        NUM_INJECTION_SITES,
+        CHECKPOINT_CONFIGS * configuration_bytes(net, stems, cursors),
+    )
+}
+
+/// The bytes the store charges for one configuration's entries: each site
+/// from [`FIRST_CHECKPOINT_SITE`] on stores its input batch, a cursor per
+/// image if `cursors`, and its key (the site and the configuration prefix
+/// before it).
+fn configuration_bytes(net: &MiniSqueezeNet, stems: &Tensor3, cursors: bool) -> usize {
+    use std::mem::size_of;
+    let sizes = net.site_sizes(stems.height(), stems.width());
+    let per_image =
+        |site: usize| sizes[site] * size_of::<f64>() + usize::from(cursors) * size_of::<usize>();
+    (FIRST_CHECKPOINT_SITE..NUM_INJECTION_SITES)
+        .map(|site| per_image(site) * stems.images() + (site + 1) * size_of::<u64>())
+        .sum()
 }
 
 /// A [`SiteHook`] a pass can resume from the middle.
@@ -323,6 +344,68 @@ mod tests {
             let stats = bench.resume_stats();
             assert_eq!(stats.simulations(), 16);
             assert_eq!(stats.resumed(), stats.started_at[9], "cap {cap}");
+        }
+    }
+
+    /// Asserts that `store` holds [`CHECKPOINT_CONFIGS`] configurations
+    /// of `one` bytes each: `simulate(c)` runs configuration `c`, and no
+    /// two share a prefix, so each is a full pass that stores `one` bytes
+    /// of entries. The first seven all stay; the eighth evicts.
+    fn assert_holds_seven_configurations(
+        store: &SiteStore,
+        one: usize,
+        mut simulate: impl FnMut(usize),
+        what: &str,
+    ) {
+        for c in 0..=CHECKPOINT_CONFIGS {
+            simulate(c);
+            assert_eq!(store.stats().started_at[0], c as u64 + 1, "{what}");
+            if c < CHECKPOINT_CONFIGS {
+                assert_eq!(store.bytes(), (c + 1) * one, "{what}: {} passes", c + 1);
+            } else {
+                assert!(
+                    store.bytes() <= CHECKPOINT_CONFIGS * one,
+                    "{what}: no eviction"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_cap_is_seven_configurations_at_both_scales() {
+        assert_eq!(CHECKPOINT_CONFIGS, 7);
+        // One configuration's sites 2–9: 1 694 values per image at 12×12
+        // and 2 996 at 16×16, a cursor per image and site for the
+        // injection benchmark, and 52 key words.
+        for (images, size, injection_bytes, quantized_bytes) in
+            [(48, 12, 653_984, 650_912), (400, 16, 9_613_216, 9_587_616)]
+        {
+            let what = format!("{images} images of {size}x{size}");
+            let injection = SensitivityBenchmark::new(images, size, 0x0C4E_C4B7);
+            let simulate = |c: usize| {
+                let mut powers = [-30.0; NUM_INJECTION_SITES];
+                powers[0] -= c as f64;
+                injection.image_logits(&powers).unwrap();
+            };
+            assert_holds_seven_configurations(
+                &injection.checkpoints,
+                injection_bytes,
+                simulate,
+                &what,
+            );
+
+            let quantized = QuantizedNetBenchmark::new(images, size, 0x0C4E_C4B8);
+            let simulate = |c: usize| {
+                let mut words = [16; NUM_INJECTION_SITES];
+                words[0] = 24 - c as i32;
+                quantized.image_logits(&words).unwrap();
+            };
+            assert_holds_seven_configurations(
+                &quantized.checkpoints,
+                quantized_bytes,
+                simulate,
+                &what,
+            );
         }
     }
 

@@ -41,11 +41,12 @@ mod error;
 mod fire;
 mod layers;
 mod net;
+mod parallel;
 mod quantized;
 mod sensitivity;
 mod tensor;
 
-pub use checkpoint::{CHECKPOINT_BYTES, FIRST_CHECKPOINT_SITE};
+pub use checkpoint::{CHECKPOINT_CONFIGS, FIRST_CHECKPOINT_SITE};
 pub use dataset::synthetic_images;
 pub use error::NeuralError;
 pub use fire::FireModule;

@@ -1,11 +1,13 @@
 //! The mini SqueezeNet-style classifier with ten error-injection sites.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::checkpoint::ResumableHook;
 use crate::layers::{argmax, global_avg_pool, max_pool2, relu_in_place, Conv2d};
-use crate::{FireModule, Tensor3};
+use crate::{dataset, parallel, FireModule, Tensor3};
 
 /// Number of error-injection sites (= the paper's `Nv = 10` for the
 /// SqueezeNet benchmark): one at the output of each layer.
@@ -72,23 +74,22 @@ pub struct MiniSqueezeNet {
 impl MiniSqueezeNet {
     /// Builds the network with pseudo-random weights derived from `seed`,
     /// calibrated for class diversity (see the `logit_offset` field docs).
+    /// The calibration pass runs in parallel over contiguous ranges of its
+    /// images; the network is the same at any thread count.
     pub fn seeded(seed: u64) -> MiniSqueezeNet {
-        let mut net = MiniSqueezeNet {
-            conv1: Conv2d::seeded(3, 8, 3, seed),
-            fire1: FireModule::seeded(8, 4, 8, seed.wrapping_add(10)),
-            fire2: FireModule::seeded(16, 4, 8, seed.wrapping_add(20)),
-            fire3: FireModule::seeded(16, 4, 8, seed.wrapping_add(30)),
-            fire4: FireModule::seeded(16, 4, 8, seed.wrapping_add(40)),
-            class_conv: Conv2d::seeded(16, NUM_CLASSES, 1, seed.wrapping_add(50)),
-            logit_offset: vec![0.0; NUM_CLASSES],
-            logit_scale: vec![1.0; NUM_CLASSES],
-            noise_seed: seed.wrapping_add(0x5EED),
-        };
-        let calibration = crate::synthetic_images(64, 12, seed.wrapping_add(0xCA11));
+        MiniSqueezeNet::seeded_on(seed, parallel::threads())
+    }
+
+    /// [`MiniSqueezeNet::seeded`] with its calibration pass on `threads`
+    /// threads. Each image's logits are computed independently of the
+    /// other images', and the statistics sum them in image order, so the
+    /// network does not depend on `threads`.
+    pub(crate) fn seeded_on(seed: u64, threads: usize) -> MiniSqueezeNet {
+        let mut net = MiniSqueezeNet::uncalibrated(seed);
         // `logits` already applies the per-image centering (offset 0 /
         // scale 1 at this point), so the statistics below are those of the
         // centered logits.
-        let raw = net.logits(&Tensor3::stack(&calibration));
+        let raw = net.calibration_logits(seed, threads);
         let n = raw.len() as f64;
         let mut mean = vec![0.0; NUM_CLASSES];
         for l in &raw {
@@ -105,6 +106,32 @@ impl MiniSqueezeNet {
         net.logit_offset = mean;
         net.logit_scale = std.iter().map(|s| s.sqrt().max(1e-9)).collect();
         net
+    }
+
+    /// The network's layers, with the identity calibration.
+    fn uncalibrated(seed: u64) -> MiniSqueezeNet {
+        MiniSqueezeNet {
+            conv1: Conv2d::seeded(3, 8, 3, seed),
+            fire1: FireModule::seeded(8, 4, 8, seed.wrapping_add(10)),
+            fire2: FireModule::seeded(16, 4, 8, seed.wrapping_add(20)),
+            fire3: FireModule::seeded(16, 4, 8, seed.wrapping_add(30)),
+            fire4: FireModule::seeded(16, 4, 8, seed.wrapping_add(40)),
+            class_conv: Conv2d::seeded(16, NUM_CLASSES, 1, seed.wrapping_add(50)),
+            logit_offset: vec![0.0; NUM_CLASSES],
+            logit_scale: vec![1.0; NUM_CLASSES],
+            noise_seed: seed.wrapping_add(0x5EED),
+        }
+    }
+
+    /// The logits of the 64 calibration images of the network built from
+    /// `seed`, in image order, each thread rendering and running a
+    /// contiguous range of them.
+    fn calibration_logits(&self, seed: u64, threads: usize) -> Vec<Vec<f64>> {
+        let calibration = dataset::gratings(64, seed.wrapping_add(0xCA11));
+        parallel::map(parallel::ranges(calibration.len(), threads), |images| {
+            self.logits(&Tensor3::stack(&dataset::render(&calibration[images], 12)))
+        })
+        .concat()
     }
 
     /// Error-free forward pass returning each image's logits.
@@ -169,27 +196,57 @@ impl MiniSqueezeNet {
     /// image's sequence is the same for every configuration; a site that
     /// injects nothing consumes nothing, and later sites read on from there.
     pub(crate) fn noise_stream(&self, image_index: u64, len: usize) -> Vec<f64> {
+        self.noise_sequence(image_index).take(len).collect()
+    }
+
+    /// Image `image_index`'s noise sequence (see
+    /// [`MiniSqueezeNet::noise_stream`]).
+    fn noise_sequence(&self, image_index: u64) -> impl Iterator<Item = f64> {
         let mut rng = StdRng::seed_from_u64(
             self.noise_seed ^ image_index.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
-        (0..len).map(|_| standard_normal(&mut rng)).collect()
+        std::iter::repeat_with(move || standard_normal(&mut rng))
+    }
+
+    /// Writes the noise sequences of the images `images` into `rows`,
+    /// their segments of the rows of a batch layout: draw `k` of image
+    /// `images.start + j` goes to `rows[k][j]`, for the first
+    /// `rows.len()` draws.
+    pub(crate) fn write_noise(&self, images: Range<usize>, rows: &mut [&mut [f64]]) {
+        for (j, i) in images.enumerate() {
+            for (row, z) in rows.iter_mut().zip(self.noise_sequence(i as u64)) {
+                row[j] = z;
+            }
+        }
     }
 
     /// Noise draws a forward pass over an image of `images`' shape
-    /// consumes when every site injects: the sum of the ten site sizes,
-    /// from the layer shapes (2×2 pooling floors each spatial dimension).
+    /// consumes when every site injects: the sum of the ten site sizes.
     pub(crate) fn noise_draws(&self, images: &Tensor3) -> usize {
-        let (h, w) = (images.height(), images.width());
+        self.site_sizes(images.height(), images.width())
+            .iter()
+            .sum()
+    }
+
+    /// The values one `h × w` image has at each injection site's input,
+    /// from the layer shapes (2×2 pooling floors each spatial dimension).
+    pub(crate) fn site_sizes(&self, h: usize, w: usize) -> [usize; NUM_INJECTION_SITES] {
         let half = (h / 2) * (w / 2);
         let quarter = (h / 4) * (w / 4);
         let conv1 = self.conv1.out_channels();
-        conv1 * h * w
-            + conv1 * half
-            + (self.fire1.out_channels() + self.fire2.out_channels()) * half
-            + (self.fire2.out_channels() + self.fire3.out_channels() + self.fire4.out_channels())
-                * quarter
-            + self.class_conv.out_channels() * quarter
-            + 2 * NUM_CLASSES
+        let fire2 = self.fire2.out_channels();
+        [
+            conv1 * h * w,
+            conv1 * half,
+            self.fire1.out_channels() * half,
+            fire2 * half,
+            fire2 * quarter,
+            self.fire3.out_channels() * quarter,
+            self.fire4.out_channels() * quarter,
+            self.class_conv.out_channels() * quarter,
+            NUM_CLASSES,
+            NUM_CLASSES,
+        ]
     }
 
     /// Forward pass over a batch of images with an arbitrary per-site
@@ -512,6 +569,53 @@ mod tests {
         let mut p = [f64::NEG_INFINITY; 10];
         p[4] = f64::NAN;
         let _ = net.classify_with_injection(img, &p, 0);
+    }
+
+    fn bits(logits: &[Vec<f64>]) -> Vec<u64> {
+        logits.iter().flatten().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn parallel_calibration_is_the_serial_pass_bit_for_bit() {
+        for seed in [0x59EE_2E05, 0xBEE5] {
+            let net = MiniSqueezeNet::uncalibrated(seed);
+            // The serial calibration: one batch of every image, rendered
+            // one after the other.
+            let images = crate::dataset::tests::serial_synthetic_images(64, 12, seed + 0xCA11);
+            let serial = bits(&net.logits(&Tensor3::stack(&images)));
+            let calibration = |net: MiniSqueezeNet| bits(&[net.logit_offset, net.logit_scale]);
+            let serial_calibration = calibration(MiniSqueezeNet::seeded_on(seed, 1));
+            for threads in 1..=3 {
+                assert_eq!(bits(&net.calibration_logits(seed, threads)), serial);
+                let parallel = MiniSqueezeNet::seeded_on(seed, threads);
+                assert_eq!(
+                    calibration(parallel),
+                    serial_calibration,
+                    "{threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn site_sizes_follow_the_layer_shapes() {
+        let net = MiniSqueezeNet::seeded(16);
+        for size in [8, 12, 15, 16] {
+            let img = &synthetic_images(1, size, 17)[0];
+            let mut hook = SizeHook(Vec::new());
+            net.forward_with(img, &mut hook);
+            assert_eq!(hook.0, net.site_sizes(size, size), "{size}x{size}");
+        }
+        assert_eq!(net.site_sizes(12, 12)[2..].iter().sum::<usize>(), 1_694);
+        assert_eq!(net.site_sizes(16, 16)[2..].iter().sum::<usize>(), 2_996);
+    }
+
+    struct SizeHook(Vec<usize>);
+
+    impl SiteHook for SizeHook {
+        fn site(&mut self, _: usize, batch: &mut Tensor3) {
+            self.0.push(batch.len());
+        }
     }
 
     #[test]

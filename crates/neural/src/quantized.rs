@@ -12,8 +12,9 @@
 use krigeval_fixedpoint::{QFormat, Quantizer, ResumeStats};
 
 use crate::checkpoint::{self, ResumableHook, SiteStore};
+use crate::dataset::{self, ImageGratings};
 use crate::net::{agreement_rate, SiteHook, NUM_INJECTION_SITES};
-use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
+use crate::{parallel, MiniSqueezeNet, NeuralError, Tensor3};
 
 /// Word-length benchmark over the quantized CNN: ten activation-register
 /// word-lengths → classification-agreement rate.
@@ -55,30 +56,86 @@ impl QuantizedNetBenchmark {
     ///
     /// Panics if `num_images == 0` or `size < 8`.
     pub fn new(num_images: usize, size: usize, seed: u64) -> QuantizedNetBenchmark {
-        assert!(size >= 8, "images must be at least 8x8");
-        let net = MiniSqueezeNet::seeded(seed);
-        let (stems, labels) =
-            net.stems_and_labels(&synthetic_images(num_images, size, seed.wrapping_add(1)));
+        QuantizedNetBenchmark::new_on(num_images, size, seed, parallel::threads())
+    }
 
-        // Dynamic-range calibration: record each site's max |activation|
-        // over a small calibration set and derive the integer bits.
-        let calibration = synthetic_images(16, size, seed.wrapping_add(2));
-        let mut ranges = RangeHook {
-            max_abs: [0.0; NUM_INJECTION_SITES],
-        };
-        net.forward_with(&Tensor3::stack(&calibration), &mut ranges);
+    /// [`QuantizedNetBenchmark::new`] on `threads` threads (see
+    /// [`QuantizedNetBenchmark::calibrate`]); the instance does not depend
+    /// on `threads`.
+    pub(crate) fn new_on(
+        num_images: usize,
+        size: usize,
+        seed: u64,
+        threads: usize,
+    ) -> QuantizedNetBenchmark {
+        assert!(size >= 8, "images must be at least 8x8");
+        assert!(num_images > 0, "need at least one image");
+        let net = MiniSqueezeNet::seeded_on(seed, threads);
+        let (stems, labels, max_abs) = QuantizedNetBenchmark::calibrate(
+            &net,
+            &dataset::gratings(num_images, seed.wrapping_add(1)),
+            &dataset::gratings(16, seed.wrapping_add(2)),
+            size,
+            threads,
+        );
         let mut integer_bits = [0i32; NUM_INJECTION_SITES];
-        for (bits, &peak) in integer_bits.iter_mut().zip(&ranges.max_abs) {
+        for (bits, &peak) in integer_bits.iter_mut().zip(&max_abs) {
             // 25 % headroom over the observed peak, at least Q0.
             *bits = krigeval_fixedpoint::Interval::symmetric(peak * 1.25).integer_bits();
         }
+        let checkpoints = checkpoint::site_store(&net, &stems, false);
         QuantizedNetBenchmark {
             net,
             stems,
             labels,
             integer_bits,
-            checkpoints: checkpoint::site_store(),
+            checkpoints,
         }
+    }
+
+    /// The stems and labels of the evaluation images `images`, and the
+    /// dynamic-range calibration: each site's max |activation| over the
+    /// calibration images `calibration`. One scope of `threads` threads
+    /// each renders and runs a contiguous range of either set. Every
+    /// image's stem, label and activations are independent of the other
+    /// images', the ranges are joined in image order and the maxima
+    /// reduce by `max`, so nothing depends on `threads`.
+    fn calibrate(
+        net: &MiniSqueezeNet,
+        images: &[ImageGratings],
+        calibration: &[ImageGratings],
+        size: usize,
+        threads: usize,
+    ) -> (Tensor3, Vec<usize>, [f64; NUM_INJECTION_SITES]) {
+        let ranges = parallel::ranges(images.len(), threads);
+        let parts = ranges.len();
+        let inputs = ranges
+            .into_iter()
+            .enumerate()
+            .map(|(part, range)| (range, parallel::range(calibration.len(), parts, part)))
+            .collect();
+        let results = parallel::map(inputs, |(range, calibration_range)| {
+            let stems_and_labels = net.stems_and_labels(&dataset::render(&images[range], size));
+            let mut peaks = RangeHook {
+                max_abs: [0.0; NUM_INJECTION_SITES],
+            };
+            if !calibration_range.is_empty() {
+                let calibration = dataset::render(&calibration[calibration_range], size);
+                net.forward_with(&Tensor3::stack(&calibration), &mut peaks);
+            }
+            (stems_and_labels, peaks.max_abs)
+        });
+        let mut max_abs = [0.0f64; NUM_INJECTION_SITES];
+        let mut stems = Vec::with_capacity(parts);
+        let mut labels = Vec::with_capacity(images.len());
+        for ((part_stems, part_labels), part_max) in results {
+            stems.push(part_stems);
+            labels.extend(part_labels);
+            for (m, v) in max_abs.iter_mut().zip(part_max) {
+                *m = m.max(v);
+            }
+        }
+        (Tensor3::stack(&stems), labels, max_abs)
     }
 
     /// Number of word-length variables (10 activation registers).
@@ -199,6 +256,8 @@ impl ResumableHook for QuantizeHook<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::tests::serial_synthetic_images;
+    use crate::synthetic_images;
 
     fn small() -> QuantizedNetBenchmark {
         QuantizedNetBenchmark::new(32, 12, 0xBEE5)
@@ -269,6 +328,54 @@ mod tests {
         let b = small();
         let images = Tensor3::stack(&synthetic_images(32, 12, 0xBEE5 + 1));
         assert_eq!(b.net.classify(&images), b.labels);
+    }
+
+    /// The serial calibration the parallel one replaced: the stems and
+    /// labels of one batch of every evaluation image, then the range
+    /// maxima over one batch of the 16 calibration images.
+    fn serial_calibration(net: &MiniSqueezeNet, n: usize, size: usize, seed: u64) -> Vec<Vec<u64>> {
+        let (stems, labels) =
+            net.stems_and_labels(&serial_synthetic_images(n, size, seed.wrapping_add(1)));
+        let calibration = serial_synthetic_images(16, size, seed.wrapping_add(2));
+        let mut ranges = RangeHook {
+            max_abs: [0.0; NUM_INJECTION_SITES],
+        };
+        net.forward_with(&Tensor3::stack(&calibration), &mut ranges);
+        calibration_bits(&stems, &labels, &ranges.max_abs)
+    }
+
+    fn calibration_bits(stems: &Tensor3, labels: &[usize], max_abs: &[f64]) -> Vec<Vec<u64>> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        vec![
+            bits(stems.as_slice()),
+            labels.iter().map(|&l| l as u64).collect(),
+            bits(max_abs),
+        ]
+    }
+
+    #[test]
+    fn parallel_calibration_is_the_serial_one_bit_for_bit() {
+        for (n, size) in [(5, 12), (7, 9), (48, 12)] {
+            let seed = 0xBEE5;
+            let net = MiniSqueezeNet::seeded_on(seed, 1);
+            let serial = serial_calibration(&net, n, size, seed);
+            let images = dataset::gratings(n, seed + 1);
+            let calibration = dataset::gratings(16, seed + 2);
+            for threads in 1..=3 {
+                let (stems, labels, max_abs) =
+                    QuantizedNetBenchmark::calibrate(&net, &images, &calibration, size, threads);
+                let built = calibration_bits(&stems, &labels, &max_abs);
+                for (what, (a, b)) in ["stems", "labels", "range maxima"]
+                    .iter()
+                    .zip(built.iter().zip(&serial))
+                {
+                    assert!(
+                        a == b,
+                        "{what}: {n} images of {size}x{size}, {threads} threads"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

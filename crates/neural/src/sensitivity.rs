@@ -4,7 +4,7 @@ use krigeval_fixedpoint::ResumeStats;
 
 use crate::checkpoint::{self, SiteStore};
 use crate::net::{agreement_rate, NoiseHook, NUM_INJECTION_SITES};
-use crate::{synthetic_images, MiniSqueezeNet, NeuralError, Tensor3};
+use crate::{dataset, parallel, MiniSqueezeNet, NeuralError, Tensor3};
 
 /// The paper's SqueezeNet benchmark: `p_cl(e)`, the probability that the
 /// network classifies an image identically to the error-free reference when
@@ -62,24 +62,52 @@ impl SensitivityBenchmark {
     ///
     /// Panics if `num_images == 0` or `size < 8`.
     pub fn new(num_images: usize, size: usize, seed: u64) -> SensitivityBenchmark {
+        SensitivityBenchmark::new_on(num_images, size, seed, parallel::threads())
+    }
+
+    /// [`SensitivityBenchmark::new`] on `threads` threads. After the
+    /// network, each thread takes a contiguous range of the images: it
+    /// draws their noise sequences (each seeded by its image index) into
+    /// their segment of every row of the batch layout, renders them and
+    /// runs their stems and labels, all in one scope. Every image's share
+    /// is independent of the other images', and the ranges are joined in
+    /// image order, so the instance does not depend on `threads`.
+    pub(crate) fn new_on(
+        num_images: usize,
+        size: usize,
+        seed: u64,
+        threads: usize,
+    ) -> SensitivityBenchmark {
         assert!(size >= 8, "images must be at least 8x8");
-        let net = MiniSqueezeNet::seeded(seed);
-        let images = synthetic_images(num_images, size, seed.wrapping_add(1));
-        let draws = net.noise_draws(&images[0]);
+        assert!(num_images > 0, "need at least one image");
+        let net = MiniSqueezeNet::seeded_on(seed, threads);
+        let gratings = dataset::gratings(num_images, seed.wrapping_add(1));
+        let draws = net.site_sizes(size, size).iter().sum();
+        let ranges = parallel::ranges(num_images, threads);
         let mut noise = vec![0.0; draws * num_images];
-        for i in 0..num_images {
-            let stream = net.noise_stream(i as u64, draws);
-            for (z, v) in noise[i..].iter_mut().step_by(num_images).zip(stream) {
-                *z = v;
+        let mut segments: Vec<Vec<&mut [f64]>> =
+            ranges.iter().map(|_| Vec::with_capacity(draws)).collect();
+        for mut row in noise.chunks_exact_mut(num_images) {
+            for (rows, images) in segments.iter_mut().zip(&ranges) {
+                let (segment, rest) = std::mem::take(&mut row).split_at_mut(images.len());
+                rows.push(segment);
+                row = rest;
             }
         }
-        let (stems, labels) = net.stems_and_labels(&images);
+        let inputs = ranges.into_iter().zip(segments).collect();
+        let parts = parallel::map(inputs, |(images, mut rows)| {
+            net.write_noise(images.clone(), &mut rows);
+            net.stems_and_labels(&dataset::render(&gratings[images], size))
+        });
+        let (stems, labels): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+        let stems = Tensor3::stack(&stems);
+        let checkpoints = checkpoint::site_store(&net, &stems, true);
         SensitivityBenchmark {
             net,
             stems,
             noise,
-            labels,
-            checkpoints: checkpoint::site_store(),
+            labels: labels.concat(),
+            checkpoints,
         }
     }
 
@@ -167,6 +195,8 @@ impl SensitivityBenchmark {
 mod tests {
     use super::*;
     use crate::checkpoint::ResumableHook;
+    use crate::dataset::tests::serial_synthetic_images;
+    use crate::synthetic_images;
 
     fn small() -> SensitivityBenchmark {
         SensitivityBenchmark::new(48, 12, 0x59EE_3E05)
@@ -286,6 +316,53 @@ mod tests {
         );
         for i in 0..n {
             assert_eq!(loud[i] == quiet[i], i == 1 || i == 4, "image {i}");
+        }
+    }
+
+    /// The serial constructor the parallel one replaced, after its
+    /// network: one stem pass and one label pass over every image, then
+    /// each image's noise stream written into the batch layout.
+    fn serial_instance(net: &MiniSqueezeNet, n: usize, size: usize, seed: u64) -> Vec<Vec<u64>> {
+        let images = serial_synthetic_images(n, size, seed.wrapping_add(1));
+        let draws = net.noise_draws(&images[0]);
+        let mut noise = vec![0.0; draws * n];
+        for i in 0..n {
+            let stream = net.noise_stream(i as u64, draws);
+            for (z, v) in noise[i..].iter_mut().step_by(n).zip(stream) {
+                *z = v;
+            }
+        }
+        let (stems, labels) = net.stems_and_labels(&images);
+        instance_bits(&stems, &labels, &noise)
+    }
+
+    fn instance_bits(stems: &Tensor3, labels: &[usize], noise: &[f64]) -> Vec<Vec<u64>> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        vec![
+            bits(stems.as_slice()),
+            labels.iter().map(|&l| l as u64).collect(),
+            bits(noise),
+        ]
+    }
+
+    #[test]
+    fn parallel_construction_is_the_serial_one_bit_for_bit() {
+        for (n, size) in [(5, 12), (7, 9), (48, 12)] {
+            let seed = 0x59EE_3E05;
+            let serial = serial_instance(&MiniSqueezeNet::seeded_on(seed, 1), n, size, seed);
+            for threads in 1..=3 {
+                let b = SensitivityBenchmark::new_on(n, size, seed, threads);
+                let built = instance_bits(&b.stems, &b.labels, &b.noise);
+                for (what, (a, b)) in ["stems", "labels", "noise"]
+                    .iter()
+                    .zip(built.iter().zip(&serial))
+                {
+                    assert!(
+                        a == b,
+                        "{what}: {n} images of {size}x{size}, {threads} threads"
+                    );
+                }
+            }
         }
     }
 
