@@ -41,7 +41,7 @@ fn main() -> ExitCode {
         i += 1;
     }
     println!(
-        "{:<12} {:>12} {:>12} {:>12} {:>12} {:>10} {:>11} {:>11}",
+        "{:<13} {:>12} {:>12} {:>12} {:>12} {:>10} {:>11} {:>11}",
         "benchmark",
         "t_build (s)",
         "t_sim (s)",
@@ -51,10 +51,10 @@ fn main() -> ExitCode {
         "proj p=0.8",
         "proj p=0.9"
     );
-    for problem in Problem::all() {
+    for problem in Problem::extended() {
         match measure(problem, scale, reps, 4) {
             Ok(row) => println!(
-                "{:<12} {:>12.6} {:>12.6} {:>12.6} {:>12.9} {:>10.0} {:>11.2} {:>11.2}",
+                "{:<13} {:>12.6} {:>12.6} {:>12.6} {:>12.9} {:>10.0} {:>11.2} {:>11.2}",
                 problem.label(),
                 row.t_build,
                 row.t_sim,

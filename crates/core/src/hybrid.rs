@@ -204,11 +204,11 @@ impl GatePolicy {
     }
 }
 
-/// Noisy-metric support: how the nugget (measurement-error) variance `c`
-/// is obtained. When set, `c` is added to every between-site semi-variogram
-/// value, so kriging smooths replicated noisy observations instead of
-/// interpolating their noise exactly; the predicted σ² grows by ≈ `c`
-/// accordingly.
+/// Noisy-metric support: the nugget (measurement-error) variance `c`.
+/// When set, `c` is added to every between-site semi-variogram value, so
+/// kriging smooths over noisy site values instead of interpolating their
+/// noise exactly; the predicted σ² grows by ≈ `c` accordingly. `c` is
+/// fixed for the life of a session.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum NuggetPolicy {
     /// Use a fixed, caller-supplied nugget variance `c ≥ 0`.
@@ -216,11 +216,6 @@ pub enum NuggetPolicy {
         /// The nugget variance in squared metric units.
         value: f64,
     },
-    /// Estimate `c` as the pooled within-site variance of replicated
-    /// observations ingested via
-    /// [`HybridEvaluator::record_observation`]; zero until some
-    /// configuration has at least two observations.
-    Estimate,
 }
 
 /// Tunable parameters of the hybrid evaluator.
@@ -710,15 +705,6 @@ pub struct HybridEvaluator<E> {
     /// piggyback on, so the first store insertion triggers the initial
     /// validation instead of waiting out a full `check_every` window.
     approx_validated: bool,
-    /// Per-configuration replicate accumulators for nugget estimation:
-    /// `config → (count, mean, M2)` Welford state. Populated only under
-    /// [`NuggetPolicy::Estimate`].
-    replicates: std::collections::HashMap<Config, (u64, f64, f64)>,
-    /// Incrementally maintained pooled within-site squared-deviation sum
-    /// `Σᵢ M2ᵢ` over replicated configurations.
-    pooled_m2: f64,
-    /// Pooled degrees of freedom `Σᵢ (nᵢ − 1)`.
-    pooled_dof: u64,
     /// Optional metrics/trace bundle; `None` costs one branch per query.
     obs: Option<HybridObs>,
 }
@@ -773,9 +759,6 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             approx_active: false,
             approx_checked_at: 0,
             approx_validated: false,
-            replicates: std::collections::HashMap::new(),
-            pooled_m2: 0.0,
-            pooled_dof: 0,
             obs: None,
         })
     }
@@ -798,9 +781,9 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     /// commit path of [`HybridEvaluator::evaluate_batch`] over the
     /// evaluator's own grow-only buffers, so a steady-state kriged or
     /// cached query allocates nothing. A configuration kriged before at
-    /// the same session state (store, model, nugget, approximate-path
-    /// state) is answered from an exact memo without a solve, with the
-    /// same bits, counters and trace events.
+    /// the same session state (store, model, approximate-path state) is
+    /// answered from an exact memo without a solve, with the same bits,
+    /// counters and trace events.
     ///
     /// # Errors
     ///
@@ -1213,10 +1196,10 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                     };
                     // A non-zero nugget (measurement-error variance `c`)
                     // rides the between-site and target rows only (the
-                    // diagonal γ(0) stays 0), so replicated noisy
-                    // observations are smoothed instead of interpolated
-                    // exactly; the `!= 0.0` branch keeps the nugget-free
-                    // path bitwise untouched.
+                    // diagonal γ(0) stays 0), so noisy site values are
+                    // smoothed instead of interpolated exactly; the
+                    // `!= 0.0` branch keeps the nugget-free path bitwise
+                    // untouched.
                     if nugget != 0.0 {
                         g + nugget
                     } else {
@@ -1690,65 +1673,12 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         }
     }
 
-    /// Ingests one **observed** `(configuration, value)` pair directly into
-    /// the simulated store, bypassing both kriging and the duplicate cache
-    /// — the entry point for replicated observations of a noisy metric
-    /// (e.g. repeated measurements of a classification rate). Repeats of
-    /// the same configuration land as distinct distance-0 sites, and under
-    /// [`NuggetPolicy::Estimate`] they feed the pooled within-site variance
-    /// that becomes the session nugget.
-    ///
-    /// Observations are out-of-band data, not queries: they leave
-    /// [`HybridStats`] untouched (only the store and, when due, the
-    /// variogram identification advance).
-    pub fn record_observation(&mut self, config: &Config, value: f64) {
-        self.track_replicate(config, value);
-        self.store.insert(config.clone(), value);
-        self.maybe_fit_variogram();
-        self.maybe_revalidate_approx();
-    }
-
-    /// Folds one observation into the per-configuration Welford state and
-    /// the incrementally maintained pooled sums. No-op unless the session
-    /// runs under [`NuggetPolicy::Estimate`]. The delta updates keep the
-    /// pooled estimate a pure function of the observation sequence —
-    /// deterministic across worker counts.
-    fn track_replicate(&mut self, config: &Config, value: f64) {
-        if !matches!(self.settings.nugget, Some(NuggetPolicy::Estimate)) {
-            return;
-        }
-        let entry = self
-            .replicates
-            .entry(config.clone())
-            .or_insert((0, 0.0, 0.0));
-        let (n, mean, m2) = *entry;
-        if n >= 1 {
-            self.pooled_m2 -= m2;
-            self.pooled_dof -= n - 1;
-        }
-        let n1 = n + 1;
-        let delta = value - mean;
-        let mean1 = mean + delta / n1 as f64;
-        let m21 = m2 + delta * (value - mean1);
-        *entry = (n1, mean1, m21);
-        self.pooled_m2 += m21;
-        self.pooled_dof += n1 - 1;
-    }
-
-    /// The nugget variance `c` in effect for the next solve: the fixed
-    /// value, the pooled replicate estimate `Σᵢ M2ᵢ / Σᵢ (nᵢ − 1)`, or 0
-    /// when nugget handling is off (or no replicates have been seen yet).
+    /// The nugget variance `c` every solve of the session uses: the fixed
+    /// value, or 0 when nugget handling is off.
     pub fn effective_nugget(&self) -> f64 {
         match self.settings.nugget {
             None => 0.0,
             Some(NuggetPolicy::Fixed { value }) => value,
-            Some(NuggetPolicy::Estimate) => {
-                if self.pooled_dof == 0 {
-                    0.0
-                } else {
-                    self.pooled_m2 / self.pooled_dof as f64
-                }
-            }
         }
     }
 
@@ -1759,7 +1689,6 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         Some(Stamp {
             store_len: self.store.len(),
             model: model_bits(model),
-            nugget: self.effective_nugget().to_bits(),
             approx: self.approx_active,
         })
     }
@@ -1806,9 +1735,6 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     /// [`crate::hybrid_snapshot::SessionSnapshot`]).
     pub(crate) fn restore(&mut self, snapshot: crate::hybrid_snapshot::SessionSnapshot) {
         for (config, value) in snapshot.configs.into_iter().zip(snapshot.values) {
-            // Rebuild the replicate (nugget-estimation) state from the
-            // stored sites, so estimation continues seamlessly after resume.
-            self.track_replicate(&config, value);
             self.store.insert(config, value);
         }
         if snapshot.model.is_some() {
@@ -2064,27 +1990,6 @@ mod tests {
             GatePolicy::Variance { threshold: 0.5 }.label(),
             "variance(0.5)"
         );
-    }
-
-    #[test]
-    fn record_observation_feeds_nugget_estimate_without_counting_queries() {
-        let mut h = HybridEvaluator::new(
-            smooth_eval(),
-            HybridSettings {
-                nugget: Some(NuggetPolicy::Estimate),
-                ..settings(3.0)
-            },
-        );
-        // Three replicates at one site with a known spread: sample variance
-        // of {1.0, 2.0, 3.0} is 1.0.
-        h.record_observation(&vec![8, 8], 1.0);
-        h.record_observation(&vec![8, 8], 2.0);
-        h.record_observation(&vec![8, 8], 3.0);
-        // A non-replicated observation contributes no degrees of freedom.
-        h.record_observation(&vec![9, 9], 5.0);
-        assert!((h.effective_nugget() - 1.0).abs() < 1e-12);
-        assert_eq!(h.stats().queries, 0, "observations are not queries");
-        assert_eq!(h.simulated_configs().len(), 4);
     }
 
     #[test]
@@ -2832,20 +2737,6 @@ mod tests {
     }
 
     #[test]
-    fn a_recorded_observation_outdates_recall() {
-        let mut h = grid_session(HybridSettings {
-            nugget: Some(NuggetPolicy::Estimate),
-            ..settings(3.0)
-        });
-        assert_recall_follows(&mut h, &vec![10, 6], |h| {
-            // Replicates far from the probe: the pooled nugget moves.
-            h.record_observation(&vec![30, 30], 1.0);
-            h.record_observation(&vec![30, 30], 1.5);
-            assert!(h.effective_nugget() > 0.0);
-        });
-    }
-
-    #[test]
     fn an_approx_validation_flip_outdates_recall() {
         let mut h = grid_session(HybridSettings {
             approx: Some(ApproxSettings {
@@ -2950,22 +2841,23 @@ mod tests {
         enum Call {
             One(Config),
             Batch(Vec<Config>),
-            Observe(Config, f64),
+            /// A forced simulation: it grows the store outside a batch.
+            Exact(Config),
         }
 
-        /// A generated call: its kind, configurations and observation noise.
-        type Step = (u8, Vec<(i32, i32)>, f64);
+        /// A generated call: its kind and configurations.
+        type Step = (u8, Vec<(i32, i32)>);
 
         fn calls(steps: Vec<Step>) -> Vec<Call> {
             let mut out: Vec<Call> = Vec::new();
-            for (kind, points, noise) in steps {
+            for (kind, points) in steps {
                 let configs: Vec<Config> = points.iter().map(|&(a, b)| vec![a, b]).collect();
                 let call = match kind {
                     0 | 1 => Call::One(configs[0].clone()),
                     2 => Call::Batch(configs),
-                    3 => Call::Observe(configs[0].clone(), noise),
+                    3 => Call::Exact(configs[0].clone()),
                     // Ask the last query again, as designers do.
-                    _ => match out.iter().rev().find(|c| !matches!(c, Call::Observe(..))) {
+                    _ => match out.iter().rev().find(|c| !matches!(c, Call::Exact(_))) {
                         Some(previous) => previous.clone(),
                         None => Call::One(configs[0].clone()),
                     },
@@ -2988,7 +2880,6 @@ mod tests {
         fn replay(settings: &HybridSettings, calls: &[Call], forget: bool) -> Replay {
             let registry = Registry::new();
             let (mut h, ring) = ring_traced(smooth_eval(), settings.clone(), &registry);
-            let mut truth = smooth_eval();
             let mut outcomes = Vec::new();
             let mut recalled = 0;
             for call in calls {
@@ -2998,10 +2889,7 @@ mod tests {
                 match call {
                     Call::One(c) => outcomes.push(bits(&h.evaluate(c).unwrap())),
                     Call::Batch(cs) => outcomes.push(bits(&h.evaluate_batch(cs).unwrap())),
-                    Call::Observe(c, noise) => {
-                        let value = truth.evaluate(c).unwrap() + noise;
-                        h.record_observation(c, value);
-                    }
+                    Call::Exact(c) => outcomes.push(bits(&h.simulate_exact(c).unwrap())),
                 }
                 recalled += h
                     .batch
@@ -3031,16 +2919,17 @@ mod tests {
             #[test]
             fn recall_changes_no_observable(
                 steps in proptest::collection::vec(
-                    (0u8..8, proptest::collection::vec((4i32..12, 4i32..12), 1..5), -0.5f64..0.5),
+                    (0u8..8, proptest::collection::vec((4i32..12, 4i32..12), 1..5)),
                     10..90,
                 ),
                 d in 2.0f64..5.0,
-                (audit, estimate_nugget, gated) in (0u8..2, 0u8..2, 0u8..2),
+                (audit, nugget, gated) in (0u8..2, 0u8..2, 0u8..2),
+                tau2 in 0.01f64..0.5,
                 threshold in 0.05f64..20.0,
             ) {
                 let settings = HybridSettings {
                     audit: (audit == 1).then_some(AuditMetric::NoisePowerDb),
-                    nugget: (estimate_nugget == 1).then_some(NuggetPolicy::Estimate),
+                    nugget: (nugget == 1).then_some(NuggetPolicy::Fixed { value: tau2 }),
                     gate: if gated == 1 {
                         GatePolicy::Variance { threshold }
                     } else {

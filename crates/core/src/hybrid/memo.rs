@@ -1,8 +1,8 @@
 //! The exact kriged-answer memo of the hybrid evaluator.
 //!
 //! A kriged answer is a pure function of the session state it was solved
-//! in: the stored sites, the variogram model, the effective nugget and
-//! whether the approximate path screens neighbours (the settings are fixed
+//! in: the stored sites, the variogram model and whether the approximate
+//! path screens neighbours (the settings, the nugget among them, are fixed
 //! for the session's life). [`Stamp`] names that state bit for bit — the
 //! store is append-only, so its size names its content. The memo keeps the
 //! accepted answers solved at one stamp; asked at any other stamp it
@@ -32,8 +32,6 @@ pub(super) struct Stamp {
     pub(super) store_len: usize,
     /// Variogram-model parameter bits.
     pub(super) model: [u64; 4],
-    /// Effective-nugget bits.
-    pub(super) nugget: u64,
     /// Whether the validated approximate path screens neighbours.
     pub(super) approx: bool,
 }
@@ -171,7 +169,6 @@ mod tests {
         Stamp {
             store_len,
             model: [1, 2, 3, 4],
-            nugget: 0,
             approx: false,
         }
     }

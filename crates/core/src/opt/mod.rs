@@ -13,10 +13,7 @@
 //! [`crate::HybridEvaluator`] — which is exactly how the kriging speed-up
 //! and the ≈10 % decision divergence are measured.
 
-pub mod cost;
 pub mod descent;
-pub mod exhaustive;
-pub mod maxminusone;
 pub mod minplusone;
 
 use std::error::Error;

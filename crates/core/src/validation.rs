@@ -7,7 +7,7 @@
 //! configurations) and is used by the variogram ablation experiment.
 
 use crate::kriging::KrigingEstimator;
-use crate::variogram::{fit_model, EmpiricalVariogram, ModelFamily, VariogramModel};
+use crate::variogram::VariogramModel;
 use crate::{Config, CoreError, DistanceMetric};
 
 /// Aggregate leave-one-out errors.
@@ -112,39 +112,6 @@ pub fn leave_one_out(
     })
 }
 
-/// Fits every requested family (by the paper's weighted-SSE identification)
-/// and returns the one with the smallest LOO RMSE, together with its
-/// report — a stronger model selector than SSE alone.
-///
-/// # Errors
-///
-/// * [`CoreError::FitFailed`] if no family yields a fit that
-///   cross-validates.
-pub fn select_model_cv(
-    configs: &[Config],
-    values: &[f64],
-    metric: DistanceMetric,
-    families: &[ModelFamily],
-    d: Option<f64>,
-) -> Result<(VariogramModel, CvReport), CoreError> {
-    let empirical = EmpiricalVariogram::from_configs(configs, values, metric)?;
-    let mut best: Option<(VariogramModel, CvReport)> = None;
-    for &family in families {
-        let Ok(report) = fit_model(&empirical, &[family]) else {
-            continue;
-        };
-        let Ok(cv) = leave_one_out(configs, values, &report.model, metric, d) else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|(_, b)| cv.rmse < b.rmse) {
-            best = Some((report.model, cv));
-        }
-    }
-    best.ok_or_else(|| CoreError::FitFailed {
-        reason: "no family survived cross-validation".into(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,39 +151,6 @@ mod tests {
         let e_smooth = leave_one_out(&configs, &smooth, &m, DistanceMetric::L1, Some(3.0)).unwrap();
         let e_rough = leave_one_out(&configs, &rough, &m, DistanceMetric::L1, Some(3.0)).unwrap();
         assert!(e_rough.rmse > 3.0 * e_smooth.rmse);
-    }
-
-    #[test]
-    fn select_model_cv_picks_a_sane_model() {
-        let (configs, values) = grid_2d(|a, b| {
-            let p = 2f64.powi(-2 * a) + 0.5 * 2f64.powi(-2 * b);
-            -10.0 * p.log10()
-        });
-        let (model, cv) = select_model_cv(
-            &configs,
-            &values,
-            DistanceMetric::L1,
-            &ModelFamily::all(),
-            Some(4.0),
-        )
-        .unwrap();
-        assert!(cv.rmse.is_finite());
-        // Whatever family wins, it must beat the pure-nugget strawman.
-        let nugget_cv = leave_one_out(
-            &configs,
-            &values,
-            &VariogramModel::nugget(1.0),
-            DistanceMetric::L1,
-            Some(4.0),
-        )
-        .unwrap();
-        assert!(
-            cv.rmse <= nugget_cv.rmse + 1e-9,
-            "{} ({}) vs nugget {}",
-            cv.rmse,
-            model.family_name(),
-            nugget_cv.rmse
-        );
     }
 
     #[test]

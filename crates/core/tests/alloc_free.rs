@@ -166,10 +166,11 @@ fn steady_state_kriged_evaluate_allocates_nothing() {
         variogram: VariogramPolicy::Fixed(VariogramModel::linear(1.0)),
         ..HybridSettings::default()
     };
-    let mut hybrid = HybridEvaluator::new(smooth_eval(), settings);
+    let linear = FnEvaluator::new(2, |w: &Config| Ok(f64::from(6 * (w[0] + w[1]))));
+    let mut hybrid = HybridEvaluator::new(linear, settings);
     for a in 4..10 {
         for b in 4..9 {
-            hybrid.record_observation(&vec![a, b], f64::from(6 * (a + b)));
+            hybrid.simulate_exact(&vec![a, b]).unwrap();
         }
     }
     let warm: Config = vec![10, 6];

@@ -20,7 +20,7 @@ use krigeval_core::kriging::KrigingScratch;
 use krigeval_core::variogram::VariogramModel;
 use krigeval_core::{
     Config, DistanceMetric, EvalError, FnEvaluator, GatePolicy, HybridEvaluator, HybridSettings,
-    HybridStats, NuggetPolicy, Outcome,
+    HybridStats, NuggetPolicy, Outcome, VariogramPolicy,
 };
 use proptest::prelude::*;
 
@@ -170,37 +170,47 @@ fn moderate_threshold_accepts_only_low_variance_predictions() {
 }
 
 #[test]
-fn nugget_estimate_raises_variance_at_replicated_sites() {
-    // Replicated noisy observations around a smooth trend: the estimated
-    // nugget must be positive and the kriged σ² at a nearby target at
-    // least nugget-sized (kriging cannot be more certain than the noise).
-    let mut h = HybridEvaluator::new(
-        smooth_eval(),
-        HybridSettings {
-            nugget: Some(NuggetPolicy::Estimate),
-            ..HybridSettings::default()
-        },
-    );
-    let noise = [0.4, -0.4, 0.2, -0.2];
-    let mut k = 0usize;
-    for a in 6..10 {
-        for b in 6..10 {
-            let base = -10.0 * (1.5 * 2f64.powi(-2 * a) + 0.8 * 2f64.powi(-2 * b)).log10();
-            let eps = noise[k % noise.len()];
-            k += 1;
-            h.record_observation(&vec![a, b], base + eps);
-            h.record_observation(&vec![a, b], base - eps);
-        }
-    }
-    let nugget = h.effective_nugget();
-    assert!(nugget > 0.0, "replicates must produce a positive nugget");
-    let out = h.evaluate(&vec![8, 10]).unwrap();
-    if let Outcome::Kriged { variance, .. } = out {
-        assert!(
-            variance >= 0.5 * nugget,
-            "σ² {variance} implausibly small against nugget {nugget}"
+fn fixed_nugget_keeps_variance_at_the_noise_floor() {
+    // Noisy observations around a smooth trend, kriged under one fixed
+    // model with and without a nugget τ² of the noise's size. At a target
+    // off the sites the nugget adds τ²(1 + Σλ²) to the variance of any
+    // weights, so σ² must be at least nugget-sized (kriging cannot be more
+    // certain than the noise) and exceed the nugget-free σ² by τ².
+    let kriged_variance = |tau2: f64| -> f64 {
+        let noisy = FnEvaluator::new(2, |w: &Config| {
+            let base = -10.0 * (1.5 * 2f64.powi(-2 * w[0]) + 0.8 * 2f64.powi(-2 * w[1])).log10();
+            let noise = [0.4, -0.4, 0.2, -0.2];
+            Ok(base + noise[(w[0] + 2 * w[1]).rem_euclid(4) as usize])
+        });
+        let mut h = HybridEvaluator::new(
+            noisy,
+            HybridSettings {
+                variogram: VariogramPolicy::Fixed(VariogramModel::linear(1.0)),
+                nugget: Some(NuggetPolicy::Fixed { value: tau2 }),
+                ..HybridSettings::default()
+            },
         );
-    }
+        for a in 6..10 {
+            for b in 6..10 {
+                h.simulate_exact(&vec![a, b]).unwrap();
+            }
+        }
+        assert_eq!(h.effective_nugget(), tau2);
+        match h.evaluate(&vec![8, 10]).unwrap() {
+            Outcome::Kriged { variance, .. } => variance,
+            other => panic!("τ² = {tau2}: expected a kriged answer, got {other:?}"),
+        }
+    };
+    let tau2 = 0.2;
+    let (exact, smoothed) = (kriged_variance(0.0), kriged_variance(tau2));
+    assert!(
+        smoothed >= 0.5 * tau2,
+        "σ² {smoothed} implausibly small against nugget {tau2}"
+    );
+    assert!(
+        smoothed >= exact + tau2 - 1e-9,
+        "σ² {smoothed} with nugget {tau2}, {exact} without"
+    );
 }
 
 /// Shared site pool for the variance property tests.

@@ -52,9 +52,10 @@
 //! --loo-select       pick the variogram family by fast leave-one-out
 //!                    cross-validation (one factorization per family)
 //!                    instead of weighted least squares
-//! --nugget P         noisy-metric support: auto estimates the nugget
-//!                    from replicated observations, a number fixes it;
-//!                    off by default (exact interpolating system)
+//! --nugget T         noisy-metric support: a fixed nugget variance
+//!                    τ² = T ≥ 0 added to every between-site
+//!                    semi-variogram value; off by default (exact
+//!                    interpolating system)
 //! --out FILE         write JSONL to FILE instead of stdout
 //! --compress         DEFLATE-compress the artifact (journal and final
 //!                    output); requires --out ending in .z — the
@@ -98,14 +99,13 @@
 //!
 //! `campaign matrix` is the repository's Table I. It expands **all eight
 //! benchmarks** (fir, iir, fft, hevc, squeezenet, quantized_cnn, dct,
-//! lms) over the `--d` / `--nmin` grid — the classification-rate
-//! problems run with the nugget estimator active — executes the whole
-//! matrix through one shared cache, and emits one Table-I row per
+//! lms) over the `--d` / `--nmin` grid as one campaign, executes the
+//! whole matrix through one shared cache, and emits one Table-I row per
 //! `(benchmark, d, N_n,min)` cell, its `--repeats` pooled by count.
 //! It reads `--scale`, `--d`, `--nmin`, `--gate`, `--threads`, `--seed`,
 //! `--repeats`, `--no-audit`, `--name` and `--on-error`, and rejects the
-//! flags that would set what the matrix fixes per benchmark (`--spec`,
-//! `--benchmarks`, `--metric`, `--variogram`, `--nugget`, ...).
+//! flags that would set what the matrix fixes (`--spec`, `--benchmarks`,
+//! `--metric`, `--variogram`, `--nugget`, ...).
 //! Structural violations of the Table-I shape (a benchmark missing from
 //! a cell, out-of-range percentage, wrong metric routing) are reported
 //! on stderr and exit nonzero.
@@ -340,11 +340,8 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             }
             "--loo-select" => cli.spec.loo_select = Some(true),
             "--nugget" => {
-                cli.spec.nugget = Some(match value()? {
-                    "auto" => NuggetPolicy::Estimate,
-                    v => NuggetPolicy::Fixed {
-                        value: v.parse().map_err(|_| "bad --nugget")?,
-                    },
+                cli.spec.nugget = Some(NuggetPolicy::Fixed {
+                    value: value()?.parse().map_err(|_| "bad --nugget")?,
                 });
             }
             "--name" => cli.spec.name = value()?.to_string(),
@@ -874,7 +871,7 @@ fn cmd_merge(cli: &Cli) -> Result<ExitCode, String> {
 }
 
 /// Flags `matrix` would otherwise drop: the matrix fixes the benchmark
-/// list and each benchmark's kriging policy, and runs in one process.
+/// list and the kriging policy, and runs in one process.
 const NOT_FOR_MATRIX: &str = "--spec --benchmarks --lambda --metric --variogram --optimizer \
      --max-neighbors --approx --approx-epsilon --loo-select --nugget --resume --index --of";
 

@@ -3,15 +3,11 @@
 //! `N_n,min` / gate grid in one entry point.
 //!
 //! A [`MatrixSpec`] is a thin layer over [`CampaignSpec`]: it expands to
-//! **one campaign per benchmark** so per-benchmark policy can differ —
-//! the classification-rate problems (SqueezeNet, quantized CNN) run
-//! with [`NuggetPolicy::Estimate`] active, because replicated
-//! classification-rate observations are noisy in exactly the way a
-//! nugget models, while the noise-power problems keep the paper's
-//! nugget-free kriging — then splices the per-campaign runs back into
-//! one flat, sequentially indexed list for the executor. Every run
-//! fulfills through the plan/fulfill [`crate::backend::EngineBackend`]
-//! with the matrix's `threads`.
+//! one campaign over all eight benchmarks, each kriged with the paper's
+//! nugget-free system, whose runs the executor takes as one flat,
+//! sequentially indexed list. Every run fulfills through the
+//! plan/fulfill [`crate::backend::EngineBackend`] with the matrix's
+//! `threads`.
 //!
 //! [`summarize`] folds the resulting records into the paper's Table I:
 //! one [`TableRow`] per `(benchmark, d, N_n,min)` cell, its repeats
@@ -23,7 +19,7 @@
 use krigeval_core::report::TableRow;
 
 use crate::sink::RunRecord;
-use crate::spec::{CampaignSpec, GatePolicy, NuggetPolicy, OptimizerSpec, RunSpec, SpecError};
+use crate::spec::{CampaignSpec, GatePolicy, OptimizerSpec, RunSpec, SpecError};
 use crate::suite::Problem;
 
 /// The Table-I scenario matrix: all eight benchmarks crossed with a
@@ -31,7 +27,7 @@ use crate::suite::Problem;
 /// count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixSpec {
-    /// Matrix name (prefixes each per-benchmark campaign name).
+    /// Matrix name (the name of its campaign).
     pub name: String,
     /// `"fast"` or `"paper"`.
     pub scale: String,
@@ -46,7 +42,7 @@ pub struct MatrixSpec {
     /// [`crate::backend::EngineBackend`] (1 = simulate on the run's own
     /// thread).
     pub threads: usize,
-    /// Base seed shared by every campaign.
+    /// Base seed of the campaign.
     pub seed: u64,
     /// Repeats per grid cell.
     pub repeats: u32,
@@ -75,7 +71,7 @@ impl MatrixSpec {
     /// A CI-sized smoke matrix: fast scale, a single `d = 3` /
     /// `N_n,min = 2` cell, every run through the engine backend at two
     /// threads. Completes in seconds yet still touches all eight
-    /// benchmarks, both metrics and the nugget path.
+    /// benchmarks and both metrics.
     pub fn smoke() -> MatrixSpec {
         MatrixSpec {
             name: "matrix-smoke".to_string(),
@@ -95,50 +91,32 @@ impl MatrixSpec {
         Problem::extended()
     }
 
-    /// Expands to one [`CampaignSpec`] per benchmark, in
-    /// [`Problem::extended`] order. The classification-rate problems
-    /// get [`NuggetPolicy::Estimate`]; everything else inherits the
-    /// campaign default (no nugget).
-    pub fn campaigns(&self) -> Vec<CampaignSpec> {
-        MatrixSpec::problems()
-            .iter()
-            .map(|p| {
-                let noisy_metric = matches!(p, Problem::Squeezenet | Problem::QuantizedCnn);
-                CampaignSpec {
-                    name: format!("{}/{}", self.name, p.label()),
-                    benchmarks: vec![p.label().to_string()],
-                    scale: self.scale.clone(),
-                    optimizer: OptimizerSpec::Auto,
-                    distances: self.distances.clone(),
-                    min_neighbors: self.min_neighbors.clone(),
-                    seed: self.seed,
-                    repeats: self.repeats,
-                    audit: self.audit,
-                    threads: Some(self.threads),
-                    gate: self.gate,
-                    nugget: noisy_metric.then_some(NuggetPolicy::Estimate),
-                    ..CampaignSpec::default()
-                }
-            })
-            .collect()
-    }
-
-    /// Flattens every per-benchmark campaign into one sequentially
-    /// indexed run list (run index = JSONL row id across the whole
-    /// matrix).
+    /// Expands to the run list of one [`CampaignSpec`] over all eight
+    /// benchmarks, in [`Problem::extended`] order (run index = JSONL row
+    /// id across the whole matrix).
     ///
     /// # Errors
     ///
-    /// Propagates the first invalid campaign (bad scale, empty grid…).
+    /// Propagates an invalid grid (bad scale, empty grid…).
     pub fn expand(&self) -> Result<Vec<RunSpec>, SpecError> {
-        let mut runs: Vec<RunSpec> = Vec::new();
-        for campaign in self.campaigns() {
-            for mut run in campaign.expand()? {
-                run.index = runs.len() as u64;
-                runs.push(run);
-            }
+        CampaignSpec {
+            name: self.name.clone(),
+            benchmarks: MatrixSpec::problems()
+                .iter()
+                .map(|p| p.label().to_string())
+                .collect(),
+            scale: self.scale.clone(),
+            optimizer: OptimizerSpec::Auto,
+            distances: self.distances.clone(),
+            min_neighbors: self.min_neighbors.clone(),
+            seed: self.seed,
+            repeats: self.repeats,
+            audit: self.audit,
+            threads: Some(self.threads),
+            gate: self.gate,
+            ..CampaignSpec::default()
         }
-        Ok(runs)
+        .expand()
     }
 }
 
@@ -292,35 +270,33 @@ mod tests {
     use crate::sink::tests::sample_record;
 
     #[test]
-    fn matrix_expands_all_benchmarks_with_per_benchmark_nugget() {
-        let spec = MatrixSpec::smoke();
-        let campaigns = spec.campaigns();
-        assert_eq!(campaigns.len(), 8);
-        for (campaign, problem) in campaigns.iter().zip(MatrixSpec::problems()) {
-            assert_eq!(campaign.benchmarks, vec![problem.label().to_string()]);
-            assert_eq!(campaign.threads, Some(2));
-            let noisy = matches!(problem, Problem::Squeezenet | Problem::QuantizedCnn);
-            assert_eq!(
-                campaign.nugget,
-                noisy.then_some(NuggetPolicy::Estimate),
-                "{}: nugget policy",
-                problem.label()
-            );
-        }
-        let runs = spec.expand().unwrap();
+    fn matrix_expands_all_benchmarks_as_one_campaign() {
+        let runs = MatrixSpec::smoke().expand().unwrap();
         assert_eq!(runs.len(), 8);
-        for (i, run) in runs.iter().enumerate() {
-            assert_eq!(run.index, i as u64, "sequential reindexing");
+        for ((i, run), problem) in runs.iter().enumerate().zip(MatrixSpec::problems()) {
+            assert_eq!(run.problem, problem, "row order");
+            assert_eq!(run.index, i as u64, "sequential indexing");
             assert_eq!(run.threads, 2, "engine backend threads");
+            assert_eq!(run.nugget, None, "{}: nugget-free", problem.label());
         }
-        // The nugget policy survives expansion into the run specs.
-        let squeezenet = runs
-            .iter()
-            .find(|r| r.problem == Problem::Squeezenet)
-            .unwrap();
-        assert_eq!(squeezenet.nugget, Some(NuggetPolicy::Estimate));
-        let fir = runs.iter().find(|r| r.problem == Problem::Fir).unwrap();
-        assert_eq!(fir.nugget, None);
+        // A wider grid stays benchmark-major: each benchmark's repeats,
+        // distances and N_n,min values run before the next benchmark's.
+        let grid = MatrixSpec {
+            distances: vec![2.0, 3.0],
+            min_neighbors: vec![2, 3],
+            repeats: 2,
+            ..MatrixSpec::smoke()
+        };
+        let runs = grid.expand().unwrap();
+        assert_eq!(runs.len(), 8 * 8);
+        for (i, run) in runs.iter().enumerate() {
+            let cell = i % 8;
+            assert_eq!(run.index, i as u64);
+            assert_eq!(run.problem, MatrixSpec::problems()[i / 8]);
+            assert_eq!(run.repeat, (cell / 4) as u32);
+            assert_eq!(run.distance, [2.0, 3.0][cell / 2 % 2]);
+            assert_eq!(run.min_neighbors, [2, 3][cell % 2]);
+        }
     }
 
     #[test]

@@ -717,13 +717,25 @@ mod tests {
         let good = CampaignSpec {
             gate: Some(GatePolicy::Variance { threshold: 2.5 }),
             loo_select: Some(true),
-            nugget: Some(NuggetPolicy::Estimate),
+            nugget: Some(NuggetPolicy::Fixed { value: 0.25 }),
             ..CampaignSpec::default()
         };
         let run = &good.expand().unwrap()[0];
         assert_eq!(run.gate, GatePolicy::Variance { threshold: 2.5 });
         assert_eq!(run.selection, ModelSelection::LeaveOneOut);
-        assert_eq!(run.nugget, Some(NuggetPolicy::Estimate));
+        assert_eq!(run.nugget, Some(NuggetPolicy::Fixed { value: 0.25 }));
+        // A spec file names a fixed nugget only; any other spelling is a
+        // parse error.
+        for bad in ["\"Estimate\"", "\"auto\""] {
+            let json = CampaignSpec::default()
+                .to_json()
+                .replace("\"nugget\": null", &format!("\"nugget\": {bad}"));
+            let message = CampaignSpec::from_json(&json).unwrap_err().to_string();
+            assert!(
+                message.contains("unknown variant"),
+                "nugget {bad}: {message}"
+            );
+        }
     }
 
     #[test]

@@ -8,18 +8,19 @@
 //! is a pure function of its configuration, the full
 //! [`OptimizationResult`] (solution, λ, iteration count, every trace
 //! entry) and the session's [`HybridStats`] must match the inline run for
-//! any worker count — this suite pins that for all four optimizers on the
-//! FIR and IIR kernels at 1, 2, 4 and 8 workers.
+//! any worker count — this suite pins that for the optimizers a campaign
+//! runs (min+1, min+1 with tie-breaking by simulation, steepest-descent
+//! budgeting) on the FIR and IIR kernels at 1, 2, 4 and 8 workers.
+//! Tie-breaking is the one optimizer whose exact simulations
+//! (`query_exact` → `simulate_exact` → `fulfill_one`) also reach the pool.
 
 use std::sync::Arc;
 
 use krigeval_core::hybrid::HybridObs;
-use krigeval_core::opt::cost::CostModel;
 use krigeval_core::opt::descent::{budget_error_sources, DescentOptions};
-use krigeval_core::opt::exhaustive::{optimize_exhaustive, ExhaustiveOptions};
-use krigeval_core::opt::maxminusone::{optimize_descending, MaxMinusOneOptions};
-use krigeval_core::opt::minplusone::optimize;
+use krigeval_core::opt::minplusone::{optimize, optimize_with_tie_break};
 use krigeval_core::opt::{DseEvaluator, OptError, OptimizationResult};
+use krigeval_core::trace::Source;
 use krigeval_core::{
     AccuracyEvaluator, Config, EvalBackend, EvalError, HybridEvaluator, HybridSettings, HybridStats,
 };
@@ -32,9 +33,9 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Optimizer {
     MinPlusOne,
-    MaxMinusOne,
+    /// `campaign --optimizer tiebreak:0.5`.
+    TieBreak,
     Descent,
-    Exhaustive,
 }
 
 /// Maps the descent optimizer's monotone-increasing levels onto the
@@ -75,32 +76,6 @@ fn fresh_evaluator(optimizer: Optimizer, problem: Problem) -> Box<dyn AccuracyEv
     }
 }
 
-/// Small cubes keep full enumeration fast: FIR 6..=10 over 2 variables
-/// (25 configs), IIR 8..=9 over 5 variables (32 configs). The constraint
-/// sits midway between the cube's corner accuracies, so roughly half the
-/// cube is feasible — comfortably away from both the infeasible edge and
-/// kriging's smoothing of the extreme corners.
-fn exhaustive_options(problem: Problem) -> ExhaustiveOptions {
-    let (w_floor, w_max) = match problem {
-        Problem::Fir => (6, 10),
-        _ => (8, 9),
-    };
-    let mut probe = build_seeded(problem, Scale::Fast, 0).evaluator;
-    let nv = AccuracyEvaluator::num_variables(&probe);
-    let bottom = probe
-        .evaluate(&vec![w_floor; nv])
-        .expect("probe simulation succeeds");
-    let top = probe
-        .evaluate(&vec![w_max; nv])
-        .expect("probe simulation succeeds");
-    ExhaustiveOptions {
-        lambda_min: (bottom + top) / 2.0,
-        w_floor,
-        w_max,
-        max_configs: 10_000,
-    }
-}
-
 fn drive(
     optimizer: Optimizer,
     problem: Problem,
@@ -111,15 +86,7 @@ fn drive(
         .expect("FIR/IIR are word-length problems");
     match optimizer {
         Optimizer::MinPlusOne => optimize(evaluator, &options),
-        Optimizer::MaxMinusOne => optimize_descending(
-            evaluator,
-            &MaxMinusOneOptions {
-                lambda_min: options.lambda_min,
-                w_floor: options.w_floor,
-                w_max: options.w_max,
-                max_iterations: options.max_iterations,
-            },
-        ),
+        Optimizer::TieBreak => optimize_with_tie_break(evaluator, &options, 0.5),
         Optimizer::Descent => budget_error_sources(
             evaluator,
             &DescentOptions {
@@ -129,31 +96,57 @@ fn drive(
                 max_iterations: options.max_iterations,
             },
         ),
-        Optimizer::Exhaustive => {
-            let nv = evaluator.num_variables();
-            optimize_exhaustive(
-                evaluator,
-                &exhaustive_options(problem),
-                &CostModel::unit(nv),
-            )
-        }
     }
 }
 
+/// The hybrid evaluator, counting the exact simulations asked of it.
+struct CountExact<E: EvalBackend> {
+    hybrid: HybridEvaluator<E>,
+    exact: u64,
+}
+
+impl<E: EvalBackend> DseEvaluator for CountExact<E> {
+    fn query(&mut self, config: &Config) -> Result<(f64, Source), EvalError> {
+        self.hybrid.query(config)
+    }
+
+    fn query_exact(&mut self, config: &Config) -> Result<f64, EvalError> {
+        self.exact += 1;
+        self.hybrid.query_exact(config)
+    }
+
+    fn query_batch(&mut self, configs: &[Config]) -> Result<Vec<(f64, Source)>, EvalError> {
+        self.hybrid.query_batch(configs)
+    }
+
+    fn num_variables(&self) -> usize {
+        DseEvaluator::num_variables(&self.hybrid)
+    }
+
+    fn observe_iteration(&mut self, phase: &'static str, iteration: u64) {
+        self.hybrid.observe_iteration(phase, iteration);
+    }
+}
+
+/// One session's result, statistics and exact-simulation count.
 fn run_one(
     optimizer: Optimizer,
     problem: Problem,
     backend: impl EvalBackend,
-) -> (OptimizationResult, HybridStats) {
-    let mut hybrid = HybridEvaluator::new(backend, HybridSettings::default());
-    let result = drive(optimizer, problem, &mut hybrid).expect("optimization succeeds");
-    let stats = hybrid.stats().clone();
-    (result, stats)
+) -> (OptimizationResult, HybridStats, u64) {
+    let mut counted = CountExact {
+        hybrid: HybridEvaluator::new(backend, HybridSettings::default()),
+        exact: 0,
+    };
+    let result = drive(optimizer, problem, &mut counted).expect("optimization succeeds");
+    (result, counted.hybrid.stats().clone(), counted.exact)
 }
 
 fn assert_parity(optimizer: Optimizer) {
+    let mut exact = 0;
     for problem in [Problem::Fir, Problem::Iir] {
         let inline = run_one(optimizer, problem, fresh_evaluator(optimizer, problem));
+        exact += inline.2;
         for workers in WORKER_COUNTS {
             let backend = EngineBackend::new(
                 || fresh_evaluator(optimizer, problem),
@@ -168,6 +161,11 @@ fn assert_parity(optimizer: Optimizer) {
             );
         }
     }
+    assert_eq!(
+        exact > 0,
+        optimizer == Optimizer::TieBreak,
+        "{optimizer:?}: {exact} exact simulations"
+    );
 }
 
 #[test]
@@ -176,18 +174,13 @@ fn minplusone_engine_backend_matches_inline() {
 }
 
 #[test]
-fn maxminusone_engine_backend_matches_inline() {
-    assert_parity(Optimizer::MaxMinusOne);
+fn tie_break_engine_backend_matches_inline() {
+    assert_parity(Optimizer::TieBreak);
 }
 
 #[test]
 fn descent_engine_backend_matches_inline() {
     assert_parity(Optimizer::Descent);
-}
-
-#[test]
-fn exhaustive_engine_backend_matches_inline() {
-    assert_parity(Optimizer::Exhaustive);
 }
 
 /// Runs one session with a hybrid metric bundle over a fresh registry

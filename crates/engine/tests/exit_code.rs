@@ -197,7 +197,7 @@ fn matrix_rejects_the_flags_it_would_drop() {
         vec!["--approx", "4"],
         vec!["--approx-epsilon", "0.1"],
         vec!["--loo-select"],
-        vec!["--nugget", "auto"],
+        vec!["--nugget", "0.25"],
         vec!["--resume"],
         vec!["--index", "0"],
         vec!["--of", "2"],

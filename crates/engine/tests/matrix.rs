@@ -6,7 +6,6 @@
 use krigeval_core::report::Table;
 use krigeval_engine::executor::{run_specs_opts, ExecOptions, Progress};
 use krigeval_engine::matrix::{check_table_shape, summarize, MatrixSpec};
-use krigeval_engine::spec::NuggetPolicy;
 use krigeval_engine::suite::Problem;
 
 #[test]
@@ -18,18 +17,8 @@ fn smoke_matrix_completes_all_eight_benchmarks_through_the_engine_backend() {
         runs.iter().all(|r| r.threads == 2),
         "every matrix run routes through the engine backend"
     );
-    // The classification-rate problems run with the nugget estimator
-    // active; the noise-power problems keep the paper's nugget-free
-    // kriging.
-    for run in &runs {
-        let noisy = matches!(run.problem, Problem::Squeezenet | Problem::QuantizedCnn);
-        assert_eq!(
-            run.nugget,
-            noisy.then_some(NuggetPolicy::Estimate),
-            "{}: nugget policy",
-            run.problem.label()
-        );
-    }
+    // Every benchmark kriges with the paper's nugget-free system.
+    assert!(runs.iter().all(|r| r.nugget.is_none()));
 
     let outcome = run_specs_opts(
         runs,

@@ -24,13 +24,6 @@ pub enum FixedPointError {
         /// Requested fractional bits.
         fractional_bits: i32,
     },
-    /// A word-length vector entry is outside the supported range.
-    InvalidWordLength {
-        /// Index of the offending variable.
-        index: usize,
-        /// The rejected word-length value.
-        word_length: i64,
-    },
 }
 
 impl fmt::Display for FixedPointError {
@@ -43,9 +36,6 @@ impl fmt::Display for FixedPointError {
                 f,
                 "invalid q-format: {integer_bits} integer bits, {fractional_bits} fractional bits"
             ),
-            FixedPointError::InvalidWordLength { index, word_length } => {
-                write!(f, "invalid word-length {word_length} for variable {index}")
-            }
         }
     }
 }
@@ -64,11 +54,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.starts_with("invalid"));
-        let e2 = FixedPointError::InvalidWordLength {
-            index: 3,
-            word_length: 0,
-        };
-        assert!(e2.to_string().contains("variable 3"));
     }
 
     #[test]

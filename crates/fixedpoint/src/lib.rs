@@ -49,7 +49,6 @@ mod interval;
 pub mod metrics;
 mod noise;
 mod quantizer;
-mod value;
 
 pub use checkpoint::{Checkpoint, CheckpointStore, ResumeStats};
 pub use error::FixedPointError;
@@ -57,4 +56,3 @@ pub use format::QFormat;
 pub use interval::{fir_output_range, Interval};
 pub use noise::{NoiseMeter, NoisePower};
 pub use quantizer::{OverflowMode, Quantizer, RoundingMode};
-pub use value::Fixed;

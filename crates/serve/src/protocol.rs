@@ -76,8 +76,8 @@ pub struct HelloParams {
     /// Variogram-family selection: `"sse"` (default, weighted least
     /// squares) or `"loo"` (fast leave-one-out cross-validation).
     pub selection: Option<String>,
-    /// Fixed nugget variance for noisy metrics; `"auto"` estimates it
-    /// from replicated observations. Default: exact interpolation.
+    /// Fixed nugget variance `τ² ≥ 0` for noisy metrics, as a number.
+    /// Default: exact interpolation.
     pub nugget: Option<String>,
 }
 

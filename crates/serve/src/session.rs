@@ -362,7 +362,6 @@ impl Session {
         };
         let nugget = match params.nugget.as_deref() {
             None => None,
-            Some("auto") => Some(NuggetPolicy::Estimate),
             Some(v) => Some(NuggetPolicy::Fixed {
                 value: v
                     .parse()
@@ -601,7 +600,6 @@ mod tests {
         let mut params = hello("fir");
         params.gate = Some("variance:0.75".to_string());
         params.selection = Some("loo".to_string());
-        params.nugget = Some("auto".to_string());
         let s = Session::open(1, &params, &pool).unwrap();
         assert_eq!(s.benchmark(), "fir64");
         let mut params = hello("fir");
@@ -615,6 +613,7 @@ mod tests {
             (None, Some("aic"), None),
             (None, None, Some("-0.5")),
             (None, None, Some("soup")),
+            (None, None, Some("auto")),
         ] {
             let mut params = hello("fir");
             params.gate = gate.map(str::to_string);

@@ -67,7 +67,7 @@ fn hello_from(
         },
         nugget: match seed % 5 {
             0 | 1 => None,
-            2 => Some("auto".to_string()),
+            2 => Some("1e-3".to_string()),
             _ => Some(format!("{}", f64::from(variogram_pick) * 0.25)),
         },
     }

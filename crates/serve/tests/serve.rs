@@ -405,9 +405,7 @@ fn snapshot_rides_the_wire() {
 fn every_matrix_benchmark_opens_a_session_and_evaluates_over_the_wire() {
     // The full Table-I matrix vocabulary, each with its Nv: a hello for
     // every benchmark must succeed over the wire, report the right
-    // dimension, and evaluate a mid-range configuration. The
-    // classification-rate problems additionally open with the nugget
-    // estimator active, mirroring the campaign matrix policy.
+    // dimension, and evaluate a mid-range configuration.
     let server = start(|c| {
         c.threads = 2;
         c.max_sessions = 16;
@@ -425,10 +423,8 @@ fn every_matrix_benchmark_opens_a_session_and_evaluates_over_the_wire() {
     ];
     for (benchmark, expected_nv) in benchmarks {
         let mut client = Client::connect(addr);
-        let noisy = matches!(benchmark, "squeezenet" | "quantized_cnn");
         let frame = client.roundtrip(&Request::Hello(HelloParams {
             benchmark: benchmark.to_string(),
-            nugget: noisy.then(|| "auto".to_string()),
             ..HelloParams::default()
         }));
         let nv = match frame {

@@ -68,9 +68,7 @@ pub mod prelude {
         AuditMetric, HybridEvaluator, HybridSettings, VariogramPolicy,
     };
     pub use krigeval_core::kriging::KrigingEstimator;
-    pub use krigeval_core::opt::cost::CostModel;
     pub use krigeval_core::opt::descent::{budget_error_sources, DescentOptions};
-    pub use krigeval_core::opt::maxminusone::{optimize_descending, MaxMinusOneOptions};
     pub use krigeval_core::opt::minplusone::{
         optimize, optimize_with_tie_break, MinPlusOneOptions,
     };

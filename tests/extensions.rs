@@ -1,12 +1,10 @@
 //! Integration tests for the reproduction's extension features: the
-//! quantized-CNN word-length benchmark, the max−1 optimizer, surface
-//! reconstruction by kriging and the DCT kernel.
+//! quantized-CNN word-length benchmark, surface reconstruction by kriging
+//! and the DCT kernel.
 
 use krigeval::core::hybrid::{HybridEvaluator, HybridSettings};
 use krigeval::core::kriging::KrigingEstimator;
-use krigeval::core::opt::maxminusone::{optimize_descending, MaxMinusOneOptions};
 use krigeval::core::opt::minplusone::{optimize, MinPlusOneOptions};
-use krigeval::core::opt::SimulateAll;
 use krigeval::core::{AccuracyEvaluator, DistanceMetric, EvalError, FnEvaluator, VariogramModel};
 use krigeval::kernels::dct::DctBenchmark;
 use krigeval::kernels::WordLengthBenchmark;
@@ -26,25 +24,6 @@ fn dct_wordlength_optimization_end_to_end() {
     let result = optimize(&mut hybrid, &opts).expect("feasible");
     assert!(result.lambda >= 45.0);
     assert_eq!(result.solution.len(), 4);
-}
-
-#[test]
-fn min_plus_one_and_max_minus_one_agree_on_the_dct() {
-    let mut up = SimulateAll(dct_evaluator());
-    let up_result = optimize(&mut up, &MinPlusOneOptions::new(45.0)).expect("feasible");
-    let mut down = SimulateAll(dct_evaluator());
-    let down_result =
-        optimize_descending(&mut down, &MaxMinusOneOptions::new(45.0)).expect("feasible");
-    assert!(up_result.lambda >= 45.0 && down_result.lambda >= 45.0);
-    // Both greedy directions land on comparable total cost.
-    let cost_up: i32 = up_result.solution.iter().sum();
-    let cost_down: i32 = down_result.solution.iter().sum();
-    assert!(
-        (cost_up - cost_down).abs() <= 4,
-        "up {:?} vs down {:?}",
-        up_result.solution,
-        down_result.solution
-    );
 }
 
 #[test]
