@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use krigeval_bench::steady::{steady_session, SolveProbes};
 use krigeval_bench::suite::{build_seeded, Problem};
@@ -481,6 +481,21 @@ fn minplusone_iir8_ms(workers: Option<usize>) -> f64 {
 /// the serve path.
 const SERVER_RTT_BUDGET_US: f64 = 5_000.0;
 
+/// Ceiling of `server_roundtrip.first_frame_ms`. The accept thread
+/// blocks in `accept`, so the first `ping` is answered in well under a
+/// millisecond; an accept loop that polls adds up to its poll interval
+/// (25 ms before the blocking acceptor).
+const FIRST_FRAME_BUDGET_MS: f64 = 10.0;
+
+/// Fresh servers [`first_frame_ms`] starts; it reports their median.
+const FIRST_FRAME_SERVERS: usize = 9;
+
+/// How long [`first_frame_ms`] leaves a fresh server idle before it
+/// connects: long enough for the accept thread to reach its wait. A
+/// connect made at once can beat the thread's first `accept` call, and
+/// so pass a polling acceptor without a poll.
+const FIRST_FRAME_IDLE_MS: u64 = 2;
+
 /// Ceiling of `checkpoint_insert_full_ratio`.
 const CHECKPOINT_INSERT_RATIO_BUDGET: f64 = 3.0;
 
@@ -564,6 +579,36 @@ fn server_roundtrip_us() -> f64 {
     drop(writer);
     server.join().expect("drain server");
     rtt
+}
+
+/// Milliseconds from `connect` to the `pong` answering a `ping` on a
+/// server's first connection, made [`FIRST_FRAME_IDLE_MS`] after
+/// `Server::start`: the median over [`FIRST_FRAME_SERVERS`] fresh
+/// servers. The drain after each is not timed.
+fn first_frame_ms() -> f64 {
+    let mut samples: Vec<f64> = (0..FIRST_FRAME_SERVERS)
+        .map(|_| {
+            let server = Server::start(ServerConfig::default()).expect("start server");
+            std::thread::sleep(Duration::from_millis(FIRST_FRAME_IDLE_MS));
+            let started = Instant::now();
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream.set_nodelay(true).expect("nodelay");
+            let mut frame = Request::Ping.to_line();
+            frame.push('\n');
+            stream.write_all(frame.as_bytes()).expect("send ping");
+            let mut reply = String::new();
+            BufReader::new(&stream)
+                .read_line(&mut reply)
+                .expect("recv pong");
+            let ms = started.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(Response::from_line(reply.trim()), Ok(Response::Pong));
+            drop(stream);
+            server.join().expect("drain server");
+            ms
+        })
+        .collect();
+    samples.sort_unstable_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Wall time of the process-sharding round trip on a fast chaos
@@ -929,6 +974,8 @@ fn main() {
     eprintln!("  min+1 iir8 engine @4      {mp_engine4:>10.3} ms");
     let server_rtt = server_roundtrip_us();
     eprintln!("  serve kriged RTT          {server_rtt:>10.3} us");
+    let first_frame = first_frame_ms();
+    eprintln!("  serve first frame         {first_frame:>10.3} ms");
     let (shard_ms, merge_ms) = shard_merge_wall_ms();
     eprintln!("  3-shard chaos campaign    {shard_ms:>10.3} ms");
     eprintln!("  shard merge               {merge_ms:>10.3} ms");
@@ -1045,6 +1092,8 @@ fn main() {
             obj(vec![
                 ("kriged_rtt_us", num(server_rtt)),
                 ("budget_us", num(SERVER_RTT_BUDGET_US)),
+                ("first_frame_ms", num(first_frame)),
+                ("first_frame_budget_ms", num(FIRST_FRAME_BUDGET_MS)),
             ]),
         ),
         (
@@ -1150,6 +1199,14 @@ fn main() {
         eprintln!(
             "perfsmoke: FAIL serve kriged round trip is {server_rtt:.3} us \
              (budget {SERVER_RTT_BUDGET_US:.3} us)"
+        );
+        std::process::exit(1);
+    }
+    // A fresh server answers its first frame without waiting out a poll.
+    if first_frame > FIRST_FRAME_BUDGET_MS {
+        eprintln!(
+            "perfsmoke: FAIL serve first frame is {first_frame:.3} ms after connect \
+             (budget {FIRST_FRAME_BUDGET_MS:.3} ms)"
         );
         std::process::exit(1);
     }

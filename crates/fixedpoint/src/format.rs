@@ -127,28 +127,6 @@ impl QFormat {
     pub fn min_value(&self) -> f64 {
         -pow2(self.integer_bits)
     }
-
-    /// `true` if `x` is exactly representable in this format.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use krigeval_fixedpoint::QFormat;
-    /// # fn main() -> Result<(), krigeval_fixedpoint::FixedPointError> {
-    /// let q = QFormat::new(0, 2)?;
-    /// assert!(q.represents(0.25));
-    /// assert!(!q.represents(0.3));
-    /// assert!(!q.represents(1.0)); // 1.0 is out of range for Q0.2
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn represents(&self, x: f64) -> bool {
-        if !(self.min_value()..=self.max_value()).contains(&x) {
-            return false;
-        }
-        let k = x / self.step();
-        k == k.round()
-    }
 }
 
 /// `2^e`, bitwise equal to `2f64.powi(e)`: in the normal range the power
@@ -202,8 +180,6 @@ mod tests {
     fn negative_fractional_bits_allowed() {
         let q = QFormat::new(10, -2).unwrap();
         assert_eq!(q.step(), 4.0);
-        assert!(q.represents(8.0));
-        assert!(!q.represents(2.0));
     }
 
     #[test]
@@ -224,16 +200,6 @@ mod tests {
         assert_eq!(q.step(), 1.0);
         assert_eq!(q.min_value(), -1.0);
         assert_eq!(q.max_value(), 0.0);
-    }
-
-    #[test]
-    fn represents_checks_grid_and_range() {
-        let q = QFormat::new(1, 3).unwrap();
-        assert!(q.represents(0.125));
-        assert!(q.represents(-2.0));
-        assert!(q.represents(1.875));
-        assert!(!q.represents(2.0));
-        assert!(!q.represents(0.1));
     }
 
     #[test]

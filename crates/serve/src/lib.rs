@@ -47,4 +47,4 @@ pub mod session;
 
 pub use protocol::{HelloParams, OutcomeFrame, Request, Response, StatsFrame, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ServerReport, ShutdownHandle};
-pub use session::{BackendPool, Session, SessionError, SharedBackend};
+pub use session::{BackendPool, Optimizer, Session, SessionError, SharedBackend};

@@ -16,18 +16,29 @@
 //!
 //! # Drain
 //!
-//! A `shutdown` frame (or [`Server::shutdown`], which the CLI wires to
-//! `SIGINT`) flips the drain flag: the accept loop stops admitting
-//! connections, requests already executing run to completion and their
-//! responses are written, and every frame that arrives afterwards is
-//! answered with a typed `shutting_down` error during a short grace
-//! window before the sockets close. [`Server::join`] then flushes the
-//! metrics snapshot (when configured) and returns a final report.
+//! Both listeners stay in blocking mode: each accept thread sleeps in
+//! `accept` until a connection arrives, so a connection is served as soon
+//! as it is made. A `shutdown` frame, [`Server::shutdown`] or
+//! [`ShutdownHandle::shutdown`] (the CLI's `SIGINT` reaches it through
+//! [`Server::join`]) sets the drain flag, then wakes the accept thread
+//! with one loopback connection to the bound address (the loopback
+//! address of the same family when bound to `0.0.0.0` or `::`). The
+//! woken thread reads the flag and closes the listener, so a connection
+//! that arrives afterwards is dropped or refused. Requests already
+//! executing run to completion and their responses are written, and
+//! every frame that arrives on an open connection afterwards is answered
+//! with a typed `shutting_down` error during a short grace window before
+//! the socket closes. [`Server::join`] repeats the wake until the accept
+//! thread has exited (one wake can be lost to a full backlog or a refused
+//! connect), waits for every connection, stops the metrics side-port the
+//! same way, then flushes the metrics snapshot (when configured) and
+//! returns a final report.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -44,9 +55,14 @@ pub const DEFAULT_DRAIN_GRACE_MS: u64 = 500;
 /// Suggested client backoff carried in `overloaded` frames.
 const RETRY_MS: u64 = 25;
 
-/// Poll interval of the nonblocking accept loops and idle connection
-/// reads; bounds how quickly every thread observes the drain flag.
+/// Read timeout of a connection and back-off after an `accept` error. A
+/// read returns as soon as bytes arrive, so the timeout adds no latency
+/// to a frame: it only bounds how soon an idle connection sees the drain.
 const POLL_MS: u64 = 25;
+
+/// How long a wake's connect may wait, and how long [`Server::join`]
+/// waits for a woken accept thread to exit before waking it again.
+const WAKE_MS: u64 = 100;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -151,6 +167,9 @@ impl ServeObs {
 
 struct Shared {
     config: ServerConfig,
+    /// The evaluation listener's address, which the drain connects to so
+    /// that its accept thread returns; `None` where no listener runs.
+    listening: Option<SocketAddr>,
     drain: AtomicBool,
     halt_metrics: AtomicBool,
     inflight: AtomicUsize,
@@ -168,6 +187,7 @@ impl Shared {
         let obs = ServeObs::new(&registry);
         Shared {
             config,
+            listening: None,
             drain: AtomicBool::new(false),
             halt_metrics: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
@@ -181,6 +201,15 @@ impl Shared {
 
     fn draining(&self) -> bool {
         self.drain.load(Ordering::Acquire)
+    }
+
+    /// Begins the graceful drain (idempotent): sets the flag, then wakes
+    /// the evaluation port's accept thread so that it reads the flag.
+    fn begin_drain(&self) {
+        self.drain.store(true, Ordering::Release);
+        if let Some(addr) = self.listening {
+            wake(addr);
+        }
     }
 
     /// Bounded admission for work requests: `Ok(permit)` holds one of the
@@ -241,7 +270,7 @@ pub struct ShutdownHandle {
 impl ShutdownHandle {
     /// Begins the graceful drain (idempotent).
     pub fn shutdown(&self) {
-        self.shared.drain.store(true, Ordering::Release);
+        self.shared.begin_drain();
     }
 
     /// Whether the drain has begun.
@@ -252,11 +281,9 @@ impl ShutdownHandle {
 
 /// A running `krigeval serve` instance.
 pub struct Server {
-    addr: SocketAddr,
-    metrics_addr: Option<SocketAddr>,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    metrics_thread: Option<JoinHandle<()>>,
+    accept: Acceptor<Vec<JoinHandle<()>>>,
+    metrics: Option<Acceptor<()>>,
 }
 
 impl Server {
@@ -267,18 +294,12 @@ impl Server {
     /// Returns the bind/configuration I/O error.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let metrics_listener = match &config.metrics_addr {
             Some(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Some(l)
+                let listener = TcpListener::bind(addr)?;
+                Some((listener.local_addr()?, listener))
             }
-            None => None,
-        };
-        let metrics_addr = match &metrics_listener {
-            Some(l) => Some(l.local_addr()?),
             None => None,
         };
         let tracer = match &config.trace_out {
@@ -288,33 +309,34 @@ impl Server {
             }
             None => Tracer::disabled(),
         };
-        let shared = Arc::new(Shared::new(config, tracer));
+        let shared = Arc::new(Shared {
+            listening: Some(addr),
+            ..Shared::new(config, tracer)
+        });
         let accept = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&shared, &listener))
+            Acceptor::spawn(addr, move || accept_loop(&shared, listener))
         };
-        let metrics_thread = metrics_listener.map(|listener| {
+        let metrics = metrics_listener.map(|(addr, listener)| {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || metrics_loop(&shared, &listener))
+            Acceptor::spawn(addr, move || metrics_loop(&shared, listener))
         });
         Ok(Server {
-            addr,
-            metrics_addr,
             shared,
-            accept: Some(accept),
-            metrics_thread,
+            accept,
+            metrics,
         })
     }
 
     /// The bound evaluation address (with the OS-assigned port when the
     /// config asked for port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr
     }
 
     /// The bound metrics address, when the side-port is enabled.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics_addr
+        self.metrics.as_ref().map(|metrics| metrics.addr)
     }
 
     /// The server's metric registry (shared with every backend and
@@ -332,7 +354,7 @@ impl Server {
 
     /// Begins the graceful drain (idempotent).
     pub fn shutdown(&self) {
-        self.shared.drain.store(true, Ordering::Release);
+        self.shared.begin_drain();
     }
 
     /// Whether the drain has begun (via frame, handle, or signal).
@@ -347,17 +369,24 @@ impl Server {
     /// # Errors
     ///
     /// Returns the I/O error of the final metrics-snapshot write.
-    pub fn join(mut self) -> std::io::Result<ServerReport> {
-        self.shutdown();
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+    pub fn join(self) -> std::io::Result<ServerReport> {
+        let Server {
+            shared,
+            accept,
+            metrics,
+        } = self;
+        for connection in accept.stop(|| shared.begin_drain()).unwrap_or_default() {
+            let _ = connection.join();
         }
-        self.shared.halt_metrics.store(true, Ordering::Release);
-        if let Some(handle) = self.metrics_thread.take() {
-            let _ = handle.join();
+        if let Some(metrics) = metrics {
+            let addr = metrics.addr;
+            let _ = metrics.stop(|| {
+                shared.halt_metrics.store(true, Ordering::Release);
+                wake(addr);
+            });
         }
-        let snapshot = self.shared.registry.snapshot();
-        if let Some(path) = &self.shared.config.metrics_out {
+        let snapshot = shared.registry.snapshot();
+        if let Some(path) = &shared.config.metrics_out {
             let inner = path.strip_suffix(".z").unwrap_or(path);
             let mut text = if inner.ends_with(".prom") {
                 snapshot.to_prometheus()
@@ -389,39 +418,86 @@ impl Server {
     }
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+/// A thread blocked in `accept` on the listener bound at `addr`.
+struct Acceptor<T> {
+    addr: SocketAddr,
+    thread: JoinHandle<T>,
+    /// Disconnects when the thread's body returns or unwinds.
+    running: Receiver<()>,
+}
+
+impl<T: Send + 'static> Acceptor<T> {
+    /// Runs `serve`, which accepts on the listener bound at `addr`, in a
+    /// new thread.
+    fn spawn(addr: SocketAddr, serve: impl FnOnce() -> T + Send + 'static) -> Acceptor<T> {
+        let (alive, running) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let _alive: Sender<()> = alive;
+            serve()
+        });
+        Acceptor {
+            addr,
+            thread,
+            running,
+        }
+    }
+
+    /// Calls `wake` until the thread has exited, then joins it. A wake can
+    /// be lost to a full backlog or a refused connect, so it repeats every
+    /// [`WAKE_MS`].
+    fn stop(self, wake: impl Fn()) -> std::thread::Result<T> {
+        loop {
+            wake();
+            let waited = self.running.recv_timeout(Duration::from_millis(WAKE_MS));
+            if waited == Err(RecvTimeoutError::Disconnected) {
+                return self.thread.join();
+            }
+        }
+    }
+}
+
+/// Where a wake connects for a listener bound at `addr`: the address
+/// itself, or the loopback address of its family when it is unspecified
+/// (`0.0.0.0`, `::`).
+fn wake_target(addr: SocketAddr) -> SocketAddr {
+    let mut target = addr;
+    if addr.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    target
+}
+
+/// One connection to the listener bound at `addr`, so that the thread
+/// blocked in its `accept` returns and reads its stop flag.
+fn wake(addr: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&wake_target(addr), Duration::from_millis(WAKE_MS));
+}
+
+/// Serves the evaluation port until the drain: one thread per accepted
+/// connection. Returns the connection threads still running once an
+/// `accept` returns after the drain flag is set, and closes the listener.
+fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) -> Vec<JoinHandle<()>> {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     loop {
-        match listener.accept() {
+        let accepted = listener.accept();
+        if shared.draining() {
+            // The drain's wake, or a client that came after it: dropped
+            // unserved. Established connections get typed rejections.
+            return connections;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
-                if shared.draining() {
-                    // Refused at the door: the socket closes immediately;
-                    // established connections get typed rejections instead.
-                    drop(stream);
-                    continue;
-                }
                 let shared = Arc::clone(shared);
                 connections.push(std::thread::spawn(move || {
                     handle_connection(&shared, stream)
                 }));
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.draining() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(POLL_MS));
-            }
-            Err(_) => {
-                if shared.draining() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(POLL_MS));
-            }
+            Err(_) => std::thread::sleep(Duration::from_millis(POLL_MS)),
         }
         connections.retain(|h| !h.is_finished());
-    }
-    for handle in connections {
-        let _ = handle.join();
     }
 }
 
@@ -596,7 +672,7 @@ fn dispatch_parsed(
     match request {
         Request::Ping => Response::Pong,
         Request::Shutdown => {
-            shared.drain.store(true, Ordering::Release);
+            shared.begin_drain();
             Response::Draining
         }
         Request::Hello(params) => {
@@ -714,24 +790,17 @@ fn dispatch_parsed(
 // Metrics side-port: a deliberately tiny HTTP/1.1 responder
 // ---------------------------------------------------------------------------
 
-fn metrics_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+fn metrics_loop(shared: &Arc<Shared>, listener: TcpListener) {
     loop {
-        match listener.accept() {
+        let accepted = listener.accept();
+        // The metrics port keeps answering during the drain (so the final
+        // state is scrapeable) and stops only at join's wake.
+        if shared.halt_metrics.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => serve_metrics_request(shared, stream),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // The metrics port keeps answering during the drain (so the
-                // final state is scrapeable) and stops only at join time.
-                if shared.halt_metrics.load(Ordering::Acquire) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(POLL_MS));
-            }
-            Err(_) => {
-                if shared.halt_metrics.load(Ordering::Acquire) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(POLL_MS));
-            }
+            Err(_) => std::thread::sleep(Duration::from_millis(POLL_MS)),
         }
     }
 }
@@ -887,6 +956,15 @@ mod tests {
         assert_eq!(Response::from_line(reply.trim()), Ok(Response::Pong));
         server.shutdown();
         server.join().expect("join");
+    }
+
+    #[test]
+    fn a_wake_reaches_an_unspecified_bind_address_through_its_loopback() {
+        let target = |addr: &str| wake_target(addr.parse().expect("socket address"));
+        assert_eq!(target("0.0.0.0:7171"), "127.0.0.1:7171".parse().unwrap());
+        assert_eq!(target("[::]:7171"), "[::1]:7171".parse().unwrap());
+        assert_eq!(target("10.1.2.3:7171"), "10.1.2.3:7171".parse().unwrap());
+        assert_eq!(target("[::1]:7171"), "[::1]:7171".parse().unwrap());
     }
 
     #[test]

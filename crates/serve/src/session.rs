@@ -32,7 +32,7 @@ use krigeval_core::{
 };
 use krigeval_engine::obs::BackendObs;
 use krigeval_engine::runner::surface_namespace;
-use krigeval_engine::suite::{build_seeded, Problem};
+use krigeval_engine::suite::{build_seeded, Problem, ProblemInstance};
 use krigeval_engine::{CacheStats, EngineBackend, Scale, SimCache};
 use krigeval_obs::{Registry, Tracer};
 
@@ -108,6 +108,42 @@ impl EvalBackend for SharedBackend {
     }
 }
 
+/// A benchmark's canonical optimizer with the options [`build_seeded`]
+/// gives it: min+1 for the word-length problems, descent for the
+/// sensitivity problem.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Optimizer {
+    /// Algorithms 1–2's min+1 word-length search.
+    MinPlusOne(MinPlusOneOptions),
+    /// Steepest-descent error-source budgeting.
+    Descent(DescentOptions),
+}
+
+impl Optimizer {
+    fn of(instance: &ProblemInstance) -> Optimizer {
+        match (instance.minplusone, instance.descent) {
+            (Some(opts), _) => Optimizer::MinPlusOne(opts),
+            (None, Some(opts)) => Optimizer::Descent(opts),
+            (None, None) => unreachable!("every suite problem carries an optimizer"),
+        }
+    }
+
+    fn set_lambda_min(&mut self, lambda: f64) {
+        match self {
+            Optimizer::MinPlusOne(opts) => opts.lambda_min = lambda,
+            Optimizer::Descent(opts) => opts.lambda_min = lambda,
+        }
+    }
+}
+
+/// One benchmark surface's backend and its optimizer, read off the one
+/// instance built for it.
+struct Surface {
+    namespace: String,
+    backend: Arc<Mutex<EngineBackend>>,
+    optimizer: Optimizer,
+}
+
 /// The server-wide backend pool: one [`EngineBackend`] per benchmark
 /// surface, all sharing one [`SimCache`] and one metrics registry.
 pub struct BackendPool {
@@ -115,7 +151,7 @@ pub struct BackendPool {
     threads: usize,
     registry: Registry,
     tracer: Tracer,
-    backends: Mutex<Vec<(String, Arc<Mutex<EngineBackend>>)>>,
+    surfaces: Mutex<Vec<Surface>>,
 }
 
 impl BackendPool {
@@ -127,20 +163,21 @@ impl BackendPool {
             threads: threads.max(1),
             registry,
             tracer,
-            backends: Mutex::new(Vec::new()),
+            surfaces: Mutex::new(Vec::new()),
         }
     }
 
-    /// The backend for a benchmark surface, created on first use. Sessions
-    /// with identical `(problem, scale, seed)` receive the same pool.
-    pub fn backend(&self, problem: Problem, scale: Scale, seed: u64) -> SharedBackend {
+    /// The backend for a benchmark surface and the benchmark's optimizer,
+    /// created on first use. Sessions with identical `(problem, scale,
+    /// seed)` receive the same pool.
+    pub fn backend(&self, problem: Problem, scale: Scale, seed: u64) -> (SharedBackend, Optimizer) {
         let namespace = surface_namespace(problem, scale, seed);
-        let mut backends = self
-            .backends
+        let mut surfaces = self
+            .surfaces
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let inner = match backends.iter().find(|(ns, _)| *ns == namespace) {
-            Some((_, backend)) => Arc::clone(backend),
+        let at = match surfaces.iter().position(|s| s.namespace == namespace) {
+            Some(at) => at,
             None => {
                 // One instance per surface: the pool's workers and its
                 // local evaluator hold handles on the same simulator.
@@ -152,17 +189,21 @@ impl BackendPool {
                     namespace.clone(),
                 )
                 .with_obs(BackendObs::new(&self.registry, self.tracer.clone()));
-                let backend = Arc::new(Mutex::new(backend));
-                backends.push((namespace, Arc::clone(&backend)));
-                backend
+                surfaces.push(Surface {
+                    namespace,
+                    backend: Arc::new(Mutex::new(backend)),
+                    optimizer: Optimizer::of(&instance),
+                });
+                surfaces.len() - 1
             }
         };
-        SharedBackend { inner }
+        let inner = Arc::clone(&surfaces[at].backend);
+        (SharedBackend { inner }, surfaces[at].optimizer)
     }
 
     /// Number of distinct backends alive.
     pub fn len(&self) -> usize {
-        self.backends
+        self.surfaces
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .len()
@@ -278,13 +319,12 @@ fn outcome_frame(outcome: &Outcome) -> OutcomeFrame {
 }
 
 /// One connection's evaluation session: a [`HybridEvaluator`] over a
-/// [`SharedBackend`], plus the benchmark's canonical optimizer options.
+/// [`SharedBackend`], plus its own copy of the benchmark's optimizer.
 pub struct Session {
     id: u64,
     problem: Problem,
     evaluator: HybridEvaluator<SharedBackend>,
-    minplusone: Option<MinPlusOneOptions>,
-    descent: Option<DescentOptions>,
+    optimizer: Optimizer,
     workers: usize,
 }
 
@@ -383,23 +423,16 @@ impl Session {
         settings
             .validate()
             .map_err(|e| SessionError::bad_request(e.to_string()))?;
-        let mut instance = build_seeded(problem, scale, seed);
+        let (backend, mut optimizer) = pool.backend(problem, scale, seed);
         if let Some(lambda) = params.lambda_min {
-            if let Some(opts) = instance.minplusone.as_mut() {
-                opts.lambda_min = lambda;
-            }
-            if let Some(opts) = instance.descent.as_mut() {
-                opts.lambda_min = lambda;
-            }
+            optimizer.set_lambda_min(lambda);
         }
-        let backend = pool.backend(problem, scale, seed);
         let workers = backend.workers();
         Ok(Session {
             id,
             problem,
             evaluator: HybridEvaluator::new(backend, settings),
-            minplusone: instance.minplusone,
-            descent: instance.descent,
+            optimizer,
             workers,
         })
     }
@@ -481,12 +514,9 @@ impl Session {
     /// `eval_failed` carrying the optimizer failure (evaluation error,
     /// infeasible constraint, iteration budget).
     pub fn optimize(&mut self) -> Result<OptimizationResult, SessionError> {
-        let result = if let Some(opts) = self.minplusone {
-            optimize(&mut self.evaluator, &opts)
-        } else if let Some(opts) = self.descent {
-            budget_error_sources(&mut self.evaluator, &opts)
-        } else {
-            unreachable!("every suite problem carries an optimizer")
+        let result = match &self.optimizer {
+            Optimizer::MinPlusOne(opts) => optimize(&mut self.evaluator, opts),
+            Optimizer::Descent(opts) => budget_error_sources(&mut self.evaluator, opts),
         };
         result.map_err(|e| SessionError {
             code: codes::EVAL_FAILED,
@@ -535,6 +565,43 @@ mod tests {
         assert_eq!(a.nv(), 2);
         assert_eq!(b.benchmark(), "fir64");
         assert_eq!(c.nv(), 5);
+    }
+
+    #[test]
+    fn a_session_carries_the_optimizer_its_benchmark_is_built_with() {
+        let pool = pool();
+        for problem in Problem::extended() {
+            let session = Session::open(1, &hello(problem.label()), &pool).unwrap();
+            let instance = build_seeded(problem, Scale::Fast, 0);
+            let (minplusone, descent) = match session.optimizer {
+                Optimizer::MinPlusOne(opts) => (Some(opts), None),
+                Optimizer::Descent(opts) => (None, Some(opts)),
+            };
+            assert_eq!(minplusone, instance.minplusone, "{}", problem.label());
+            assert_eq!(descent, instance.descent, "{}", problem.label());
+        }
+    }
+
+    #[test]
+    fn a_lambda_min_hello_changes_only_its_own_session() {
+        let pool = pool();
+        for benchmark in ["fir", "squeezenet"] {
+            let mut params = hello(benchmark);
+            params.lambda_min = Some(-7.5);
+            let tightened = Session::open(1, &params, &pool).unwrap();
+            let plain = Session::open(2, &hello(benchmark), &pool).unwrap();
+            let canonical = Optimizer::of(&build_seeded(
+                Problem::parse(benchmark).unwrap(),
+                Scale::Fast,
+                0,
+            ));
+            let mut expected = canonical;
+            expected.set_lambda_min(-7.5);
+            assert_ne!(expected, canonical, "{benchmark}");
+            assert_eq!(tightened.optimizer, expected, "{benchmark}");
+            assert_eq!(plain.optimizer, canonical, "{benchmark}");
+            assert_eq!(pool.backend(plain.problem, Scale::Fast, 0).1, canonical);
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! End-to-end tests of the evaluation server over real TCP sockets:
 //! session sharing, bounded-admission load shedding, graceful drain,
-//! and the Prometheus metrics side-port.
+//! every path that wakes the blocked accept threads, and the Prometheus
+//! metrics side-port.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -486,4 +488,94 @@ fn metrics_snapshot_with_z_suffix_is_deflate_compressed() {
         "inner .json suffix selects JSON format"
     );
     let _ = std::fs::remove_file(&out);
+}
+
+/// Runs `body` on its own thread and fails the test if it has not
+/// returned within 10 s, so a missed wake fails instead of hanging the
+/// suite.
+fn under_watchdog(body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(10)) {
+        Ok(()) => thread.join().expect("body thread"),
+        Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("no return within 10 s: a missed wake"),
+    }
+}
+
+#[test]
+fn join_returns_on_a_server_that_never_saw_a_connection() {
+    under_watchdog(|| {
+        // Bound to loopback, and to the unspecified address, which the
+        // wake reaches through loopback.
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = Server::start(ServerConfig {
+                addr: addr.to_string(),
+                ..ServerConfig::default()
+            })
+            .expect("start server");
+            let report = server.join().expect("join");
+            assert_eq!(report.requests, 0, "{addr}");
+        }
+    });
+}
+
+#[test]
+fn a_shutdown_frame_stops_admitting_connections_and_join_returns() {
+    under_watchdog(|| {
+        let server = Server::start(ServerConfig::default()).expect("start server");
+        let addr = server.addr();
+        let mut client = Client::connect(addr);
+        assert!(matches!(
+            client.roundtrip(&Request::Shutdown),
+            Response::Draining
+        ));
+        // The woken acceptor closes the listener: a fresh connection is
+        // refused, or reset or closed unserved, never left waiting.
+        if let Ok(fresh) = TcpStream::connect(addr) {
+            fresh
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("read timeout");
+            let mut line = String::new();
+            match BufReader::new(fresh).read_line(&mut line) {
+                Ok(n) => assert_eq!(n, 0, "a drained server served a new connection: {line}"),
+                Err(e) => assert!(
+                    !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                    "a connection made after the drain was left waiting"
+                ),
+            }
+        }
+        drop(client);
+        let report = server.join().expect("join");
+        assert_eq!(report.requests, 1);
+    });
+}
+
+#[test]
+fn a_shutdown_handle_on_another_thread_ends_an_idle_server() {
+    under_watchdog(|| {
+        let server = Server::start(ServerConfig::default()).expect("start server");
+        let handle = server.shutdown_handle();
+        std::thread::spawn(move || handle.shutdown())
+            .join()
+            .expect("shutdown thread");
+        assert!(server.is_draining());
+        server.join().expect("join");
+    });
+}
+
+#[test]
+fn join_returns_with_an_idle_metrics_side_port() {
+    under_watchdog(|| {
+        let server = start(|_| {});
+        assert!(server.metrics_addr().is_some());
+        server.join().expect("join");
+    });
 }
