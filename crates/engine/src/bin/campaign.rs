@@ -67,7 +67,8 @@
 //! --on-error P       fail-fast | skip | retry:N  (default fail-fast;
 //!                    overrides the spec's on_error field)
 //! --resume           continue an interrupted campaign from the journal
-//!                    in --out: rows already journalled are replayed,
+//!                    in --out if it starts with this invocation's
+//!                    manifest: rows already journalled are replayed,
 //!                    only the missing runs execute (requires --out)
 //! --timing           include wall-clock fields in the JSONL (off keeps
 //!                    output byte-identical across worker counts and
@@ -110,24 +111,28 @@
 //! a cell, out-of-range percentage, wrong metric routing) are reported
 //! on stderr and exit nonzero.
 //!
-//! With `--out`, `run` streams every completed row to the file as a
-//! flushed journal line and rewrites the file in finalized form (rows
-//! in index order plus the summary) on success — killing the process
-//! mid-campaign leaves a valid journal for `--resume`.
-//!
-//! `shard` executes only the runs whose expansion index `i` satisfies
-//! `i % N == I` (the same residue-class partition at any `N`), writing
-//! an independent flush-per-line journal to `--out` (required) whose
-//! first line is a shard manifest header; `--resume` revalidates the
-//! header and continues an interrupted shard. `merge` takes the shard
-//! files as positional arguments, validates them up front (same
-//! campaign, same partition, no gaps, no overlaps, no truncation —
-//! typed errors name the offending file) and emits the single-process
-//! byte-identical JSONL: because fault fates are content-addressed and
-//! deterministic output carries no scheduling fields, `merge` of `N`
-//! shards reproduces `campaign run` byte for byte. `merge` always emits
-//! deterministic (timing-off) output.
+//! `run` and `shard` are one execution path: `shard --index I --of N`
+//! executes the runs whose expansion index `i` satisfies `i % N == I`
+//! (the same residue-class partition at any `N`), and `run` is slot
+//! 0 of 1. With `--out` (which `shard` requires) the file is a
+//! flush-per-line journal that starts with the slot's manifest: campaign
+//! name, slot, and a digest of the whole spec, `threads` and `on_error`
+//! included. On success the finished artifact (rows plus summary for
+//! `run`, manifest plus rows for `shard`) is written beside the journal
+//! and renamed over it, so a kill at any moment leaves a resumable
+//! journal or the artifact. `--resume` refuses a file whose first line
+//! is not this invocation's manifest (another campaign's or slot's
+//! journal, a finished artifact, a journal from before manifests),
+//! naming it and leaving it unchanged. `merge` takes the shard files as
+//! positional arguments, validates them up front (same campaign, same
+//! partition, no gaps, no overlaps, no truncation — typed errors name
+//! the offending file) and emits the single-process byte-identical
+//! JSONL: because fault fates are content-addressed and deterministic
+//! output carries no scheduling fields, `merge` of `N` shards reproduces
+//! `campaign run` byte for byte. `merge` always emits deterministic
+//! (timing-off) output.
 
+use std::collections::HashSet;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -146,7 +151,7 @@ use krigeval_engine::sink::{
     load_journal, read_artifact_text, to_jsonl_string_full, JournalWriter, SinkOptions,
 };
 use krigeval_engine::spec::{CampaignSpec, GatePolicy, NuggetPolicy, OptimizerSpec, VariogramSpec};
-use krigeval_engine::{CacheStats, RunRecord, SummaryRecord};
+use krigeval_engine::{CacheStats, FailureRecord, RunRecord, SummaryRecord};
 use krigeval_obs::{JsonlSink, Registry, Tracer};
 
 fn fail(message: &str) -> ExitCode {
@@ -165,52 +170,6 @@ fn parse_list<T: std::str::FromStr>(value: &str, flag: &str) -> Result<Vec<T>, S
                 .map_err(|_| format!("bad value {part:?} for {flag}"))
         })
         .collect()
-}
-
-fn parse_variogram(value: &str) -> Result<VariogramSpec, String> {
-    let mut parts = value.split(':');
-    let head = parts.next().unwrap_or_default();
-    let args: Vec<&str> = parts.collect();
-    let arg = |i: usize| -> Result<&str, String> {
-        args.get(i)
-            .copied()
-            .ok_or_else(|| format!("--variogram {head} needs more arguments"))
-    };
-    match head {
-        "pilot" => Ok(VariogramSpec::Pilot),
-        "fixed-linear" => Ok(VariogramSpec::FixedLinear {
-            slope: arg(0)?.parse().map_err(|_| "bad slope".to_string())?,
-        }),
-        "fit-after" => Ok(VariogramSpec::FitAfter {
-            min_samples: arg(0)?
-                .parse()
-                .map_err(|_| "bad sample count".to_string())?,
-        }),
-        "refit" => Ok(VariogramSpec::Refit {
-            min_samples: arg(0)?
-                .parse()
-                .map_err(|_| "bad sample count".to_string())?,
-            every: arg(1)?
-                .parse()
-                .map_err(|_| "bad refit stride".to_string())?,
-        }),
-        family @ ("spherical" | "exponential" | "gaussian") => {
-            let num = |i: usize| -> Result<f64, String> {
-                arg(i)?
-                    .parse()
-                    .map_err(|_| format!("bad {family} parameter"))
-            };
-            let (nugget, sill, range) = (num(0)?, num(1)?, num(2)?);
-            let model = match family {
-                "spherical" => krigeval_core::VariogramModel::spherical(nugget, sill, range),
-                "exponential" => krigeval_core::VariogramModel::exponential(nugget, sill, range),
-                _ => krigeval_core::VariogramModel::gaussian(nugget, sill, range),
-            }
-            .map_err(|e| e.to_string())?;
-            Ok(VariogramSpec::Fixed { model })
-        }
-        other => Err(format!("unknown variogram policy {other:?}")),
-    }
 }
 
 fn parse_optimizer(value: &str) -> Result<OptimizerSpec, String> {
@@ -296,7 +255,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--nmin" => cli.spec.min_neighbors = parse_list(value()?, "--nmin")?,
             "--lambda" => cli.spec.lambda_min = parse_list(value()?, "--lambda")?,
             "--metric" => cli.spec.metric = value()?.to_string(),
-            "--variogram" => cli.spec.variogram = parse_variogram(value()?)?,
+            "--variogram" => cli.spec.variogram = VariogramSpec::parse(value()?)?,
             "--optimizer" => cli.spec.optimizer = parse_optimizer(value()?)?,
             "--seed" => cli.spec.seed = value()?.parse().map_err(|_| "bad --seed")?,
             "--repeats" => cli.spec.repeats = value()?.parse().map_err(|_| "bad --repeats")?,
@@ -383,21 +342,27 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
+/// Writes `text` to `--out`, or to stdout without it.
 fn emit(cli: &Cli, text: &str) -> Result<(), String> {
     match &cli.out {
-        Some(path) if cli.compress => {
-            // One-shot compression of the finalized artifact (a proper
-            // finished stream — `campaign decode` recovers the text
-            // bit-exactly with the strict decoder).
-            fs::write(path, krigeval_flate::compress(text.as_bytes()))
-                .map_err(|e| format!("cannot write {path}: {e}"))
-        }
-        Some(path) => fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}")),
+        Some(path) => write_artifact(cli, path, text),
         None => {
             print!("{text}");
             std::io::stdout().flush().map_err(|e| e.to_string())
         }
     }
+}
+
+/// Writes `text` to `path`, DEFLATE-compressed under `--compress` (a
+/// finished stream: `campaign decode` recovers the text bit-exactly with
+/// the strict decoder).
+fn write_artifact(cli: &Cli, path: &str, text: &str) -> Result<(), String> {
+    let written = if cli.compress {
+        fs::write(path, krigeval_flate::compress(text.as_bytes()))
+    } else {
+        fs::write(path, text)
+    };
+    written.map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// Removes a torn trailing partial line (no final newline — the writer
@@ -419,37 +384,59 @@ fn trim_torn_tail(path: &str, text: &str) -> Result<(), String> {
         .map_err(|e| format!("cannot trim torn journal tail in {path}: {e}"))
 }
 
-/// Opens the resume journal for writing. Uncompressed journals are
-/// appended to (after trimming any torn tail); compressed journals are
-/// rewritten from the replayed rows — a raw DEFLATE stream with a
-/// possibly-torn tail cannot be appended to in place.
-fn reopen_journal(
+/// Reads the journal `--resume` continues (a compressed `.z` journal is
+/// decoded, a torn sync-flushed tail included) and its rows, once its
+/// first line is this invocation's `manifest`. Another campaign's or
+/// another slot's journal, a finished artifact and a journal without a
+/// manifest are refused before anything writes to the file.
+fn read_journal(
+    path: &str,
+    manifest: &ShardManifest,
+) -> Result<(String, Vec<RunRecord>, Vec<FailureRecord>), String> {
+    let text = read_artifact_text(Path::new(path))
+        .map_err(|e| format!("cannot read journal {path}: {e}"))?;
+    let found = parse_manifest(path, &text)
+        .map_err(|e| format!("cannot resume: {e}; a journal starts with its manifest"))?;
+    if found != *manifest {
+        return Err(format!(
+            "cannot resume: {path}: existing manifest does not match this invocation \
+             (found {}, expected {})",
+            found.render(),
+            manifest.render()
+        ));
+    }
+    let (records, failures) = load_journal(&text).map_err(|e| format!("{path}: {e}"))?;
+    Ok((text, records, failures))
+}
+
+/// Starts the journal at `path`: the manifest, then the rows a resume
+/// replays (none on a fresh start). They go to a file beside `path` that
+/// is then renamed over it, so `path` never holds a journal without its
+/// manifest.
+fn create_journal(
     cli: &Cli,
     path: &str,
-    text: &str,
-    manifest: Option<&ShardManifest>,
-    records: &[krigeval_engine::RunRecord],
-    failures: &[krigeval_engine::FailureRecord],
+    manifest: &ShardManifest,
+    records: &[RunRecord],
+    failures: &[FailureRecord],
     options: SinkOptions,
 ) -> Result<JournalWriter, String> {
-    if !cli.compress {
-        trim_torn_tail(path, text)?;
-        return JournalWriter::append(path).map_err(|e| format!("cannot append {path}: {e}"));
+    let tmp = format!("{path}.tmp");
+    let journal = if cli.compress {
+        JournalWriter::create_compressed(&tmp)
+    } else {
+        JournalWriter::create(&tmp)
     }
-    let journal = JournalWriter::create_compressed(path)
-        .map_err(|e| format!("cannot recreate compressed journal {path}: {e}"))?;
-    let write = |r: Result<(), std::io::Error>| {
-        r.map_err(|e| format!("cannot rewrite compressed journal {path}: {e}"))
-    };
-    if let Some(manifest) = manifest {
-        write(journal.line(&manifest.render()))?;
-    }
+    .map_err(|e| format!("cannot create {path}: {e}"))?;
+    let write = |r: std::io::Result<()>| r.map_err(|e| format!("cannot write journal {path}: {e}"));
+    write(journal.line(&manifest.render()))?;
     for record in records {
         write(journal.record(record, options))?;
     }
     for failure in failures {
         write(journal.failure(failure, options))?;
     }
+    write(fs::rename(&tmp, path))?;
     Ok(journal)
 }
 
@@ -489,7 +476,48 @@ fn write_metrics(cli: &Cli, registry: &Registry) -> Result<(), String> {
     fs::write(path, text).map_err(|e| format!("cannot write metrics to {path}: {e}"))
 }
 
-fn cmd_run(cli: &Cli) -> Result<ExitCode, String> {
+/// The partition slot of the campaign's expansion an invocation executes.
+/// It decides only the finished artifact's shape.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// `campaign run`: slot 0 of 1, finished as rows plus the summary.
+    Run,
+    /// `campaign shard --index I --of N`: finished as manifest plus rows.
+    Shard { index: u64, of: u64 },
+}
+
+impl Slot {
+    /// The slot a `shard` invocation names.
+    fn shard(cli: &Cli) -> Result<Slot, String> {
+        let index = cli
+            .shard_index
+            .ok_or_else(|| "shard needs --index (this process's shard, 0-based)".to_string())?;
+        let of = cli
+            .shard_of
+            .ok_or_else(|| "shard needs --of (the total number of shards)".to_string())?;
+        if of == 0 {
+            return Err("--of must be at least 1".to_string());
+        }
+        if index >= of {
+            return Err(format!("--index {index} is out of range for --of {of}"));
+        }
+        if cli.out.is_none() {
+            return Err("shard needs --out (the shard artifact to write)".to_string());
+        }
+        Ok(Slot::Shard { index, of })
+    }
+}
+
+/// Runs slot `I` of `N` of the campaign's expansion, the one path of
+/// `run` and `shard`: check and replay the journal (`--resume`), start or
+/// continue it, execute the slot's remaining runs, then finish the
+/// artifact.
+fn execute(cli: &Cli, slot: Slot) -> Result<ExitCode, String> {
+    let (index, of) = match slot {
+        Slot::Run => (0, 1),
+        Slot::Shard { index, of } => (index, of),
+    };
+    let name = &cli.spec.name;
     let progress = if cli.quiet {
         Progress::Silent
     } else {
@@ -499,68 +527,63 @@ fn cmd_run(cli: &Cli) -> Result<ExitCode, String> {
         include_timing: cli.timing,
     };
     let (registry, obs) = build_obs(cli)?;
+    let all_runs = cli.spec.expand().map_err(|e| e.to_string())?;
+    let total = all_runs.len() as u64;
+    let manifest = ShardManifest::new(&cli.spec, index, of, total);
 
     // Resume: replay the journalled rows, execute only the remainder.
-    // `read_artifact_text` transparently decodes a compressed (`.z`)
-    // journal, including a torn sync-flushed tail.
-    let (resume_text, (mut records, mut failures)) = if cli.resume {
-        let path = cli
-            .out
-            .as_deref()
-            .ok_or_else(|| "--resume needs --out (the journal to continue)".to_string())?;
-        let text = read_artifact_text(Path::new(path))
-            .map_err(|e| format!("cannot read journal {path}: {e}"))?;
-        let rows = load_journal(&text).map_err(|e| format!("{path}: {e}"))?;
-        (text, rows)
-    } else {
-        (String::new(), (Vec::new(), Vec::new()))
+    let (resume_text, mut records, mut failures) = match (&cli.out, cli.resume) {
+        (Some(path), true) => read_journal(path, &manifest)?,
+        (None, true) => return Err("--resume needs --out (the journal to continue)".to_string()),
+        (_, false) => (String::new(), Vec::new(), Vec::new()),
     };
-    let done: std::collections::HashSet<u64> = records
+    let done: HashSet<u64> = records
         .iter()
         .map(|r| r.index)
         .chain(failures.iter().map(|f| f.index))
         .collect();
-
-    let all_runs = cli.spec.expand().map_err(|e| e.to_string())?;
-    let total = all_runs.len();
-    let runs: Vec<_> = all_runs
+    let runs: Vec<_> = shard_runs(all_runs, index, of)
         .into_iter()
         .filter(|r| !done.contains(&r.index))
         .collect();
-    if cli.resume {
-        if let Some(obs) = &obs {
+    if let Some(obs) = &obs {
+        if cli.resume {
             obs.record_resume(done.len() as u64);
         }
-        if !cli.quiet {
-            eprintln!(
-                "resuming {:?}: {} of {total} rows journalled, {} to run",
-                cli.spec.name,
+        if let Slot::Shard { .. } = slot {
+            obs.record_shard(index, of, runs.len() as u64);
+        }
+    }
+    if !cli.quiet {
+        match slot {
+            Slot::Run if cli.resume => eprintln!(
+                "resuming {name:?}: {} of {total} rows journalled, {} to run",
                 done.len(),
                 runs.len()
-            );
+            ),
+            Slot::Run => {}
+            Slot::Shard { .. } => eprintln!(
+                "shard {index} of {of} for {name:?}: {} of {total} rows owned, {} to run",
+                done.len() + runs.len(),
+                runs.len()
+            ),
         }
     }
 
-    // With --out, stream every completed row to the file so a killed
-    // campaign can resume; the file is rewritten finalized below.
-    let journal = match (&cli.out, cli.resume) {
-        (Some(path), false) if cli.compress => Some(
-            JournalWriter::create_compressed(path)
-                .map_err(|e| format!("cannot create {path}: {e}"))?,
-        ),
-        (Some(path), false) => {
-            Some(JournalWriter::create(path).map_err(|e| format!("cannot create {path}: {e}"))?)
+    // With --out, stream every completed row to the journal so a killed
+    // campaign can resume. An uncompressed journal is appended to; a
+    // compressed one is rewritten from the replayed rows, since a raw
+    // DEFLATE stream with a possibly-torn tail cannot be appended to in
+    // place.
+    let journal = match &cli.out {
+        Some(path) if cli.resume && !cli.compress => {
+            trim_torn_tail(path, &resume_text)?;
+            Some(JournalWriter::append(path).map_err(|e| format!("cannot append {path}: {e}"))?)
         }
-        (Some(path), true) => Some(reopen_journal(
-            cli,
-            path,
-            &resume_text,
-            None,
-            &records,
-            &failures,
-            options,
+        Some(path) => Some(create_journal(
+            cli, path, &manifest, &records, &failures, options,
         )?),
-        (None, _) => None,
+        None => None,
     };
     let outcome = run_specs_opts(
         runs,
@@ -582,82 +605,74 @@ fn cmd_run(cli: &Cli) -> Result<ExitCode, String> {
     failures.extend(outcome.failures.iter().cloned());
     failures.sort_by_key(|f| f.index);
     let summary = SummaryRecord::from_records(
-        &cli.spec.name,
+        name,
         &records,
         &failures,
         outcome.cache,
         outcome.workers,
         cli.timing.then_some(outcome.wall_ms),
     );
-    emit(
-        cli,
-        &to_jsonl_string_full(
+    let text = match slot {
+        Slot::Run => to_jsonl_string_full(
             &records,
             &failures,
             &outcome.journal_errors,
             &summary,
             options,
         ),
-    )?;
+        Slot::Shard { .. } => render_shard(&manifest, &records, &failures, options),
+    };
+    // The finished artifact replaces the journal through a file beside
+    // it and a rename, so a kill at any moment leaves either the
+    // resumable journal or the whole artifact.
+    match &cli.out {
+        Some(path) => {
+            let tmp = format!("{path}.tmp");
+            write_artifact(cli, &tmp, &text)?;
+            fs::rename(&tmp, path).map_err(|e| format!("cannot write {path}: {e}"))?;
+        }
+        None => emit(cli, &text)?,
+    }
     write_metrics(cli, &registry)?;
     if !cli.quiet {
-        eprintln!(
-            "campaign {:?}: {} runs ({} failed) on {} workers in {:.0} ms; \
-             sims {} / kriges {}; shared cache {} hits / {} lookups",
-            cli.spec.name,
-            records.len(),
-            failures.len(),
-            outcome.workers,
-            outcome.wall_ms,
-            summary.total_simulated,
-            summary.total_kriged,
-            outcome.cache.hits,
-            outcome.cache.lookups,
-        );
-        if obs.is_some() {
-            let snapshot = registry.snapshot();
-            let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
-            eprintln!(
-                "obs: runs {} ok / {} failed | journal {} writes / {} errors | \
-                 hybrid {} queries ({} sim, {} krig, {} cached) | retries {}",
-                counter("engine_runs_completed_total"),
-                counter("engine_runs_failed_total"),
-                counter("engine_journal_writes_total"),
-                counter("engine_journal_errors_total"),
-                counter("hybrid_queries_total"),
-                counter("hybrid_simulated_total"),
-                counter("hybrid_kriged_total"),
-                counter("hybrid_cache_hits_total"),
-                counter("engine_run_retries_total"),
-            );
-            // Gate decisions and the kriging-variance level, aggregated
-            // over the campaign: σ̄² is the kriged-query-weighted mean of
-            // the per-run means.
-            let kriged_weight: u64 = records.iter().map(|r| r.kriged).sum();
-            let mean_variance = if kriged_weight == 0 {
-                0.0
-            } else {
-                records
-                    .iter()
-                    .map(|r| r.mean_variance * r.kriged as f64)
-                    .sum::<f64>()
-                    / kriged_weight as f64
-            };
-            eprintln!(
-                "obs: gate rejections {} | mean kriging variance {:.6}",
-                counter("hybrid_gate_rejections_total"),
-                mean_variance,
-            );
+        match slot {
+            Slot::Run => {
+                eprintln!(
+                    "campaign {name:?}: {} runs ({} failed) on {} workers in {:.0} ms; \
+                     sims {} / kriges {}; shared cache {} hits / {} lookups",
+                    records.len(),
+                    failures.len(),
+                    outcome.workers,
+                    outcome.wall_ms,
+                    summary.total_simulated,
+                    summary.total_kriged,
+                    outcome.cache.hits,
+                    outcome.cache.lookups,
+                );
+                if obs.is_some() {
+                    print_obs_summary(&registry, &records);
+                }
+            }
+            Slot::Shard { .. } => eprintln!(
+                "shard {index} of {of} for {name:?}: {} runs ({} failed) on {} workers in {:.0} ms",
+                records.len(),
+                failures.len(),
+                outcome.workers,
+                outcome.wall_ms,
+            ),
         }
     }
     // Lost rows — failed runs kept by the skip policy, or journal writes
-    // that never landed — make the artifact incomplete. The campaign still
-    // emits everything it has, but the exit code must say so; this line is
-    // printed even under --quiet because a silent success here is the bug.
+    // that never landed — make the artifact incomplete. It is still
+    // emitted, but the exit code must say so; this line is printed even
+    // under --quiet because a silent success here is the bug.
     if !failures.is_empty() || !outcome.journal_errors.is_empty() {
+        let which = match slot {
+            Slot::Run => String::new(),
+            Slot::Shard { .. } => format!(" shard {index} of {of}"),
+        };
         eprintln!(
-            "campaign {:?}: incomplete — {} run(s) failed, {} journal write(s) lost",
-            cli.spec.name,
+            "campaign {name:?}{which}: incomplete — {} run(s) failed, {} journal write(s) lost",
             failures.len(),
             outcome.journal_errors.len()
         );
@@ -666,155 +681,40 @@ fn cmd_run(cli: &Cli) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_shard(cli: &Cli) -> Result<ExitCode, String> {
-    let index = cli
-        .shard_index
-        .ok_or_else(|| "shard needs --index (this process's shard, 0-based)".to_string())?;
-    let of = cli
-        .shard_of
-        .ok_or_else(|| "shard needs --of (the total number of shards)".to_string())?;
-    if of == 0 {
-        return Err("--of must be at least 1".to_string());
-    }
-    if index >= of {
-        return Err(format!("--index {index} is out of range for --of {of}"));
-    }
-    let out = cli
-        .out
-        .as_deref()
-        .ok_or_else(|| "shard needs --out (the shard artifact to write)".to_string())?;
-    let progress = if cli.quiet {
-        Progress::Silent
+/// The `obs:` lines `run` prints with `--metrics-out` or `--trace-out`.
+fn print_obs_summary(registry: &Registry, records: &[RunRecord]) {
+    let snapshot = registry.snapshot();
+    let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
+    eprintln!(
+        "obs: runs {} ok / {} failed | journal {} writes / {} errors | \
+         hybrid {} queries ({} sim, {} krig, {} cached) | retries {}",
+        counter("engine_runs_completed_total"),
+        counter("engine_runs_failed_total"),
+        counter("engine_journal_writes_total"),
+        counter("engine_journal_errors_total"),
+        counter("hybrid_queries_total"),
+        counter("hybrid_simulated_total"),
+        counter("hybrid_kriged_total"),
+        counter("hybrid_cache_hits_total"),
+        counter("engine_run_retries_total"),
+    );
+    // Gate decisions and the kriging-variance level, aggregated over the
+    // campaign: σ̄² is the kriged-query-weighted mean of the per-run means.
+    let kriged_weight: u64 = records.iter().map(|r| r.kriged).sum();
+    let mean_variance = if kriged_weight == 0 {
+        0.0
     } else {
-        Progress::Stderr
+        records
+            .iter()
+            .map(|r| r.mean_variance * r.kriged as f64)
+            .sum::<f64>()
+            / kriged_weight as f64
     };
-    let options = SinkOptions {
-        include_timing: cli.timing,
-    };
-    let (registry, obs) = build_obs(cli)?;
-
-    let all_runs = cli.spec.expand().map_err(|e| e.to_string())?;
-    let total = all_runs.len() as u64;
-    let manifest = ShardManifest::new(&cli.spec, index, of, total);
-
-    // Per-shard resume: revalidate the manifest header (continuing a
-    // shard of a different campaign — or a different slot — would merge
-    // into a corrupt artifact), then replay the journalled rows.
-    let (resume_text, (mut records, mut failures)) = if cli.resume {
-        let text = read_artifact_text(Path::new(out))
-            .map_err(|e| format!("cannot read shard journal {out}: {e}"))?;
-        let found = parse_manifest(out, &text).map_err(|e| e.to_string())?;
-        if found != manifest {
-            return Err(format!(
-                "{out}: existing shard manifest does not match this invocation \
-                 (found shard {} of {} for campaign {:?} digest {}, expected \
-                 shard {index} of {of} for campaign {:?} digest {})",
-                found.index,
-                found.of,
-                found.name,
-                found.spec_digest,
-                manifest.name,
-                manifest.spec_digest,
-            ));
-        }
-        let rows = load_journal(&text).map_err(|e| format!("{out}: {e}"))?;
-        (text, rows)
-    } else {
-        (String::new(), (Vec::new(), Vec::new()))
-    };
-    let done: std::collections::HashSet<u64> = records
-        .iter()
-        .map(|r| r.index)
-        .chain(failures.iter().map(|f| f.index))
-        .collect();
-    let runs: Vec<_> = shard_runs(all_runs, index, of)
-        .into_iter()
-        .filter(|r| !done.contains(&r.index))
-        .collect();
-    if let Some(obs) = &obs {
-        if cli.resume {
-            obs.record_resume(done.len() as u64);
-        }
-        obs.record_shard(index, of, runs.len() as u64);
-    }
-    if !cli.quiet {
-        eprintln!(
-            "shard {index} of {of} for {:?}: {} of {total} rows owned, {} to run",
-            cli.spec.name,
-            done.len() + runs.len(),
-            runs.len()
-        );
-    }
-
-    // A fresh shard journal starts with its manifest header, before any
-    // row can land; a resumed journal already carries it (a resumed
-    // *compressed* journal is rewritten, manifest first).
-    let journal = if cli.resume {
-        reopen_journal(
-            cli,
-            out,
-            &resume_text,
-            Some(&manifest),
-            &records,
-            &failures,
-            options,
-        )?
-    } else {
-        let journal = if cli.compress {
-            JournalWriter::create_compressed(out)
-                .map_err(|e| format!("cannot create {out}: {e}"))?
-        } else {
-            JournalWriter::create(out).map_err(|e| format!("cannot create {out}: {e}"))?
-        };
-        journal
-            .line(&manifest.render())
-            .map_err(|e| format!("cannot write shard manifest to {out}: {e}"))?;
-        journal
-    };
-    let outcome = run_specs_opts(
-        runs,
-        ExecOptions {
-            workers: cli.workers,
-            progress,
-            policy: cli.spec.on_error.unwrap_or_default(),
-            journal: Some(&journal),
-            journal_options: options,
-            progress_out: None,
-            obs: obs.as_ref(),
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    drop(journal);
-
-    records.extend(outcome.records.iter().cloned());
-    records.sort_by_key(|r| r.index);
-    failures.extend(outcome.failures.iter().cloned());
-    failures.sort_by_key(|f| f.index);
-    emit(cli, &render_shard(&manifest, &records, &failures, options))?;
-    write_metrics(cli, &registry)?;
-    if !cli.quiet {
-        eprintln!(
-            "shard {index} of {of} for {:?}: {} runs ({} failed) on {} workers in {:.0} ms",
-            cli.spec.name,
-            records.len(),
-            failures.len(),
-            outcome.workers,
-            outcome.wall_ms,
-        );
-    }
-    // Same incomplete contract as `run`: the artifact is emitted either
-    // way, but lost rows must not exit 0 (printed even under --quiet).
-    if !failures.is_empty() || !outcome.journal_errors.is_empty() {
-        eprintln!(
-            "campaign {:?} shard {index} of {of}: incomplete — {} run(s) failed, \
-             {} journal write(s) lost",
-            cli.spec.name,
-            failures.len(),
-            outcome.journal_errors.len()
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
+    eprintln!(
+        "obs: gate rejections {} | mean kriging variance {:.6}",
+        counter("hybrid_gate_rejections_total"),
+        mean_variance,
+    );
 }
 
 fn cmd_merge(cli: &Cli) -> Result<ExitCode, String> {
@@ -1055,9 +955,9 @@ fn main() -> ExitCode {
     };
     let result = match command {
         "template" => emit(&cli, &format!("{}\n", cli.spec.to_json())).map(|()| ExitCode::SUCCESS),
-        "run" => cmd_run(&cli),
+        "run" => execute(&cli, Slot::Run),
         "matrix" => cmd_matrix(&cli),
-        "shard" => cmd_shard(&cli),
+        "shard" => Slot::shard(&cli).and_then(|slot| execute(&cli, slot)),
         "merge" => cmd_merge(&cli),
         "decode" => cmd_decode(&cli),
         "compare" => cmd_compare(&cli).map(|()| ExitCode::SUCCESS),

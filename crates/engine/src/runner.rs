@@ -36,7 +36,7 @@ use crate::cache::SimCache;
 use crate::fault::{FaultConfig, FaultPhase, FaultStream};
 use crate::obs::{minor_faults, CampaignObs};
 use crate::sink::RunRecord;
-use crate::spec::{OptimizerSpec, RunSpec, VariogramSpec};
+use crate::spec::{OptimizerSpec, RunSpec};
 use crate::suite::{build_seeded, Problem, ProblemInstance};
 use crate::Scale;
 
@@ -200,32 +200,12 @@ fn variogram_policy(
     attempt: u32,
     obs: Option<&CampaignObs>,
 ) -> Result<(VariogramPolicy, u64), OptError> {
-    Ok(match run.variogram {
-        VariogramSpec::Pilot => {
+    Ok(match run.variogram.policy() {
+        Some(policy) => (policy, 0),
+        None => {
             let (model, pilot_sims) = pilot_model(run, instance, cache, attempt, obs)?;
             (VariogramPolicy::Fixed(model), pilot_sims)
         }
-        VariogramSpec::FitAfter { min_samples } => (
-            VariogramPolicy::FitAfter {
-                min_samples,
-                families: ModelFamily::all().to_vec(),
-                fallback: VariogramModel::linear(1.0),
-            },
-            0,
-        ),
-        VariogramSpec::Refit { min_samples, every } => (
-            VariogramPolicy::Refit {
-                min_samples,
-                every,
-                families: ModelFamily::all().to_vec(),
-                fallback: VariogramModel::linear(1.0),
-            },
-            0,
-        ),
-        VariogramSpec::FixedLinear { slope } => {
-            (VariogramPolicy::Fixed(VariogramModel::linear(slope)), 0)
-        }
-        VariogramSpec::Fixed { model } => (VariogramPolicy::Fixed(model), 0),
     })
 }
 

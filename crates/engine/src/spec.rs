@@ -16,6 +16,10 @@ use serde::{Deserialize, Serialize};
 pub use krigeval_core::hybrid::{ApproxSettings, GatePolicy, NuggetPolicy};
 pub use krigeval_core::ModelSelection;
 
+use krigeval_core::hybrid::VariogramPolicy;
+use krigeval_core::variogram::ModelFamily;
+use krigeval_core::{DistanceMetric, VariogramModel};
+
 use crate::fault::{FaultConfig, FaultPolicy};
 use crate::suite::Problem;
 use crate::Scale;
@@ -82,11 +86,85 @@ pub enum VariogramSpec {
     /// fits).
     Fixed {
         /// The model every run uses verbatim.
-        model: krigeval_core::VariogramModel,
+        model: VariogramModel,
     },
 }
 
 impl VariogramSpec {
+    /// Parses the spelling `campaign --variogram` and a serve `hello`
+    /// share: `pilot`, `fixed-linear:SLOPE`, `fit-after:N`,
+    /// `refit:N:EVERY`, or `spherical|exponential|gaussian:NUGGET:SILL:RANGE`.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown policy, the missing argument or the bad number.
+    pub fn parse(text: &str) -> Result<VariogramSpec, String> {
+        let mut parts = text.split(':');
+        let head = parts.next().unwrap_or_default();
+        let args: Vec<&str> = parts.collect();
+        let arg = |i: usize| -> Result<&str, String> {
+            args.get(i)
+                .copied()
+                .ok_or_else(|| format!("variogram {head} needs more arguments"))
+        };
+        match head {
+            "pilot" => Ok(VariogramSpec::Pilot),
+            "fixed-linear" => Ok(VariogramSpec::FixedLinear {
+                slope: arg(0)?.parse().map_err(|_| "bad variogram slope")?,
+            }),
+            "fit-after" => Ok(VariogramSpec::FitAfter {
+                min_samples: arg(0)?.parse().map_err(|_| "bad variogram sample count")?,
+            }),
+            "refit" => Ok(VariogramSpec::Refit {
+                min_samples: arg(0)?.parse().map_err(|_| "bad variogram sample count")?,
+                every: arg(1)?.parse().map_err(|_| "bad variogram refit stride")?,
+            }),
+            family @ ("spherical" | "exponential" | "gaussian") => {
+                let num = |i: usize| -> Result<f64, String> {
+                    arg(i)?
+                        .parse()
+                        .map_err(|_| format!("bad {family} parameter"))
+                };
+                let (nugget, sill, range) = (num(0)?, num(1)?, num(2)?);
+                let model = match family {
+                    "spherical" => VariogramModel::spherical(nugget, sill, range),
+                    "exponential" => VariogramModel::exponential(nugget, sill, range),
+                    _ => VariogramModel::gaussian(nugget, sill, range),
+                }
+                .map_err(|e| e.to_string())?;
+                Ok(VariogramSpec::Fixed { model })
+            }
+            other => Err(format!("unknown variogram policy {other:?}")),
+        }
+    }
+
+    /// The hybrid evaluator's policy for this spec, or `None` for
+    /// [`VariogramSpec::Pilot`], whose model comes from a pilot run. The
+    /// online policies fit every [`ModelFamily`] and fall back to
+    /// `γ(d) = d` while a fit fails.
+    pub fn policy(&self) -> Option<VariogramPolicy> {
+        let families = ModelFamily::all().to_vec();
+        let fallback = VariogramModel::linear(1.0);
+        Some(match *self {
+            VariogramSpec::Pilot => return None,
+            VariogramSpec::FitAfter { min_samples } => VariogramPolicy::FitAfter {
+                min_samples,
+                families,
+                fallback,
+            },
+            VariogramSpec::Refit { min_samples, every } => VariogramPolicy::Refit {
+                min_samples,
+                every,
+                families,
+                fallback,
+            },
+            VariogramSpec::FixedLinear { slope } => {
+                VariogramPolicy::Fixed(VariogramModel::linear(slope))
+            }
+            VariogramSpec::Fixed { model } => VariogramPolicy::Fixed(model),
+        })
+    }
+
     /// Short label for records and progress lines.
     pub fn label(&self) -> String {
         match self {
@@ -228,7 +306,7 @@ pub struct RunSpec {
     /// Variogram policy.
     pub variogram: VariogramSpec,
     /// Configuration distance metric.
-    pub metric: krigeval_core::DistanceMetric,
+    pub metric: DistanceMetric,
     /// Derived seed for this run's benchmark instance (base seed ⊕ repeat
     /// hash). Runs sharing `(problem, scale, run_seed)` simulate identical
     /// surfaces and therefore share cache entries.
@@ -288,7 +366,7 @@ impl CampaignSpec {
     pub fn expand(&self) -> Result<Vec<RunSpec>, SpecError> {
         let scale = Scale::parse(&self.scale)
             .ok_or_else(|| SpecError::new(format!("unknown scale {:?}", self.scale)))?;
-        let metric = parse_metric(&self.metric)?;
+        let metric = parse_metric(&self.metric).map_err(SpecError::new)?;
         if self.benchmarks.is_empty() {
             return Err(SpecError::new("no benchmarks selected"));
         }
@@ -450,18 +528,70 @@ fn derive_seed(base: u64, repeat: u32) -> u64 {
     }
 }
 
-fn parse_metric(name: &str) -> Result<krigeval_core::DistanceMetric, SpecError> {
+/// Parses a distance-metric name, in any case: `l1`, `l2`, or `linf`
+/// (alias `loo`). The spelling `campaign --metric`, a spec's `metric`
+/// field and a serve `hello` share.
+///
+/// # Errors
+///
+/// Names the unknown metric.
+pub fn parse_metric(name: &str) -> Result<DistanceMetric, String> {
     match name.to_ascii_lowercase().as_str() {
-        "l1" => Ok(krigeval_core::DistanceMetric::L1),
-        "l2" => Ok(krigeval_core::DistanceMetric::L2),
-        "linf" | "loo" => Ok(krigeval_core::DistanceMetric::Linf),
-        other => Err(SpecError::new(format!("unknown metric {other:?}"))),
+        "l1" => Ok(DistanceMetric::L1),
+        "l2" => Ok(DistanceMetric::L2),
+        "linf" | "loo" => Ok(DistanceMetric::Linf),
+        other => Err(format!("unknown metric {other:?}")),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn variogram_spellings_parse_and_bad_ones_say_why() {
+        for (text, label) in [
+            ("pilot", "pilot"),
+            ("fit-after:12", "fit(12)"),
+            ("refit:8:4", "refit(8,4)"),
+            ("fixed-linear:0.5", "linear(0.5)"),
+            ("spherical:0:1:2", "fixed(spherical)"),
+            ("exponential:0:1:2", "fixed(exponential)"),
+            ("gaussian:0:1:2", "fixed(gaussian)"),
+        ] {
+            assert_eq!(VariogramSpec::parse(text).unwrap().label(), label);
+        }
+        assert_eq!(VariogramSpec::Pilot.policy(), None);
+        for (text, error) in [
+            ("fit-after", "variogram fit-after needs more arguments"),
+            ("refit:8", "variogram refit needs more arguments"),
+            ("fit-after:x", "bad variogram sample count"),
+            ("refit:8:x", "bad variogram refit stride"),
+            ("fixed-linear:x", "bad variogram slope"),
+            ("gaussian:0:1:x", "bad gaussian parameter"),
+            ("kriging", "unknown variogram policy \"kriging\""),
+        ] {
+            assert_eq!(VariogramSpec::parse(text).unwrap_err(), error, "{text}");
+        }
+        assert!(VariogramSpec::parse("spherical:0:-1:2").is_err());
+    }
+
+    #[test]
+    fn metric_names_parse_in_any_case() {
+        for (name, metric) in [
+            ("l1", DistanceMetric::L1),
+            ("L1", DistanceMetric::L1),
+            ("l2", DistanceMetric::L2),
+            ("linf", DistanceMetric::Linf),
+            ("LOO", DistanceMetric::Linf),
+        ] {
+            assert_eq!(parse_metric(name), Ok(metric), "{name}");
+        }
+        assert_eq!(
+            parse_metric("Hamming"),
+            Err("unknown metric \"hamming\"".to_string())
+        );
+    }
 
     #[test]
     fn default_spec_expands_in_documented_order() {

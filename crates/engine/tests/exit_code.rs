@@ -1,15 +1,18 @@
-//! The campaign binary's exit code must reflect lost rows.
+//! The campaign binary's exit code must reflect lost rows and refused
+//! journals.
 //!
 //! Under `--on-error skip` a failed run becomes a tagged JSONL row and
 //! the campaign keeps going — correct for the artifact, but the process
 //! used to exit 0 anyway, so scripted callers (CI, sweeps) never noticed
 //! the data was incomplete. These tests pin the contract: clean campaign
 //! → exit 0; any failed run or lost journal write → nonzero exit *and*
-//! the partial artifact is still emitted.
+//! the partial artifact is still emitted; a `--resume` on a file that is
+//! not this invocation's journal → nonzero exit, the file untouched.
 
+use std::path::Path;
 use std::process::Command;
 
-use krigeval_engine::{CampaignSpec, FaultConfig, FaultPolicy};
+use krigeval_engine::{CampaignSpec, FaultConfig, FaultPolicy, ShardManifest};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_campaign")
@@ -166,6 +169,95 @@ fn merged_shards_with_failed_rows_exit_nonzero_but_still_emit_the_artifact() {
         "failure rows survive the merge: {artifact}"
     );
     assert!(artifact.contains("\"type\":\"summary\""));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `campaign run ARGS --resume --out JOURNAL`, which must exit
+/// nonzero, name the journal on stderr and leave its bytes as they were.
+fn assert_resume_refused(journal: &Path, args: &[&str]) {
+    let before = std::fs::read(journal).expect("journal");
+    let output = Command::new(bin())
+        .arg("run")
+        .args(args)
+        .args(["--workers", "1", "--quiet", "--resume", "--out"])
+        .arg(journal)
+        .output()
+        .expect("campaign binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{args:?} must be refused");
+    assert!(
+        stderr.contains(&journal.display().to_string()),
+        "{args:?}: the refusal names the file: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read(journal).expect("journal"),
+        before,
+        "{args:?}: a refused journal is left unchanged"
+    );
+}
+
+#[test]
+fn resume_refuses_another_campaigns_journal_and_leaves_it_unchanged() {
+    let dir = temp_dir("foreign");
+    let full = dir.join("full.jsonl");
+    let fir = ["--benchmarks", "fir", "--d", "2,3"];
+    let status = Command::new(bin())
+        .arg("run")
+        .args(fir)
+        .args(["--workers", "1", "--quiet", "--out"])
+        .arg(&full)
+        .status()
+        .expect("campaign binary runs");
+    assert!(status.success());
+    let expected = std::fs::read_to_string(&full).expect("artifact");
+
+    // The journal of the fir campaign, killed after its first row.
+    let spec = CampaignSpec {
+        benchmarks: vec!["fir".to_string()],
+        distances: vec![2.0, 3.0],
+        ..CampaignSpec::default()
+    };
+    let row = expected.lines().next().expect("first row");
+    let journal = dir.join("journal.jsonl");
+    let text = format!("{}\n{row}\n", ShardManifest::new(&spec, 0, 1, 2).render());
+    std::fs::write(&journal, text).expect("write journal");
+
+    // Another campaign, and the same grid under another fault policy or
+    // thread count: the digest covers the whole spec.
+    for args in [
+        &["--benchmarks", "iir", "--d", "5"][..],
+        &["--benchmarks", "fir", "--d", "2,3", "--on-error", "skip"],
+        &["--benchmarks", "fir", "--d", "2,3", "--threads", "2"],
+    ] {
+        assert_resume_refused(&journal, args);
+    }
+    // The journal's own campaign resumes it.
+    let status = Command::new(bin())
+        .arg("run")
+        .args(fir)
+        .args(["--workers", "1", "--quiet", "--resume", "--out"])
+        .arg(&journal)
+        .status()
+        .expect("campaign binary runs");
+    assert!(status.success());
+    assert_eq!(std::fs::read_to_string(&journal).unwrap(), expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resume_refuses_a_finished_artifact() {
+    let dir = temp_dir("finished");
+    let out = dir.join("j.jsonl");
+    let status = Command::new(bin())
+        .args(["run", "--benchmarks", "fir", "--d", "2", "--quiet", "--out"])
+        .arg(&out)
+        .status()
+        .expect("campaign binary runs");
+    assert!(status.success());
+    // Neither another campaign nor its own may continue a finished run:
+    // its first line is a row, not a manifest.
+    assert_resume_refused(&out, &["--benchmarks", "iir", "--d", "5"]);
+    assert_resume_refused(&out, &["--benchmarks", "fir", "--d", "2"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -10,10 +10,10 @@
 
 use std::collections::HashSet;
 
-use krigeval_engine::sink::to_jsonl_string;
+use krigeval_engine::sink::{read_artifact_text, to_jsonl_string};
 use krigeval_engine::{
-    load_journal, run_campaign, run_specs_opts, CampaignSpec, ExecOptions, JournalWriter, Progress,
-    SinkOptions, SummaryRecord,
+    load_journal, run_campaign, run_specs_opts, CampaignSpec, ExecOptions, FaultConfig,
+    JournalWriter, Progress, ShardManifest, SinkOptions, SummaryRecord,
 };
 
 fn spec() -> CampaignSpec {
@@ -23,6 +23,33 @@ fn spec() -> CampaignSpec {
         distances: vec![2.0, 3.0],
         ..CampaignSpec::default()
     }
+}
+
+/// The first line of a `campaign run` journal over [`spec`]: the
+/// manifest of slot 0 of 1.
+fn manifest() -> String {
+    ShardManifest::new(&spec(), 0, 1, 4).render()
+}
+
+/// The `campaign run` arguments of [`spec`], writing to `out`.
+fn cli_args(out: &std::path::Path) -> Vec<String> {
+    [
+        "run",
+        "--benchmarks",
+        "fir,iir",
+        "--d",
+        "2,3",
+        "--name",
+        "resume",
+        "--workers",
+        "2",
+        "--quiet",
+        "--out",
+    ]
+    .into_iter()
+    .map(str::to_string)
+    .chain([out.display().to_string()])
+    .collect()
 }
 
 /// The uninterrupted campaign's finalized JSONL (the reference bytes).
@@ -157,52 +184,131 @@ fn cli_resume_is_byte_identical_end_to_end() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let reference = dir.join("reference.jsonl");
     let resumed = dir.join("resumed.jsonl");
-    let args = |out: &std::path::Path| -> Vec<String> {
-        vec![
-            "run".to_string(),
-            "--benchmarks".to_string(),
-            "fir,iir".to_string(),
-            "--d".to_string(),
-            "2,3".to_string(),
-            "--name".to_string(),
-            "resume".to_string(),
-            "--workers".to_string(),
-            "2".to_string(),
-            "--quiet".to_string(),
-            "--out".to_string(),
-            out.display().to_string(),
-        ]
-    };
 
     // Reference: one uninterrupted execution, finalized in place.
     let status = std::process::Command::new(bin)
-        .args(args(&reference))
+        .args(cli_args(&reference))
         .status()
         .expect("campaign binary runs");
     assert!(status.success());
     let expected = std::fs::read_to_string(&reference).expect("reference output");
 
-    // "Kill" a campaign after 2 of 4 rows: the journal is the finalized
-    // file minus its summary, so truncating it to 2 rows reproduces the
-    // on-disk state of a mid-campaign crash (plus a torn final line,
-    // which load_journal discards).
-    let torn: String = expected
-        .lines()
-        .filter(|l| l.contains("\"type\":\"run\""))
-        .take(2)
+    // "Kill" a campaign after 2 of 4 rows: a journal starts with the
+    // manifest of slot 0 of 1 and carries each row as the finalized file
+    // does, so the manifest, 2 rows and a torn final line (which
+    // load_journal discards) reproduce the on-disk state of a
+    // mid-campaign crash.
+    let torn: String = std::iter::once(manifest())
+        .chain(
+            expected
+                .lines()
+                .filter(|l| l.contains("\"type\":\"run\""))
+                .take(2)
+                .map(str::to_string),
+        )
         .map(|l| format!("{l}\n"))
         .collect::<String>()
         + "{\"type\":\"run\",\"index\":9,\"torn";
     std::fs::write(&resumed, torn).expect("write torn journal");
 
     let status = std::process::Command::new(bin)
-        .args(args(&resumed))
+        .args(cli_args(&resumed))
         .arg("--resume")
         .status()
         .expect("campaign binary resumes");
     assert!(status.success());
     let actual = std::fs::read_to_string(&resumed).expect("resumed output");
     assert_eq!(actual, expected, "resume diverged from uninterrupted run");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cli_compressed_resume_is_byte_identical_and_keeps_the_manifest_first() {
+    let bin = env!("CARGO_BIN_EXE_campaign");
+    let dir = std::env::temp_dir().join(format!("krigeval-resume-z-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let reference = dir.join("reference.jsonl.z");
+    let status = std::process::Command::new(bin)
+        .args(cli_args(&reference))
+        .arg("--compress")
+        .status()
+        .expect("campaign binary runs");
+    assert!(status.success());
+    let expected = std::fs::read(&reference).expect("reference artifact");
+    let rows: Vec<String> = read_artifact_text(&reference)
+        .expect("decodes")
+        .lines()
+        .filter(|l| l.contains("\"type\":\"run\""))
+        .take(2)
+        .map(str::to_string)
+        .collect();
+
+    // A compressed journal killed after 2 of 4 rows: its sync-flushed
+    // stream is never finished.
+    let killed_journal = |path: &std::path::Path, manifest: &str| {
+        let journal = JournalWriter::create_compressed(path).expect("journal");
+        for line in std::iter::once(manifest).chain(rows.iter().map(String::as_str)) {
+            journal.line(line).expect("journal line");
+        }
+    };
+    let resumed = dir.join("resumed.jsonl.z");
+    killed_journal(&resumed, &manifest());
+    let status = std::process::Command::new(bin)
+        .args(cli_args(&resumed))
+        .args(["--compress", "--resume"])
+        .status()
+        .expect("campaign binary resumes");
+    assert!(status.success());
+    assert_eq!(
+        std::fs::read(&resumed).expect("resumed artifact"),
+        expected,
+        "compressed resume diverged from the uninterrupted run"
+    );
+
+    // A resume rewrites a compressed journal, manifest first: one whose
+    // next run fails fast stops before it finishes the artifact, and
+    // leaves the rewritten journal for the next resume.
+    let faulty = CampaignSpec {
+        faults: Some(FaultConfig {
+            panic_rate: 0.0,
+            error_rate: 1.0,
+            nan_rate: 0.0,
+            seed: 7,
+        }),
+        ..spec()
+    };
+    let spec_path = dir.join("faulty.json");
+    std::fs::write(&spec_path, faulty.to_json()).expect("write spec");
+    let faulty_manifest = ShardManifest::new(&faulty, 0, 1, 4).render();
+    let aborted = dir.join("aborted.jsonl.z");
+    killed_journal(&aborted, &faulty_manifest);
+    let output = std::process::Command::new(bin)
+        .arg("run")
+        .arg("--spec")
+        .arg(&spec_path)
+        .args([
+            "--workers",
+            "1",
+            "--quiet",
+            "--compress",
+            "--resume",
+            "--out",
+        ])
+        .arg(&aborted)
+        .output()
+        .expect("campaign binary resumes");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        !output.status.success() && stderr.contains("injected transient error"),
+        "the resume runs, and its next run fails fast: {stderr}"
+    );
+    let rewritten = read_artifact_text(&aborted).expect("rewritten journal decodes");
+    let journal: String = std::iter::once(faulty_manifest.as_str())
+        .chain(rows.iter().map(String::as_str))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(rewritten, journal, "the manifest stays the first line");
 
     std::fs::remove_dir_all(&dir).ok();
 }

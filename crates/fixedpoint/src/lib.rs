@@ -13,9 +13,8 @@
 //!   would compute, at simulation speed.
 //! * [`NoiseMeter`] / [`NoisePower`] — accumulate the error power between a
 //!   reference stream and a quantized stream, with dB conversion.
-//! * [`metrics`] — the paper's interpolation-quality metrics: the
-//!   equivalent-bit difference of Eq. 11 and the relative difference of
-//!   Eq. 12.
+//! * [`metrics`] — [`metrics::ErrorStats`], the running `max ε` / `μ ε`
+//!   columns of Table I over the per-interpolation errors of Eqs. 11–12.
 //! * [`CheckpointStore`] — the byte-capped store of stage states that
 //!   resumable simulators (the CNNs and the IIR, FFT and HEVC kernels)
 //!   start later simulations from.
@@ -45,7 +44,6 @@
 mod checkpoint;
 mod error;
 mod format;
-mod interval;
 pub mod metrics;
 mod noise;
 mod quantizer;
@@ -53,6 +51,5 @@ mod quantizer;
 pub use checkpoint::{Checkpoint, CheckpointStore, ResumeStats};
 pub use error::FixedPointError;
 pub use format::QFormat;
-pub use interval::{fir_output_range, Interval};
 pub use noise::{NoiseMeter, NoisePower};
 pub use quantizer::{OverflowMode, Quantizer, RoundingMode};

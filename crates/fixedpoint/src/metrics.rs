@@ -1,4 +1,4 @@
-//! Interpolation-quality metrics of the paper (Section IV).
+//! Interpolation-quality statistics of the paper (Section IV).
 //!
 //! Table I reports, for every interpolated configuration, the difference `ε`
 //! between the kriged and the simulated metric value:
@@ -8,49 +8,10 @@
 //! * for any **other** metric (e.g. SqueezeNet's classification rate), `ε`
 //!   is the *relative difference* of Eq. 12: `ε = |λ̂ − λ| / λ`.
 //!
-//! [`ErrorStats`] accumulates the per-interpolation values into the
-//! `max ε` / `μ ε` columns of the table.
+//! The hybrid evaluator's audit computes each `ε`; [`ErrorStats`]
+//! accumulates them into the `max ε` / `μ ε` columns of the table.
 
 use serde::{Deserialize, Serialize};
-
-use crate::NoisePower;
-
-/// Equivalent-bit difference between an interpolated and a real noise power
-/// (paper Eq. 11): `ε = |log₂(P̂ / P)|`.
-///
-/// Under the paper's convention `P(n) = 2⁻ⁿ/12`, this is exactly the
-/// difference in equivalent bits `|n − n̂|`.
-///
-/// Both powers must be strictly positive; a zero (bit-exact) power has no
-/// finite bit equivalent, and the optimizers never hand one to kriging.
-///
-/// # Examples
-///
-/// ```
-/// use krigeval_fixedpoint::metrics::bit_error;
-/// use krigeval_fixedpoint::NoisePower;
-///
-/// let real = NoisePower::from_equivalent_bits(10.0);
-/// let interpolated = NoisePower::from_equivalent_bits(10.43);
-/// assert!((bit_error(interpolated, real) - 0.43).abs() < 1e-9);
-/// ```
-pub fn bit_error(interpolated: NoisePower, real: NoisePower) -> f64 {
-    (interpolated.linear() / real.linear()).log2().abs()
-}
-
-/// Relative difference between an interpolated and a real metric value
-/// (paper Eq. 12): `ε = |λ̂ − λ| / |λ|`.
-///
-/// # Examples
-///
-/// ```
-/// use krigeval_fixedpoint::metrics::relative_error;
-///
-/// assert!((relative_error(0.95, 1.0) - 0.05).abs() < 1e-12);
-/// ```
-pub fn relative_error(interpolated: f64, real: f64) -> f64 {
-    (interpolated - real).abs() / real.abs()
-}
 
 /// Running max/mean statistics over per-interpolation errors — the
 /// `max ε` and `μ ε` columns of Table I.
@@ -125,35 +86,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bit_error_is_symmetric_in_log_domain() {
-        let a = NoisePower::from_linear(1e-5);
-        let b = NoisePower::from_linear(4e-5);
-        assert!((bit_error(a, b) - 2.0).abs() < 1e-12);
-        assert!((bit_error(b, a) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bit_error_zero_for_exact_interpolation() {
-        let p = NoisePower::from_db(-47.3);
-        assert_eq!(bit_error(p, p), 0.0);
-    }
-
-    #[test]
-    fn bit_error_matches_equivalent_bits_difference() {
-        let real = NoisePower::from_equivalent_bits(12.0);
-        let est = NoisePower::from_equivalent_bits(13.7);
-        let eps = bit_error(est, real);
-        assert!((eps - 1.7).abs() < 1e-10);
-    }
-
-    #[test]
-    fn relative_error_basic() {
-        assert_eq!(relative_error(1.0, 1.0), 0.0);
-        assert!((relative_error(0.8, 1.0) - 0.2).abs() < 1e-12);
-        assert!((relative_error(1.2, -1.0) - 2.2).abs() < 1e-12);
-    }
-
-    #[test]
     fn stats_track_max_and_mean() {
         let mut s = ErrorStats::new();
         for e in [0.1, 0.5, 0.3] {
@@ -204,21 +136,6 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            #[test]
-            fn bit_error_non_negative(p1 in 1e-12f64..1.0, p2 in 1e-12f64..1.0) {
-                let e = bit_error(NoisePower::from_linear(p1), NoisePower::from_linear(p2));
-                prop_assert!(e >= 0.0);
-            }
-
-            #[test]
-            fn relative_error_scale_invariant(
-                lam in 0.01f64..100.0, err in -0.5f64..0.5, scale in 0.1f64..10.0
-            ) {
-                let e1 = relative_error(lam * (1.0 + err), lam);
-                let e2 = relative_error(scale * lam * (1.0 + err), scale * lam);
-                prop_assert!((e1 - e2).abs() < 1e-10);
-            }
-
             #[test]
             fn stats_mean_bounded_by_max(samples in proptest::collection::vec(0.0f64..10.0, 1..50)) {
                 let mut s = ErrorStats::new();

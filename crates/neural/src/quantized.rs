@@ -81,7 +81,7 @@ impl QuantizedNetBenchmark {
         let mut integer_bits = [0i32; NUM_INJECTION_SITES];
         for (bits, &peak) in integer_bits.iter_mut().zip(&max_abs) {
             // 25 % headroom over the observed peak, at least Q0.
-            *bits = krigeval_fixedpoint::Interval::symmetric(peak * 1.25).integer_bits();
+            *bits = integer_bits_for(peak * 1.25);
         }
         let checkpoints = checkpoint::site_store(&net, &stems, false);
         QuantizedNetBenchmark {
@@ -225,6 +225,27 @@ impl QuantizedNetBenchmark {
     }
 }
 
+/// Integer bits (sign excluded) of a signed format that holds every value
+/// of `[−radius, radius]` without overflow: the smallest `m ≥ 0` with
+/// `radius ≤ 2^m` (the ULP slack at `+2^m` is ignored, since formats pair
+/// with saturation).
+///
+/// # Panics
+///
+/// Panics if `radius` is negative, NaN, or too wide for any format.
+fn integer_bits_for(radius: f64) -> i32 {
+    assert!(radius >= 0.0, "radius must be non-negative, got {radius}");
+    let mut m = 0;
+    while radius > 2f64.powi(m) {
+        m += 1;
+        assert!(
+            m < 1024,
+            "radius {radius} too wide for a fixed-point format"
+        );
+    }
+    m
+}
+
 struct RangeHook {
     max_abs: [f64; NUM_INJECTION_SITES],
 }
@@ -278,6 +299,20 @@ mod tests {
         assert!(wide >= mid, "wide {wide} < mid {mid}");
         assert!(mid >= narrow, "mid {mid} < narrow {narrow}");
         assert!(narrow < wide, "no degradation observed");
+    }
+
+    #[test]
+    fn integer_bits_hold_the_radius() {
+        for (radius, bits) in [
+            (0.0, 0),
+            (0.99, 0),
+            (1.0, 0),
+            (1.0001, 1),
+            (1.75, 1),
+            (5.0, 3),
+        ] {
+            assert_eq!(integer_bits_for(radius), bits, "{radius}");
+        }
     }
 
     #[test]

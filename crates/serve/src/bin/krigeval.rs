@@ -1,7 +1,8 @@
 //! `krigeval` — CLI front-end for the evaluation server.
 //!
 //! * `krigeval serve` runs the server until `SIGINT` or a client sends a
-//!   `shutdown` frame, then drains gracefully.
+//!   `shutdown` frame, then drains gracefully and exits as soon as the
+//!   drain is done.
 //! * `krigeval probe` is a self-contained smoke client: it opens a
 //!   session, evaluates a small batch, scrapes `/metrics`, and drains
 //!   the server — CI uses it as the end-to-end health check.
@@ -14,17 +15,33 @@ use std::time::{Duration, Instant};
 use krigeval_serve::protocol::{HelloParams, Request, Response};
 use krigeval_serve::server::{Server, ServerConfig};
 
-/// Installs a `SIGINT` handler that only flips an atomic flag, so the
-/// main loop can run the same graceful drain as a `shutdown` frame.
+/// Routes `SIGINT` into the graceful drain through a self-pipe: the
+/// handler writes one byte, and a watcher thread blocked on the other end
+/// calls `ShutdownHandle::shutdown`.
 #[cfg(unix)]
 mod sigint {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::io::Read;
+    use std::os::fd::IntoRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicI32, Ordering};
 
-    static INTERRUPTED: AtomicBool = AtomicBool::new(false);
+    use krigeval_serve::server::ShutdownHandle;
 
-    /// Async-signal-safe handler: a single atomic store.
+    /// The pipe's write end, once `install` has run; it stays open for the
+    /// life of the process.
+    static PIPE: AtomicI32 = AtomicI32::new(-1);
+
+    /// Async-signal-safe handler: an atomic load and one `write`.
+    #[allow(unsafe_code)]
     extern "C" fn on_sigint(_signum: i32) {
-        INTERRUPTED.store(true, Ordering::Release);
+        let byte = 1u8;
+        // SAFETY: `write` is async-signal-safe and reads one byte from
+        // `byte`, which outlives the call. The descriptor is the open
+        // write end `install` stored (Release, paired with this Acquire)
+        // before it installed this handler.
+        unsafe {
+            ffi::write(PIPE.load(Ordering::Acquire), &byte, 1);
+        }
     }
 
     // Minimal libc surface; avoids depending on the libc crate.
@@ -33,31 +50,52 @@ mod sigint {
         pub type SigHandler = extern "C" fn(i32);
         extern "C" {
             pub fn signal(signum: i32, handler: SigHandler) -> isize;
+            pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
         }
     }
 
     const SIGINT: i32 = 2;
+    /// `signal`'s failure value, `(sighandler_t) -1`.
+    const SIG_ERR: isize = -1;
 
-    /// Registers the handler; later `SIGINT`s set the interrupted flag.
+    /// Registers the handler and returns the pipe's read end, which holds
+    /// one byte per `SIGINT` from now on. The write end is nonblocking, so
+    /// a burst of signals cannot block the handler.
     #[allow(unsafe_code)]
-    pub fn install() {
-        unsafe {
-            ffi::signal(SIGINT, on_sigint);
+    pub fn install() -> std::io::Result<UnixStream> {
+        let (reader, writer) = UnixStream::pair()?;
+        writer.set_nonblocking(true)?;
+        PIPE.store(writer.into_raw_fd(), Ordering::Release);
+        // SAFETY: `on_sigint` has the handler signature and does only
+        // async-signal-safe work.
+        let previous = unsafe { ffi::signal(SIGINT, on_sigint) };
+        if previous == SIG_ERR {
+            return Err(std::io::Error::last_os_error());
         }
+        Ok(reader)
     }
 
-    /// Whether a `SIGINT` has arrived since `install`.
-    pub fn interrupted() -> bool {
-        INTERRUPTED.load(Ordering::Acquire)
+    /// Begins the drain through `handle` when the first `SIGINT` arrives,
+    /// on a thread that blocks on the pipe until then. The thread is not
+    /// joined: without a `SIGINT` it blocks until the process exits.
+    pub fn watch(mut pipe: UnixStream, handle: ShutdownHandle) {
+        std::thread::spawn(move || {
+            if pipe.read_exact(&mut [0u8]).is_ok() {
+                handle.shutdown();
+            }
+        });
     }
 }
 
 #[cfg(not(unix))]
 mod sigint {
-    pub fn install() {}
-    pub fn interrupted() -> bool {
-        false
+    use krigeval_serve::server::ShutdownHandle;
+
+    pub fn install() -> std::io::Result<()> {
+        Ok(())
     }
+
+    pub fn watch(_pipe: (), _handle: ShutdownHandle) {}
 }
 
 fn usage() -> String {
@@ -166,6 +204,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         i += 1;
     }
+    // Installed before binding: a SIGINT once the port is up drains.
+    let interrupts =
+        sigint::install().map_err(|e| format!("cannot install the SIGINT handler: {e}"))?;
     let server = Server::start(config).map_err(|e| format!("failed to start server: {e}"))?;
     if !quiet {
         eprintln!("krigeval serve: listening on {}", server.addr());
@@ -173,10 +214,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             eprintln!("krigeval serve: metrics on http://{addr}/metrics");
         }
     }
-    sigint::install();
-    while !sigint::interrupted() && !server.is_draining() {
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    sigint::watch(interrupts, server.shutdown_handle());
+    server.wait_for_drain();
     if !quiet {
         eprintln!("krigeval serve: draining...");
     }

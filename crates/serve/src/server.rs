@@ -19,27 +19,28 @@
 //! Both listeners stay in blocking mode: each accept thread sleeps in
 //! `accept` until a connection arrives, so a connection is served as soon
 //! as it is made. A `shutdown` frame, [`Server::shutdown`] or
-//! [`ShutdownHandle::shutdown`] (the CLI's `SIGINT` reaches it through
-//! [`Server::join`]) sets the drain flag, then wakes the accept thread
-//! with one loopback connection to the bound address (the loopback
-//! address of the same family when bound to `0.0.0.0` or `::`). The
-//! woken thread reads the flag and closes the listener, so a connection
-//! that arrives afterwards is dropped or refused. Requests already
-//! executing run to completion and their responses are written, and
-//! every frame that arrives on an open connection afterwards is answered
-//! with a typed `shutting_down` error during a short grace window before
-//! the socket closes. [`Server::join`] repeats the wake until the accept
-//! thread has exited (one wake can be lost to a full backlog or a refused
-//! connect), waits for every connection, stops the metrics side-port the
-//! same way, then flushes the metrics snapshot (when configured) and
-//! returns a final report.
+//! [`ShutdownHandle::shutdown`] (the CLI's `SIGINT` reaches it through a
+//! handle) sets the drain flag, notifies [`Server::wait_for_drain`], then
+//! wakes the accept thread with one loopback connection to the bound
+//! address (the loopback address of the same family when bound to
+//! `0.0.0.0` or `::`). The woken thread reads the flag and closes the
+//! listener, so a connection that arrives afterwards is dropped or
+//! refused. Requests already executing run to completion and their
+//! responses are written, and every frame that arrives on an open
+//! connection afterwards is answered with a typed `shutting_down` error
+//! during a short grace window before the socket closes.
+//! [`Server::join`] repeats the wake until the accept thread has exited
+//! (one wake can be lost to a full backlog or a refused connect), waits
+//! for every connection, stops the metrics side-port the same way, then
+//! flushes the metrics snapshot (when configured) and returns a final
+//! report.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -171,6 +172,9 @@ struct Shared {
     /// that its accept thread returns; `None` where no listener runs.
     listening: Option<SocketAddr>,
     drain: AtomicBool,
+    /// Notified when the drain begins, under `drain_lock`.
+    drain_begun: Condvar,
+    drain_lock: Mutex<()>,
     halt_metrics: AtomicBool,
     inflight: AtomicUsize,
     active_sessions: AtomicUsize,
@@ -189,6 +193,8 @@ impl Shared {
             config,
             listening: None,
             drain: AtomicBool::new(false),
+            drain_begun: Condvar::new(),
+            drain_lock: Mutex::new(()),
             halt_metrics: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             active_sessions: AtomicUsize::new(0),
@@ -203,10 +209,18 @@ impl Shared {
         self.drain.load(Ordering::Acquire)
     }
 
-    /// Begins the graceful drain (idempotent): sets the flag, then wakes
-    /// the evaluation port's accept thread so that it reads the flag.
+    /// Begins the graceful drain (idempotent): sets the flag, notifies
+    /// [`Server::wait_for_drain`], then wakes the evaluation port's accept
+    /// thread so that it reads the flag.
     fn begin_drain(&self) {
-        self.drain.store(true, Ordering::Release);
+        {
+            let _guard = self
+                .drain_lock
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.drain.store(true, Ordering::Release);
+            self.drain_begun.notify_all();
+        }
         if let Some(addr) = self.listening {
             wake(addr);
         }
@@ -360,6 +374,19 @@ impl Server {
     /// Whether the drain has begun (via frame, handle, or signal).
     pub fn is_draining(&self) -> bool {
         self.shared.draining()
+    }
+
+    /// Blocks until the drain begins: a `shutdown` frame,
+    /// [`Server::shutdown`] or a [`ShutdownHandle`].
+    pub fn wait_for_drain(&self) {
+        let lock = self.shared.drain_lock.lock();
+        let _guard = self
+            .shared
+            .drain_begun
+            .wait_while(lock.unwrap_or_else(PoisonError::into_inner), |()| {
+                !self.shared.draining()
+            })
+            .unwrap_or_else(PoisonError::into_inner);
     }
 
     /// Drains (if not already draining), waits for every connection to

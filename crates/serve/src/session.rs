@@ -20,18 +20,18 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use krigeval_core::hybrid::{
-    GatePolicy, HybridEvaluator, HybridSettings, HybridStats, NuggetPolicy, VariogramPolicy,
+    GatePolicy, HybridEvaluator, HybridSettings, HybridStats, NuggetPolicy,
 };
 use krigeval_core::opt::descent::{budget_error_sources, DescentOptions};
 use krigeval_core::opt::minplusone::{optimize, MinPlusOneOptions};
 use krigeval_core::opt::{OptError, OptimizationResult};
-use krigeval_core::variogram::ModelFamily;
 use krigeval_core::{
-    Config, DistanceMetric, EvalBackend, EvalError, FiniteGuard, ModelSelection, Outcome,
-    SessionSnapshot, SimulationRequest, VariogramModel,
+    Config, EvalBackend, EvalError, FiniteGuard, ModelSelection, Outcome, SessionSnapshot,
+    SimulationRequest,
 };
 use krigeval_engine::obs::BackendObs;
 use krigeval_engine::runner::surface_namespace;
+use krigeval_engine::spec::{parse_metric, VariogramSpec};
 use krigeval_engine::suite::{build_seeded, Problem, ProblemInstance};
 use krigeval_engine::{CacheStats, EngineBackend, Scale, SimCache};
 use krigeval_obs::{Registry, Tracer};
@@ -224,78 +224,6 @@ impl BackendPool {
 /// `bad_request` so one client cannot pin unbounded memory.
 pub const MAX_BATCH: usize = 4096;
 
-fn parse_variogram(value: &str) -> Result<VariogramPolicy, SessionError> {
-    let mut parts = value.split(':');
-    let head = parts.next().unwrap_or_default();
-    let args: Vec<&str> = parts.collect();
-    let arg = |i: usize| -> Result<&str, SessionError> {
-        args.get(i).copied().ok_or_else(|| {
-            SessionError::bad_request(format!("variogram {head} needs more arguments"))
-        })
-    };
-    let families = ModelFamily::all().to_vec();
-    let fallback = VariogramModel::linear(1.0);
-    match head {
-        "fit-after" => Ok(VariogramPolicy::FitAfter {
-            min_samples: arg(0)?
-                .parse()
-                .map_err(|_| SessionError::bad_request("bad variogram sample count"))?,
-            families,
-            fallback,
-        }),
-        "refit" => Ok(VariogramPolicy::Refit {
-            min_samples: arg(0)?
-                .parse()
-                .map_err(|_| SessionError::bad_request("bad variogram sample count"))?,
-            every: arg(1)?
-                .parse()
-                .map_err(|_| SessionError::bad_request("bad variogram refit stride"))?,
-            families,
-            fallback,
-        }),
-        "fixed-linear" => Ok(VariogramPolicy::Fixed(VariogramModel::linear(
-            arg(0)?
-                .parse()
-                .map_err(|_| SessionError::bad_request("bad variogram slope"))?,
-        ))),
-        family @ ("spherical" | "exponential" | "gaussian") => {
-            let num = |i: usize| -> Result<f64, SessionError> {
-                arg(i)?
-                    .parse()
-                    .map_err(|_| SessionError::bad_request(format!("bad {family} parameter")))
-            };
-            let (nugget, sill, range) = (num(0)?, num(1)?, num(2)?);
-            let model = match family {
-                "spherical" => VariogramModel::spherical(nugget, sill, range),
-                "exponential" => VariogramModel::exponential(nugget, sill, range),
-                _ => VariogramModel::gaussian(nugget, sill, range),
-            }
-            .map_err(|e| SessionError::bad_request(e.to_string()))?;
-            Ok(VariogramPolicy::Fixed(model))
-        }
-        "pilot" => Err(SessionError {
-            code: codes::UNSUPPORTED,
-            message: "the pilot protocol is an offline-campaign feature; serve sessions \
-                      identify online (fit-after / refit) or use a fixed model"
-                .to_string(),
-        }),
-        other => Err(SessionError::bad_request(format!(
-            "unknown variogram policy {other:?}"
-        ))),
-    }
-}
-
-fn parse_metric(name: &str) -> Result<DistanceMetric, SessionError> {
-    match name {
-        "l1" => Ok(DistanceMetric::L1),
-        "l2" => Ok(DistanceMetric::L2),
-        "linf" | "loo" => Ok(DistanceMetric::Linf),
-        other => Err(SessionError::bad_request(format!(
-            "unknown metric {other:?}"
-        ))),
-    }
-}
-
 fn outcome_frame(outcome: &Outcome) -> OutcomeFrame {
     match outcome {
         Outcome::Simulated { value } => OutcomeFrame {
@@ -360,11 +288,20 @@ impl Session {
         let seed = params.seed.unwrap_or(0);
         let defaults = HybridSettings::default();
         let variogram = match params.variogram.as_deref() {
-            Some(text) => parse_variogram(text)?,
+            Some(text) => VariogramSpec::parse(text)
+                .map_err(SessionError::bad_request)?
+                .policy()
+                .ok_or_else(|| SessionError {
+                    code: codes::UNSUPPORTED,
+                    message: "the pilot protocol is an offline-campaign feature; serve \
+                              sessions identify online (fit-after / refit) or use a fixed \
+                              model"
+                        .to_string(),
+                })?,
             None => defaults.variogram,
         };
         let metric = match params.metric.as_deref() {
-            Some(name) => parse_metric(name)?,
+            Some(name) => parse_metric(name).map_err(SessionError::bad_request)?,
             None => defaults.metric,
         };
         let distance = params.d.unwrap_or(defaults.distance);
@@ -629,6 +566,41 @@ mod tests {
         assert_eq!(err.code, codes::BAD_REQUEST);
         let err = s.evaluate_batch(&[vec![9]]).unwrap_err();
         assert_eq!(err.code, codes::BAD_REQUEST);
+    }
+
+    #[test]
+    fn a_hello_and_a_campaign_spec_read_each_spelling_alike() {
+        use krigeval_engine::spec::CampaignSpec;
+
+        let pool = pool();
+        for (variogram, metric) in [
+            ("fit-after:12", "l1"),
+            ("refit:8:4", "L1"),
+            ("fixed-linear:0.5", "l2"),
+            ("spherical:0.1:2:3", "linf"),
+            ("exponential:0:1:4", "l1"),
+            ("gaussian:0.2:1.5:2.5", "l2"),
+        ] {
+            // `campaign --variogram V --metric M` sets these spec fields,
+            // and a run reads them off its expansion.
+            let spec = CampaignSpec {
+                variogram: VariogramSpec::parse(variogram).unwrap(),
+                metric: metric.to_string(),
+                ..CampaignSpec::default()
+            };
+            let run = &spec.expand().unwrap()[0];
+            let mut params = hello("fir");
+            params.variogram = Some(variogram.to_string());
+            params.metric = Some(metric.to_string());
+            let session = Session::open(1, &params, &pool).unwrap();
+            let settings = session.evaluator.settings();
+            assert_eq!(
+                Some(&settings.variogram),
+                run.variogram.policy().as_ref(),
+                "{variogram}"
+            );
+            assert_eq!(settings.metric, run.metric, "{metric}");
+        }
     }
 
     #[test]
