@@ -66,7 +66,7 @@ fn bench_variogram(c: &mut Criterion) {
 }
 
 fn bench_incremental_variogram(c: &mut Criterion) {
-    // Refitting after 5 new simulations: the accumulator folds only the
+    // Syncing 5 new simulations onto 60: the accumulator folds only the
     // 5 × 60 new pairs, where a batch rebuild redoes all 65 × 64 / 2.
     let (configs, values) = cloud(65);
     let mut warm = VariogramAccumulator::new(DistanceMetric::L1);

@@ -90,28 +90,45 @@ fn measure_us(mut routine: impl FnMut(), iters: usize, batches: usize) -> f64 {
     for _ in 0..iters {
         routine(); // warm-up: fault in code and grow scratch buffers
     }
-    let mut samples = Vec::with_capacity(batches);
-    for _ in 0..batches {
-        let start = Instant::now();
-        for _ in 0..iters {
-            routine();
-        }
-        samples.push(start.elapsed().as_secs_f64() * 1e6 / iters as f64);
+    median(
+        (0..batches)
+            .map(|_| time_batch_us(&mut routine, iters))
+            .collect(),
+    )
+}
+
+/// One timed batch of `iters` calls, in µs per call.
+fn time_batch_us(routine: &mut impl FnMut(), iters: usize) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        routine();
     }
+    start.elapsed().as_secs_f64() * 1e6 / iters as f64
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_unstable_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
 
+/// The medians of an interleaved measurement ([`measure_pair_us`]).
+struct Pair {
+    /// `a`'s median, µs per call.
+    a_us: f64,
+    /// `b`'s median, µs per call.
+    b_us: f64,
+    /// The median over pairs of `b / a`: what the ratio gates read.
+    ratio: f64,
+}
+
 /// Interleaved variant of [`measure_us`] for ratio gates: timed batches
-/// of `a` and `b` alternate, so clock-frequency and host-load drift hit
-/// both sides equally and the two medians come out of the same
-/// measurement window. Returns `(a_us, b_us)` per call.
-fn measure_pair_us(
-    mut a: impl FnMut(),
-    mut b: impl FnMut(),
-    iters: usize,
-    batches: usize,
-) -> (f64, f64) {
+/// of `a` and `b` alternate, so every batch runs right after one of the
+/// other side and clock-frequency and host-load drift hit both sides
+/// equally. Any two adjacent batches form a pair, so the side that runs
+/// first alternates from pair to pair (`a₀b₀`, `b₀a₁`, `a₁b₁`, ...), and
+/// each pair gives one ratio `b / a`. A ratio gate reads their median,
+/// which a drift between pairs leaves alone.
+fn measure_pair_us(mut a: impl FnMut(), mut b: impl FnMut(), iters: usize, batches: usize) -> Pair {
     for _ in 0..iters {
         a();
         b();
@@ -119,20 +136,17 @@ fn measure_pair_us(
     let mut a_samples = Vec::with_capacity(batches);
     let mut b_samples = Vec::with_capacity(batches);
     for _ in 0..batches {
-        let start = Instant::now();
-        for _ in 0..iters {
-            a();
-        }
-        a_samples.push(start.elapsed().as_secs_f64() * 1e6 / iters as f64);
-        let start = Instant::now();
-        for _ in 0..iters {
-            b();
-        }
-        b_samples.push(start.elapsed().as_secs_f64() * 1e6 / iters as f64);
+        a_samples.push(time_batch_us(&mut a, iters));
+        b_samples.push(time_batch_us(&mut b, iters));
     }
-    a_samples.sort_unstable_by(f64::total_cmp);
-    b_samples.sort_unstable_by(f64::total_cmp);
-    (a_samples[batches / 2], b_samples[batches / 2])
+    let a_first = a_samples.iter().zip(&b_samples).map(|(a, b)| b / a);
+    let b_first = b_samples.iter().zip(&a_samples[1..]).map(|(b, a)| b / a);
+    let ratios = a_first.chain(b_first).collect();
+    Pair {
+        a_us: median(a_samples),
+        b_us: median(b_samples),
+        ratio: median(ratios),
+    }
 }
 
 fn num(v: f64) -> Value {
@@ -202,13 +216,13 @@ fn oneshot_predict_24_us() -> f64 {
 /// per-query number (which re-assembles and re-factors for every target).
 ///
 /// Measured in two interleaved flavours and returned as
-/// `(value_only, with_variance)`: the first reads every target's value
-/// (`group_interpolate`), the second also reads its kriging variance σ²
-/// (`group_variance`) — exactly what the variance gate consumes per
+/// `(value_only, with_variance, ratio)`: the first reads every target's
+/// value (`group_interpolate`), the second also reads its kriging variance
+/// σ² (`group_variance`) — exactly what the variance gate consumes per
 /// decision. σ² is a byproduct of the same bordered solve that produces
-/// the weights, so surfacing it must be (near) free: the with-variance
-/// number is gated at ≤1.05x the value-only number.
-fn multi_rhs_predict_us() -> (f64, f64) {
+/// the weights, so surfacing it must be (near) free: the median per-pair
+/// ratio of the two is gated at ≤1.05x.
+fn multi_rhs_predict_us() -> (f64, f64, f64) {
     let (configs, values) = cloud(24);
     let sites: Vec<Vec<f64>> = configs
         .iter()
@@ -227,7 +241,7 @@ fn multi_rhs_predict_us() -> (f64, f64) {
     // Both sides solve in one shared scratch, so where its buffers happen
     // to land in memory cannot favour either side of the ratio.
     let scratch = RefCell::new(KrigingScratch::new());
-    let (value_only, with_variance) = measure_pair_us(
+    let pair = measure_pair_us(
         || {
             let mut scratch = scratch.borrow_mut();
             scratch
@@ -250,7 +264,7 @@ fn multi_rhs_predict_us() -> (f64, f64) {
         256,
         15,
     );
-    (value_only / 24.0, with_variance / 24.0)
+    (pair.a_us / 24.0, pair.b_us / 24.0, pair.ratio)
 }
 
 /// Screened (n=16) vs exact (n=64) solve cost on one 64-site system —
@@ -284,9 +298,9 @@ fn approx_predict_n64_us() -> (f64, f64) {
 }
 
 fn variogram_refit_us() -> f64 {
-    // Refit after 5 new simulations on top of 60: the accumulator folds
-    // only the new pairs. Compared against the frozen cost of the full
-    // rebuild the old path performed on every refit.
+    // A snapshot after 5 new simulations on top of 60: the accumulator
+    // folds only the new pairs. Compared against the frozen cost of the
+    // full rebuild over all 65 sites.
     let (configs, values) = cloud(65);
     let mut warm = VariogramAccumulator::new(DistanceMetric::L1);
     warm.sync(&configs[..60], &values[..60]);
@@ -368,7 +382,8 @@ fn checkpoint_insert_full_us() -> (f64, f64) {
             store.insert(&[key, 0, 1, 2, 3, 4], vec![0.0; LEN]);
         }
     };
-    measure_pair_us(insert_into_full(10), insert_into_full(1000), 2000, 15)
+    let pair = measure_pair_us(insert_into_full(10), insert_into_full(1000), 2000, 15);
+    (pair.a_us, pair.b_us)
 }
 
 /// The kriged evaluate's solve path: a steady-state session queried at
@@ -393,10 +408,10 @@ fn hybrid_steady_state_us() -> f64 {
 /// (registry counters plus a disabled tracer — the configuration every
 /// `--metrics-out` campaign runs with), timed in interleaved batches so
 /// frequency drift hits both sides equally. Returns the `(base,
-/// with_obs)` medians in µs per evaluate, first on the solve path, then
-/// on the recalled path (one probe re-queried at an unchanged state,
+/// with_obs)` pair in µs per evaluate, first on the solve path, then on
+/// the recalled path (one probe re-queried at an unchanged state,
 /// answered by the memo).
-fn hybrid_obs_overhead_us() -> ((f64, f64), (f64, f64)) {
+fn hybrid_obs_overhead_us() -> (Pair, Pair) {
     let registry = Registry::new();
     let mut base = steady_session();
     let mut with_obs = steady_session();
@@ -935,9 +950,8 @@ fn main() {
     eprintln!("  kriging solve n=32        {n32:>10.3} us");
     let oneshot = oneshot_predict_24_us();
     eprintln!("  one-shot predict 24 sites {oneshot:>10.3} us");
-    let (multi_rhs, variance_pred) = multi_rhs_predict_us();
+    let (multi_rhs, variance_pred, variance_ratio) = multi_rhs_predict_us();
     eprintln!("  multi-RHS predict (24)    {multi_rhs:>10.3} us/prediction");
-    let variance_ratio = variance_pred / multi_rhs;
     eprintln!(
         "  multi-RHS + variance (24) {variance_pred:>10.3} us/prediction (x{variance_ratio:.3})"
     );
@@ -957,8 +971,9 @@ fn main() {
     );
     let hybrid = hybrid_steady_state_us();
     eprintln!("  hybrid kriged evaluate    {hybrid:>10.3} us");
-    let ((obs_base, obs_with), (recalled_base, recalled_obs)) = hybrid_obs_overhead_us();
-    let obs_ratio = obs_with / obs_base;
+    let (obs, recalled) = hybrid_obs_overhead_us();
+    let (obs_base, obs_with, obs_ratio) = (obs.a_us, obs.b_us, obs.ratio);
+    let (recalled_base, recalled_obs) = (recalled.a_us, recalled.b_us);
     eprintln!(
         "  kriged evaluate + obs     {obs_with:>10.3} us (base {obs_base:.3} us, x{obs_ratio:.3})"
     );
@@ -1182,13 +1197,14 @@ fn main() {
     // relaxed atomic adds per kriged evaluate, measured at ~3% of the
     // ~1.2 us evaluate), so the cap moved with the added work while
     // still catching a per-evaluate allocation or lock regression. It
-    // times the solve path; the recalled path is reported ungated, since
-    // a ratio over a ~0.1 us memo hit mostly measures the bundle's fixed
-    // per-query cost.
+    // times the solve path and reads the median per-pair ratio; the
+    // recalled path is reported ungated, since a ratio over a ~0.1 us
+    // memo hit mostly measures the bundle's fixed per-query cost.
     if obs_ratio > 1.08 {
         eprintln!(
             "perfsmoke: FAIL observability overhead is x{obs_ratio:.3} on the kriged \
-             evaluate ({obs_with:.3} us vs {obs_base:.3} us base, budget x1.080)"
+             evaluate (median per-pair ratio; medians {obs_with:.3} us vs {obs_base:.3} us \
+             base, budget x1.080)"
         );
         std::process::exit(1);
     }
@@ -1226,13 +1242,13 @@ fn main() {
     // what the variance gate does on every decision — may cost at most
     // 5% over the value-only batch. σ² falls out of the same bordered
     // solve as the weights, so a bigger gap means the prediction path
-    // started recomputing something per target.
-    let variance_budget = multi_rhs * 1.05;
-    if variance_pred > variance_budget {
+    // started recomputing something per target. It reads the median
+    // per-pair ratio.
+    if variance_ratio > 1.05 {
         eprintln!(
-            "perfsmoke: FAIL multi-RHS predict with variance readout is \
-             {variance_pred:.3} us/prediction (value-only {multi_rhs:.3} us, \
-             budget {variance_budget:.3} us)"
+            "perfsmoke: FAIL multi-RHS predict with variance readout costs \
+             x{variance_ratio:.3} (median per-pair ratio; medians {variance_pred:.3} vs \
+             value-only {multi_rhs:.3} us/prediction, budget x1.050)"
         );
         std::process::exit(1);
     }

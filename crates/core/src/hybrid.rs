@@ -24,14 +24,15 @@
 //! runs through one decision path in three phases. *Planning* classifies a
 //! candidate frontier — without touching the simulator or any session
 //! state — into cache hits, krigeable queries (with the exact neighbour set
-//! and variogram epoch each will use), and a deduplicated list of
-//! [`SimulationRequest`]s. The requests are then *fulfilled* by the wrapped
-//! [`EvalBackend`] (inline, or fanned out over a worker pool), and *commit*
-//! applies the results in input-index order. Because planning predicts
-//! mid-batch variogram fits from sample *counts* alone and commit replays
-//! them with the real values, a batch reproduces the query-by-query
-//! semantics while leaving the simulations free to run in any order — the
-//! basis of the determinism contract for in-run parallelism (DESIGN.md §8).
+//! each will use), and a deduplicated list of [`SimulationRequest`]s. The
+//! requests are then *fulfilled* by the wrapped [`EvalBackend`] (inline, or
+//! fanned out over a worker pool), and *commit* applies the results in
+//! input-index order. A session identifies its variogram at most once, and
+//! planning predicts a mid-batch identification from the sample *count*
+//! alone; commit replays it with the real values. So a batch reproduces the
+//! query-by-query semantics while leaving the simulations free to run in
+//! any order — the basis of the determinism contract for in-run parallelism
+//! (DESIGN.md §8).
 //!
 //! Planning answers a query the session has already kriged at an unchanged
 //! state from an exact memo (the private `memo` module) before any
@@ -61,7 +62,7 @@ use memo::{Kriged, KrigedMemo, Stamp};
 
 /// How the variogram model is obtained (paper Section III-A: "the
 /// identification of the semi-variogram has to be done once for a
-/// particular metric and application").
+/// particular metric and application"). A session identifies at most once.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VariogramPolicy {
     /// Use a caller-supplied model, never fit.
@@ -77,20 +78,6 @@ pub enum VariogramPolicy {
         /// Model used if fitting fails.
         fallback: VariogramModel,
     },
-    /// Like `FitAfter`, but the model is **re-identified** whenever `every`
-    /// further configurations have been simulated since the last fit — for
-    /// long explorations whose local correlation structure drifts (an
-    /// extension beyond the paper's identify-once setup).
-    Refit {
-        /// Number of simulated configurations required before the first fit.
-        min_samples: usize,
-        /// Re-fit after this many additional simulations.
-        every: usize,
-        /// Families tried by each fit.
-        families: Vec<ModelFamily>,
-        /// Model used while a fit fails.
-        fallback: VariogramModel,
-    },
 }
 
 impl Default for VariogramPolicy {
@@ -104,35 +91,14 @@ impl Default for VariogramPolicy {
 }
 
 impl VariogramPolicy {
-    /// The fitted policies' `(families, fallback)`; `None` for a fixed model.
-    fn fitting(&self) -> Option<(&[ModelFamily], VariogramModel)> {
-        match self {
-            VariogramPolicy::Fixed(_) => None,
-            VariogramPolicy::FitAfter {
-                families, fallback, ..
-            }
-            | VariogramPolicy::Refit {
-                families, fallback, ..
-            } => Some((families, *fallback)),
-        }
-    }
-
-    /// Whether a (re-)identification fires once the store holds `len`
-    /// sites. It reads sample counts alone (a failed fit still installs the
-    /// fallback model), so planning can predict mid-batch fits.
-    fn fit_due(&self, has_model: bool, len: usize, fitted_at: usize) -> bool {
+    /// Whether the identification fires once the store holds `len` sites:
+    /// only while the session has no model. It reads the sample count
+    /// alone (a failed fit still installs the fallback model), so planning
+    /// can predict a mid-batch fit.
+    fn fit_due(&self, has_model: bool, len: usize) -> bool {
         match *self {
             VariogramPolicy::Fixed(_) => false,
             VariogramPolicy::FitAfter { min_samples, .. } => !has_model && len >= min_samples,
-            VariogramPolicy::Refit {
-                min_samples, every, ..
-            } => {
-                if has_model {
-                    len >= fitted_at + every
-                } else {
-                    len >= min_samples
-                }
-            }
         }
     }
 }
@@ -245,7 +211,7 @@ pub struct HybridSettings {
     /// Kriged-vs-simulate decision policy. [`GatePolicy::Fixed`] — the
     /// default — reproduces the historical behaviour bitwise.
     pub gate: GatePolicy,
-    /// How (re-)identification chooses among candidate variogram families.
+    /// How identification chooses among candidate variogram families.
     /// [`ModelSelection::WeightedSse`] — the default — is the historical
     /// weighted-least-squares criterion.
     pub selection: ModelSelection,
@@ -340,9 +306,9 @@ pub struct ApproxSettings {
     /// Upper bound on leave-one-out sites sampled per validation (bounds
     /// validation cost; sites are stride-sampled across the store).
     pub loo_samples: usize,
-    /// With a [`VariogramPolicy::Fixed`] model there are no refit points, so
-    /// validation also re-runs every time the store has grown by this many
-    /// sites since the last check.
+    /// Validation runs at the identification and also every time the store
+    /// has grown by this many sites since the last check (a
+    /// [`VariogramPolicy::Fixed`] model has no identification).
     pub check_every: usize,
 }
 
@@ -473,16 +439,13 @@ enum SlotPlan {
         /// Index into the plan's request list.
         request: usize,
     },
-    /// Krigeable: the neighbour set and variogram epoch this query sees.
-    /// Neighbour positions `>= planned_at` refer to pending requests
-    /// (`planned_at + request index`); `epoch` counts the virtual
-    /// (re-)fits that precede this slot in the batch.
+    /// Krigeable: the neighbour set this query sees. Neighbour positions
+    /// `>= planned_at` refer to pending requests (`planned_at + request
+    /// index`).
     Krige {
         /// Range into [`BatchScratch::neighbors`]: combined store/request
         /// positions, closest first.
         neighbors: Range<usize>,
-        /// Number of mid-batch variogram fits preceding this slot.
-        epoch: usize,
     },
     /// Kriged before at the very session state this slot sees: the memo's
     /// answer, bitwise what the solve would return.
@@ -502,6 +465,18 @@ struct Fallback {
     source: usize,
 }
 
+/// One variogram identification, staged by a batch until commit
+/// installs it.
+#[derive(Debug)]
+struct Fit {
+    /// Store size the identification fired at.
+    at: usize,
+    /// The fitted model, or the policy's fallback when the fit failed.
+    model: VariogramModel,
+    /// The fit's report; `None` when it failed.
+    report: Option<FitReport>,
+}
+
 /// Grow-only plan/commit buffers owned by the evaluator, so that a
 /// steady-state batch — a single [`HybridEvaluator::evaluate`] included —
 /// allocates nothing.
@@ -513,14 +488,14 @@ struct BatchScratch {
     /// The deduplicated simulations the batch requires, in
     /// first-occurrence order.
     requests: Vec<SimulationRequest>,
-    /// Virtual store lengths at which a variogram (re-)identification fires
-    /// while the requests are inserted, in order.
-    fit_points: Vec<usize>,
+    /// Virtual store length at which the variogram identification fires
+    /// while the requests are inserted, if it does in this batch.
+    fit_point: Option<usize>,
     /// Store size the plan was computed against.
     planned_at: usize,
     /// `(position, distance)` radius-search buffer.
     search: Vec<(usize, f64)>,
-    /// Krige slots in (model bits, neighbour set) group order.
+    /// Krige slots in neighbour-set group order.
     krige_order: Vec<usize>,
     /// Per-slot accepted answer, solved or recalled.
     krige_results: Vec<Option<Kriged>>,
@@ -587,8 +562,8 @@ const VARIANCE_BUCKETS: [f64; 12] = [
 /// * `batch` — one per planned batch: slot/request/cache-hit/krigeable
 ///   counts, plus `plan_us` / `fulfill_us` / `commit_us` when timing is
 ///   enabled.
-/// * `variogram_fit` — one per (re-)identification, with the store size
-///   it fired at.
+/// * `variogram_fit` — one per identification, with the store size it
+///   fired at.
 #[derive(Clone, Debug)]
 pub struct HybridObs {
     tracer: Tracer,
@@ -675,8 +650,6 @@ pub struct HybridEvaluator<E> {
     store: NeighborIndex,
     model: Option<VariogramModel>,
     fit_report: Option<FitReport>,
-    /// Store size at the time of the last (re-)identification.
-    fitted_at: usize,
     stats: HybridStats,
     /// Grow-only solve workspace; with the batch buffers below it makes the
     /// steady-state kriged path allocation-free.
@@ -692,9 +665,6 @@ pub struct HybridEvaluator<E> {
     neighbor_buf: Vec<(usize, f64)>,
     /// Reused neighbour-value buffer for the same validation.
     value_buf: Vec<f64>,
-    /// Running empirical-variogram sums; each refit folds in only the
-    /// sites simulated since the previous one.
-    vario_acc: Option<VariogramAccumulator>,
     /// Whether the approximate path passed its last leave-one-out
     /// validation (always `false` when [`HybridSettings::approx`] is off).
     approx_active: bool,
@@ -738,7 +708,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         settings.validate()?;
         let model = match &settings.variogram {
             VariogramPolicy::Fixed(m) => Some(*m),
-            VariogramPolicy::FitAfter { .. } | VariogramPolicy::Refit { .. } => None,
+            VariogramPolicy::FitAfter { .. } => None,
         };
         let store = NeighborIndex::new(settings.metric);
         Ok(HybridEvaluator {
@@ -747,7 +717,6 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             store,
             model,
             fit_report: None,
-            fitted_at: 0,
             stats: HybridStats::default(),
             krige_scratch: KrigingScratch::new(),
             gamma_table: None,
@@ -755,7 +724,6 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             memo: KrigedMemo::default(),
             neighbor_buf: Vec::new(),
             value_buf: Vec::new(),
-            vario_acc: None,
             approx_active: false,
             approx_checked_at: 0,
             approx_validated: false,
@@ -810,8 +778,8 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     ///
     /// Planning classifies the queries in input order, exactly as
     /// one-at-a-time [`HybridEvaluator::evaluate`] calls would (pending
-    /// simulations are visible as neighbours, and mid-batch variogram fits
-    /// are replayed at commit). The backend's [`EvalBackend::fulfill`] then
+    /// simulations are visible as neighbours, and a mid-batch variogram fit
+    /// is replayed at commit). The backend's [`EvalBackend::fulfill`] then
     /// runs the deduplicated simulations, and commit applies everything in
     /// input order. The kriging solves are grouped by neighbour set, so a
     /// batch whose queries share neighbourhoods — the min+1 candidate scan,
@@ -903,21 +871,20 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     /// this session state are recalled, krigeable queries record the
     /// neighbour set they observe (pending requests included, as
     /// pseudo-positions `store length + request index`), and everything
-    /// else becomes a deduplicated [`SimulationRequest`]. Variogram
-    /// (re-)identification is triggered by sample *counts* alone, so the
-    /// planner tracks a virtual fit timeline — it knows *when* a mid-batch
-    /// fit will fire and tags each krigeable slot with its fit epoch without
-    /// needing the simulated values; commit replays the fits with the real
-    /// values.
+    /// else becomes a deduplicated [`SimulationRequest`]. The variogram
+    /// identification is triggered by the sample *count* alone, so the
+    /// planner knows *when* a mid-batch fit will fire without needing the
+    /// simulated values: no slot before it can krige, and every krige slot
+    /// after it reads the fitted model. Commit replays the fit with the
+    /// real values.
     fn plan_batch(&self, batch: &mut BatchScratch, configs: &[Config]) {
         let planned_at = self.store.len();
         batch.planned_at = planned_at;
         batch.slots.clear();
         batch.neighbors.clear();
         batch.requests.clear();
-        batch.fit_points.clear();
+        batch.fit_point = None;
         let mut virt_has_model = self.model.is_some();
-        let mut virt_fitted_at = self.fitted_at;
         let stamp = self.memo_stamp();
         for config in configs {
             // Exact duplicate: the stored value answers it (the optimizer
@@ -982,7 +949,6 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                     batch.neighbors.extend(search.iter().map(|&(p, _)| p));
                     batch.slots.push(SlotPlan::Krige {
                         neighbors: start..batch.neighbors.len(),
-                        epoch: batch.fit_points.len(),
                     });
                     continue;
                 }
@@ -992,16 +958,11 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             batch.slots.push(SlotPlan::Simulate {
                 request: batch.requests.len() - 1,
             });
-            // Advance the virtual fit timeline past this insertion, with
-            // the trigger `maybe_fit_variogram` applies.
+            // Does this insertion fire the identification? The trigger
+            // `maybe_fit_variogram` applies.
             let virt_len = planned_at + batch.requests.len();
-            if self
-                .settings
-                .variogram
-                .fit_due(virt_has_model, virt_len, virt_fitted_at)
-            {
-                batch.fit_points.push(virt_len);
-                virt_fitted_at = virt_len;
+            if self.settings.variogram.fit_due(virt_has_model, virt_len) {
+                batch.fit_point = Some(virt_len);
                 virt_has_model = true;
             }
         }
@@ -1025,70 +986,36 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     ) -> Result<(), EvalError> {
         let planned_at = batch.planned_at;
 
-        // Round 1 — replay the mid-batch variogram fits with the real
-        // values. Planning promised a fit once the virtual store reached
-        // each `fit_points` length; the staged accumulator folds the same
-        // site prefixes a query-at-a-time run would have seen. Each epoch
-        // records its model and whether the fit succeeded.
-        let mut epoch_models: Vec<(VariogramModel, bool)> = Vec::new();
-        let mut staged_acc: Option<VariogramAccumulator> = None;
-        let mut staged_fitted_at = self.fitted_at;
-        let mut staged_model = self.model;
-        let mut staged_report: Option<FitReport> = None;
-        if !batch.fit_points.is_empty() {
-            let (families, fallback) = self
-                .settings
-                .variogram
-                .fitting()
-                .expect("fixed-model plans never schedule fits");
-            let mut combined_configs: Vec<Config> = self.store.configs().to_vec();
-            let mut combined_values: Vec<f64> = self.store.values().to_vec();
-            combined_configs.extend(batch.requests.iter().map(|r| r.config.clone()));
-            combined_values.extend_from_slice(values);
-            let mut acc = self
-                .vario_acc
-                .clone()
-                .unwrap_or_else(|| VariogramAccumulator::new(self.settings.metric));
-            let nugget = self.effective_nugget();
-            for &len in &batch.fit_points {
-                let fitted = fit_variogram(
-                    &self.settings,
-                    families,
-                    &mut acc,
-                    &combined_configs[..len],
-                    &combined_values[..len],
-                    nugget,
-                );
-                staged_fitted_at = len;
-                match fitted {
-                    Ok(report) => {
-                        staged_model = Some(report.model);
-                        epoch_models.push((report.model, true));
-                        staged_report = Some(report);
-                    }
-                    Err(_) => {
-                        staged_model = Some(fallback);
-                        epoch_models.push((fallback, false));
-                    }
-                }
-            }
-            staged_acc = Some(acc);
-        }
+        // Round 1 — replay the batch's identification, if planning
+        // scheduled one, with the real values. It reads the store followed
+        // by the requests up to the one that fired it: the sites a
+        // query-at-a-time run would have held at that point.
+        let fit = batch.fit_point.map(|len| {
+            let fired_by = len - planned_at;
+            let mut sites: Vec<Config> = self.store.configs().to_vec();
+            let mut site_values: Vec<f64> = self.store.values().to_vec();
+            sites.extend(batch.requests[..fired_by].iter().map(|r| r.config.clone()));
+            site_values.extend_from_slice(&values[..fired_by]);
+            self.identify(&sites, &site_values)
+        });
 
-        // Round 2 — solve the planned kriging systems, grouped by
-        // (model bits, neighbour set), through the factor-once/solve-many
-        // scratch: one Γ assembly + Bunch–Kaufman factorization per group,
-        // all members back-substituted in one blocked multi-RHS pass over
-        // the shared γ-table. Per-member results are bitwise identical to
-        // single-target solves. Nothing here mutates session state beyond
-        // the reused scratch/table buffers; implausible predictions, failed
-        // solves and gate rejections are collected for the fallback round.
+        // Round 2 — solve the planned kriging systems, grouped by neighbour
+        // set, through the factor-once/solve-many scratch: one Γ assembly +
+        // Bunch–Kaufman factorization per group, all members
+        // back-substituted in one blocked multi-RHS pass over the shared
+        // γ-table. Per-member results are bitwise identical to
+        // single-target solves. Every krige slot reads the batch's one
+        // model: the staged fit's when the batch fires the identification
+        // (no slot before it can krige), the session's otherwise. Nothing
+        // here mutates session state beyond the reused scratch/table
+        // buffers; implausible predictions, failed solves and gate
+        // rejections are collected for the fallback round.
         batch.krige_results.clear();
         batch.krige_results.resize(configs.len(), None);
         batch.fallbacks.clear();
         {
             let store = &self.store;
-            let session_model = self.model;
+            let model = fit.as_ref().map_or(self.model, |fit| Some(fit.model));
             let metric = self.settings.metric;
             let gate = self.settings.gate;
             let nugget = self.effective_nugget();
@@ -1111,19 +1038,12 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                     values[j - planned_at]
                 }
             };
-            let resolve_model = |epoch: usize| -> VariogramModel {
-                if epoch == 0 {
-                    session_model.expect("krige slot planned without an active model")
-                } else {
-                    epoch_models[epoch - 1].0
-                }
-            };
-            fn krige_parts(slot: &SlotPlan) -> (Range<usize>, usize) {
-                match slot {
-                    SlotPlan::Krige { neighbors, epoch } => (neighbors.clone(), *epoch),
+            let slot_neighbors = |s: usize| -> &[usize] {
+                match &slots[s] {
+                    SlotPlan::Krige { neighbors: range } => &neighbors[range.clone()],
                     _ => unreachable!("krige_order holds only krige slots"),
                 }
-            }
+            };
             let fallback = |slot: usize, gate_rejected: bool| Fallback {
                 slot,
                 gate_rejected,
@@ -1140,29 +1060,24 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                 }
             }
             // Stable sort: members of a group stay in input order, and the
-            // (model bits, neighbours) group order keeps the float-summing
-            // side effects byte-stable across runs.
-            order.sort_by(|&x, &y| {
-                let (nx, ex) = krige_parts(&slots[x]);
-                let (ny, ey) = krige_parts(&slots[y]);
-                model_bits(&resolve_model(ex))
-                    .cmp(&model_bits(&resolve_model(ey)))
-                    .then_with(|| neighbors[nx].cmp(&neighbors[ny]))
-            });
+            // neighbour-set group order keeps the float-summing side effects
+            // byte-stable across runs.
+            order.sort_by(|&x, &y| slot_neighbors(x).cmp(slot_neighbors(y)));
             let order = &batch.krige_order;
+            // Every krige slot reads the batch's one model, so the γ-table
+            // is re-targeted once, and only when a slot is solved.
+            let mut table = model
+                .filter(|_| !order.is_empty())
+                .map(|model| retarget(gamma_slot, model, metric));
             let mut group_start = 0;
             while group_start < order.len() {
-                let (head_range, head_epoch) = krige_parts(&slots[order[group_start]]);
-                let head_neighbors = &neighbors[head_range];
-                let head_model = resolve_model(head_epoch);
-                let head_bits = model_bits(&head_model);
+                let table = table
+                    .as_deref_mut()
+                    .expect("krige slots are planned only with a model");
+                let head_neighbors = slot_neighbors(order[group_start]);
                 let group_end = order[group_start..]
                     .iter()
-                    .position(|&s| {
-                        let (n, e) = krige_parts(&slots[s]);
-                        model_bits(&resolve_model(e)) != head_bits
-                            || neighbors[n] != *head_neighbors
-                    })
+                    .position(|&s| slot_neighbors(s) != head_neighbors)
                     .map_or(order.len(), |off| group_start + off);
                 let members = &order[group_start..group_end];
                 group_start = group_end;
@@ -1170,9 +1085,6 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                 let group_values = &mut batch.group_values;
                 group_values.clear();
                 group_values.extend(head_neighbors.iter().map(|&j| val_at(j)));
-                // Re-target the session γ-table at this group's model (the
-                // sort keeps resets to one per distinct model).
-                let table = retarget(&mut *gamma_slot, head_model, metric);
                 // Flat RHS γ slab: a tight integer pass computes the
                 // lattice keys for every (neighbour, member) pair, then one
                 // batched memoized table pass fills the γ row slab.
@@ -1274,8 +1186,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
 
         // Commit — from here on nothing can fail. State mutates in input
         // order: per-slot counters and outcomes first, then the request
-        // insertions, the staged variogram state, and the fallback
-        // insertions (whose live fit checks see the staged state).
+        // insertions, the staged fit, and the fallback insertions.
         // Metric counters are settled from the stats delta once the whole
         // commit has run, so they track `HybridStats` exactly even through
         // the fallback-accounting corner cases.
@@ -1386,24 +1297,18 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             self.store.insert(request.config.clone(), value);
         }
         self.stats.simulated += batch.requests.len() as u64;
-        if !batch.fit_points.is_empty() {
-            self.vario_acc = staged_acc;
-            self.fitted_at = staged_fitted_at;
-            self.model = staged_model;
-            if staged_report.is_some() {
-                self.fit_report = staged_report;
-            }
-            for (&len, (model, fitted)) in batch.fit_points.iter().zip(&epoch_models) {
-                self.record_fit(len, fitted.then_some(model));
-            }
+        let fitted = fit.is_some();
+        if let Some(fit) = fit {
+            self.install_fit(fit);
         }
+        // A fallback is a krige slot, so the session has its model by now
+        // and these insertions cannot fire the identification.
         for (request, value) in fallback_requests.into_iter().zip(fallback_values) {
             self.store.insert(request.config, value);
             self.stats.simulated += 1;
-            self.maybe_fit_variogram();
         }
-        if !batch.fit_points.is_empty() {
-            // Staged fits are installed outside `maybe_fit_variogram`,
+        if fitted {
+            // The staged fit is installed outside `maybe_fit_variogram`,
             // so re-run the approximate-path validation here, exactly as a
             // query-at-a-time replay of this batch would have.
             self.revalidate_approx();
@@ -1458,25 +1363,61 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         }
     }
 
-    /// Counts one variogram (re-)identification at store size `at` and
-    /// traces it. Under leave-one-out selection a fit that succeeded also
-    /// reports its `selected` model; a failed fit installs the fallback
-    /// without a selection.
-    fn record_fit(&self, at: usize, selected: Option<&VariogramModel>) {
-        let Some(obs) = &self.obs else {
-            return;
+    /// The variogram identification over `configs`/`values`: the fitted
+    /// model with its report, or the policy's fallback model without one
+    /// when the fit fails (degenerate geometry).
+    fn identify(&self, configs: &[Config], values: &[f64]) -> Fit {
+        let VariogramPolicy::FitAfter {
+            families, fallback, ..
+        } = &self.settings.variogram
+        else {
+            unreachable!("a fixed model is never identified");
         };
-        obs.fits.inc();
-        if obs.tracer.enabled() {
-            obs.tracer.emit("variogram_fit", vec![("at", at.into())]);
-            if let (ModelSelection::LeaveOneOut, Some(model)) = (self.settings.selection, selected)
-            {
-                obs.tracer.emit(
-                    "model_selected",
-                    vec![("family", model.family_name().into())],
-                );
+        let metric = self.settings.metric;
+        let mut acc = VariogramAccumulator::new(metric);
+        acc.sync(configs, values);
+        let fitted = acc
+            .snapshot()
+            .and_then(|emp| match self.settings.selection {
+                ModelSelection::WeightedSse => fit_model(&emp, families),
+                ModelSelection::LeaveOneOut => {
+                    let nugget = self.effective_nugget();
+                    fit_model_loo(&emp, families, configs, values, metric, nugget)
+                }
+            });
+        let (model, report) = match fitted {
+            Ok(report) => (report.model, Some(report)),
+            Err(_) => (*fallback, None),
+        };
+        Fit {
+            at: configs.len(),
+            model,
+            report,
+        }
+    }
+
+    /// Installs the identification, then counts and traces it. Under
+    /// leave-one-out selection a fit that succeeded also reports its
+    /// selected model; a failed fit installs the fallback without a
+    /// selection.
+    fn install_fit(&mut self, fit: Fit) {
+        self.model = Some(fit.model);
+        if let Some(obs) = &self.obs {
+            obs.fits.inc();
+            if obs.tracer.enabled() {
+                obs.tracer
+                    .emit("variogram_fit", vec![("at", fit.at.into())]);
+                if let (ModelSelection::LeaveOneOut, Some(report)) =
+                    (self.settings.selection, &fit.report)
+                {
+                    obs.tracer.emit(
+                        "model_selected",
+                        vec![("family", report.model.family_name().into())],
+                    );
+                }
             }
         }
+        self.fit_report = fit.report;
     }
 
     /// Forces a **simulation** of `config`, bypassing kriging, and stores
@@ -1523,42 +1464,18 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         Ok(value)
     }
 
+    /// Identifies the variogram over the store once it is due (the live
+    /// path of [`HybridEvaluator::simulate_exact`]; a batch stages its fit
+    /// at commit instead).
     fn maybe_fit_variogram(&mut self) {
-        let Some((families, fallback)) = self.settings.variogram.fitting() else {
-            return;
-        };
-        let (has_model, len) = (self.model.is_some(), self.store.len());
-        if !self
-            .settings
-            .variogram
-            .fit_due(has_model, len, self.fitted_at)
-        {
+        let has_model = self.model.is_some();
+        if !self.settings.variogram.fit_due(has_model, self.store.len()) {
             return;
         }
-        let nugget = self.effective_nugget();
-        let metric = self.settings.metric;
-        let acc = self
-            .vario_acc
-            .get_or_insert_with(|| VariogramAccumulator::new(metric));
-        let fitted = fit_variogram(
-            &self.settings,
-            families,
-            acc,
-            self.store.configs(),
-            self.store.values(),
-            nugget,
-        );
-        self.fitted_at = len;
-        self.record_fit(len, fitted.as_ref().ok().map(|report| &report.model));
-        match fitted {
-            Ok(report) => {
-                self.model = Some(report.model);
-                self.fit_report = Some(report);
-            }
-            Err(_) => self.model = Some(fallback),
-        }
-        // A refit can shift every prediction, so the approximate-path
-        // accuracy validation is re-run against the new model.
+        let fit = self.identify(self.store.configs(), self.store.values());
+        self.install_fit(fit);
+        // The fit sets the model every prediction reads, so the
+        // approximate-path accuracy validation is re-run against it.
         self.revalidate_approx();
     }
 
@@ -1571,7 +1488,8 @@ impl<E: EvalBackend> HybridEvaluator<E> {
 
     /// Re-runs the approximate-path validation if the store has grown by
     /// [`ApproxSettings::check_every`] sites since the last check (the
-    /// refit-free trigger, e.g. under [`VariogramPolicy::Fixed`]), or if a
+    /// trigger between fits, and the only one under
+    /// [`VariogramPolicy::Fixed`]), or if a
     /// model is present but no validation has ever seen it — sessions born
     /// with a fixed model have no fit event, and without this trigger they
     /// would krige exactly for their first `check_every` insertions.
@@ -1685,10 +1603,8 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     /// The session state a kriging solve reads now, as the memo's stamp;
     /// `None` while no model exists (nothing can krige).
     fn memo_stamp(&self) -> Option<Stamp> {
-        let model = self.model.as_ref()?;
-        Some(Stamp {
+        self.model.map(|_| Stamp {
             store_len: self.store.len(),
-            model: model_bits(model),
             approx: self.approx_active,
         })
     }
@@ -1732,7 +1648,8 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     }
 
     /// Restores session state from a snapshot (internal; see
-    /// [`crate::hybrid_snapshot::SessionSnapshot`]).
+    /// [`crate::hybrid_snapshot::SessionSnapshot`]) and forgets every kept
+    /// kriged answer.
     pub(crate) fn restore(&mut self, snapshot: crate::hybrid_snapshot::SessionSnapshot) {
         for (config, value) in snapshot.configs.into_iter().zip(snapshot.values) {
             self.store.insert(config, value);
@@ -1740,8 +1657,10 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         if snapshot.model.is_some() {
             self.model = snapshot.model;
         }
-        self.fitted_at = self.store.len();
         self.stats = snapshot.stats;
+        // The model is the one part of the session state a memo stamp does
+        // not name, and a snapshot may set it without a single site.
+        self.memo.forget();
     }
 
     /// Borrows the inner simulation evaluator.
@@ -1829,58 +1748,6 @@ fn plausible(value: f64, variance: f64, neighbor_values: &[f64]) -> bool {
         && variance.is_finite()
         && value >= lo - 2.0 * spread
         && value <= hi + 2.0 * spread
-}
-
-/// One variogram identification over the sites `configs`/`values`. `acc`
-/// folds in only the sites added since its last sync — O(new·N) pair
-/// updates instead of a full O(N²) pass.
-fn fit_variogram(
-    settings: &HybridSettings,
-    families: &[ModelFamily],
-    acc: &mut VariogramAccumulator,
-    configs: &[Config],
-    values: &[f64],
-    nugget: f64,
-) -> Result<FitReport, CoreError> {
-    acc.sync(configs, values);
-    acc.snapshot().and_then(|emp| match settings.selection {
-        ModelSelection::WeightedSse => fit_model(&emp, families),
-        ModelSelection::LeaveOneOut => {
-            fit_model_loo(&emp, families, configs, values, settings.metric, nugget)
-        }
-    })
-}
-
-/// Encodes a variogram model as an orderable bit pattern so batch groups can
-/// key on it (`f64` is not `Ord`; two models are the same group exactly when
-/// every parameter is bit-identical). Zero-padded fixed array: models with
-/// different tags differ in the first element, and equal tags imply equal
-/// arity, so the ordering matches the previous variable-length encoding.
-fn model_bits(m: &VariogramModel) -> [u64; 4] {
-    match *m {
-        VariogramModel::Nugget { nugget } => [0, nugget.to_bits(), 0, 0],
-        VariogramModel::Linear { nugget, slope } => [1, nugget.to_bits(), slope.to_bits(), 0],
-        VariogramModel::Power {
-            nugget,
-            scale,
-            exponent,
-        } => [2, nugget.to_bits(), scale.to_bits(), exponent.to_bits()],
-        VariogramModel::Spherical {
-            nugget,
-            sill,
-            range,
-        } => [3, nugget.to_bits(), sill.to_bits(), range.to_bits()],
-        VariogramModel::Exponential {
-            nugget,
-            sill,
-            range,
-        } => [4, nugget.to_bits(), sill.to_bits(), range.to_bits()],
-        VariogramModel::Gaussian {
-            nugget,
-            sill,
-            range,
-        } => [5, nugget.to_bits(), sill.to_bits(), range.to_bits()],
-    }
 }
 
 /// Computes the audit error in the units of `metric` (Eq. 11 or Eq. 12).
@@ -2279,35 +2146,6 @@ mod tests {
         assert!((s.mean_neighbors() - 3.5).abs() < 1e-12);
     }
 
-    #[test]
-    fn refit_policy_reidentifies_periodically() {
-        let mut s = settings(3.0);
-        s.variogram = VariogramPolicy::Refit {
-            min_samples: 6,
-            every: 10,
-            families: ModelFamily::all().to_vec(),
-            fallback: VariogramModel::linear(1.0),
-        };
-        let mut h = HybridEvaluator::new(smooth_eval(), s);
-        for a in 4..10 {
-            h.evaluate(&vec![a, 8]).unwrap();
-        }
-        let first_model = *h.model().expect("fitted after min_samples");
-        // Feed a structurally different region so the refit sees new pairs.
-        for a in 4..16 {
-            h.evaluate(&vec![8, a]).unwrap();
-            h.evaluate(&vec![a, 14]).unwrap();
-        }
-        assert!(h.model().is_some());
-        // At least one refit happened (fitted_at advanced past min_samples).
-        assert!(
-            h.fitted_at > 6,
-            "no refit occurred (fitted_at {})",
-            h.fitted_at
-        );
-        let _ = first_model;
-    }
-
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -2445,36 +2283,50 @@ mod tests {
     #[test]
     fn failed_mid_batch_fit_selects_no_model() {
         // Under leave-one-out selection only a fit that succeeds selects a
-        // model; a failed fit installs the fallback silently. One site has
-        // no variogram pairs, so the first fit (at 1 sample) fails and the
-        // refit at 9 samples succeeds — both inside one batch.
-        let s = HybridSettings {
-            variogram: VariogramPolicy::Refit {
-                min_samples: 1,
-                every: 8,
+        // model; a failed fit installs the fallback silently. Each session
+        // below fits once, inside one batch.
+        let loo = |min_samples| HybridSettings {
+            variogram: VariogramPolicy::FitAfter {
+                min_samples,
                 families: ModelFamily::all().to_vec(),
                 fallback: VariogramModel::linear(1.0),
             },
             selection: ModelSelection::LeaveOneOut,
             ..settings(3.0)
         };
-        let (mut h, ring) = ring_traced(smooth_eval(), s, &Registry::new());
         // A 3×3 grid with spacing 4: no site is within d = 3 of another,
         // so every query is simulated.
         let grid: Vec<Config> = (0..9)
             .map(|i| vec![4 + 4 * (i % 3), 4 + 4 * (i / 3)])
             .collect();
-        h.evaluate_batch(&grid).unwrap();
-        let events = ring.snapshot();
-        let fits = events.iter().filter(|e| e.name == "variogram_fit").count();
-        assert_eq!(fits, 2, "{events:?}");
-        let selected: Vec<_> = events
-            .iter()
-            .filter(|e| e.name == "model_selected")
-            .collect();
-        assert_eq!(selected.len(), 1, "{events:?}");
-        let family = h.model().expect("refit installed a model").family_name();
-        assert_eq!(selected[0].fields, vec![("family", family.into())]);
+        let run = |min_samples| {
+            let (mut h, ring) = ring_traced(smooth_eval(), loo(min_samples), &Registry::new());
+            h.evaluate_batch(&grid).unwrap();
+            let events = ring.snapshot();
+            let fits: Vec<_> = events
+                .iter()
+                .filter(|e| e.name == "variogram_fit")
+                .map(|e| e.fields.clone())
+                .collect();
+            assert_eq!(fits, vec![vec![("at", min_samples.into())]], "{events:?}");
+            let selected: Vec<_> = events
+                .iter()
+                .filter(|e| e.name == "model_selected")
+                .map(|e| e.fields.clone())
+                .collect();
+            (h, selected)
+        };
+        // One site has no variogram pairs, so the fit at 1 sample fails.
+        let (failed, selected) = run(1);
+        assert_eq!(selected, Vec::<Vec<_>>::new());
+        assert_eq!(failed.model(), Some(&VariogramModel::linear(1.0)));
+        assert!(failed.fit_report().is_none());
+        // Five sites fit, four queries before the end of the batch.
+        let (fitted, selected) = run(5);
+        let report = fitted.fit_report().expect("the fit at 5 sites succeeds");
+        assert_eq!(fitted.model(), Some(&report.model));
+        let family = report.model.family_name();
+        assert_eq!(selected, vec![vec![("family", family.into())]]);
     }
 
     #[test]
@@ -2708,31 +2560,6 @@ mod tests {
         let mut h = grid_session(settings(3.0));
         assert_recall_follows(&mut h, &vec![10, 6], |h| {
             h.simulate_exact(&vec![11, 6]).unwrap();
-        });
-    }
-
-    #[test]
-    fn a_refit_outdates_recall() {
-        let mut s = settings(3.0);
-        s.variogram = VariogramPolicy::Refit {
-            min_samples: 30,
-            every: 4,
-            families: ModelFamily::all().to_vec(),
-            fallback: VariogramModel::linear(1.0),
-        };
-        let mut h = HybridEvaluator::new(smooth_eval(), s);
-        for a in 4..10 {
-            for b in 4..9 {
-                h.simulate_exact(&vec![a, b]).unwrap();
-            }
-        }
-        let fitted = *h.model().expect("fitted at 30 sites");
-        assert_recall_follows(&mut h, &vec![10, 6], |h| {
-            // Four sites out of the probe's reach trigger the refit.
-            for b in [20, 22, 24, 26] {
-                h.simulate_exact(&vec![20, b]).unwrap();
-            }
-            assert_ne!(h.model(), Some(&fitted), "the refit must move the model");
         });
     }
 

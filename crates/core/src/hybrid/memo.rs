@@ -4,7 +4,10 @@
 //! in: the stored sites, the variogram model and whether the approximate
 //! path screens neighbours (the settings, the nugget among them, are fixed
 //! for the session's life). [`Stamp`] names that state bit for bit — the
-//! store is append-only, so its size names its content. The memo keeps the
+//! store is append-only, so its size names its content, and a session
+//! identifies its model at most once, at a store insertion, so the size
+//! names the model too (a snapshot restore, which can set a model without
+//! a site, forgets the memo instead). The memo keeps the
 //! accepted answers solved at one stamp; asked at any other stamp it
 //! answers nothing and forgets them all at the next [`KrigedMemo::keep`],
 //! so a recalled answer is exactly the answer a fresh solve would return.
@@ -30,8 +33,6 @@ const SLOTS: usize = 2 * CAPACITY;
 pub(super) struct Stamp {
     /// Stored sites (append-only, so the size names the content).
     pub(super) store_len: usize,
-    /// Variogram-model parameter bits.
-    pub(super) model: [u64; 4],
     /// Whether the validated approximate path screens neighbours.
     pub(super) approx: bool,
 }
@@ -168,7 +169,6 @@ mod tests {
     fn stamp(store_len: usize) -> Stamp {
         Stamp {
             store_len,
-            model: [1, 2, 3, 4],
             approx: false,
         }
     }
@@ -190,11 +190,11 @@ mod tests {
         assert_eq!(memo.recall(&stamp(5), &[1, 2]), Some(answer(1.0)));
         assert_eq!(memo.recall(&stamp(5), &[2, 1]), None);
         assert_eq!(memo.recall(&stamp(6), &[1, 2]), None);
-        let other_model = Stamp {
-            model: [1, 2, 3, 5],
+        let screened = Stamp {
+            approx: true,
             ..stamp(5)
         };
-        assert_eq!(memo.recall(&other_model, &[1, 2]), None);
+        assert_eq!(memo.recall(&screened, &[1, 2]), None);
         // Keeping at a new stamp forgets the old one's answers.
         memo.keep(stamp(6), &[3, 4], answer(2.0));
         assert_eq!(memo.recall(&stamp(5), &[1, 2]), None);

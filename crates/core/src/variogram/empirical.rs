@@ -171,11 +171,11 @@ type BinSums = (f64, f64, usize);
 /// Incremental empirical semi-variogram over integer configurations with
 /// unit bins.
 ///
-/// The hybrid evaluator refits its variogram repeatedly as the store grows.
-/// Recomputing all `N·(N-1)/2` pairs on each refit is O(N²) per refit;
-/// this accumulator keeps per-bin running sums and folds in only the sites
-/// appended since the last [`sync`](VariogramAccumulator::sync) — O(new·N)
-/// pair updates per refit instead.
+/// Recomputing all `N·(N-1)/2` pairs each time sites arrive is O(N²) per
+/// snapshot; this accumulator keeps per-bin running sums and folds in only
+/// the sites appended since the last [`sync`](VariogramAccumulator::sync) —
+/// O(new·N) pair updates per snapshot instead. The hybrid evaluator's one
+/// identification syncs a fresh accumulator over its whole store.
 ///
 /// The synced configurations are kept column-major, one column per
 /// variable, grown by each sync. A new site's lattice keys against every

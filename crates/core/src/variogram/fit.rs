@@ -39,7 +39,7 @@ impl ModelFamily {
     }
 }
 
-/// How a variogram (re-)identification chooses among candidate families.
+/// How a variogram identification chooses among candidate families.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ModelSelection {
     /// Pair-count-weighted least squares on the empirical variogram bins
@@ -148,8 +148,9 @@ fn fit_family(empirical: &EmpiricalVariogram, family: ModelFamily) -> Option<Var
 }
 
 /// Upper bound on leave-one-out sites scored per candidate family
-/// (stride-sampled across the store; bounds each refit's extra cost to one
-/// ≤ 41×41 factorization and 41 back-substitutions per family).
+/// (stride-sampled across the store; bounds the identification's extra
+/// cost to one ≤ 41×41 factorization and 41 back-substitutions per
+/// family).
 const LOO_SITE_CAP: usize = 40;
 
 /// Like [`fit_model`], but the winning family is chosen by **fast

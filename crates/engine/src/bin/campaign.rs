@@ -21,7 +21,7 @@
 //! --nmin LIST        minimum neighbour counts (default 3)
 //! --lambda LIST      λ_min sweep (empty = canonical per benchmark)
 //! --metric M         l1 | l2 | linf           (default l1)
-//! --variogram V      pilot | fixed-linear:SLOPE | fit-after:N | refit:N:EVERY
+//! --variogram V      pilot | fixed-linear:SLOPE | fit-after:N
 //!                    | spherical:N:S:R | exponential:N:S:R | gaussian:N:S:R
 //! --optimizer O      auto | minplusone | tiebreak:TOL | descent
 //! --seed N           base seed                (default 0)
@@ -36,8 +36,9 @@
 //!                    not call-ordered)
 //! --approx N         opt-in approximate prediction: screen kriging
 //!                    systems to the N closest neighbours, gated by a
-//!                    leave-one-out accuracy check at refit time (off by
-//!                    default; the exact path stays bitwise pinned)
+//!                    leave-one-out accuracy check at the variogram fit
+//!                    and as the store grows (off by default; the exact
+//!                    path stays bitwise pinned)
 //! --approx-epsilon E accuracy bound of the approximate path (default
 //!                    0.05); a sampled leave-one-out deviation above E
 //!                    rejects the approximation until revalidated
@@ -46,9 +47,6 @@
 //!                    variance[:T] — reject any converged solve whose
 //!                    kriging variance σ² exceeds T (default 1.0) and
 //!                    simulate instead
-//! --variance-threshold T
-//!                    set (or override) the variance gate's threshold;
-//!                    implies --gate variance
 //! --loo-select       pick the variogram family by fast leave-one-out
 //!                    cross-validation (one factorization per family)
 //!                    instead of weighted least squares
@@ -83,7 +81,7 @@
 //! --quiet            suppress stderr progress lines
 //! ```
 //!
-//! `shard`-only options:
+//! `shard`-only options (`run` rejects them):
 //!
 //! ```text
 //! --index I          this process's shard index (0-based, required)
@@ -150,7 +148,7 @@ use krigeval_engine::shard::{
 use krigeval_engine::sink::{
     load_journal, read_artifact_text, to_jsonl_string_full, JournalWriter, SinkOptions,
 };
-use krigeval_engine::spec::{CampaignSpec, GatePolicy, NuggetPolicy, OptimizerSpec, VariogramSpec};
+use krigeval_engine::spec::{parse_gate, CampaignSpec, NuggetPolicy, OptimizerSpec, VariogramSpec};
 use krigeval_engine::{CacheStats, FailureRecord, RunRecord, SummaryRecord};
 use krigeval_obs::{JsonlSink, Registry, Tracer};
 
@@ -274,29 +272,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 approx.epsilon = epsilon;
                 cli.spec.approx = Some(approx);
             }
-            "--gate" => {
-                cli.spec.gate = Some(match value()? {
-                    "fixed" => GatePolicy::Fixed,
-                    "variance" => GatePolicy::Variance {
-                        // Keep a threshold set earlier (--variance-threshold
-                        // before --gate variance); default to 1.0 otherwise.
-                        threshold: match cli.spec.gate {
-                            Some(GatePolicy::Variance { threshold }) => threshold,
-                            _ => 1.0,
-                        },
-                    },
-                    spec => match spec.strip_prefix("variance:") {
-                        Some(t) => GatePolicy::Variance {
-                            threshold: t.parse().map_err(|_| "bad --gate variance threshold")?,
-                        },
-                        None => return Err(format!("unknown gate {spec:?}")),
-                    },
-                });
-            }
-            "--variance-threshold" => {
-                let threshold = value()?.parse().map_err(|_| "bad --variance-threshold")?;
-                cli.spec.gate = Some(GatePolicy::Variance { threshold });
-            }
+            "--gate" => cli.spec.gate = Some(parse_gate(value()?)?),
             "--loo-select" => cli.spec.loo_select = Some(true),
             "--nugget" => {
                 cli.spec.nugget = Some(NuggetPolicy::Fixed {
@@ -487,6 +463,19 @@ enum Slot {
 }
 
 impl Slot {
+    /// The slot a `run` invocation names: slot 0 of 1, so the partition
+    /// flags would be dropped.
+    fn run(cli: &Cli) -> Result<Slot, String> {
+        match cli
+            .flags
+            .iter()
+            .find(|f| matches!(f.as_str(), "--index" | "--of"))
+        {
+            Some(flag) => Err(format!("run does not take {flag}")),
+            None => Ok(Slot::Run),
+        }
+    }
+
     /// The slot a `shard` invocation names.
     fn shard(cli: &Cli) -> Result<Slot, String> {
         let index = cli
@@ -776,8 +765,8 @@ const NOT_FOR_MATRIX: &str = "--spec --benchmarks --lambda --metric --variogram 
      --max-neighbors --approx --approx-epsilon --loo-select --nugget --resume --index --of";
 
 /// The grid flags, which `--smoke` fixes and would otherwise drop.
-const NOT_FOR_SMOKE: &str = "--name --scale --d --nmin --gate --variance-threshold --threads \
-     --seed --repeats --no-audit";
+const NOT_FOR_SMOKE: &str = "--name --scale --d --nmin --gate --threads --seed --repeats \
+     --no-audit";
 
 fn cmd_matrix(cli: &Cli) -> Result<ExitCode, String> {
     let listed = |list: &str, f: &String| list.split_whitespace().any(|n| n == f.as_str());
@@ -955,7 +944,7 @@ fn main() -> ExitCode {
     };
     let result = match command {
         "template" => emit(&cli, &format!("{}\n", cli.spec.to_json())).map(|()| ExitCode::SUCCESS),
-        "run" => execute(&cli, Slot::Run),
+        "run" => Slot::run(&cli).and_then(|slot| execute(&cli, slot)),
         "matrix" => cmd_matrix(&cli),
         "shard" => Slot::shard(&cli).and_then(|slot| execute(&cli, slot)),
         "merge" => cmd_merge(&cli),

@@ -69,13 +69,6 @@ pub enum VariogramSpec {
         /// Simulations required before the first identification.
         min_samples: usize,
     },
-    /// Re-identify every `every` simulations after the first fit.
-    Refit {
-        /// Simulations required before the first identification.
-        min_samples: usize,
-        /// Refit period (in simulations).
-        every: usize,
-    },
     /// Skip identification entirely: a fixed linear model `γ(d) = s·d`.
     FixedLinear {
         /// Slope `s`.
@@ -92,8 +85,8 @@ pub enum VariogramSpec {
 
 impl VariogramSpec {
     /// Parses the spelling `campaign --variogram` and a serve `hello`
-    /// share: `pilot`, `fixed-linear:SLOPE`, `fit-after:N`,
-    /// `refit:N:EVERY`, or `spherical|exponential|gaussian:NUGGET:SILL:RANGE`.
+    /// share: `pilot`, `fixed-linear:SLOPE`, `fit-after:N`, or
+    /// `spherical|exponential|gaussian:NUGGET:SILL:RANGE`.
     ///
     /// # Errors
     ///
@@ -114,10 +107,6 @@ impl VariogramSpec {
             }),
             "fit-after" => Ok(VariogramSpec::FitAfter {
                 min_samples: arg(0)?.parse().map_err(|_| "bad variogram sample count")?,
-            }),
-            "refit" => Ok(VariogramSpec::Refit {
-                min_samples: arg(0)?.parse().map_err(|_| "bad variogram sample count")?,
-                every: arg(1)?.parse().map_err(|_| "bad variogram refit stride")?,
             }),
             family @ ("spherical" | "exponential" | "gaussian") => {
                 let num = |i: usize| -> Result<f64, String> {
@@ -140,8 +129,8 @@ impl VariogramSpec {
 
     /// The hybrid evaluator's policy for this spec, or `None` for
     /// [`VariogramSpec::Pilot`], whose model comes from a pilot run. The
-    /// online policies fit every [`ModelFamily`] and fall back to
-    /// `γ(d) = d` while a fit fails.
+    /// online policy fits every [`ModelFamily`] and falls back to
+    /// `γ(d) = d` if the fit fails.
     pub fn policy(&self) -> Option<VariogramPolicy> {
         let families = ModelFamily::all().to_vec();
         let fallback = VariogramModel::linear(1.0);
@@ -149,12 +138,6 @@ impl VariogramSpec {
             VariogramSpec::Pilot => return None,
             VariogramSpec::FitAfter { min_samples } => VariogramPolicy::FitAfter {
                 min_samples,
-                families,
-                fallback,
-            },
-            VariogramSpec::Refit { min_samples, every } => VariogramPolicy::Refit {
-                min_samples,
-                every,
                 families,
                 fallback,
             },
@@ -170,9 +153,6 @@ impl VariogramSpec {
         match self {
             VariogramSpec::Pilot => "pilot".to_string(),
             VariogramSpec::FitAfter { min_samples } => format!("fit({min_samples})"),
-            VariogramSpec::Refit { min_samples, every } => {
-                format!("refit({min_samples},{every})")
-            }
             VariogramSpec::FixedLinear { slope } => format!("linear({slope})"),
             VariogramSpec::Fixed { model } => {
                 use krigeval_core::VariogramModel as M;
@@ -544,6 +524,27 @@ pub fn parse_metric(name: &str) -> Result<DistanceMetric, String> {
     }
 }
 
+/// Parses a kriged-vs-simulate gate: `fixed`, `variance` (threshold 1.0)
+/// or `variance:T`. The spelling `campaign --gate` and a serve `hello`
+/// share.
+///
+/// # Errors
+///
+/// Names the unknown gate or the bad threshold.
+pub fn parse_gate(text: &str) -> Result<GatePolicy, String> {
+    match text {
+        "fixed" => Ok(GatePolicy::Fixed),
+        "variance" => Ok(GatePolicy::Variance { threshold: 1.0 }),
+        other => match other.strip_prefix("variance:") {
+            Some(t) => t
+                .parse()
+                .map(|threshold| GatePolicy::Variance { threshold })
+                .map_err(|_| format!("bad gate variance threshold {t:?}")),
+            None => Err(format!("unknown gate {other:?}")),
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,7 +554,6 @@ mod tests {
         for (text, label) in [
             ("pilot", "pilot"),
             ("fit-after:12", "fit(12)"),
-            ("refit:8:4", "refit(8,4)"),
             ("fixed-linear:0.5", "linear(0.5)"),
             ("spherical:0:1:2", "fixed(spherical)"),
             ("exponential:0:1:2", "fixed(exponential)"),
@@ -564,12 +564,11 @@ mod tests {
         assert_eq!(VariogramSpec::Pilot.policy(), None);
         for (text, error) in [
             ("fit-after", "variogram fit-after needs more arguments"),
-            ("refit:8", "variogram refit needs more arguments"),
             ("fit-after:x", "bad variogram sample count"),
-            ("refit:8:x", "bad variogram refit stride"),
             ("fixed-linear:x", "bad variogram slope"),
             ("gaussian:0:1:x", "bad gaussian parameter"),
             ("kriging", "unknown variogram policy \"kriging\""),
+            ("refit:8:4", "unknown variogram policy \"refit\""),
         ] {
             assert_eq!(VariogramSpec::parse(text).unwrap_err(), error, "{text}");
         }
@@ -591,6 +590,24 @@ mod tests {
             parse_metric("Hamming"),
             Err("unknown metric \"hamming\"".to_string())
         );
+    }
+
+    #[test]
+    fn gate_spellings_parse_and_bad_ones_say_why() {
+        for (text, gate) in [
+            ("fixed", GatePolicy::Fixed),
+            ("variance", GatePolicy::Variance { threshold: 1.0 }),
+            ("variance:2.5", GatePolicy::Variance { threshold: 2.5 }),
+        ] {
+            assert_eq!(parse_gate(text), Ok(gate), "{text}");
+        }
+        for (text, error) in [
+            ("variance:x", "bad gate variance threshold \"x\""),
+            ("Fixed", "unknown gate \"Fixed\""),
+            ("sigma:1", "unknown gate \"sigma:1\""),
+        ] {
+            assert_eq!(parse_gate(text), Err(error.to_string()), "{text}");
+        }
     }
 
     #[test]

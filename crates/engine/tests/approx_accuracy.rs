@@ -2,8 +2,8 @@
 //! the Table-1 FIR and IIR kernels.
 //!
 //! The approximate path (screened-neighbour solves, see
-//! `HybridSettings::approx`) is validated by a leave-one-out check at
-//! refit/growth points and promises:
+//! `HybridSettings::approx`) is validated by a leave-one-out check at the
+//! variogram fit and at growth points and promises:
 //!
 //! * **off by default** — a default-settings session never screens;
 //! * **within ε when active** — kriged values deviate from the exact

@@ -323,7 +323,6 @@ fn matrix_smoke_rejects_the_grid_flags_it_fixes() {
         vec!["--d", "5"],
         vec!["--nmin", "4"],
         vec!["--gate", "variance"],
-        vec!["--variance-threshold", "2"],
         vec!["--threads", "1"],
         vec!["--seed", "7"],
         vec!["--repeats", "2"],
@@ -342,4 +341,40 @@ fn matrix_smoke_rejects_the_grid_flags_it_fixes() {
         );
         assert!(output.stdout.is_empty(), "{args:?}: nothing runs");
     }
+}
+
+#[test]
+fn run_rejects_the_partition_flags() {
+    // `run` is slot 0 of 1: `run --index 1 --of 2` used to print every
+    // row and exit 0, where the caller asked for half the campaign.
+    for args in [vec!["--index", "1", "--of", "2"], vec!["--of", "2"]] {
+        let output = Command::new(bin())
+            .args(["run", "--benchmarks", "fir", "--d", "2,3", "--quiet"])
+            .args(&args)
+            .output()
+            .expect("campaign binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{args:?} must be rejected");
+        assert!(
+            stderr.contains(&format!("run does not take {}", args[0])),
+            "{args:?}: stderr:\n{stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?}: nothing runs");
+    }
+}
+
+#[test]
+fn run_rejects_the_refit_variogram() {
+    let output = Command::new(bin())
+        .args(["run", "--benchmarks", "fir", "--d", "2", "--quiet"])
+        .args(["--variogram", "refit:8:4"])
+        .output()
+        .expect("campaign binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("unknown variogram policy \"refit\""),
+        "stderr:\n{stderr}"
+    );
+    assert!(output.stdout.is_empty(), "nothing runs");
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::FixedPointError;
 
 /// A signed two's-complement fixed-point format `Q(m, f)`:
@@ -32,7 +30,7 @@ use crate::FixedPointError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QFormat {
     integer_bits: i32,
     fractional_bits: i32,
@@ -212,13 +210,5 @@ mod tests {
     #[test]
     fn display_format() {
         assert_eq!(QFormat::new(3, 4).unwrap().to_string(), "Q3.4");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let q = QFormat::new(2, 13).unwrap();
-        let json = serde_json::to_string(&q).unwrap();
-        let back: QFormat = serde_json::from_str(&json).unwrap();
-        assert_eq!(q, back);
     }
 }

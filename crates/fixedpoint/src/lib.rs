@@ -7,10 +7,10 @@
 //!
 //! * [`QFormat`] — a signed two's-complement fixed-point format
 //!   (sign + integer bits + fractional bits).
-//! * [`Quantizer`] — applies a format to `f64` intermediates with a chosen
-//!   [`RoundingMode`] and [`OverflowMode`]; this emulates what a C++
-//!   fixed-point library (ac_fixed / sc_fixed, the paper's refs \[12\], \[13\])
-//!   would compute, at simulation speed.
+//! * [`Quantizer`] — applies a format to `f64` intermediates, rounding to
+//!   the nearest level (ties away from zero) and saturating; this emulates
+//!   what a C++ fixed-point library (ac_fixed / sc_fixed, the paper's refs
+//!   \[12\], \[13\]) computes in that mode, at simulation speed.
 //! * [`NoiseMeter`] / [`NoisePower`] — accumulate the error power between a
 //!   reference stream and a quantized stream, with dB conversion.
 //! * [`metrics`] — [`metrics::ErrorStats`], the running `max ε` / `μ ε`
@@ -52,4 +52,4 @@ pub use checkpoint::{Checkpoint, CheckpointStore, ResumeStats};
 pub use error::FixedPointError;
 pub use format::QFormat;
 pub use noise::{NoiseMeter, NoisePower};
-pub use quantizer::{OverflowMode, Quantizer, RoundingMode};
+pub use quantizer::Quantizer;

@@ -1,51 +1,11 @@
 //! Quantization of `f64` intermediates to a [`QFormat`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::QFormat;
 
-/// How values falling between two representable levels are mapped.
-///
-/// # Examples
-///
-/// ```
-/// use krigeval_fixedpoint::{QFormat, Quantizer, RoundingMode};
-///
-/// # fn main() -> Result<(), krigeval_fixedpoint::FixedPointError> {
-/// let fmt = QFormat::new(0, 2)?; // step 0.25
-/// let trunc = Quantizer::with_modes(fmt, RoundingMode::Truncate, Default::default());
-/// let round = Quantizer::with_modes(fmt, RoundingMode::Nearest, Default::default());
-/// assert_eq!(trunc.quantize(0.3), 0.25);
-/// assert_eq!(round.quantize(0.3), 0.25);
-/// assert_eq!(trunc.quantize(-0.3), -0.5);  // truncation is a floor on the grid
-/// assert_eq!(round.quantize(-0.3), -0.25);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum RoundingMode {
-    /// Round to the nearest level, ties away from zero (DSP convention,
-    /// matches `(x + (1 << (s-1))) >> s` hardware rounding for positives).
-    #[default]
-    Nearest,
-    /// Two's-complement truncation: floor on the quantization grid.
-    Truncate,
-    /// Round to nearest, ties to the even level ("convergent" rounding,
-    /// removes the small DC bias of [`RoundingMode::Nearest`]).
-    NearestEven,
-}
-
-/// What happens when a value exceeds the format's dynamic range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum OverflowMode {
-    /// Clamp to `[min_value, max_value]` (saturation arithmetic).
-    #[default]
-    Saturate,
-    /// Two's-complement wrap-around.
-    Wrap,
-}
-
-/// Applies a [`QFormat`] to `f64` values, emulating a fixed-point data path.
+/// Applies a [`QFormat`] to `f64` values, emulating a fixed-point data path:
+/// every value is rounded to the nearest level, ties away from zero (the
+/// DSP convention, `(x + (1 << (s-1))) >> s` hardware rounding for
+/// positives), and saturated to `[min_value, max_value]`.
 ///
 /// The emulation follows the paper's simulation-based methodology (refs
 /// \[12\], \[13\]): every instrumented intermediate of a benchmark kernel is
@@ -53,7 +13,7 @@ pub enum OverflowMode {
 /// double-precision reference yields the noise power.
 ///
 /// The format's step, its reciprocal and its range are derived once, at
-/// construction; serialization carries only the format and the two modes.
+/// construction.
 ///
 /// # Examples
 ///
@@ -63,6 +23,7 @@ pub enum OverflowMode {
 /// # fn main() -> Result<(), krigeval_fixedpoint::FixedPointError> {
 /// let q = Quantizer::new(QFormat::new(0, 3)?);
 /// assert_eq!(q.quantize(0.3), 0.25);
+/// assert_eq!(q.quantize(-0.3), -0.25);
 /// assert_eq!(q.quantize(10.0), q.format().max_value()); // saturates
 /// # Ok(())
 /// # }
@@ -70,42 +31,24 @@ pub enum OverflowMode {
 #[derive(Debug, Clone, Copy)]
 pub struct Quantizer {
     format: QFormat,
-    rounding: RoundingMode,
-    overflow: OverflowMode,
     grid: Grid,
-    /// The modes are the defaults and the word is at most
-    /// [`BRANCH_FREE_MAX_WORD_LENGTH`] bits: [`Grid::nearest_saturate`]
-    /// applies.
-    branch_free: bool,
+    /// The word is wider than [`NARROW_MAX_WORD_LENGTH`] bits, so rounding
+    /// needs the 2^52 guard of [`round_half_away`].
+    wide: bool,
 }
 
-/// Widest word the branch-free body handles: once saturated, a value is at
+/// Widest word the unguarded round handles: once saturated, a value is at
 /// most `2^(w-1)` steps from zero, so `|k| <= 2^52`.
-const BRANCH_FREE_MAX_WORD_LENGTH: i32 = 53;
+const NARROW_MAX_WORD_LENGTH: i32 = 53;
 
 impl Quantizer {
-    /// Creates a quantizer with the default modes
-    /// ([`RoundingMode::Nearest`], [`OverflowMode::Saturate`]).
+    /// Creates a quantizer for `format`.
     #[inline]
     pub fn new(format: QFormat) -> Quantizer {
-        Quantizer::with_modes(format, RoundingMode::default(), OverflowMode::default())
-    }
-
-    /// Creates a quantizer with explicit rounding and overflow behaviour.
-    #[inline]
-    pub fn with_modes(
-        format: QFormat,
-        rounding: RoundingMode,
-        overflow: OverflowMode,
-    ) -> Quantizer {
         Quantizer {
             format,
-            rounding,
-            overflow,
             grid: Grid::of(format),
-            branch_free: rounding == RoundingMode::Nearest
-                && overflow == OverflowMode::Saturate
-                && format.word_length() <= BRANCH_FREE_MAX_WORD_LENGTH,
+            wide: format.word_length() > NARROW_MAX_WORD_LENGTH,
         }
     }
 
@@ -114,29 +57,18 @@ impl Quantizer {
         self.format
     }
 
-    /// The rounding mode.
-    pub fn rounding(&self) -> RoundingMode {
-        self.rounding
-    }
-
-    /// The overflow mode.
-    pub fn overflow(&self) -> OverflowMode {
-        self.overflow
-    }
-
     /// Quantizes one value.
     ///
     /// NaN inputs propagate unchanged (the benchmarks never produce them;
     /// propagating makes failures visible instead of silently saturating).
-    /// With the default modes, a format whose range overflows `f64`
-    /// (`2^m = ∞`, so `max_value()` is NaN) saturates every other input to
-    /// NaN.
+    /// A format whose range overflows `f64` (`2^m = ∞`, so `max_value()` is
+    /// NaN) saturates every other input to NaN.
     #[inline]
     pub fn quantize(&self, x: f64) -> f64 {
-        if self.branch_free {
-            self.grid.nearest_saturate(x)
+        if self.wide {
+            self.grid.nearest_saturate_wide(x)
         } else {
-            self.grid.other_modes(self.rounding, self.overflow, x)
+            self.grid.nearest_saturate::<false>(x)
         }
     }
 
@@ -154,49 +86,22 @@ impl Quantizer {
     #[inline]
     pub fn quantize_in_place(&self, xs: &mut [f64]) {
         let g = &self.grid;
-        if self.branch_free {
+        if self.wide {
             for x in xs {
-                *x = g.nearest_saturate(*x);
+                *x = g.nearest_saturate_wide(*x);
             }
         } else {
             for x in xs {
-                *x = g.other_modes(self.rounding, self.overflow, *x);
+                *x = g.nearest_saturate::<false>(*x);
             }
         }
     }
 }
 
-/// Equality of the format and the modes (the grid is derived from them).
+/// Equality of the format (the grid is derived from it).
 impl PartialEq for Quantizer {
     fn eq(&self, other: &Quantizer) -> bool {
-        (self.format, self.rounding, self.overflow)
-            == (other.format, other.rounding, other.overflow)
-    }
-}
-
-/// [`Quantizer`]'s serialized shape: the derived grid is left out.
-#[derive(Serialize, Deserialize)]
-struct QuantizerShape {
-    format: QFormat,
-    rounding: RoundingMode,
-    overflow: OverflowMode,
-}
-
-impl Serialize for Quantizer {
-    fn serialize_to_value(&self) -> serde::Value {
-        QuantizerShape {
-            format: self.format,
-            rounding: self.rounding,
-            overflow: self.overflow,
-        }
-        .serialize_to_value()
-    }
-}
-
-impl Deserialize for Quantizer {
-    fn deserialize_from_value(value: &serde::Value) -> Result<Quantizer, serde::DeError> {
-        let s = QuantizerShape::deserialize_from_value(value)?;
-        Ok(Quantizer::with_modes(s.format, s.rounding, s.overflow))
+        self.format == other.format
     }
 }
 
@@ -226,19 +131,25 @@ impl Grid {
         }
     }
 
-    /// The default modes' body for words of at most
-    /// [`BRANCH_FREE_MAX_WORD_LENGTH`] bits, bitwise equal to
-    /// `(x / step).round() * step` clamped to the range, without a branch
-    /// or the out-of-line `round` call. It saturates first: `lo` and `hi`
-    /// are multiples of the step, so a value outside the range lands on the
-    /// bound either way, and a value inside cannot round out of it. That
-    /// bounds `|k|` by 2^52, where the 2^52 round is exact.
+    /// Round to nearest and saturate, bitwise equal to the rounded
+    /// quotient `(x / step).round() * step` clamped to the range, without
+    /// a branch or the out-of-line `round` call. It saturates first: `lo`
+    /// and `hi` are multiples of the step, so a value outside the range
+    /// lands on the bound either way, and a value inside cannot round out
+    /// of it. That bounds `|k|` by `2^(w-1)`: by 2^52 up to
+    /// [`NARROW_MAX_WORD_LENGTH`] bits, where the 2^52 round is exact, and
+    /// `WIDE` words take [`round_half_away`]'s guard.
     #[inline(always)]
-    fn nearest_saturate(&self, x: f64) -> f64 {
+    fn nearest_saturate<const WIDE: bool>(&self, x: f64) -> f64 {
         let s = if x < self.lo { self.lo } else { x };
         let s = if s > self.hi { self.hi } else { s };
         let k = s * self.inv_step;
-        let v = round_half_up(k.abs()).copysign(k) * self.step;
+        let r = if WIDE {
+            round_half_away(k)
+        } else {
+            round_half_up(k.abs()).copysign(k)
+        };
+        let v = r * self.step;
         if x.is_nan() {
             x
         } else {
@@ -246,35 +157,13 @@ impl Grid {
         }
     }
 
-    /// Every other rounding/overflow combination: out of line, so the
-    /// default body inlines small.
+    /// The wide-word body: out of line, since no benchmark format is wider
+    /// than [`NARROW_MAX_WORD_LENGTH`] bits, so the narrow body inlines
+    /// small.
     #[cold]
     #[inline(never)]
-    fn other_modes(&self, rounding: RoundingMode, overflow: OverflowMode, x: f64) -> f64 {
-        if x.is_nan() {
-            return x;
-        }
-        let k = x * self.inv_step;
-        let k = match rounding {
-            RoundingMode::Truncate => k.floor(),
-            RoundingMode::Nearest => round_half_away(k),
-            RoundingMode::NearestEven => round_ties_even(k),
-        };
-        let v = k * self.step;
-        let (lo, hi) = (self.lo, self.hi);
-        match overflow {
-            OverflowMode::Saturate => v.clamp(lo, hi),
-            OverflowMode::Wrap => {
-                if (lo..=hi).contains(&v) {
-                    v
-                } else {
-                    let span = hi - lo + self.step; // 2^(m+1)
-                    let wrapped = (v - lo).rem_euclid(span) + lo;
-                    // Guard against the representable-edge rounding case.
-                    wrapped.clamp(lo, hi)
-                }
-            }
-        }
+    fn nearest_saturate_wide(&self, x: f64) -> f64 {
+        self.nearest_saturate::<true>(x)
     }
 }
 
@@ -297,20 +186,6 @@ fn round_half_up(a: f64) -> f64 {
     even + if a - even == 0.5 { 1.0 } else { 0.0 }
 }
 
-fn round_ties_even(k: f64) -> f64 {
-    let r = k.round();
-    if (k - k.trunc()).abs() == 0.5 {
-        // Tie: pick the even neighbour.
-        if r % 2.0 == 0.0 {
-            r
-        } else {
-            r - (r - k).signum()
-        }
-    } else {
-        r
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,39 +204,10 @@ mod tests {
     }
 
     #[test]
-    fn truncate_floors_on_grid() {
-        let q = Quantizer::with_modes(fmt(0, 2), RoundingMode::Truncate, OverflowMode::Saturate);
-        assert_eq!(q.quantize(0.49), 0.25);
-        assert_eq!(q.quantize(-0.01), -0.25);
-        assert_eq!(q.quantize(0.25), 0.25); // exact values pass through
-    }
-
-    #[test]
-    fn nearest_even_breaks_ties_evenly() {
-        let q = Quantizer::with_modes(fmt(2, 0), RoundingMode::NearestEven, OverflowMode::Saturate);
-        assert_eq!(q.quantize(0.5), 0.0);
-        assert_eq!(q.quantize(1.5), 2.0);
-        assert_eq!(q.quantize(2.5), 2.0);
-        assert_eq!(q.quantize(-0.5), 0.0);
-        assert_eq!(q.quantize(-1.5), -2.0);
-    }
-
-    #[test]
     fn saturation_clamps() {
         let q = Quantizer::new(fmt(0, 3));
         assert_eq!(q.quantize(5.0), q.format().max_value());
         assert_eq!(q.quantize(-5.0), -1.0);
-    }
-
-    #[test]
-    fn wrap_wraps_two_complement() {
-        let q = Quantizer::with_modes(fmt(0, 1), RoundingMode::Nearest, OverflowMode::Wrap);
-        // Range [-1.0, 0.5], span 2.0. 1.0 wraps to -1.0.
-        assert_eq!(q.quantize(1.0), -1.0);
-        assert_eq!(q.quantize(1.5), -0.5);
-        assert_eq!(q.quantize(-1.5), 0.5);
-        // In-range values untouched.
-        assert_eq!(q.quantize(0.5), 0.5);
     }
 
     #[test]
@@ -388,19 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_shape_is_format_and_modes() {
-        let q = Quantizer::with_modes(fmt(1, 6), RoundingMode::NearestEven, OverflowMode::Wrap);
-        let json = serde_json::to_string(&q).unwrap();
-        assert_eq!(
-            json,
-            r#"{"format":{"integer_bits":1,"fractional_bits":6},"rounding":"NearestEven","overflow":"Wrap"}"#
-        );
-        let back: Quantizer = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, q);
-        assert_eq!(back.quantize(0.3).to_bits(), q.quantize(0.3).to_bits());
-    }
-
-    #[test]
     fn idempotence_on_representable_values() {
         let q = Quantizer::new(fmt(1, 5));
         for i in -64..=63 {
@@ -414,32 +247,15 @@ mod tests {
         use proptest::prelude::*;
 
         /// The per-element body as originally written, dividing by the
-        /// step, calling `f64::round` and matching on the modes per value:
-        /// the oracle for the precomputed-grid, branch-free hot path.
+        /// step, calling `f64::round` and clamping: the oracle for the
+        /// precomputed-grid, branch-free hot path.
         fn quantize_by_division(q: &Quantizer, x: f64) -> f64 {
             if x.is_nan() {
                 return x;
             }
             let step = q.format().step();
-            let k = x / step;
-            let k = match q.rounding() {
-                RoundingMode::Truncate => k.floor(),
-                RoundingMode::Nearest => k.round(),
-                RoundingMode::NearestEven => round_ties_even(k),
-            };
-            let v = k * step;
-            let (lo, hi) = (q.format().min_value(), q.format().max_value());
-            match q.overflow() {
-                OverflowMode::Saturate => v.clamp(lo, hi),
-                OverflowMode::Wrap => {
-                    if (lo..=hi).contains(&v) {
-                        v
-                    } else {
-                        let wrapped = (v - lo).rem_euclid(hi - lo + step) + lo;
-                        wrapped.clamp(lo, hi)
-                    }
-                }
-            }
+            let v = (x / step).round() * step;
+            v.clamp(q.format().min_value(), q.format().max_value())
         }
 
         /// Inputs around a format's grid and range, plus every special
@@ -543,20 +359,14 @@ mod tests {
                 ];
                 let ks = hard_multiples(below_two_pow_52(bits, shift));
                 for f in formats {
-                    let xs: Vec<f64> = ks.iter().map(|k| k * f.step()).collect();
-                    for rounding in
-                        [RoundingMode::Nearest, RoundingMode::Truncate, RoundingMode::NearestEven]
-                    {
-                        for overflow in [OverflowMode::Saturate, OverflowMode::Wrap] {
-                            let q = Quantizer::with_modes(f, rounding, overflow);
-                            for &x in &xs {
-                                prop_assert_eq!(
-                                    q.quantize(x).to_bits(),
-                                    quantize_by_division(&q, x).to_bits(),
-                                    "{} {:?} {:?} x = {:e}", f, rounding, overflow, x
-                                );
-                            }
-                        }
+                    let q = Quantizer::new(f);
+                    for k in &ks {
+                        let x = k * f.step();
+                        prop_assert_eq!(
+                            q.quantize(x).to_bits(),
+                            quantize_by_division(&q, x).to_bits(),
+                            "{} x = {:e}", f, x
+                        );
                     }
                 }
             }
@@ -573,24 +383,17 @@ mod tests {
                 let m = if small == 0 { int_small } else { int_any };
                 let f = QFormat::with_word_length(m, word_length).unwrap();
                 let xs = probe_values(f, bits, unit);
-                for rounding in
-                    [RoundingMode::Nearest, RoundingMode::Truncate, RoundingMode::NearestEven]
-                {
-                    for overflow in [OverflowMode::Saturate, OverflowMode::Wrap] {
-                        let q = Quantizer::with_modes(f, rounding, overflow);
-                        let each: Vec<u64> = xs.iter().map(|&x| q.quantize(x).to_bits()).collect();
-                        let oracle: Vec<u64> =
-                            xs.iter().map(|&x| quantize_by_division(&q, x).to_bits()).collect();
-                        let slice: Vec<u64> =
-                            q.quantize_slice(&xs).iter().map(|v| v.to_bits()).collect();
-                        let mut inplace = xs.clone();
-                        q.quantize_in_place(&mut inplace);
-                        let inplace: Vec<u64> = inplace.iter().map(|v| v.to_bits()).collect();
-                        prop_assert_eq!(&each, &oracle, "{} {:?} {:?}", f, rounding, overflow);
-                        prop_assert_eq!(&slice, &each, "{} {:?} {:?}", f, rounding, overflow);
-                        prop_assert_eq!(&inplace, &each, "{} {:?} {:?}", f, rounding, overflow);
-                    }
-                }
+                let q = Quantizer::new(f);
+                let each: Vec<u64> = xs.iter().map(|&x| q.quantize(x).to_bits()).collect();
+                let oracle: Vec<u64> =
+                    xs.iter().map(|&x| quantize_by_division(&q, x).to_bits()).collect();
+                let slice: Vec<u64> = q.quantize_slice(&xs).iter().map(|v| v.to_bits()).collect();
+                let mut inplace = xs.clone();
+                q.quantize_in_place(&mut inplace);
+                let inplace: Vec<u64> = inplace.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&each, &oracle, "{}", f);
+                prop_assert_eq!(&slice, &each, "{}", f);
+                prop_assert_eq!(&inplace, &each, "{}", f);
             }
         }
 
@@ -632,15 +435,6 @@ mod tests {
             }
 
             #[test]
-            fn truncation_error_bounded_and_negative_biased(x in -0.999f64..0.999) {
-                let q = Quantizer::with_modes(
-                    fmt(0, 8), RoundingMode::Truncate, OverflowMode::Saturate);
-                let y = q.quantize(x);
-                prop_assert!(y <= x + 1e-15);
-                prop_assert!(x - y < q.format().step() + 1e-15);
-            }
-
-            #[test]
             fn quantize_is_idempotent(x in -4.0f64..4.0) {
                 let q = Quantizer::new(fmt(2, 6));
                 let once = q.quantize(x);
@@ -649,12 +443,10 @@ mod tests {
 
             #[test]
             fn output_is_always_in_range(x in -1e6f64..1e6) {
-                for overflow in [OverflowMode::Saturate, OverflowMode::Wrap] {
-                    let q = Quantizer::with_modes(fmt(3, 4), RoundingMode::Nearest, overflow);
-                    let y = q.quantize(x);
-                    prop_assert!(y >= q.format().min_value() - 1e-12);
-                    prop_assert!(y <= q.format().max_value() + 1e-12);
-                }
+                let q = Quantizer::new(fmt(3, 4));
+                let y = q.quantize(x);
+                prop_assert!(y >= q.format().min_value() - 1e-12);
+                prop_assert!(y <= q.format().max_value() + 1e-12);
             }
 
             #[test]

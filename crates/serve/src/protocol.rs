@@ -64,14 +64,15 @@ pub struct HelloParams {
     /// Distance metric: `"l1"` (default), `"l2"` or `"linf"`.
     pub metric: Option<String>,
     /// Variogram policy, campaign CLI syntax: `fit-after:N`,
-    /// `refit:N:EVERY`, `fixed-linear:SLOPE` or `FAMILY:NUGGET:SILL:RANGE`.
+    /// `fixed-linear:SLOPE` or `FAMILY:NUGGET:SILL:RANGE`.
     /// Default `fit-after:10` (the hybrid evaluator's canonical policy).
     pub variogram: Option<String>,
     /// Accuracy-constraint override for `optimize` (default: the
     /// benchmark's canonical `λ_min`).
     pub lambda_min: Option<f64>,
-    /// Kriged-vs-simulate decision gate: `"fixed"` (default) or
-    /// `"variance:T"` (reject solves with kriging variance above `T`).
+    /// Kriged-vs-simulate decision gate, campaign CLI syntax: `"fixed"`
+    /// (default), `"variance:T"` (reject solves with kriging variance
+    /// above `T`) or `"variance"` (`T` = 1).
     pub gate: Option<String>,
     /// Variogram-family selection: `"sse"` (default, weighted least
     /// squares) or `"loo"` (fast leave-one-out cross-validation).

@@ -286,11 +286,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.shared.begin_drain();
     }
-
-    /// Whether the drain has begun.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining()
-    }
 }
 
 /// A running `krigeval serve` instance.

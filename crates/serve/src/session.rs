@@ -19,9 +19,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use krigeval_core::hybrid::{
-    GatePolicy, HybridEvaluator, HybridSettings, HybridStats, NuggetPolicy,
-};
+use krigeval_core::hybrid::{HybridEvaluator, HybridSettings, HybridStats, NuggetPolicy};
 use krigeval_core::opt::descent::{budget_error_sources, DescentOptions};
 use krigeval_core::opt::minplusone::{optimize, MinPlusOneOptions};
 use krigeval_core::opt::{OptError, OptimizationResult};
@@ -31,7 +29,7 @@ use krigeval_core::{
 };
 use krigeval_engine::obs::BackendObs;
 use krigeval_engine::runner::surface_namespace;
-use krigeval_engine::spec::{parse_metric, VariogramSpec};
+use krigeval_engine::spec::{parse_gate, parse_metric, VariogramSpec};
 use krigeval_engine::suite::{build_seeded, Problem, ProblemInstance};
 use krigeval_engine::{CacheStats, EngineBackend, Scale, SimCache};
 use krigeval_obs::{Registry, Tracer};
@@ -294,8 +292,7 @@ impl Session {
                 .ok_or_else(|| SessionError {
                     code: codes::UNSUPPORTED,
                     message: "the pilot protocol is an offline-campaign feature; serve \
-                              sessions identify online (fit-after / refit) or use a fixed \
-                              model"
+                              sessions identify online (fit-after) or use a fixed model"
                         .to_string(),
                 })?,
             None => defaults.variogram,
@@ -316,17 +313,8 @@ impl Session {
             None => defaults.max_neighbors,
         };
         let gate = match params.gate.as_deref() {
-            None | Some("fixed") => GatePolicy::Fixed,
-            Some(spec) => match spec.strip_prefix("variance:") {
-                Some(t) => GatePolicy::Variance {
-                    threshold: t.parse().map_err(|_| {
-                        SessionError::bad_request(format!("bad variance threshold {t:?}"))
-                    })?,
-                },
-                None => {
-                    return Err(SessionError::bad_request(format!("unknown gate {spec:?}")));
-                }
-            },
+            Some(text) => parse_gate(text).map_err(SessionError::bad_request)?,
+            None => defaults.gate,
         };
         let selection = match params.selection.as_deref() {
             None | Some("sse") => ModelSelection::WeightedSse,
@@ -573,25 +561,27 @@ mod tests {
         use krigeval_engine::spec::CampaignSpec;
 
         let pool = pool();
-        for (variogram, metric) in [
-            ("fit-after:12", "l1"),
-            ("refit:8:4", "L1"),
-            ("fixed-linear:0.5", "l2"),
-            ("spherical:0.1:2:3", "linf"),
-            ("exponential:0:1:4", "l1"),
-            ("gaussian:0.2:1.5:2.5", "l2"),
+        for (variogram, metric, gate) in [
+            ("fit-after:12", "l1", "fixed"),
+            ("fit-after:3", "L1", "variance"),
+            ("fixed-linear:0.5", "l2", "variance:0.75"),
+            ("spherical:0.1:2:3", "linf", "variance"),
+            ("exponential:0:1:4", "l1", "fixed"),
+            ("gaussian:0.2:1.5:2.5", "l2", "variance:2"),
         ] {
-            // `campaign --variogram V --metric M` sets these spec fields,
-            // and a run reads them off its expansion.
+            // `campaign --variogram V --metric M --gate G` sets these spec
+            // fields, and a run reads them off its expansion.
             let spec = CampaignSpec {
                 variogram: VariogramSpec::parse(variogram).unwrap(),
                 metric: metric.to_string(),
+                gate: Some(parse_gate(gate).unwrap()),
                 ..CampaignSpec::default()
             };
             let run = &spec.expand().unwrap()[0];
             let mut params = hello("fir");
             params.variogram = Some(variogram.to_string());
             params.metric = Some(metric.to_string());
+            params.gate = Some(gate.to_string());
             let session = Session::open(1, &params, &pool).unwrap();
             let settings = session.evaluator.settings();
             assert_eq!(
@@ -600,7 +590,17 @@ mod tests {
                 "{variogram}"
             );
             assert_eq!(settings.metric, run.metric, "{metric}");
+            assert_eq!(settings.gate, run.gate, "{gate}");
         }
+    }
+
+    #[test]
+    fn a_refit_variogram_is_a_bad_request() {
+        let mut params = hello("fir");
+        params.variogram = Some("refit:8:4".to_string());
+        let err = Session::open(1, &params, &pool()).unwrap_err();
+        assert_eq!(err.code, codes::BAD_REQUEST);
+        assert_eq!(err.message, "unknown variogram policy \"refit\"");
     }
 
     #[test]

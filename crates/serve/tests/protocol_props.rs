@@ -27,12 +27,7 @@ fn hello_from(
     let (metric_pick, variogram_pick, min_n, max_n) = knobs;
     let benchmarks = ["fir64", "iir8", "fft64", "dct8x8", "lms", "hevc_mc"];
     let metrics = ["l1", "l2", "linf"];
-    let variograms = [
-        "fit-after:12",
-        "refit:10:5",
-        "fixed-linear:0.5",
-        "spherical:1.0:2.0:3.0",
-    ];
+    let variograms = ["fit-after:12", "fixed-linear:0.5", "spherical:1.0:2.0:3.0"];
     HelloParams {
         benchmark: benchmarks[benchmark_pick as usize % benchmarks.len()].to_string(),
         scale: if seed.is_multiple_of(2) {
