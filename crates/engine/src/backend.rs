@@ -99,10 +99,19 @@ impl PoolShared {
         }
         let (value, cached) = self.cache.get_or_compute(&self.namespace, config, || {
             self.evaluations.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = self.obs.get() {
+            let obs = self.obs.get();
+            if let Some(obs) = obs {
                 obs.evaluations.inc();
             }
-            evaluator.evaluate(config)
+            match obs.and_then(|o| o.simulate_us.as_ref()) {
+                Some(simulate_us) => {
+                    let start = Instant::now();
+                    let value = evaluator.evaluate(config);
+                    simulate_us.record(start.elapsed().as_secs_f64() * 1e6);
+                    value
+                }
+                None => evaluator.evaluate(config),
+            }
         })?;
         // The hit *total* is deterministic across worker counts (hits =
         // lookups − distinct: waiters on an in-flight computation count as
@@ -233,7 +242,9 @@ impl EngineBackend {
     /// deterministic fulfillment protocol (batches, jobs, cache-hit and
     /// evaluation totals); the gauge and histograms observe
     /// scheduling and are recorded only when the bundle has timing
-    /// enabled. Attach before the first batch; a second call is ignored.
+    /// enabled, and so is each real simulator call's wall clock when the
+    /// bundle carries a `backend_simulate_us_*` histogram. Attach before
+    /// the first batch; a second call is ignored.
     #[must_use]
     pub fn with_obs(self, obs: BackendObs) -> EngineBackend {
         let _ = self.shared.obs.set(obs);

@@ -19,7 +19,8 @@
 //! * [`BackendObs`] — worker-pool counters (`backend_*`): batches, jobs,
 //!   shared-cache hits and real simulator evaluations, plus
 //!   scheduling-only gauges/histograms (queue depth, queue wait, fulfill
-//!   latency). Every campaign run fulfills through an
+//!   latency, and each benchmark's µs per real simulator call,
+//!   `backend_simulate_us_*`). Every campaign run fulfills through an
 //!   [`crate::backend::EngineBackend`], so these appear for every run, at
 //!   every thread count.
 //!
@@ -140,9 +141,18 @@ impl CampaignObs {
         HybridObs::new(&self.registry, self.tracer.clone()).with_timing(self.timing)
     }
 
-    /// A worker-pool bundle sharing this campaign's registry and tracer.
-    pub fn backend_obs(&self) -> BackendObs {
-        BackendObs::new(&self.registry, self.tracer.clone()).with_timing(self.timing)
+    /// A worker-pool bundle sharing this campaign's registry and tracer,
+    /// for a backend simulating `benchmark`. With timing enabled, it times
+    /// each real simulator call into `backend_simulate_us_{benchmark}`.
+    pub fn backend_obs(&self, benchmark: &str) -> BackendObs {
+        let mut obs = BackendObs::new(&self.registry, self.tracer.clone()).with_timing(self.timing);
+        if self.timing {
+            obs.simulate_us = Some(
+                self.registry
+                    .histogram(&format!("backend_simulate_us_{benchmark}")),
+            );
+        }
+        obs
     }
 
     /// Adds one run's checkpoint resume counts to its benchmark's
@@ -255,6 +265,10 @@ pub struct BackendObs {
     pub(crate) fulfill_us: Histogram,
     /// Enqueue-to-dequeue wait per job (timing only).
     pub(crate) queue_wait_us: Histogram,
+    /// Wall-clock per real simulator call of the backend's benchmark
+    /// (`backend_simulate_us_<benchmark>`); registered only with timing
+    /// enabled, by [`CampaignObs::backend_obs`].
+    pub(crate) simulate_us: Option<Histogram>,
 }
 
 impl std::fmt::Debug for BackendObs {
@@ -279,6 +293,7 @@ impl BackendObs {
             queue_depth: registry.gauge("backend_queue_depth"),
             fulfill_us: registry.histogram("backend_fulfill_us"),
             queue_wait_us: registry.histogram("backend_queue_wait_us"),
+            simulate_us: None,
         }
     }
 
@@ -323,7 +338,7 @@ mod tests {
         obs.record_resume(3);
         let hybrid = obs.hybrid_obs();
         hybrid.tracer().emit("query", vec![]);
-        let backend = obs.backend_obs();
+        let backend = obs.backend_obs("fir64");
         backend.tracer.emit("batch_fulfill", vec![]);
         let seqs: Vec<u64> = ring.snapshot().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2], "one sequence stream across layers");
@@ -408,6 +423,54 @@ mod tests {
     }
 
     #[test]
+    fn simulation_times_are_a_timing_only_histogram_per_benchmark() {
+        use crate::executor::{run_specs_opts, ExecOptions};
+        use crate::spec::CampaignSpec;
+
+        let snapshot = |timing: bool| {
+            let registry = Registry::new();
+            let obs = CampaignObs::new(&registry, Tracer::disabled()).with_timing(timing);
+            let runs = CampaignSpec {
+                benchmarks: vec!["iir".to_string()],
+                distances: vec![2.0, 3.0],
+                ..CampaignSpec::default()
+            }
+            .expand()
+            .unwrap();
+            let options = ExecOptions {
+                obs: Some(&obs),
+                ..ExecOptions::default()
+            };
+            assert_eq!(run_specs_opts(runs, options).unwrap().records.len(), 2);
+            registry.snapshot()
+        };
+        let untimed = snapshot(false);
+        assert!(untimed
+            .histograms
+            .iter()
+            .all(|h| !h.name.starts_with("backend_simulate_us")));
+
+        let timed = snapshot(true);
+        let simulations = timed.counter("backend_evaluations_total").unwrap();
+        assert!(simulations > 0);
+        let names: Vec<&str> = timed
+            .histograms
+            .iter()
+            .map(|h| h.name.as_str())
+            .filter(|n| n.starts_with("backend_simulate_us"))
+            .collect();
+        assert_eq!(names, ["backend_simulate_us_iir8"]);
+        let histogram = timed
+            .histograms
+            .iter()
+            .find(|h| h.name == names[0])
+            .unwrap();
+        assert_eq!(histogram.count, simulations);
+        assert!(histogram.sum_us > 0.0);
+        assert_eq!(timed.counters_json(), untimed.counters_json());
+    }
+
+    #[test]
     fn minor_faults_are_read_after_the_command_name() {
         let stat = "4242 (a) b (c)) S 1 4242 4242 0 -1 4194560 7311 0 12 0 30 4 0 0 20";
         assert_eq!(parse_minor_faults(stat), Some(7311));
@@ -426,6 +489,6 @@ mod tests {
     fn timing_flag_propagates_to_derived_bundles() {
         let registry = Registry::new();
         let obs = CampaignObs::new(&registry, Tracer::disabled()).with_timing(true);
-        assert!(obs.backend_obs().timing);
+        assert!(obs.backend_obs("fir64").timing);
     }
 }

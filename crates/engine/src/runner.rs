@@ -91,7 +91,7 @@ fn engine_backend(
     )
     .with_faults(fault_stream(run, attempt, phase));
     match obs {
-        Some(obs) => backend.with_obs(obs.backend_obs()),
+        Some(obs) => backend.with_obs(obs.backend_obs(run.problem.label())),
         None => backend,
     }
 }

@@ -593,11 +593,12 @@ pub fn is_compressed_path(path: &Path) -> bool {
 /// journal with a torn tail yields the prefix of complete sync-flushed
 /// lines, mirroring the plain-text torn-final-line contract. A decoded
 /// prefix that ends mid-UTF-8-sequence is truncated to its valid
-/// prefix; mid-file corruption (not truncation) is still an error.
+/// prefix; mid-file corruption (not truncation) is still an error, and
+/// so is a stream that decodes past [`krigeval_flate::MAX_OUTPUT`].
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; corrupt DEFLATE data surfaces as
+/// Propagates I/O errors; corrupt or oversized DEFLATE data surfaces as
 /// [`io::ErrorKind::InvalidData`].
 pub fn read_artifact_text(path: &Path) -> io::Result<String> {
     if !is_compressed_path(path) {

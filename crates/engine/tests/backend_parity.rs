@@ -230,7 +230,7 @@ fn backend_counters(problem: Problem, workers: usize) -> String {
         Arc::new(SimCache::new()),
         "parity",
     )
-    .with_obs(campaign.backend_obs());
+    .with_obs(campaign.backend_obs(problem.label()));
     let mut hybrid =
         HybridEvaluator::new(backend, HybridSettings::default()).with_obs(campaign.hybrid_obs());
     drive(optimizer, problem, &mut hybrid).expect("optimization succeeds");

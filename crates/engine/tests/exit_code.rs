@@ -378,3 +378,41 @@ fn run_rejects_the_refit_variogram() {
     );
     assert!(output.stdout.is_empty(), "nothing runs");
 }
+
+#[test]
+fn decode_refuses_a_bomb_past_the_output_limit() {
+    use std::io::Write;
+
+    use krigeval_flate::MAX_OUTPUT;
+
+    let dir = temp_dir("bomb");
+    let bomb = dir.join("bomb.jsonl.z");
+    let out = dir.join("decoded.jsonl");
+    // One byte past the limit, written a MiB at a time so the test never
+    // holds the plain stream.
+    let mut writer = krigeval_flate::DeflateWriter::new(Vec::new());
+    let chunk = vec![0u8; 1 << 20];
+    for _ in 0..MAX_OUTPUT >> 20 {
+        writer.write_all(&chunk).unwrap();
+    }
+    writer.write_all(&[0]).unwrap();
+    std::fs::write(&bomb, writer.finish().unwrap()).unwrap();
+    let output = Command::new(bin())
+        .arg("decode")
+        .arg(&bomb)
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("campaign binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "{}: decoded output exceeds the {MAX_OUTPUT}-byte limit",
+            bomb.display()
+        )),
+        "stderr:\n{stderr}"
+    );
+    assert!(!out.exists(), "nothing is written");
+    std::fs::remove_dir_all(&dir).ok();
+}

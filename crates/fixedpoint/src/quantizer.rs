@@ -32,14 +32,7 @@ use crate::QFormat;
 pub struct Quantizer {
     format: QFormat,
     grid: Grid,
-    /// The word is wider than [`NARROW_MAX_WORD_LENGTH`] bits, so rounding
-    /// needs the 2^52 guard of [`round_half_away`].
-    wide: bool,
 }
-
-/// Widest word the unguarded round handles: once saturated, a value is at
-/// most `2^(w-1)` steps from zero, so `|k| <= 2^52`.
-const NARROW_MAX_WORD_LENGTH: i32 = 53;
 
 impl Quantizer {
     /// Creates a quantizer for `format`.
@@ -48,7 +41,6 @@ impl Quantizer {
         Quantizer {
             format,
             grid: Grid::of(format),
-            wide: format.word_length() > NARROW_MAX_WORD_LENGTH,
         }
     }
 
@@ -65,11 +57,7 @@ impl Quantizer {
     /// NaN) saturates every other input to NaN.
     #[inline]
     pub fn quantize(&self, x: f64) -> f64 {
-        if self.wide {
-            self.grid.nearest_saturate_wide(x)
-        } else {
-            self.grid.nearest_saturate::<false>(x)
-        }
+        self.grid.nearest_saturate(x)
     }
 
     /// Quantizes a slice into a fresh vector; bitwise equal to
@@ -81,19 +69,12 @@ impl Quantizer {
     }
 
     /// Quantizes a slice in place (reuses the caller's buffer); bitwise
-    /// equal to [`Quantizer::quantize`] per element, with the body chosen
-    /// once per call.
+    /// equal to [`Quantizer::quantize`] per element.
     #[inline]
     pub fn quantize_in_place(&self, xs: &mut [f64]) {
         let g = &self.grid;
-        if self.wide {
-            for x in xs {
-                *x = g.nearest_saturate_wide(*x);
-            }
-        } else {
-            for x in xs {
-                *x = g.nearest_saturate::<false>(*x);
-            }
+        for x in xs {
+            *x = g.nearest_saturate(*x);
         }
     }
 }
@@ -114,9 +95,6 @@ struct Grid {
     hi: f64,
 }
 
-/// `2^52`: at and above it every `f64` is an integer.
-const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
-
 impl Grid {
     fn of(format: QFormat) -> Grid {
         let step = format.step();
@@ -133,57 +111,22 @@ impl Grid {
 
     /// Round to nearest and saturate, bitwise equal to the rounded
     /// quotient `(x / step).round() * step` clamped to the range, without
-    /// a branch or the out-of-line `round` call. It saturates first: `lo`
-    /// and `hi` are multiples of the step, so a value outside the range
-    /// lands on the bound either way, and a value inside cannot round out
-    /// of it. That bounds `|k|` by `2^(w-1)`: by 2^52 up to
-    /// [`NARROW_MAX_WORD_LENGTH`] bits, where the 2^52 round is exact, and
-    /// `WIDE` words take [`round_half_away`]'s guard.
+    /// a branch. It saturates first: `lo` and `hi` are multiples of the
+    /// step, so a value outside the range lands on the bound either way,
+    /// and a value inside cannot round out of it. From x86-64-v2 on,
+    /// `round` compiles to a few vector operations around one `roundpd`;
+    /// baseline x86-64 has no rounding instruction and calls libm.
     #[inline(always)]
-    fn nearest_saturate<const WIDE: bool>(&self, x: f64) -> f64 {
+    fn nearest_saturate(&self, x: f64) -> f64 {
         let s = if x < self.lo { self.lo } else { x };
         let s = if s > self.hi { self.hi } else { s };
-        let k = s * self.inv_step;
-        let r = if WIDE {
-            round_half_away(k)
-        } else {
-            round_half_up(k.abs()).copysign(k)
-        };
-        let v = r * self.step;
+        let v = (s * self.inv_step).round() * self.step;
         if x.is_nan() {
             x
         } else {
             v
         }
     }
-
-    /// The wide-word body: out of line, since no benchmark format is wider
-    /// than [`NARROW_MAX_WORD_LENGTH`] bits, so the narrow body inlines
-    /// small.
-    #[cold]
-    #[inline(never)]
-    fn nearest_saturate_wide(&self, x: f64) -> f64 {
-        self.nearest_saturate::<true>(x)
-    }
-}
-
-/// `k.round()` (ties away from zero), bitwise.
-#[inline(always)]
-fn round_half_away(k: f64) -> f64 {
-    let a = k.abs();
-    // From 2^52 on (and at ∞) `a` is already an integer.
-    let r = if a < TWO_POW_52 { round_half_up(a) } else { a };
-    r.copysign(k)
-}
-
-/// Rounds `a` in `[0, 2^52]` to the nearest integer, ties up.
-#[inline(always)]
-fn round_half_up(a: f64) -> f64 {
-    // Adding and subtracting 2^52 rounds `a` to an integer, ties to even;
-    // `a - even` is exact.
-    let even = (a + TWO_POW_52) - TWO_POW_52;
-    // A tie that went down to the even neighbour goes up instead.
-    even + if a - even == 0.5 { 1.0 } else { 0.0 }
 }
 
 #[cfg(test)]
@@ -286,11 +229,14 @@ mod tests {
             xs
         }
 
-        /// Multiples of the step where the branch-free round can go wrong:
-        /// ties `n + 0.5` (the 2^52 add rounds them to even), their
-        /// neighbours, the largest double below one half, ±0 and tiny
+        /// `2^52`: at and above it every `f64` is an integer.
+        const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+        /// Multiples of the step where rounding to nearest, ties away, is
+        /// easy to get wrong: ties `n + 0.5`, their neighbours, the largest
+        /// double below one half (which must round to 0), ±0 and tiny
         /// negatives (which must keep their sign), and `|k| >= 2^52`, where
-        /// every double is an integer and the 2^52 add would round.
+        /// every double is already an integer.
         fn hard_multiples(n: u64) -> Vec<f64> {
             let tie = n as f64 + 0.5; // exact for n < 2^52
             let mut ks = vec![
@@ -329,19 +275,6 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
-
-            #[test]
-            fn branch_free_round_is_bitwise_f64_round(
-                bits in 0u64..u64::MAX,
-                shift in 0u32..52,
-            ) {
-                let mut ks = hard_multiples(below_two_pow_52(bits, shift));
-                ks.push(f64::from_bits(bits));
-                for k in ks {
-                    prop_assert_eq!(
-                        round_half_away(k).to_bits(), k.round().to_bits(), "k = {:e}", k);
-                }
-            }
 
             #[test]
             fn hard_spots_are_bitwise_the_division_body(

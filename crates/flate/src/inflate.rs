@@ -32,6 +32,11 @@ pub enum InflateError {
     TooManyCodeLengths,
     /// A match distance reaches before the start of the output.
     DistanceTooFar,
+    /// The decoded output would exceed [`MAX_OUTPUT`] bytes.
+    OutputLimit {
+        /// The limit, in bytes.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for InflateError {
@@ -45,6 +50,9 @@ impl fmt::Display for InflateError {
             InflateError::InvalidCodeLengthRepeat => "invalid code-length repeat",
             InflateError::TooManyCodeLengths => "dynamic header exceeds alphabet size",
             InflateError::DistanceTooFar => "match distance before start of output",
+            InflateError::OutputLimit { limit } => {
+                return write!(f, "decoded output exceeds the {limit}-byte limit")
+            }
         };
         f.write_str(what)
     }
@@ -129,16 +137,29 @@ fn read_dynamic_tables(br: &mut BitReader<'_>) -> Result<(HuffDecoder, HuffDecod
     ))
 }
 
+/// Fails with [`InflateError::OutputLimit`] unless `out` has room for
+/// `more` bytes under `limit`.
+fn reserve(out: &[u8], more: usize, limit: usize) -> Result<(), InflateError> {
+    if more > limit - out.len() {
+        return Err(InflateError::OutputLimit { limit });
+    }
+    Ok(())
+}
+
 fn decode_huffman_block(
     br: &mut BitReader<'_>,
     lit: &HuffDecoder,
     dist: &HuffDecoder,
     out: &mut Vec<u8>,
+    limit: usize,
 ) -> Result<(), InflateError> {
     loop {
         let sym = lit.decode(br)? as usize;
         match sym {
-            0..=255 => out.push(sym as u8),
+            0..=255 => {
+                reserve(out, 1, limit)?;
+                out.push(sym as u8);
+            }
             256 => return Ok(()),
             257..=285 => {
                 let idx = sym - 257;
@@ -153,6 +174,7 @@ fn decode_huffman_block(
                 if distance > out.len() {
                     return Err(InflateError::DistanceTooFar);
                 }
+                reserve(out, len, limit)?;
                 let start = out.len() - distance;
                 // Overlapping copies are the LZ77 run-length idiom; copy
                 // byte-wise so freshly written bytes are visible.
@@ -169,8 +191,9 @@ fn decode_huffman_block(
 /// Decodes blocks into `out` until a final block completes (`Ok(true)`),
 /// the input runs out cleanly between blocks (`Ok(false)`), or an error
 /// stops the stream. Output accumulated before the error is preserved —
-/// the tail-tolerant entry point depends on that.
-fn run(data: &[u8], out: &mut Vec<u8>) -> Result<bool, InflateError> {
+/// the tail-tolerant entry point depends on that. `out` never grows past
+/// `limit` bytes.
+fn run(data: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<bool, InflateError> {
     let mut br = BitReader::new(data);
     loop {
         let bfinal = match br.read_bit() {
@@ -191,15 +214,16 @@ fn run(data: &[u8], out: &mut Vec<u8>) -> Result<bool, InflateError> {
                     return Err(InflateError::StoredLengthMismatch);
                 }
                 let bytes = br.take_bytes(len)?;
+                reserve(out, len, limit)?;
                 out.extend_from_slice(bytes);
             }
             0b01 => {
                 let (lit, dist) = fixed_decoders();
-                decode_huffman_block(&mut br, lit, dist, out)?;
+                decode_huffman_block(&mut br, lit, dist, out, limit)?;
             }
             0b10 => {
                 let (lit, dist) = read_dynamic_tables(&mut br)?;
-                decode_huffman_block(&mut br, &lit, &dist, out)?;
+                decode_huffman_block(&mut br, &lit, &dist, out, limit)?;
             }
             _ => return Err(InflateError::InvalidBlockType),
         }
@@ -209,16 +233,28 @@ fn run(data: &[u8], out: &mut Vec<u8>) -> Result<bool, InflateError> {
     }
 }
 
+/// The most bytes [`inflate`] and [`inflate_tail_tolerant`] decode a
+/// stream to (64 MiB), so a small hostile stream cannot ask for gigabytes.
+/// The largest artifact the engine writes decodes to a few kilobytes.
+pub const MAX_OUTPUT: usize = 64 << 20;
+
+/// The initial output buffer: three times the input, but never above
+/// [`MAX_OUTPUT`].
+fn output_buffer(data: &[u8]) -> Vec<u8> {
+    Vec::with_capacity(data.len().saturating_mul(3).min(MAX_OUTPUT))
+}
+
 /// Decodes a complete raw-DEFLATE stream.
 ///
 /// # Errors
 ///
 /// Any [`InflateError`], including [`InflateError::UnexpectedEof`] when the
 /// stream lacks a final block — use [`inflate_tail_tolerant`] for crash
-/// journals, which are never finished.
+/// journals, which are never finished — and [`InflateError::OutputLimit`]
+/// before the output would pass [`MAX_OUTPUT`].
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, InflateError> {
-    let mut out = Vec::with_capacity(data.len().saturating_mul(3));
-    if run(data, &mut out)? {
+    let mut out = output_buffer(data);
+    if run(data, &mut out, MAX_OUTPUT)? {
         Ok(out)
     } else {
         Err(InflateError::UnexpectedEof)
@@ -235,10 +271,12 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, InflateError> {
 ///
 /// # Errors
 ///
-/// Any [`InflateError`] other than truncation.
+/// Any [`InflateError`] other than truncation, including
+/// [`InflateError::OutputLimit`] before the output would pass
+/// [`MAX_OUTPUT`].
 pub fn inflate_tail_tolerant(data: &[u8]) -> Result<InflatePrefix, InflateError> {
-    let mut out = Vec::with_capacity(data.len().saturating_mul(3));
-    match run(data, &mut out) {
+    let mut out = output_buffer(data);
+    match run(data, &mut out, MAX_OUTPUT) {
         Ok(complete) => Ok(InflatePrefix {
             data: out,
             complete,
@@ -248,5 +286,80 @@ pub fn inflate_tail_tolerant(data: &[u8]) -> Result<InflatePrefix, InflateError>
             complete: false,
         }),
         Err(e) => Err(e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+
+    use super::*;
+    use crate::{compress, DeflateWriter};
+
+    /// `mib` MiB and `extra` bytes of zeros in a few KB per MiB: one
+    /// sync-flushed MiB of zeros (non-final blocks ending byte-aligned)
+    /// repeated `mib` times, then a complete stream of `extra` zeros.
+    fn zeros_bomb(mib: usize, extra: usize) -> Vec<u8> {
+        let mut chunk = Vec::new();
+        let mut writer = DeflateWriter::new(&mut chunk);
+        writer.write_all(&vec![0; 1 << 20]).unwrap();
+        writer.flush().unwrap();
+        drop(writer);
+        let mut bomb = chunk.repeat(mib);
+        bomb.extend(compress(&vec![0; extra]));
+        bomb
+    }
+
+    #[test]
+    fn a_zeros_bomb_stops_at_the_output_limit() {
+        let bomb = zeros_bomb(16, 0);
+        assert!(bomb.len() < 32 << 10, "{} bytes", bomb.len());
+        let limit = 1 << 20;
+        let mut out = Vec::new();
+        assert_eq!(
+            run(&bomb, &mut out, limit),
+            Err(InflateError::OutputLimit { limit })
+        );
+        assert!(out.len() <= limit);
+        assert_eq!(
+            InflateError::OutputLimit { limit }.to_string(),
+            "decoded output exceeds the 1048576-byte limit"
+        );
+    }
+
+    #[test]
+    fn streams_exactly_at_the_limit_decode_and_one_byte_less_stops() {
+        // Each output path: LZ77 copies (zeros), Huffman literals (zlib's
+        // fixed-Huffman coding of the bytes 0..64, none repeated) and a
+        // stored block.
+        let zeros = compress(&[0; 5000]);
+        let literals = [
+            99, 96, 100, 98, 102, 97, 101, 99, 231, 224, 228, 226, 230, 225, 229, 227, 23, 16, 20,
+            18, 22, 17, 21, 19, 151, 144, 148, 146, 150, 145, 149, 147, 87, 80, 84, 82, 86, 81, 85,
+            83, 215, 208, 212, 210, 214, 209, 213, 211, 55, 48, 52, 50, 54, 49, 53, 51, 183, 176,
+            180, 178, 182, 177, 181, 179, 7, 0,
+        ];
+        let stored = [0x01, 0x05, 0x00, 0xfa, 0xff, b'k', b'r', b'i', b'g', b'e'];
+        for (stream, n) in [(&zeros[..], 5000), (&literals[..], 64), (&stored[..], 5)] {
+            let mut out = Vec::new();
+            assert_eq!(run(stream, &mut out, n), Ok(true));
+            assert_eq!(out.len(), n);
+            let (mut out, limit) = (Vec::new(), n - 1);
+            assert_eq!(
+                run(stream, &mut out, limit),
+                Err(InflateError::OutputLimit { limit })
+            );
+            assert!(out.len() <= limit);
+        }
+    }
+
+    #[test]
+    fn the_entry_points_decode_up_to_max_output() {
+        let at = zeros_bomb(MAX_OUTPUT >> 20, 0);
+        assert_eq!(inflate(&at).map(|data| data.len()), Ok(MAX_OUTPUT));
+        let past = zeros_bomb(MAX_OUTPUT >> 20, 1);
+        let over = InflateError::OutputLimit { limit: MAX_OUTPUT };
+        assert_eq!(inflate(&past), Err(over));
+        assert_eq!(inflate_tail_tolerant(&past), Err(over));
     }
 }

@@ -40,4 +40,4 @@ mod inflate;
 mod tables;
 
 pub use deflate::{compress, DeflateWriter};
-pub use inflate::{inflate, inflate_tail_tolerant, InflateError, InflatePrefix};
+pub use inflate::{inflate, inflate_tail_tolerant, InflateError, InflatePrefix, MAX_OUTPUT};

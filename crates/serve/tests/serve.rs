@@ -572,6 +572,33 @@ fn a_shutdown_handle_on_another_thread_ends_an_idle_server() {
 }
 
 #[test]
+fn is_draining_reads_false_until_a_frame_or_a_handle_begins_the_drain() {
+    under_watchdog(|| {
+        let by_frame = Server::start(ServerConfig::default()).expect("start server");
+        assert!(!by_frame.is_draining(), "a fresh server is not draining");
+        let mut client = Client::connect(by_frame.addr());
+        assert!(matches!(client.roundtrip(&Request::Ping), Response::Pong));
+        assert!(!by_frame.is_draining(), "a served frame begins no drain");
+        assert!(matches!(
+            client.roundtrip(&Request::Shutdown),
+            Response::Draining
+        ));
+        assert!(
+            by_frame.is_draining(),
+            "the `draining` answer follows the drain"
+        );
+        drop(client);
+        by_frame.join().expect("join");
+
+        let by_handle = Server::start(ServerConfig::default()).expect("start server");
+        assert!(!by_handle.is_draining(), "a fresh server is not draining");
+        by_handle.shutdown_handle().shutdown();
+        assert!(by_handle.is_draining());
+        by_handle.join().expect("join");
+    });
+}
+
+#[test]
 fn join_returns_with_an_idle_metrics_side_port() {
     under_watchdog(|| {
         let server = start(|_| {});
