@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use krigeval_core::kriging::KrigingEstimator;
-use krigeval_core::variogram::{fit_model, EmpiricalVariogram, ModelFamily, VariogramAccumulator};
+use krigeval_core::variogram::{fit_model, EmpiricalVariogram, ModelFamily};
 use krigeval_core::{DistanceMetric, VariogramModel};
 
 /// A deterministic cloud of `n` 10-D integer configurations with a smooth
@@ -61,36 +61,6 @@ fn bench_variogram(c: &mut Criterion) {
         b.iter(|| {
             let report = fit_model(black_box(&emp), &ModelFamily::all()).expect("fits");
             black_box(report.weighted_sse)
-        })
-    });
-}
-
-fn bench_incremental_variogram(c: &mut Criterion) {
-    // Syncing 5 new simulations onto 60: the accumulator folds only the
-    // 5 × 60 new pairs, where a batch rebuild redoes all 65 × 64 / 2.
-    let (configs, values) = cloud(65);
-    let mut warm = VariogramAccumulator::new(DistanceMetric::L1);
-    warm.sync(&configs[..60], &values[..60]);
-    c.bench_function("variogram_refit_incremental_60plus5", |b| {
-        b.iter(|| {
-            // The clone restores the 60-site state each iteration; a
-            // bin-map clone is tens of entries, negligible next to the
-            // 5 × 60 pair folds it enables us to re-measure.
-            let mut acc = black_box(&warm).clone();
-            acc.sync(black_box(&configs), black_box(&values));
-            let v = acc.snapshot().expect("non-degenerate");
-            black_box(v.total_pairs())
-        })
-    });
-    c.bench_function("variogram_refit_batch_65", |b| {
-        b.iter(|| {
-            let v = EmpiricalVariogram::from_configs(
-                black_box(&configs),
-                black_box(&values),
-                DistanceMetric::L1,
-            )
-            .expect("non-degenerate");
-            black_box(v.total_pairs())
         })
     });
 }
@@ -174,7 +144,6 @@ criterion_group!(
     benches,
     bench_kriging_solve,
     bench_variogram,
-    bench_incremental_variogram,
     bench_hybrid_steady_state,
     bench_model_eval,
     bench_neighbor_index,

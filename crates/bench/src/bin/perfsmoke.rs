@@ -7,11 +7,11 @@
 //! ```
 //!
 //! "Before" values are frozen measurements from the pre-overhaul commit
-//! (one-shot dense-LU solves, batch variogram rebuilds, allocating query
-//! path) taken on the same container; "after" is measured live. CI runs
-//! this with `--skip-table1` as a cheap regression smoke; a full run
-//! also times the fast-scale Table I seven times and writes the median
-//! with each run's time beside it.
+//! (one-shot dense-LU solves, allocating query path) taken on the same
+//! container; "after" is measured live. CI runs this with
+//! `--skip-table1` as a cheap regression smoke; a full run also times
+//! the fast-scale Table I seven times and writes the median with each
+//! run's time beside it.
 
 use std::cell::RefCell;
 use std::io::{BufRead, BufReader, Write};
@@ -24,7 +24,7 @@ use krigeval_bench::suite::{build_seeded, Problem};
 use krigeval_bench::Scale;
 use krigeval_core::kriging::{KrigingEstimator, KrigingScratch};
 use krigeval_core::opt::minplusone::optimize;
-use krigeval_core::variogram::{EmpiricalVariogram, VariogramAccumulator};
+use krigeval_core::variogram::EmpiricalVariogram;
 use krigeval_core::{
     Config, DistanceMetric, HybridEvaluator, HybridObs, HybridSettings, VariogramModel,
 };
@@ -50,9 +50,6 @@ mod baseline {
     pub const KRIGING_SOLVE_N16_US: f64 = 12.575;
     /// Same, 32 sites.
     pub const KRIGING_SOLVE_N32_US: f64 = 60.9;
-    /// Variogram refit = full `from_configs` rebuild over 60 sites (the
-    /// only refit path that existed).
-    pub const VARIOGRAM_REFIT_US: f64 = 81.078;
     /// `KrigingEstimator::predict` over 24 f64 sites.
     pub const ONESHOT_PREDICT_24_US: f64 = 31.165;
     /// Per-query factored prediction (assemble + factor + solve per
@@ -295,25 +292,6 @@ fn approx_predict_n64_us() -> (f64, f64) {
         15,
     );
     (exact, screened)
-}
-
-fn variogram_refit_us() -> f64 {
-    // A snapshot after 5 new simulations on top of 60: the accumulator
-    // folds only the new pairs. Compared against the frozen cost of the
-    // full rebuild over all 65 sites.
-    let (configs, values) = cloud(65);
-    let mut warm = VariogramAccumulator::new(DistanceMetric::L1);
-    warm.sync(&configs[..60], &values[..60]);
-    measure_us(
-        || {
-            let mut acc = warm.clone();
-            acc.sync(&configs, &values);
-            let v = acc.snapshot().expect("non-degenerate");
-            std::hint::black_box(v.total_pairs());
-        },
-        1024,
-        15,
-    )
 }
 
 /// A deterministic trajectory shaped like a min+1 run over `nv`
@@ -959,8 +937,6 @@ fn main() {
     eprintln!(
         "  approx predict n=64       {approx_screened:>10.3} us (exact {approx_exact:.3} us)"
     );
-    let refit = variogram_refit_us();
-    eprintln!("  variogram refit (+5 @ 60) {refit:>10.3} us");
     let pilot_ms = variogram_pilot_ms();
     eprintln!("  pilot variogram 1388x23   {pilot_ms:>10.3} ms");
     let (insert_small, insert_large) = checkpoint_insert_full_us();
@@ -1057,10 +1033,6 @@ fn main() {
                 ("speedup", num(approx_exact / approx_screened)),
             ]),
         ),
-        (
-            "variogram_refit_us",
-            metric(Some(baseline::VARIOGRAM_REFIT_US), refit),
-        ),
         ("variogram_pilot_1388x23_ms", metric(None, pilot_ms)),
         (
             "checkpoint_insert_full_ratio",
@@ -1156,7 +1128,7 @@ fn main() {
             "baseline_note",
             Value::String(
                 "frozen medians from the pre-overhaul commit (dense one-shot LU \
-                 solves, batch variogram rebuilds), same container, release profile; \
+                 solves), same container, release profile; \
                  table1_fast_wall_s: the median of seven runs of the current campaign"
                     .to_string(),
             ),

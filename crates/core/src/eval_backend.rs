@@ -57,8 +57,7 @@ pub trait EvalBackend {
     /// a failed batch may be committed.
     fn fulfill(&mut self, requests: &[SimulationRequest]) -> Result<Vec<f64>, EvalError>;
 
-    /// Runs a single simulation outside any planned batch: forced
-    /// simulations (`HybridEvaluator::simulate_exact`) and the
+    /// Runs a single simulation outside any planned batch: the
     /// kriging-free baseline's per-query path. Inline backends answer it
     /// with a direct simulator call and no allocation.
     ///

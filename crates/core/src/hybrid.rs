@@ -54,8 +54,7 @@ use crate::kriging::KrigingScratch;
 use crate::neighbors::NeighborIndex;
 use crate::trace::Source;
 use crate::variogram::{
-    fit_model, fit_model_loo, lattice_key, FitReport, GammaTable, ModelFamily, ModelSelection,
-    VariogramAccumulator, VariogramModel,
+    identify, lattice_key, FitReport, GammaTable, ModelFamily, ModelSelection, VariogramModel,
 };
 use crate::{Config, CoreError, DistanceMetric};
 use memo::{Kriged, KrigedMemo, Stamp};
@@ -184,6 +183,15 @@ pub enum NuggetPolicy {
     },
 }
 
+/// The nugget variance `c` a session with nugget policy `policy` solves
+/// and identifies with: the fixed value, or 0 when nugget handling is off.
+pub fn nugget_variance(policy: Option<NuggetPolicy>) -> f64 {
+    match policy {
+        None => 0.0,
+        Some(NuggetPolicy::Fixed { value }) => value,
+    }
+}
+
 /// Tunable parameters of the hybrid evaluator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HybridSettings {
@@ -198,7 +206,9 @@ pub struct HybridSettings {
     /// Variogram identification policy.
     pub variogram: VariogramPolicy,
     /// Optional cap on the number of neighbours per system (closest first);
-    /// bounds both solve cost and conditioning. `None` = use all.
+    /// bounds both solve cost and conditioning. `None` = use all. A cap
+    /// must exceed `min_neighbors`, or every kriged system would hold
+    /// fewer neighbours than admission requires.
     pub max_neighbors: Option<usize>,
     /// When set, every kriged query is *also* simulated (result not fed
     /// back) and the interpolation error recorded — the Table I protocol.
@@ -241,8 +251,12 @@ impl HybridSettings {
     /// Rejects settings that could never krige or would poison every
     /// solve: a zero or non-finite neighbour radius, `min_neighbors = 0`
     /// (the strict `>` admission rule makes both radius-0 and
-    /// min-neighbors-0 footguns), a NaN or non-positive variance-gate
-    /// threshold, and a negative or non-finite fixed nugget.
+    /// min-neighbors-0 footguns), a neighbour cap at or below
+    /// `min_neighbors` (admission counts neighbours before the cap, so
+    /// every kriged system would break the `Nn > Nn,min` rule), a NaN or
+    /// non-positive variance-gate threshold, and a negative or non-finite
+    /// fixed nugget. This is the one settings validator: a campaign spec,
+    /// a command-line flag and a serve `hello` all reach it.
     ///
     /// # Errors
     ///
@@ -262,6 +276,18 @@ impl HybridSettings {
                          more neighbours, so 0 would krige from a single site)"
                     .to_string(),
             });
+        }
+        if let Some(cap) = self.max_neighbors {
+            if cap <= self.min_neighbors {
+                return Err(CoreError::InvalidSettings {
+                    reason: format!(
+                        "max_neighbors ({cap}) must exceed min_neighbors ({}): kriging needs \
+                         strictly more than min_neighbors neighbours, and the cap truncates \
+                         every system to max_neighbors",
+                        self.min_neighbors
+                    ),
+                });
+            }
         }
         if let GatePolicy::Variance { threshold } = self.gate {
             if threshold.is_nan() || threshold <= 0.0 {
@@ -482,6 +508,10 @@ struct Fit {
 /// allocates nothing.
 #[derive(Debug, Default)]
 struct BatchScratch {
+    /// A forced batch ([`HybridEvaluator::simulate_exact`]) never kriges:
+    /// it skips the memo recall and the krige branch, and its `query`
+    /// events carry `forced: true`.
+    forced: bool,
     slots: Vec<SlotPlan>,
     /// Flat neighbour slab the [`SlotPlan::Krige`] ranges point into.
     neighbors: Vec<usize>,
@@ -556,7 +586,8 @@ const VARIANCE_BUCKETS: [f64; 12] = [
 ///   (with `neighbors` and `jitter_retries`),
 ///   `simulated`, `fallback` (kriging failed, simulated instead), or
 ///   `gate_rejected` (the gate refused the solved prediction's variance,
-///   simulated instead).
+///   simulated instead). A forced simulation's event
+///   ([`HybridEvaluator::simulate_exact`]) also carries `forced: true`.
 /// * `model_selected` — one per leave-one-out model selection
 ///   ([`ModelSelection::LeaveOneOut`] only), with the winning family.
 /// * `batch` — one per planned batch: slot/request/cache-hit/krigeable
@@ -760,7 +791,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     /// [`HybridStats::kriging_failures`]). On error the session is
     /// unchanged, exactly as for a failed batch.
     pub fn evaluate(&mut self, config: &Config) -> Result<Outcome, EvalError> {
-        self.run_batch(std::slice::from_ref(config))?;
+        self.run_batch(std::slice::from_ref(config), false)?;
         Ok(self.batch.outcomes[0].clone())
     }
 
@@ -798,16 +829,18 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     /// and the session state is exactly what it was before the call
     /// (simulator-side invocation counters excepted).
     pub fn evaluate_batch(&mut self, configs: &[Config]) -> Result<Vec<Outcome>, EvalError> {
-        self.run_batch(configs)?;
+        self.run_batch(configs, false)?;
         Ok(self.batch.outcomes.clone())
     }
 
     /// Runs plan → fulfill → commit over the evaluator-owned buffers,
-    /// leaving one outcome per query in `self.batch.outcomes`.
-    fn run_batch(&mut self, configs: &[Config]) -> Result<(), EvalError> {
+    /// leaving one outcome per query in `self.batch.outcomes`; a `forced`
+    /// batch simulates every query it has not stored.
+    fn run_batch(&mut self, configs: &[Config], forced: bool) -> Result<(), EvalError> {
         // The buffers leave `self` for the call so that planning and commit
         // can borrow them alongside the session state.
         let mut batch = std::mem::take(&mut self.batch);
+        batch.forced = forced;
         let result = self.plan_fulfill_commit(&mut batch, configs);
         self.batch = batch;
         result
@@ -871,7 +904,8 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     /// this session state are recalled, krigeable queries record the
     /// neighbour set they observe (pending requests included, as
     /// pseudo-positions `store length + request index`), and everything
-    /// else becomes a deduplicated [`SimulationRequest`]. The variogram
+    /// else becomes a deduplicated [`SimulationRequest`]; a forced batch
+    /// neither recalls nor kriges. The variogram
     /// identification is triggered by the sample *count* alone, so the
     /// planner knows *when* a mid-batch fit will fire without needing the
     /// simulated values: no slot before it can krige, and every krige slot
@@ -903,13 +937,13 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             }
             // Until the first pending simulation, a query sees exactly the
             // session state, so an answer solved at it is recalled.
-            if batch.requests.is_empty() {
+            if batch.requests.is_empty() && !batch.forced {
                 if let Some(answer) = stamp.and_then(|s| self.memo.recall(&s, config)) {
                     batch.slots.push(SlotPlan::Recalled(answer));
                     continue;
                 }
             }
-            if virt_has_model {
+            if virt_has_model && !batch.forced {
                 // Gather simulated neighbours within distance d (paper lines
                 // 7–16), sorted by distance.
                 let search = &mut batch.search;
@@ -958,8 +992,8 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             batch.slots.push(SlotPlan::Simulate {
                 request: batch.requests.len() - 1,
             });
-            // Does this insertion fire the identification? The trigger
-            // `maybe_fit_variogram` applies.
+            // Does this insertion fire the identification? Commit replays
+            // it at this store size.
             let virt_len = planned_at + batch.requests.len();
             if self.settings.variogram.fit_due(virt_has_model, virt_len) {
                 batch.fit_point = Some(virt_len);
@@ -987,16 +1021,37 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         let planned_at = batch.planned_at;
 
         // Round 1 — replay the batch's identification, if planning
-        // scheduled one, with the real values. It reads the store followed
-        // by the requests up to the one that fired it: the sites a
-        // query-at-a-time run would have held at that point.
+        // scheduled one, with the real values: the only place a session
+        // identifies. It reads the store followed by the requests up to the
+        // one that fired it: the sites a query-at-a-time run would have
+        // held at that point. A failed fit (degenerate geometry) stages the
+        // policy's fallback model without a report.
         let fit = batch.fit_point.map(|len| {
+            let VariogramPolicy::FitAfter {
+                families, fallback, ..
+            } = &self.settings.variogram
+            else {
+                unreachable!("a fixed model is never identified");
+            };
             let fired_by = len - planned_at;
             let mut sites: Vec<Config> = self.store.configs().to_vec();
             let mut site_values: Vec<f64> = self.store.values().to_vec();
             sites.extend(batch.requests[..fired_by].iter().map(|r| r.config.clone()));
             site_values.extend_from_slice(&values[..fired_by]);
-            self.identify(&sites, &site_values)
+            let report = identify(
+                &sites,
+                &site_values,
+                self.settings.metric,
+                self.settings.selection,
+                self.effective_nugget(),
+                families,
+            )
+            .ok();
+            Fit {
+                at: len,
+                model: report.as_ref().map_or(*fallback, |report| report.model),
+                report,
+            }
         });
 
         // Round 2 — solve the planned kriging systems, grouped by neighbour
@@ -1200,6 +1255,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             None
         };
         let trace_slots = self.obs.as_ref().is_some_and(|o| o.tracer.enabled());
+        let forced = batch.forced;
         self.stats.queries += configs.len() as u64;
         let mut audit_iter = audit_values.into_iter();
         let mut fallback_iter = batch.fallbacks.iter();
@@ -1209,7 +1265,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                 SlotPlan::CacheHit { position } => {
                     self.stats.cache_hits += 1;
                     if trace_slots {
-                        self.emit_query_event("cache_hit", None);
+                        self.emit_query_event("cache_hit", None, forced);
                     }
                     Outcome::Simulated {
                         value: self.store.values()[*position],
@@ -1218,7 +1274,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                 SlotPlan::Alias { request } => {
                     self.stats.cache_hits += 1;
                     if trace_slots {
-                        self.emit_query_event("alias", None);
+                        self.emit_query_event("alias", None, forced);
                     }
                     Outcome::Simulated {
                         value: values[*request],
@@ -1226,7 +1282,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                 }
                 SlotPlan::Simulate { request } => {
                     if trace_slots {
-                        self.emit_query_event("simulated", None);
+                        self.emit_query_event("simulated", None, forced);
                     }
                     Outcome::Simulated {
                         value: values[*request],
@@ -1253,7 +1309,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                             }
                         }
                         if trace_slots {
-                            self.emit_query_event("kriged", Some((neighbors, retries)));
+                            self.emit_query_event("kriged", Some((neighbors, retries)), forced);
                         }
                         let true_value = audit_metric.map(|metric| {
                             let t = audit_iter.next().expect("one audit value per kriged slot");
@@ -1275,12 +1331,12 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                         if f.gate_rejected {
                             self.stats.gate_rejections += 1;
                             if trace_slots {
-                                self.emit_query_event("gate_rejected", None);
+                                self.emit_query_event("gate_rejected", None, forced);
                             }
                         } else {
                             self.stats.kriging_failures += 1;
                             if trace_slots {
-                                self.emit_query_event("fallback", None);
+                                self.emit_query_event("fallback", None, forced);
                             }
                         }
                         let value = match f.source.checked_sub(values.len()) {
@@ -1308,9 +1364,8 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             self.stats.simulated += 1;
         }
         if fitted {
-            // The staged fit is installed outside `maybe_fit_variogram`,
-            // so re-run the approximate-path validation here, exactly as a
-            // query-at-a-time replay of this batch would have.
+            // The fit sets the model every prediction reads, so the
+            // approximate-path accuracy validation is re-run against it.
             self.revalidate_approx();
         } else if self.store.len() > planned_at {
             // Validation points are store insertions: a batch that stored
@@ -1350,8 +1405,8 @@ impl<E: EvalBackend> HybridEvaluator<E> {
     }
 
     /// Emits one per-slot `query` decision event; a kriged slot carries its
-    /// `(neighbours, jitter retries)`.
-    fn emit_query_event(&self, decision: &'static str, kriged: Option<(usize, u32)>) {
+    /// `(neighbours, jitter retries)`, and a forced batch's slot `forced`.
+    fn emit_query_event(&self, decision: &'static str, kriged: Option<(usize, u32)>, forced: bool) {
         if let Some(obs) = &self.obs {
             let mut fields: Vec<krigeval_obs::trace::Field> = Vec::with_capacity(3);
             fields.push(("decision", decision.into()));
@@ -1359,40 +1414,10 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                 fields.push(("neighbors", neighbors.into()));
                 fields.push(("jitter_retries", retries.into()));
             }
+            if forced {
+                fields.push(("forced", true.into()));
+            }
             obs.tracer.emit("query", fields);
-        }
-    }
-
-    /// The variogram identification over `configs`/`values`: the fitted
-    /// model with its report, or the policy's fallback model without one
-    /// when the fit fails (degenerate geometry).
-    fn identify(&self, configs: &[Config], values: &[f64]) -> Fit {
-        let VariogramPolicy::FitAfter {
-            families, fallback, ..
-        } = &self.settings.variogram
-        else {
-            unreachable!("a fixed model is never identified");
-        };
-        let metric = self.settings.metric;
-        let mut acc = VariogramAccumulator::new(metric);
-        acc.sync(configs, values);
-        let fitted = acc
-            .snapshot()
-            .and_then(|emp| match self.settings.selection {
-                ModelSelection::WeightedSse => fit_model(&emp, families),
-                ModelSelection::LeaveOneOut => {
-                    let nugget = self.effective_nugget();
-                    fit_model_loo(&emp, families, configs, values, metric, nugget)
-                }
-            });
-        let (model, report) = match fitted {
-            Ok(report) => (report.model, Some(report)),
-            Err(_) => (*fallback, None),
-        };
-        Fit {
-            at: configs.len(),
-            model,
-            report,
         }
     }
 
@@ -1420,63 +1445,21 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         self.fit_report = fit.report;
     }
 
-    /// Forces a **simulation** of `config`, bypassing kriging, and stores
-    /// the result in the simulated set (duplicates return the cached value).
-    /// Used by the optimizers' tie-break-by-simulation fidelity mode: when
-    /// several kriged candidates are indistinguishable, resolving the tie
-    /// with one real simulation restores decision fidelity at bounded cost.
+    /// Forces a **simulation** of `config`: a batch of one that never
+    /// kriges or recalls. A stored configuration is a cache hit; any other
+    /// is simulated and stored like a simulated query, identification
+    /// included. Its `query` event carries `forced: true`. Used by the
+    /// optimizers' tie-break-by-simulation fidelity mode: when several
+    /// kriged candidates are indistinguishable, resolving the tie with one
+    /// real simulation restores decision fidelity at bounded cost.
     ///
     /// # Errors
     ///
-    /// Propagates the inner evaluator's [`EvalError`].
+    /// Propagates the backend's [`EvalError`]. Like any batch, a failed
+    /// one counts nothing and leaves the session unchanged.
     pub fn simulate_exact(&mut self, config: &Config) -> Result<f64, EvalError> {
-        self.stats.queries += 1;
-        if let Some(obs) = &self.obs {
-            obs.queries.inc();
-        }
-        if let Some(pos) = self.store.position_of(config) {
-            self.stats.cache_hits += 1;
-            if let Some(obs) = &self.obs {
-                obs.cache_hits.inc();
-                if obs.tracer.enabled() {
-                    obs.tracer.emit(
-                        "query",
-                        vec![("decision", "cache_hit".into()), ("forced", true.into())],
-                    );
-                }
-            }
-            return Ok(self.store.values()[pos]);
-        }
-        let value = self.inner.fulfill_one(config)?;
-        self.store.insert(config.clone(), value);
-        self.stats.simulated += 1;
-        if let Some(obs) = &self.obs {
-            obs.simulated.inc();
-            if obs.tracer.enabled() {
-                obs.tracer.emit(
-                    "query",
-                    vec![("decision", "simulated".into()), ("forced", true.into())],
-                );
-            }
-        }
-        self.maybe_fit_variogram();
-        self.maybe_revalidate_approx();
-        Ok(value)
-    }
-
-    /// Identifies the variogram over the store once it is due (the live
-    /// path of [`HybridEvaluator::simulate_exact`]; a batch stages its fit
-    /// at commit instead).
-    fn maybe_fit_variogram(&mut self) {
-        let has_model = self.model.is_some();
-        if !self.settings.variogram.fit_due(has_model, self.store.len()) {
-            return;
-        }
-        let fit = self.identify(self.store.configs(), self.store.values());
-        self.install_fit(fit);
-        // The fit sets the model every prediction reads, so the
-        // approximate-path accuracy validation is re-run against it.
-        self.revalidate_approx();
+        self.run_batch(std::slice::from_ref(config), true)?;
+        Ok(self.batch.outcomes[0].value())
     }
 
     /// Whether the opt-in approximate prediction path is currently active —
@@ -1591,13 +1574,10 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         }
     }
 
-    /// The nugget variance `c` every solve of the session uses: the fixed
-    /// value, or 0 when nugget handling is off.
+    /// The nugget variance `c` every solve of the session uses
+    /// ([`nugget_variance`] of its nugget policy).
     pub fn effective_nugget(&self) -> f64 {
-        match self.settings.nugget {
-            None => 0.0,
-            Some(NuggetPolicy::Fixed { value }) => value,
-        }
+        nugget_variance(self.settings.nugget)
     }
 
     /// The session state a kriging solve reads now, as the memo's stamp;
@@ -1804,6 +1784,16 @@ mod tests {
                 min_neighbors: 0,
                 ..HybridSettings::default()
             },
+            // A neighbour cap at or below N_n,min: admission counts
+            // neighbours before the cap truncates them.
+            HybridSettings {
+                max_neighbors: Some(3),
+                ..HybridSettings::default()
+            },
+            HybridSettings {
+                max_neighbors: Some(2),
+                ..HybridSettings::default()
+            },
             HybridSettings {
                 gate: GatePolicy::Variance {
                     threshold: f64::NAN,
@@ -1976,9 +1966,11 @@ mod tests {
 
     #[test]
     fn min_neighbors_is_strict() {
-        // With min_neighbors = usize::MAX nothing can ever be kriged.
+        // With min_neighbors = usize::MAX nothing can ever be kriged (no
+        // neighbour cap can exceed it, so the session runs uncapped).
         let mut s = settings(10.0);
         s.min_neighbors = usize::MAX;
+        s.max_neighbors = None;
         let mut h = HybridEvaluator::new(smooth_eval(), s);
         for a in 4..12 {
             h.evaluate(&vec![a, 8]).unwrap();
@@ -2236,21 +2228,23 @@ mod tests {
         }
     }
 
+    /// [`smooth_eval`]'s surface, with the simulator rejecting `w0 >= 12`.
+    fn rejecting_eval() -> FnEvaluator<impl FnMut(&Config) -> Result<f64, EvalError>> {
+        let mut smooth = smooth_eval();
+        FnEvaluator::new(2, move |w: &Config| {
+            if w[0] >= 12 {
+                Err(EvalError::msg("simulator rejects w0 >= 12"))
+            } else {
+                smooth.evaluate(w)
+            }
+        })
+    }
+
     #[test]
     fn failed_batch_commits_nothing() {
         // Satellite contract: a batch that errors is all-or-nothing — no
         // counters, no stored configurations, no model state.
-        let mut h = HybridEvaluator::new(
-            FnEvaluator::new(2, |w: &Config| {
-                if w[0] >= 12 {
-                    Err(EvalError::msg("simulator rejects w0 >= 12"))
-                } else {
-                    let p = 1.5 * 2f64.powi(-2 * w[0]) + 0.8 * 2f64.powi(-2 * w[1]);
-                    Ok(-10.0 * p.log10())
-                }
-            }),
-            settings(3.0),
-        );
+        let mut h = HybridEvaluator::new(rejecting_eval(), settings(3.0));
         h.evaluate(&vec![8, 8]).unwrap();
         let stats_before = h.stats().clone();
         let stored_before = h.simulated_configs().to_vec();
@@ -2278,6 +2272,85 @@ mod tests {
         let sinks: Vec<Arc<dyn TraceSink>> = vec![ring.clone()];
         let obs = HybridObs::new(registry, Tracer::new(sinks));
         (HybridEvaluator::new(inner, settings).with_obs(obs), ring)
+    }
+
+    #[test]
+    fn forced_simulations_take_the_batch_path() {
+        // A forced simulation is a batch of one that never kriges: it
+        // counts, stores and identifies like a simulated query, and only
+        // its `query` event's `forced` field tells it apart.
+        let fit_after_4 = HybridSettings {
+            variogram: VariogramPolicy::FitAfter {
+                min_samples: 4,
+                families: ModelFamily::all().to_vec(),
+                fallback: VariogramModel::linear(1.0),
+            },
+            ..settings(3.0)
+        };
+        let events = |ring: &RingSink, name: &str| -> Vec<Vec<krigeval_obs::trace::Field>> {
+            ring.snapshot()
+                .iter()
+                .filter(|e| e.name == name)
+                .map(|e| e.fields.clone())
+                .collect()
+        };
+        let registry = Registry::new();
+        let (mut h, ring) = ring_traced(rejecting_eval(), fit_after_4.clone(), &registry);
+        let counters = |registry: &Registry| {
+            let snapshot = registry.snapshot();
+            ["queries", "simulated", "cache_hits"]
+                .map(|c| snapshot.counter(&format!("hybrid_{c}_total")).unwrap_or(0))
+        };
+
+        // A new configuration: one query, one simulation.
+        let value = h.simulate_exact(&vec![8, 8]).unwrap();
+        assert_eq!(h.simulated_values(), &[value]);
+        assert_eq!((h.stats().queries, h.stats().simulated), (1, 1));
+        assert_eq!(counters(&registry), [1, 1, 0]);
+        // A stored configuration: a cache hit with the stored value.
+        assert_eq!(h.simulate_exact(&vec![8, 8]).unwrap(), value);
+        assert_eq!((h.stats().queries, h.stats().cache_hits), (2, 1));
+        assert_eq!(counters(&registry), [2, 1, 1]);
+        assert_eq!(
+            events(&ring, "query"),
+            vec![
+                vec![("decision", "simulated".into()), ("forced", true.into())],
+                vec![("decision", "cache_hit".into()), ("forced", true.into())],
+            ]
+        );
+
+        // The fourth stored site fires the identification, at the store
+        // size a session of `evaluate` calls fires it.
+        let stream = [vec![8, 8], vec![9, 8], vec![8, 9], vec![9, 9]];
+        for config in &stream[1..] {
+            h.simulate_exact(config).unwrap();
+        }
+        let (mut queried, queried_ring) =
+            ring_traced(rejecting_eval(), fit_after_4, &Registry::new());
+        for config in &stream {
+            queried.evaluate(config).unwrap();
+        }
+        assert_eq!(
+            events(&ring, "variogram_fit"),
+            vec![vec![("at", 4usize.into())]]
+        );
+        assert_eq!(
+            events(&ring, "variogram_fit"),
+            events(&queried_ring, "variogram_fit")
+        );
+        assert_eq!(h.model(), queried.model());
+        assert!(h.model().is_some());
+
+        // A failed forced simulation is all-or-nothing, like any batch.
+        let stats = h.stats().clone();
+        let metrics = registry.snapshot().to_json(true);
+        let emitted = ring.snapshot().len();
+        let err = h.simulate_exact(&vec![12, 8]).unwrap_err();
+        assert!(err.to_string().contains("rejects"), "{err}");
+        assert_eq!(h.stats(), &stats);
+        assert_eq!(registry.snapshot().to_json(true), metrics);
+        assert_eq!(ring.snapshot().len(), emitted);
+        assert_eq!(h.simulated_configs(), &stream);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Empirical semi-variogram (paper Eq. 4), batch and incremental.
+//! Empirical semi-variogram (paper Eq. 4).
 
 use crate::variogram::table::{lattice_distance, MAX_TABLE_KEYS};
 use crate::{Config, CoreError, DistanceMetric};
@@ -61,34 +61,13 @@ impl EmpiricalVariogram {
         metric: DistanceMetric,
         bin_width: f64,
     ) -> Result<EmpiricalVariogram, CoreError> {
-        if sites.len() != values.len() {
-            return Err(CoreError::DimensionMismatch {
-                what: "empirical variogram".into(),
-                detail: format!("{} sites vs {} values", sites.len(), values.len()),
-            });
-        }
-        if sites.len() < 2 {
-            return Err(CoreError::FitFailed {
-                reason: "need at least two sites to form a pair".into(),
-            });
-        }
+        check_sites(sites.iter().map(Vec::len), values.len())?;
         if bin_width.is_nan() || bin_width <= 0.0 {
             return Err(CoreError::FitFailed {
                 reason: format!("bin width must be positive, got {bin_width}"),
             });
         }
-        let dim = sites[0].len();
-        for (i, s) in sites.iter().enumerate() {
-            if s.len() != dim {
-                return Err(CoreError::DimensionMismatch {
-                    what: "empirical variogram".into(),
-                    detail: format!("site {i} has dimension {} (expected {dim})", s.len()),
-                });
-            }
-        }
-
-        // bin index -> (Σ squared diff, Σ distance, count)
-        let mut acc: BTreeMap<u64, (f64, f64, usize)> = BTreeMap::new();
+        let mut acc: BTreeMap<u64, BinSums> = BTreeMap::new();
         for j in 0..sites.len() {
             for k in (j + 1)..sites.len() {
                 let d = metric.eval(&sites[j], &sites[k]);
@@ -100,21 +79,14 @@ impl EmpiricalVariogram {
                 e.2 += 1;
             }
         }
-        let bins = acc
-            .into_iter()
-            .map(|(_, (sum_sq, sum_d, pairs))| VariogramBin {
-                distance: sum_d / pairs as f64,
-                gamma: sum_sq / (2.0 * pairs as f64),
-                pairs,
-            })
-            .collect();
+        let bins = acc.into_values().map(VariogramBin::from_sums).collect();
         Ok(EmpiricalVariogram { bins, metric })
     }
 
     /// Convenience constructor for integer configurations with unit bins.
     ///
-    /// Runs on the integer lattice directly (no per-site `f64` conversion)
-    /// via [`VariogramAccumulator`].
+    /// Runs on the integer lattice directly, in one pass over the pairs
+    /// with no per-site `f64` conversion.
     ///
     /// # Errors
     ///
@@ -124,29 +96,11 @@ impl EmpiricalVariogram {
         values: &[f64],
         metric: DistanceMetric,
     ) -> Result<EmpiricalVariogram, CoreError> {
-        if configs.len() != values.len() {
-            return Err(CoreError::DimensionMismatch {
-                what: "empirical variogram".into(),
-                detail: format!("{} sites vs {} values", configs.len(), values.len()),
-            });
-        }
-        if configs.len() < 2 {
-            return Err(CoreError::FitFailed {
-                reason: "need at least two sites to form a pair".into(),
-            });
-        }
-        let dim = configs[0].len();
-        for (i, c) in configs.iter().enumerate() {
-            if c.len() != dim {
-                return Err(CoreError::DimensionMismatch {
-                    what: "empirical variogram".into(),
-                    detail: format!("site {i} has dimension {} (expected {dim})", c.len()),
-                });
-            }
-        }
-        let mut acc = VariogramAccumulator::new(metric);
-        acc.sync(configs, values);
-        acc.snapshot()
+        check_sites(configs.iter().map(Vec::len), values.len())?;
+        Ok(EmpiricalVariogram {
+            bins: PairSums::over(configs, values, metric).bins(),
+            metric,
+        })
     }
 
     /// The distance bins, sorted by increasing distance.
@@ -165,160 +119,99 @@ impl EmpiricalVariogram {
     }
 }
 
+/// Checks that the sites, of dimensions `dims`, are as many as `values`,
+/// at least two, and all of one dimension.
+fn check_sites(
+    dims: impl ExactSizeIterator<Item = usize> + Clone,
+    values: usize,
+) -> Result<(), CoreError> {
+    let sites = dims.len();
+    if sites != values {
+        return Err(CoreError::DimensionMismatch {
+            what: "empirical variogram".into(),
+            detail: format!("{sites} sites vs {values} values"),
+        });
+    }
+    if sites < 2 {
+        return Err(CoreError::FitFailed {
+            reason: "need at least two sites to form a pair".into(),
+        });
+    }
+    let dim = dims.clone().next().unwrap_or(0);
+    match dims.enumerate().find(|&(_, d)| d != dim) {
+        Some((i, d)) => Err(CoreError::DimensionMismatch {
+            what: "empirical variogram".into(),
+            detail: format!("site {i} has dimension {d} (expected {dim})"),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Running sums of one distance bin: `(Σ squared diff, Σ distance, count)`.
 type BinSums = (f64, f64, usize);
 
-/// Incremental empirical semi-variogram over integer configurations with
-/// unit bins.
+impl VariogramBin {
+    /// The bin whose pairs sum to `sums`.
+    fn from_sums((sum_sq, sum_d, pairs): BinSums) -> VariogramBin {
+        VariogramBin {
+            distance: sum_d / pairs as f64,
+            gamma: sum_sq / (2.0 * pairs as f64),
+            pairs,
+        }
+    }
+}
+
+/// The per-bin pair sums of one [`EmpiricalVariogram::from_configs`] pass
+/// over integer configurations, with unit bins.
 ///
-/// Recomputing all `N·(N-1)/2` pairs each time sites arrive is O(N²) per
-/// snapshot; this accumulator keeps per-bin running sums and folds in only
-/// the sites appended since the last [`sync`](VariogramAccumulator::sync) —
-/// O(new·N) pair updates per snapshot instead. The hybrid evaluator's one
-/// identification syncs a fresh accumulator over its whole store.
+/// The configurations are copied column-major, one column per variable.
+/// Site `j`'s lattice keys against every earlier site are computed in
+/// passes over the columns, lanes of earlier sites at a time; then its
+/// pairs are added to their bins in site order. Each bin below 2¹⁶ is
+/// summed in a dense vector indexed by bin, so a pair costs no map lookup.
+/// The rare bins at or above 2¹⁶ (pairs more than 65,535 lattice units
+/// apart) go to an ordered map, so the vector never holds more than 2¹⁶
+/// bins whatever the input. Under L1 and L∞ a pair's distance is its key,
+/// so a dense bin is the key itself. Every bin adds its pairs in the same
+/// order (later-site-major) wherever it is stored, and [`PairSums::bins`]
+/// lists the bins by increasing distance.
 ///
-/// The synced configurations are kept column-major, one column per
-/// variable, grown by each sync. A new site's lattice keys against every
-/// earlier site are computed in passes over the columns, lanes of earlier
-/// sites at a time; then its pairs are added to their bins in site order.
-/// Each bin below 2¹⁶ is summed in a dense vector indexed by bin, so a
-/// pair costs no map lookup. The rare bins at or above 2¹⁶ (pairs more
-/// than 65,535 lattice units apart) go to an ordered map, so the vector
-/// never holds more than 2¹⁶ bins whatever the input. Under L1 and L∞ a
-/// pair's distance is its key, so a dense bin is the key itself. Every bin
-/// adds its pairs in sync order (new-site-major) wherever it is stored,
-/// and the snapshot lists the bins by increasing distance.
-///
-/// Pair sums are accumulated in a different order than the batch
-/// [`EmpiricalVariogram::from_samples`] loop (new-site-major rather than
-/// low-index-major), so bin statistics agree to floating-point reassociation
-/// accuracy (≈1e-15 relative), not bitwise.
-///
-/// # Examples
-///
-/// ```
-/// use krigeval_core::variogram::VariogramAccumulator;
-/// use krigeval_core::DistanceMetric;
-///
-/// let configs = vec![vec![0], vec![1], vec![2]];
-/// let values = vec![0.0, 1.0, 2.0];
-/// let mut acc = VariogramAccumulator::new(DistanceMetric::L1);
-/// acc.sync(&configs[..2], &values[..2]); // first two sites
-/// acc.sync(&configs, &values); // one new site: only 2 new pairs folded in
-/// let v = acc.snapshot().unwrap();
-/// assert_eq!(v.total_pairs(), 3);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct VariogramAccumulator {
+/// Pair sums are accumulated in a different order than the
+/// [`EmpiricalVariogram::from_samples`] loop (later-site-major rather than
+/// low-index-major), so bin statistics agree to floating-point
+/// reassociation accuracy (≈1e-15 relative), not bitwise.
+#[derive(Debug)]
+struct PairSums {
+    /// The metric pairs are measured with. A field rather than an
+    /// argument of [`PairSums::add_pairs`]: passed by value, it made the
+    /// pilot-sized pass (1,388 sites of 23 variables) about a quarter
+    /// slower.
     metric: DistanceMetric,
     /// Sums of the bins below [`MAX_TABLE_KEYS`], indexed by bin; grows to
     /// the largest such bin seen.
     dense: Vec<BinSums>,
     /// Sums of the bins at or above [`MAX_TABLE_KEYS`].
     sparse: BTreeMap<u64, BinSums>,
-    /// The folded-in configurations, one column per variable (the length
-    /// of the first configuration synced), `consumed` entries each.
-    columns: Vec<Vec<i32>>,
-    /// How many leading sites of the backing store have been folded in.
-    consumed: usize,
 }
 
-impl VariogramAccumulator {
-    /// Creates an empty accumulator for `metric` with unit bins.
-    pub fn new(metric: DistanceMetric) -> VariogramAccumulator {
-        VariogramAccumulator {
+impl PairSums {
+    /// Sums every pair of `configs`, which must be non-empty, of one
+    /// dimension and as many as `values`.
+    fn over(configs: &[Config], values: &[f64], metric: DistanceMetric) -> PairSums {
+        let columns: Vec<Vec<i32>> = (0..configs[0].len())
+            .map(|v| configs.iter().map(|c| c[v]).collect())
+            .collect();
+        let mut sums = PairSums {
             metric,
-            ..VariogramAccumulator::default()
-        }
-    }
-
-    /// The metric pairs are measured with.
-    pub fn metric(&self) -> DistanceMetric {
-        self.metric
-    }
-
-    /// How many sites have been folded in so far.
-    pub fn consumed(&self) -> usize {
-        self.consumed
-    }
-
-    /// Drops all accumulated pairs.
-    pub fn clear(&mut self) {
-        self.dense.clear();
-        self.sparse.clear();
-        self.columns.clear();
-        self.consumed = 0;
-    }
-
-    /// Folds the sites appended since the last call into the running sums.
-    ///
-    /// `configs`/`values` must be the same grow-only sequence across calls:
-    /// the first [`consumed`](VariogramAccumulator::consumed) entries are
-    /// assumed unchanged and only `configs[consumed..]` are paired (each
-    /// against every earlier site).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` and `values` have different lengths, if the
-    /// sequence shrank below what was already consumed, or if configurations
-    /// have inconsistent dimensions.
-    pub fn sync(&mut self, configs: &[Config], values: &[f64]) {
-        assert_eq!(
-            configs.len(),
-            values.len(),
-            "configuration and value counts must match"
-        );
-        assert!(
-            configs.len() >= self.consumed,
-            "accumulator backing store shrank ({} sites, {} consumed)",
-            configs.len(),
-            self.consumed
-        );
-        let from = self.consumed;
-        if from == 0 {
-            if let Some(first) = configs.first() {
-                self.columns = (0..first.len())
-                    .map(|_| Vec::with_capacity(configs.len()))
-                    .collect();
-            }
-        }
-        for config in &configs[from..] {
-            assert_eq!(
-                config.len(),
-                self.columns.len(),
-                "configuration length mismatch"
-            );
-            for (column, &w) in self.columns.iter_mut().zip(config) {
-                column.push(w);
-            }
-        }
+            dense: Vec::new(),
+            sparse: BTreeMap::new(),
+        };
         let mut keys = Vec::with_capacity(configs.len());
-        for j in from..configs.len() {
-            self.lattice_keys(j, &mut keys);
-            self.add_pairs(values[j], &values[..j], &keys);
+        for j in 1..configs.len() {
+            lattice_keys(metric, &columns, j, &mut keys);
+            sums.add_pairs(values[j], &values[..j], &keys);
         }
-        self.consumed = configs.len();
-    }
-
-    /// Sets `keys` to the [`lattice_key`](crate::variogram::lattice_key)
-    /// of site `j` against each site `k < j`, one column at a time.
-    fn lattice_keys(&self, j: usize, keys: &mut Vec<u64>) {
-        keys.clear();
-        keys.resize(j, 0);
-        for column in &self.columns {
-            let (earlier, x) = (&column[..j], column[j]);
-            let terms = keys.iter_mut().zip(earlier);
-            match self.metric {
-                DistanceMetric::L1 => terms.for_each(|(key, &w)| *key += u64::from(w.abs_diff(x))),
-                DistanceMetric::L2 => terms.for_each(|(key, &w)| {
-                    let d = u64::from(w.abs_diff(x));
-                    *key += d * d;
-                }),
-                DistanceMetric::Linf => {
-                    terms.for_each(|(key, &w)| *key = (*key).max(u64::from(w.abs_diff(x))))
-                }
-            }
-        }
+        sums
     }
 
     /// Adds the pairs of a site valued `value` with each earlier site, in
@@ -351,32 +244,36 @@ impl VariogramAccumulator {
         }
     }
 
-    /// Materializes the current sums as an [`EmpiricalVariogram`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::FitFailed`] if no pair has been accumulated yet.
-    pub fn snapshot(&self) -> Result<EmpiricalVariogram, CoreError> {
-        let bins: Vec<VariogramBin> = self
-            .dense
+    /// The non-empty bins, by increasing distance.
+    fn bins(&self) -> Vec<VariogramBin> {
+        self.dense
             .iter()
             .chain(self.sparse.values())
             .filter(|&&(_, _, pairs)| pairs > 0)
-            .map(|&(sum_sq, sum_d, pairs)| VariogramBin {
-                distance: sum_d / pairs as f64,
-                gamma: sum_sq / (2.0 * pairs as f64),
-                pairs,
-            })
-            .collect();
-        if bins.is_empty() {
-            return Err(CoreError::FitFailed {
-                reason: "need at least two sites to form a pair".into(),
-            });
+            .copied()
+            .map(VariogramBin::from_sums)
+            .collect()
+    }
+}
+
+/// Sets `keys` to the [`lattice_key`](crate::variogram::lattice_key) of
+/// site `j` against each site `k < j`, one column at a time.
+fn lattice_keys(metric: DistanceMetric, columns: &[Vec<i32>], j: usize, keys: &mut Vec<u64>) {
+    keys.clear();
+    keys.resize(j, 0);
+    for column in columns {
+        let (earlier, x) = (&column[..j], column[j]);
+        let terms = keys.iter_mut().zip(earlier);
+        match metric {
+            DistanceMetric::L1 => terms.for_each(|(key, &w)| *key += u64::from(w.abs_diff(x))),
+            DistanceMetric::L2 => terms.for_each(|(key, &w)| {
+                let d = u64::from(w.abs_diff(x));
+                *key += d * d;
+            }),
+            DistanceMetric::Linf => {
+                terms.for_each(|(key, &w)| *key = (*key).max(u64::from(w.abs_diff(x))))
+            }
         }
-        Ok(EmpiricalVariogram {
-            bins,
-            metric: self.metric,
-        })
     }
 }
 
@@ -460,51 +357,31 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_matches_batch_on_each_prefix() {
+    fn from_configs_matches_from_samples_on_each_prefix() {
         let configs: Vec<Config> = (0..12).map(|i| vec![i % 5, (i * 3) % 7]).collect();
         let values: Vec<f64> = (0..12).map(|i| f64::from(i).sin() * 4.0).collect();
         for metric in [DistanceMetric::L1, DistanceMetric::L2, DistanceMetric::Linf] {
-            let mut acc = VariogramAccumulator::new(metric);
             for n in 1..=configs.len() {
-                acc.sync(&configs[..n], &values[..n]);
-                assert_eq!(acc.consumed(), n);
+                let lattice = EmpiricalVariogram::from_configs(&configs[..n], &values[..n], metric);
                 if n < 2 {
-                    assert!(acc.snapshot().is_err());
+                    assert!(lattice.is_err());
                     continue;
                 }
+                let sites: Vec<Vec<f64>> = configs[..n]
+                    .iter()
+                    .map(|c| c.iter().map(|&x| f64::from(x)).collect())
+                    .collect();
                 let batch =
-                    EmpiricalVariogram::from_configs(&configs[..n], &values[..n], metric).unwrap();
-                let inc = acc.snapshot().unwrap();
-                assert_eq!(inc.bins().len(), batch.bins().len());
-                for (a, b) in inc.bins().iter().zip(batch.bins()) {
+                    EmpiricalVariogram::from_samples(&sites, &values[..n], metric, 1.0).unwrap();
+                let lattice = lattice.unwrap();
+                assert_eq!(lattice.bins().len(), batch.bins().len());
+                for (a, b) in lattice.bins().iter().zip(batch.bins()) {
                     assert_eq!(a.pairs, b.pairs);
                     assert!((a.distance - b.distance).abs() < 1e-12);
                     assert!((a.gamma - b.gamma).abs() < 1e-12);
                 }
             }
         }
-    }
-
-    #[test]
-    fn accumulator_clear_starts_over() {
-        let configs = vec![vec![0], vec![2], vec![5]];
-        let values = vec![1.0, 2.0, 4.0];
-        let mut acc = VariogramAccumulator::new(DistanceMetric::L1);
-        acc.sync(&configs, &values);
-        assert_eq!(acc.snapshot().unwrap().total_pairs(), 3);
-        acc.clear();
-        assert_eq!(acc.consumed(), 0);
-        assert!(acc.snapshot().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "shrank")]
-    fn accumulator_rejects_shrinking_store() {
-        let configs = vec![vec![0], vec![2], vec![5]];
-        let values = vec![1.0, 2.0, 4.0];
-        let mut acc = VariogramAccumulator::new(DistanceMetric::L1);
-        acc.sync(&configs, &values);
-        acc.sync(&configs[..1], &values[..1]);
     }
 
     #[test]
@@ -521,41 +398,23 @@ mod tests {
         assert!((v.bins()[1].gamma - 1.0).abs() < 1e-12);
     }
 
-    /// The accumulator's pair loop before its dense bins: every bin in
-    /// an ordered map, every pair's key read from the callers' configs.
-    struct MapAccumulator {
-        metric: DistanceMetric,
-        acc: BTreeMap<u64, (f64, f64, usize)>,
-        consumed: usize,
-    }
-
-    impl MapAccumulator {
-        fn sync(&mut self, configs: &[Config], values: &[f64]) {
-            for j in self.consumed..configs.len() {
-                for k in 0..j {
-                    let key = lattice_key(self.metric, &configs[j], &configs[k]);
-                    let d = lattice_distance(self.metric, key);
-                    let diff = values[j] - values[k];
-                    let bin = d.round() as u64;
-                    let e = self.acc.entry(bin).or_insert((0.0, 0.0, 0));
-                    e.0 += diff * diff;
-                    e.1 += d;
-                    e.2 += 1;
-                }
+    /// The pair loop before dense bins: every bin in an ordered map,
+    /// every pair's key read from the configurations.
+    fn map_loop(metric: DistanceMetric, configs: &[Config], values: &[f64]) -> Vec<VariogramBin> {
+        let mut acc: BTreeMap<u64, BinSums> = BTreeMap::new();
+        for j in 0..configs.len() {
+            for k in 0..j {
+                let key = lattice_key(metric, &configs[j], &configs[k]);
+                let d = lattice_distance(metric, key);
+                let diff = values[j] - values[k];
+                let bin = d.round() as u64;
+                let e = acc.entry(bin).or_insert((0.0, 0.0, 0));
+                e.0 += diff * diff;
+                e.1 += d;
+                e.2 += 1;
             }
-            self.consumed = configs.len();
         }
-
-        fn bins(&self) -> Vec<VariogramBin> {
-            self.acc
-                .values()
-                .map(|&(sum_sq, sum_d, pairs)| VariogramBin {
-                    distance: sum_d / pairs as f64,
-                    gamma: sum_sq / (2.0 * pairs as f64),
-                    pairs,
-                })
-                .collect()
-        }
+        acc.into_values().map(VariogramBin::from_sums).collect()
     }
 
     #[test]
@@ -563,20 +422,13 @@ mod tests {
         // L1 distances 1, 70,000 and 70,001: one dense bin, two past the cap.
         let configs = vec![vec![0, 0], vec![70_000, 0], vec![1, 0]];
         let values = vec![1.0, -2.5, 0.25];
-        let mut dense = VariogramAccumulator::new(DistanceMetric::L1);
-        let mut map = MapAccumulator {
-            metric: DistanceMetric::L1,
-            acc: BTreeMap::new(),
-            consumed: 0,
-        };
-        dense.sync(&configs, &values);
-        map.sync(&configs, &values);
-        assert_eq!(dense.dense.len(), 2);
+        let sums = PairSums::over(&configs, &values, DistanceMetric::L1);
+        assert_eq!(sums.dense.len(), 2);
         assert_eq!(
-            dense.sparse.keys().copied().collect::<Vec<_>>(),
+            sums.sparse.keys().copied().collect::<Vec<_>>(),
             [69_999, 70_000]
         );
-        assert_eq!(dense.snapshot().unwrap().bins(), map.bins());
+        assert_eq!(sums.bins(), map_loop(DistanceMetric::L1, &configs, &values));
     }
 
     mod proptests {
@@ -594,13 +446,13 @@ mod tests {
             // Dense bins and column-major keys change where a bin's
             // sums live and how a pair's key is computed, not the
             // order the sums are added in: every bin of every
-            // snapshot keeps the map loop's bits, under each metric,
-            // across interleaved syncs, at dimensions past every lane
-            // width, with coordinates far enough apart that some bins
-            // land at or above the dense cap. Under L1 and L∞ the
-            // coordinates also span the whole `i32` range, so key
-            // sums pass `u32::MAX` (L2's squares would overflow the
-            // map loop's `i64` there).
+            // prefix keeps the map loop's bits, under each metric,
+            // at dimensions past every lane width, with coordinates
+            // far enough apart that some bins land at or above the
+            // dense cap. Under L1 and L∞ the coordinates also span
+            // the whole `i32` range, so key sums pass `u32::MAX`
+            // (L2's squares would overflow the map loop's `i64`
+            // there).
             #[test]
             fn dense_bins_match_the_map_loop_bit_for_bit(
                 dim in 1usize..25,
@@ -614,7 +466,7 @@ mod tests {
                     ),
                     2..40,
                 ),
-                sync_mask in proptest::collection::vec(0u8..3, 40usize),
+                prefix_mask in proptest::collection::vec(0u8..3, 40usize),
             ) {
                 let values: Vec<f64> = raw.iter().map(|(_, v)| *v).collect();
                 let configs = |pick: fn(u8, i32, i32) -> i32| -> Vec<Config> {
@@ -632,16 +484,12 @@ mod tests {
                     (DistanceMetric::Linf, &wide),
                 ];
                 for (metric, configs) in runs {
-                    let mut dense = VariogramAccumulator::new(metric);
-                    let mut map = MapAccumulator { metric, acc: BTreeMap::new(), consumed: 0 };
                     for n in 1..=configs.len() {
-                        if n < configs.len() && sync_mask[n - 1] != 0 {
+                        if n < configs.len() && prefix_mask[n - 1] != 0 {
                             continue;
                         }
-                        dense.sync(&configs[..n], &values[..n]);
-                        map.sync(&configs[..n], &values[..n]);
-                        let expected = map.bins();
-                        match dense.snapshot() {
+                        let expected = map_loop(metric, &configs[..n], &values[..n]);
+                        match EmpiricalVariogram::from_configs(&configs[..n], &values[..n], metric) {
                             Ok(v) => prop_assert_eq!(bin_bits(v.bins()), bin_bits(&expected)),
                             Err(_) => prop_assert!(expected.is_empty()),
                         }
@@ -649,43 +497,40 @@ mod tests {
                 }
             }
 
-            // Running accumulators, refit at random interleaving points,
-            // must agree with the batch path to 1e-9 under every metric.
+            // The lattice pass agrees with the f64 loop to 1e-9 on
+            // random prefixes under every metric.
             #[test]
-            fn interleaved_sync_matches_batch_from_samples(
+            fn from_configs_matches_from_samples(
                 dim in 1usize..5,
                 raw in proptest::collection::vec(
                     (proptest::collection::vec(-12i32..12, 4usize), -50.0f64..50.0),
                     2..25,
                 ),
-                refit_mask in proptest::collection::vec(0u8..2, 25usize),
+                prefix_mask in proptest::collection::vec(0u8..2, 25usize),
             ) {
                 let (configs, values): (Vec<Config>, Vec<f64>) = raw
                     .into_iter()
                     .map(|(c, v)| (c[..dim].to_vec(), v))
                     .unzip();
                 for metric in [DistanceMetric::L1, DistanceMetric::L2, DistanceMetric::Linf] {
-                    let mut acc = VariogramAccumulator::new(metric);
                     for n in 1..=configs.len() {
-                        // Interleave: only some prefixes trigger a sync, so
-                        // each sync folds in a random-size batch of sites.
                         let last = n == configs.len();
-                        if !last && refit_mask.get(n - 1).copied().unwrap_or(0) == 0 {
+                        if !last && prefix_mask.get(n - 1).copied().unwrap_or(0) == 0 {
                             continue;
                         }
-                        acc.sync(&configs[..n], &values[..n]);
                         let sites: Vec<Vec<f64>> = configs[..n]
                             .iter()
                             .map(|c| c.iter().map(|&x| f64::from(x)).collect())
                             .collect();
                         let batch = EmpiricalVariogram::from_samples(
                             &sites, &values[..n], metric, 1.0);
-                        let inc = acc.snapshot();
-                        match (inc, batch) {
-                            (Ok(inc), Ok(batch)) => {
-                                prop_assert_eq!(inc.bins().len(), batch.bins().len());
-                                prop_assert_eq!(inc.metric(), batch.metric());
-                                for (a, b) in inc.bins().iter().zip(batch.bins()) {
+                        let lattice =
+                            EmpiricalVariogram::from_configs(&configs[..n], &values[..n], metric);
+                        match (lattice, batch) {
+                            (Ok(lattice), Ok(batch)) => {
+                                prop_assert_eq!(lattice.bins().len(), batch.bins().len());
+                                prop_assert_eq!(lattice.metric(), batch.metric());
+                                for (a, b) in lattice.bins().iter().zip(batch.bins()) {
                                     prop_assert_eq!(a.pairs, b.pairs);
                                     let dscale = b.distance.abs().max(1.0);
                                     let gscale = b.gamma.abs().max(1.0);
@@ -694,10 +539,10 @@ mod tests {
                                 }
                             }
                             (Err(_), Err(_)) => {} // both degenerate (n < 2)
-                            (inc, batch) => {
+                            (lattice, batch) => {
                                 prop_assert!(
                                     false,
-                                    "paths disagree at n={n}: inc {inc:?} vs batch {batch:?}"
+                                    "paths disagree at n={n}: lattice {lattice:?} vs batch {batch:?}"
                                 );
                             }
                         }

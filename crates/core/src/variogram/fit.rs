@@ -67,6 +67,38 @@ pub struct FitReport {
     pub candidates: Vec<(ModelFamily, f64)>,
 }
 
+/// Identifies the semi-variogram of `values` measured at `configs` (paper
+/// Section III-A): the empirical variogram over unit lattice bins
+/// ([`EmpiricalVariogram::from_configs`]), each of `families` fitted to
+/// it, and the winner chosen by `selection`. Weighted SSE on the bins
+/// ([`fit_model`]) ignores `nugget`; leave-one-out prediction over the
+/// sites ([`fit_model_loo`]) adds it to every between-site γ, as the
+/// session's solves will.
+///
+/// This is the workspace's one identification: the campaign's pilot
+/// protocol and a hybrid session's fit-after policy both call it.
+///
+/// # Errors
+///
+/// As [`EmpiricalVariogram::from_configs`] for the sites, then as
+/// [`fit_model`] for the families.
+pub fn identify(
+    configs: &[Config],
+    values: &[f64],
+    metric: DistanceMetric,
+    selection: ModelSelection,
+    nugget: f64,
+    families: &[ModelFamily],
+) -> Result<FitReport, CoreError> {
+    let empirical = EmpiricalVariogram::from_configs(configs, values, metric)?;
+    match selection {
+        ModelSelection::WeightedSse => fit_model(&empirical, families),
+        ModelSelection::LeaveOneOut => {
+            fit_model_loo(&empirical, families, configs, values, metric, nugget)
+        }
+    }
+}
+
 /// Fits each requested family to the empirical variogram by
 /// pair-count-weighted least squares and returns the family with the
 /// smallest weighted SSE.
@@ -104,29 +136,16 @@ pub fn fit_model(
     empirical: &EmpiricalVariogram,
     families: &[ModelFamily],
 ) -> Result<FitReport, CoreError> {
-    if families.is_empty() {
-        return Err(CoreError::FitFailed {
-            reason: "no model families requested".into(),
-        });
-    }
-    let bins = empirical.bins();
     let mut candidates = Vec::new();
     let mut best: Option<(VariogramModel, f64)> = None;
-    for &family in families {
-        let Some(model) = fit_family(empirical, family) else {
-            continue;
-        };
+    for (family, model) in fit_families(empirical, families)? {
         let sse = weighted_sse(&model, empirical);
         candidates.push((family, sse));
         if best.as_ref().is_none_or(|(_, s)| sse < *s) {
             best = Some((model, sse));
         }
     }
-    let Some((model, weighted_sse)) = best else {
-        return Err(CoreError::FitFailed {
-            reason: format!("no family produced a valid fit over {} bins", bins.len()),
-        });
-    };
+    let (model, weighted_sse) = best.expect("fit_families returns at least one fit");
     Ok(FitReport {
         model,
         weighted_sse,
@@ -134,8 +153,33 @@ pub fn fit_model(
     })
 }
 
-/// Estimates one family's parameters against the empirical variogram
-/// (shared by both selection criteria).
+/// Every family of `families` that yields a valid model, in order, with
+/// its model (shared by both selection criteria).
+fn fit_families(
+    empirical: &EmpiricalVariogram,
+    families: &[ModelFamily],
+) -> Result<Vec<(ModelFamily, VariogramModel)>, CoreError> {
+    if families.is_empty() {
+        return Err(CoreError::FitFailed {
+            reason: "no model families requested".into(),
+        });
+    }
+    let fitted: Vec<(ModelFamily, VariogramModel)> = families
+        .iter()
+        .filter_map(|&family| fit_family(empirical, family).map(|m| (family, m)))
+        .collect();
+    if fitted.is_empty() {
+        return Err(CoreError::FitFailed {
+            reason: format!(
+                "no family produced a valid fit over {} bins",
+                empirical.bins().len()
+            ),
+        });
+    }
+    Ok(fitted)
+}
+
+/// Estimates one family's parameters against the empirical variogram.
 fn fit_family(empirical: &EmpiricalVariogram, family: ModelFamily) -> Option<VariogramModel> {
     match family {
         ModelFamily::Nugget => fit_nugget(empirical),
@@ -184,23 +228,7 @@ pub fn fit_model_loo(
     metric: DistanceMetric,
     nugget: f64,
 ) -> Result<FitReport, CoreError> {
-    if families.is_empty() {
-        return Err(CoreError::FitFailed {
-            reason: "no model families requested".into(),
-        });
-    }
-    let fitted: Vec<(ModelFamily, VariogramModel)> = families
-        .iter()
-        .filter_map(|&family| fit_family(empirical, family).map(|m| (family, m)))
-        .collect();
-    if fitted.is_empty() {
-        return Err(CoreError::FitFailed {
-            reason: format!(
-                "no family produced a valid fit over {} bins",
-                empirical.bins().len()
-            ),
-        });
-    }
+    let fitted = fit_families(empirical, families)?;
     let len = configs.len().min(values.len());
     let step = len.div_ceil(LOO_SITE_CAP).max(1);
     let sample: Vec<usize> = (0..len).step_by(step).collect();

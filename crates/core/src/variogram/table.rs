@@ -20,9 +20,9 @@ use crate::variogram::VariogramModel;
 use crate::DistanceMetric;
 
 /// Keys at or above this bound bypass the table (direct evaluation) so a
-/// single far-apart pair cannot balloon the backing vector. The
-/// [`VariogramAccumulator`](crate::variogram::VariogramAccumulator) caps
-/// its dense bins at the same bound.
+/// single far-apart pair cannot balloon the backing vector.
+/// [`EmpiricalVariogram::from_configs`](crate::variogram::EmpiricalVariogram::from_configs)
+/// caps its dense bins at the same bound.
 pub(crate) const MAX_TABLE_KEYS: u64 = 1 << 16;
 
 /// Integer lattice key of the distance between two configurations.

@@ -23,7 +23,7 @@
 //! --metric M         l1 | l2 | linf           (default l1)
 //! --variogram V      pilot | fixed-linear:SLOPE | fit-after:N
 //!                    | spherical:N:S:R | exponential:N:S:R | gaussian:N:S:R
-//! --optimizer O      auto | minplusone | tiebreak:TOL | descent
+//! --optimizer O      auto | tiebreak:TOL
 //! --seed N           base seed                (default 0)
 //! --repeats N        repeats per cell with derived seeds (default 1)
 //! --workers N        worker threads, one run per worker (default 4)
@@ -177,14 +177,12 @@ fn parse_optimizer(value: &str) -> Result<OptimizerSpec, String> {
     };
     match head {
         "auto" => Ok(OptimizerSpec::Auto),
-        "minplusone" => Ok(OptimizerSpec::MinPlusOne),
         "tiebreak" => Ok(OptimizerSpec::TieBreak {
             tolerance: arg
                 .unwrap_or("0.0")
                 .parse()
                 .map_err(|_| "bad tie tolerance".to_string())?,
         }),
-        "descent" => Ok(OptimizerSpec::Descent),
         other => Err(format!("unknown optimizer {other:?}")),
     }
 }

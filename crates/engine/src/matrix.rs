@@ -251,9 +251,10 @@ pub fn check_table_shape(rows: &[TableRow]) -> Vec<String> {
                 row.simulated, row.queries
             ));
         }
-        // A kriged query has more than N_n,min neighbours, up to the
-        // matrix's neighbour cap.
-        let least = (row.min_neighbors + 1).min(CampaignSpec::default().max_neighbors);
+        // A kriged query has more than N_n,min neighbours (the neighbour
+        // cap cannot undercut that: settings validation rejects a cap at
+        // or below N_n,min).
+        let least = row.min_neighbors + 1;
         if row.kriged > 0 && row.mean_neighbors < least as f64 {
             violations.push(format!(
                 "{b}: j = {} below {least} at d={}, nmin={}",

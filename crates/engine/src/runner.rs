@@ -23,12 +23,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use krigeval_core::evaluator::AccuracyEvaluator;
-use krigeval_core::hybrid::{HybridEvaluator, HybridSettings, VariogramPolicy};
+use krigeval_core::hybrid::{nugget_variance, HybridEvaluator, VariogramPolicy};
 use krigeval_core::opt::descent::{budget_error_sources, DescentOptions};
 use krigeval_core::opt::minplusone::{optimize, optimize_with_tie_break, MinPlusOneOptions};
 use krigeval_core::opt::{DseEvaluator, OptError, OptimizationResult, SimulateAll};
 use krigeval_core::trace::Step;
-use krigeval_core::variogram::{fit_model, EmpiricalVariogram, ModelFamily};
+use krigeval_core::variogram::{identify, ModelFamily};
 use krigeval_core::{Config, FiniteGuard, VariogramModel};
 
 use crate::backend::EngineBackend;
@@ -125,26 +125,19 @@ fn drive(
                 unreachable!("every problem has an optimizer")
             }
         }
-        OptimizerSpec::MinPlusOne => {
-            let opts = minplusone.expect("validated by CampaignSpec::expand");
-            optimize(evaluator, opts)
-        }
         OptimizerSpec::TieBreak { tolerance } => {
             let opts = minplusone.expect("validated by CampaignSpec::expand");
             optimize_with_tie_break(evaluator, opts, tolerance)
-        }
-        OptimizerSpec::Descent => {
-            let opts = descent.expect("validated by CampaignSpec::expand");
-            budget_error_sources(evaluator, opts)
         }
     }
 }
 
 /// Identifies the variogram by the Table I pilot protocol: a pure-simulation
 /// run of the same optimizer, fitted over the deduplicated `(config, λ)`
-/// trajectory. Returns the model and the number of **distinct** pilot
-/// configurations (the deterministic measure of pilot cost — repeat pilots
-/// across grid cells are served by the shared cache).
+/// trajectory with the run's selection criterion and nugget. Returns the
+/// model and the number of **distinct** pilot configurations (the
+/// deterministic measure of pilot cost — repeat pilots across grid cells
+/// are served by the shared cache).
 fn pilot_model(
     run: &RunSpec,
     instance: &ProblemInstance,
@@ -153,12 +146,8 @@ fn pilot_model(
     obs: Option<&CampaignObs>,
 ) -> Result<(VariogramModel, u64), OptError> {
     // Tie-breaking re-simulates ties, which is a no-op distinction under
-    // pure simulation; the plain optimizer gives the identical pilot
-    // trajectory at lower bookkeeping cost.
-    let optimizer = match run.optimizer {
-        OptimizerSpec::TieBreak { .. } => OptimizerSpec::MinPlusOne,
-        other => other,
-    };
+    // pure simulation; the problem's plain optimizer gives the identical
+    // pilot trajectory at lower bookkeeping cost.
     let result = drive(
         &mut SimulateAll(engine_backend(
             run,
@@ -168,16 +157,21 @@ fn pilot_model(
             FaultPhase::Pilot,
             obs,
         )),
-        optimizer,
+        OptimizerSpec::Auto,
         instance.minplusone.as_ref(),
         instance.descent.as_ref(),
     )?;
     let (configs, values) = distinct_steps(&result.trace.steps);
     let distinct = configs.len() as u64;
-    let model = EmpiricalVariogram::from_configs(&configs, &values, run.metric)
-        .and_then(|emp| fit_model(&emp, &ModelFamily::all()))
-        .map(|report| report.model)
-        .unwrap_or_else(|_| VariogramModel::linear(1.0));
+    let model = identify(
+        &configs,
+        &values,
+        run.metric,
+        run.selection,
+        nugget_variance(run.nugget),
+        &ModelFamily::all(),
+    )
+    .map_or(VariogramModel::linear(1.0), |report| report.model);
     Ok((model, distinct))
 }
 
@@ -251,21 +245,9 @@ pub fn run_single_attempt_obs(
         .map(|o| o.lambda_min)
         .or(instance.descent.as_ref().map(|o| o.lambda_min))
         .expect("every problem has an optimizer");
-    let settings = HybridSettings {
-        distance: run.distance,
-        min_neighbors: run.min_neighbors,
-        metric: run.metric,
-        variogram: policy,
-        max_neighbors: run.max_neighbors,
-        audit: run.audit.then(|| run.problem.audit_metric()),
-        approx: run.approx,
-        gate: run.gate,
-        selection: run.selection,
-        nugget: run.nugget,
-    };
     let mut hybrid = HybridEvaluator::new(
         engine_backend(run, &instance, cache, attempt, FaultPhase::Hybrid, obs),
-        settings,
+        run.hybrid_settings(policy),
     );
     if let Some(obs) = obs {
         hybrid.set_obs(Some(obs.hybrid_obs()));
@@ -357,6 +339,30 @@ mod tests {
         );
         assert_eq!(values, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(distinct_steps(&[]), (vec![], vec![]));
+    }
+
+    #[test]
+    fn the_pilot_identifies_with_the_runs_selection() {
+        // The pilot fits through the session's identification, so
+        // leave-one-out selection reaches a Pilot run: on IIR at d = 2 it
+        // picks another model than weighted SSE, and the records differ.
+        let cell = |loo_select: Option<bool>| {
+            let spec = CampaignSpec {
+                benchmarks: vec!["iir".to_string()],
+                distances: vec![2.0],
+                loo_select,
+                ..CampaignSpec::default()
+            };
+            let run = spec.expand().unwrap().remove(0);
+            assert_eq!(run.variogram, VariogramSpec::Pilot);
+            let mut record = run_single(&run, &Arc::new(SimCache::new())).unwrap();
+            record.wall_ms = None;
+            record
+        };
+        let (sse, loo) = (cell(None), cell(Some(true)));
+        assert_eq!(sse.pilot_sims, loo.pilot_sims, "one pilot trajectory");
+        assert_ne!(sse, loo);
+        assert_ne!(sse.p_percent, loo.p_percent);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 pub use krigeval_core::hybrid::{ApproxSettings, GatePolicy, NuggetPolicy};
 pub use krigeval_core::ModelSelection;
 
-use krigeval_core::hybrid::VariogramPolicy;
+use krigeval_core::hybrid::{HybridSettings, VariogramPolicy};
 use krigeval_core::variogram::ModelFamily;
 use krigeval_core::{DistanceMetric, VariogramModel};
 
@@ -30,17 +30,13 @@ pub enum OptimizerSpec {
     /// Pick the problem's canonical optimizer: min+1 for word-length
     /// problems, steepest-descent budgeting for the sensitivity problem.
     Auto,
-    /// Force plain min+1 (word-length problems only).
-    MinPlusOne,
     /// min+1 with tie-break-by-simulation in the refine phase: kriged
     /// candidates within `tolerance` of the best are re-simulated before
-    /// the greedy choice commits.
+    /// the greedy choice commits (word-length problems only).
     TieBreak {
         /// Tie window in metric units (dB or rate).
         tolerance: f64,
     },
-    /// Force steepest-descent error budgeting (sensitivity problem only).
-    Descent,
 }
 
 impl OptimizerSpec {
@@ -48,9 +44,7 @@ impl OptimizerSpec {
     pub fn label(&self) -> String {
         match self {
             OptimizerSpec::Auto => "auto".to_string(),
-            OptimizerSpec::MinPlusOne => "minplusone".to_string(),
             OptimizerSpec::TieBreak { tolerance } => format!("tiebreak({tolerance})"),
-            OptimizerSpec::Descent => "descent".to_string(),
         }
     }
 }
@@ -313,6 +307,24 @@ pub struct RunSpec {
     pub nugget: Option<NuggetPolicy>,
 }
 
+impl RunSpec {
+    /// The hybrid evaluator's settings for this run under `variogram`.
+    pub(crate) fn hybrid_settings(&self, variogram: VariogramPolicy) -> HybridSettings {
+        HybridSettings {
+            distance: self.distance,
+            min_neighbors: self.min_neighbors,
+            metric: self.metric,
+            variogram,
+            max_neighbors: self.max_neighbors,
+            audit: self.audit.then(|| self.problem.audit_metric()),
+            approx: self.approx,
+            gate: self.gate,
+            selection: self.selection,
+            nugget: self.nugget,
+        }
+    }
+}
+
 /// A malformed campaign specification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
@@ -341,8 +353,10 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// Returns [`SpecError`] for unknown benchmark / scale / metric names,
-    /// empty sweep axes, zero repeats, non-finite or non-positive
-    /// distances, or an optimizer incompatible with a selected benchmark.
+    /// empty sweep axes, zero repeats, an optimizer incompatible with a
+    /// selected benchmark, or a cell whose hybrid settings fail
+    /// [`HybridSettings::validate`] (radius, `N_n,min`, neighbour cap,
+    /// gate threshold, nugget).
     pub fn expand(&self) -> Result<Vec<RunSpec>, SpecError> {
         let scale = Scale::parse(&self.scale)
             .ok_or_else(|| SpecError::new(format!("unknown scale {:?}", self.scale)))?;
@@ -358,28 +372,6 @@ impl CampaignSpec {
         }
         if self.repeats == 0 {
             return Err(SpecError::new("repeats must be at least 1"));
-        }
-        for &d in &self.distances {
-            if !d.is_finite() || d <= 0.0 {
-                return Err(SpecError::new(format!("invalid distance {d}")));
-            }
-        }
-        for &n in &self.min_neighbors {
-            if n == 0 {
-                return Err(SpecError::new("min_neighbors must be at least 1"));
-            }
-        }
-        if let Some(GatePolicy::Variance { threshold }) = self.gate {
-            if threshold.is_nan() || threshold <= 0.0 {
-                return Err(SpecError::new(format!(
-                    "invalid gate variance threshold {threshold}"
-                )));
-            }
-        }
-        if let Some(NuggetPolicy::Fixed { value }) = self.nugget {
-            if !value.is_finite() || value < 0.0 {
-                return Err(SpecError::new(format!("invalid nugget {value}")));
-            }
         }
         let threads = self.threads.unwrap_or(1).max(1);
         if let Some(faults) = &self.faults {
@@ -416,20 +408,11 @@ impl CampaignSpec {
                     Problem::accepted_names().join(", ")
                 ))
             })?;
-            match self.optimizer {
-                OptimizerSpec::Descent if p != Problem::Squeezenet => {
-                    return Err(SpecError::new(format!(
-                        "descent optimizer requires the sensitivity problem, got {name:?}"
-                    )));
-                }
-                OptimizerSpec::MinPlusOne | OptimizerSpec::TieBreak { .. }
-                    if p == Problem::Squeezenet =>
-                {
-                    return Err(SpecError::new(
-                        "min+1 optimizers cannot drive the sensitivity problem",
-                    ));
-                }
-                _ => {}
+            if matches!(self.optimizer, OptimizerSpec::TieBreak { .. }) && p == Problem::Squeezenet
+            {
+                return Err(SpecError::new(
+                    "min+1 optimizers cannot drive the sensitivity problem",
+                ));
             }
             problems.push(p);
         }
@@ -445,7 +428,7 @@ impl CampaignSpec {
                             self.lambda_min.iter().map(|&l| Some(l)).collect()
                         };
                         for lambda_min in lambdas {
-                            runs.push(RunSpec {
+                            let run = RunSpec {
                                 index: runs.len() as u64,
                                 problem,
                                 scale,
@@ -473,7 +456,15 @@ impl CampaignSpec {
                                     ModelSelection::WeightedSse
                                 },
                                 nugget: self.nugget,
-                            });
+                            };
+                            // Every settings rule comes from the one
+                            // validator. It does not read the variogram
+                            // policy, which a pilot run learns only when
+                            // it runs.
+                            run.hybrid_settings(self.variogram.policy().unwrap_or_default())
+                                .validate()
+                                .map_err(|e| SpecError::new(e.to_string()))?;
+                            runs.push(run);
                         }
                     }
                 }
@@ -713,18 +704,15 @@ mod tests {
             ..CampaignSpec::default()
         };
         assert!(no_d.expand().is_err());
-        let descent_on_fir = CampaignSpec {
-            benchmarks: vec!["fir".to_string()],
-            optimizer: OptimizerSpec::Descent,
-            ..CampaignSpec::default()
-        };
-        assert!(descent_on_fir.expand().is_err());
-        let minplusone_on_cnn = CampaignSpec {
+        let tie_break_on_cnn = CampaignSpec {
             benchmarks: vec!["squeezenet".to_string()],
-            optimizer: OptimizerSpec::MinPlusOne,
+            optimizer: OptimizerSpec::TieBreak { tolerance: 0.5 },
             ..CampaignSpec::default()
         };
-        assert!(minplusone_on_cnn.expand().is_err());
+        assert_eq!(
+            tie_break_on_cnn.expand().unwrap_err().to_string(),
+            "invalid campaign spec: min+1 optimizers cannot drive the sensitivity problem"
+        );
     }
 
     #[test]
@@ -760,7 +748,10 @@ mod tests {
             };
             let message = spec.expand().unwrap_err().to_string();
             assert!(
-                message.starts_with("invalid campaign spec: invalid distance"),
+                message.starts_with(
+                    "invalid campaign spec: invalid hybrid settings: neighbour radius d must be \
+                     finite and positive"
+                ),
                 "d = {bad_d}: {message}"
             );
         }
@@ -838,7 +829,7 @@ mod tests {
             };
             let message = spec.expand().unwrap_err().to_string();
             assert!(
-                message.contains("gate variance threshold"),
+                message.contains("variance-gate threshold must be positive"),
                 "threshold {bad}: {message}"
             );
         }
@@ -849,7 +840,7 @@ mod tests {
             };
             let message = spec.expand().unwrap_err().to_string();
             assert!(
-                message.contains("invalid nugget"),
+                message.contains("nugget variance must be finite and >= 0"),
                 "nugget {bad}: {message}"
             );
         }
@@ -857,10 +848,25 @@ mod tests {
             min_neighbors: vec![3, 0],
             ..CampaignSpec::default()
         };
-        assert_eq!(
-            zero_nmin.expand().unwrap_err().to_string(),
-            "invalid campaign spec: min_neighbors must be at least 1"
-        );
+        assert!(zero_nmin.expand().unwrap_err().to_string().starts_with(
+            "invalid campaign spec: invalid hybrid settings: min_neighbors must be at least 1"
+        ));
+        // Admission counts neighbours before the cap truncates them, so a
+        // cap at or below N_n,min would krige from too few.
+        for cap in [3, 2] {
+            let spec = CampaignSpec {
+                max_neighbors: cap,
+                ..CampaignSpec::default()
+            };
+            assert_eq!(
+                spec.expand().unwrap_err().to_string(),
+                format!(
+                    "invalid campaign spec: invalid hybrid settings: max_neighbors ({cap}) must \
+                     exceed min_neighbors (3): kriging needs strictly more than min_neighbors \
+                     neighbours, and the cap truncates every system to max_neighbors"
+                )
+            );
+        }
         let good = CampaignSpec {
             gate: Some(GatePolicy::Variance { threshold: 2.5 }),
             loo_select: Some(true),

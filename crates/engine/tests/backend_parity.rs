@@ -12,7 +12,8 @@
 //! runs (min+1, min+1 with tie-breaking by simulation, steepest-descent
 //! budgeting) on the FIR and IIR kernels at 1, 2, 4 and 8 workers.
 //! Tie-breaking is the one optimizer whose exact simulations
-//! (`query_exact` → `simulate_exact` → `fulfill_one`) also reach the pool.
+//! (`query_exact` → `simulate_exact`, each a forced batch of one) also
+//! reach the pool.
 
 use std::sync::Arc;
 

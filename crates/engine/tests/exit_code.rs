@@ -284,7 +284,7 @@ fn matrix_rejects_the_flags_it_would_drop() {
         vec!["--lambda", "-50"],
         vec!["--metric", "l2"],
         vec!["--variogram", "pilot"],
-        vec!["--optimizer", "minplusone"],
+        vec!["--optimizer", "auto"],
         vec!["--max-neighbors", "8"],
         vec!["--approx", "4"],
         vec!["--approx-epsilon", "0.1"],

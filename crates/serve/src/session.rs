@@ -271,7 +271,9 @@ impl Session {
     /// # Errors
     ///
     /// Returns a [`SessionError`] (`bad_request` / `unsupported`) for
-    /// unknown benchmarks, scales, metrics or variogram policies.
+    /// unknown benchmarks, scales, metrics or variogram policies, and
+    /// `bad_request` with the validator's message for settings
+    /// [`HybridSettings::validate`] rejects.
     pub fn open(
         id: u64,
         params: &HelloParams,
@@ -301,12 +303,6 @@ impl Session {
             Some(name) => parse_metric(name).map_err(SessionError::bad_request)?,
             None => defaults.metric,
         };
-        let distance = params.d.unwrap_or(defaults.distance);
-        if !distance.is_finite() || distance <= 0.0 {
-            return Err(SessionError::bad_request(format!(
-                "invalid neighbour radius d = {distance}"
-            )));
-        }
         let max_neighbors = match params.max_neighbors {
             Some(0) => None,
             Some(n) => Some(n),
@@ -334,7 +330,7 @@ impl Session {
             }),
         };
         let settings = HybridSettings {
-            distance,
+            distance: params.d.unwrap_or(defaults.distance),
             min_neighbors: params.min_neighbors.unwrap_or(defaults.min_neighbors),
             metric,
             variogram,
@@ -671,6 +667,41 @@ mod tests {
             Session::open(4, &params, &pool).unwrap_err().code,
             codes::BAD_REQUEST
         );
+    }
+
+    #[test]
+    fn a_hello_and_a_campaign_spec_reject_alike() {
+        use krigeval_engine::spec::CampaignSpec;
+
+        // A neighbour cap at or below N_n,min, and a bad radius: the hello
+        // and the spec reach the one validator, so they fail with its
+        // message.
+        let pool = pool();
+        for (cap, nmin, d) in [(3usize, 3usize, 3.0), (2, 3, 3.0), (32, 3, -1.0)] {
+            let mut params = hello("fir");
+            params.max_neighbors = Some(cap);
+            params.min_neighbors = Some(nmin);
+            params.d = Some(d);
+            let err = Session::open(1, &params, &pool).unwrap_err();
+            assert_eq!(err.code, codes::BAD_REQUEST);
+            let spec = CampaignSpec {
+                benchmarks: vec!["fir".to_string()],
+                max_neighbors: cap,
+                min_neighbors: vec![nmin],
+                distances: vec![d],
+                ..CampaignSpec::default()
+            };
+            assert_eq!(
+                spec.expand().unwrap_err().to_string(),
+                format!("invalid campaign spec: {}", err.message),
+                "cap {cap}, nmin {nmin}, d {d}"
+            );
+            assert!(
+                err.message.starts_with("invalid hybrid settings: "),
+                "{}",
+                err.message
+            );
+        }
     }
 
     #[test]

@@ -116,7 +116,9 @@ fn sensitivity_budgeting_respects_quality_floor() {
 #[test]
 fn hybrid_and_pure_agree_when_kriging_disabled() {
     // With an impossible neighbour requirement, the hybrid evaluator is a
-    // pass-through and must reproduce the pure-simulation run exactly.
+    // pass-through and must reproduce the pure-simulation run exactly. No
+    // neighbour cap can exceed that requirement, so the session runs
+    // uncapped.
     let opts = MinPlusOneOptions::new(40.0);
     let mut pure = SimulateAll(fir_evaluator());
     let reference = optimize(&mut pure, &opts).expect("feasible");
@@ -124,6 +126,7 @@ fn hybrid_and_pure_agree_when_kriging_disabled() {
         fir_evaluator(),
         HybridSettings {
             min_neighbors: usize::MAX,
+            max_neighbors: None,
             ..HybridSettings::default()
         },
     );
