@@ -81,15 +81,44 @@ pub enum VariogramPolicy {
 
 impl Default for VariogramPolicy {
     fn default() -> VariogramPolicy {
-        VariogramPolicy::FitAfter {
-            min_samples: 10,
-            families: ModelFamily::all().to_vec(),
-            fallback: VariogramModel::linear(1.0),
-        }
+        VariogramPolicy::fit_after(10)
     }
 }
 
 impl VariogramPolicy {
+    /// The identification defaults, spelled once: fit every
+    /// [`ModelFamily`] once `min_samples` sites are stored, falling back to
+    /// `γ(d) = d`. The default policy, `fit-after:N` and the pilot use it.
+    pub fn fit_after(min_samples: usize) -> VariogramPolicy {
+        VariogramPolicy::FitAfter {
+            min_samples,
+            families: ModelFamily::all().to_vec(),
+            fallback: VariogramModel::linear(1.0),
+        }
+    }
+
+    /// The model identified from `values` at `configs`, with the fit's
+    /// report: a fixed policy's model, or [`identify`] over the families,
+    /// or the fallback without a report when that fails.
+    pub fn identify(
+        &self,
+        configs: &[Config],
+        values: &[f64],
+        metric: DistanceMetric,
+        selection: ModelSelection,
+        nugget: f64,
+    ) -> (VariogramModel, Option<FitReport>) {
+        match self {
+            VariogramPolicy::Fixed(model) => (*model, None),
+            VariogramPolicy::FitAfter {
+                families, fallback, ..
+            } => match identify(configs, values, metric, selection, nugget, families) {
+                Ok(report) => (report.model, Some(report)),
+                Err(_) => (*fallback, None),
+            },
+        }
+    }
+
     /// Whether the identification fires once the store holds `len` sites:
     /// only while the session has no model. It reads the sample count
     /// alone (a failed fit still installs the fallback model), so planning
@@ -251,11 +280,12 @@ impl HybridSettings {
     /// Rejects settings that could never krige or would poison every
     /// solve: a zero or non-finite neighbour radius, `min_neighbors = 0`
     /// (the strict `>` admission rule makes both radius-0 and
-    /// min-neighbors-0 footguns), a neighbour cap at or below
-    /// `min_neighbors` (admission counts neighbours before the cap, so
-    /// every kriged system would break the `Nn > Nn,min` rule), a NaN or
-    /// non-positive variance-gate threshold, and a negative or non-finite
-    /// fixed nugget. This is the one settings validator: a campaign spec,
+    /// min-neighbors-0 footguns), a neighbour cap or an approximate
+    /// path's `screen_to` at or below `min_neighbors` (admission counts
+    /// neighbours before either truncates them, so every kriged system
+    /// would break the `Nn > Nn,min` rule), a NaN or non-positive
+    /// variance-gate threshold, and a negative or non-finite fixed
+    /// nugget. This is the one settings validator: a campaign spec,
     /// a command-line flag and a serve `hello` all reach it.
     ///
     /// # Errors
@@ -285,6 +315,18 @@ impl HybridSettings {
                          strictly more than min_neighbors neighbours, and the cap truncates \
                          every system to max_neighbors",
                         self.min_neighbors
+                    ),
+                });
+            }
+        }
+        if let Some(approx) = &self.approx {
+            if approx.screen_to <= self.min_neighbors {
+                return Err(CoreError::InvalidSettings {
+                    reason: format!(
+                        "approx.screen_to ({}) must exceed min_neighbors ({}): kriging needs \
+                         strictly more than min_neighbors neighbours, and the screened solve \
+                         truncates every system to screen_to",
+                        approx.screen_to, self.min_neighbors
                     ),
                 });
             }
@@ -323,7 +365,8 @@ impl HybridSettings {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ApproxSettings {
     /// Neighbour-count ceiling of the screened solve; systems at or below
-    /// this size always run exact.
+    /// this size always run exact. It must exceed `N_n,min`
+    /// ([`HybridSettings::validate`]).
     pub screen_to: usize,
     /// Declared accuracy bound ε: the maximum allowed deviation
     /// `|λ̂_approx − λ̂_exact| / max(|λ̂_exact|, 1)` observed by the
@@ -976,7 +1019,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                         if let Some(approx) = &self.settings.approx {
                             // Validated approximate path: screen to the
                             // `screen_to` closest neighbours.
-                            search.truncate(approx.screen_to.max(1));
+                            search.truncate(approx.screen_to);
                         }
                     }
                     let start = batch.neighbors.len();
@@ -1027,29 +1070,21 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         // held at that point. A failed fit (degenerate geometry) stages the
         // policy's fallback model without a report.
         let fit = batch.fit_point.map(|len| {
-            let VariogramPolicy::FitAfter {
-                families, fallback, ..
-            } = &self.settings.variogram
-            else {
-                unreachable!("a fixed model is never identified");
-            };
             let fired_by = len - planned_at;
             let mut sites: Vec<Config> = self.store.configs().to_vec();
             let mut site_values: Vec<f64> = self.store.values().to_vec();
             sites.extend(batch.requests[..fired_by].iter().map(|r| r.config.clone()));
             site_values.extend_from_slice(&values[..fired_by]);
-            let report = identify(
+            let (model, report) = self.settings.variogram.identify(
                 &sites,
                 &site_values,
                 self.settings.metric,
                 self.settings.selection,
                 self.effective_nugget(),
-                families,
-            )
-            .ok();
+            );
             Fit {
                 at: len,
-                model: report.as_ref().map_or(*fallback, |report| report.model),
+                model,
                 report,
             }
         });
@@ -1513,7 +1548,6 @@ impl<E: EvalBackend> HybridEvaluator<E> {
         let max_neighbors = self.settings.max_neighbors;
         let gate = self.settings.gate;
         let nugget = self.effective_nugget();
-        let screen_to = approx.screen_to.max(1);
         let store = &self.store;
         let scratch = &mut self.krige_scratch;
         let value_buf = &mut self.value_buf;
@@ -1532,7 +1566,9 @@ impl<E: EvalBackend> HybridEvaluator<E> {
             if let Some(cap) = max_neighbors {
                 neighbor_buf.truncate(cap);
             }
-            if neighbor_buf.len() > screen_to && gate.admits(neighbor_buf.len(), min_neighbors) {
+            if neighbor_buf.len() > approx.screen_to
+                && gate.admits(neighbor_buf.len(), min_neighbors)
+            {
                 let exact = krige_with(
                     scratch,
                     table,
@@ -1547,7 +1583,7 @@ impl<E: EvalBackend> HybridEvaluator<E> {
                     table,
                     store,
                     value_buf,
-                    &neighbor_buf[..screen_to],
+                    &neighbor_buf[..approx.screen_to],
                     target,
                     nugget,
                 );
@@ -1792,6 +1828,21 @@ mod tests {
             },
             HybridSettings {
                 max_neighbors: Some(2),
+                ..HybridSettings::default()
+            },
+            // Likewise a screen at or below N_n,min.
+            HybridSettings {
+                approx: Some(ApproxSettings {
+                    screen_to: 3,
+                    ..ApproxSettings::default()
+                }),
+                ..HybridSettings::default()
+            },
+            HybridSettings {
+                approx: Some(ApproxSettings {
+                    screen_to: 2,
+                    ..ApproxSettings::default()
+                }),
                 ..HybridSettings::default()
             },
             HybridSettings {
@@ -2550,7 +2601,7 @@ mod tests {
                 distance: 3.0,
                 variogram: VariogramPolicy::Fixed(fixed),
                 approx: Some(ApproxSettings {
-                    screen_to: 2,
+                    screen_to: 4,
                     epsilon: 1e9,
                     loo_samples: 8,
                     check_every: 1000,
@@ -2573,7 +2624,7 @@ mod tests {
             panic!("a target beside the block must krige, got {out:?}");
         };
         assert_eq!(
-            neighbors, 2,
+            neighbors, 4,
             "active screening must cap the system at screen_to"
         );
     }

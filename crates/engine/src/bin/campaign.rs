@@ -35,7 +35,8 @@
 //!                    fault injection — fault fates are content-addressed,
 //!                    not call-ordered)
 //! --approx N         opt-in approximate prediction: screen kriging
-//!                    systems to the N closest neighbours, gated by a
+//!                    systems to the N closest neighbours (N must exceed
+//!                    every --nmin), gated by a
 //!                    leave-one-out accuracy check at the variogram fit
 //!                    and as the store grows (off by default; the exact
 //!                    path stays bitwise pinned)

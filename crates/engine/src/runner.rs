@@ -28,7 +28,6 @@ use krigeval_core::opt::descent::{budget_error_sources, DescentOptions};
 use krigeval_core::opt::minplusone::{optimize, optimize_with_tie_break, MinPlusOneOptions};
 use krigeval_core::opt::{DseEvaluator, OptError, OptimizationResult, SimulateAll};
 use krigeval_core::trace::Step;
-use krigeval_core::variogram::{identify, ModelFamily};
 use krigeval_core::{Config, FiniteGuard, VariogramModel};
 
 use crate::backend::EngineBackend;
@@ -163,15 +162,15 @@ fn pilot_model(
     )?;
     let (configs, values) = distinct_steps(&result.trace.steps);
     let distinct = configs.len() as u64;
-    let model = identify(
+    // Identified once every distinct configuration is in, the way a
+    // fit-after session does.
+    let (model, _) = VariogramPolicy::fit_after(configs.len()).identify(
         &configs,
         &values,
         run.metric,
         run.selection,
         nugget_variance(run.nugget),
-        &ModelFamily::all(),
-    )
-    .map_or(VariogramModel::linear(1.0), |report| report.model);
+    );
     Ok((model, distinct))
 }
 

@@ -17,7 +17,6 @@ pub use krigeval_core::hybrid::{ApproxSettings, GatePolicy, NuggetPolicy};
 pub use krigeval_core::ModelSelection;
 
 use krigeval_core::hybrid::{HybridSettings, VariogramPolicy};
-use krigeval_core::variogram::ModelFamily;
 use krigeval_core::{DistanceMetric, VariogramModel};
 
 use crate::fault::{FaultConfig, FaultPolicy};
@@ -123,18 +122,11 @@ impl VariogramSpec {
 
     /// The hybrid evaluator's policy for this spec, or `None` for
     /// [`VariogramSpec::Pilot`], whose model comes from a pilot run. The
-    /// online policy fits every [`ModelFamily`] and falls back to
-    /// `γ(d) = d` if the fit fails.
+    /// online policy is [`VariogramPolicy::fit_after`].
     pub fn policy(&self) -> Option<VariogramPolicy> {
-        let families = ModelFamily::all().to_vec();
-        let fallback = VariogramModel::linear(1.0);
         Some(match *self {
             VariogramSpec::Pilot => return None,
-            VariogramSpec::FitAfter { min_samples } => VariogramPolicy::FitAfter {
-                min_samples,
-                families,
-                fallback,
-            },
+            VariogramSpec::FitAfter { min_samples } => VariogramPolicy::fit_after(min_samples),
             VariogramSpec::FixedLinear { slope } => {
                 VariogramPolicy::Fixed(VariogramModel::linear(slope))
             }
@@ -383,9 +375,6 @@ impl CampaignSpec {
             faults.validate().map_err(SpecError::new)?;
         }
         if let Some(approx) = &self.approx {
-            if approx.screen_to == 0 {
-                return Err(SpecError::new("approx.screen_to must be at least 1"));
-            }
             if !approx.epsilon.is_finite() || approx.epsilon <= 0.0 {
                 return Err(SpecError::new(format!(
                     "invalid approx.epsilon {}",
@@ -864,6 +853,25 @@ mod tests {
                     "invalid campaign spec: invalid hybrid settings: max_neighbors ({cap}) must \
                      exceed min_neighbors (3): kriging needs strictly more than min_neighbors \
                      neighbours, and the cap truncates every system to max_neighbors"
+                )
+            );
+        }
+        // The screened solve truncates after admission too.
+        for screen_to in [3, 2] {
+            let spec = CampaignSpec {
+                approx: Some(ApproxSettings {
+                    screen_to,
+                    ..ApproxSettings::default()
+                }),
+                ..CampaignSpec::default()
+            };
+            assert_eq!(
+                spec.expand().unwrap_err().to_string(),
+                format!(
+                    "invalid campaign spec: invalid hybrid settings: approx.screen_to \
+                     ({screen_to}) must exceed min_neighbors (3): kriging needs strictly more \
+                     than min_neighbors neighbours, and the screened solve truncates every \
+                     system to screen_to"
                 )
             );
         }

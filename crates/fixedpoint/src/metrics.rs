@@ -72,13 +72,6 @@ impl ErrorStats {
     pub fn count(&self) -> u64 {
         self.count
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &ErrorStats) {
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-        self.count += other.count;
-    }
 }
 
 #[cfg(test)]
@@ -108,27 +101,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_error_panics() {
         ErrorStats::new().record(-0.1);
-    }
-
-    #[test]
-    fn merge_matches_single_accumulator() {
-        let samples = [0.05, 0.9, 0.33, 0.12, 0.7];
-        let mut whole = ErrorStats::new();
-        for &e in &samples {
-            whole.record(e);
-        }
-        let mut a = ErrorStats::new();
-        let mut b = ErrorStats::new();
-        for &e in &samples[..2] {
-            a.record(e);
-        }
-        for &e in &samples[2..] {
-            b.record(e);
-        }
-        a.merge(&b);
-        assert_eq!(a.max(), whole.max());
-        assert!((a.mean() - whole.mean()).abs() < 1e-15);
-        assert_eq!(a.count(), whole.count());
     }
 
     mod proptests {

@@ -102,7 +102,6 @@ impl fmt::Display for NoisePower {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NoiseMeter {
     sum_sq: f64,
-    sum_ref_sq: f64,
     samples: u64,
 }
 
@@ -116,7 +115,6 @@ impl NoiseMeter {
     pub fn record(&mut self, reference: f64, approximate: f64) {
         let e = approximate - reference;
         self.sum_sq += e * e;
-        self.sum_ref_sq += reference * reference;
         self.samples += 1;
     }
 
@@ -148,29 +146,6 @@ impl NoiseMeter {
         } else {
             NoisePower::from_linear(self.sum_sq / self.samples as f64)
         }
-    }
-
-    /// Signal-to-noise ratio in dB (`10·log₁₀(Pₛ/Pₙ)`), or `+inf` when no
-    /// noise was observed.
-    pub fn snr_db(&self) -> f64 {
-        if self.samples == 0 {
-            return f64::INFINITY;
-        }
-        let ps = self.sum_ref_sq / self.samples as f64;
-        let pn = self.noise_power().linear();
-        if pn == 0.0 {
-            f64::INFINITY
-        } else {
-            10.0 * (ps / pn).log10()
-        }
-    }
-
-    /// Merges another meter's accumulation into this one (useful for
-    /// block-wise simulation).
-    pub fn merge(&mut self, other: &NoiseMeter) {
-        self.sum_sq += other.sum_sq;
-        self.sum_ref_sq += other.sum_ref_sq;
-        self.samples += other.samples;
     }
 }
 
@@ -211,7 +186,6 @@ mod tests {
         let m = NoiseMeter::new();
         assert!(m.noise_power().is_zero());
         assert_eq!(m.samples(), 0);
-        assert_eq!(m.snr_db(), f64::INFINITY);
     }
 
     #[test]
@@ -220,22 +194,6 @@ mod tests {
         let xs: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin()).collect();
         m.record_slices(&xs, &xs);
         assert!(m.noise_power().is_zero());
-        assert_eq!(m.snr_db(), f64::INFINITY);
-    }
-
-    #[test]
-    fn merge_equals_single_pass() {
-        let xs: Vec<f64> = (0..64).map(|i| (i as f64 * 0.1).cos()).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x + 0.01).collect();
-        let mut whole = NoiseMeter::new();
-        whole.record_slices(&xs, &ys);
-        let mut a = NoiseMeter::new();
-        let mut b = NoiseMeter::new();
-        a.record_slices(&xs[..32], &ys[..32]);
-        b.record_slices(&xs[32..], &ys[32..]);
-        a.merge(&b);
-        assert_eq!(a.samples(), whole.samples());
-        assert!((a.noise_power().linear() - whole.noise_power().linear()).abs() < 1e-15);
     }
 
     #[test]
@@ -266,20 +224,20 @@ mod tests {
     }
 
     #[test]
-    fn snr_decreases_with_fewer_bits() {
+    fn noise_power_falls_six_db_per_bit() {
         let xs: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.013).sin() * 0.9).collect();
-        let mut snrs = Vec::new();
+        let mut dbs = Vec::new();
         for frac in [4, 8, 12] {
             let q = Quantizer::new(QFormat::new(0, frac).unwrap());
             let mut m = NoiseMeter::new();
             for &x in &xs {
                 m.record(x, q.quantize(x));
             }
-            snrs.push(m.snr_db());
+            dbs.push(m.noise_power().db());
         }
-        assert!(snrs[0] < snrs[1] && snrs[1] < snrs[2], "snrs = {snrs:?}");
+        assert!(dbs[0] > dbs[1] && dbs[1] > dbs[2], "dbs = {dbs:?}");
         // Each extra bit buys ~6 dB; 4 bits ≈ 24 dB.
-        assert!((snrs[1] - snrs[0] - 24.0).abs() < 3.0, "snrs = {snrs:?}");
+        assert!((dbs[0] - dbs[1] - 24.0).abs() < 3.0, "dbs = {dbs:?}");
     }
 
     #[test]

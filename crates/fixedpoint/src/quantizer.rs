@@ -51,10 +51,12 @@ impl Quantizer {
 
     /// Quantizes one value.
     ///
-    /// NaN inputs propagate unchanged (the benchmarks never produce them;
-    /// propagating makes failures visible instead of silently saturating).
-    /// A format whose range overflows `f64` (`2^m = ∞`, so `max_value()` is
-    /// NaN) saturates every other input to NaN.
+    /// A NaN input gives a NaN, never a saturated value, so a failure stays
+    /// visible instead of silently saturating (the benchmarks never produce
+    /// one). Which NaN comes back is not specified: Rust promises no NaN
+    /// payload through arithmetic, and a signalling NaN comes back quiet on
+    /// x86-64. A format whose range overflows `f64` (`2^m = ∞`, so
+    /// `max_value()` is NaN) saturates every other input to NaN.
     #[inline]
     pub fn quantize(&self, x: f64) -> f64 {
         self.grid.nearest_saturate(x)
@@ -110,22 +112,19 @@ impl Grid {
     }
 
     /// Round to nearest and saturate, bitwise equal to the rounded
-    /// quotient `(x / step).round() * step` clamped to the range, without
-    /// a branch. It saturates first: `lo` and `hi` are multiples of the
-    /// step, so a value outside the range lands on the bound either way,
-    /// and a value inside cannot round out of it. From x86-64-v2 on,
-    /// `round` compiles to a few vector operations around one `roundpd`;
-    /// baseline x86-64 has no rounding instruction and calls libm.
+    /// quotient `(x / step).round() * step` clamped to the range for every
+    /// input but NaN, without a branch. It saturates first: `lo` and `hi`
+    /// are multiples of the step, so a value outside the range lands on the
+    /// bound either way, and a value inside cannot round out of it. A NaN
+    /// passes both comparisons and stays a NaN through the arithmetic.
+    /// From x86-64-v2 on, `round` compiles to a few vector operations
+    /// around one `roundpd`; baseline x86-64 has no rounding instruction
+    /// and calls libm.
     #[inline(always)]
     fn nearest_saturate(&self, x: f64) -> f64 {
         let s = if x < self.lo { self.lo } else { x };
         let s = if s > self.hi { self.hi } else { s };
-        let v = (s * self.inv_step).round() * self.step;
-        if x.is_nan() {
-            x
-        } else {
-            v
-        }
+        (s * self.inv_step).round() * self.step
     }
 }
 
@@ -199,6 +198,16 @@ mod tests {
             let step = q.format().step();
             let v = (x / step).round() * step;
             v.clamp(q.format().min_value(), q.format().max_value())
+        }
+
+        /// The oracle comparison: bitwise for every input but NaN, where
+        /// both sides must be NaN (which NaN is not specified).
+        fn agrees(x: f64, got: f64, want: f64) -> bool {
+            if x.is_nan() {
+                got.is_nan() && want.is_nan()
+            } else {
+                got.to_bits() == want.to_bits()
+            }
         }
 
         /// Inputs around a format's grid and range, plus every special
@@ -295,10 +304,10 @@ mod tests {
                     let q = Quantizer::new(f);
                     for k in &ks {
                         let x = k * f.step();
-                        prop_assert_eq!(
-                            q.quantize(x).to_bits(),
-                            quantize_by_division(&q, x).to_bits(),
-                            "{} x = {:e}", f, x
+                        let (got, want) = (q.quantize(x), quantize_by_division(&q, x));
+                        prop_assert!(
+                            agrees(x, got, want),
+                            "{} x = {:e}: {:e} != {:e}", f, x, got, want
                         );
                     }
                 }
@@ -317,16 +326,18 @@ mod tests {
                 let f = QFormat::with_word_length(m, word_length).unwrap();
                 let xs = probe_values(f, bits, unit);
                 let q = Quantizer::new(f);
-                let each: Vec<u64> = xs.iter().map(|&x| q.quantize(x).to_bits()).collect();
-                let oracle: Vec<u64> =
-                    xs.iter().map(|&x| quantize_by_division(&q, x).to_bits()).collect();
-                let slice: Vec<u64> = q.quantize_slice(&xs).iter().map(|v| v.to_bits()).collect();
+                let slice = q.quantize_slice(&xs);
                 let mut inplace = xs.clone();
                 q.quantize_in_place(&mut inplace);
-                let inplace: Vec<u64> = inplace.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(&each, &oracle, "{}", f);
-                prop_assert_eq!(&slice, &each, "{}", f);
-                prop_assert_eq!(&inplace, &each, "{}", f);
+                for ((&x, &s), &i) in xs.iter().zip(&slice).zip(&inplace) {
+                    let (each, oracle) = (q.quantize(x), quantize_by_division(&q, x));
+                    prop_assert!(
+                        agrees(x, each, oracle),
+                        "{} x = {:e}: {:e} != {:e}", f, x, each, oracle
+                    );
+                    prop_assert!(agrees(x, s, each), "{} x = {:e}: slice {:e}", f, x, s);
+                    prop_assert!(agrees(x, i, each), "{} x = {:e}: in place {:e}", f, x, i);
+                }
             }
         }
 
@@ -342,13 +353,17 @@ mod tests {
             for x in probe_values(f, 0x0123_4567_89AB_CDEF, 0.5) {
                 let oracle = std::panic::catch_unwind(|| quantize_by_division(&q, x));
                 match oracle {
-                    Ok(v) => assert_eq!(q.quantize(x).to_bits(), v.to_bits(), "x = {x:e}"),
+                    Ok(v) => assert!(agrees(x, q.quantize(x), v), "x = {x:e}"),
                     Err(_) => assert!(q.quantize(x).is_nan(), "x = {x:e}"),
                 }
             }
-            // NaN still propagates unchanged.
-            let nan = f64::from_bits(0x7FF4_0000_0000_0001);
-            assert_eq!(q.quantize(nan).to_bits(), nan.to_bits());
+            // A quiet or signalling NaN of either sign still gives a NaN.
+            for bits in [0x7FF8_0000_0000_0000, 0x7FF4_0000_0000_0001] {
+                for sign in [0, 1 << 63] {
+                    let nan = f64::from_bits(bits | sign);
+                    assert!(q.quantize(nan).is_nan(), "{:#x}", nan.to_bits());
+                }
+            }
         }
 
         proptest! {

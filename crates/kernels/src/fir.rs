@@ -124,7 +124,7 @@ impl WordLengthBenchmark for FirBenchmark {
 }
 
 /// Outputs filtered side by side once every tap has an input sample.
-const LANES: usize = 16;
+const LANES: usize = 32;
 
 /// Runs the fixed-point filter and hands each output to `emit` in sample
 /// order. Every output sees the same operations in the same order as the

@@ -291,8 +291,8 @@ impl McJob {
     }
 }
 
-/// Quantization hooks for the interpolation data path, each applied to a
-/// row of independent pixel lanes in place. The reference path uses
+/// Quantization hooks for the interpolation data path, each applied to
+/// independent pixel lanes in place. The reference path uses
 /// [`Passthrough`]; the fixed-point path uses [`SiteQuantizers`].
 trait McQuant {
     fn products(&self, tap: usize, vertical: bool, lanes: &mut [f64]);
@@ -392,24 +392,28 @@ fn normalized(taps: &[f64; TAPS]) -> [f64; TAPS] {
     taps.map(|h| h / 64.0)
 }
 
-/// The 8-tap filter at [`BLOCK`] adjacent positions, one lane each, with
-/// per-tap product and accumulator hooks. `samples(t)` holds tap `t`'s
-/// input for every lane. Each lane sees the same operations in the same
-/// order as a lone 8-tap filter, so its bits are those of the
-/// one-position loop; interleaving the lanes overlaps their quantizer
+/// The 8-tap filter at `L` positions, rows of [`BLOCK`] adjacent ones,
+/// one lane each, with per-tap product and accumulator hooks over all `L`
+/// lanes at once. `samples(r, t)` holds tap `t`'s input for row `r`'s
+/// lanes. Each lane sees the same operations in the same order as a lone
+/// 8-tap filter, so its bits are those of the one-position loop; running
+/// every row's lanes through each hook together overlaps their quantizer
 /// latencies.
 #[inline(always)]
-fn filter8_lanes<'a, Q: McQuant>(
+fn filter_lanes<'a, const L: usize, Q: McQuant>(
     taps: &[f64; TAPS],
     vertical: bool,
     q: &Q,
-    samples: impl Fn(usize) -> &'a [f64],
-) -> [f64; BLOCK] {
-    let mut acc = [0.0; BLOCK];
+    samples: impl Fn(usize, usize) -> &'a [f64],
+) -> [f64; L] {
+    const { assert!(L.is_multiple_of(BLOCK), "whole rows of lanes") };
+    let mut acc = [0.0; L];
     for (t, &h) in taps.iter().enumerate() {
-        let mut products = [0.0; BLOCK];
-        for (p, &x) in products.iter_mut().zip(&samples(t)[..BLOCK]) {
-            *p = h * x;
+        let mut products = [0.0; L];
+        for (r, row) in products.chunks_exact_mut(BLOCK).enumerate() {
+            for (p, &x) in row.iter_mut().zip(&samples(r, t)[..BLOCK]) {
+                *p = h * x;
+            }
         }
         q.products(t, vertical, &mut products);
         for (a, p) in acc.iter_mut().zip(products) {
@@ -429,57 +433,40 @@ fn copy_block(image: &[Vec<f64>], job: McJob) -> Block {
     out
 }
 
-/// The horizontal-only path's filter outputs, a row of eight pixels at a
-/// time, before the path register.
+/// The horizontal-only path's filter outputs, every row in one tap loop,
+/// before the path register.
 #[inline(never)]
 fn filter_rows<Q: McQuant>(image: &[Vec<f64>], job: McJob, q: &Q) -> Block {
     let taps = normalized(&LUMA_FILTERS[job.frac_x as usize - 1]);
-    let mut out = [0.0; BLOCK * BLOCK];
-    for (dy, row_out) in out.chunks_exact_mut(BLOCK).enumerate() {
-        let row = &image[job.y + dy];
-        row_out.copy_from_slice(&filter8_lanes(&taps, false, q, |t| &row[job.x + t - 3..]));
-    }
-    out
+    filter_lanes(&taps, false, q, |r, t| &image[job.y + r][job.x + t - 3..])
 }
 
-/// The vertical-only path's filter outputs, a row of eight pixels at a
-/// time, before the path register.
+/// The vertical-only path's filter outputs, every row in one tap loop,
+/// before the path register.
 #[inline(never)]
 fn filter_columns<Q: McQuant>(image: &[Vec<f64>], job: McJob, q: &Q) -> Block {
     let taps = normalized(&LUMA_FILTERS[job.frac_y as usize - 1]);
-    let mut out = [0.0; BLOCK * BLOCK];
-    for (dy, row_out) in out.chunks_exact_mut(BLOCK).enumerate() {
-        let v = filter8_lanes(&taps, true, q, |t| &image[job.y + dy + t - 3][job.x..]);
-        row_out.copy_from_slice(&v);
-    }
-    out
+    filter_lanes(&taps, true, q, |r, t| &image[job.y + r + t - 3][job.x..])
 }
 
-/// The 2-D path's horizontal pass over `BLOCK + TAPS − 1` rows, after the
-/// intermediate register.
+/// The 2-D path's horizontal pass over `BLOCK + TAPS − 1` rows in one tap
+/// loop, after the intermediate register.
 #[inline(never)]
 fn horizontal_pass<Q: McQuant>(image: &[Vec<f64>], job: McJob, q: &Q) -> Intermediate {
     let taps = normalized(&LUMA_FILTERS[job.frac_x as usize - 1]);
-    let mut out = [0.0; (BLOCK + TAPS - 1) * BLOCK];
-    for (r, row_out) in out.chunks_exact_mut(BLOCK).enumerate() {
-        let row = &image[job.y + r - 3];
-        row_out.copy_from_slice(&filter8_lanes(&taps, false, q, |t| &row[job.x + t - 3..]));
-        q.h_intermediates(row_out);
-    }
+    let mut out = filter_lanes(&taps, false, q, |r, t| {
+        &image[job.y + r - 3][job.x + t - 3..]
+    });
+    q.h_intermediates(&mut out);
     out
 }
 
-/// The 2-D path's vertical pass over its intermediates, before the path
-/// register.
+/// The 2-D path's vertical pass over its intermediates, every row in one
+/// tap loop, before the path register.
 #[inline(never)]
 fn vertical_pass<Q: McQuant>(intermediate: &Intermediate, job: McJob, q: &Q) -> Block {
     let taps = normalized(&LUMA_FILTERS[job.frac_y as usize - 1]);
-    let mut out = [0.0; BLOCK * BLOCK];
-    for (dy, row_out) in out.chunks_exact_mut(BLOCK).enumerate() {
-        let v = filter8_lanes(&taps, true, q, |t| &intermediate[(dy + t) * BLOCK..]);
-        row_out.copy_from_slice(&v);
-    }
-    out
+    filter_lanes(&taps, true, q, |r, t| &intermediate[(r + t) * BLOCK..])
 }
 
 /// The path register of `path`, if any, then the final output register.
@@ -490,8 +477,8 @@ fn registers<Q: McQuant>(block: &mut Block, path: Option<McPath>, q: &Q) {
     q.outputs(block);
 }
 
-/// Interpolates one 8×8 block (the module under test), a row of eight
-/// pixels at a time, in a full pass.
+/// Interpolates one 8×8 block (the module under test), every row of a
+/// filter pass in one tap loop, in a full pass.
 fn interpolate_block<Q: McQuant>(image: &[Vec<f64>], job: McJob, q: &Q) -> Block {
     resume_block(image, job, q, &mut Cursors::default())
 }

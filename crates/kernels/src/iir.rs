@@ -26,6 +26,9 @@ use crate::resume::{self, StateStore, STAGE_STATE_BYTES};
 use crate::signal::white_noise;
 use crate::{KernelError, WordLengthBenchmark};
 
+/// Most sections a cascade has: a pass runs a loop compiled per count.
+const MAX_SECTIONS: usize = 4;
+
 /// The 8th-order cascaded-biquad IIR benchmark.
 ///
 /// # Examples
@@ -63,10 +66,11 @@ impl IirBenchmark {
     ///
     /// # Panics
     ///
-    /// Panics if `order` is zero or odd, `cutoff` is outside `(0, 0.5)`, or
-    /// `samples == 0`.
+    /// Panics if `order` is zero, odd or above 8, `cutoff` is outside
+    /// `(0, 0.5)`, or `samples == 0`.
     pub fn new(order: usize, cutoff: f64, samples: usize, seed: u64) -> IirBenchmark {
         assert!(samples > 0, "need at least one input sample");
+        assert!(order <= 2 * MAX_SECTIONS, "order must be at most 8");
         let sections = butterworth_lowpass(order, cutoff);
         let input = white_noise(seed, samples, 0.95);
         let mut reference = input.clone();
@@ -123,33 +127,15 @@ impl WordLengthBenchmark for IirBenchmark {
         // a full pass.
         let mut captures: Vec<Vec<f64>> =
             (start..sections).map(|_| vec![0.0; input.len()]).collect();
-
-        // Direct-form-I state per section, all quantized at the section's
-        // output register (the classic cascade realization). Sample by
-        // sample, so the sections' recursions overlap.
-        let mut x1 = vec![0.0; sections];
-        let mut x2 = vec![0.0; sections];
-        let mut y1 = vec![0.0; sections];
-        let mut y2 = vec![0.0; sections];
-
-        let mut meter = NoiseMeter::new();
-        for (n, &sample) in input.iter().enumerate() {
-            let mut v = sample;
-            for (i, capture) in (start..sections).zip(&mut captures) {
-                let s = &self.sections[i];
-                let y =
-                    s.b[0] * v + s.b[1] * x1[i] + s.b[2] * x2[i] - s.a[0] * y1[i] - s.a[1] * y2[i];
-                let y = section_q[i].quantize(y);
-                x2[i] = x1[i];
-                x1[i] = v;
-                y2[i] = y1[i];
-                y1[i] = y;
-                v = y;
-                capture[n] = v;
-            }
-            let out = out_q.quantize(v);
-            meter.record(self.reference[n], out);
-        }
+        let q = &section_q[start..];
+        let meter = match sections - start {
+            0 => self.cascade::<0>(q, out_q, input, &mut captures),
+            1 => self.cascade::<1>(q, out_q, input, &mut captures),
+            2 => self.cascade::<2>(q, out_q, input, &mut captures),
+            3 => self.cascade::<3>(q, out_q, input, &mut captures),
+            4 => self.cascade::<4>(q, out_q, input, &mut captures),
+            _ => unreachable!("IirBenchmark::new admits at most {MAX_SECTIONS} sections"),
+        };
         for (k, capture) in (start + 1..).zip(captures) {
             self.states
                 .insert(stage_key(k, word_lengths, &mut key), capture);
@@ -159,6 +145,50 @@ impl WordLengthBenchmark for IirBenchmark {
 
     fn resume_stats(&self) -> Option<ResumeStats> {
         Some(self.states.stats())
+    }
+}
+
+impl IirBenchmark {
+    /// Runs the last `N` sections over `input`, their input stream, and
+    /// meters the output register against the reference; section `i`'s
+    /// outputs go to `captures[i]`. Direct-form-I state per section,
+    /// quantized at its output register (the classic cascade realization),
+    /// sample by sample so the sections' recursions overlap. Coefficients,
+    /// quantizers and state sit in local arrays, so no recursion step goes
+    /// through memory.
+    fn cascade<const N: usize>(
+        &self,
+        section_q: &[Quantizer],
+        out_q: Quantizer,
+        input: &[f64],
+        captures: &mut [Vec<f64>],
+    ) -> NoiseMeter {
+        let sections: &[Biquad; N] = self.sections[self.sections.len() - N..]
+            .try_into()
+            .expect("N of the cascade's sections run");
+        let (b, a) = (sections.map(|s| s.b), sections.map(|s| s.a));
+        let q: [Quantizer; N] = section_q.try_into().expect("one quantizer per section");
+        let captures: &mut [Vec<f64>; N] = captures.try_into().expect("one capture per section");
+        let captures = captures.each_mut().map(|c| &mut c[..input.len()]);
+        let (mut x1, mut x2, mut y1, mut y2) = ([0.0; N], [0.0; N], [0.0; N], [0.0; N]);
+        let mut meter = NoiseMeter::new();
+        for (n, (&sample, &reference)) in input.iter().zip(&self.reference).enumerate() {
+            let mut v = sample;
+            for i in 0..N {
+                let y = b[i][0] * v + b[i][1] * x1[i] + b[i][2] * x2[i]
+                    - a[i][0] * y1[i]
+                    - a[i][1] * y2[i];
+                let y = q[i].quantize(y);
+                x2[i] = x1[i];
+                x1[i] = v;
+                y2[i] = y1[i];
+                y1[i] = y;
+                v = y;
+                captures[i][n] = v;
+            }
+            meter.record(reference, out_q.quantize(v));
+        }
+        meter
     }
 }
 
@@ -185,6 +215,73 @@ mod tests {
     /// Short streams keep the replays quick.
     fn short() -> IirBenchmark {
         IirBenchmark::new(8, 0.1, 200, 0x11E8_0002)
+    }
+
+    /// The cascade as originally written, sample-major over heap state and
+    /// indexed sections, in a full pass: the oracle for the per-count
+    /// [`IirBenchmark::cascade`] loops. Returns the noise power's bits.
+    fn full_pass_by_vec_loop(b: &IirBenchmark, word_lengths: &[i32]) -> u64 {
+        let sections = b.sections.len();
+        let section_q: Vec<Quantizer> = word_lengths[..sections]
+            .iter()
+            .map(|&w| Quantizer::new(QFormat::with_word_length(2, w).unwrap()))
+            .collect();
+        let out_q = Quantizer::new(QFormat::with_word_length(0, word_lengths[sections]).unwrap());
+        let mut x1 = vec![0.0; sections];
+        let mut x2 = vec![0.0; sections];
+        let mut y1 = vec![0.0; sections];
+        let mut y2 = vec![0.0; sections];
+        let mut meter = NoiseMeter::new();
+        for (n, &sample) in b.input.iter().enumerate() {
+            let mut v = sample;
+            for i in 0..sections {
+                let s = &b.sections[i];
+                let y =
+                    s.b[0] * v + s.b[1] * x1[i] + s.b[2] * x2[i] - s.a[0] * y1[i] - s.a[1] * y2[i];
+                let y = section_q[i].quantize(y);
+                x2[i] = x1[i];
+                x1[i] = v;
+                y2[i] = y1[i];
+                y1[i] = y;
+                v = y;
+            }
+            meter.record(b.reference[n], out_q.quantize(v));
+        }
+        meter.noise_power().linear().to_bits()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn every_section_count_is_bitwise_the_vec_loop(
+            sections in 1usize..=MAX_SECTIONS,
+            samples in 1usize..=300,
+            seed in 0u64..1_000_000,
+            word_lengths in proptest::collection::vec(2i32..=16, MAX_SECTIONS + 1),
+        ) {
+            let b = IirBenchmark::new(2 * sections, 0.1, samples, seed);
+            let w = &word_lengths[..=sections];
+            // A full pass runs every section and stores every stage.
+            prop_assert_eq!(bits(&b, w), full_pass_by_vec_loop(&b, w));
+            // Moving `site` resumes at stage `site` (the output register
+            // reads the cascade output), so the last `sections - site`
+            // sections run: every count from `sections` down to 0.
+            for site in 0..=sections {
+                let mut moved = w.to_vec();
+                moved[site] = if moved[site] == 16 { 15 } else { moved[site] + 1 };
+                let started = b.resume_stats().unwrap().started_at[site];
+                let oracle = full_pass_by_vec_loop(&b, &moved);
+                prop_assert_eq!(bits(&b, &moved), oracle, "site {}", site);
+                prop_assert_eq!(b.resume_stats().unwrap().started_at[site], started + 1);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "order must be at most 8")]
+    fn orders_above_the_dispatch_panic() {
+        IirBenchmark::new(10, 0.1, 16, 1);
     }
 
     proptest! {
